@@ -4,14 +4,15 @@ Produces the torus diagram with its prescribed path for the interleaved
 rectangles, the overlay drawings for both packing pairs, and the colored
 arrangement faces of the figure pairs.
 """
+import os
 import sys
 from pathlib import Path
 
 from fpindex.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
-FIXTURES = ROOT / "tests" / "fixtures"
-OUT = ROOT / "figures"
+FIXTURES = Path("tests") / "fixtures"
+OUT = Path("figures")
 
 
 def fx(name: str) -> str:
@@ -39,6 +40,9 @@ RENDERS = [
 
 
 def run() -> int:
+    # Paths stay relative to the checkout, so the reports (which echo the
+    # SVG path) come out the same wherever the repository lives.
+    os.chdir(ROOT)
     OUT.mkdir(exist_ok=True)
     for name, argv in RENDERS:
         code = main([*argv, "--svg", str(OUT / name),

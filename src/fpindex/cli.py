@@ -8,6 +8,7 @@ rationals to floats at the last moment and is never read back.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import random
@@ -223,17 +224,23 @@ def cmd_render(kind: str, inputs: tuple[str, ...], svg: str) -> dict:
 # -- selftest ---------------------------------------------------------------------
 
 
-def _circle_gon(center: RatPoint, radius: Fraction, n: int = 64) -> PolyJordanCurve:
-    """Convex rational n-gon inscribed in the circle, circle-like for index
-    purposes: convex, star-shaped around its center."""
+@functools.cache
+def _unit_directions(n: int) -> tuple[RatPoint, ...]:
+    """n rational points on the unit circle at near-regular angles."""
     points = []
     for k in range(n):
         u = Fraction(2 * k + 1, 2 * n)
         t = Fraction(math.tan(math.pi * (float(u) - 0.5))).limit_denominator(10**6)
         den = 1 + t * t
-        d = RatPoint((1 - t * t) / den, 2 * t / den)
-        points.append(center + d.scale(radius))
-    return validate_curve(points)
+        points.append(RatPoint((1 - t * t) / den, 2 * t / den))
+    return tuple(points)
+
+
+def _circle_gon(center: RatPoint, radius: Fraction, n: int = 64) -> PolyJordanCurve:
+    """Convex rational n-gon inscribed in the circle, circle-like for index
+    purposes: convex, star-shaped around its center."""
+    return validate_curve([center + d.scale(radius)
+                           for d in _unit_directions(n)])
 
 
 def _suite_circle_index(rng: random.Random, trials: int) -> dict:

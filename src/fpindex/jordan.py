@@ -19,6 +19,7 @@ more than one face.
 from __future__ import annotations
 
 import functools
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -32,6 +33,7 @@ from .errors import (
     NotTransverse,
 )
 from .exact_geom import (
+    IntPoint,
     MeetKind,
     PLLoop,
     PointLocation,
@@ -222,26 +224,42 @@ class CrossingSet:
         return tuple(sorted(self.crossings, key=lambda c: c.param_kt))
 
 
-def check_transverse(first: PolyJordanCurve, second: PolyJordanCurve) -> CrossingSet:
-    """Crossing set of a transverse pair; NotTransverse on any bad contact."""
-    den, xs1, ys1, xs2, ys2 = joint_int_coords(first.loop, second.loop)
+def segment_contacts(first: PLLoop, second: PLLoop,
+                     ) -> tuple[int, list[IntPoint], list[IntPoint], list[tuple]]:
+    """Every contact between a segment of one loop and one of the other.
+
+    Returns (D, P1, P2, hits): the vertices of both loops as integer points
+    over one denominator D, and (i, j, *meet_int(a, b, c, d)) for each
+    segment ab = P1[i] P1[i + 1] of the first loop that meets a segment
+    cd = P2[j] P2[j + 1] of the second, in (i, j) order. Only segment pairs
+    whose closed bounding boxes meet are tested (_box_pairs).
+    """
+    den, xs1, ys1, xs2, ys2 = joint_int_coords(first, second)
     pts1, pts2 = list(zip(xs1, ys1)), list(zip(xs2, ys2))
     n1, n2 = len(pts1), len(pts2)
-    boxes = _segment_boxes(xs1, ys1) + _segment_boxes(xs2, ys2)
-    found: list[tuple[Fraction, Fraction, RatPoint, CrossKind]] = []
-    contacts: list[tuple[int, int]] = []
-    for i, j in _box_pairs(boxes):
+    hits = []
+    for i, j in _box_pairs(_segment_boxes(xs1, ys1) + _segment_boxes(xs2, ys2)):
         if i >= n1 or j < n1:
             continue
         j -= n1
+        meet = meet_int(pts1[i], pts1[(i + 1) % n1], pts2[j], pts2[(j + 1) % n2])
+        if meet[0] is not MeetKind.EMPTY:
+            hits.append((i, j, *meet))
+    hits.sort(key=lambda hit: (hit[0], hit[1]))
+    return den, pts1, pts2, hits
+
+
+def check_transverse(first: PolyJordanCurve, second: PolyJordanCurve) -> CrossingSet:
+    """Crossing set of a transverse pair; NotTransverse on any bad contact."""
+    den, pts1, pts2, hits = segment_contacts(first.loop, second.loop)
+    n1, n2 = len(pts1), len(pts2)
+    found: list[tuple[Fraction, Fraction, RatPoint, CrossKind]] = []
+    for i, j, kind, d1, d2, d3, d4 in hits:
+        if kind is MeetKind.DEGENERATE:
+            raise NotTransverse(
+                f"non-crossing contact between segment {i} and segment {j}")
         a, b = pts1[i], pts1[(i + 1) % n1]
         c, d = pts2[j], pts2[(j + 1) % n2]
-        kind, d1, d2, d3, d4 = meet_int(a, b, c, d)
-        if kind is MeetKind.EMPTY:
-            continue
-        if kind is MeetKind.DEGENERATE:
-            contacts.append((i, j))
-            continue
         # The crossing lies at u = d1 / (d1 - d2) along s = ab and at
         # v = d3 / (d3 - d4) along t = cd.
         du, dv = d1 - d2, d3 - d4
@@ -251,10 +269,6 @@ def check_transverse(first: PolyJordanCurve, second: PolyJordanCurve) -> Crossin
         found.append((Fraction(i * du + d1, du * n1),
                       Fraction(j * dv + d3, dv * n2), point,
                       CrossKind.P if turn > 0 else CrossKind.PTILDE))
-    if contacts:
-        i, j = min(contacts)
-        raise NotTransverse(
-            f"non-crossing contact between segment {i} and segment {j}")
     found.sort(key=lambda item: item[0])
     crossings = tuple(
         Crossing(index=n, point=p, param_k=pk, param_kt=pkt, kind=kind)
@@ -310,20 +324,87 @@ def _arcs_of(curve: PolyJordanCurve, tag: str,
     return arcs
 
 
-@dataclass
-class _HalfEdge:
-    hid: int
-    arc: BoundaryArc
-    forward: bool
-    tail: int
-    head: int
-    polyline: tuple[RatPoint, ...]
-    twin: int = -1
-    nxt: int = -1
+def _ray_refinement(polyline: Sequence[RatPoint], d: RatPoint) -> Fraction:
+    """Angular tie-break for arcs leaving a node along the same ray: positive
+    for a left bend, negative for a right bend, larger magnitude the earlier
+    the bend comes."""
+    base = polyline[0]
+    for k in range(len(polyline) - 1):
+        step = polyline[k + 1] - polyline[k]
+        turn = d.cross(step)
+        if turn != 0:
+            along = (polyline[k] - base).dot(d)
+            if along <= 0:
+                raise InvariantFailure("arc bends before leaving its node")
+            return Fraction(1 if turn > 0 else -1) / along
+        if step.dot(d) <= 0:
+            raise InvariantFailure("arc doubles back through a contact point")
+    return Fraction(0)
 
-    @property
-    def out_dir(self) -> RatPoint:
-        return self.polyline[1] - self.polyline[0]
+
+def _half_cmp(line1: Sequence[RatPoint], line2: Sequence[RatPoint]) -> int:
+    """Counterclockwise order of two polylines leaving the same node."""
+    d = line1[1] - line1[0]
+    order = cmp_directions_ccw(d, line2[1] - line2[0])
+    if order != 0:
+        return order
+    k1 = _ray_refinement(line1, d)
+    k2 = _ray_refinement(line2, d)
+    if k1 == k2:
+        raise InvariantFailure("indistinguishable arcs at a contact point")
+    return -1 if k1 < k2 else 1
+
+
+def trace_faces(arcs: Sequence[tuple[int, int, tuple[RatPoint, ...]]],
+                ) -> Iterator[tuple[tuple[tuple[int, bool], ...], PLLoop,
+                                    Fraction]]:
+    """Faces of a plane arrangement of directed arcs (tail, head, polyline).
+
+    Each arc gives two half-edges, 2k along arc k and 2k + 1 against it.
+    The half-edges leaving a node are sorted counterclockwise (_half_cmp),
+    and a face is traced on the left: after a half-edge comes the clockwise
+    successor of its twin, as in the doubly connected edge list of Muller
+    and Preparata, TCS 1978. Yields each face, in the order of its first
+    half-edge, as (arc index, forward) steps with its boundary polygon and
+    signed area.
+    """
+    lines: list[tuple[RatPoint, ...]] = []
+    tails: list[int] = []
+    for tail, head, polyline in arcs:
+        lines += [polyline, polyline[::-1]]
+        tails += [tail, head]
+    outgoing: dict[int, list[int]] = {}
+    for h, tail in enumerate(tails):
+        outgoing.setdefault(tail, []).append(h)
+    position: dict[int, int] = {}
+    order = functools.cmp_to_key(lambda g, h: _half_cmp(lines[g], lines[h]))
+    for outs in outgoing.values():
+        outs.sort(key=order)
+        for pos, h in enumerate(outs):
+            position[h] = pos
+
+    seen: set[int] = set()
+    for h0 in range(len(lines)):
+        if h0 in seen:
+            continue
+        cycle, h = [], h0
+        while True:
+            cycle.append(h)
+            seen.add(h)
+            outs = outgoing[tails[h ^ 1]]  # the twin's tail is h's head
+            h = outs[(position[h ^ 1] - 1) % len(outs)]
+            if h == h0:
+                break
+        points: list[RatPoint] = []
+        for h in cycle:
+            for q in lines[h][:-1]:
+                if not points or points[-1] != q:
+                    points.append(q)
+        if points[0] == points[-1]:
+            points.pop()
+        polygon = PLLoop(tuple(points))
+        yield (tuple([(h >> 1, not h & 1) for h in cycle]), polygon,
+               signed_area(polygon))
 
 
 def build_arrangement(first: PolyJordanCurve, second: PolyJordanCurve,
@@ -336,60 +417,14 @@ def build_arrangement(first: PolyJordanCurve, second: PolyJordanCurve,
     by_kt = list(crossings.by_param_kt())
     arcs = _arcs_of(first, "first", by_k, "param_k") + \
         _arcs_of(second, "second", by_kt, "param_kt")
-
-    halves: list[_HalfEdge] = []
-    for arc in arcs:
-        f = _HalfEdge(hid=len(halves), arc=arc, forward=True,
-                      tail=arc.start, head=arc.end, polyline=arc.polyline)
-        halves.append(f)
-        b = _HalfEdge(hid=len(halves), arc=arc, forward=False,
-                      tail=arc.end, head=arc.start,
-                      polyline=tuple(reversed(arc.polyline)))
-        halves.append(b)
-        f.twin, b.twin = b.hid, f.hid
-
-    outgoing: dict[int, list[_HalfEdge]] = {}
-    for h in halves:
-        outgoing.setdefault(h.tail, []).append(h)
-    key = functools.cmp_to_key(
-        lambda a, b: cmp_directions_ccw(a.out_dir, b.out_dir))
-    rotation_pos: dict[int, int] = {}
-    for node, outs in outgoing.items():
-        if len(outs) != 4:
-            raise InvariantFailure("crossing degree is not four")
-        outs.sort(key=key)
-        for pos, h in enumerate(outs):
-            rotation_pos[h.hid] = pos
-
-    # Left-face tracing: continue with the clockwise successor of the twin.
-    def next_of(h: _HalfEdge) -> _HalfEdge:
-        outs = outgoing[h.head]
-        pos = rotation_pos[halves[h.twin].hid]
-        return outs[(pos - 1) % len(outs)]
+    degree = Counter(node for arc in arcs for node in (arc.start, arc.end))
+    if any(count != 4 for count in degree.values()):
+        raise InvariantFailure("crossing degree is not four")
 
     faces: list[ArrangementFace] = []
-    seen: set[int] = set()
     negative_faces = 0
-    for h0 in halves:
-        if h0.hid in seen:
-            continue
-        cycle = []
-        h = h0
-        while True:
-            cycle.append(h)
-            seen.add(h.hid)
-            h = next_of(h)
-            if h.hid == h0.hid:
-                break
-        points: list[RatPoint] = []
-        for he in cycle:
-            for q in he.polyline[:-1]:
-                if not points or points[-1] != q:
-                    points.append(q)
-        if points[0] == points[-1]:
-            points.pop()
-        polygon = PLLoop(tuple(points))
-        area = signed_area(polygon)
+    for steps, polygon, area in trace_faces(
+            [(arc.start, arc.end, arc.polyline) for arc in arcs]):
         if area == 0:
             raise InvariantFailure("degenerate arrangement face")
         if area > 0:
@@ -399,8 +434,8 @@ def build_arrangement(first: PolyJordanCurve, second: PolyJordanCurve,
             xs = [p.x for c in (first, second) for p in c.vertices]
             ys = [p.y for c in (first, second) for p in c.vertices]
             sample = RatPoint(max(xs) + 1, max(ys) + 1)
-        boundary = tuple((he.arc.curve, he.arc.start, he.arc.end, he.forward)
-                         for he in cycle)
+        boundary = tuple([(arcs[k].curve, arcs[k].start, arcs[k].end, forward)
+                          for k, forward in steps])
         faces.append(ArrangementFace(
             id=len(faces), boundary=boundary,
             in_K=first.contains(sample) == PointLocation.INSIDE,

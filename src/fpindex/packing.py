@@ -19,9 +19,9 @@ telescoping identity exactly.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Sequence
 
 from .errors import (
@@ -45,14 +45,17 @@ from .exact_geom import (
     PLLoop,
     PointLocation,
     RatPoint,
-    cmp_directions_ccw,
+    in_box_int,
     interior_point,
     point_in_polygon,
-    point_on_segment,
-    segment_intersection,
-    signed_area,
 )
-from .jordan import PolyJordanCurve, check_transverse, cuts_each_other
+from .jordan import (
+    PolyJordanCurve,
+    check_transverse,
+    cuts_each_other,
+    segment_contacts,
+    trace_faces,
+)
 from .plmap import PLCorrespondence, _refined_params, fixed_point_index
 from .prescribe import prescribe
 from .torus import build_diagram, realize_path
@@ -118,6 +121,12 @@ class PackingSpec:
     rect: TopoRectangle
     pieces: tuple[PolyJordanCurve, ...]
 
+    @cached_property
+    def analysis(self) -> "_Analysis":
+        """The checked contact arrangement (_analyze), built once per spec;
+        a packing that breaks a rule raises on every access."""
+        return _analyze(self)
+
 
 @dataclass(frozen=True)
 class ContactGraph:
@@ -177,29 +186,30 @@ class TheoremCertificate:
 
 
 def _pair_meeting(first: PolyJordanCurve, second: PolyJordanCurve,
-                  ) -> tuple[list[RatPoint], set[RatPoint], bool]:
-    """How two boundaries meet: proper crossings, isolated touch points, and
-    whether they share a positive-length stretch."""
-    proper: list[RatPoint] = []
+                  ) -> tuple[bool, set[RatPoint], bool]:
+    """How two boundaries meet: whether they cross properly, their isolated
+    touch points, and whether they share a positive-length stretch."""
+    _, pts1, pts2, hits = segment_contacts(first.loop, second.loop)
+    v1, v2 = first.vertices, second.vertices
+    crossed = overlap = False
     touches: set[RatPoint] = set()
-    overlap = False
-    for s in first.loop.segments():
-        for t in second.loop.segments():
-            meet = segment_intersection(s, t)
-            if meet.kind is MeetKind.EMPTY:
-                continue
-            if meet.kind is MeetKind.PROPER:
-                proper.append(meet.point)
-                continue
-            shared = {p for p in (s.a, s.b) if point_on_segment(t, p)}
-            shared.update(q for q in (t.a, t.b) if point_on_segment(s, q))
-            if not shared:
-                raise InvariantFailure("degenerate meeting with no endpoint")
-            if len(shared) > 1:
-                overlap = True  # two shared points on one segment pair
-            else:
-                touches.update(shared)
-    return proper, touches, overlap
+    for i, j, kind, d1, d2, d3, d4 in hits:
+        if kind is MeetKind.PROPER:
+            crossed = True
+            continue
+        i1, j1 = (i + 1) % len(v1), (j + 1) % len(v2)
+        a, b, c, d = pts1[i], pts1[i1], pts2[j], pts2[j1]
+        # an endpoint lies on the other segment when it is collinear with
+        # it (a zero cross product from meet_int) and inside its box
+        shared = {vertex for dk, end, seg, vertex in (
+            (d1, a, (c, d), v1[i]), (d2, b, (c, d), v1[i1]),
+            (d3, c, (a, b), v2[j]), (d4, d, (a, b), v2[j1]))
+            if dk == 0 and in_box_int(*seg, end)}
+        if len(shared) > 1:
+            overlap = True  # two shared points on one segment pair
+        else:
+            touches.update(shared)
+    return crossed, touches, overlap
 
 
 def _scan_contacts(spec: PackingSpec) -> dict[RatPoint, set]:
@@ -213,8 +223,8 @@ def _scan_contacts(spec: PackingSpec) -> dict[RatPoint, set]:
     by_point: dict[RatPoint, set] = {}
     used_sides: set[tuple[int, int]] = set()
     for i, piece in enumerate(spec.pieces):
-        proper, touches, overlap = _pair_meeting(rect.curve, piece)
-        if proper:
+        crossed, touches, overlap = _pair_meeting(rect.curve, piece)
+        if crossed:
             raise PieceOutsideRect(f"piece {i} crosses the frame boundary")
         if overlap:
             raise PieceOutsideRect(f"piece {i} runs along the frame boundary")
@@ -234,9 +244,9 @@ def _scan_contacts(spec: PackingSpec) -> dict[RatPoint, set]:
 
     for i in range(len(spec.pieces)):
         for j in range(i + 1, len(spec.pieces)):
-            proper, touches, overlap = _pair_meeting(
+            crossed, touches, overlap = _pair_meeting(
                 spec.pieces[i], spec.pieces[j])
-            if proper or overlap:
+            if crossed or overlap:
                 raise PiecesOverlap(f"pieces {i} and {j} have boundaries that "
                                     "cross or run together")
             if len(touches) > 1:
@@ -294,51 +304,6 @@ class _Face:
     objects: "frozenset | None"
 
 
-@dataclass
-class _Half:
-    hid: int
-    aid: int
-    forward: bool
-    tail: int
-    head: int
-    polyline: tuple[RatPoint, ...]
-    twin: int = -1
-
-    @property
-    def out_dir(self) -> RatPoint:
-        return self.polyline[1] - self.polyline[0]
-
-
-def _ray_refinement(polyline: Sequence[RatPoint], d: RatPoint) -> Fraction:
-    """Angular tie-break for arcs leaving a node along the same ray: positive
-    for a left bend, negative for a right bend, larger magnitude the earlier
-    the bend comes."""
-    base = polyline[0]
-    for k in range(len(polyline) - 1):
-        step = polyline[k + 1] - polyline[k]
-        turn = d.cross(step)
-        if turn != 0:
-            along = (polyline[k] - base).dot(d)
-            if along <= 0:
-                raise InvariantFailure("arc bends before leaving its node")
-            return Fraction(1 if turn > 0 else -1) / along
-        if step.dot(d) <= 0:
-            raise InvariantFailure("arc doubles back through a contact point")
-    return Fraction(0)
-
-
-def _half_cmp(h1: _Half, h2: _Half) -> int:
-    order = cmp_directions_ccw(h1.out_dir, h2.out_dir)
-    if order != 0:
-        return order
-    d = h1.out_dir
-    k1 = _ray_refinement(h1.polyline, d)
-    k2 = _ray_refinement(h2.polyline, d)
-    if k1 == k2:
-        raise InvariantFailure("indistinguishable arcs at a contact point")
-    return -1 if k1 < k2 else 1
-
-
 def _split_curve(curve: PolyJordanCurve, stops: list[tuple[int, int]],
                  ) -> list[tuple[int, int, tuple[RatPoint, ...]]]:
     """(tail node, head node, polyline) runs of a curve split at the given
@@ -356,9 +321,8 @@ def _split_curve(curve: PolyJordanCurve, stops: list[tuple[int, int]],
     return runs
 
 
-@dataclass
+@dataclass(frozen=True)
 class _Analysis:
-    spec: PackingSpec
     nodes: tuple[_Node, ...]
     arcs: tuple[_Arc, ...]
     faces: tuple[_Face, ...]
@@ -401,64 +365,21 @@ def _analyze(spec: PackingSpec) -> _Analysis:
         for tail, head, pts in _split_curve(piece, stops):
             arcs.append(_Arc(len(arcs), i, tail, head, pts))
 
-    halves: list[_Half] = []
-    for arc in arcs:
-        fwd = _Half(len(halves), arc.aid, True, arc.tail, arc.head,
-                    arc.polyline)
-        halves.append(fwd)
-        bwd = _Half(len(halves), arc.aid, False, arc.head, arc.tail,
-                    tuple(reversed(arc.polyline)))
-        halves.append(bwd)
-        fwd.twin, bwd.twin = bwd.hid, fwd.hid
-
-    outgoing: dict[int, list[_Half]] = {}
-    for h in halves:
-        outgoing.setdefault(h.tail, []).append(h)
-    position: dict[int, int] = {}
-    order = functools.cmp_to_key(_half_cmp)
-    for outs in outgoing.values():
-        outs.sort(key=order)
-        for pos, h in enumerate(outs):
-            position[h.hid] = pos
-
-    # Left-face tracing: continue with the clockwise successor of the twin.
-    def next_half(h: _Half) -> _Half:
-        outs = outgoing[h.head]
-        return outs[(position[h.twin] - 1) % len(outs)]
-
-    seen: set[int] = set()
     faces: list[_Face] = []
     face_of: dict = {}
     interstices: list[int] = []
     piece_face: dict[int, int] = {}
     outer_count = 0
-    for h0 in halves:
-        if h0.hid in seen:
-            continue
-        cycle, h = [], h0
-        while True:
-            cycle.append(h)
-            seen.add(h.hid)
-            h = next_half(h)
-            if h.hid == h0.hid:
-                break
-        pts: list[RatPoint] = []
-        for he in cycle:
-            for q in he.polyline[:-1]:
-                if not pts or pts[-1] != q:
-                    pts.append(q)
-        if pts and pts[0] == pts[-1]:
-            pts.pop()
-        polygon = PLLoop(tuple(pts))
-        area = signed_area(polygon)
+    for cycle, polygon, area in trace_faces(
+            [(arc.tail, arc.head, arc.polyline) for arc in arcs]):
         if area == 0:
             raise InvariantFailure("flat arrangement face")
         fid = len(faces)
-        hosts = {arcs[he.aid].host for he in cycle}
+        hosts = {arcs[aid].host for aid, _ in cycle}
         if area < 0:
             kind, piece, objects = "outer", None, None
             outer_count += 1
-        elif (all(he.forward for he in cycle) and len(hosts) == 1
+        elif (all(forward for _, forward in cycle) and len(hosts) == 1
               and isinstance(next(iter(hosts)), int)):
             piece = next(iter(hosts))
             kind, objects = "interior", None
@@ -466,11 +387,12 @@ def _analyze(spec: PackingSpec) -> _Analysis:
         else:
             kind, piece, objects = "interstice", None, frozenset(hosts)
             interstices.append(fid)
-        for he in cycle:
-            face_of[(he.aid, he.forward)] = fid
-        faces.append(_Face(fid, tuple((he.aid, he.forward) for he in cycle),
-                           tuple(he.tail for he in cycle), polygon, area,
-                           kind, piece, objects))
+        for step in cycle:
+            face_of[step] = fid
+        node_ids = tuple([arcs[aid].tail if forward else arcs[aid].head
+                          for aid, forward in cycle])
+        faces.append(_Face(fid, cycle, node_ids, polygon, area, kind, piece,
+                           objects))
 
     if outer_count != 1 or len(nodes) - len(arcs) + len(faces) != 2:
         raise BadInterstice("tangency structure is disconnected or has holes")
@@ -513,7 +435,7 @@ def _analyze(spec: PackingSpec) -> _Analysis:
         raise BadInterstice(
             "contact structure is not a triangulation of a square")
 
-    return _Analysis(spec=spec, nodes=nodes, arcs=tuple(arcs),
+    return _Analysis(nodes=nodes, arcs=tuple(arcs),
                      faces=tuple(faces), face_of=face_of,
                      node_by_objects=node_by_objects,
                      interstices=tuple(interstices),
@@ -523,7 +445,7 @@ def _analyze(spec: PackingSpec) -> _Analysis:
 
 def validate_packing(spec: PackingSpec) -> tuple[PackingSpec, ContactGraph]:
     """Check every packing rule and return the input with its contact graph."""
-    return spec, _analyze(spec).graph
+    return spec, spec.analysis.graph
 
 
 # -- overlays of two packings ----------------------------------------------------
@@ -534,9 +456,14 @@ def _curve_table(spec: PackingSpec) -> tuple[tuple[str, PolyJordanCurve], ...]:
             *((f"piece{i}", piece) for i, piece in enumerate(spec.pieces)))
 
 
-def _overlay_report(first: _Analysis, second: _Analysis) -> OverlayReport:
-    table_a = _curve_table(first.spec)
-    table_b = _curve_table(second.spec)
+def check_overlay_transverse(first: PackingSpec, second: PackingSpec,
+                             ) -> OverlayReport:
+    """Require every boundary of one packing to meet every boundary of the
+    other transversally, with no coincidences at contact points."""
+    # a packing that breaks a rule is reported before any overlay fault
+    nodes = (first.analysis.nodes, second.analysis.nodes)
+    table_a = _curve_table(first)
+    table_b = _curve_table(second)
     entries = []
     crossing_points: list[tuple[int, int, RatPoint]] = []
     for ia, (label_a, curve_a) in enumerate(table_a):
@@ -559,8 +486,8 @@ def _overlay_report(first: _Analysis, second: _Analysis) -> OverlayReport:
                     curve.loop, p) is PointLocation.ON_BOUNDARY:
                 raise NotTransverseOverlay(
                     f"a crossing point lies on {label} as well")
-    for analysis, table in ((first, table_b), (second, table_a)):
-        for nd in analysis.nodes:
+    for own_nodes, table in zip(nodes, (table_b, table_a)):
+        for nd in own_nodes:
             for label, curve in table:
                 if point_in_polygon(
                         curve.loop, nd.point) is PointLocation.ON_BOUNDARY:
@@ -568,13 +495,6 @@ def _overlay_report(first: _Analysis, second: _Analysis) -> OverlayReport:
                         f"a contact point of one packing lies on {label} "
                         "of the other")
     return OverlayReport(tuple(entries))
-
-
-def check_overlay_transverse(first: PackingSpec, second: PackingSpec,
-                             ) -> OverlayReport:
-    """Require every boundary of one packing to meet every boundary of the
-    other transversally, with no coincidences at contact points."""
-    return _overlay_report(_analyze(first), _analyze(second))
 
 
 def isomorphic_contact(first: ContactGraph, second: ContactGraph,
@@ -614,12 +534,12 @@ def _checked_analyses(first: PackingSpec, second: PackingSpec,
                       correspondence: Sequence[int],
                       ) -> tuple[_Analysis, _Analysis]:
     try:
-        first_a, second_a = _analyze(first), _analyze(second)
-        _overlay_report(first_a, second_a)
+        check_overlay_transverse(first, second)
     except HypothesesNotMet:
         raise
     except InputRejection as exc:
         raise HypothesesNotMet(f"{type(exc).__name__}: {exc}") from exc
+    first_a, second_a = first.analysis, second.analysis
     if not isomorphic_contact(first_a.graph, second_a.graph, correspondence):
         raise HypothesesNotMet(
             "contact structures do not match under the correspondence")

@@ -29,6 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -132,7 +133,7 @@ class TorusDiagram:
     def size(self) -> int:
         return len(self.col_order)
 
-    @property
+    @cached_property
     def marks(self) -> tuple[TorusMark, ...]:
         kind_map = dict(self.kinds)
         row_pos = {t: i for i, t in enumerate(self.row_order)}

@@ -304,11 +304,11 @@ def test_c05_noncut_pairs_keep_index_between_0_and_2():
             done += 1
         witnessed[2 * m] = sorted(seen)
     report = {str(k): v for k, v in witnessed.items()}
-    REPORTS.mkdir(exist_ok=True)
-    out = REPORTS / "noncut_index_witnesses.json"
-    out.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
     print("index values witnessed by crossing count:", report)
     assert all(set(v) <= {0, 1, 2} for v in witnessed.values())
+    recorded = json.loads(
+        (REPORTS / "noncut_index_witnesses.json").read_text())
+    assert report == recorded
 
 
 def test_c06_prescription_succeeds_on_500_random_pairs():

@@ -94,6 +94,21 @@ class TestValidatePacking:
         assert graph_b.sorted_edges() == graph.sorted_edges()
         assert graph_b.sorted_triangles() == graph.sorted_triangles()
 
+    def test_contact_where_segment_boxes_share_one_x(self):
+        # At (4, 4) piece 0's vertical edge ends and piece 1's edges leave to
+        # the right: every segment pair there meets only on the line x = 4.
+        rect = TopoRectangle(
+            curve((0, 0), (2, 0), (6, 0), (8, 0), (8, 4), (8, 8), (6, 8),
+                  (2, 8), (0, 8), (0, 4)),
+            (0, 3, 5, 8))
+        left = curve((2, 0), (4, 2), (4, 4), (2, 8), (0, 4))
+        right = curve((6, 0), (8, 4), (6, 8), (4, 4))
+        _, graph = validate_packing(PackingSpec(rect, (left, right)))
+        assert frozenset({0, 1}) in graph.edges
+        assert graph.sorted_triangles() == (
+            ("a", "b", 1), ("a", "d", 0), ("a", 0, 1), ("b", "c", 1),
+            ("c", "d", 0), ("c", 0, 1))
+
     def test_empty_packing_is_not_triangulated(self):
         rect = one_piece_pair()[0].rect
         with pytest.raises(BadInterstice):
