@@ -1,9 +1,13 @@
-"""Regenerate the JSON fixtures under tests/fixtures.
+"""Regenerate the JSON fixtures under tests/fixtures, or under OUTDIR.
+
+    python scripts/make_fixtures.py [OUTDIR]
 
 Everything is deterministic: fixed coordinates for the hand-built figures and
 a fixed seed for the twelve-crossing pair.  The golden prescribe report is
 frozen by running the CLI pipeline on the generated inputs; rerunning this
-script must reproduce every file byte for byte.
+script must reproduce every file byte for byte, which
+`python scripts/make_fixtures.py /tmp/fx && diff -r /tmp/fx tests/fixtures`
+checks without rewriting the tree.
 """
 from __future__ import annotations
 
@@ -33,8 +37,8 @@ def curve(*vs):
     return validate_curve([pt(x, y) for x, y in vs])
 
 
-def write(name: str, payload: dict | list) -> None:
-    path = FIXTURES / name
+def write(out: Path, name: str, payload: dict | list) -> None:
+    path = out / name
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n",
                     encoding="utf-8")
     print("wrote", path.name)
@@ -77,7 +81,7 @@ def twelve_crossing_pair(seed: int):
             return first, second, crossings, rng
 
 
-def packing_fixtures() -> None:
+def packing_fixtures(out: Path) -> None:
     rect_a = TopoRectangle(
         curve((0, 0), (2, 0), (4, 0), (4, 2), (4, 4), (2, 4), (0, 4), (0, 2)),
         (0, 2, 4, 6))
@@ -87,9 +91,9 @@ def packing_fixtures() -> None:
               (-2, 2)),
         (0, 2, 4, 6))
     one_b = PackingSpec(rect_b, (curve((2, 1), (6, 2), (2, 3), (-2, 2)),))
-    write("pack_one_a.json", dump_packing(one_a))
-    write("pack_one_b.json", dump_packing(one_b))
-    write("corr_one.json", [0])
+    write(out, "pack_one_a.json", dump_packing(one_a))
+    write(out, "pack_one_b.json", dump_packing(one_b))
+    write(out, "corr_one.json", [0])
 
     rect_a2 = TopoRectangle(
         curve((0, 0), (3, 0), (6, 0), (6, 2), (6, 5), (6, 6), (3, 6), (0, 6),
@@ -108,28 +112,28 @@ def packing_fixtures() -> None:
         curve((3, 1), (8, F(15, 8)), (3, F(11, 4)), (-2, F(15, 8))),
         curve((3, F(11, 4)), (8, F(29, 8)), (3, F(9, 2)), (-2, F(29, 8))),
     ))
-    write("pack_two_a.json", dump_packing(two_a))
-    write("pack_two_b.json", dump_packing(two_b))
-    write("corr_two.json", [0, 1])
+    write(out, "pack_two_a.json", dump_packing(two_a))
+    write(out, "pack_two_b.json", dump_packing(two_b))
+    write(out, "corr_two.json", [0, 1])
 
 
-def main() -> int:
-    FIXTURES.mkdir(parents=True, exist_ok=True)
+def main(out: Path = FIXTURES) -> int:
+    out.mkdir(parents=True, exist_ok=True)
 
     # disjoint pair, identity corner map: index 0
-    write("fig_disjoint_first.json", dump_curve(square(0, 0, 2, 2)))
-    write("fig_disjoint_second.json", dump_curve(square(10, 0, 14, 4)))
+    write(out, "fig_disjoint_first.json", dump_curve(square(0, 0, 2, 2)))
+    write(out, "fig_disjoint_second.json", dump_curve(square(10, 0, 14, 4)))
     # interleaved rectangles, corner-to-corner map: index -1
-    write("fig_interleaved_first.json", dump_curve(square(0, -1, 3, 4)))
-    write("fig_interleaved_second.json", dump_curve(square(-1, 0, 4, 3)))
-    write("identity_corner_map.json", identity_corners())
-    write("corner_constraints.json", corner_constraints())
+    write(out, "fig_interleaved_first.json", dump_curve(square(0, -1, 3, 4)))
+    write(out, "fig_interleaved_second.json", dump_curve(square(-1, 0, 4, 3)))
+    write(out, "identity_corner_map.json", identity_corners())
+    write(out, "corner_constraints.json", corner_constraints())
 
-    packing_fixtures()
+    packing_fixtures(out)
 
     first, second, crossings, rng = twelve_crossing_pair(seed=20240817)
-    write("fig_twelve_first.json", dump_curve(first))
-    write("fig_twelve_second.json", dump_curve(second))
+    write(out, "fig_twelve_first.json", dump_curve(first))
+    write(out, "fig_twelve_second.json", dump_curve(second))
     phi = random_correspondence(rng, 5)
     banned_s = {c.param_k for c in crossings}
     banned_t = {c.param_kt for c in crossings}
@@ -140,20 +144,20 @@ def main() -> int:
         if s in banned_s or t in banned_t or s in pairs:
             continue
         pairs[s] = t
-    write("twelve_constraints.json",
+    write(out, "twelve_constraints.json",
           {"constraints": [[s.numerator, s.denominator,
                             t.numerator, t.denominator]
                            for s, t in sorted(pairs.items())]})
 
     # freeze the CLI prescribe report for the twelve-crossing inputs
     from fpindex.cli import cmd_prescribe
-    report = cmd_prescribe(str(FIXTURES / "fig_twelve_first.json"),
-                           str(FIXTURES / "fig_twelve_second.json"),
-                           str(FIXTURES / "twelve_constraints.json"))
-    write("golden_twelve_trace.json", report)
+    report = cmd_prescribe(str(out / "fig_twelve_first.json"),
+                           str(out / "fig_twelve_second.json"),
+                           str(out / "twelve_constraints.json"))
+    write(out, "golden_twelve_trace.json", report)
     print("golden trace: w =", report["w"], "depth =", report["depth"])
     return 0
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(*map(Path, sys.argv[1:2])))

@@ -37,7 +37,7 @@ from .packing import (
     PackingSpec,
     TopoRectangle,
     assemble_theorem_certificate,
-    check_overlay_transverse,
+    certify_incompatibility,
     find_cutting_pair,
     translate_packing,
     validate_packing,
@@ -175,9 +175,8 @@ def cmd_incompat(pack_a: str, pack_b: str, correspondence_path: str,
             raise InputRejection(f"bad epsilon {epsilon!r}: {exc}") from exc
         # generic non-axis direction so a nudge breaks coincidences
         second = translate_packing(second, RatPoint(eps, eps / 3))
-    overlay = check_overlay_transverse(first, second)
-    cutting = find_cutting_pair(first, second, correspondence)
-    cert = assemble_theorem_certificate(first, second, correspondence)
+    overlay, cutting, cert = certify_incompatibility(first, second,
+                                                     correspondence)
     return {
         "epsilon": None if eps is None else fraction_to_json(eps),
         "overlay": {"pairs": [list(entry) for entry in overlay.entries],

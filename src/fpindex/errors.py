@@ -55,7 +55,9 @@ class HasFixedPoint(InputRejection):
 
 
 class DegenerateLoop(InputRejection):
-    """The difference path is a single point and cannot form a loop."""
+    """A path cannot form a loop: a difference path that is a single point,
+    or an input curve with fewer than 3 vertices or a vertex repeated
+    consecutively."""
 
 
 class ArcsDisagree(InputRejection):

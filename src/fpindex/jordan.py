@@ -11,10 +11,13 @@ Kinds alternate along both boundaries. Parameters normalize each curve to
 [0, 1) with vertex i of an n-gon at parameter i/n.
 
 The arrangement of a transverse pair with 2M >= 2 crossings has the crossings
-as vertices, the 4M boundary arcs as edges, and 2M + 2 faces; each face is
-labeled by membership in the two closed regions, decided exactly at a sample
-point in its interior. A pair *cuts* when either difference region splits into
-more than one face.
+as vertices, the 4M boundary arcs as edges, and 2M + 2 faces. A pair *cuts*
+when either difference region splits into more than one face. The crossing
+orders along both curves and the crossing kinds fix every face and its
+membership in the two closed regions, so the cut test reads the faces from
+them (crossing_faces) without further geometry. The geometric arrangement
+(build_arrangement) serves rendering: it traces each face's polygon and labels
+it exactly at a sample point in its interior.
 """
 from __future__ import annotations
 
@@ -355,36 +358,21 @@ def _half_cmp(line1: Sequence[RatPoint], line2: Sequence[RatPoint]) -> int:
     return -1 if k1 < k2 else 1
 
 
-def trace_faces(arcs: Sequence[tuple[int, int, tuple[RatPoint, ...]]],
-                ) -> Iterator[tuple[tuple[tuple[int, bool], ...], PLLoop,
-                                    Fraction]]:
-    """Faces of a plane arrangement of directed arcs (tail, head, polyline).
+def _face_cycles(tails: Sequence[int], outgoing: dict[int, list[int]],
+                 ) -> Iterator[list[int]]:
+    """Left-face cycles of a plane graph given by its rotation system.
 
-    Each arc gives two half-edges, 2k along arc k and 2k + 1 against it.
-    The half-edges leaving a node are sorted counterclockwise (_half_cmp),
-    and a face is traced on the left: after a half-edge comes the clockwise
-    successor of its twin, as in the doubly connected edge list of Muller
-    and Preparata, TCS 1978. Yields each face, in the order of its first
-    half-edge, as (arc index, forward) steps with its boundary polygon and
-    signed area.
+    Half-edge h leaves node tails[h] and is the twin of h ^ 1, so its head
+    is tails[h ^ 1]; outgoing[v] lists the half-edges leaving node v in
+    counterclockwise order. After a half-edge comes the clockwise successor
+    of its twin, as in the doubly connected edge list of Muller and
+    Preparata, TCS 1978. Yields each cycle in the order of its first
+    half-edge.
     """
-    lines: list[tuple[RatPoint, ...]] = []
-    tails: list[int] = []
-    for tail, head, polyline in arcs:
-        lines += [polyline, polyline[::-1]]
-        tails += [tail, head]
-    outgoing: dict[int, list[int]] = {}
-    for h, tail in enumerate(tails):
-        outgoing.setdefault(tail, []).append(h)
-    position: dict[int, int] = {}
-    order = functools.cmp_to_key(lambda g, h: _half_cmp(lines[g], lines[h]))
-    for outs in outgoing.values():
-        outs.sort(key=order)
-        for pos, h in enumerate(outs):
-            position[h] = pos
-
+    position = {h: pos for outs in outgoing.values()
+                for pos, h in enumerate(outs)}
     seen: set[int] = set()
-    for h0 in range(len(lines)):
+    for h0 in range(len(tails)):
         if h0 in seen:
             continue
         cycle, h = [], h0
@@ -395,6 +383,33 @@ def trace_faces(arcs: Sequence[tuple[int, int, tuple[RatPoint, ...]]],
             h = outs[(position[h ^ 1] - 1) % len(outs)]
             if h == h0:
                 break
+        yield cycle
+
+
+def trace_faces(arcs: Sequence[tuple[int, int, tuple[RatPoint, ...]]],
+                ) -> Iterator[tuple[tuple[tuple[int, bool], ...], PLLoop,
+                                    Fraction]]:
+    """Faces of a plane arrangement of directed arcs (tail, head, polyline).
+
+    Each arc gives two half-edges, 2k along arc k and 2k + 1 against it.
+    The half-edges leaving a node are sorted counterclockwise (_half_cmp)
+    and each face is traced on the left (_face_cycles). Yields each face,
+    in the order of its first half-edge, as (arc index, forward) steps with
+    its boundary polygon and signed area.
+    """
+    lines: list[tuple[RatPoint, ...]] = []
+    tails: list[int] = []
+    for tail, head, polyline in arcs:
+        lines += [polyline, polyline[::-1]]
+        tails += [tail, head]
+    outgoing: dict[int, list[int]] = {}
+    for h, tail in enumerate(tails):
+        outgoing.setdefault(tail, []).append(h)
+    order = functools.cmp_to_key(lambda g, h: _half_cmp(lines[g], lines[h]))
+    for outs in outgoing.values():
+        outs.sort(key=order)
+
+    for cycle in _face_cycles(tails, outgoing):
         points: list[RatPoint] = []
         for h in cycle:
             for q in lines[h][:-1]:
@@ -484,19 +499,74 @@ def _trivial_arrangement(first: PolyJordanCurve,
     return faces
 
 
+def crossing_faces(crossings: CrossingSet,
+                   ) -> list[tuple[tuple[tuple[str, int, int, bool], ...],
+                                   bool, bool]]:
+    """Faces of the overlay, read from the crossing orders and kinds alone.
+
+    The arcs are those of build_arrangement: the first curve's from crossing
+    k to k + 1, then the second curve's between crossings consecutive in
+    second-curve order. A crossing's kind fixes the counterclockwise order
+    of the four half-edges leaving it: (first out, second back, first back,
+    second out) at kind P, where the first curve enters the second region,
+    and (first out, second out, first back, second back) at kind Ptilde.
+    Each region lies to the left of its positively directed boundary, so a
+    face is in K when a forward first-curve half-edge bounds it, and in Kt
+    when a forward second-curve one does. Returns (boundary, in_K, in_Kt)
+    per face, with boundary and face order as in build_arrangement.
+    """
+    n = len(crossings)
+    if n == 0:
+        raise InvariantFailure("faces undefined without crossings")
+    by_kt = crossings.by_param_kt()
+    arcs = [("first", k, (k + 1) % n) for k in range(n)] + \
+        [("second", by_kt[a].index, by_kt[(a + 1) % n].index)
+         for a in range(n)]
+    tails = [node for _, tail, head in arcs for node in (tail, head)]
+    outgoing: dict[int, list[int]] = {}
+    for a, c in enumerate(by_kt):
+        k = c.index
+        first_out, first_back = 2 * k, 2 * ((k - 1) % n) + 1
+        second_out, second_back = 2 * (n + a), 2 * (n + (a - 1) % n) + 1
+        outgoing[k] = ([first_out, second_back, first_back, second_out]
+                       if c.kind is CrossKind.P else
+                       [first_out, second_out, first_back, second_back])
+
+    faces = []
+    for cycle in _face_cycles(tails, outgoing):
+        # the rotation alternates the curves, so every face meets both
+        in_K = next(not h & 1 for h in cycle if h < 2 * n)
+        in_Kt = next(not h & 1 for h in cycle if h >= 2 * n)
+        faces.append((tuple([(*arcs[h >> 1], not h & 1) for h in cycle]),
+                      in_K, in_Kt))
+    if len(faces) != n + 2:
+        raise InvariantFailure(
+            f"Euler check failed: {len(faces)} faces for {n} crossings")
+    return faces
+
+
+def crossing_pattern_cuts(crossings: CrossingSet) -> bool:
+    """True when the faces of the crossing pattern split either difference
+    region: more than one face is (in K, out Kt), or more than one is
+    (in Kt, out K). A pattern without crossings never cuts."""
+    if len(crossings) == 0:
+        return False
+    faces = crossing_faces(crossings)
+    only_first = sum(1 for _, in_K, in_Kt in faces if in_K and not in_Kt)
+    only_second = sum(1 for _, in_K, in_Kt in faces if in_Kt and not in_K)
+    return only_first > 1 or only_second > 1
+
+
 def cuts_each_other(first: PolyJordanCurve, second: PolyJordanCurve) -> bool:
     """True when either closed difference region is disconnected.
 
     Components of first-minus-second are exactly the (in, out) faces of the
-    arrangement, and symmetrically, so the test counts labeled faces.
+    arrangement, and symmetrically, so the test counts labeled faces. It
+    reads them from the crossing orders and kinds (crossing_faces) and does
+    no geometry beyond check_transverse; build_arrangement's polygons and
+    sample points serve rendering.
     """
-    crossings = check_transverse(first, second)
-    if len(crossings) == 0:
-        return False
-    faces = build_arrangement(first, second, crossings)
-    only_first = sum(1 for f in faces if f.in_K and not f.in_Kt)
-    only_second = sum(1 for f in faces if f.in_Kt and not f.in_K)
-    return only_first > 1 or only_second > 1
+    return crossing_pattern_cuts(check_transverse(first, second))
 
 
 def crossing_word(crossings: CrossingSet) -> tuple[int, ...]:

@@ -539,6 +539,15 @@ def _checked_analyses(first: PackingSpec, second: PackingSpec,
         raise
     except InputRejection as exc:
         raise HypothesesNotMet(f"{type(exc).__name__}: {exc}") from exc
+    return _matched_analyses(first, second, correspondence)
+
+
+def _matched_analyses(first: PackingSpec, second: PackingSpec,
+                      correspondence: Sequence[int],
+                      ) -> tuple[_Analysis, _Analysis]:
+    """Both analyses, once the contact structures match under the
+    correspondence and the frames interleave; the caller checks the
+    overlay first."""
     first_a, second_a = first.analysis, second.analysis
     if not isomorphic_contact(first_a.graph, second_a.graph, correspondence):
         raise HypothesesNotMet(
@@ -558,6 +567,11 @@ def find_cutting_pair(first: PackingSpec, second: PackingSpec,
     transverse, contact structures matching, frames interleaved.
     """
     _checked_analyses(first, second, correspondence)
+    return _first_cutting_pair(first, second, correspondence)
+
+
+def _first_cutting_pair(first: PackingSpec, second: PackingSpec,
+                        correspondence: Sequence[int]) -> int:
     for i, piece in enumerate(first.pieces):
         if cuts_each_other(piece, second.pieces[correspondence[i]]):
             return i
@@ -638,7 +652,14 @@ def assemble_theorem_certificate(first: PackingSpec, second: PackingSpec,
             rect_index=_frame_corner_index(first, second),
             piece_indices=(), interstice_indices=(), interstice_triples=(),
             cutting_index=None, degenerate=True)
-    first_a, second_a = _checked_analyses(first, second, correspondence)
+    return _certificate(first, second, correspondence,
+                        *_checked_analyses(first, second, correspondence))
+
+
+def _certificate(first: PackingSpec, second: PackingSpec,
+                 correspondence: Sequence[int], first_a: _Analysis,
+                 second_a: _Analysis) -> TheoremCertificate:
+    """assemble_theorem_certificate on packings whose hypotheses hold."""
 
     def relabel(group: frozenset) -> frozenset:
         return frozenset(correspondence[lab] if isinstance(lab, int) else lab
@@ -721,6 +742,22 @@ def assemble_theorem_certificate(first: PackingSpec, second: PackingSpec,
         interstice_indices=tuple(inter_indices),
         interstice_triples=tuple(triples),
         cutting_index=cutting)
+
+
+def certify_incompatibility(first: PackingSpec, second: PackingSpec,
+                            correspondence: Sequence[int],
+                            ) -> tuple[OverlayReport, int, TheoremCertificate]:
+    """The overlay report, find_cutting_pair and assemble_theorem_certificate,
+    with the overlay checked once.
+
+    An overlay fault is raised as check_overlay_transverse raises it; every
+    later error comes as and when find_cutting_pair would raise it.
+    """
+    overlay = check_overlay_transverse(first, second)
+    analyses = _matched_analyses(first, second, correspondence)
+    cutting = _first_cutting_pair(first, second, correspondence)
+    return overlay, cutting, _certificate(first, second, correspondence,
+                                          *analyses)
 
 
 def translate_packing(spec: PackingSpec, shift: RatPoint) -> PackingSpec:

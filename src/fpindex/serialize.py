@@ -11,7 +11,7 @@ import json
 from fractions import Fraction
 from typing import Any, Sequence
 
-from .errors import InputRejection
+from .errors import DegenerateLoop, InputRejection
 from .exact_geom import PLLoop, RatPoint
 from .jordan import PolyJordanCurve, validate_curve
 from .packing import PackingSpec, TopoRectangle
@@ -69,6 +69,12 @@ def load_curve(obj: Any, what: str = "curve") -> PolyJordanCurve:
     rows = _int_rows(obj, "vertices", 4, what)
     points = [RatPoint(Fraction(xn, xd), Fraction(yn, yd))
               for xn, xd, yn, yd in rows]
+    if len(points) < 3:
+        raise DegenerateLoop(f"{what} needs at least 3 vertices")
+    for i, p in enumerate(points):
+        if p == points[i - 1]:
+            raise DegenerateLoop(f"{what} has equal consecutive vertices "
+                                 f"{(i - 1) % len(points)} and {i}")
     return validate_curve(points)
 
 

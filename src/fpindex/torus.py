@@ -26,6 +26,7 @@ next crossing tells you which side you are on.
 """
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
@@ -175,17 +176,25 @@ class TorusDiagram:
                              self.row_order.index(("c", i))) is CrossKind.P
         return in_second, in_first
 
+    @cached_property
+    def _col_offsets(self) -> tuple[Fraction, ...] | None:
+        return _cyclic_offsets(self.col_params)
+
+    @cached_property
+    def _row_offsets(self) -> tuple[Fraction, ...] | None:
+        return _cyclic_offsets(self.row_params)
+
     def x_of_param(self, s: Fraction) -> Fraction:
-        return _position_of_param(self.col_params, s, self.size)
+        return _position_of_param(self.col_params, self._col_offsets, s)
 
     def y_of_param(self, t: Fraction) -> Fraction:
-        return _position_of_param(self.row_params, t, self.size)
+        return _position_of_param(self.row_params, self._row_offsets, t)
 
     def param_of_x(self, x: Fraction) -> Fraction:
-        return _param_of_position(self.col_params, x, self.size)
+        return _param_of_position(self.col_params, self._col_offsets, x)
 
     def param_of_y(self, y: Fraction) -> Fraction:
-        return _param_of_position(self.row_params, y, self.size)
+        return _param_of_position(self.row_params, self._row_offsets, y)
 
     def without_marks(self, ids: Iterable[int]) -> "TorusDiagram":
         """Drop the given marks, keeping every other token's cyclic position.
@@ -252,33 +261,41 @@ class TorusDiagram:
         return "\n".join(lines)
 
 
-def _position_of_param(params: tuple[Fraction, ...] | None, value: Fraction,
-                       size: int) -> Fraction:
+def _cyclic_offsets(params: tuple[Fraction, ...] | None,
+                    ) -> tuple[Fraction, ...] | None:
+    """Each token's parameter offset from the first token, closed by 1."""
+    if params is None:
+        return None
+    base = params[0]
+    return tuple([(p - base) % 1 for p in params] + [Fraction(1)])
+
+
+def _position_of_param(params: tuple[Fraction, ...] | None,
+                       offsets: tuple[Fraction, ...] | None,
+                       value: Fraction) -> Fraction:
     value = value % 1
     if params is None:
         return value
-    base = params[0]
-    off = (value - base) % 1
-    offsets = [(p - base) % 1 for p in params] + [Fraction(1)]
-    for k in range(size):
-        if offsets[k] <= off < offsets[k + 1]:
-            frac = (off - offsets[k]) / (offsets[k + 1] - offsets[k])
-            return (k + frac) / size
-    raise InvariantFailure("parameter fell outside the token cover")
+    size = len(params)
+    off = (value - params[0]) % 1
+    k = bisect.bisect_right(offsets, off) - 1
+    if not 0 <= k < size:
+        raise InvariantFailure("parameter fell outside the token cover")
+    frac = (off - offsets[k]) / (offsets[k + 1] - offsets[k])
+    return (k + frac) / size
 
 
-def _param_of_position(params: tuple[Fraction, ...] | None, pos: Fraction,
-                       size: int) -> Fraction:
+def _param_of_position(params: tuple[Fraction, ...] | None,
+                       offsets: tuple[Fraction, ...] | None,
+                       pos: Fraction) -> Fraction:
     pos = pos % 1
     if params is None:
         return pos
-    scaled = pos * size
+    scaled = pos * len(params)
     k = int(scaled)
     frac = scaled - k
-    base = params[0]
-    offsets = [(p - base) % 1 for p in params] + [Fraction(1)]
     off = offsets[k] + frac * (offsets[k + 1] - offsets[k])
-    return (base + off) % 1
+    return (params[0] + off) % 1
 
 
 def _filter_params(params, order, keep):
@@ -372,14 +389,16 @@ class StaircasePath:
             if not (x0 < x1 and y0 < y1):
                 raise InputRejection("path must be strictly increasing")
 
+    @cached_property
+    def _xs(self) -> tuple[Fraction, ...]:
+        return tuple([x for x, _ in self.points])
+
     def y_at(self, x: Fraction) -> Fraction:
         if not 0 <= x <= 1:
             raise InputRejection("query outside the unit square")
-        pts = self.points
-        for (x0, y0), (x1, y1) in zip(pts, pts[1:]):
-            if x0 <= x <= x1:
-                return y0 + (y1 - y0) * (x - x0) / (x1 - x0)
-        raise InvariantFailure("unreachable: path covers [0,1]")
+        k = max(bisect.bisect_left(self._xs, x), 1)
+        (x0, y0), (x1, y1) = self.points[k - 1], self.points[k]
+        return y0 + (y1 - y0) * (x - x0) / (x1 - x0)
 
     def passes_through(self, x: Fraction, y: Fraction) -> bool:
         return self.y_at(x) == y

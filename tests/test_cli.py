@@ -141,6 +141,23 @@ class TestCutCommand:
         assert report == {"cuts": False, "crossings": 0}
 
 
+    @pytest.mark.parametrize("vertices, reason", [
+        ([[0, 1, 0, 1], [1, 1, 0, 1]], "first curve needs at least 3 vertices"),
+        ([[0, 1, 0, 1], [1, 1, 0, 1], [1, 1, 0, 1], [0, 1, 1, 1]],
+         "first curve has equal consecutive vertices 1 and 2"),
+        ([[0, 1, 0, 1], [1, 1, 0, 1], [0, 1, 1, 1], [0, 1, 0, 1]],
+         "first curve has equal consecutive vertices 3 and 0"),
+    ])
+    def test_degenerate_curve_exits_two(self, capsys, tmp_path, vertices,
+                                        reason):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"vertices": vertices}))
+        code, report = run(capsys, "cut", str(bad),
+                           fx("fig_disjoint_second.json"))
+        assert code == 2
+        assert report == {"error": "DegenerateLoop", "reason": reason}
+
+
 class TestIncompatCommand:
     def test_one_piece_fixture(self, capsys):
         code, report = run(capsys, "incompat", fx("pack_one_a.json"),
@@ -171,6 +188,29 @@ class TestIncompatCommand:
         assert report["epsilon"] == [1, 1000]
         assert report["cutting_index"] == 0
         assert report["certificate"]["identity_holds"] is True
+
+    def test_overlay_checked_once(self, capsys, monkeypatch):
+        import fpindex.packing as packing
+        calls = []
+        check = packing.check_overlay_transverse
+        monkeypatch.setattr(packing, "check_overlay_transverse",
+                            lambda a, b: calls.append(1) or check(a, b))
+        code, _ = run(capsys, "incompat", fx("pack_two_a.json"),
+                      fx("pack_two_b.json"), fx("corr_two.json"))
+        assert code == 0
+        assert len(calls) == 1
+
+    def test_degenerate_piece_exits_two(self, capsys, tmp_path):
+        packing = json.loads(Path(fx("pack_one_b.json")).read_text())
+        packing["pieces"][0]["vertices"] = packing["pieces"][0]["vertices"][:2]
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(packing))
+        code, report = run(capsys, "incompat", fx("pack_one_a.json"),
+                           str(bad), fx("corr_one.json"))
+        assert code == 2
+        assert report == {
+            "error": "DegenerateLoop",
+            "reason": "second packing.pieces[0] needs at least 3 vertices"}
 
     def test_self_overlay_exits_two(self, capsys):
         code, report = run(capsys, "incompat", fx("pack_one_a.json"),

@@ -1,4 +1,5 @@
 """Curve validation, crossings, and arrangement faces."""
+import itertools
 import random
 from fractions import Fraction
 
@@ -13,15 +14,19 @@ from fpindex.errors import (
 from fpindex.exact_geom import PLLoop, pt, signed_area
 from fpindex.jordan import (
     CrossKind,
+    Crossing,
+    CrossingSet,
     build_arrangement,
     canonical_noncut_pair,
     check_transverse,
+    crossing_faces,
+    crossing_pattern_cuts,
     crossing_word,
     cuts_each_other,
     validate_curve,
 )
 
-from geomgen import star_polygon
+from geomgen import random_transverse_pair, star_polygon
 from meander_oracle import enumerate_noncut_words
 
 
@@ -215,6 +220,81 @@ class TestCuts:
 
     def test_nested_does_not_cut(self):
         assert not cuts_each_other(square(4, 4, 6, 6), square(0, 0, 10, 10))
+
+
+def alternating_patterns(m):
+    """Every crossing set with 2m crossings whose kinds alternate along both
+    curves, the second curve's order listed from crossing 0."""
+    n = 2 * m
+    for first_kind in (CrossKind.P, CrossKind.PTILDE):
+        kinds = [first_kind if k % 2 == 0 else first_kind.other()
+                 for k in range(n)]
+        odd, even = range(1, n, 2), range(2, n, 2)
+        for odds, evens in itertools.product(itertools.permutations(odd),
+                                             itertools.permutations(even)):
+            order = [0] * n
+            order[1::2], order[2::2] = odds, evens
+            position = {c: a for a, c in enumerate(order)}
+            yield CrossingSet(tuple(
+                Crossing(index=k, point=pt(0, 0), param_k=Fraction(k, n),
+                         param_kt=Fraction(position[k], n), kind=kinds[k])
+                for k in range(n)))
+
+
+class TestCrossingFaces:
+    def test_matches_geometric_labels_on_random_pairs(self):
+        rng = random.Random(4417)
+        cutting = 0
+        for _ in range(40):
+            a, b, _ = random_transverse_pair(rng)
+            for first, second in ((a, b), (b, a)):
+                cs = check_transverse(first, second)
+                faces = build_arrangement(first, second, cs)
+                assert crossing_faces(cs) == [
+                    (f.boundary, f.in_K, f.in_Kt) for f in faces]
+                census = label_census(faces)
+                cuts = census[(True, False)] > 1 or census[(False, True)] > 1
+                assert cuts_each_other(first, second) == cuts
+                cutting += cuts
+        assert 0 < cutting < 80
+
+    @pytest.mark.parametrize("m", range(1, 11))
+    def test_matches_geometric_labels_on_canonical_pairs(self, m):
+        a, b = canonical_noncut_pair(m)
+        for first, second in ((a, b), (b, a)):
+            cs = check_transverse(first, second)
+            assert crossing_faces(cs) == [
+                (f.boundary, f.in_K, f.in_Kt)
+                for f in build_arrangement(first, second, cs)]
+            assert not cuts_each_other(first, second)
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    def test_every_planar_pattern_cuts_unless_cataloged(self, m):
+        words = enumerate_noncut_words(m)
+        planar = noncut = 0
+        for cs in alternating_patterns(m):
+            try:
+                faces = crossing_faces(cs)
+            except InvariantFailure:
+                continue  # the Euler check: no plane realizes this pattern
+            planar += 1
+            # At kind P the first curve enters Kt, so the arc leaving it
+            # bounds a face in both regions; at Ptilde that face is K only.
+            for boundary, in_K, in_Kt in faces:
+                for curve, start, _, forward in boundary:
+                    if curve == "first" and forward:
+                        assert in_K
+                        assert in_Kt == (cs.crossings[start].kind
+                                         is CrossKind.P)
+            cuts = crossing_pattern_cuts(cs)
+            assert cuts == (crossing_word(cs) not in words)
+            noncut += not cuts
+        assert noncut > 0 and (planar > noncut or m == 1)
+
+    def test_no_crossings_never_cut(self):
+        assert not crossing_pattern_cuts(CrossingSet(()))
+        with pytest.raises(InvariantFailure):
+            crossing_faces(CrossingSet(()))
 
 
 class TestCanonicalPair:
