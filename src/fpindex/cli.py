@@ -359,11 +359,13 @@ def _suite_packing(_rng: random.Random, _trials: int) -> dict:
 
 
 def cmd_selftest(seed: int, trials: int | None) -> dict:
+    if trials is not None and trials < 1:
+        raise InputRejection(f"--trials must be at least 1, got {trials}")
     suites = []
     for suite, default in ((_suite_circle_index, 30), (_suite_prescribe, 10),
                            (_suite_packing, 1)):
         rng = random.Random(seed)
-        suites.append(suite(rng, trials or default))
+        suites.append(suite(rng, default if trials is None else trials))
     ok = all(not s["violations"] for s in suites)
     report = {"seed": seed, "ok": ok, "suites": suites}
     if not ok:

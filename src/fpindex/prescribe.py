@@ -14,10 +14,16 @@ for verification and output. A below-set is realizable exactly when no
 below point sits strictly up-and-left of an above point, where the two
 interior constraint lattice points count on both sides; the realization
 threads the midline of the corridor those points leave open.
+
+Every mark and constraint sits at an integer token rank k of n, so the
+solver decides positions on those ranks: realizability, threading, cells,
+frame checks and each pair's box frame (a cyclic shift of the ranks) compare
+integers. `Fraction`s appear only where the output needs them: path points,
+`AdjacencyBox` fields, and the oracle's extra anchors, which lie off the
+token grid.
 """
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -40,7 +46,8 @@ ABOVE = "above"
 _FALLBACK_BITS = ((ABOVE, BELOW), (BELOW, ABOVE), (BELOW, BELOW), (ABOVE, ABOVE))
 
 
-def _cell(value: Fraction, bounds: tuple[Fraction, Fraction]) -> int:
+def _cell(value: Fraction | int, bounds: tuple[Fraction | int, Fraction | int],
+          ) -> int:
     """0, 1, or 2 depending on which side of the two grid lines value falls."""
     if value in bounds:
         raise InvariantFailure("cell query landed on a grid line")
@@ -138,39 +145,49 @@ def find_doubly_adjacent(diagram: TorusDiagram) -> list[AdjacencyBox]:
 
 
 def _build_box(diagram, entry, partner, descends: bool) -> AdjacencyBox:
-    order = diagram.col_order
+    """The pair's box in the frame cut at the constraint behind the entry.
+
+    The frame is a cyclic shift, so every token's frame rank is its rank
+    minus the base constraint's, mod n, and the frame's constraints 2 and 3
+    are the base's two successors; the checks run on those ranks.
+    """
     n = diagram.size
-    base = next(order[(entry.col - k) % n][1] for k in range(1, n + 1)
-                if order[(entry.col - k) % n][0] == "c")
-    frame = diagram.rebased(base)
-    placed = {m.crossing_id: m for m in frame.marks}
-    e, x = placed[entry.crossing_id], placed[partner.crossing_id]
-    if not e.col < x.col:
+    rank = diagram.constraint_rank
+    base = (3 if entry.col > rank(3)[0] else 2 if entry.col > rank(2)[0]
+            else 1)
+    c0, r0 = rank(base)
+
+    def frame(col: int, row: int) -> tuple[int, int]:
+        return (col - c0) % n, (row - r0) % n
+
+    ec, er = frame(entry.col, entry.row)
+    xc, xr = frame(partner.col, partner.row)
+    if not ec < xc:
         raise InvariantFailure("pair order broke under rebasing")
-    col_lo = Fraction(2 * e.col - 1, 2 * n)
-    col_hi = Fraction(2 * x.col + 1, 2 * n)
-    bottom, top = (x, e) if descends else (e, x)
-    lifted = top.row if top.row > bottom.row else top.row + n
-    x2, y2 = frame.constraint_point(2)
-    x3, y3 = frame.constraint_point(3)
-    box = AdjacencyBox(entry_id=entry.crossing_id, exit_id=partner.crossing_id,
-                       base_constraint=base, descends=descends,
-                       col_lo=col_lo, col_hi=col_hi,
-                       row_lo=Fraction(2 * bottom.row - 1, 2 * n),
-                       row_hi=Fraction(2 * lifted + 1, 2 * n),
-                       grid_cols=(x2, x3), grid_rows=(y2, y3))
-    if not 0 < box.col_lo < box.col_hi < 1:
+    bottom, top = (xr, er) if descends else (er, xr)
+    lifted = top if top > bottom else top + n
+    f2c, f2r = frame(*rank(base % 3 + 1))
+    f3c, f3r = frame(*rank((base + 1) % 3 + 1))
+    # the box edges sit halfway between token ranks: 2k -+ 1 over 2n
+    if not 0 < 2 * ec - 1 < 2 * xc + 1 < 2 * n:
         raise InvariantFailure("box meets the left or right grid line")
-    if box.lower_left_cell[0] != 0:
+    if ec > f2c:
         raise InvariantFailure("box left edge escaped the first column cell")
-    for m in frame.marks:
-        if m.crossing_id in (box.entry_id, box.exit_id):
+    for m in diagram.marks:
+        if m.crossing_id in (entry.crossing_id, partner.crossing_id):
             continue
-        in_rows = (box.row_lo < m.y < min(box.row_hi, Fraction(1))
-                   or (box.wrap and m.y < box.row_top))
-        if box.col_lo < m.x < box.col_hi and in_rows:
+        mc, mr = frame(m.col, m.row)
+        if ec <= mc <= xc and (bottom <= mr <= lifted or mr <= lifted - n):
             raise InvariantFailure("box swallowed a third crossing mark")
-    return box
+    half = 2 * n
+    return AdjacencyBox(entry_id=entry.crossing_id, exit_id=partner.crossing_id,
+                        base_constraint=base, descends=descends,
+                        col_lo=Fraction(2 * ec - 1, half),
+                        col_hi=Fraction(2 * xc + 1, half),
+                        row_lo=Fraction(2 * bottom - 1, half),
+                        row_hi=Fraction(2 * lifted + 1, half),
+                        grid_cols=(Fraction(f2c, n), Fraction(f3c, n)),
+                        grid_rows=(Fraction(f2r, n), Fraction(f3r, n)))
 
 
 def classify_box(box: AdjacencyBox) -> BoxCategory:
@@ -218,40 +235,49 @@ def _meets_diagonal_cells(box: AdjacencyBox) -> bool:
 
 # -- bipartitions: realizability, threading, value ----------------------------
 
-def _mark_points(diagram: TorusDiagram, below_ids) -> tuple[list, list]:
+def _mark_ranks(diagram: TorusDiagram, below_ids) -> tuple[list, list]:
     below, above = [], []
     for m in diagram.marks:
-        (below if m.crossing_id in below_ids else above).append((m.x, m.y))
+        (below if m.crossing_id in below_ids else above).append((m.col, m.row))
     return below, above
 
 
+def _anchors(diagram: TorusDiagram, extra) -> list:
+    """Constraints 2 and 3, then any extra anchors, in token-rank units."""
+    return [diagram.constraint_rank(2), diagram.constraint_rank(3), *extra]
+
+
 def _is_realizable(diagram: TorusDiagram, below_ids, extra=()) -> bool:
-    anchors = [diagram.constraint_point(2), diagram.constraint_point(3), *extra]
-    below, above = _mark_points(diagram, below_ids)
+    anchors = _anchors(diagram, extra)
+    below, above = _mark_ranks(diagram, below_ids)
     down = below + anchors
     up = above + anchors
     return not any(px < qx and py > qy for px, py in down for qx, qy in up)
 
 
 def _thread_path(diagram: TorusDiagram, below_ids, extra=()) -> StaircasePath:
-    """Monotone faithful path with exactly the given marks below it."""
-    anchors = [diagram.constraint_point(2), diagram.constraint_point(3), *extra]
-    below, above = _mark_points(diagram, below_ids)
+    """Monotone faithful path with exactly the given marks below it.
+
+    Threaded in token-rank units; only the path points are scaled by 1/n.
+    """
+    n = diagram.size
+    anchors = _anchors(diagram, extra)
+    below, above = _mark_ranks(diagram, below_ids)
     events = sorted([(x, y, "anchor") for x, y in anchors] +
                     [(x, y, BELOW) for x, y in below] +
                     [(x, y, ABOVE) for x, y in above])
     # ceiling[i]: lowest anchor or above-mark row at or after event i
-    ceiling = [Fraction(1)] * (len(events) + 1)
+    ceiling = [n] * (len(events) + 1)
     for i in range(len(events) - 1, -1, -1):
         _, y, tag = events[i]
         ceiling[i] = ceiling[i + 1] if tag == BELOW else min(ceiling[i + 1], y)
     points = [(Fraction(0), Fraction(0))]
-    level = floor = Fraction(0)
+    level = floor = 0
     for i, (x, y, tag) in enumerate(events):
         if tag == "anchor":
             if level >= y:
                 raise InvariantFailure("bipartition is not realizable")
-            points.append((x, y))
+            points.append((Fraction(x, n), Fraction(y, n)))
             level = floor = y
             continue
         if tag == BELOW:
@@ -260,8 +286,8 @@ def _thread_path(diagram: TorusDiagram, below_ids, extra=()) -> StaircasePath:
         hi = ceiling[i]
         if lo >= hi:
             raise InvariantFailure("bipartition is not realizable")
-        level = (lo + hi) / 2
-        points.append((x, level))
+        level = Fraction(lo + hi, 2)
+        points.append((Fraction(x, n), level / n))
     points.append((Fraction(1), Fraction(1)))
     return StaircasePath(tuple(points))
 
@@ -274,23 +300,28 @@ def _split_value(diagram: TorusDiagram, below_ids,
 
 def _convert_path(child: TorusDiagram, parent: TorusDiagram,
                   path: StaircasePath) -> StaircasePath:
-    """Rewrite a child-diagram path in the parent's token coordinates."""
+    """Rewrite a child-diagram path in the parent's token coordinates.
+
+    Child token rank i moves to that token's parent rank, and a point
+    between two child ranks keeps its fraction of the way, so a coordinate
+    p / q costs integer work and one `Fraction`.
+    """
     parent_col = {tok: i for i, tok in enumerate(parent.col_order)}
     parent_row = {tok: i for i, tok in enumerate(parent.row_order)}
     nc, np_ = child.size, parent.size
-    one = Fraction(1)
-    src = [Fraction(i, nc) for i in range(nc)] + [one]
-    col_dst = [Fraction(parent_col[t], np_) for t in child.col_order] + [one]
-    row_dst = [Fraction(parent_row[t], np_) for t in child.row_order] + [one]
+    col_dst = [parent_col[t] for t in child.col_order] + [np_]
+    row_dst = [parent_row[t] for t in child.row_order] + [np_]
 
-    def lift(v: Fraction, dst: list[Fraction]) -> Fraction:
-        i = bisect_right(src, v) - 1
-        if src[i] == v:
-            return dst[i]
-        return dst[i] + (dst[i + 1] - dst[i]) * (v - src[i]) / (src[i + 1] - src[i])
+    def lift(v: Fraction, dst: list[int]) -> Fraction:
+        # v * nc = i + r / q with 0 <= r < q
+        i, r = divmod(v.numerator * nc, v.denominator)
+        if r == 0:
+            return Fraction(dst[i], np_)
+        q = v.denominator
+        return Fraction(dst[i] * q + (dst[i + 1] - dst[i]) * r, q * np_)
 
-    return StaircasePath(tuple((lift(x, col_dst), lift(y, row_dst))
-                               for x, y in path.points))
+    return StaircasePath(tuple([(lift(x, col_dst), lift(y, row_dst))
+                                for x, y in path.points]))
 
 
 # -- reinsertion ---------------------------------------------------------------
@@ -326,18 +357,18 @@ def _frame_assignment(diagram: TorusDiagram, box: AdjacencyBox, bits):
     cut, or None when the frame geometry makes it unsatisfiable."""
     if box.base_constraint == 1:
         return {box.entry_id: bits[0], box.exit_id: bits[1]}
-    cx, cy = diagram.constraint_point(box.base_constraint)
+    cx, cy = diagram.constraint_rank(box.base_constraint)
     marks = {m.crossing_id: m for m in diagram.marks}
     out = {}
     for cid, bit in zip((box.entry_id, box.exit_id), bits):
         m = marks[cid]
-        if m.x < cx and m.y > cy:
+        if m.col < cx and m.row > cy:
             # the box frame sees this mark below any faithful path, while
             # the main cut forces it above
             if bit == ABOVE:
                 return None
             out[cid] = ABOVE
-        elif m.x > cx and m.y < cy:
+        elif m.col > cx and m.row < cy:
             if bit == BELOW:
                 return None
             out[cid] = BELOW
@@ -439,19 +470,19 @@ def _solve_two_marks(diagram, depth, levels) -> frozenset[int]:
 
 def _solve_single_cell(diagram, depth, levels) -> frozenset[int] | None:
     marks = diagram.marks
-    c2 = diagram.constraint_point(2)
-    c3 = diagram.constraint_point(3)
+    c2 = diagram.constraint_rank(2)
+    c3 = diagram.constraint_rank(3)
     grid_cols = (c2[0], c3[0])
     grid_rows = (c2[1], c3[1])
-    if len({_cell(m.x, grid_cols) for m in marks}) > 1 and \
-            len({_cell(m.y, grid_rows) for m in marks}) > 1:
+    if len({_cell(m.col, grid_cols) for m in marks}) > 1 and \
+            len({_cell(m.row, grid_rows) for m in marks}) > 1:
         return None
     forced = {}
     for m in marks:
         for cx, cy in (c2, c3):
-            if m.x < cx and m.y > cy:
+            if m.col < cx and m.row > cy:
                 forced[m.crossing_id] = ABOVE
-            elif m.x > cx and m.y < cy:
+            elif m.col > cx and m.row < cy:
                 forced[m.crossing_id] = BELOW
     best = None
     for free_bit in (BELOW, ABOVE):
@@ -548,11 +579,12 @@ def oracle_enumerate(diagram: TorusDiagram,
 
 
 def _extra_anchor_points(diagram, extra_pairs) -> list[tuple[Fraction, Fraction]]:
+    """Extra prescribed pairs in token-rank units, off the token grid."""
     points = []
     n = diagram.size
     for s, t in extra_pairs:
-        x, y = diagram.x_of_param(s), diagram.y_of_param(t)
-        if (x * n).denominator == 1 or (y * n).denominator == 1:
+        x, y = diagram.x_of_param(s) * n, diagram.y_of_param(t) * n
+        if x.denominator == 1 or y.denominator == 1:
             raise ConstraintOnCurve("extra prescribed pair collides with a token")
         points.append((x, y))
     if len({x for x, _ in points}) < len(points) or \

@@ -27,6 +27,7 @@ next crossing tells you which side you are on.
 from __future__ import annotations
 
 import bisect
+import heapq
 from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
@@ -126,8 +127,7 @@ class TorusDiagram:
                 continue
             if len(params) != len(order):
                 raise InputRejection("parameter list does not match token count")
-            offsets = [(p - params[0]) % 1 for p in params]
-            if any(a >= b for a, b in zip(offsets, offsets[1:])):
+            if not _cyclically_increasing(params):
                 raise OrderViolation("true parameters out of cyclic order")
 
     @property
@@ -149,9 +149,17 @@ class TorusDiagram:
                                  y=Fraction(row, self.size)))
         return tuple(out)
 
+    @cached_property
+    def _constraint_ranks(self) -> dict[int, tuple[int, int]]:
+        return {i: (self.col_order.index(("c", i)), self.row_order.index(("c", i)))
+                for i in (1, 2, 3)}
+
+    def constraint_rank(self, i: int) -> tuple[int, int]:
+        """Column and row token rank of constraint i."""
+        return self._constraint_ranks[i]
+
     def constraint_point(self, i: int) -> tuple[Fraction, Fraction]:
-        col = self.col_order.index(("c", i))
-        row = self.row_order.index(("c", i))
+        col, row = self._constraint_ranks[i]
         return Fraction(col, self.size), Fraction(row, self.size)
 
     def membership(self, i: int = 1) -> tuple[bool, bool]:
@@ -259,6 +267,18 @@ class TorusDiagram:
                     grid[row][col] = "*"
         lines = ["".join(row) for row in reversed(grid)]
         return "\n".join(lines)
+
+
+def _cyclically_increasing(params: Sequence[Fraction]) -> bool:
+    """Do the offsets (p - params[0]) % 1 increase strictly?
+
+    On values in [0, 1) that holds exactly when the sequence rises strictly
+    but for at most one drop, and after a drop ends below its start.
+    """
+    if not all(0 <= p.numerator < p.denominator for p in params):
+        params = [p % 1 for p in params]
+    drops = sum(1 for a, b in zip(params, params[1:]) if b <= a)
+    return drops == 0 or (drops == 1 and params[-1] < params[0])
 
 
 def _cyclic_offsets(params: tuple[Fraction, ...] | None,
@@ -428,6 +448,12 @@ def path_of_correspondence(diagram: TorusDiagram,
 
     The correspondence must send the first constraint's source parameter to
     its target parameter; otherwise the cut disconnects the graph.
+
+    One merge walk from the cut: in the offsets u = s - s1 and v = t - t1,
+    both mod 1, phi is an increasing map of [0, 1) that fixes 0. The path
+    has a vertex at each breakpoint of phi, at each column token and at the
+    preimage of each row token, and pointers into phi's pieces and the two
+    token orders advance with u.
     """
     if diagram.col_params is None:
         raise InputRejection("diagram carries no true parameters")
@@ -435,13 +461,35 @@ def path_of_correspondence(diagram: TorusDiagram,
     t1 = diagram.row_params[0]
     if phi.evaluate(s1) != t1:
         raise InputRejection("correspondence misses the first prescribed pair")
-    params = set(phi.s_vals)
-    params.update(diagram.col_params)
-    inv = phi.invert()
-    params.update(inv.evaluate(t) for t in diagram.row_params)
-    ordered = sorted(params, key=lambda s: (s - s1) % 1)
-    pts = [(diagram.x_of_param(s), diagram.y_of_param(phi.evaluate(s)))
-           for s in ordered]
+    knots = sorted([((s - s1) % 1, (t - t1) % 1) for s, t in phi.breakpoints])
+    (u_last, v_last), (u_first, v_first) = knots[-1], knots[0]
+    knots = [(u_last - 1, v_last - 1), *knots, (u_first + 1, v_first + 1)]
+    cols, rows = diagram._col_offsets, diagram._row_offsets
+    row_preimages = []
+    p = 0
+    for v in rows[:-1]:
+        while knots[p + 1][1] <= v:
+            p += 1
+        (u0, v0), (u1, v1) = knots[p], knots[p + 1]
+        row_preimages.append(u0 + (v - v0) * (u1 - u0) / (v1 - v0))
+    n = diagram.size
+    pts = []
+    p = k = j = 0
+    last = None
+    for u in heapq.merge([u for u, _ in knots[1:-1]], cols[:-1], row_preimages):
+        if u == last:
+            continue
+        last = u
+        while knots[p + 1][0] <= u:
+            p += 1
+        (u0, v0), (u1, v1) = knots[p], knots[p + 1]
+        v = v0 + (v1 - v0) * (u - u0) / (u1 - u0)
+        while cols[k + 1] <= u:
+            k += 1
+        while rows[j + 1] <= v:
+            j += 1
+        pts.append(((k + (u - cols[k]) / (cols[k + 1] - cols[k])) / n,
+                    (j + (v - rows[j]) / (rows[j + 1] - rows[j])) / n))
     pts.append((Fraction(1), Fraction(1)))
     return StaircasePath(tuple(pts))
 
@@ -463,13 +511,32 @@ def realize_path(diagram: TorusDiagram, path: StaircasePath) -> PLCorrespondence
 
 def delta_split(diagram: TorusDiagram, path: StaircasePath,
                 ) -> tuple[frozenset[int], frozenset[int]]:
-    """Mark ids strictly below and strictly above the path."""
+    """Mark ids strictly below and strictly above the path.
+
+    One merge walk: the marks come in column order, so a single pointer
+    runs along the path's vertices. A mark at a vertex's x is compared with
+    that vertex; any other mark takes the side of the segment over it from
+    the sign of a cross product, with no division. A mark sits at
+    (col / n, row / n), so comparing it with a vertex p / q multiplies
+    integers only.
+    """
     below, above = set(), set()
+    n = diagram.size
+    pts = path.points
+    k = 1
     for m in diagram.marks:
-        level = path.y_at(m.x)
-        if level == m.y:
+        x1, y1 = pts[k]
+        while x1.numerator * n < m.col * x1.denominator:
+            k += 1
+            x1, y1 = pts[k]
+        if x1.numerator * n == m.col * x1.denominator:
+            side = m.row * y1.denominator - y1.numerator * n
+        else:
+            x0, y0 = pts[k - 1]
+            side = (m.y - y0) * (x1 - x0) - (y1 - y0) * (m.x - x0)
+        if side == 0:
             raise PathHitsMark(f"path passes through mark {m.crossing_id}")
-        (below if m.y < level else above).add(m.crossing_id)
+        (below if side < 0 else above).add(m.crossing_id)
     return frozenset(below), frozenset(above)
 
 

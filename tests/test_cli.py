@@ -277,3 +277,10 @@ class TestSelftestCommand:
                      "--out", str(b)]) == 0
         assert json.loads(a.read_text())["seed"] != \
             json.loads(b.read_text())["seed"]
+
+    @pytest.mark.parametrize("trials", ["0", "-1"])
+    def test_trials_below_one_exit_two(self, capsys, trials):
+        code, report = run(capsys, "selftest", "--trials", trials)
+        assert code == 2
+        assert report == {"error": "InputRejection",
+                          "reason": f"--trials must be at least 1, got {trials}"}

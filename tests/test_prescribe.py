@@ -6,6 +6,7 @@ import pytest
 
 from fpindex.errors import (
     ConstraintOnCurve,
+    InvariantFailure,
     TooFewCrossings,
     TooLarge,
 )
@@ -16,6 +17,7 @@ from fpindex.prescribe import (
     BELOW,
     AdjacencyBox,
     BoxCategory,
+    _build_box,
     _is_realizable,
     _thread_path,
     classify_box,
@@ -140,6 +142,110 @@ class TestFindDoublyAdjacent:
         _, _, _, diagram = lens_fixture()
         with pytest.raises(TooFewCrossings):
             find_doubly_adjacent(diagram)
+
+
+def reference_box(diagram, entry, partner, descends, frames):
+    """A pair's box built through the rebased frame diagram; `frames`
+    keeps each rebased diagram by its base constraint."""
+    order = diagram.col_order
+    n = diagram.size
+    base = next(order[(entry.col - k) % n][1] for k in range(1, n + 1)
+                if order[(entry.col - k) % n][0] == "c")
+    if base not in frames:
+        frames[base] = diagram.rebased(base)
+    frame = frames[base]
+    placed = {m.crossing_id: m for m in frame.marks}
+    e, x = placed[entry.crossing_id], placed[partner.crossing_id]
+    if not e.col < x.col:
+        raise InvariantFailure("pair order broke under rebasing")
+    bottom, top = (x, e) if descends else (e, x)
+    lifted = top.row if top.row > bottom.row else top.row + n
+    x2, y2 = frame.constraint_point(2)
+    x3, y3 = frame.constraint_point(3)
+    box = AdjacencyBox(entry_id=entry.crossing_id, exit_id=partner.crossing_id,
+                       base_constraint=base, descends=descends,
+                       col_lo=F(2 * e.col - 1, 2 * n),
+                       col_hi=F(2 * x.col + 1, 2 * n),
+                       row_lo=F(2 * bottom.row - 1, 2 * n),
+                       row_hi=F(2 * lifted + 1, 2 * n),
+                       grid_cols=(x2, x3), grid_rows=(y2, y3))
+    if not 0 < box.col_lo < box.col_hi < 1:
+        raise InvariantFailure("box meets the left or right grid line")
+    if box.lower_left_cell[0] != 0:
+        raise InvariantFailure("box left edge escaped the first column cell")
+    for m in frame.marks:
+        if m.crossing_id in (box.entry_id, box.exit_id):
+            continue
+        in_rows = (box.row_lo < m.y < min(box.row_hi, F(1))
+                   or (box.wrap and m.y < box.row_top))
+        if box.col_lo < m.x < box.col_hi and in_rows:
+            raise InvariantFailure("box swallowed a third crossing mark")
+    return box
+
+
+def box_outcome(build, *args):
+    try:
+        return build(*args)
+    except InvariantFailure as err:
+        return str(err)
+
+
+def box_guard_diagrams():
+    for m in range(1, 21):
+        for seed in range(4):
+            yield canonical_diagram(m, seed)[3]
+    rng = random.Random(20261018)
+    for _ in range(200):
+        first, second, crossings = random_transverse_pair(
+            rng, min_crossings=4, max_crossings=12)
+        phi = random_correspondence(rng, rng.randrange(4, 9))
+        pairs = synthesize_constraints(crossings, phi, rng)
+        yield build_diagram(first, second, crossings, pairs)
+
+
+class TestBuildBoxOnRanks:
+    def test_boxes_equal_the_rebased_frame_boxes(self):
+        # every entry mark with the next three marks by column, both ways
+        # up: the doubly adjacent pairs give boxes, a partner two or three
+        # columns on mostly the swallowed mark error, a partner past the
+        # wrap the broken pair order, and both builders must agree on each
+        seen = set()
+        errors = set()
+        for diagram in box_guard_diagrams():
+            marks = diagram.marks
+            frames = {}
+            row_rank = {m.crossing_id: i for i, m in
+                        enumerate(sorted(marks, key=lambda m: m.row))}
+            for i, entry in enumerate(marks):
+                if entry.kind is not CrossKind.P:
+                    continue
+                for step in (1, 2, 3):
+                    partner = marks[(i + step) % len(marks)]
+                    gap = (row_rank[entry.crossing_id]
+                           - row_rank[partner.crossing_id]) % len(marks)
+                    for descends in (True, False):
+                        got = box_outcome(_build_box, diagram, entry, partner,
+                                          descends)
+                        assert got == box_outcome(reference_box, diagram,
+                                                  entry, partner, descends,
+                                                  frames)
+                        if isinstance(got, str):
+                            errors.add(got)
+                        elif step == 1 and gap == (1 if descends
+                                                   else len(marks) - 1):
+                            seen.add((got.base_constraint, got.descends,
+                                      got.wrap))
+        assert seen == {(base, descends, wrap) for base in (1, 2, 3)
+                        for descends in (True, False) for wrap in (True, False)}
+        assert errors == {"box swallowed a third crossing mark",
+                          "pair order broke under rebasing"}
+
+    def test_find_doubly_adjacent_builds_the_same_boxes(self):
+        _, _, _, diagram = canonical_diagram(6, seed=506)
+        placed = {m.crossing_id: m for m in diagram.marks}
+        for box in find_doubly_adjacent(diagram):
+            assert box == reference_box(diagram, placed[box.entry_id],
+                                        placed[box.exit_id], box.descends, {})
 
 
 # -- solver: direct rules -------------------------------------------------------

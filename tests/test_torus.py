@@ -18,6 +18,7 @@ from fpindex.plmap import PLCorrespondence, fixed_point_index, random_correspond
 from fpindex.torus import (
     Containment,
     StaircasePath,
+    TorusDiagram,
     abstract_diagram,
     build_diagram,
     delta_split,
@@ -119,6 +120,135 @@ class TestStaircasePath:
         path = StaircasePath(((F(0), F(0)), (F(2, 5), F(1, 5)), (F(1), F(1))))
         with pytest.raises(PathHitsMark):
             delta_split(diagram, path)
+
+
+def reference_split(diagram, path):
+    """Each mark against the path's height over the mark's column."""
+    below, above = set(), set()
+    for m in diagram.marks:
+        level = path.y_at(m.x)
+        if level == m.y:
+            raise PathHitsMark(f"path passes through mark {m.crossing_id}")
+        (below if m.y < level else above).add(m.crossing_id)
+    return frozenset(below), frozenset(above)
+
+
+def split_outcome(split, diagram, path):
+    try:
+        return split(diagram, path)
+    except PathHitsMark as err:
+        return str(err)
+
+
+def random_monotone_path(rng, count: int, den: int) -> StaircasePath:
+    xs = sorted(rng.sample(range(1, den), count))
+    ys = sorted(rng.sample(range(1, den), count))
+    return StaircasePath(((F(0), F(0)),
+                          *[(F(x, den), F(y, den)) for x, y in zip(xs, ys)],
+                          (F(1), F(1))))
+
+
+class TestDeltaSplitWalk:
+    def test_matches_per_mark_heights(self):
+        # a prime denominator above the token count puts no vertex on a
+        # mark column, so those paths take the cross-product branch; the
+        # path of the correspondence and the 2n grid put vertices on them
+        rng = random.Random(7300)
+        splits = hits = 0
+        for _ in range(60):
+            first, second, crossings = random_transverse_pair(rng)
+            phi = random_correspondence(rng, rng.randrange(3, 9))
+            diagram = build_diagram(first, second, crossings,
+                                    synthesize_constraints(crossings, phi, rng))
+            assert diagram.size < 211
+            paths = [straight_path(diagram), path_of_correspondence(diagram, phi)]
+            paths += [random_monotone_path(rng, rng.randrange(1, 9), 211)
+                      for _ in range(4)]
+            paths += [random_monotone_path(rng, rng.randrange(1, 9),
+                                           2 * diagram.size) for _ in range(2)]
+            for path in paths:
+                got = split_outcome(delta_split, diagram, path)
+                assert got == split_outcome(reference_split, diagram, path)
+                if isinstance(got, str):
+                    hits += 1
+                else:
+                    splits += 1
+        assert splits > 300 and hits > 0
+
+    def test_path_meeting_a_mark_is_rejected(self):
+        _, _, _, diagram = canonical_diagram_for_split()
+        d = F(1, 4 * diagram.size)
+        for m in diagram.marks:
+            at_vertex = StaircasePath(((F(0), F(0)), (m.x, m.y), (F(1), F(1))))
+            inside = StaircasePath(((F(0), F(0)), (m.x - d, m.y - d),
+                                    (m.x + d, m.y + d), (F(1), F(1))))
+            for path in (at_vertex, inside):
+                with pytest.raises(PathHitsMark,
+                                   match=f"mark {m.crossing_id}$"):
+                    delta_split(diagram, path)
+
+
+def canonical_diagram_for_split():
+    first, second = canonical_noncut_pair(3)
+    crossings = check_transverse(first, second)
+    rng = random.Random(7400)
+    phi = random_correspondence(rng, 5)
+    pairs = synthesize_constraints(crossings, phi, rng)
+    return first, second, crossings, build_diagram(first, second, crossings, pairs)
+
+
+def reference_path_of_correspondence(diagram, phi):
+    """The graph point by point: every parameter placed on its own."""
+    s1 = diagram.col_params[0]
+    params = set(phi.s_vals)
+    params.update(diagram.col_params)
+    inv = phi.invert()
+    params.update(inv.evaluate(t) for t in diagram.row_params)
+    ordered = sorted(params, key=lambda s: (s - s1) % 1)
+    pts = [(diagram.x_of_param(s), diagram.y_of_param(phi.evaluate(s)))
+           for s in ordered]
+    return StaircasePath(tuple(pts + [(F(1), F(1))]))
+
+
+class TestPathOfCorrespondenceWalk:
+    def test_matches_point_by_point_placement(self):
+        rng = random.Random(7500)
+        cases = [(lens_fixture()[3], identity_params(4))]
+        for _ in range(40):
+            first, second, crossings = random_transverse_pair(rng)
+            phi = random_correspondence(rng, rng.randrange(3, 9))
+            pairs = synthesize_constraints(crossings, phi, rng)
+            cases.append((build_diagram(first, second, crossings, pairs), phi))
+        for diagram, phi in cases:
+            path = path_of_correspondence(diagram, phi)
+            assert path == reference_path_of_correspondence(diagram, phi)
+
+
+class TestTrueParameterOrder:
+    def test_comparisons_decide_as_offsets_do(self):
+        order = (("c", 1), ("m", 0), ("c", 2), ("m", 1), ("c", 3))
+        kinds = ((0, CrossKind.P), (1, CrossKind.PTILDE))
+        rng = random.Random(7600)
+        verdicts = set()
+        for k in range(600):
+            if k % 2:
+                # a rotation of sorted values in [0, 1), ties possible
+                ranked = sorted(F(rng.randrange(12), 12) for _ in order)
+                cut = rng.randrange(len(order))
+                params = tuple(ranked[cut:] + ranked[:cut])
+            else:
+                params = tuple(F(rng.randrange(-8, 24), rng.choice((4, 7)))
+                               for _ in order)
+            offsets = [(p - params[0]) % 1 for p in params]
+            want = all(a < b for a, b in zip(offsets, offsets[1:]))
+            try:
+                TorusDiagram(order, order, kinds, col_params=params)
+                got = True
+            except OrderViolation:
+                got = False
+            assert got == want, params
+            verdicts.add(got)
+        assert verdicts == {True, False}
 
 
 class TestIndexFromTorus:
