@@ -134,22 +134,26 @@ def _bend_walk(n_source: int, n_target: int, phi: PLCorrespondence,
     j/n_target. Each entry (S, T, G) is a source parameter S/G and its image
     T/G, both taken mod 1; entries are sorted by S/G mod 1.
 
-    With every breakpoint written over the common denominator D, the piece
-    of phi from (s_k, t_k) to (s_k+1, t_k+1) is affine in a local integer u
-    in [0, U), U = lcm(n_source * ds, n_target * dt) for the piece's integer
-    widths ds and dt: every vertex of either curve in the piece falls on an
-    integer u, and s and t share the denominator G = D * U.
+    Each piece of phi, from (s_k, t_k) to (s_k+1, t_k+1), has its own
+    denominator D, the lcm of its two breakpoints' denominators, so no
+    entry carries the denominators of the other pieces. Over D the piece
+    has integer widths ds and dt and is affine in a local integer u in
+    [0, U), U = lcm(n_source * ds, n_target * dt): every vertex of either
+    curve in the piece falls on an integer u, and the piece's entries share
+    the denominator G = D * U.
     """
     bps = phi.breakpoints
-    den = lcm(*[q.denominator for pair in bps for q in pair])
-    sig = [s.numerator * (den // s.denominator) for s, _ in bps]
-    tau = [t.numerator * (den // t.denominator) for _, t in bps]
-    sig.append(sig[0] + den)
-    tau.append(tau[0])
+    count = len(bps)
     walk: list[tuple[int, int, int]] = []
-    for k in range(len(bps)):
-        s0, t0 = sig[k], tau[k]
-        ds, dt = sig[k + 1] - s0, (tau[k + 1] - t0) % den
+    for k in range(count):
+        (sa, ta), (sb, tb) = bps[k], bps[(k + 1) % count]
+        den = lcm(sa.denominator, ta.denominator, sb.denominator, tb.denominator)
+        s0 = sa.numerator * (den // sa.denominator)
+        t0 = ta.numerator * (den // ta.denominator)
+        ds = sb.numerator * (den // sb.denominator) - s0
+        if k == count - 1:
+            ds += den
+        dt = (tb.numerator * (den // tb.denominator) - t0) % den
         span = lcm(n_source * ds, n_target * dt)
         g = den * span
         us = _inner_vertices(s0, ds, n_source, den, span // (n_source * ds))

@@ -500,15 +500,14 @@ def _solve_single_cell(diagram, depth, levels) -> frozenset[int] | None:
 
 
 def _solve_by_pairs(diagram, depth, levels) -> frozenset[int]:
-    col_of = {m.crossing_id: m.col for m in diagram.marks}
-    ranked = sorted(((box, classify_box(box)) for box in find_doubly_adjacent(diagram)),
-                    key=lambda bc: (bc[1] is BoxCategory.FORBIDDEN,
-                                    col_of[bc[0].entry_id]))
-    failures = []
-    for box, category in ranked:
+    """Try the doubly adjacent pairs in column order, classifying each box
+    only when it is reached; FORBIDDEN boxes are reported after the rest."""
+    failures, forbidden = [], []
+    for box in find_doubly_adjacent(diagram):
         pair = (box.entry_id, box.exit_id)
+        category = classify_box(box)
         if category is BoxCategory.FORBIDDEN:
-            failures.append((pair, "forbidden"))
+            forbidden.append((pair, "forbidden"))
             continue
         sub: list[TraceLevel] = []
         child = diagram.without_marks(pair)
@@ -547,7 +546,7 @@ def _solve_by_pairs(diagram, depth, levels) -> frozenset[int]:
             return below
         failures.append((pair, "no candidate verified"))
     raise InternalCaseGap(
-        f"reinsertion failed for every adjacent pair {failures}:\n"
+        f"reinsertion failed for every adjacent pair {failures + forbidden}:\n"
         + diagram.dump())
 
 

@@ -23,6 +23,10 @@ where inside1 says whether the first prescribed source point lies inside the
 second region and inside2 whether its partner lies inside the first. Both
 memberships are decided combinatorially: walking forward from the point, the
 next crossing tells you which side you are on.
+
+Cutting at another prescribed pair is a cyclic shift of the torus by that
+pair's token ranks, so the reading at that cut follows from the marks' ranks
+and sides at the first, with no diagram or path rebuilt.
 """
 from __future__ import annotations
 
@@ -198,12 +202,6 @@ class TorusDiagram:
     def y_of_param(self, t: Fraction) -> Fraction:
         return _position_of_param(self.row_params, self._row_offsets, t)
 
-    def param_of_x(self, x: Fraction) -> Fraction:
-        return _param_of_position(self.col_params, self._col_offsets, x)
-
-    def param_of_y(self, y: Fraction) -> Fraction:
-        return _param_of_position(self.row_params, self._row_offsets, y)
-
     def without_marks(self, ids: Iterable[int]) -> "TorusDiagram":
         """Drop the given marks, keeping every other token's cyclic position.
 
@@ -303,19 +301,6 @@ def _position_of_param(params: tuple[Fraction, ...] | None,
         raise InvariantFailure("parameter fell outside the token cover")
     frac = (off - offsets[k]) / (offsets[k + 1] - offsets[k])
     return (k + frac) / size
-
-
-def _param_of_position(params: tuple[Fraction, ...] | None,
-                       offsets: tuple[Fraction, ...] | None,
-                       pos: Fraction) -> Fraction:
-    pos = pos % 1
-    if params is None:
-        return pos
-    scaled = pos * len(params)
-    k = int(scaled)
-    frac = scaled - k
-    off = offsets[k] + frac * (offsets[k + 1] - offsets[k])
-    return (params[0] + off) % 1
 
 
 def _filter_params(params, order, keep):
@@ -423,16 +408,6 @@ class StaircasePath:
     def passes_through(self, x: Fraction, y: Fraction) -> bool:
         return self.y_at(x) == y
 
-    def with_vertex(self, x: Fraction, y: Fraction) -> "StaircasePath":
-        if not self.passes_through(x, y):
-            raise InputRejection("point is not on the path")
-        if (x, y) in self.points:
-            return self
-        pts = list(self.points)
-        i = next(i for i, (px, _) in enumerate(pts) if px > x)
-        pts.insert(i, (x, y))
-        return StaircasePath(tuple(pts))
-
 
 def straight_path(diagram: TorusDiagram) -> StaircasePath:
     """The polyline through the three constraint lattice points."""
@@ -500,13 +475,37 @@ def realize_path(diagram: TorusDiagram, path: StaircasePath) -> PLCorrespondence
     With true parameters attached this reverses `path_of_correspondence`; on
     an abstract diagram it returns the correspondence in token coordinates.
     """
-    pairs = []
-    for x, y in path.points[:-1]:
-        pairs.append((diagram.param_of_x(x), diagram.param_of_y(y)))
-    seen = sorted(pairs)
-    if any(a[0] == b[0] for a, b in zip(seen, seen[1:])):
-        raise InvariantFailure("path vertices collapsed in parameter space")
-    return PLCorrespondence(tuple(seen))
+    points = path.points[:-1]
+    if diagram.col_params is None:
+        return PLCorrespondence(points)
+    pairs = list(zip(_params_at(diagram.col_params, [x for x, _ in points]),
+                     _params_at(diagram.row_params, [y for _, y in points])))
+    pairs.sort()  # a rotation: the source parameters rise cyclically
+    return PLCorrespondence(tuple(pairs))
+
+
+def _params_at(params: tuple[Fraction, ...],
+               positions: list[Fraction]) -> list[Fraction]:
+    """True parameters at token positions in [0, 1), in one pass: p / q on
+    rank k (p * n = k * q) is token k's parameter, any other position one
+    integer interpolation across the gap from token k to the next."""
+    if not all(0 <= p.numerator < p.denominator for p in params):
+        params = [p % 1 for p in params]  # built by hand, not by build_diagram
+    n = len(params)
+    out = []
+    for pos in positions:
+        q = pos.denominator
+        k, r = divmod(pos.numerator * n, q)
+        lo = params[k]
+        if r == 0:
+            out.append(lo)
+            continue
+        hi = params[(k + 1) % n]
+        a, b, c, d = lo.numerator, lo.denominator, hi.numerator, hi.denominator
+        # lo + ((hi - lo) % 1) * r / q, reduced mod 1, over b * d * q
+        num = a * d * q + (c * b - a * d) % (b * d) * r
+        out.append(Fraction(num % (b * d * q), b * d * q))
+    return out
 
 
 def delta_split(diagram: TorusDiagram, path: StaircasePath,
@@ -546,20 +545,20 @@ def index_from_torus(diagram: TorusDiagram, path: StaircasePath,
     """Fixed-point index read off the diagram, checked two ways.
 
     The below-count and above-count formulas are evaluated independently and
-    must agree. With `check_all_bases` the computation is repeated with the
-    cut moved to each constraint the path visits, and with
-    `validate_geometry` the combinatorial memberships are compared against
-    exact point-in-polygon queries on the linked curves.
+    must agree. With `validate_geometry` the combinatorial memberships are
+    compared against exact point-in-polygon queries on the linked curves.
+
+    With `check_all_bases` the index is read again with the cut at
+    constraints 2 and 3, which the path must visit. Cutting at ranks (c, r)
+    shifts each mark to ((col - c) % n, (row - r) % n) and the path by the
+    constraint point, wrapped by (1, 1). A mark changes side only when one
+    of its ranks wraps and the other does not: the column alone takes it
+    from above the path (up and left of the constraint) to below, the row
+    alone from below to above.
     """
     below, above = delta_split(diagram, path)
-    kind_map = dict(diagram.kinds)
-    p_below = sum(1 for i in below if kind_map[i] is CrossKind.P)
-    pt_below = len(below) - p_below
-    p_above = sum(1 for i in above if kind_map[i] is CrossKind.P)
-    pt_above = len(above) - p_above
-    in_second, in_first = diagram.membership(1)
-
     if validate_geometry and diagram.first is not None:
+        in_second, in_first = diagram.membership(1)
         s1 = diagram.col_params[0]
         t1 = diagram.row_params[0]
         u_in = point_in_polygon(diagram.second.loop,
@@ -571,38 +570,36 @@ def index_from_torus(diagram: TorusDiagram, path: StaircasePath,
             raise FormulaMismatch(
                 "combinatorial membership disagrees with geometry")
 
-    base = int(in_second) + int(in_first)
-    eta_below = base - p_below + pt_below
-    eta_above = base + p_above - pt_above
-    if eta_below != eta_above:
-        raise FormulaMismatch(
-            f"below-form gives {eta_below}, above-form gives {eta_above}")
-
+    eta = _read_index(diagram, below, above, 1)
     if check_all_bases:
         for i in (2, 3):
             x, y = diagram.constraint_point(i)
             if not path.passes_through(x, y):
                 raise BasePointOnGrid(
                     f"cannot move the cut to constraint {i}: path misses it")
-            d2, p2 = rebase(diagram, path, i)
-            again = index_from_torus(d2, p2)
-            if again != eta_below:
+            c, r = diagram.constraint_rank(i)
+            down = {m.crossing_id for m in diagram.marks if m.col < c and m.row > r}
+            up = {m.crossing_id for m in diagram.marks if m.col > c and m.row < r}
+            again = _read_index(diagram, (below - up) | down,
+                                (above - down) | up, i)
+            if again != eta:
                 raise FormulaMismatch(
-                    f"cut at constraint {i} gives {again}, not {eta_below}")
+                    f"cut at constraint {i} gives {again}, not {eta}")
+    return eta
+
+
+def _read_index(diagram: TorusDiagram, below, above, i: int) -> int:
+    """Both formulas with the cut at constraint i; they must agree."""
+    kinds = dict(diagram.kinds)
+    p_below = sum(1 for c in below if kinds[c] is CrossKind.P)
+    p_above = sum(1 for c in above if kinds[c] is CrossKind.P)
+    base = sum(diagram.membership(i))
+    eta_below = base - p_below + (len(below) - p_below)
+    eta_above = base + p_above - (len(above) - p_above)
+    if eta_below != eta_above:
+        raise FormulaMismatch(
+            f"below-form gives {eta_below}, above-form gives {eta_above}")
     return eta_below
-
-
-def rebase(diagram: TorusDiagram, path: StaircasePath,
-           i: int) -> tuple[TorusDiagram, StaircasePath]:
-    """Move the cut to constraint i; the path must pass through it."""
-    if i == 1:
-        return diagram, path
-    x0, y0 = diagram.constraint_point(i)
-    path = path.with_vertex(x0, y0)
-    split = path.points.index((x0, y0))
-    tail = [(x - x0, y - y0) for x, y in path.points[split:]]
-    head = [(x + 1 - x0, y + 1 - y0) for x, y in path.points[1:split + 1]]
-    return diagram.rebased(i), StaircasePath(tuple(tail + head))
 
 
 def local_winding(diagram: TorusDiagram, crossing_id: int,

@@ -1,6 +1,7 @@
 """Circle correspondences, difference loops, index, gluing, transport."""
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -16,6 +17,8 @@ from fpindex.exact_geom import AffineMap, pt
 from fpindex.jordan import validate_curve
 from fpindex.plmap import (
     PLCorrespondence,
+    _bend_walk,
+    _inner_vertices,
     difference_loop,
     fixed_point_index,
     glue,
@@ -23,10 +26,14 @@ from fpindex.plmap import (
     transform_pair,
 )
 
+from fpindex.prescribe import prescribe
+from fpindex.torus import build_diagram, path_of_correspondence, realize_path
+
 from geomgen import (
     random_transverse_pair,
     square_curve,
     star_polygon,
+    synthesize_constraints,
     turning_winding_oracle,
 )
 
@@ -168,6 +175,94 @@ class TestIndex:
             except HasFixedPoint:
                 continue
             assert fixed_point_index(second, first, phi.invert()) == eta
+
+
+def reference_bend_walk(n_source, n_target, phi):
+    """The walk with every piece over one common denominator, the lcm of
+    all breakpoint denominators."""
+    bps = phi.breakpoints
+    den = lcm(*[q.denominator for pair in bps for q in pair])
+    sig = [s.numerator * (den // s.denominator) for s, _ in bps]
+    tau = [t.numerator * (den // t.denominator) for _, t in bps]
+    sig.append(sig[0] + den)
+    tau.append(tau[0])
+    walk = []
+    for k in range(len(bps)):
+        s0, t0 = sig[k], tau[k]
+        ds, dt = sig[k + 1] - s0, (tau[k + 1] - t0) % den
+        span = lcm(n_source * ds, n_target * dt)
+        g = den * span
+        us = _inner_vertices(s0, ds, n_source, den, span // (n_source * ds))
+        ut = _inner_vertices(t0, dt, n_target, den, span // (n_target * dt))
+        a = b = u = 0
+        while u < span:
+            walk.append((s0 * span + u * ds, t0 * span + u * dt, g))
+            next_s = us[a] if a < len(us) else span
+            next_t = ut[b] if b < len(ut) else span
+            u = min(next_s, next_t)
+            if next_s == u:
+                a += 1
+            if next_t == u:
+                b += 1
+    wrap = len(walk)
+    while wrap and walk[wrap - 1][0] >= walk[wrap - 1][2]:
+        wrap -= 1
+    return walk[wrap:] + walk[:wrap]
+
+
+def mixed_correspondence(rng, count: int) -> PLCorrespondence:
+    """Breakpoints whose denominators differ from piece to piece."""
+    def draw():
+        vals = set()
+        while len(vals) < count:
+            den = rng.choice((3, 5, 8, 49, 997, 1024, 3 * 1024))
+            vals.add(F(rng.randrange(den), den))
+        return sorted(vals)
+    s_vals, t_vals = draw(), draw()
+    shift = rng.randrange(count)
+    return PLCorrespondence(tuple(zip(s_vals, t_vals[shift:] + t_vals[:shift])))
+
+
+def walk_points(walk):
+    return [(F(s, g), F(t, g)) for s, t, g in walk]
+
+
+class TestBendWalkPerPiece:
+    def check_walk(self, n_source, n_target, phi) -> bool:
+        """Same entries as rationals and in the same order; every per-piece
+        denominator divides the common one. True if one is smaller."""
+        got = _bend_walk(n_source, n_target, phi)
+        want = reference_bend_walk(n_source, n_target, phi)
+        assert walk_points(got) == walk_points(want)
+        assert all(g_old % g == 0 for (_, _, g), (_, _, g_old) in zip(got, want))
+        return any(g < g_old for (_, _, g), (_, _, g_old) in zip(got, want))
+
+    def test_matches_the_common_denominator_walk(self):
+        rng = random.Random(8100)
+        smaller = 0
+        for k in range(300):
+            n_source, n_target = rng.randrange(3, 40), rng.randrange(3, 40)
+            count = rng.randrange(2, 10)
+            phi = (random_correspondence(rng, count, rng.choice((12, 64, 1024)))
+                   if k % 2 else mixed_correspondence(rng, count))
+            smaller += self.check_walk(n_source, n_target, phi)
+        assert smaller > 100
+
+    def test_matches_on_realized_paths(self):
+        # realize_path mixes token parameters with interpolated ones, the
+        # maps fixed_point_index sees in the prescription pipeline
+        rng = random.Random(8200)
+        smaller = 0
+        for _ in range(30):
+            first, second, crossings = random_transverse_pair(rng)
+            phi = random_correspondence(rng, rng.randrange(3, 9))
+            diagram = build_diagram(first, second, crossings,
+                                    synthesize_constraints(crossings, phi, rng))
+            for path in (path_of_correspondence(diagram, phi),
+                         prescribe(diagram)[0]):
+                realized = realize_path(diagram, path)
+                smaller += self.check_walk(len(first), len(second), realized)
+        assert smaller > 30
 
 
 def nested_glue_fixture():

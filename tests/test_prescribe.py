@@ -1,4 +1,5 @@
 """Three-point prescription: pair selection, box dispatch, solver, oracle."""
+import itertools
 import random
 from fractions import Fraction
 
@@ -10,7 +11,12 @@ from fpindex.errors import (
     TooFewCrossings,
     TooLarge,
 )
-from fpindex.jordan import CrossKind, canonical_noncut_pair, check_transverse
+from fpindex.jordan import (
+    CrossKind,
+    canonical_noncut_pair,
+    check_transverse,
+    crossing_faces,
+)
 from fpindex.plmap import PLCorrespondence, fixed_point_index, random_correspondence
 from fpindex.prescribe import (
     ABOVE,
@@ -35,6 +41,8 @@ from fpindex.torus import (
 )
 
 from geomgen import random_transverse_pair, square_curve, synthesize_constraints
+from test_jordan import alternating_patterns
+from test_torus import reference_all_bases
 
 F = Fraction
 
@@ -341,6 +349,50 @@ class TestPrescribeRandom:
                 assert trace.index in achievable
                 assert max(achievable) >= 0
         assert pair_rule_seen > 0
+
+
+def small_diagrams(max_m: int):
+    """Every combinatorial torus diagram with at most 2 * max_m crossings:
+    each planar alternating pattern, constraint 1 at the cut and constraints
+    2 and 3 at every ordered placement on each axis, plus the crossing-free
+    pairs in their three mutual positions."""
+    base = three_point_orders()
+    for tag in Containment:
+        yield abstract_diagram(base, base, {}, tag)
+    for m in range(1, max_m + 1):
+        slots = list(itertools.combinations(range(2 * m + 2), 2))
+        for cs in alternating_patterns(m):
+            try:
+                crossing_faces(cs)
+            except InvariantFailure:
+                continue  # the Euler check: no plane realizes this pattern
+            kinds = {c.index: c.kind for c in cs}
+            axes = []
+            for key in (lambda c: c.param_k, lambda c: c.param_kt):
+                marks = [("m", c.index) for c in sorted(cs, key=key)]
+                orders = []
+                for i, j in slots:
+                    rest = iter(marks)
+                    orders.append((("c", 1), *[
+                        ("c", 2) if k == i else ("c", 3) if k == j else next(rest)
+                        for k in range(2 * m + 2)]))
+                axes.append(orders)
+            for cols, rows in itertools.product(*axes):
+                yield abstract_diagram(cols, rows, kinds)
+
+
+class TestExhaustiveSmall:
+    def test_every_diagram_up_to_four_crossings(self):
+        # the paper's nonnegative prescription, checked against the oracle
+        # and against the cut moved by rebuilt diagrams, on all 975
+        count = 0
+        for diagram in small_diagrams(2):
+            path, trace = prescribe(diagram)
+            assert trace.index >= 0
+            assert trace.index in oracle_enumerate(diagram)
+            assert reference_all_bases(diagram, path) == trace.index
+            count += 1
+        assert count == 3 + 2 * 6 * 6 + 4 * 15 * 15
 
 
 # -- realizability and threading -------------------------------------------------

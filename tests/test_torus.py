@@ -1,12 +1,15 @@
 """Torus diagrams, staircase paths, and the two index formulas."""
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
 from fpindex.errors import (
     AlternationViolation,
+    BasePointOnGrid,
     ConstraintOnCurve,
+    FormulaMismatch,
     HasFixedPoint,
     InputRejection,
     OrderViolation,
@@ -15,6 +18,7 @@ from fpindex.errors import (
 )
 from fpindex.jordan import CrossKind, canonical_noncut_pair, check_transverse
 from fpindex.plmap import PLCorrespondence, fixed_point_index, random_correspondence
+from fpindex.prescribe import _is_realizable, _thread_path, prescribe
 from fpindex.torus import (
     Containment,
     StaircasePath,
@@ -335,6 +339,176 @@ class TestIndexFromTorus:
             want = (point_in_polygon(second.loop, u) == PointLocation.INSIDE,
                     point_in_polygon(first.loop, v) == PointLocation.INSIDE)
             assert diagram.membership(1) == want
+
+
+def reference_reading(diagram, path):
+    """Both formulas at the diagram's own cut, from the per-mark split."""
+    below, above = reference_split(diagram, path)
+    kinds = dict(diagram.kinds)
+    p_below = sum(1 for i in below if kinds[i] is CrossKind.P)
+    p_above = sum(1 for i in above if kinds[i] is CrossKind.P)
+    base = sum(diagram.membership(1))
+    eta_below = base - p_below + (len(below) - p_below)
+    eta_above = base + p_above - (len(above) - p_above)
+    if eta_below != eta_above:
+        raise FormulaMismatch(
+            f"below-form gives {eta_below}, above-form gives {eta_above}")
+    return eta_below
+
+
+def reference_rebase(diagram, path, i):
+    """The cut moved by rebuilding: a rebased diagram, and the path with the
+    constraint point inserted as a vertex, split there and wrapped."""
+    x0, y0 = diagram.constraint_point(i)
+    pts = list(path.points)
+    if (x0, y0) not in pts:
+        pts.insert(next(k for k, (x, _) in enumerate(pts) if x > x0), (x0, y0))
+    split = pts.index((x0, y0))
+    tail = [(x - x0, y - y0) for x, y in pts[split:]]
+    head = [(x + 1 - x0, y + 1 - y0) for x, y in pts[1:split + 1]]
+    return diagram.rebased(i), StaircasePath(tuple(tail + head))
+
+
+def reference_all_bases(diagram, path):
+    """index_from_torus(check_all_bases=True) through rebuilt diagrams."""
+    eta = reference_reading(diagram, path)
+    for i in (2, 3):
+        x, y = diagram.constraint_point(i)
+        if not path.passes_through(x, y):
+            raise BasePointOnGrid(
+                f"cannot move the cut to constraint {i}: path misses it")
+        again = reference_reading(*reference_rebase(diagram, path, i))
+        if again != eta:
+            raise FormulaMismatch(f"cut at constraint {i} gives {again}, not {eta}")
+    return eta
+
+
+def all_bases(diagram, path):
+    return index_from_torus(diagram, path, check_all_bases=True)
+
+
+def reading_outcome(read, diagram, path):
+    try:
+        return read(diagram, path)
+    except (BasePointOnGrid, PathHitsMark, FormulaMismatch) as err:
+        return type(err).__name__, str(err)
+
+
+def path_through_constraints(rng, diagram, den: int) -> StaircasePath:
+    """Random monotone path over 1/den steps through constraints 2 and 3."""
+    corners = [(F(0), F(0)), diagram.constraint_point(2),
+               diagram.constraint_point(3), (F(1), F(1))]
+    points = [corners[0]]
+    for (x0, y0), (x1, y1) in zip(corners, corners[1:]):
+        lo_x, hi_x = int(x0 * den) + 1, int(x1 * den)
+        lo_y, hi_y = int(y0 * den) + 1, int(y1 * den)
+        count = rng.randrange(min(hi_x - lo_x, hi_y - lo_y, 4) + 1)
+        xs = sorted(rng.sample(range(lo_x, hi_x), count))
+        ys = sorted(rng.sample(range(lo_y, hi_y), count))
+        points += [(F(x, den), F(y, den)) for x, y in zip(xs, ys)]
+        points.append((x1, y1))
+    return StaircasePath(tuple(points))
+
+
+def threaded_paths(rng, diagram, count: int):
+    """Paths `_thread_path` threads for random realizable bipartitions."""
+    ids = [m.crossing_id for m in diagram.marks]
+    for _ in range(count):
+        below = frozenset(i for i in ids if rng.random() < 0.5)
+        if _is_realizable(diagram, below):
+            yield _thread_path(diagram, below)
+
+
+def reference_diagrams(rng, count: int):
+    """The lens, canonical pairs and random pairs, each with its map."""
+    yield lens_fixture()[3], identity_params(4)
+    for m in (1, 2, 3, 5, 8):
+        first, second = canonical_noncut_pair(m)
+        crossings = check_transverse(first, second)
+        phi = random_correspondence(rng, rng.randrange(3, 9))
+        yield (build_diagram(first, second, crossings,
+                             synthesize_constraints(crossings, phi, rng)), phi)
+    for _ in range(count):
+        first, second, crossings = random_transverse_pair(rng)
+        phi = random_correspondence(rng, rng.randrange(3, 9))
+        yield (build_diagram(first, second, crossings,
+                             synthesize_constraints(crossings, phi, rng)), phi)
+
+
+class TestAllBasesByRankShift:
+    def test_matches_the_rebuilt_diagram_route(self):
+        rng = random.Random(8300)
+        outcomes = set()
+        for diagram, phi in reference_diagrams(rng, 50):
+            n = diagram.size
+            paths = [straight_path(diagram), path_of_correspondence(diagram, phi),
+                     prescribe(diagram)[0], *threaded_paths(rng, diagram, 4),
+                     random_monotone_path(rng, rng.randrange(1, 9), 211),
+                     path_through_constraints(rng, diagram, 2 * n),
+                     path_through_constraints(rng, diagram, 3 * n)]
+            for path in paths:
+                got = reading_outcome(all_bases, diagram, path)
+                assert got == reading_outcome(reference_all_bases, diagram, path)
+                outcomes.add(got[0] if isinstance(got, tuple) else "index")
+        assert outcomes == {"index", "BasePointOnGrid", "PathHitsMark"}
+
+    def test_abstract_diagrams_and_containments(self):
+        rng = random.Random(8400)
+        cases = [abstract_diagram((("c", 1), ("c", 2), ("c", 3)),
+                                  (("c", 1), ("c", 2), ("c", 3)), {}, tag)
+                 for tag in Containment]
+        for diagram, _ in reference_diagrams(rng, 10):
+            cases.append(abstract_diagram(diagram.col_order, diagram.row_order,
+                                          dict(diagram.kinds)))
+        for diagram in cases:
+            for path in (straight_path(diagram), prescribe(diagram)[0],
+                         *threaded_paths(rng, diagram, 4)):
+                assert reading_outcome(all_bases, diagram, path) == \
+                    reading_outcome(reference_all_bases, diagram, path)
+
+
+def reference_realize_path(diagram, path):
+    """Each vertex converted on its own from its scaled position, then the
+    pairs sorted."""
+    def param(params, offsets, pos):
+        pos = pos % 1
+        if params is None:
+            return pos
+        scaled = pos * len(params)
+        k = int(scaled)
+        off = offsets[k] + (scaled - k) * (offsets[k + 1] - offsets[k])
+        return (params[0] + off) % 1
+    pairs = sorted((param(diagram.col_params, diagram._col_offsets, x),
+                    param(diagram.row_params, diagram._row_offsets, y))
+                   for x, y in path.points[:-1])
+    return PLCorrespondence(tuple(pairs))
+
+
+class TestRealizePathOnePass:
+    def test_matches_per_vertex_conversion(self):
+        rng = random.Random(8500)
+        on_token = between = 0
+        for diagram, phi in reference_diagrams(rng, 40):
+            n = diagram.size
+            abstract = abstract_diagram(diagram.col_order, diagram.row_order,
+                                        dict(diagram.kinds))
+            paths = [straight_path(diagram), path_of_correspondence(diagram, phi),
+                     *threaded_paths(rng, diagram, 3),
+                     random_monotone_path(rng, rng.randrange(1, 9), 211),
+                     random_monotone_path(rng, rng.randrange(1, n), 2 * n)]
+            # the same true parameters, some written outside [0, 1)
+            lifted = replace(diagram, col_params=tuple(
+                p + k % 3 - 1 for k, p in enumerate(diagram.col_params)))
+            for path in paths:
+                for d in (diagram, abstract, lifted):
+                    assert realize_path(d, path) == reference_realize_path(d, path)
+                for x, y in path.points[:-1]:
+                    for v in (x, y):
+                        if (v * n).denominator == 1:
+                            on_token += 1
+                        else:
+                            between += 1
+        assert on_token > 500 and between > 500
 
 
 class TestLocalWinding:
