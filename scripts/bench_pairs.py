@@ -1,17 +1,18 @@
 """Measure a change against its parent in alternating perfbench runs.
 
     python scripts/bench_pairs.py PARENT CHANGE --workload W [--pairs N]
-        [--first-seed S] [--seconds T] [--out DIR]
+        [--first-seed S]
 
 PARENT and CHANGE are two checkouts. Pair k runs `perfbench/run.py
 --workload W --seed S+k --seconds T --trace 0` once in each, the parent
 first when k is even and the change first when k is odd, and then one traced
 run on each side gives the per-layer metrics. Each run uses its own
-checkout's unchanged `perfbench/`, as the benchmark does.
+checkout's unchanged `perfbench/`, as the benchmark does, and T is the
+`run_seconds` of the change's `BENCHMARK.json`.
 
-The record goes to DIR/BENCH_<change sha>.json (DIR defaults to this
-checkout's root); a record that already exists keeps its other workloads, so
-one file can hold every workload a change was measured on. For each
+The record goes to BENCH_<change sha>.json at this checkout's root; a
+record that already exists keeps its other workloads, so one file can hold
+every workload a change was measured on. For each
 workload it keeps every pair's end-to-end metrics, answer digests, failure
 counts and load averages, and for each metric of `BENCHMARK.json` both
 sides' medians and quartiles (inclusive method), the pairs the change won
@@ -98,14 +99,13 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--workload", required=True)
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--first-seed", type=int, default=101)
-    parser.add_argument("--seconds", type=float, default=15.0)
-    parser.add_argument("--out", type=Path, default=ROOT)
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
     sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     shas = {side: git_sha(path) for side, path in sides.items()}
     spec = json.loads((sides["change"] / "BENCHMARK.json").read_text())
+    seconds = float(spec["run_seconds"])
 
     pairs = []
     for k in range(args.pairs):
@@ -113,16 +113,16 @@ def main(argv: list[str] | None = None) -> int:
         order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
         pair = {"seed": seed, "first": order[0]}
         for side in order:
-            pair[side] = run(sides[side], args.workload, seed, args.seconds, 0)
+            pair[side] = run(sides[side], args.workload, seed, seconds, 0)
         pairs.append(pair)
         print(f"{args.workload} seed {seed}: ops_per_s "
               f"{pair['parent']['metrics']['ops_per_s']:.1f} -> "
               f"{pair['change']['metrics']['ops_per_s']:.1f}", flush=True)
-    traced = {side: run(path, args.workload, args.first_seed, args.seconds,
+    traced = {side: run(path, args.workload, args.first_seed, seconds,
                         1)["metrics"] for side, path in sides.items()}
 
     entry = {
-        "seconds": args.seconds,
+        "seconds": seconds,
         "seeds": [p["seed"] for p in pairs],
         "digests_equal": all(p["parent"]["digest"] == p["change"]["digest"]
                              for p in pairs),
@@ -135,8 +135,7 @@ def main(argv: list[str] | None = None) -> int:
                    "change": traced["change"].get(name)}
             for name in sorted(set(traced["parent"]) | set(traced["change"]))},
     }
-    args.out.mkdir(parents=True, exist_ok=True)
-    path = args.out / f"BENCH_{shas['change'][:12]}.json"
+    path = ROOT / f"BENCH_{shas['change'][:12]}.json"
     record = json.loads(path.read_text()) if path.exists() else {
         "parent_sha": shas["parent"], "change_sha": shas["change"],
         "host": dict(pairs[0]["change"]["host"], platform=platform.platform()),

@@ -42,7 +42,12 @@ from fpindex.torus import (  # noqa: E402
     straight_path,
 )
 
-from geomgen import random_transverse_pair, synthesize_constraints  # noqa: E402
+from geomgen import (  # noqa: E402
+    path_through_constraints,
+    random_monotone_path,
+    random_transverse_pair,
+    synthesize_constraints,
+)
 
 RANDOM_PAIRS = 150
 CANONICAL_SIZES = range(1, 17)
@@ -68,31 +73,6 @@ def outcome(fn, *args, **kwargs):
         return f"{type(err).__name__}: {err}"
 
 
-def monotone_path(rng: random.Random, count: int, den: int) -> StaircasePath:
-    xs = sorted(rng.sample(range(1, den), count))
-    ys = sorted(rng.sample(range(1, den), count))
-    return StaircasePath(((Fraction(0), Fraction(0)),
-                          *[(Fraction(x, den), Fraction(y, den))
-                            for x, y in zip(xs, ys)],
-                          (Fraction(1), Fraction(1))))
-
-
-def through_constraints(rng: random.Random, diagram, den: int) -> StaircasePath:
-    """Random monotone path over 1/den steps through constraints 2 and 3."""
-    corners = [(Fraction(0), Fraction(0)), diagram.constraint_point(2),
-               diagram.constraint_point(3), (Fraction(1), Fraction(1))]
-    points = [corners[0]]
-    for (x0, y0), (x1, y1) in zip(corners, corners[1:]):
-        lo_x, hi_x = int(x0 * den) + 1, int(x1 * den)
-        lo_y, hi_y = int(y0 * den) + 1, int(y1 * den)
-        count = rng.randrange(min(hi_x - lo_x, hi_y - lo_y, 4) + 1)
-        xs = sorted(rng.sample(range(lo_x, hi_x), count))
-        ys = sorted(rng.sample(range(lo_y, hi_y), count))
-        points += [(Fraction(x, den), Fraction(y, den)) for x, y in zip(xs, ys)]
-        points.append((x1, y1))
-    return StaircasePath(tuple(points))
-
-
 def dump_case(out: list[str], rng: random.Random, first, second,
               crossings) -> None:
     phi = random_correspondence(rng, rng.randrange(3, 9))
@@ -111,9 +91,9 @@ def dump_case(out: list[str], rng: random.Random, first, second,
     except FpIndexError as err:
         out.append(f"prescribe {type(err).__name__}: {err}")
     n = diagram.size
-    paths["monotone_211"] = monotone_path(rng, rng.randrange(1, 9), 211)
-    paths["monotone_2n"] = monotone_path(rng, rng.randrange(1, n), 2 * n)
-    paths["through_4n"] = through_constraints(rng, diagram, 4 * n)
+    paths["monotone_211"] = random_monotone_path(rng, rng.randrange(1, 9), 211)
+    paths["monotone_2n"] = random_monotone_path(rng, rng.randrange(1, n), 2 * n)
+    paths["through_4n"] = path_through_constraints(rng, diagram, 4 * n)
     for name, path in paths.items():
         eta = outcome(index_from_torus, diagram, path, check_all_bases=True)
         out.append(f"torus {name} {eta}")

@@ -182,10 +182,9 @@ class TorusDiagram:
                     return kind_map[tok[1]]
             raise InvariantFailure("unreachable: diagram has marks")
 
-        in_second = next_kind(self.col_order,
-                              self.col_order.index(("c", i))) is CrossKind.PTILDE
-        in_first = next_kind(self.row_order,
-                             self.row_order.index(("c", i))) is CrossKind.P
+        col, row = self._constraint_ranks[i]
+        in_second = next_kind(self.col_order, col) is CrossKind.PTILDE
+        in_first = next_kind(self.row_order, row) is CrossKind.P
         return in_second, in_first
 
     @cached_property
@@ -195,6 +194,10 @@ class TorusDiagram:
     @cached_property
     def _row_offsets(self) -> tuple[Fraction, ...] | None:
         return _cyclic_offsets(self.row_params)
+
+    @cached_property
+    def _unit_params(self) -> tuple[list[Fraction], list[Fraction]]:
+        return [p % 1 for p in self.col_params], [p % 1 for p in self.row_params]
 
     def x_of_param(self, s: Fraction) -> Fraction:
         return _position_of_param(self.col_params, self._col_offsets, s)
@@ -478,19 +481,18 @@ def realize_path(diagram: TorusDiagram, path: StaircasePath) -> PLCorrespondence
     points = path.points[:-1]
     if diagram.col_params is None:
         return PLCorrespondence(points)
-    pairs = list(zip(_params_at(diagram.col_params, [x for x, _ in points]),
-                     _params_at(diagram.row_params, [y for _, y in points])))
+    cols, rows = diagram._unit_params
+    pairs = list(zip(_params_at(cols, [x for x, _ in points]),
+                     _params_at(rows, [y for _, y in points])))
     pairs.sort()  # a rotation: the source parameters rise cyclically
     return PLCorrespondence(tuple(pairs))
 
 
-def _params_at(params: tuple[Fraction, ...],
+def _params_at(params: list[Fraction],
                positions: list[Fraction]) -> list[Fraction]:
-    """True parameters at token positions in [0, 1), in one pass: p / q on
-    rank k (p * n = k * q) is token k's parameter, any other position one
+    """Parameters in [0, 1) at token positions in [0, 1), in one pass: p / q
+    on rank k (p * n = k * q) is token k's parameter, any other position one
     integer interpolation across the gap from token k to the next."""
-    if not all(0 <= p.numerator < p.denominator for p in params):
-        params = [p % 1 for p in params]  # built by hand, not by build_diagram
     n = len(params)
     out = []
     for pos in positions:
@@ -554,7 +556,7 @@ def index_from_torus(diagram: TorusDiagram, path: StaircasePath,
     constraint point, wrapped by (1, 1). A mark changes side only when one
     of its ranks wraps and the other does not: the column alone takes it
     from above the path (up and left of the constraint) to below, the row
-    alone from below to above.
+    alone from below to above. Which marks move depends on the diagram alone.
     """
     below, above = delta_split(diagram, path)
     if validate_geometry and diagram.first is not None:
@@ -570,7 +572,8 @@ def index_from_torus(diagram: TorusDiagram, path: StaircasePath,
             raise FormulaMismatch(
                 "combinatorial membership disagrees with geometry")
 
-    eta = _read_index(diagram, below, above, 1)
+    p_ids = {m.crossing_id for m in diagram.marks if m.kind is CrossKind.P}
+    eta = _read_index(diagram, p_ids, below, above, 1)
     if check_all_bases:
         for i in (2, 3):
             x, y = diagram.constraint_point(i)
@@ -580,7 +583,7 @@ def index_from_torus(diagram: TorusDiagram, path: StaircasePath,
             c, r = diagram.constraint_rank(i)
             down = {m.crossing_id for m in diagram.marks if m.col < c and m.row > r}
             up = {m.crossing_id for m in diagram.marks if m.col > c and m.row < r}
-            again = _read_index(diagram, (below - up) | down,
+            again = _read_index(diagram, p_ids, (below - up) | down,
                                 (above - down) | up, i)
             if again != eta:
                 raise FormulaMismatch(
@@ -588,11 +591,9 @@ def index_from_torus(diagram: TorusDiagram, path: StaircasePath,
     return eta
 
 
-def _read_index(diagram: TorusDiagram, below, above, i: int) -> int:
+def _read_index(diagram: TorusDiagram, p_ids, below, above, i: int) -> int:
     """Both formulas with the cut at constraint i; they must agree."""
-    kinds = dict(diagram.kinds)
-    p_below = sum(1 for c in below if kinds[c] is CrossKind.P)
-    p_above = sum(1 for c in above if kinds[c] is CrossKind.P)
+    p_below, p_above = len(below & p_ids), len(above & p_ids)
     base = sum(diagram.membership(i))
     eta_below = base - p_below + (len(below) - p_below)
     eta_above = base + p_above - (len(above) - p_above)

@@ -17,6 +17,7 @@ from fpindex.jordan import (
     check_transverse,
     validate_curve,
 )
+from fpindex.torus import StaircasePath
 
 
 def rational_direction(t: Fraction) -> RatPoint:
@@ -99,6 +100,36 @@ def synthesize_constraints(crossings, phi, rng: random.Random, count: int = 3):
             continue
         pairs[s] = t
     return sorted(pairs.items())
+
+
+def random_monotone_path(rng: random.Random, count: int,
+                         den: int) -> StaircasePath:
+    """Monotone path from (0, 0) to (1, 1) through `count` random interior
+    vertices on the 1/den grid."""
+    xs = sorted(rng.sample(range(1, den), count))
+    ys = sorted(rng.sample(range(1, den), count))
+    return StaircasePath(((Fraction(0), Fraction(0)),
+                          *[(Fraction(x, den), Fraction(y, den))
+                            for x, y in zip(xs, ys)],
+                          (Fraction(1), Fraction(1))))
+
+
+def path_through_constraints(rng: random.Random, diagram,
+                             den: int) -> StaircasePath:
+    """Random monotone path over 1/den steps through constraints 2 and 3."""
+    corners = [(Fraction(0), Fraction(0)), diagram.constraint_point(2),
+               diagram.constraint_point(3), (Fraction(1), Fraction(1))]
+    points = [corners[0]]
+    for (x0, y0), (x1, y1) in zip(corners, corners[1:]):
+        lo_x, hi_x = int(x0 * den) + 1, int(x1 * den)
+        lo_y, hi_y = int(y0 * den) + 1, int(y1 * den)
+        count = rng.randrange(min(hi_x - lo_x, hi_y - lo_y, 4) + 1)
+        xs = sorted(rng.sample(range(lo_x, hi_x), count))
+        ys = sorted(rng.sample(range(lo_y, hi_y), count))
+        points += [(Fraction(x, den), Fraction(y, den))
+                   for x, y in zip(xs, ys)]
+        points.append((x1, y1))
+    return StaircasePath(tuple(points))
 
 
 def turning_winding_oracle(points: list[RatPoint], p: RatPoint) -> int:

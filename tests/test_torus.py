@@ -33,7 +33,13 @@ from fpindex.torus import (
     straight_path,
 )
 
-from geomgen import random_transverse_pair, square_curve, synthesize_constraints
+from geomgen import (
+    path_through_constraints,
+    random_monotone_path,
+    random_transverse_pair,
+    square_curve,
+    synthesize_constraints,
+)
 
 F = Fraction
 
@@ -142,14 +148,6 @@ def split_outcome(split, diagram, path):
         return split(diagram, path)
     except PathHitsMark as err:
         return str(err)
-
-
-def random_monotone_path(rng, count: int, den: int) -> StaircasePath:
-    xs = sorted(rng.sample(range(1, den), count))
-    ys = sorted(rng.sample(range(1, den), count))
-    return StaircasePath(((F(0), F(0)),
-                          *[(F(x, den), F(y, den)) for x, y in zip(xs, ys)],
-                          (F(1), F(1))))
 
 
 class TestDeltaSplitWalk:
@@ -392,22 +390,6 @@ def reading_outcome(read, diagram, path):
         return read(diagram, path)
     except (BasePointOnGrid, PathHitsMark, FormulaMismatch) as err:
         return type(err).__name__, str(err)
-
-
-def path_through_constraints(rng, diagram, den: int) -> StaircasePath:
-    """Random monotone path over 1/den steps through constraints 2 and 3."""
-    corners = [(F(0), F(0)), diagram.constraint_point(2),
-               diagram.constraint_point(3), (F(1), F(1))]
-    points = [corners[0]]
-    for (x0, y0), (x1, y1) in zip(corners, corners[1:]):
-        lo_x, hi_x = int(x0 * den) + 1, int(x1 * den)
-        lo_y, hi_y = int(y0 * den) + 1, int(y1 * den)
-        count = rng.randrange(min(hi_x - lo_x, hi_y - lo_y, 4) + 1)
-        xs = sorted(rng.sample(range(lo_x, hi_x), count))
-        ys = sorted(rng.sample(range(lo_y, hi_y), count))
-        points += [(F(x, den), F(y, den)) for x, y in zip(xs, ys)]
-        points.append((x1, y1))
-    return StaircasePath(tuple(points))
 
 
 def threaded_paths(rng, diagram, count: int):
