@@ -9,7 +9,9 @@ the dump records: `fixed_point_index` and `_refined_params` of the map,
 correspondence, straight, prescribed and random monotone paths (some of
 them through constraints 2 and 3) with the index of each realized map,
 `index_from_torus(check_all_bases=True)` on those paths, `prescribe`'s path
-and trace, and `oracle_enumerate`'s set.
+and trace, and `oracle_enumerate`'s set, alone and with one and with two
+extra prescribed pairs on the map at source parameters with odd
+denominators, which put the extra anchors off the token grid.
 Every error is written as its class and message. The script loads
 `fpindex` from this checkout's `src/`, so the dumps of two checkouts are
 identical exactly when `diff -r OUT_A OUT_B` prints nothing.
@@ -73,8 +75,10 @@ def outcome(fn, *args, **kwargs):
         return f"{type(err).__name__}: {err}"
 
 
-def dump_case(out: list[str], rng: random.Random, first, second,
-              crossings) -> None:
+def dump_case(out: list[str], rng: random.Random, xrng: random.Random,
+              first, second, crossings) -> None:
+    """One case; `xrng` draws the extra pairs, so that the other lines do
+    not depend on them."""
     phi = random_correspondence(rng, rng.randrange(3, 9))
     out.append(f"phi {fmt(phi.breakpoints)}")
     out.append(f"index {outcome(fixed_point_index, first, second, phi)}")
@@ -103,25 +107,34 @@ def dump_case(out: list[str], rng: random.Random, first, second,
                    f"{outcome(fixed_point_index, first, second, realized)}")
     if len(crossings) <= ORACLE_MAX_MARKS:
         out.append(f"oracle {outcome(oracle_enumerate, diagram)}")
+        for count in (1, 2):
+            extra = [(s, phi.evaluate(s)) for s in
+                     sorted(Fraction(xrng.randrange(1, q), q) for q in
+                            (xrng.randrange(3, 200, 2) for _ in range(count)))]
+            out.append(f"oracle_extra {fmt(extra)} "
+                       f"{outcome(oracle_enumerate, diagram, extra)}")
 
 
 def random_dump(seed: int) -> list[str]:
     rng = random.Random(f"kernel-dump:{seed}")
+    xrng = random.Random(f"kernel-dump-extra:{seed}")
     out: list[str] = []
     for k in range(RANDOM_PAIRS):
         first, second, crossings = random_transverse_pair(rng)
         out.append(f"# random {k}: {len(crossings)} crossings")
-        dump_case(out, rng, first, second, crossings)
+        dump_case(out, rng, xrng, first, second, crossings)
     return out
 
 
 def canonical_dump(seed: int) -> list[str]:
     rng = random.Random(f"kernel-dump-canonical:{seed}")
+    xrng = random.Random(f"kernel-dump-canonical-extra:{seed}")
     out: list[str] = []
     for m in CANONICAL_SIZES:
         first, second = canonical_noncut_pair(m)
         out.append(f"# canonical {m}")
-        dump_case(out, rng, first, second, check_transverse(first, second))
+        dump_case(out, rng, xrng, first, second,
+                  check_transverse(first, second))
     return out
 
 

@@ -26,6 +26,7 @@ from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from math import lcm
 from typing import Iterator, Sequence
 
 from .errors import (
@@ -41,7 +42,6 @@ from .exact_geom import (
     PLLoop,
     PointLocation,
     RatPoint,
-    Segment,
     cmp_directions_ccw,
     cross_int,
     in_box_int,
@@ -50,7 +50,6 @@ from .exact_geom import (
     meet_int,
     point_between_boundaries,
     point_in_polygon,
-    point_on_segment,
     pt,
     signed_area,
 )
@@ -143,16 +142,26 @@ class PolyJordanCurve:
         return a + (b - a).scale(frac)
 
     def locate_param(self, p: RatPoint) -> Fraction | None:
-        """Normalized parameter of a boundary point, or None if off-curve."""
-        n = len(self.loop)
-        for i, (a, b) in enumerate(self.loop.edges()):
-            if not point_on_segment(Segment(a, b), p):
+        """Normalized parameter of a boundary point, or None if off-curve.
+
+        The vertices (over their common denominator D) and p (over its own,
+        e) are brought to D * e, so each segment is tested with the integer
+        predicates and only the segment found costs a `Fraction`.
+        """
+        den, xs, ys = self.loop.int_coords
+        e = lcm(p.x.denominator, p.y.denominator)
+        q = (p.x.numerator * (e // p.x.denominator) * den,
+             p.y.numerator * (e // p.y.denominator) * den)
+        n = len(xs)
+        pts = [(x * e, y * e) for x, y in zip(xs, ys)]
+        for i, (a, b) in enumerate(zip(pts, pts[1:] + pts[:1])):
+            if not (in_box_int(a, b, q) and cross_int(a, b, q) == 0):
                 continue
-            d = b - a
-            frac = (p.x - a.x) / d.x if d.x != 0 else (p.y - a.y) / d.y
-            if frac == 1:
+            axis = 0 if a[0] != b[0] else 1
+            num, step = q[axis] - a[axis], b[axis] - a[axis]
+            if num == step:
                 continue  # belongs to the next segment's start
-            return (i + frac) / n
+            return Fraction(i * step + num, n * step)
         return None
 
     def contains(self, p: RatPoint) -> PointLocation:

@@ -16,29 +16,39 @@ interior constraint lattice points count on both sides; the realization
 threads the midline of the corridor those points leave open.
 
 Every mark and constraint sits at an integer token rank k of n, so the
-solver decides positions on those ranks: realizability, threading, cells,
-frame checks and each pair's box frame (a cyclic shift of the ranks) compare
-integers. `Fraction`s appear only where the output needs them: path points,
-`AdjacencyBox` fields, and the oracle's extra anchors, which lie off the
-token grid.
+solver decides positions on those ranks: realizability, cells, frame checks
+and each pair's box frame (a cyclic shift of the ranks) compare integers.
+Threading runs on integers too: a path's vertices are ranks times a scale
+that keeps every midpoint an integer, each mark's side is one comparison at
+its own column's vertex, and the index is read from those sides. So the
+value of a below-set, the oracle's sweep and the reinserted pair's sides
+against a child's path (its vertices lifted to parent ranks) build no path
+and no `Fraction`. `Fraction`s remain in the returned path, which is the
+integer walk scaled once, in `AdjacencyBox` fields, and in the oracle's
+extra anchors, which lie off the token grid and whose denominators join the
+scale.
 """
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from math import lcm
 from typing import Sequence
 
 from .errors import (
     AssumptionViolated,
     ConstraintOnCurve,
+    InputRejection,
     InternalCaseGap,
     InvariantFailure,
+    PathHitsMark,
     TooFewCrossings,
     TooLarge,
 )
 from .jordan import CrossKind
-from .torus import StaircasePath, TorusDiagram, index_from_torus
+from .torus import StaircasePath, TorusDiagram, _read_index, index_from_torus
 
 BELOW = "below"
 ABOVE = "above"
@@ -235,93 +245,100 @@ def _meets_diagonal_cells(box: AdjacencyBox) -> bool:
 
 # -- bipartitions: realizability, threading, value ----------------------------
 
-def _mark_ranks(diagram: TorusDiagram, below_ids) -> tuple[list, list]:
-    below, above = [], []
-    for m in diagram.marks:
-        (below if m.crossing_id in below_ids else above).append((m.col, m.row))
-    return below, above
-
-
-def _anchors(diagram: TorusDiagram, extra) -> list:
-    """Constraints 2 and 3, then any extra anchors, in token-rank units."""
-    return [diagram.constraint_rank(2), diagram.constraint_rank(3), *extra]
-
-
 def _is_realizable(diagram: TorusDiagram, below_ids, extra=()) -> bool:
-    anchors = _anchors(diagram, extra)
-    below, above = _mark_ranks(diagram, below_ids)
-    down = below + anchors
-    up = above + anchors
-    return not any(px < qx and py > qy for px, py in down for qx, qy in up)
+    return _realizable(_events(diagram, extra)[1], below_ids)
+
+
+def _realizable(events, below_ids) -> bool:
+    """No below point or anchor sits strictly up and left of an above point
+    or anchor: in column order, each above point or anchor must lie at or
+    over the highest below point or anchor before it."""
+    high = -1
+    for _, y, cid in events:
+        if cid is None or cid not in below_ids:
+            if high > y:
+                return False
+        if cid is None or cid in below_ids:
+            high = max(high, y)
+    return True
+
+
+def _events(diagram: TorusDiagram, extra=()) -> tuple[int, list]:
+    """The scale and the anchors and marks in column order, on integers.
+
+    Coordinates are token ranks times scale = 2^(events + 1) times the lcm
+    of the extra anchors' denominators, so every midpoint the threading
+    takes is again an integer. A mark event carries its id, an anchor None.
+    """
+    scale = lcm(*[v.denominator for p in extra for v in p]) \
+        << (len(diagram.marks) + len(extra) + 3)
+    events = [(c * scale, r * scale, None) for c, r in
+              (diagram.constraint_rank(2), diagram.constraint_rank(3))]
+    events += [(x.numerator * (scale // x.denominator),
+                y.numerator * (scale // y.denominator), None) for x, y in extra]
+    events += [(m.col * scale, m.row * scale, m.crossing_id)
+               for m in diagram.marks]
+    events.sort(key=lambda e: e[0])
+    return scale, events
+
+
+def _walk(diagram: TorusDiagram, scale: int, events,
+          below_ids) -> tuple[list[tuple[int, int]], int]:
+    """Thread a below-set: the path's vertices over n * scale, and its index.
+
+    Each mark column carries a vertex, so a mark's side is one comparison
+    with that vertex's height. The marks land on the requested sides by
+    construction; the comparisons recheck that the path misses them, and
+    the index is read from those sides with both formulas.
+    """
+    top = diagram.size * scale
+    # ceiling[i]: lowest anchor or above-mark row at or after event i
+    ceiling = [top] * (len(events) + 1)
+    for i in range(len(events) - 1, -1, -1):
+        _, y, cid = events[i]
+        ceiling[i] = ceiling[i + 1] if cid in below_ids else min(ceiling[i + 1], y)
+    vertices = [(0, 0)]
+    below, above = set(), set()
+    x0 = level = floor = 0
+    for i, (x, y, cid) in enumerate(events):
+        if cid is None:
+            if level >= y:
+                raise InvariantFailure("bipartition is not realizable")
+            new = floor = y
+        else:
+            if cid in below_ids:
+                floor = max(floor, y)
+            lo = max(level, floor)
+            hi = ceiling[i]
+            if lo >= hi:
+                raise InvariantFailure("bipartition is not realizable")
+            new = (lo + hi) >> 1
+            if new == y:
+                raise PathHitsMark(f"path passes through mark {cid}")
+            (below if y < new else above).add(cid)
+        if not (x0 < x and level < new):
+            raise InputRejection("path must be strictly increasing")
+        x0 = x
+        level = new
+        vertices.append((x, level))
+    vertices.append((top, top))
+    return vertices, _read_index(diagram, below, above, 1)
 
 
 def _thread_path(diagram: TorusDiagram, below_ids, extra=()) -> StaircasePath:
-    """Monotone faithful path with exactly the given marks below it.
-
-    Threaded in token-rank units; only the path points are scaled by 1/n.
-    """
-    n = diagram.size
-    anchors = _anchors(diagram, extra)
-    below, above = _mark_ranks(diagram, below_ids)
-    events = sorted([(x, y, "anchor") for x, y in anchors] +
-                    [(x, y, BELOW) for x, y in below] +
-                    [(x, y, ABOVE) for x, y in above])
-    # ceiling[i]: lowest anchor or above-mark row at or after event i
-    ceiling = [n] * (len(events) + 1)
-    for i in range(len(events) - 1, -1, -1):
-        _, y, tag = events[i]
-        ceiling[i] = ceiling[i + 1] if tag == BELOW else min(ceiling[i + 1], y)
-    points = [(Fraction(0), Fraction(0))]
-    level = floor = 0
-    for i, (x, y, tag) in enumerate(events):
-        if tag == "anchor":
-            if level >= y:
-                raise InvariantFailure("bipartition is not realizable")
-            points.append((Fraction(x, n), Fraction(y, n)))
-            level = floor = y
-            continue
-        if tag == BELOW:
-            floor = max(floor, y)
-        lo = max(level, floor)
-        hi = ceiling[i]
-        if lo >= hi:
-            raise InvariantFailure("bipartition is not realizable")
-        level = Fraction(lo + hi, 2)
-        points.append((Fraction(x, n), level / n))
-    points.append((Fraction(1), Fraction(1)))
-    return StaircasePath(tuple(points))
+    """Monotone faithful path with exactly the given marks below it: the
+    integer walk, scaled to `Fraction`s once."""
+    scale, events = _events(diagram, extra)
+    vertices, _ = _walk(diagram, scale, events, below_ids)
+    d = diagram.size * scale
+    return StaircasePath(tuple([(Fraction(x, d), Fraction(y, d))
+                                for x, y in vertices]))
 
 
-def _split_value(diagram: TorusDiagram, below_ids,
-                 extra=()) -> tuple[StaircasePath, int]:
-    path = _thread_path(diagram, below_ids, extra)
-    return path, index_from_torus(diagram, path)
-
-
-def _convert_path(child: TorusDiagram, parent: TorusDiagram,
-                  path: StaircasePath) -> StaircasePath:
-    """Rewrite a child-diagram path in the parent's token coordinates.
-
-    Child token rank i moves to that token's parent rank, and a point
-    between two child ranks keeps its fraction of the way, so a coordinate
-    p / q costs integer work and one `Fraction`.
-    """
-    parent_col = {tok: i for i, tok in enumerate(parent.col_order)}
-    parent_row = {tok: i for i, tok in enumerate(parent.row_order)}
-    nc, np_ = child.size, parent.size
-    col_dst = [parent_col[t] for t in child.col_order] + [np_]
-    row_dst = [parent_row[t] for t in child.row_order] + [np_]
-
-    def lift(v: Fraction, dst: list[int]) -> Fraction:
-        # v * nc = i + r / q with 0 <= r < q
-        i, r = divmod(v.numerator * nc, v.denominator)
-        if r == 0:
-            return Fraction(dst[i], np_)
-        q = v.denominator
-        return Fraction(dst[i] * q + (dst[i + 1] - dst[i]) * r, q * np_)
-
-    return StaircasePath(tuple([(lift(x, col_dst), lift(y, row_dst))
-                                for x, y in path.points]))
+def _split_value(diagram: TorusDiagram, below_ids, extra=()) -> int:
+    """Index of the path threaded for the below-set, read on integers from
+    the walk's vertices with both formulas; no path is built."""
+    return _walk(diagram, *_events(diagram, extra), below_ids)[1]
 
 
 # -- reinsertion ---------------------------------------------------------------
@@ -377,18 +394,52 @@ def _frame_assignment(diagram: TorusDiagram, box: AdjacencyBox, bits):
     return out
 
 
-def _path_induced_bits(parent: TorusDiagram, child: TorusDiagram,
-                       child_path: StaircasePath, box: AdjacencyBox):
-    path = _convert_path(child, parent, child_path)
+def _path_induced_bits(parent: TorusDiagram, box: AdjacencyBox,
+                       vertices, scale: int):
+    """Sides of the reinserted pair against the child's threaded path, or
+    None when the path meets one of its marks.
+
+    The child path's vertices (child ranks times scale) lift to parent
+    ranks: child rank i becomes the parent rank of the same token, and a
+    height between two child ranks keeps its fraction of the way, so every
+    lifted coordinate is an integer over scale. A reinserted mark's column
+    is no child token, so it lies strictly inside one lifted segment and
+    its side is the sign of one cross product.
+    """
     marks = {m.crossing_id: m for m in parent.marks}
+    pair = (marks[box.entry_id], marks[box.exit_id])
+    gone_cols = sorted(m.col for m in pair)
+    gone_rows = sorted(m.row for m in pair)
+
+    def lift(v: int, gone: list[int]) -> int:
+        i, r = divmod(v, scale)
+        lo = _parent_rank(i, gone)
+        if r == 0:
+            return lo * scale
+        return lo * scale + (_parent_rank(i + 1, gone) - lo) * r
+
     bits = []
-    for cid in (box.entry_id, box.exit_id):
-        m = marks[cid]
-        level = path.y_at(m.x)
-        if level == m.y:
+    for m in pair:
+        # the first vertex right of the mark sits at child rank m.col minus
+        # the removed columns before it
+        child_col = m.col - sum(1 for g in gone_cols if g < m.col)
+        k = bisect.bisect_left(vertices, child_col * scale, key=lambda v: v[0])
+        (x0, y0), (x1, y1) = vertices[k - 1], vertices[k]
+        x0, x1 = lift(x0, gone_cols), lift(x1, gone_cols)
+        y0, y1 = lift(y0, gone_rows), lift(y1, gone_rows)
+        side = (m.row * scale - y0) * (x1 - x0) - (y1 - y0) * (m.col * scale - x0)
+        if side == 0:
             return None
-        bits.append(BELOW if m.y < level else ABOVE)
+        bits.append(BELOW if side < 0 else ABOVE)
     return tuple(bits)
+
+
+def _parent_rank(rank: int, gone: list[int]) -> int:
+    """Parent rank of a child token, given the parent ranks removed, sorted."""
+    for g in gone:
+        if rank >= g:
+            rank += 1
+    return rank
 
 
 # -- the solver ----------------------------------------------------------------
@@ -438,7 +489,7 @@ def _solve(diagram: TorusDiagram, depth: int,
            levels: list[TraceLevel]) -> frozenset[int]:
     marks = diagram.marks
     if not marks:
-        _, w = _split_value(diagram, frozenset())
+        w = _split_value(diagram, frozenset())
         if w < 0:
             raise InternalCaseGap("crossing-free diagram with negative index")
         levels.append(TraceLevel(depth=depth, rule="no-crossings", index=w))
@@ -458,7 +509,7 @@ def _solve_two_marks(diagram, depth, levels) -> frozenset[int]:
         below = frozenset(picks)
         if not _is_realizable(diagram, below):
             continue
-        _, w = _split_value(diagram, below)
+        w = _split_value(diagram, below)
         if w >= 0 and (best is None or w > best[1]):
             best = (below, w)
     if best is None:
@@ -490,7 +541,7 @@ def _solve_single_cell(diagram, depth, levels) -> frozenset[int] | None:
                           if forced.get(m.crossing_id, free_bit) == BELOW)
         if not _is_realizable(diagram, below):
             continue
-        _, w = _split_value(diagram, below)
+        w = _split_value(diagram, below)
         if w >= 0 and (best is None or w > best[1]):
             best = (below, w)
     if best is None:
@@ -516,8 +567,9 @@ def _solve_by_pairs(diagram, depth, levels) -> frozenset[int]:
         except (AssumptionViolated, InternalCaseGap) as err:
             failures.append((pair, err.reason))
             continue
-        child_path, child_w = _split_value(child, child_below)
-        path_bits = _path_induced_bits(diagram, child, child_path, box)
+        scale, events = _events(child)
+        vertices, child_w = _walk(child, scale, events, child_below)
+        path_bits = _path_induced_bits(diagram, box, vertices, scale)
         tried = set()
         for label, in_frame, bits in _candidate_plans(box, category, path_bits):
             assignment = (_frame_assignment(diagram, box, bits) if in_frame
@@ -532,7 +584,7 @@ def _solve_by_pairs(diagram, depth, levels) -> frozenset[int]:
                                    if bit == BELOW}
             if not _is_realizable(diagram, below):
                 continue
-            _, w = _split_value(diagram, below)
+            w = _split_value(diagram, below)
             if w < child_w:
                 continue
             levels.extend(sub)
@@ -566,14 +618,14 @@ def oracle_enumerate(diagram: TorusDiagram,
     if len(marks) > 12:
         raise TooLarge(f"{len(marks)} crossings exceed the enumeration bound of 12")
     extra = _extra_anchor_points(diagram, extra_pairs)
+    scale, events = _events(diagram, extra)
     ids = [m.crossing_id for m in marks]
     achievable = set()
     for mask in range(1 << len(ids)):
         below = frozenset(cid for i, cid in enumerate(ids) if mask >> i & 1)
-        if not _is_realizable(diagram, below, extra):
+        if not _realizable(events, below):
             continue
-        _, w = _split_value(diagram, below, extra)
-        achievable.add(w)
+        achievable.add(_walk(diagram, scale, events, below)[1])
     return frozenset(achievable)
 
 

@@ -31,7 +31,6 @@ and sides at the first, with no diagram or path rebuilt.
 from __future__ import annotations
 
 import bisect
-import heapq
 from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
@@ -154,6 +153,12 @@ class TorusDiagram:
         return tuple(out)
 
     @cached_property
+    def p_ids(self) -> frozenset[int]:
+        """Ids of the entering (kind P) marks."""
+        return frozenset(k for k, kind in dict(self.kinds).items()
+                         if kind is CrossKind.P)
+
+    @cached_property
     def _constraint_ranks(self) -> dict[int, tuple[int, int]]:
         return {i: (self.col_order.index(("c", i)), self.row_order.index(("c", i)))
                 for i in (1, 2, 3)}
@@ -169,23 +174,22 @@ class TorusDiagram:
     def membership(self, i: int = 1) -> tuple[bool, bool]:
         """Is constraint i's source point inside the second region, and its
         target point inside the first? Decided by the next crossing ahead."""
-        if not any(t[0] == "m" for t in self.col_order):
+        if not self.kinds:
             return (self.containment is Containment.FIRST_INSIDE_SECOND,
                     self.containment is Containment.SECOND_INSIDE_FIRST)
-        kind_map = dict(self.kinds)
+        p_ids = self.p_ids
 
-        def next_kind(order: Sequence[TokenId], start: int) -> CrossKind:
+        def next_is_p(order: Sequence[TokenId], start: int) -> bool:
             n = len(order)
             for step in range(1, n + 1):
                 tok = order[(start + step) % n]
                 if tok[0] == "m":
-                    return kind_map[tok[1]]
+                    return tok[1] in p_ids
             raise InvariantFailure("unreachable: diagram has marks")
 
         col, row = self._constraint_ranks[i]
-        in_second = next_kind(self.col_order, col) is CrossKind.PTILDE
-        in_first = next_kind(self.row_order, row) is CrossKind.P
-        return in_second, in_first
+        return (not next_is_p(self.col_order, col),
+                next_is_p(self.row_order, row))
 
     @cached_property
     def _col_offsets(self) -> tuple[Fraction, ...] | None:
@@ -430,8 +434,12 @@ def path_of_correspondence(diagram: TorusDiagram,
     One merge walk from the cut: in the offsets u = s - s1 and v = t - t1,
     both mod 1, phi is an increasing map of [0, 1) that fixes 0. The path
     has a vertex at each breakpoint of phi, at each column token and at the
-    preimage of each row token, and pointers into phi's pieces and the two
-    token orders advance with u.
+    preimage of each row token. Every offset is held as an integer pair
+    (numerator, denominator), compared by cross-multiplication and
+    interpolated on integers; equal offsets from the three sources merge
+    into one vertex. A column token sits at x = k/n and a row-token
+    preimage at y = j/n with no arithmetic, and every other coordinate
+    costs one `Fraction`.
     """
     if diagram.col_params is None:
         raise InputRejection("diagram carries no true parameters")
@@ -442,34 +450,69 @@ def path_of_correspondence(diagram: TorusDiagram,
     knots = sorted([((s - s1) % 1, (t - t1) % 1) for s, t in phi.breakpoints])
     (u_last, v_last), (u_first, v_first) = knots[-1], knots[0]
     knots = [(u_last - 1, v_last - 1), *knots, (u_first + 1, v_first + 1)]
-    cols, rows = diagram._col_offsets, diagram._row_offsets
-    row_preimages = []
+    knots = [(u.numerator, u.denominator, v.numerator, v.denominator)
+             for u, v in knots]
+    cols = [(c.numerator, c.denominator) for c in diagram._col_offsets]
+    rows = [(r.numerator, r.denominator) for r in diagram._row_offsets]
+    # u at each row token's v, on the piece of phi over it; then u = 1
+    pre = []
     p = 0
-    for v in rows[:-1]:
-        while knots[p + 1][1] <= v:
+    for e, f in rows[:-1]:
+        while knots[p + 1][2] * f <= e * knots[p + 1][3]:
             p += 1
-        (u0, v0), (u1, v1) = knots[p], knots[p + 1]
-        row_preimages.append(u0 + (v - v0) * (u1 - u0) / (v1 - v0))
+        pre.append(_lerp(knots[p], knots[p + 1], e, f, 2))
+    pre.append((1, 1))
     n = diagram.size
     pts = []
-    p = k = j = 0
-    last = None
-    for u in heapq.merge([u for u, _ in knots[1:-1]], cols[:-1], row_preimages):
-        if u == last:
-            continue
-        last = u
-        while knots[p + 1][0] <= u:
-            p += 1
-        (u0, v0), (u1, v1) = knots[p], knots[p + 1]
-        v = v0 + (v1 - v0) * (u - u0) / (u1 - u0)
-        while cols[k + 1] <= u:
-            k += 1
-        while rows[j + 1] <= v:
-            j += 1
-        pts.append(((k + (u - cols[k]) / (cols[k + 1] - cols[k])) / n,
-                    (j + (v - rows[j]) / (rows[j + 1] - rows[j])) / n))
+    kh = ch = rh = 0  # knots, column tokens and row preimages passed
+    while True:
+        kn, kd = knots[kh + 1][:2]
+        cn, cd = cols[ch]
+        rn, rd = pre[rh]
+        un, ud = kn, kd
+        if cn * ud < un * cd:
+            un, ud = cn, cd
+        if rn * ud < un * rd:
+            un, ud = rn, rd
+        if un >= ud:
+            break
+        at_knot, at_col, at_row = (kn * ud == un * kd, cn * ud == un * cd,
+                                   rn * ud == un * rd)
+        kh += at_knot
+        ch += at_col
+        rh += at_row
+        x = (Fraction(ch - 1, n) if at_col
+             else _rank_position(ch - 1, un, ud, cols, n))
+        if at_row:
+            y = Fraction(rh - 1, n)
+        else:
+            lo = knots[kh]
+            vn, vd = lo[2:] if at_knot else _lerp(lo, knots[kh + 1], un, ud, 0)
+            y = _rank_position(rh - 1, vn, vd, rows, n)
+        pts.append((x, y))
     pts.append((Fraction(1), Fraction(1)))
     return StaircasePath(tuple(pts))
+
+
+def _lerp(lo, hi, num: int, den: int, axis: int) -> tuple[int, int]:
+    """The other coordinate of the point num / den on the segment from lo
+    to hi, both (u_num, u_den, v_num, v_den); axis 0 reads num / den as u,
+    axis 2 as v. An unreduced integer pair."""
+    a0, b0, c0, d0 = lo[axis:] + lo[:axis]
+    a1, b1, c1, d1 = hi[axis:] + hi[:axis]
+    # c0/d0 + (num/den - a0/b0) * (c1/d1 - c0/d0) / (a1/b1 - a0/b0)
+    span = a1 * b0 - a0 * b1
+    return (c0 * d1 * den * span + (num * b0 - a0 * den) * b1
+            * (c1 * d0 - c0 * d1), d0 * d1 * den * span)
+
+
+def _rank_position(k: int, num: int, den: int, offsets, size: int) -> Fraction:
+    """(k + (w - o_k) / (o_(k+1) - o_k)) / size for w = num / den between
+    the offsets o_k and o_(k+1), as one `Fraction`."""
+    (a0, b0), (a1, b1) = offsets[k], offsets[k + 1]
+    gap = a1 * b0 - a0 * b1
+    return Fraction(k * den * gap + (num * b0 - a0 * den) * b1,
+                    size * den * gap)
 
 
 def realize_path(diagram: TorusDiagram, path: StaircasePath) -> PLCorrespondence:
@@ -572,8 +615,7 @@ def index_from_torus(diagram: TorusDiagram, path: StaircasePath,
             raise FormulaMismatch(
                 "combinatorial membership disagrees with geometry")
 
-    p_ids = {m.crossing_id for m in diagram.marks if m.kind is CrossKind.P}
-    eta = _read_index(diagram, p_ids, below, above, 1)
+    eta = _read_index(diagram, below, above, 1)
     if check_all_bases:
         for i in (2, 3):
             x, y = diagram.constraint_point(i)
@@ -583,7 +625,7 @@ def index_from_torus(diagram: TorusDiagram, path: StaircasePath,
             c, r = diagram.constraint_rank(i)
             down = {m.crossing_id for m in diagram.marks if m.col < c and m.row > r}
             up = {m.crossing_id for m in diagram.marks if m.col > c and m.row < r}
-            again = _read_index(diagram, p_ids, (below - up) | down,
+            again = _read_index(diagram, (below - up) | down,
                                 (above - down) | up, i)
             if again != eta:
                 raise FormulaMismatch(
@@ -591,9 +633,9 @@ def index_from_torus(diagram: TorusDiagram, path: StaircasePath,
     return eta
 
 
-def _read_index(diagram: TorusDiagram, p_ids, below, above, i: int) -> int:
+def _read_index(diagram: TorusDiagram, below, above, i: int) -> int:
     """Both formulas with the cut at constraint i; they must agree."""
-    p_below, p_above = len(below & p_ids), len(above & p_ids)
+    p_below, p_above = len(below & diagram.p_ids), len(above & diagram.p_ids)
     base = sum(diagram.membership(i))
     eta_below = base - p_below + (len(below) - p_below)
     eta_above = base + p_above - (len(above) - p_above)

@@ -11,7 +11,14 @@ from fpindex.errors import (
     NotSimple,
     NotTransverse,
 )
-from fpindex.exact_geom import PLLoop, pt, signed_area
+from fpindex.exact_geom import (
+    PLLoop,
+    RatPoint,
+    Segment,
+    point_on_segment,
+    pt,
+    signed_area,
+)
 from fpindex.jordan import (
     CrossKind,
     Crossing,
@@ -104,6 +111,50 @@ class TestValidateCurve:
         for num in range(16):
             t = Fraction(num, 16)
             assert c.locate_param(c.point_at(t)) == t
+
+
+def reference_locate_param(curve, p):
+    """Each segment tested with the `Fraction` predicate in turn."""
+    n = len(curve.loop)
+    for i, (a, b) in enumerate(curve.loop.edges()):
+        if not point_on_segment(Segment(a, b), p):
+            continue
+        d = b - a
+        frac = (p.x - a.x) / d.x if d.x != 0 else (p.y - a.y) / d.y
+        if frac == 1:
+            continue  # belongs to the next segment's start
+        return (i + frac) / n
+    return None
+
+
+class TestLocateParamOnIntegers:
+    def test_matches_the_fraction_scan(self):
+        # vertices, points on edges (vertical and horizontal ones included)
+        # and points just off them, on star polygons and squares
+        rng = random.Random(4100)
+        curves = [square(0, 0, 4, 4), square(-3, 1, 2, 7)]
+        curves += [validate_curve(star_polygon(rng, rng.randrange(3, 13),
+                                               pt(0, 0), 2, 5))
+                   for _ in range(30)]
+        found = missed = 0
+        for c in curves:
+            n = len(c)
+            params = [Fraction(k, n) for k in range(n)]
+            params += [Fraction(rng.randrange(1, 8 * n), 8 * n)
+                       for _ in range(20)]
+            for t in params:
+                p = c.point_at(t)
+                nudge = Fraction(1, rng.choice((7, 64, 10**9)))
+                for q in (p, RatPoint(p.x + nudge, p.y),
+                          RatPoint(p.x, p.y - nudge)):
+                    got = c.locate_param(q)
+                    assert got == reference_locate_param(c, q)
+                    if got is None:
+                        missed += 1
+                    else:
+                        found += 1
+                assert c.locate_param(p) == t % 1
+        assert found > 700 and missed > 700
 
 
 class TestCheckTransverse:

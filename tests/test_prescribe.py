@@ -7,6 +7,7 @@ import pytest
 
 from fpindex.errors import (
     ConstraintOnCurve,
+    FpIndexError,
     InvariantFailure,
     TooFewCrossings,
     TooLarge,
@@ -24,8 +25,13 @@ from fpindex.prescribe import (
     AdjacencyBox,
     BoxCategory,
     _build_box,
+    _events,
+    _extra_anchor_points,
     _is_realizable,
+    _path_induced_bits,
+    _split_value,
     _thread_path,
+    _walk,
     classify_box,
     find_doubly_adjacent,
     oracle_enumerate,
@@ -33,6 +39,7 @@ from fpindex.prescribe import (
 )
 from fpindex.torus import (
     Containment,
+    StaircasePath,
     abstract_diagram,
     build_diagram,
     delta_split,
@@ -474,3 +481,205 @@ class TestOracle:
         assert four <= three
         assert -1 in four
         assert max(four) < 0
+
+
+# -- the integer walk against the Fraction route ----------------------------------
+
+def reference_is_realizable(diagram, below_ids, extra=()):
+    """Every below point or anchor against every above point or anchor."""
+    anchors = [diagram.constraint_rank(2), diagram.constraint_rank(3), *extra]
+    below = [(m.col, m.row) for m in diagram.marks if m.crossing_id in below_ids]
+    above = [(m.col, m.row) for m in diagram.marks
+             if m.crossing_id not in below_ids]
+    return not any(px < qx and py > qy for px, py in below + anchors
+                   for qx, qy in above + anchors)
+
+
+def reference_thread_path(diagram, below_ids, extra=()):
+    """The threading on `Fraction`s: a midpoint level per mark, every path
+    point divided by n."""
+    n = diagram.size
+    anchors = [diagram.constraint_rank(2), diagram.constraint_rank(3), *extra]
+    events = sorted([(x, y, "anchor") for x, y in anchors] +
+                    [(m.col, m.row, BELOW if m.crossing_id in below_ids
+                      else ABOVE) for m in diagram.marks])
+    ceiling = [n] * (len(events) + 1)
+    for i in range(len(events) - 1, -1, -1):
+        _, y, tag = events[i]
+        ceiling[i] = ceiling[i + 1] if tag == BELOW else min(ceiling[i + 1], y)
+    points = [(F(0), F(0))]
+    level = floor = 0
+    for i, (x, y, tag) in enumerate(events):
+        if tag == "anchor":
+            if level >= y:
+                raise InvariantFailure("bipartition is not realizable")
+            points.append((F(x, n), F(y, n)))
+            level = floor = y
+            continue
+        if tag == BELOW:
+            floor = max(floor, y)
+        lo = max(level, floor)
+        hi = ceiling[i]
+        if lo >= hi:
+            raise InvariantFailure("bipartition is not realizable")
+        level = F(lo + hi, 2)
+        points.append((F(x, n), level / n))
+    points.append((F(1), F(1)))
+    return StaircasePath(tuple(points))
+
+
+def reference_split_value(diagram, below_ids, extra=()):
+    return index_from_torus(diagram, reference_thread_path(diagram, below_ids,
+                                                           extra))
+
+
+def reference_oracle(diagram, extra_pairs=()):
+    extra = _extra_anchor_points(diagram, extra_pairs)
+    ids = [m.crossing_id for m in diagram.marks]
+    values = set()
+    for mask in range(1 << len(ids)):
+        below = frozenset(c for i, c in enumerate(ids) if mask >> i & 1)
+        if reference_is_realizable(diagram, below, extra):
+            values.add(reference_split_value(diagram, below, extra))
+    return frozenset(values)
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except FpIndexError as err:
+        return type(err).__name__, str(err)
+
+
+def below_sets(rng, diagram, cap: int = 256):
+    """Every below-set when there are at most 2^8, else `cap` random ones."""
+    ids = [m.crossing_id for m in diagram.marks]
+    if len(ids) <= 8:
+        masks = range(1 << len(ids))
+    else:
+        masks = [rng.randrange(1 << len(ids)) for _ in range(cap)]
+    for mask in masks:
+        yield frozenset(c for i, c in enumerate(ids) if mask >> i & 1)
+
+
+def geometric_diagrams(rng, count: int, max_crossings: int = 12):
+    for _ in range(count):
+        first, second, crossings = random_transverse_pair(
+            rng, min_crossings=4, max_crossings=max_crossings)
+        phi = random_correspondence(rng, rng.randrange(3, 9))
+        yield build_diagram(first, second, crossings,
+                            synthesize_constraints(crossings, phi, rng)), phi
+
+
+def check_below_set(diagram, below, extra=()):
+    """Realizability, value or error, and the threaded path, both routes;
+    True when the set is realizable."""
+    ok = _is_realizable(diagram, below, extra)
+    assert ok == reference_is_realizable(diagram, below, extra)
+    assert outcome(_split_value, diagram, below, extra) == \
+        outcome(reference_split_value, diagram, below, extra)
+    assert outcome(_thread_path, diagram, below, extra) == \
+        outcome(reference_thread_path, diagram, below, extra)
+    return ok
+
+
+class TestSplitValueOnIntegers:
+    def test_every_below_set_of_the_small_diagrams(self):
+        realizable = unrealizable = 0
+        for diagram in small_diagrams(2):
+            for below in below_sets(None, diagram):
+                if check_below_set(diagram, below):
+                    realizable += 1
+                else:
+                    unrealizable += 1
+        assert realizable > 3000 and unrealizable > 3000
+
+    def test_seeded_geometric_diagrams(self):
+        rng = random.Random(9100)
+        values = set()
+        for diagram, _ in geometric_diagrams(rng, 200):
+            for below in below_sets(rng, diagram, cap=64):
+                if check_below_set(diagram, below):
+                    values.add(_split_value(diagram, below))
+            _, trace = prescribe(diagram)
+            assert trace.path == reference_thread_path(diagram, trace.below)
+        assert len(values) > 3
+
+    def test_oracle_with_off_grid_extra_pairs(self):
+        # extra pairs on the map at odd-denominator source parameters: the
+        # anchors' denominators enter the scale, and the sets shrink
+        rng = random.Random(9200)
+        shrunk = 0
+        for diagram, phi in geometric_diagrams(rng, 60, max_crossings=8):
+            three = oracle_enumerate(diagram)
+            assert three == reference_oracle(diagram)
+            for count in (1, 2):
+                sources = sorted({F(rng.randrange(1, q), q) for q in
+                                  (rng.randrange(3, 200, 2)
+                                   for _ in range(count))})
+                extra = [(s, phi.evaluate(s)) for s in sources]
+                got = outcome(oracle_enumerate, diagram, extra)
+                assert got == outcome(reference_oracle, diagram, extra)
+                if isinstance(got, frozenset):
+                    assert got <= three
+                    shrunk += got < three
+                for x, y in _extra_anchor_points(diagram, extra):
+                    assert x.denominator > 1 and y.denominator > 1
+        assert shrunk > 10
+
+
+def reference_path_induced_bits(parent, child, child_path, box):
+    """The child path rewritten in parent coordinates as a `StaircasePath`,
+    then the height over each reinserted mark."""
+    parent_col = {tok: i for i, tok in enumerate(parent.col_order)}
+    parent_row = {tok: i for i, tok in enumerate(parent.row_order)}
+    nc, np_ = child.size, parent.size
+    col_dst = [parent_col[t] for t in child.col_order] + [np_]
+    row_dst = [parent_row[t] for t in child.row_order] + [np_]
+
+    def lift(v, dst):
+        i, r = divmod(v.numerator * nc, v.denominator)
+        if r == 0:
+            return F(dst[i], np_)
+        q = v.denominator
+        return F(dst[i] * q + (dst[i + 1] - dst[i]) * r, q * np_)
+
+    path = StaircasePath(tuple([(lift(x, col_dst), lift(y, row_dst))
+                                for x, y in child_path.points]))
+    marks = {m.crossing_id: m for m in parent.marks}
+    bits = []
+    for cid in (box.entry_id, box.exit_id):
+        m = marks[cid]
+        level = path.y_at(m.x)
+        if level == m.y:
+            return None
+        bits.append(BELOW if m.y < level else ABOVE)
+    return tuple(bits)
+
+
+class TestChildSidesOnIntegers:
+    def test_lifted_vertices_match_the_converted_path(self):
+        rng = random.Random(9300)
+        diagrams = [canonical_diagram(m, seed=m)[3] for m in range(2, 9)]
+        diagrams += [d for d, _ in geometric_diagrams(rng, 60)]
+        seen = set()
+        for diagram in diagrams:
+            if len(diagram.marks) < 4:
+                continue
+            try:
+                boxes = find_doubly_adjacent(diagram)
+            except InvariantFailure:
+                continue  # too few pairs, or a box guard fired
+            for box in boxes:
+                child = diagram.without_marks((box.entry_id, box.exit_id))
+                for below in below_sets(rng, child, cap=32):
+                    if not _is_realizable(child, below):
+                        continue
+                    scale, events = _events(child)
+                    vertices, _ = _walk(child, scale, events, below)
+                    got = _path_induced_bits(diagram, box, vertices, scale)
+                    assert got == reference_path_induced_bits(
+                        diagram, child, reference_thread_path(child, below), box)
+                    seen.add(got)
+        assert {(BELOW, BELOW), (ABOVE, ABOVE), (BELOW, ABOVE),
+                (ABOVE, BELOW)} <= seen

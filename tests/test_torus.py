@@ -1,4 +1,5 @@
 """Torus diagrams, staircase paths, and the two index formulas."""
+import heapq
 import random
 from dataclasses import replace
 from fractions import Fraction
@@ -199,7 +200,7 @@ def canonical_diagram_for_split():
     return first, second, crossings, build_diagram(first, second, crossings, pairs)
 
 
-def reference_path_of_correspondence(diagram, phi):
+def point_by_point_path(diagram, phi):
     """The graph point by point: every parameter placed on its own."""
     s1 = diagram.col_params[0]
     params = set(phi.s_vals)
@@ -223,7 +224,105 @@ class TestPathOfCorrespondenceWalk:
             cases.append((build_diagram(first, second, crossings, pairs), phi))
         for diagram, phi in cases:
             path = path_of_correspondence(diagram, phi)
-            assert path == reference_path_of_correspondence(diagram, phi)
+            assert path == point_by_point_path(diagram, phi)
+
+
+def reference_path_of_correspondence(diagram, phi):
+    """The merge walk on `Fraction`s: every merged point interpolated and
+    placed between its tokens by `Fraction` arithmetic."""
+    s1 = diagram.col_params[0]
+    t1 = diagram.row_params[0]
+    if phi.evaluate(s1) != t1:
+        raise InputRejection("correspondence misses the first prescribed pair")
+    knots = sorted([((s - s1) % 1, (t - t1) % 1) for s, t in phi.breakpoints])
+    (u_last, v_last), (u_first, v_first) = knots[-1], knots[0]
+    knots = [(u_last - 1, v_last - 1), *knots, (u_first + 1, v_first + 1)]
+    cols, rows = diagram._col_offsets, diagram._row_offsets
+    row_preimages = []
+    p = 0
+    for v in rows[:-1]:
+        while knots[p + 1][1] <= v:
+            p += 1
+        (u0, v0), (u1, v1) = knots[p], knots[p + 1]
+        row_preimages.append(u0 + (v - v0) * (u1 - u0) / (v1 - v0))
+    n = diagram.size
+    pts = []
+    p = k = j = 0
+    last = None
+    for u in heapq.merge([u for u, _ in knots[1:-1]], cols[:-1], row_preimages):
+        if u == last:
+            continue
+        last = u
+        while knots[p + 1][0] <= u:
+            p += 1
+        (u0, v0), (u1, v1) = knots[p], knots[p + 1]
+        v = v0 + (v1 - v0) * (u - u0) / (u1 - u0)
+        while cols[k + 1] <= u:
+            k += 1
+        while rows[j + 1] <= v:
+            j += 1
+        pts.append(((k + (u - cols[k]) / (cols[k + 1] - cols[k])) / n,
+                    (j + (v - rows[j]) / (rows[j + 1] - rows[j])) / n))
+    pts.append((F(1), F(1)))
+    return StaircasePath(tuple(pts))
+
+
+def token_knotted_maps(rng, diagram, phi):
+    """Maps whose breakpoints sit exactly on tokens, so that knots, column
+    tokens and row-token preimages coincide in the walk: phi with extra
+    breakpoints of its own at column tokens and row-token preimages, and a
+    map through pairs (column token, row token) with bends between them."""
+    cols, rows = diagram.col_params, diagram.row_params
+    refined = dict(phi.breakpoints)
+    for s in rng.sample(cols, rng.randrange(1, len(cols) + 1)):
+        refined[s] = phi.evaluate(s)
+    inverse = phi.invert()
+    for t in rng.sample(rows, rng.randrange(1, len(rows) + 1)):
+        refined[inverse.evaluate(t)] = t
+    yield PLCorrespondence(tuple(sorted(refined.items())))
+    count = rng.randrange(2, len(cols) + 1)
+    ks = [0, *sorted(rng.sample(range(1, len(cols)), count - 1))]
+    js = [0, *sorted(rng.sample(range(1, len(rows)), count - 1))]
+    knots = {cols[k]: rows[j] for k, j in zip(ks, js)}
+    # a bend halfway between consecutive token pairs, in cyclic offsets
+    for i, (k, j) in enumerate(zip(ks, js)):
+        if rng.random() < 0.5:
+            continue
+        s0, t0 = cols[k], rows[j]
+        s1 = cols[ks[i + 1]] if i + 1 < count else cols[0] + 1
+        t1 = rows[js[i + 1]] if i + 1 < count else rows[0] + 1
+        ds, dt = (s1 - s0) % 1 or 1, (t1 - t0) % 1 or 1
+        knots[(s0 + ds * F(rng.randrange(1, 8), 8)) % 1] = \
+            (t0 + dt * F(rng.randrange(1, 8), 8)) % 1
+    yield PLCorrespondence(tuple(sorted(knots.items())))
+
+
+class TestPathOfCorrespondenceOnIntegers:
+    def test_matches_the_fraction_merge_walk(self):
+        # token-knotted maps put a knot on a column token, on a row-token
+        # preimage or on both, which the walk merges into one vertex
+        rng = random.Random(7700)
+        ties = 0
+        for _ in range(200):
+            first, second, crossings = random_transverse_pair(rng)
+            phi = random_correspondence(rng, rng.randrange(3, 9))
+            diagram = build_diagram(first, second, crossings,
+                                    synthesize_constraints(crossings, phi, rng))
+            for psi in (phi, *token_knotted_maps(rng, diagram, phi)):
+                path = path_of_correspondence(diagram, psi)
+                assert path == reference_path_of_correspondence(diagram, psi)
+                n = diagram.size
+                ties += sum(1 for x, y in path.points[1:-1]
+                            if (x * n).denominator == (y * n).denominator == 1)
+        assert ties > 200
+
+    def test_rejects_a_map_off_the_first_pair(self):
+        _, _, _, diagram = lens_fixture()
+        shifted = PLCorrespondence(tuple((F(i, 4), F(2 * i + 1, 8))
+                                         for i in range(4)))
+        for walk in (path_of_correspondence, reference_path_of_correspondence):
+            with pytest.raises(InputRejection, match="misses the first"):
+                walk(diagram, shifted)
 
 
 class TestTrueParameterOrder:
