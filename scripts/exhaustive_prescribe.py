@@ -38,32 +38,39 @@ from test_prescribe import small_diagrams  # noqa: E402
 from test_torus import reference_all_bases  # noqa: E402
 
 
+class CheckFailed(Exception):
+    """A diagram failed one of the three checks."""
+
+
 def check(diagram) -> tuple[int, int]:
-    """The prescribed index and the oracle set size; AssertionError or the
+    """The prescribed index and the oracle set size; CheckFailed or the
     package's own error on a failed check."""
     path, trace = prescribe(diagram)
     achievable = oracle_enumerate(diagram)
-    assert trace.index >= 0, f"index {trace.index} < 0"
-    assert trace.index in achievable, \
-        f"index {trace.index} not in oracle set {sorted(achievable)}"
+    if trace.index < 0:
+        raise CheckFailed(f"index {trace.index} < 0")
+    if trace.index not in achievable:
+        raise CheckFailed(
+            f"index {trace.index} not in oracle set {sorted(achievable)}")
     again = reference_all_bases(diagram, path)
-    assert again == trace.index, f"rebuilt cuts read {again}, not {trace.index}"
+    if again != trace.index:
+        raise CheckFailed(f"rebuilt cuts read {again}, not {trace.index}")
     return trace.index, len(achievable)
 
 
 def run(max_crossings: int) -> dict:
     started = time.perf_counter()
+    counts: Counter[int] = Counter()
     by_size: dict[int, dict[str, Counter]] = {}
     failures = []
     for diagram in small_diagrams(max_crossings // 2):
         size = len(diagram.marks)
-        tally = by_size.setdefault(size, {"diagrams": Counter(),
-                                          "index": Counter(),
+        counts[size] += 1
+        tally = by_size.setdefault(size, {"index": Counter(),
                                           "oracle_set_size": Counter()})
-        tally["diagrams"]["count"] += 1
         try:
             index, achievable = check(diagram)
-        except (AssertionError, FpIndexError) as err:
+        except (CheckFailed, FpIndexError) as err:
             failures.append({"crossings": size,
                              "error": f"{type(err).__name__}: {err}",
                              "diagram": diagram.dump()})
@@ -76,12 +83,11 @@ def run(max_crossings: int) -> dict:
                    "index in oracle_enumerate's set",
                    "index equals the rebuilt-cut reading"],
         "by_crossings": {
-            str(size): {"diagrams": t["diagrams"]["count"],
-                        "index": {str(k): v for k, v in sorted(t["index"].items())},
-                        "oracle_set_size": {str(k): v for k, v in
-                                            sorted(t["oracle_set_size"].items())}}
-            for size, t in sorted(by_size.items())},
-        "diagrams": sum(t["diagrams"]["count"] for t in by_size.values()),
+            str(size): {"diagrams": counts[size],
+                        **{name: {str(k): v for k, v in sorted(tally.items())}
+                           for name, tally in by_size[size].items()}}
+            for size in sorted(counts)},
+        "diagrams": sum(counts.values()),
         "failures": failures,
         "wall_s": round(time.perf_counter() - started, 1),
         "python": platform.python_version(),
