@@ -6,84 +6,82 @@ represents transverse curve pairs as combinatorial torus diagrams, constructs
 boundary maps realizing three prescribed point pairs with nonnegative index,
 and checks the resulting incompatibility statement on finite packings of
 topological rectangles.
-"""
-from .exact_geom import (
-    Fraction,
-    MeetKind,
-    PLLoop,
-    PointLocation,
-    RatPoint,
-    Segment,
-    SegmentMeeting,
-    orient2d,
-    point_in_polygon,
-    pt,
-    rat,
-    segment_intersection,
-    signed_area,
-    winding_number,
-)
-from .jordan import (
-    PolyJordanCurve,
-    canonical_noncut_pair,
-    check_transverse,
-    cuts_each_other,
-    validate_curve,
-)
-from .packing import (
-    ContactGraph,
-    PackingSpec,
-    TheoremCertificate,
-    TopoRectangle,
-    assemble_theorem_certificate,
-    check_overlay_transverse,
-    find_cutting_pair,
-    isomorphic_contact,
-    translate_packing,
-    validate_packing,
-)
-from .plmap import PLCorrespondence, fixed_point_index, glue
-from .prescribe import oracle_enumerate, prescribe
-from .torus import build_diagram, index_from_torus, realize_path
 
-__all__ = [
-    "ContactGraph",
-    "Fraction",
-    "MeetKind",
-    "PLCorrespondence",
-    "PLLoop",
-    "PackingSpec",
-    "PointLocation",
-    "PolyJordanCurve",
-    "RatPoint",
-    "Segment",
-    "SegmentMeeting",
-    "TheoremCertificate",
-    "TopoRectangle",
-    "assemble_theorem_certificate",
-    "build_diagram",
-    "canonical_noncut_pair",
-    "check_overlay_transverse",
-    "check_transverse",
-    "cuts_each_other",
-    "find_cutting_pair",
-    "fixed_point_index",
-    "glue",
-    "index_from_torus",
-    "isomorphic_contact",
-    "oracle_enumerate",
-    "orient2d",
-    "point_in_polygon",
-    "prescribe",
-    "pt",
-    "rat",
-    "realize_path",
-    "segment_intersection",
-    "signed_area",
-    "translate_packing",
-    "validate_curve",
-    "validate_packing",
-    "winding_number",
-]
+The names below load on first use (PEP 562), so `import fpindex.jordan`
+compiles only `jordan` and what it imports.
+"""
+import sys
+from importlib import import_module
+from types import ModuleType
+
+# each exported name and the submodule it lives in
+_EXPORTS = {
+    "ContactGraph": "packing",
+    "Fraction": "exact_geom",
+    "MeetKind": "exact_geom",
+    "PLCorrespondence": "plmap",
+    "PLLoop": "exact_geom",
+    "PackingSpec": "packing",
+    "PointLocation": "exact_geom",
+    "PolyJordanCurve": "jordan",
+    "RatPoint": "exact_geom",
+    "Segment": "exact_geom",
+    "SegmentMeeting": "exact_geom",
+    "TheoremCertificate": "packing",
+    "TopoRectangle": "packing",
+    "assemble_theorem_certificate": "packing",
+    "build_diagram": "torus",
+    "canonical_noncut_pair": "jordan",
+    "check_overlay_transverse": "packing",
+    "check_transverse": "jordan",
+    "cuts_each_other": "jordan",
+    "find_cutting_pair": "packing",
+    "fixed_point_index": "plmap",
+    "glue": "plmap",
+    "index_from_torus": "torus",
+    "isomorphic_contact": "packing",
+    "oracle_enumerate": "prescribe",
+    "orient2d": "exact_geom",
+    "point_in_polygon": "exact_geom",
+    "prescribe": "prescribe",
+    "pt": "exact_geom",
+    "rat": "exact_geom",
+    "realize_path": "torus",
+    "segment_intersection": "exact_geom",
+    "signed_area": "exact_geom",
+    "translate_packing": "packing",
+    "validate_curve": "jordan",
+    "validate_packing": "packing",
+    "winding_number": "exact_geom",
+}
+
+__all__ = sorted(_EXPORTS)
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    home = _EXPORTS.get(name)
+    if home is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f"{__name__}.{home}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})
+
+
+class _Package(ModuleType):
+    """Loading a submodule binds it on its package under its own name. The
+    function `prescribe` shares its module's name, so that binding keeps the
+    function, as `from fpindex import prescribe` promises."""
+
+    def __setattr__(self, name: str, value) -> None:
+        if isinstance(value, ModuleType) and _EXPORTS.get(name) == name:
+            value = getattr(value, name)
+        super().__setattr__(name, value)
+
+
+sys.modules[__name__].__class__ = _Package

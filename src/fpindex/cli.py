@@ -1,20 +1,21 @@
-"""Command-line front end: JSON ingestion, dispatch, reports, SVG figures.
+"""Command-line front end: JSON ingestion, dispatch, reports.
 
 Exit codes: 0 success, 1 broken invariant or failed self-check, 2 rejected
 input.  Reports are JSON with every rational as an integer pair; identical
-inputs and seed produce byte-identical bytes.  SVG emission converts
-rationals to floats at the last moment and is never read back.
+inputs and seed produce byte-identical bytes.  SVG figures come from
+`fpindex.svg`.
+
+Each command imports the layers it uses inside its own function, so a
+process loads and compiles only what its command needs: `cut` stops at
+`jordan` and `serialize`, and only `render` and `--svg` load `svg`.
 """
 from __future__ import annotations
 
 import argparse
-import functools
 import json
-import math
-import random
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import (
     AssumptionViolated,
@@ -24,42 +25,18 @@ from .errors import (
     NotTransverse,
     TooLarge,
 )
-from .exact_geom import RatPoint, signed_area
-from .jordan import (
-    PolyJordanCurve,
-    build_arrangement,
-    canonical_noncut_pair,
-    check_transverse,
-    cuts_each_other,
-    validate_curve,
-)
-from .packing import (
-    PackingSpec,
-    TopoRectangle,
-    assemble_theorem_certificate,
-    certify_incompatibility,
-    find_cutting_pair,
-    translate_packing,
-    validate_packing,
-)
-from .plmap import PLCorrespondence, fixed_point_index, random_correspondence
-from .prescribe import oracle_enumerate, prescribe
-from .serialize import (
-    dump_map,
-    fraction_to_json,
-    load_constraints,
-    load_curve,
-    load_json_file,
-    load_map,
-    load_packing,
-    load_piece_correspondence,
-    path_to_json,
-)
-from .torus import TorusDiagram, build_diagram, realize_path
+
+if TYPE_CHECKING:
+    import random
+
+    from .exact_geom import RatPoint
+    from .jordan import PolyJordanCurve
+    from .packing import PackingSpec
+    from .plmap import PLCorrespondence
+    from .torus import TorusDiagram
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(NamedTuple):
     """Parsed invocation; same config and seed give bit-identical reports."""
 
     command: str
@@ -75,9 +52,18 @@ class RunConfig:
 # -- command implementations ------------------------------------------------------
 
 
+def _curves_from_files(curve_a: str, curve_b: str,
+                       ) -> tuple[PolyJordanCurve, PolyJordanCurve]:
+    from .serialize import load_curve, load_json_file
+    return (load_curve(load_json_file(curve_a), "first curve"),
+            load_curve(load_json_file(curve_b), "second curve"))
+
+
 def cmd_index(curve_a: str, curve_b: str, map_path: str) -> dict:
-    first = load_curve(load_json_file(curve_a), "first curve")
-    second = load_curve(load_json_file(curve_b), "second curve")
+    from .jordan import check_transverse
+    from .plmap import fixed_point_index
+    from .serialize import load_json_file, load_map
+    first, second = _curves_from_files(curve_a, curve_b)
     phi = load_map(load_json_file(map_path))
     try:
         crossings: int | None = len(check_transverse(first, second))
@@ -91,8 +77,10 @@ def cmd_index(curve_a: str, curve_b: str, map_path: str) -> dict:
 def _diagram_from_files(curve_a: str, curve_b: str, constraints_path: str,
                         ) -> tuple[PolyJordanCurve, PolyJordanCurve,
                                    TorusDiagram]:
-    first = load_curve(load_json_file(curve_a), "first curve")
-    second = load_curve(load_json_file(curve_b), "second curve")
+    from .jordan import check_transverse
+    from .serialize import load_constraints, load_json_file
+    from .torus import build_diagram
+    first, second = _curves_from_files(curve_a, curve_b)
     constraints = load_constraints(load_json_file(constraints_path))
     crossings = check_transverse(first, second)
     return first, second, build_diagram(first, second, crossings, constraints)
@@ -100,8 +88,10 @@ def _diagram_from_files(curve_a: str, curve_b: str, constraints_path: str,
 
 def cmd_torus(curve_a: str, curve_b: str, constraints_path: str,
               svg: str | None = None) -> dict:
+    from .serialize import fraction_to_json
     _, _, diagram = _diagram_from_files(curve_a, curve_b, constraints_path)
     if svg:
+        from .svg import render_torus
         _write(svg, render_torus(diagram))
     return {
         "size": diagram.size,
@@ -117,6 +107,10 @@ def cmd_torus(curve_a: str, curve_b: str, constraints_path: str,
 
 def cmd_prescribe(curve_a: str, curve_b: str, constraints_path: str,
                   svg: str | None = None) -> dict:
+    from .plmap import fixed_point_index
+    from .prescribe import prescribe
+    from .serialize import dump_map, path_to_json
+    from .torus import realize_path
     first, second, diagram = _diagram_from_files(curve_a, curve_b,
                                                  constraints_path)
     path, trace = prescribe(diagram)
@@ -126,6 +120,7 @@ def cmd_prescribe(curve_a: str, curve_b: str, constraints_path: str,
         raise InvariantFailure(
             f"realized index {eta} disagrees with trace value {trace.index}")
     if svg:
+        from .svg import render_torus
         base, dot, suffix = svg.rpartition(".")
         if not dot:
             base, suffix = svg, "svg"
@@ -154,17 +149,30 @@ def cmd_prescribe(curve_a: str, curve_b: str, constraints_path: str,
 
 
 def cmd_cut(curve_a: str, curve_b: str) -> dict:
-    first = load_curve(load_json_file(curve_a), "first curve")
-    second = load_curve(load_json_file(curve_b), "second curve")
+    from .jordan import check_transverse, cuts_each_other
+    first, second = _curves_from_files(curve_a, curve_b)
     crossings = check_transverse(first, second)
     return {"cuts": cuts_each_other(first, second),
             "crossings": len(crossings)}
 
 
+def _packings_from_files(pack_a: str, pack_b: str,
+                         ) -> tuple[PackingSpec, PackingSpec]:
+    from .serialize import load_json_file, load_packing
+    return (load_packing(load_json_file(pack_a), "first packing"),
+            load_packing(load_json_file(pack_b), "second packing"))
+
+
 def cmd_incompat(pack_a: str, pack_b: str, correspondence_path: str,
                  epsilon: str | None = None) -> dict:
-    first = load_packing(load_json_file(pack_a), "first packing")
-    second = load_packing(load_json_file(pack_b), "second packing")
+    from .exact_geom import RatPoint
+    from .packing import certify_incompatibility, translate_packing
+    from .serialize import (
+        fraction_to_json,
+        load_json_file,
+        load_piece_correspondence,
+    )
+    first, second = _packings_from_files(pack_a, pack_b)
     correspondence = load_piece_correspondence(
         load_json_file(correspondence_path))
     eps: Fraction | None = None
@@ -199,21 +207,21 @@ def cmd_render(kind: str, inputs: tuple[str, ...], svg: str) -> dict:
     if kind == "torus":
         if len(inputs) != 3:
             raise InputRejection("render torus needs curveA curveB constraints")
+        from .prescribe import prescribe
+        from .svg import render_torus
         _, _, diagram = _diagram_from_files(*inputs)
         path, _ = prescribe(diagram)
         content = render_torus(diagram, path)
     elif kind == "overlay":
         if len(inputs) != 2:
             raise InputRejection("render overlay needs packA packB")
-        first = load_packing(load_json_file(inputs[0]), "first packing")
-        second = load_packing(load_json_file(inputs[1]), "second packing")
-        content = render_overlay(first, second)
+        from .svg import render_overlay
+        content = render_overlay(*_packings_from_files(*inputs))
     elif kind == "faces":
         if len(inputs) != 2:
             raise InputRejection("render faces needs curveA curveB")
-        first = load_curve(load_json_file(inputs[0]), "first curve")
-        second = load_curve(load_json_file(inputs[1]), "second curve")
-        content = render_faces(first, second)
+        from .svg import render_faces
+        content = render_faces(*_curves_from_files(*inputs))
     else:
         raise InputRejection(f"unknown render kind {kind!r}")
     _write(svg, content)
@@ -223,9 +231,11 @@ def cmd_render(kind: str, inputs: tuple[str, ...], svg: str) -> dict:
 # -- selftest ---------------------------------------------------------------------
 
 
-@functools.cache
 def _unit_directions(n: int) -> tuple[RatPoint, ...]:
     """n rational points on the unit circle at near-regular angles."""
+    import math
+
+    from .exact_geom import RatPoint
     points = []
     for k in range(n):
         u = Fraction(2 * k + 1, 2 * n)
@@ -235,14 +245,17 @@ def _unit_directions(n: int) -> tuple[RatPoint, ...]:
     return tuple(points)
 
 
-def _circle_gon(center: RatPoint, radius: Fraction, n: int = 64) -> PolyJordanCurve:
-    """Convex rational n-gon inscribed in the circle, circle-like for index
-    purposes: convex, star-shaped around its center."""
-    return validate_curve([center + d.scale(radius)
-                           for d in _unit_directions(n)])
-
-
 def _suite_circle_index(rng: random.Random, trials: int) -> dict:
+    from .exact_geom import RatPoint
+    from .jordan import validate_curve
+    from .plmap import fixed_point_index, random_correspondence
+    directions = _unit_directions(64)
+
+    def circle_gon(center: RatPoint, radius: Fraction) -> PolyJordanCurve:
+        # convex rational 64-gon inscribed in the circle, circle-like for
+        # index purposes: convex, star-shaped around its center
+        return validate_curve([center + d.scale(radius) for d in directions])
+
     violations = []
     for k in range(trials):
         config = ("disjoint", "nested", "crossing")[k % 3]
@@ -258,8 +271,8 @@ def _suite_circle_index(rng: random.Random, trials: int) -> dict:
         else:
             c2 = RatPoint(max(r1, r2), Fraction(0))
             want = {0, 1, 2}  # crossing circles: nonnegative, at most 2
-        first = _circle_gon(RatPoint(Fraction(0), Fraction(0)), r1)
-        second = _circle_gon(c2, r2)
+        first = circle_gon(RatPoint(Fraction(0), Fraction(0)), r1)
+        second = circle_gon(c2, r2)
         phi = random_correspondence(rng, rng.randrange(3, 9))
         try:
             eta = fixed_point_index(first, second, phi)
@@ -289,6 +302,10 @@ def _synth_constraints(rng: random.Random, crossings,
 
 
 def _suite_prescribe(rng: random.Random, trials: int) -> dict:
+    from .jordan import canonical_noncut_pair, check_transverse
+    from .plmap import fixed_point_index, random_correspondence
+    from .prescribe import oracle_enumerate, prescribe
+    from .torus import build_diagram, realize_path
     violations = []
     dumps = []
     for k in range(trials):
@@ -327,6 +344,10 @@ def _suite_prescribe(rng: random.Random, trials: int) -> dict:
 
 
 def _builtin_packing_pair() -> tuple[PackingSpec, PackingSpec, list[int]]:
+    from .exact_geom import RatPoint
+    from .jordan import validate_curve
+    from .packing import PackingSpec, TopoRectangle
+
     def c(*vs):
         return validate_curve([RatPoint(Fraction(x), Fraction(y))
                                for x, y in vs])
@@ -343,6 +364,11 @@ def _builtin_packing_pair() -> tuple[PackingSpec, PackingSpec, list[int]]:
 
 
 def _suite_packing(_rng: random.Random, _trials: int) -> dict:
+    from .packing import (
+        assemble_theorem_certificate,
+        find_cutting_pair,
+        validate_packing,
+    )
     violations = []
     first, second, correspondence = _builtin_packing_pair()
     validate_packing(first)
@@ -359,6 +385,7 @@ def _suite_packing(_rng: random.Random, _trials: int) -> dict:
 
 
 def cmd_selftest(seed: int, trials: int | None) -> dict:
+    import random
     if trials is not None and trials < 1:
         raise InputRejection(f"--trials must be at least 1, got {trials}")
     suites = []
@@ -379,144 +406,6 @@ class SelfTestFailure(InvariantFailure):
     def __init__(self, report: dict):
         super().__init__("selftest found violations")
         self.report = report
-
-
-# -- SVG emitters -----------------------------------------------------------------
-
-
-def _f(v) -> str:
-    return f"{float(v):.2f}"
-
-
-def _polyline(points, style: str) -> str:
-    coords = " ".join(f"{_f(x)},{_f(y)}" for x, y in points)
-    return f'<polyline points="{coords}" {style}/>'
-
-
-def _polygon(points, style: str) -> str:
-    coords = " ".join(f"{_f(x)},{_f(y)}" for x, y in points)
-    return f'<polygon points="{coords}" {style}/>'
-
-
-def _svg_doc(width: int, height: int, body: list[str]) -> str:
-    head = ('<?xml version="1.0" encoding="UTF-8"?>\n'
-            f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
-            f'height="{height}" viewBox="0 0 {width} {height}">')
-    return "\n".join([head, *body, "</svg>"]) + "\n"
-
-
-def render_torus(diagram: TorusDiagram, path=None,
-                 highlight: list | None = None) -> str:
-    n, side, margin = diagram.size, 520, 45
-    size = side + 2 * margin
-
-    def sx(x) -> float:
-        return margin + float(x) * side
-
-    def sy(y) -> float:
-        return margin + (1 - float(y)) * side
-
-    body = [f'<rect x="{margin}" y="{margin}" width="{side}" height="{side}" '
-            'fill="white" stroke="black" stroke-width="1.5"/>']
-    for k, token in enumerate(diagram.col_order):
-        x = sx(Fraction(k, n))
-        dashed = 'stroke="#555" stroke-dasharray="7 5"' if token[0] == "c" \
-            else 'stroke="#ccc"'
-        body.append(f'<line x1="{_f(x)}" y1="{margin}" x2="{_f(x)}" '
-                    f'y2="{margin + side}" {dashed}/>')
-        if token[0] == "c":
-            body.append(f'<text x="{_f(x)}" y="{margin - 8}" font-size="14" '
-                        f'text-anchor="middle">c{token[1]}</text>')
-    for k, token in enumerate(diagram.row_order):
-        y = sy(Fraction(k, n))
-        dashed = 'stroke="#555" stroke-dasharray="7 5"' if token[0] == "c" \
-            else 'stroke="#ccc"'
-        body.append(f'<line x1="{margin}" y1="{_f(y)}" x2="{margin + side}" '
-                    f'y2="{_f(y)}" {dashed}/>')
-        if token[0] == "c":
-            body.append(f'<text x="{margin - 10}" y="{_f(y)}" font-size="14" '
-                        f'text-anchor="end">c{token[1]}</text>')
-    hot = {cid for pair in (highlight or []) for cid in pair}
-    for m in diagram.marks:
-        cx, cy = _f(sx(m.x)), _f(sy(m.y))
-        if m.kind.name == "P":
-            body.append(f'<circle cx="{cx}" cy="{cy}" r="6" fill="black"/>')
-        else:
-            body.append(f'<circle cx="{cx}" cy="{cy}" r="6" fill="white" '
-                        'stroke="black" stroke-width="2"/>')
-        if m.crossing_id in hot:
-            body.append(f'<circle cx="{cx}" cy="{cy}" r="11" fill="none" '
-                        'stroke="#d62728" stroke-width="2.5"/>')
-        body.append(f'<text x="{cx}" y="{float(cy) - 10:.2f}" font-size="11" '
-                    f'text-anchor="middle">{m.crossing_id}</text>')
-    if path is not None:
-        pts = [(sx(x), sy(y)) for x, y in path.points]
-        body.append(_polyline(
-            pts, 'fill="none" stroke="#1f77b4" stroke-width="3"'))
-    return _svg_doc(size, size, body)
-
-
-def _scaler(curves: list[PolyJordanCurve], side: int = 640, margin: int = 30):
-    xs = [p.x for c in curves for p in c.vertices]
-    ys = [p.y for c in curves for p in c.vertices]
-    lo_x, hi_x, lo_y, hi_y = min(xs), max(xs), min(ys), max(ys)
-    span = max(hi_x - lo_x, hi_y - lo_y, Fraction(1))
-    scale = Fraction(side) / span
-
-    def to_px(p: RatPoint) -> tuple[float, float]:
-        return (margin + float((p.x - lo_x) * scale),
-                margin + float((hi_y - p.y) * scale))
-
-    width = 2 * margin + float((hi_x - lo_x) * scale)
-    height = 2 * margin + float((hi_y - lo_y) * scale)
-    return to_px, int(width) + 1, int(height) + 1
-
-
-def _packing_paths(spec: PackingSpec, to_px, color: str, dash: str) -> list[str]:
-    body = []
-    frame = spec.rect.curve
-    body.append(_polygon([to_px(p) for p in frame.vertices],
-                         f'fill="none" stroke="{color}" stroke-width="2.5"'
-                         f'{dash}'))
-    for piece in spec.pieces:
-        body.append(_polygon([to_px(p) for p in piece.vertices],
-                             f'fill="{color}" fill-opacity="0.12" '
-                             f'stroke="{color}" stroke-width="1.5"{dash}'))
-    for corner in spec.rect.corner_points:
-        x, y = to_px(corner)
-        body.append(f'<circle cx="{_f(x)}" cy="{_f(y)}" r="4" '
-                    f'fill="{color}"/>')
-    return body
-
-
-def render_overlay(first: PackingSpec, second: PackingSpec) -> str:
-    curves = [first.rect.curve, *first.pieces,
-              second.rect.curve, *second.pieces]
-    to_px, width, height = _scaler(curves)
-    body = _packing_paths(first, to_px, "#1f77b4", "")
-    body += _packing_paths(second, to_px, "#d62728",
-                           ' stroke-dasharray="8 5"')
-    return _svg_doc(width, height, body)
-
-
-def render_faces(first: PolyJordanCurve, second: PolyJordanCurve) -> str:
-    crossings = check_transverse(first, second)
-    faces = build_arrangement(first, second, crossings)
-    to_px, width, height = _scaler([first, second])
-    fills = {(True, True): "#9467bd", (True, False): "#1f77b4",
-             (False, True): "#d62728", (False, False): "#eeeeee"}
-    body = []
-    for face in faces:
-        if face.polygon is None or signed_area(face.polygon) <= 0:
-            continue
-        fill = fills[(face.in_K, face.in_Kt)]
-        body.append(_polygon([to_px(p) for p in face.polygon.vertices],
-                             f'fill="{fill}" fill-opacity="0.55" '
-                             'stroke="#333" stroke-width="0.7"'))
-    for curve, color in ((first, "#1f77b4"), (second, "#d62728")):
-        body.append(_polygon([to_px(p) for p in curve.vertices],
-                             f'fill="none" stroke="{color}" stroke-width="2"'))
-    return _svg_doc(width, height, body)
 
 
 # -- dispatch ---------------------------------------------------------------------

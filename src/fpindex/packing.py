@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import (
     BadInterstice,
@@ -57,8 +57,6 @@ from .jordan import (
     trace_faces,
 )
 from .plmap import PLCorrespondence, _refined_params, fixed_point_index
-from .prescribe import prescribe
-from .torus import build_diagram, realize_path
 
 SIDES = ("a", "b", "c", "d")
 
@@ -275,16 +273,14 @@ def _scan_contacts(spec: PackingSpec) -> dict[RatPoint, set]:
 # -- arrangement of the packed boundaries ----------------------------------------
 
 
-@dataclass(frozen=True)
-class _Node:
+class _Node(NamedTuple):
     nid: int
     point: RatPoint
     objects: frozenset
     is_corner: bool
 
 
-@dataclass(frozen=True)
-class _Arc:
+class _Arc(NamedTuple):
     aid: int
     host: object  # piece index, or a side name for frame arcs
     tail: int
@@ -292,8 +288,7 @@ class _Arc:
     polyline: tuple[RatPoint, ...]
 
 
-@dataclass(frozen=True)
-class _Face:
+class _Face(NamedTuple):
     fid: int
     cycle: tuple[tuple[int, bool], ...]  # (arc id, traversed forward)
     node_ids: tuple[int, ...]
@@ -321,8 +316,7 @@ def _split_curve(curve: PolyJordanCurve, stops: list[tuple[int, int]],
     return runs
 
 
-@dataclass(frozen=True)
-class _Analysis:
+class _Analysis(NamedTuple):
     nodes: tuple[_Node, ...]
     arcs: tuple[_Arc, ...]
     faces: tuple[_Face, ...]
@@ -579,8 +573,7 @@ def _first_cutting_pair(first: PackingSpec, second: PackingSpec,
         "hypotheses hold yet no corresponding pair cuts")
 
 
-@dataclass(frozen=True)
-class _InterMap:
+class _InterMap(NamedTuple):
     source: PolyJordanCurve
     target: PolyJordanCurve
     phi: PLCorrespondence
@@ -660,6 +653,8 @@ def _certificate(first: PackingSpec, second: PackingSpec,
                  correspondence: Sequence[int], first_a: _Analysis,
                  second_a: _Analysis) -> TheoremCertificate:
     """assemble_theorem_certificate on packings whose hypotheses hold."""
+    from .prescribe import prescribe
+    from .torus import build_diagram, realize_path
 
     def relabel(group: frozenset) -> frozenset:
         return frozenset(correspondence[lab] if isinstance(lab, int) else lab

@@ -125,6 +125,8 @@ def find_doubly_adjacent(diagram: TorusDiagram) -> list[AdjacencyBox]:
     Adjacent means consecutive among the marks, so only constraint tokens
     may separate the two. Along the columns the entry mark (where the first
     curve enters the second region) must come directly before its partner.
+    A pair that wraps past the constraint its frame is cut at has no box
+    and is skipped.
     """
     marks = diagram.marks
     if len(marks) < 4:
@@ -147,11 +149,22 @@ def find_doubly_adjacent(diagram: TorusDiagram) -> list[AdjacencyBox]:
             descends = False
         else:
             continue
+        # only the pair that wraps through column 0 can pass its frame's cut
+        if partner.col < entry.col and partner.col > diagram.constraint_rank(
+                _frame_base(diagram, entry))[0]:
+            continue
         boxes.append(_build_box(diagram, entry, partner, descends))
     if len(boxes) < 2:
         raise AssumptionViolated(
             f"only {len(boxes)} doubly adjacent pairs found", diagram.dump())
     return boxes
+
+
+def _frame_base(diagram: TorusDiagram, entry) -> int:
+    """The constraint behind the entry mark, where its pair's frame is cut."""
+    rank = diagram.constraint_rank
+    return (3 if entry.col > rank(3)[0] else 2 if entry.col > rank(2)[0]
+            else 1)
 
 
 def _build_box(diagram, entry, partner, descends: bool) -> AdjacencyBox:
@@ -163,8 +176,7 @@ def _build_box(diagram, entry, partner, descends: bool) -> AdjacencyBox:
     """
     n = diagram.size
     rank = diagram.constraint_rank
-    base = (3 if entry.col > rank(3)[0] else 2 if entry.col > rank(2)[0]
-            else 1)
+    base = _frame_base(diagram, entry)
     c0, r0 = rank(base)
 
     def frame(col: int, row: int) -> tuple[int, int]:

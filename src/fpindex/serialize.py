@@ -3,19 +3,22 @@
 Every rational travels as an integer pair [numerator, denominator]; curve
 vertices and map breakpoints travel as flat four-integer rows.  Loaders
 validate as they build and raise InputRejection with the offending field
-named, so the CLI can exit with a machine-readable reason.
+named, so the CLI can exit with a machine-readable reason.  `packing` and
+`plmap` load only when a packing or a map is loaded.
 """
 from __future__ import annotations
 
 import json
 from fractions import Fraction
-from typing import Any, Sequence
+from typing import TYPE_CHECKING, Any, Sequence
 
 from .errors import DegenerateLoop, InputRejection
-from .exact_geom import PLLoop, RatPoint
+from .exact_geom import RatPoint
 from .jordan import PolyJordanCurve, validate_curve
-from .packing import PackingSpec, TopoRectangle
-from .plmap import PLCorrespondence
+
+if TYPE_CHECKING:
+    from .packing import PackingSpec, TopoRectangle
+    from .plmap import PLCorrespondence
 
 
 def load_json_file(path: str) -> Any:
@@ -86,6 +89,7 @@ def dump_curve(curve: PolyJordanCurve) -> dict:
 
 def load_rect(obj: Any, what: str = "rect") -> TopoRectangle:
     """A curve object with an extra "corners": [i, j, k, l] field."""
+    from .packing import TopoRectangle
     curve = load_curve(obj, what)
     corners = obj.get("corners")
     if not (isinstance(corners, list) and len(corners) == 4
@@ -103,6 +107,7 @@ def dump_rect(rect: TopoRectangle) -> dict:
 
 def load_packing(obj: Any, what: str = "packing") -> PackingSpec:
     """{"rect": {...curve..., "corners": [...]}, "pieces": [{...curve...}]}"""
+    from .packing import PackingSpec
     if not isinstance(obj, dict) or "rect" not in obj:
         raise InputRejection(f"{what} must be an object with a rect")
     pieces = obj.get("pieces", [])
@@ -121,6 +126,7 @@ def dump_packing(spec: PackingSpec) -> dict:
 
 def load_map(obj: Any, what: str = "map") -> PLCorrespondence:
     """{"breakpoints": [[s_num, s_den, t_num, t_den], ...]}"""
+    from .plmap import PLCorrespondence
     rows = _int_rows(obj, "breakpoints", 4, what)
     return PLCorrespondence(tuple(
         (Fraction(sn, sd), Fraction(tn, td)) for sn, sd, tn, td in rows))

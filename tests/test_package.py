@@ -1,0 +1,141 @@
+"""The package's public names, and the modules each entry point loads.
+
+Every check runs in a fresh interpreter: what a process has already imported
+decides both what `from fpindex import ...` finds and what `sys.modules`
+holds. The load checks count modules, not milliseconds.
+"""
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+FIXTURES = ROOT / "tests" / "fixtures"
+
+PUBLIC = [
+    "ContactGraph", "Fraction", "MeetKind", "PLCorrespondence", "PLLoop",
+    "PackingSpec", "PointLocation", "PolyJordanCurve", "RatPoint", "Segment",
+    "SegmentMeeting", "TheoremCertificate", "TopoRectangle",
+    "assemble_theorem_certificate", "build_diagram", "canonical_noncut_pair",
+    "check_overlay_transverse", "check_transverse", "cuts_each_other",
+    "find_cutting_pair", "fixed_point_index", "glue", "index_from_torus",
+    "isomorphic_contact", "oracle_enumerate", "orient2d", "point_in_polygon",
+    "prescribe", "pt", "rat", "realize_path", "segment_intersection",
+    "signed_area", "translate_packing", "validate_curve", "validate_packing",
+    "winding_number",
+]
+
+
+def fresh(code: str):
+    """Run code in a new interpreter on this checkout's sources and return
+    the JSON value it prints last."""
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"),
+                                         os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code], cwd=ROOT,
+                          env=dict(os.environ, PYTHONPATH=path),
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+LOADED = ("print(json.dumps(sorted(m[8:] for m in sys.modules"
+          " if m.startswith('fpindex.'))))")
+
+
+class TestPublicNames:
+    def test_every_name_is_its_home_modules_object(self):
+        assert fresh("""
+import importlib, json, fpindex
+bad = []
+for name in fpindex.__all__:
+    home = importlib.import_module("fpindex." + fpindex._EXPORTS[name])
+    obj = getattr(fpindex, name)
+    if obj is not getattr(home, name):
+        bad.append(name)
+    if getattr(obj, "__module__", "").startswith("fpindex.") and \\
+            obj.__module__ != home.__name__:
+        bad.append(name)
+print(json.dumps([fpindex.__all__, bad]))
+""") == [PUBLIC, []]
+
+    @pytest.mark.parametrize("first", [
+        "import fpindex.cli; import fpindex.packing; import fpindex.prescribe",
+        "import fpindex.prescribe",
+        "from fpindex.prescribe import oracle_enumerate",
+        "import fpindex",
+    ])
+    def test_prescribe_is_the_function_in_every_import_order(self, first):
+        assert fresh(first + """
+import json, sys, types
+from fpindex import prescribe
+import fpindex
+module = sys.modules["fpindex.prescribe"]
+print(json.dumps([isinstance(prescribe, types.FunctionType),
+                  prescribe is module.prescribe,
+                  fpindex.prescribe is module.prescribe]))
+""") == [True, True, True]
+
+    def test_dir_and_star_import_list_every_name(self):
+        names, starred = fresh("""
+import json, fpindex
+scope = {}
+exec("from fpindex import *", scope)
+print(json.dumps([dir(fpindex), sorted(k for k in scope if k[0] != "_")]))
+""")
+        assert set(PUBLIC) <= set(names)
+        assert starred == PUBLIC
+
+    def test_unknown_name_raises_attribute_error(self):
+        assert fresh("""
+import json, fpindex
+try:
+    fpindex.no_such_name
+except AttributeError as exc:
+    print(json.dumps(str(exc)))
+""") == "module 'fpindex' has no attribute 'no_such_name'"
+
+
+def fx(name: str) -> str:
+    return str(FIXTURES / f"{name}.json")
+
+
+TWELVE = [fx("fig_twelve_first"), fx("fig_twelve_second")]
+CORE = ["cli", "errors", "exact_geom", "jordan", "serialize"]
+LAYERS = {  # command: argv, and the modules it loads beyond CORE
+    "cut": (["cut", *TWELVE], []),
+    "index": (["index", fx("fig_interleaved_first"),
+               fx("fig_interleaved_second"), fx("identity_corner_map")],
+              ["plmap"]),
+    "torus": (["torus", *TWELVE, fx("twelve_constraints")],
+              ["plmap", "torus"]),
+    "prescribe": (["prescribe", *TWELVE, fx("twelve_constraints")],
+                  ["plmap", "prescribe", "torus"]),
+    "incompat": (["incompat", fx("pack_one_a"), fx("pack_one_b"),
+                  fx("corr_one")], ["packing", "plmap", "prescribe", "torus"]),
+    "render_faces": (["render", "faces", *TWELVE], ["svg"]),
+    "render_overlay": (["render", "overlay", fx("pack_two_a"),
+                        fx("pack_two_b")], ["packing", "plmap", "svg"]),
+    "render_torus": (["render", "torus", *TWELVE, fx("twelve_constraints")],
+                     ["plmap", "prescribe", "svg", "torus"]),
+}
+
+
+class TestImportBudget:
+    def test_jordan_alone(self):
+        assert fresh("import json, sys, fpindex.jordan\n" + LOADED) == \
+            ["errors", "exact_geom", "jordan"]
+
+    @pytest.mark.parametrize("command", sorted(LAYERS))
+    def test_each_command_loads_only_its_layers(self, command, tmp_path):
+        argv, extra = LAYERS[command]
+        if argv[0] == "render":
+            argv = [*argv, "--svg", str(tmp_path / "out.svg")]
+        argv = [*argv, "--out", str(tmp_path / "report.json")]
+        assert fresh(f"""
+import json, sys
+from fpindex import cli
+assert cli.main({argv!r}) == 0
+""" + LOADED) == sorted(CORE + extra)

@@ -6,8 +6,10 @@ from fractions import Fraction
 import pytest
 
 from fpindex.errors import (
+    AssumptionViolated,
     ConstraintOnCurve,
     FpIndexError,
+    InternalCaseGap,
     InvariantFailure,
     TooFewCrossings,
     TooLarge,
@@ -29,6 +31,7 @@ from fpindex.prescribe import (
     _extra_anchor_points,
     _is_realizable,
     _path_induced_bits,
+    _solve_by_pairs,
     _split_value,
     _thread_path,
     _walk,
@@ -683,3 +686,52 @@ class TestChildSidesOnIntegers:
                     seen.add(got)
         assert {(BELOW, BELOW), (ABOVE, ABOVE), (BELOW, ABOVE),
                 (ABOVE, BELOW)} <= seen
+
+
+def doubly_adjacent_pairs(diagram):
+    """(entry, partner, descends) for each entry mark whose next mark by
+    column is also next to it by row, read straight off the ranks."""
+    by_col = sorted(diagram.marks, key=lambda m: m.col)
+    count = len(by_col)
+    row_rank = {m.crossing_id: i for i, m in
+                enumerate(sorted(by_col, key=lambda m: m.row))}
+    for i, entry in enumerate(by_col):
+        if entry.kind is not CrossKind.P:
+            continue
+        partner = by_col[(i + 1) % count]
+        gap = (row_rank[entry.crossing_id]
+               - row_rank[partner.crossing_id]) % count
+        if gap in (1, count - 1):
+            yield entry, partner, gap == 1
+
+
+class TestPairsPastTheFrameCut:
+    def test_pairs_without_a_box_are_skipped(self):
+        # a doubly adjacent pair whose partner lies past the constraint its
+        # frame is cut at has no box; the pair search must pass over it
+        # rather than abort, since the solver catches only the failures a
+        # parent level can recover from
+        skipped = 0
+        for diagram, _ in geometric_diagrams(random.Random(9300), 60):
+            kept = []
+            for entry, partner, descends in doubly_adjacent_pairs(diagram):
+                if box_outcome(_build_box, diagram, entry, partner, descends) \
+                        == "pair order broke under rebasing":
+                    skipped += 1
+                else:
+                    kept.append((entry.crossing_id, partner.crossing_id))
+            try:
+                boxes = find_doubly_adjacent(diagram)
+            except AssumptionViolated:
+                assert len(kept) < 2
+            else:
+                assert [(b.entry_id, b.exit_id) for b in boxes] == kept
+            try:
+                below = _solve_by_pairs(diagram, 0, [])
+            except (AssumptionViolated, InternalCaseGap):
+                pass
+            else:
+                assert _split_value(diagram, below) >= 0
+            path, trace = prescribe(diagram)
+            assert trace.index >= 0
+        assert skipped >= 2
