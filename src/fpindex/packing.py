@@ -653,6 +653,7 @@ def _certificate(first: PackingSpec, second: PackingSpec,
                  correspondence: Sequence[int], first_a: _Analysis,
                  second_a: _Analysis) -> TheoremCertificate:
     """assemble_theorem_certificate on packings whose hypotheses hold."""
+    # loaded here, so that reading or drawing a packing does not load them
     from .prescribe import prescribe
     from .torus import build_diagram, realize_path
 
