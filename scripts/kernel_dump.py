@@ -12,9 +12,13 @@ them through constraints 2 and 3) with the index of each realized map,
 and trace, and `oracle_enumerate`'s set, alone and with one and with two
 extra prescribed pairs on the map at source parameters with odd
 denominators, which put the extra anchors off the token grid.
-Every error is written as its class and message. The script loads
-`fpindex` from this checkout's `src/`, so the dumps of two checkouts are
-identical exactly when `diff -r OUT_A OUT_B` prints nothing.
+Every error is written as its class and message. A third file records
+`glue` on seeded pairs of grid rectangles and polygons, each curve its own
+target under the identity map, and on the square fixtures of the gluing
+acceptance test: the glued source and target vertices and breakpoints, or
+the error class alone. The script loads `fpindex` from this checkout's
+`src/`, so the dumps of two checkouts are identical exactly when
+`diff -r OUT_A OUT_B` prints nothing.
 """
 from __future__ import annotations
 
@@ -32,6 +36,7 @@ from fpindex.jordan import canonical_noncut_pair, check_transverse  # noqa: E402
 from fpindex.plmap import (  # noqa: E402
     _refined_params,
     fixed_point_index,
+    glue,
     random_correspondence,
 )
 from fpindex.prescribe import oracle_enumerate, prescribe  # noqa: E402
@@ -45,6 +50,9 @@ from fpindex.torus import (  # noqa: E402
 )
 
 from geomgen import (  # noqa: E402
+    glued_square_fixture,
+    grid_curve,
+    identity_params,
     path_through_constraints,
     random_monotone_path,
     random_transverse_pair,
@@ -54,6 +62,8 @@ from geomgen import (  # noqa: E402
 RANDOM_PAIRS = 150
 CANONICAL_SIZES = range(1, 17)
 ORACLE_MAX_MARKS = 10
+GLUE_GRID_PAIRS = 1000
+GLUE_SQUARE_FIXTURES = 100
 
 
 def fmt(value) -> str:
@@ -138,13 +148,39 @@ def canonical_dump(seed: int) -> list[str]:
     return out
 
 
+def glue_outcome(*args) -> str:
+    try:
+        glued = glue(*args)
+    except FpIndexError as err:
+        return type(err).__name__
+
+    def points(curve) -> str:
+        return " ".join(f"{p.x},{p.y}" for p in curve.vertices)
+
+    return (f"source {points(glued.source)} target {points(glued.target)} "
+            f"phi {fmt(glued.phi.breakpoints)}")
+
+
+def glue_dump(seed: int) -> list[str]:
+    rng = random.Random(f"kernel-dump-glue:{seed}")
+    out: list[str] = []
+    for k in range(GLUE_GRID_PAIRS):
+        a, b = grid_curve(rng), grid_curve(rng)
+        phi_a, phi_b = identity_params(len(a)), identity_params(len(b))
+        out.append(f"grid {k} {glue_outcome(a, a, phi_a, b, b, phi_b)}")
+    for k in range(GLUE_SQUARE_FIXTURES):
+        out.append(f"squares {k} {glue_outcome(*glued_square_fixture(rng))}")
+    return out
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("outdir", type=Path)
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args(argv)
     args.outdir.mkdir(parents=True, exist_ok=True)
-    for name, build in (("random", random_dump), ("canonical", canonical_dump)):
+    for name, build in (("random", random_dump), ("canonical", canonical_dump),
+                        ("glue", glue_dump)):
         path = args.outdir / f"{name}.txt"
         path.write_text("\n".join(build(args.seed)) + "\n", encoding="utf-8")
         print("wrote", path)

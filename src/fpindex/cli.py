@@ -412,8 +412,12 @@ class SelfTestFailure(InvariantFailure):
 
 
 def _write(path: str, content: str) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(content)
+    try:
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(content)
+    except OSError as exc:
+        raise InputRejection(
+            f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
 def _emit(report: dict, out: str | None) -> None:
@@ -500,19 +504,21 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
 
 def main(argv: list[str] | None = None) -> int:
     config = _config_from_args(_parser().parse_args(argv))
+    code = 0
     try:
         report = _run(config)
     except SelfTestFailure as exc:
-        _emit(exc.report, config.out)
-        return 1
+        code, report = 1, exc.report
     except InputRejection as exc:
-        _emit({"error": type(exc).__name__, "reason": str(exc)}, config.out)
-        return 2
+        code, report = 2, {"error": type(exc).__name__, "reason": str(exc)}
     except InvariantFailure as exc:
-        _emit({"error": type(exc).__name__, "reason": str(exc)}, config.out)
-        return 1
-    _emit(report, config.out)
-    return 0
+        code, report = 1, {"error": type(exc).__name__, "reason": str(exc)}
+    try:
+        _emit(report, config.out)
+    except InputRejection as exc:  # --out itself cannot be written
+        _emit({"error": type(exc).__name__, "reason": str(exc)}, None)
+        return 2
+    return code
 
 
 if __name__ == "__main__":

@@ -105,7 +105,7 @@ def joint_int_coords(first: "PLLoop", second: "PLLoop",
 
 
 def cross_int(a: IntPoint, b: IntPoint, c: IntPoint) -> int:
-    """Integer cross3: positive when a, b, c wind counterclockwise."""
+    """Twice the signed area of triangle a, b, c; positive if counterclockwise."""
     return (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
 
 
@@ -113,13 +113,6 @@ def in_box_int(a: IntPoint, b: IntPoint, p: IntPoint) -> bool:
     """p lies in the closed bounding box of a and b."""
     return (min(a[0], b[0]) <= p[0] <= max(a[0], b[0])
             and min(a[1], b[1]) <= p[1] <= max(a[1], b[1]))
-
-
-def cross3(a: RatPoint, b: RatPoint, c: RatPoint) -> Fraction:
-    """Twice the signed area of triangle a, b, c (full value, not just sign)."""
-    den, xs, ys = integer_coords((a, b, c))
-    p, q, r = zip(xs, ys)
-    return Fraction(cross_int(p, q, r), den * den)
 
 
 def orient2d(a: RatPoint, b: RatPoint, c: RatPoint) -> int:
@@ -140,9 +133,6 @@ class Segment:
     def __post_init__(self) -> None:
         if self.a == self.b:
             raise ValueError("degenerate segment: endpoints coincide")
-
-    def direction(self) -> RatPoint:
-        return self.b - self.a
 
     def point_at(self, t: RatLike) -> RatPoint:
         return self.a + (self.b - self.a).scale(t)
@@ -394,20 +384,8 @@ def ray_first_hit(origin: RatPoint, direction: RatPoint,
 
 
 def interior_point(loop: PLLoop) -> RatPoint:
-    """An exact interior point of a positively oriented simple loop.
-
-    Shoots a ray from an edge midpoint along the inward (left) normal and
-    returns the midpoint of the ray's first boundary-free stretch.
-    """
-    a, b = next(loop.edges())
-    m = a + (b - a).scale(Fraction(1, 2))
-    d = b - a
-    normal = RatPoint(-d.y, d.x)  # left of the edge = interior side
-    others = [Segment(p, q) for p, q in loop.edges() if (p, q) != (a, b)]
-    t = ray_first_hit(m, normal, others)
-    if t is None:
-        raise InvariantFailure("inward ray escaped a closed loop")
-    return m + normal.scale(t / 2)
+    """An exact interior point of a positively oriented simple loop."""
+    return point_between_boundaries(loop, ())
 
 
 def point_between_boundaries(outer: PLLoop, obstacles: Iterable[PLLoop]) -> RatPoint:

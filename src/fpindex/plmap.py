@@ -17,7 +17,7 @@ import bisect
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .errors import (
     ArcsDisagree,
@@ -26,20 +26,17 @@ from .errors import (
     DegenerateLoop,
     InputRejection,
     NotOrientationPreserving,
+    NotSimple,
     PointOnLoop,
 )
 from .exact_geom import (
     AffineMap,
-    MeetKind,
     PLLoop,
-    PointLocation,
     RatPoint,
     Segment,
     joint_int_coords,
     origin_winding,
-    point_in_polygon,
     point_on_segment,
-    segment_intersection,
 )
 from .jordan import PolyJordanCurve, validate_curve
 
@@ -260,20 +257,16 @@ class GluedMap:
     phi: PLCorrespondence
 
 
-def _insert_on_edges(loop: PLLoop, extra: Iterable[RatPoint]) -> PLLoop:
-    """Subdivide edges at any of the given points lying strictly inside them."""
-    out: list[RatPoint] = []
-    candidates = list(extra)
-    for a, b in loop.edges():
-        out.append(a)
-        d = b - a
-        hits = []
-        for p in candidates:
-            if p != a and p != b and point_on_segment(Segment(a, b), p):
-                frac = (p.x - a.x) / d.x if d.x != 0 else (p.y - a.y) / d.y
-                hits.append((frac, p))
-        out.extend(p for _, p in sorted(hits))
-    return PLLoop(tuple(out))
+def _insert_on_edges(curve: PolyJordanCurve,
+                     extra: Iterable[RatPoint]) -> PLLoop:
+    """Subdivide the curve's edges at any of the given points lying on it."""
+    n = len(curve)
+    at = {Fraction(i, n): p for i, p in enumerate(curve.vertices)}
+    for p in extra:
+        s = curve.locate_param(p)
+        if s is not None:
+            at.setdefault(s, p)
+    return PLLoop(tuple([at[s] for s in sorted(at)]))
 
 
 def _shared_block(loop: PLLoop, other_edges: set[tuple[RatPoint, RatPoint]],
@@ -281,17 +274,17 @@ def _shared_block(loop: PLLoop, other_edges: set[tuple[RatPoint, RatPoint]],
     """Start index and length of the single cyclic run of shared edges."""
     n = len(loop)
     edges = list(loop.edges())
-    shared = []
+    shared = set()
     for i, (a, b) in enumerate(edges):
         if (b, a) in other_edges:
-            shared.append(i)
+            shared.add(i)
         elif (a, b) in other_edges:
             raise BadGluingGeometry("shared edge traversed in the same direction")
     if not shared:
         raise BadGluingGeometry("no shared boundary arc")
     if len(shared) == n:
         raise BadGluingGeometry("curves coincide")
-    flags = [i in set(shared) for i in range(n)]
+    flags = [i in shared for i in range(n)]
     runs = sum(1 for i in range(n) if flags[i] and not flags[i - 1])
     if runs != 1:
         raise BadGluingGeometry("shared set is not a single arc")
@@ -299,52 +292,37 @@ def _shared_block(loop: PLLoop, other_edges: set[tuple[RatPoint, RatPoint]],
     return start, len(shared)
 
 
-def _split_at_arc(curve: PolyJordanCurve, other: PolyJordanCurve,
-                  ) -> tuple[PLLoop, list[RatPoint], list[RatPoint]]:
-    """Refine `curve` against `other`; return (refined loop, shared path
-    from junction u to junction v, outer path from v back to u)."""
-    refined = _insert_on_edges(curve.loop, other.vertices)
-    refined_other = _insert_on_edges(other.loop, curve.vertices)
-    other_edges = set(refined_other.edges())
-    start, length = _shared_block(refined, other_edges)
-    verts = refined.vertices
-    n = len(verts)
-    shared_path = [verts[(start + k) % n] for k in range(length + 1)]
-    outer_path = [verts[(start + length + k) % n] for k in range(n - length + 1)]
-    return refined, shared_path, outer_path
+def _split_pair(first: PolyJordanCurve, second: PolyJordanCurve,
+                ) -> list[tuple[list[RatPoint], list[RatPoint]]]:
+    """Refine both curves against each other once; for each curve return
+    (shared path from junction u to junction v, outer path from v to u)."""
+    loops = (_insert_on_edges(first, second.vertices),
+             _insert_on_edges(second, first.vertices))
+    paths = []
+    for loop, other in (loops, loops[::-1]):
+        start, length = _shared_block(loop, set(other.edges()))
+        verts = loop.vertices
+        n = len(verts)
+        paths.append(([verts[(start + k) % n] for k in range(length + 1)],
+                      [verts[(start + length + k) % n]
+                       for k in range(n - length + 1)]))
+    return paths
 
 
-def _overlaps_in_segment(s1: Segment, s2: Segment) -> bool:
-    """True when two collinear segments share more than a single point."""
-    d = s1.direction()
-    if d.cross(s2.direction()) != 0 or d.cross(s2.a - s1.a) != 0:
-        return False
-    axis = (lambda p: p.x) if d.x != 0 else (lambda p: p.y)
-    lo1, hi1 = sorted((axis(s1.a), axis(s1.b)))
-    lo2, hi2 = sorted((axis(s2.a), axis(s2.b)))
-    return max(lo1, lo2) < min(hi1, hi2)
+def _union(outer_a: list[RatPoint], outer_b: list[RatPoint],
+           ) -> PolyJordanCurve:
+    """The glued curve: outer path of one piece, then of the other.
 
-
-def _check_outside(path: Sequence[RatPoint], region: PolyJordanCurve,
-                   junctions: set[RatPoint]) -> None:
-    for a, b in zip(path, path[1:]):
-        mid = a + (b - a).scale(Fraction(1, 2))
-        if point_in_polygon(region.loop, mid) != PointLocation.OUTSIDE:
-            raise BadGluingGeometry("curve interiors are not disjoint")
-        edge = Segment(a, b)
-        for c, d in region.loop.edges():
-            other = Segment(c, d)
-            meet = segment_intersection(edge, other)
-            if meet.kind == MeetKind.EMPTY:
-                continue
-            if meet.kind == MeetKind.PROPER or _overlaps_in_segment(edge, other):
-                raise BadGluingGeometry(
-                    "outer boundaries touch away from the junctions")
-            contacts = {p for p in (a, b) if point_on_segment(other, p)}
-            contacts |= {p for p in (c, d) if point_on_segment(edge, p)}
-            if not contacts <= junctions:
-                raise BadGluingGeometry(
-                    "outer boundaries touch away from the junctions")
+    The shared arc is traversed oppositely by the two pieces (_shared_block),
+    so the union is simple exactly when the outer paths meet only at the
+    junctions, and then the interiors are disjoint. Its shoelace sum is the
+    sum of the pieces' (the shared arc's terms cancel), hence positive.
+    """
+    try:
+        return validate_curve(outer_a[:-1] + outer_b[:-1])
+    except NotSimple as exc:
+        raise BadGluingGeometry(
+            "outer boundaries touch away from the junctions") from exc
 
 
 def glue(source_a: PolyJordanCurve, target_a: PolyJordanCurve,
@@ -358,22 +336,18 @@ def glue(source_a: PolyJordanCurve, target_a: PolyJordanCurve,
     shared source arc onto the shared target arc identically. The result maps
     the union boundary by whichever original map covers each side.
     """
-    _, shared_src, outer_src_a = _split_at_arc(source_a, source_b)
-    _, shared_src_b, outer_src_b = _split_at_arc(source_b, source_a)
-    _, shared_tgt, outer_tgt_a = _split_at_arc(target_a, target_b)
-    _, shared_tgt_b, outer_tgt_b = _split_at_arc(target_b, target_a)
+    (shared_src, outer_src_a), (shared_src_b, outer_src_b) = _split_pair(
+        source_a, source_b)
+    (shared_tgt, outer_tgt_a), (shared_tgt_b, outer_tgt_b) = _split_pair(
+        target_a, target_b)
 
     if shared_src_b != list(reversed(shared_src)):
         raise BadGluingGeometry("source arcs disagree between the two curves")
     if shared_tgt_b != list(reversed(shared_tgt)):
         raise BadGluingGeometry("target arcs disagree between the two curves")
 
-    junc_src = {shared_src[0], shared_src[-1]}
-    junc_tgt = {shared_tgt[0], shared_tgt[-1]}
-    _check_outside(outer_src_a, source_b, junc_src)
-    _check_outside(outer_src_b, source_a, junc_src)
-    _check_outside(outer_tgt_a, target_b, junc_tgt)
-    _check_outside(outer_tgt_b, target_a, junc_tgt)
+    glued_source = _union(outer_src_a, outer_src_b)
+    glued_target = _union(outer_tgt_a, outer_tgt_b)
 
     # The maps must agree on the shared arc: compare at every point where
     # either restriction can bend, which pins the whole piecewise map.
@@ -402,10 +376,6 @@ def glue(source_a: PolyJordanCurve, target_a: PolyJordanCurve,
             raise ArcsDisagree(f"maps differ at shared point {p}")
         if not on_path(q_a, tgt_arc_segs):
             raise ArcsDisagree("shared arc does not map onto the shared target arc")
-
-    glued_source = validate_curve(outer_src_a[:-1] + outer_src_b[:-1])
-    glued_target_loop = outer_tgt_a[:-1] + outer_tgt_b[:-1]
-    glued_target = validate_curve(glued_target_loop)
 
     pairs: dict[Fraction, Fraction] = {}
     for curve, target, phi in ((source_a, target_a, phi_a),

@@ -8,15 +8,17 @@ from __future__ import annotations
 import math
 import random
 from fractions import Fraction
+from functools import cmp_to_key
 
-from fpindex.errors import NotTransverse
-from fpindex.exact_geom import PLLoop, RatPoint, pt
+from fpindex.errors import NotPositivelyOriented, NotSimple, NotTransverse
+from fpindex.exact_geom import PLLoop, RatPoint, cmp_directions_ccw, pt
 from fpindex.jordan import (
     CrossingSet,
     PolyJordanCurve,
     check_transverse,
     validate_curve,
 )
+from fpindex.plmap import PLCorrespondence
 from fpindex.torus import StaircasePath
 
 
@@ -58,6 +60,83 @@ def star_polygon(rng: random.Random, n: int, center: RatPoint,
 
 def square_curve(x0, y0, x1, y1) -> PolyJordanCurve:
     return validate_curve([pt(x0, y0), pt(x1, y0), pt(x1, y1), pt(x0, y1)])
+
+
+def grid_curve(rng: random.Random, size: int = 5) -> PolyJordanCurve:
+    """A rectangle or a simple polygon with vertices on the size x size grid.
+
+    Half the draws are axis-parallel rectangles, which often share edges
+    with each other; the rest join 3 to 6 distinct grid points in
+    counterclockwise order around their centroid, redrawn until simple.
+    """
+    while True:
+        if rng.randrange(2):
+            x0, x1 = sorted(rng.sample(range(size), 2))
+            y0, y1 = sorted(rng.sample(range(size), 2))
+            return square_curve(x0, y0, x1, y1)
+        cells = rng.sample(range(size * size), rng.randrange(3, 7))
+        points = [pt(c % size, c // size) for c in cells]
+        center = RatPoint(sum(p.x for p in points) / len(points),
+                          sum(p.y for p in points) / len(points))
+        if center in points:
+            continue
+        points.sort(key=cmp_to_key(
+            lambda p, q: cmp_directions_ccw(p - center, q - center)))
+        try:
+            return validate_curve(points)
+        except (NotSimple, NotPositivelyOriented):
+            continue
+
+
+def identity_params(n: int) -> PLCorrespondence:
+    """The correspondence sending vertex i of an n-gon to vertex i."""
+    return PLCorrespondence(tuple((Fraction(i, n), Fraction(i, n))
+                                  for i in range(n)))
+
+
+def square_map_with_detours(rng: random.Random,
+                            skip_edge: int) -> PLCorrespondence:
+    """Identity on the corners, random extra bends off the shared edge.
+
+    Breakpoints stay inside their own edge band, so every corner still maps
+    to the matching corner and the skipped edge maps affinely onto its image.
+    """
+    pairs = [(Fraction(k, 4), Fraction(k, 4)) for k in range(4)]
+    for edge in range(4):
+        if edge == skip_edge:
+            continue
+        k = rng.randrange(0, 3)
+        if not k:
+            continue
+        ss = sorted(rng.sample(range(1, 16), k))
+        ts = sorted(rng.sample(range(1, 16), k))
+        base = Fraction(edge, 4)
+        pairs.extend((base + Fraction(s, 64), base + Fraction(t, 64))
+                     for s, t in zip(ss, ts))
+    return PLCorrespondence(tuple(sorted(pairs)))
+
+
+def glued_square_fixture(rng: random.Random):
+    """Two source squares sharing the edge x=m, two targets sharing x=M.
+
+    Both pieces send the shared source edge onto the shared target edge by
+    the same y-affine map, so the pair always glues. Returns
+    (source_a, target_a, phi_a, source_b, target_b, phi_b).
+    """
+    y0 = Fraction(rng.randrange(-3, 1))
+    y1 = y0 + rng.randrange(2, 6)
+    x0 = Fraction(rng.randrange(-3, 1))
+    xm = x0 + rng.randrange(1, 4)
+    x1 = xm + rng.randrange(1, 4)
+    ty0 = Fraction(rng.randrange(-6, 3))
+    ty1 = ty0 + rng.randrange(2, 10)
+    tx0 = Fraction(rng.randrange(-6, 3))
+    txm = tx0 + rng.randrange(1, 7)
+    tx1 = txm + rng.randrange(1, 7)
+    return (square_curve(x0, y0, xm, y1), square_curve(tx0, ty0, txm, ty1),
+            square_map_with_detours(rng, skip_edge=1),
+            square_curve(xm, y0, x1, y1), square_curve(txm, ty0, tx1, ty1),
+            square_map_with_detours(rng, skip_edge=3))
 
 
 def random_transverse_pair(

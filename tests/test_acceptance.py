@@ -41,7 +41,12 @@ from fpindex.torus import (
     realize_path,
 )
 
-from geomgen import random_transverse_pair, square_curve, synthesize_constraints
+from geomgen import (
+    glued_square_fixture,
+    random_transverse_pair,
+    square_curve,
+    synthesize_constraints,
+)
 from meander_oracle import enumerate_noncut_words
 from packfix import one_piece_pair, two_piece_pair
 
@@ -135,52 +140,6 @@ def _indexable_map(rng: random.Random, first: PolyJordanCurve,
             continue
 
 
-# -- glued fixtures ----------------------------------------------------------
-
-def _square_map_with_detours(rng: random.Random,
-                             skip_edge: int) -> PLCorrespondence:
-    """Identity on the corners, random extra bends off the shared edge.
-
-    Breakpoints stay inside their own edge band, so every corner still maps
-    to the matching corner and the skipped edge maps affinely onto its image.
-    """
-    pairs = [(F(k, 4), F(k, 4)) for k in range(4)]
-    for edge in range(4):
-        if edge == skip_edge:
-            continue
-        k = rng.randrange(0, 3)
-        if not k:
-            continue
-        ss = sorted(rng.sample(range(1, 16), k))
-        ts = sorted(rng.sample(range(1, 16), k))
-        base = F(edge, 4)
-        pairs.extend((base + F(s, 64), base + F(t, 64))
-                     for s, t in zip(ss, ts))
-    return PLCorrespondence(tuple(sorted(pairs)))
-
-
-def _glued_fixture(rng: random.Random):
-    """Two source squares sharing the edge x=m, two targets sharing x=M.
-
-    Both pieces send the shared source edge onto the shared target edge by
-    the same y-affine map, so the pair always glues.
-    """
-    y0 = F(rng.randrange(-3, 1))
-    y1 = y0 + rng.randrange(2, 6)
-    x0 = F(rng.randrange(-3, 1))
-    xm = x0 + rng.randrange(1, 4)
-    x1 = xm + rng.randrange(1, 4)
-    ty0 = F(rng.randrange(-6, 3))
-    ty1 = ty0 + rng.randrange(2, 10)
-    tx0 = F(rng.randrange(-6, 3))
-    txm = tx0 + rng.randrange(1, 7)
-    tx1 = txm + rng.randrange(1, 7)
-    return (square_curve(x0, y0, xm, y1), square_curve(tx0, ty0, txm, ty1),
-            _square_map_with_detours(rng, skip_edge=1),
-            square_curve(xm, y0, x1, y1), square_curve(txm, ty0, tx1, ty1),
-            _square_map_with_detours(rng, skip_edge=3))
-
-
 # -- affine fixtures ---------------------------------------------------------
 
 def _random_affine(rng: random.Random) -> AffineMap:
@@ -249,7 +208,7 @@ def test_c03_index_adds_under_gluing_on_100_fixtures():
     rng = random.Random(20260803)
     done = 0
     while done < 100:
-        sa, ta, phi_a, sb, tb, phi_b = _glued_fixture(rng)
+        sa, ta, phi_a, sb, tb, phi_b = glued_square_fixture(rng)
         try:
             eta_a = fixed_point_index(sa, ta, phi_a)
             eta_b = fixed_point_index(sb, tb, phi_b)

@@ -253,6 +253,34 @@ class TestRenderCommand:
         assert report["error"] == "InputRejection"
 
 
+
+class TestUnwritableOutput:
+    """An output path in a missing directory is a rejected input."""
+
+    def test_cut_out_reports_on_stdout(self, capsys, tmp_path):
+        out = tmp_path / "missing" / "cut.json"
+        code, report = run(capsys, "cut", fx("fig_interleaved_first.json"),
+                           fx("fig_interleaved_second.json"),
+                           "--out", str(out))
+        assert code == 2
+        assert report["error"] == "InputRejection"
+        assert report["reason"].startswith(f"cannot write {out}: ")
+
+    @pytest.mark.parametrize("argv", [
+        ("render", "faces", "fig_interleaved_first.json",
+         "fig_interleaved_second.json"),
+        ("prescribe", "fig_interleaved_first.json",
+         "fig_interleaved_second.json", "corner_constraints.json"),
+    ], ids=["render_faces", "prescribe"])
+    def test_svg_exits_two(self, capsys, tmp_path, argv):
+        svg = tmp_path / "missing" / "figure.svg"
+        command = [fx(a) if a.endswith(".json") else a for a in argv]
+        code, report = run(capsys, *command, "--svg", str(svg))
+        assert code == 2
+        assert report["error"] == "InputRejection"
+        assert report["reason"].startswith("cannot write ")
+
+
 class TestSelftestCommand:
     def test_passes_and_is_deterministic(self, capsys, tmp_path):
         first = tmp_path / "first.json"

@@ -13,7 +13,14 @@ from fpindex.errors import (
     InputRejection,
     NotOrientationPreserving,
 )
-from fpindex.exact_geom import AffineMap, pt
+from fpindex.exact_geom import (
+    AffineMap,
+    PointLocation,
+    interior_point,
+    point_in_polygon,
+    pt,
+    signed_area,
+)
 from fpindex.jordan import validate_curve
 from fpindex.plmap import (
     PLCorrespondence,
@@ -30,6 +37,8 @@ from fpindex.prescribe import prescribe
 from fpindex.torus import build_diagram, path_of_correspondence, realize_path
 
 from geomgen import (
+    grid_curve,
+    identity_params,
     random_transverse_pair,
     square_curve,
     star_polygon,
@@ -38,10 +47,6 @@ from geomgen import (
 )
 
 F = Fraction
-
-
-def identity_params(n: int) -> PLCorrespondence:
-    return PLCorrespondence(tuple((F(i, n), F(i, n)) for i in range(n)))
 
 
 def rotation_params(n: int, k: int) -> PLCorrespondence:
@@ -308,6 +313,53 @@ class TestGlue:
         overlapping = square_curve(1, 0, 4, 4)
         with pytest.raises(BadGluingGeometry):
             glue(sa, ta, phi_a, overlapping, tb, phi_b)
+
+
+
+def glue_to_itself(first, second):
+    """Glue two curves, each its own target under the identity map."""
+    return glue(first, first, identity_params(len(first)),
+                second, second, identity_params(len(second)))
+
+
+class TestGlueOuterBoundaries:
+    """Pieces that share one arc traversed oppositely, so every rejection
+    below comes from how the rest of the two boundaries meet."""
+
+    square = square_curve(0, 0, 2, 2)
+
+    @pytest.mark.parametrize("vertices", [
+        # B's outer path touches the square at its corner (0, 2)
+        [(2, 0), (4, 0), (4, 4), (-2, 4), (0, 2), (1, 3), (2, 2)],
+        # B's outer path crosses the square's top edge at (1/2, 2)
+        [(2, 0), (4, 0), (4, 4), (F(1, 2), 4), (F(1, 2), 1), (2, 2)],
+        # the outer paths run together along y = 2 from x = 0 to x = 1,
+        # away from the shared arc x = 2, 0 <= y <= 1; this is caught as a
+        # second shared run before the outer-boundary stage
+        [(2, 0), (4, 0), (4, 4), (0, 4), (0, 2), (1, 2), (1, 3), (3, 3),
+         (3, 1), (2, 1)],
+    ], ids=["touch_at_vertex", "cross", "run_together"])
+    def test_rejects_contact_away_from_the_junctions(self, vertices):
+        other = validate_curve([pt(x, y) for x, y in vertices])
+        with pytest.raises(BadGluingGeometry):
+            glue_to_itself(self.square, other)
+
+    def test_grid_sweep_glues_into_the_union(self):
+        rng = random.Random(9100)
+        glued = 0
+        for _ in range(1500):
+            a, b = grid_curve(rng), grid_curve(rng)
+            try:
+                g = glue_to_itself(a, b).source
+            except BadGluingGeometry:
+                continue
+            glued += 1
+            assert signed_area(g.loop) == signed_area(a.loop) + signed_area(b.loop)
+            for piece, other in ((a, b), (b, a)):
+                p = interior_point(piece.loop)
+                assert point_in_polygon(other.loop, p) is PointLocation.OUTSIDE
+                assert point_in_polygon(g.loop, p) is PointLocation.INSIDE
+        assert glued > 100
 
 
 class TestTransform:

@@ -20,7 +20,7 @@ from fpindex.jordan import (
     check_transverse,
     crossing_faces,
 )
-from fpindex.plmap import PLCorrespondence, fixed_point_index, random_correspondence
+from fpindex.plmap import fixed_point_index, random_correspondence
 from fpindex.prescribe import (
     ABOVE,
     BELOW,
@@ -50,15 +50,16 @@ from fpindex.torus import (
     realize_path,
 )
 
-from geomgen import random_transverse_pair, square_curve, synthesize_constraints
+from geomgen import (
+    identity_params,
+    random_transverse_pair,
+    square_curve,
+    synthesize_constraints,
+)
 from test_jordan import alternating_patterns
 from test_torus import reference_all_bases
 
 F = Fraction
-
-
-def identity_params(n: int) -> PLCorrespondence:
-    return PLCorrespondence(tuple((F(i, n), F(i, n)) for i in range(n)))
 
 
 def lens_fixture():

@@ -35,6 +35,7 @@ from fpindex.torus import (
 )
 
 from geomgen import (
+    identity_params,
     path_through_constraints,
     random_monotone_path,
     random_transverse_pair,
@@ -43,10 +44,6 @@ from geomgen import (
 )
 
 F = Fraction
-
-
-def identity_params(n: int) -> PLCorrespondence:
-    return PLCorrespondence(tuple((F(i, n), F(i, n)) for i in range(n)))
 
 
 def lens_fixture():
