@@ -16,9 +16,12 @@ Every error is written as its class and message. A third file records
 `glue` on seeded pairs of grid rectangles and polygons, each curve its own
 target under the identity map, and on the square fixtures of the gluing
 acceptance test: the glued source and target vertices and breakpoints, or
-the error class alone. The script loads `fpindex` from this checkout's
-`src/`, so the dumps of two checkouts are identical exactly when
-`diff -r OUT_A OUT_B` prints nothing.
+the error class alone. A fourth file, `circle.txt`, records the index
+forward and on the inverse map for seeded maps on seeded 64-gon circle
+pairs in four positions (disjoint, nested, two crossings, general), whose
+coordinates carry denominators near 10^12. The script loads `fpindex` from
+this checkout's `src/`, so the dumps of two checkouts are identical exactly
+when `diff -r OUT_A OUT_B` prints nothing.
 """
 from __future__ import annotations
 
@@ -50,6 +53,7 @@ from fpindex.torus import (  # noqa: E402
 )
 
 from geomgen import (  # noqa: E402
+    circle_pools,
     glued_square_fixture,
     grid_curve,
     identity_params,
@@ -64,6 +68,8 @@ CANONICAL_SIZES = range(1, 17)
 ORACLE_MAX_MARKS = 10
 GLUE_GRID_PAIRS = 1000
 GLUE_SQUARE_FIXTURES = 100
+CIRCLE_PAIRS_PER_CLASS = 2
+CIRCLE_MAPS = 25
 
 
 def fmt(value) -> str:
@@ -173,6 +179,21 @@ def glue_dump(seed: int) -> list[str]:
     return out
 
 
+def circle_dump(seed: int) -> list[str]:
+    rng = random.Random(f"kernel-dump-circle:{seed}")
+    out: list[str] = []
+    for cls, pairs in circle_pools(rng, CIRCLE_PAIRS_PER_CLASS).items():
+        for k, (first, second) in enumerate(pairs):
+            out.append(f"# circle {cls} {k}")
+            for _ in range(CIRCLE_MAPS):
+                phi = random_correspondence(rng, rng.randrange(3, 10))
+                out.append(f"phi {fmt(phi.breakpoints)}")
+                out.append(f"index {outcome(fixed_point_index, first, second, phi)}")
+                out.append("inverse "
+                           f"{outcome(fixed_point_index, second, first, phi.invert())}")
+    return out
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("outdir", type=Path)
@@ -180,7 +201,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     args.outdir.mkdir(parents=True, exist_ok=True)
     for name, build in (("random", random_dump), ("canonical", canonical_dump),
-                        ("glue", glue_dump)):
+                        ("glue", glue_dump), ("circle", circle_dump)):
         path = args.outdir / f"{name}.txt"
         path.write_text("\n".join(build(args.seed)) + "\n", encoding="utf-8")
         print("wrote", path)

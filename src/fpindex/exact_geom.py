@@ -7,7 +7,8 @@ configurations are reported, never repaired.
 Predicates run on integers: the points they need are scaled once to integer
 numerators over a common denominator (`integer_coords`, cached per loop as
 `PLLoop.int_coords`), and the integer kernels `cross_int`, `in_box_int`,
-`meet_int` and `origin_winding` decide them without Fraction arithmetic.
+`meet_int`, `edge_crossing` and `origin_winding` decide them without
+Fraction arithmetic.
 
 Sign conventions, used consistently by the whole package:
 
@@ -238,6 +239,14 @@ class PLLoop:
         """The vertices as integer_coords, computed once per loop."""
         return integer_coords(self.vertices)
 
+    @cached_property
+    def edge_y_ranges(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """(low, high): the least and greatest Y of edge i, from vertex i to
+        vertex i + 1, over int_coords' denominator; computed once per loop."""
+        _, _, ys = self.int_coords
+        pairs = list(zip(ys, ys[1:] + ys[:1]))
+        return (tuple([min(p) for p in pairs]), tuple([max(p) for p in pairs]))
+
     def edges(self) -> Iterator[tuple[RatPoint, RatPoint]]:
         n = len(self.vertices)
         for i in range(n):
@@ -260,34 +269,49 @@ def signed_area(loop: PLLoop) -> Fraction:
     return Fraction(total, 2 * den * den)
 
 
+def edge_crossing(xa: int, ya: int, xb: int, yb: int) -> int:
+    """What the step from (xa, ya) to (xb, yb) adds to the winding number
+    around the origin: +1 when it crosses the rightward ray from the origin
+    upward, -1 downward, else 0. Any positive multiple of either point gives
+    the same answer. Raises PointOnLoop when the step meets the origin.
+
+    This is the crossing rule of Hormann and Agathos ("The point in polygon
+    problem for arbitrary polygons", CGTA 2001) on integers: a step whose
+    ends lie strictly on one side of the x-axis is skipped, and otherwise
+    only the signs of Y and of X_a * Y_b - Y_a * X_b are read.
+    """
+    if (ya > 0 and yb > 0) or (ya < 0 and yb < 0):
+        return 0  # the step neither meets nor crosses the x-axis
+    c = xa * yb - ya * xb
+    if c == 0 and xa * xb + ya * yb <= 0:
+        raise PointOnLoop("query point lies on the cycle")
+    if ya <= 0 < yb and c > 0:
+        return 1
+    if yb <= 0 < ya and c < 0:
+        return -1
+    return 0
+
+
 def origin_winding(cycle: Sequence[Sequence[int]]) -> int:
     """Winding number around the origin of a cyclic sequence of points.
 
     Each entry starts with integers (X, Y) standing for some positive
     multiple of the true point; a homogeneous triple (X, Y, W) with W > 0
-    qualifies as it is. Only the signs of Y and of X_a * Y_b - Y_a * X_b are
-    read, and a positive factor changes neither, so W is never needed and no
-    gcd is taken (Hormann and Agathos, "The point in polygon problem for
-    arbitrary polygons", CGTA 2001). Consecutive repeats are harmless.
-    Raises PointOnLoop when the origin lies on the traced path.
+    qualifies as it is. Each step is read by edge_crossing, so W is never
+    needed and no gcd is taken. Consecutive repeats are harmless. Raises
+    PointOnLoop when the origin lies on the traced path.
     """
     if not cycle:
         raise ValueError("empty cycle")
     w = 0
-    for i in range(len(cycle)):
-        xa, ya = cycle[i - 1][0], cycle[i - 1][1]
-        xb, yb = cycle[i][0], cycle[i][1]
-        if (ya > 0 and yb > 0) or (ya < 0 and yb < 0):
-            continue  # the edge neither meets nor crosses the x-axis
-        c = xa * yb - ya * xb
-        if c == 0 and xa * xb + ya * yb <= 0:
-            if not any(q[0] or q[1] for q in cycle):
-                raise PointOnLoop("query point equals the constant cycle")
-            raise PointOnLoop("query point lies on the cycle")
-        if ya <= 0 < yb and c > 0:
-            w += 1
-        elif yb <= 0 < ya and c < 0:
-            w -= 1
+    try:
+        for i in range(len(cycle)):
+            w += edge_crossing(cycle[i - 1][0], cycle[i - 1][1],
+                               cycle[i][0], cycle[i][1])
+    except PointOnLoop:
+        if not any(q[0] or q[1] for q in cycle):
+            raise PointOnLoop("query point equals the constant cycle") from None
+        raise
     return w
 
 

@@ -10,6 +10,18 @@ The index of a correspondence phi between boundaries is the winding number of
 the loop s -> target(phi(s)) - source(s) around the origin. A zero of that
 loop is a boundary fixed point and leaves the index undefined; callers get
 HasFixedPoint instead of a number.
+
+The loop can bend only where phi bends or either curve has a vertex, so one
+merge walk (_bend_walk) lists those bends on integers, with the source edge
+and the target edge holding each. Between two consecutive bends the loop
+stays in one cell, a source edge against a target edge. The index filters
+first and decides exactly after (Yap, "Towards exact geometric
+computation", CGTA 1997): when the target edge's y-range lies strictly
+above or strictly below the source edge's, the loop's y keeps one strict
+sign across the cell, so that step neither meets nor crosses the x-axis and
+adds nothing to the winding number. It is skipped with two comparisons of
+the curves' own integer coordinates. Only steps in cells whose ranges
+overlap or touch get exact integer ends and the crossing rule.
 """
 from __future__ import annotations
 
@@ -34,8 +46,7 @@ from .exact_geom import (
     PLLoop,
     RatPoint,
     Segment,
-    joint_int_coords,
-    origin_winding,
+    edge_crossing,
     point_on_segment,
 )
 from .jordan import PolyJordanCurve, validate_curve
@@ -96,12 +107,16 @@ def random_correspondence(rng, breakpoints: int,
     """Random correspondence with the given number of breakpoints."""
     if breakpoints < 2:
         raise InputRejection("need at least two breakpoints")
+    if breakpoints > denominator:
+        raise InputRejection("more breakpoints than parameters k/denominator")
 
     def draw() -> list[Fraction]:
-        vals: set[Fraction] = set()
-        while len(vals) < breakpoints:
-            vals.add(Fraction(rng.randrange(denominator), denominator))
-        return sorted(vals)
+        # Distinct numerators over one denominator are distinct fractions in
+        # the same order, so each Fraction is made once, after sorting.
+        nums: set[int] = set()
+        while len(nums) < breakpoints:
+            nums.add(rng.randrange(denominator))
+        return [Fraction(k, denominator) for k in sorted(nums)]
 
     s_vals = draw()
     t_vals = draw()
@@ -123,13 +138,15 @@ def _inner_vertices(lo: int, width: int, n: int, den: int,
 
 
 def _bend_walk(n_source: int, n_target: int, phi: PLCorrespondence,
-               ) -> list[tuple[int, int, int]]:
-    """Every parameter where the difference loop can bend, in integers.
+               ) -> list[tuple[int, int, int, int, int]]:
+    """Every parameter where the difference loop can bend, with its cell.
 
     One merge walk over three sorted streams: the breakpoints of phi, the
     source vertices i/n_source, and the preimages of the target vertices
-    j/n_target. Each entry (S, T, G) is a source parameter S/G and its image
-    T/G, both taken mod 1; entries are sorted by S/G mod 1.
+    j/n_target. Each entry (S, T, G, i, j) is a source parameter S/G in
+    [0, 1), its image T/G in [0, 1), the source edge i = floor(n_source S/G)
+    and the target edge j = floor(n_target T/G) that hold them. Entries are
+    sorted by S/G, starting at the first at or after s = 0.
 
     Each piece of phi, from (s_k, t_k) to (s_k+1, t_k+1), has its own
     denominator D, the lcm of its two breakpoints' denominators, so no
@@ -138,10 +155,18 @@ def _bend_walk(n_source: int, n_target: int, phi: PLCorrespondence,
     [0, U), U = lcm(n_source * ds, n_target * dt): every vertex of either
     curve in the piece falls on an integer u, and the piece's entries share
     the denominator G = D * U.
+
+    The edges come without a division per entry: i steps up when the walk
+    passes a source vertex and j when it passes a target-vertex preimage,
+    each wrapping to 0 (and its parameter down by 1) at its curve's vertex
+    count. No vertex lies strictly between two consecutive entries, so the
+    difference loop runs from entry k to entry k + 1 inside cell
+    (i_k, j_k): source edge i_k against target edge j_k.
     """
     bps = phi.breakpoints
     count = len(bps)
-    walk: list[tuple[int, int, int]] = []
+    walk: list[tuple[int, int, int, int, int]] = []
+    wrap = 0
     for k in range(count):
         (sa, ta), (sb, tb) = bps[k], bps[(k + 1) % count]
         den = lcm(sa.denominator, ta.denominator, sb.denominator, tb.denominator)
@@ -155,20 +180,25 @@ def _bend_walk(n_source: int, n_target: int, phi: PLCorrespondence,
         g = den * span
         us = _inner_vertices(s0, ds, n_source, den, span // (n_source * ds))
         ut = _inner_vertices(t0, dt, n_target, den, span // (n_target * dt))
+        us.append(span)
+        ut.append(span)
+        i, j = s0 * n_source // den, t0 * n_target // den
+        s, t = s0 * span, t0 * span
         a = b = u = 0
-        while u < span:
-            walk.append((s0 * span + u * ds, t0 * span + u * dt, g))
-            next_s = us[a] if a < len(us) else span
-            next_t = ut[b] if b < len(ut) else span
-            u = min(next_s, next_t)
+        while True:
+            walk.append((s + u * ds, t + u * dt, g, i, j))
+            next_s, next_t = us[a], ut[b]
+            u = next_s if next_s < next_t else next_t
+            if u == span:
+                break
             if next_s == u:
-                a += 1
+                a, i = a + 1, i + 1
+                if i == n_source:  # s passes 1: the cycle starts here
+                    i, s, wrap = 0, s - g, len(walk)
             if next_t == u:
-                b += 1
-    # Only the last piece passes s = 1; start the cycle there.
-    wrap = len(walk)
-    while wrap and walk[wrap - 1][0] >= walk[wrap - 1][2]:
-        wrap -= 1
+                b, j = b + 1, j + 1
+                if j == n_target:
+                    j, t = 0, t - g
     return walk[wrap:] + walk[:wrap]
 
 
@@ -176,35 +206,42 @@ def _refined_params(source: PolyJordanCurve, target: PolyJordanCurve,
                     phi: PLCorrespondence) -> list[Fraction]:
     """Parameters where the difference loop can bend: breakpoints, source
     vertices, and preimages of target vertices, sorted."""
-    return [Fraction(s % g, g)
-            for s, _, g in _bend_walk(len(source), len(target), phi)]
+    return [Fraction(s, g) for s, _, g, _, _ in
+            _bend_walk(len(source), len(target), phi)]
 
 
-def _difference_cycle(source: PolyJordanCurve, target: PolyJordanCurve,
-                      phi: PLCorrespondence) -> list[tuple[int, int, int]]:
-    """target(phi(s)) - source(s) at every bend, as homogeneous integer
-    triples (X, Y, W), W > 0, standing for the point (X / W, Y / W)."""
-    den, xs_s, ys_s, xs_t, ys_t = joint_int_coords(source.loop, target.loop)
-    n, m = len(xs_s), len(xs_t)
-    cycle = []
-    for s, t, g in _bend_walk(n, m, phi):
-        # Point at parameter s: vertex i plus r/g of the way to vertex i + 1.
-        i, r = divmod(s * n, g)
-        i, i1 = i % n, (i + 1) % n
-        j, q = divmod(t * m, g)
-        j, j1 = j % m, (j + 1) % m
-        cycle.append((
-            xs_t[j] * (g - q) + xs_t[j1] * q - xs_s[i] * (g - r) - xs_s[i1] * r,
-            ys_t[j] * (g - q) + ys_t[j1] * q - ys_s[i] * (g - r) - ys_s[i1] * r,
-            den * g))
-    return cycle
+def _difference_at(source: PolyJordanCurve, target: PolyJordanCurve):
+    """(fs, ft, at): fs and ft take the two curves' integer coordinates
+    (PLLoop.int_coords) to their common denominator D, and at maps a walk
+    entry (S, T, G, i, j) to target(T/G) - source(S/G) as the homogeneous
+    integer triple (X, Y, D * G)."""
+    den_s, xs, ys = source.loop.int_coords
+    den_t, xt, yt = target.loop.int_coords
+    den = lcm(den_s, den_t)
+    fs, ft = den // den_s, den // den_t
+    n, m = len(xs), len(xt)
+
+    def at(entry: tuple[int, int, int, int, int]) -> tuple[int, int, int]:
+        # Point at parameter S/G: vertex i plus r/G of the way to vertex i + 1.
+        s, t, g, i, j = entry
+        r, q = s * n - i * g, t * m - j * g
+        i1, j1 = (i + 1) % n, (j + 1) % m
+        return ((xt[j] * (g - q) + xt[j1] * q) * ft
+                - (xs[i] * (g - r) + xs[i1] * r) * fs,
+                (yt[j] * (g - q) + yt[j1] * q) * ft
+                - (ys[i] * (g - r) + ys[i1] * r) * fs,
+                den * g)
+
+    return fs, ft, at
 
 
 def difference_loop(source: PolyJordanCurve, target: PolyJordanCurve,
                     phi: PLCorrespondence) -> PLLoop:
     """The loop of displacement vectors target(phi(s)) - source(s)."""
+    _, _, at = _difference_at(source, target)
     points: list[RatPoint] = []
-    for x, y, w in _difference_cycle(source, target, phi):
+    for entry in _bend_walk(len(source), len(target), phi):
+        x, y, w = at(entry)
         q = RatPoint(Fraction(x, w), Fraction(y, w))
         if not points or points[-1] != q:
             points.append(q)
@@ -219,16 +256,44 @@ def fixed_point_index(source: PolyJordanCurve, target: PolyJordanCurve,
                       phi: PLCorrespondence) -> int:
     """Winding number of the difference loop around the origin.
 
+    The loop is read off _bend_walk, and only where it can meet the x-axis.
+    Its edge from entry k to entry k + 1 lies in cell (i_k, j_k), so its Y
+    stays between (low of target edge j) - (high of source edge i) and
+    (high of target edge j) - (low of source edge i), the curves' own edge
+    ranges (PLLoop.edge_y_ranges). When that interval lies strictly on one
+    side of 0, both ends of the edge lie strictly on that side and
+    edge_crossing would return 0 for it without raising, so the edge is
+    skipped without arithmetic. Only edges in cells whose ranges overlap or
+    touch get exact integer ends, and each end is computed once.
+
     Raises HasFixedPoint when some boundary point maps to itself, where no
     index is defined.
     """
-    cycle = _difference_cycle(source, target, phi)
-    if not any(x or y for x, y, _ in cycle):
-        raise HasFixedPoint("correspondence is the identity on the boundary")
+    walk = _bend_walk(len(source), len(target), phi)
+    fs, ft, at = _difference_at(source, target)
+    low_s, high_s = source.loop.edge_y_ranges
+    low_t, high_t = target.loop.edge_y_ranges
+    if fs != 1:
+        low_s, high_s = [y * fs for y in low_s], [y * fs for y in high_s]
+    if ft != 1:
+        low_t, high_t = [y * ft for y in low_t], [y * ft for y in high_t]
+    count = len(walk)
+    w = 0
+    done, end = -1, None  # the walk entry whose point `end` holds
     try:
-        return origin_winding(cycle)
+        for k, (_, _, _, i, j) in enumerate(walk):
+            if low_t[j] > high_s[i] or high_t[j] < low_s[i]:
+                continue  # Y keeps one strict sign along the whole edge
+            xa, ya, _ = end if done == k else at(walk[k])
+            done = k + 1
+            end = at(walk[done % count])
+            w += edge_crossing(xa, ya, end[0], end[1])
     except PointOnLoop as exc:
+        if not any(x or y for x, y, _ in map(at, walk)):
+            raise HasFixedPoint(
+                "correspondence is the identity on the boundary") from exc
         raise HasFixedPoint("difference loop passes through the origin") from exc
+    return w
 
 
 def transform_pair(source: PolyJordanCurve, target: PolyJordanCurve,
@@ -357,11 +422,16 @@ def glue(source_a: PolyJordanCurve, target_a: PolyJordanCurve,
     def on_path(p: RatPoint, segs: list[Segment]) -> bool:
         return any(point_on_segment(s, p) for s in segs)
 
+    # Each piece's bends, with the source point at each, serve both passes.
+    pieces = []
+    for curve, target, phi in ((source_a, target_a, phi_a),
+                               (source_b, target_b, phi_b)):
+        pieces.append((target, phi, [(s, curve.point_at(s)) for s in
+                                     _refined_params(curve, target, phi)]))
+
     probe_points: list[RatPoint] = list(shared_src)
-    for curve, phi in ((source_a, phi_a), (source_b, phi_b)):
-        for s in _refined_params(curve, target_a if phi is phi_a else target_b,
-                                 phi):
-            p = curve.point_at(s)
+    for _, _, bends in pieces:
+        for _, p in bends:
             if on_path(p, arc_segs) and p not in probe_points:
                 probe_points.append(p)
 
@@ -378,10 +448,8 @@ def glue(source_a: PolyJordanCurve, target_a: PolyJordanCurve,
             raise ArcsDisagree("shared arc does not map onto the shared target arc")
 
     pairs: dict[Fraction, Fraction] = {}
-    for curve, target, phi in ((source_a, target_a, phi_a),
-                               (source_b, target_b, phi_b)):
-        for s in _refined_params(curve, target, phi):
-            p = curve.point_at(s)
+    for target, phi, bends in pieces:
+        for s, p in bends:
             s_new = glued_source.locate_param(p)
             if s_new is None:
                 continue  # interior of the shared arc

@@ -8,14 +8,13 @@ non-cutting crossing pattern, the packing incompatibility kernel, and affine
 invariance.
 """
 import json
-import math
 import random
 import time
 from fractions import Fraction
 from pathlib import Path
 
-from fpindex.errors import HasFixedPoint, NotTransverse
-from fpindex.exact_geom import AffineMap, PLLoop, RatPoint
+from fpindex.errors import HasFixedPoint
+from fpindex.exact_geom import AffineMap
 from fpindex.jordan import (
     CrossKind,
     PolyJordanCurve,
@@ -42,6 +41,7 @@ from fpindex.torus import (
 )
 
 from geomgen import (
+    circle_pools,
     glued_square_fixture,
     random_transverse_pair,
     square_curve,
@@ -57,74 +57,6 @@ REPORTS = Path(__file__).parents[1] / "reports"
 
 def _load(name: str):
     return load_json_file(str(FIXTURES / name))
-
-
-# -- circle fixtures ---------------------------------------------------------
-
-def _unit_directions(n: int = 64) -> tuple[RatPoint, ...]:
-    """Rational points on the unit circle at near-regular angles."""
-    out = []
-    for k in range(n):
-        u = F(2 * k + 1, 2 * n)
-        t = F(math.tan(math.pi * (float(u) - 0.5))).limit_denominator(10**6)
-        den = 1 + t * t
-        out.append(RatPoint((1 - t * t) / den, 2 * t / den))
-    return tuple(out)
-
-
-_DIRS = _unit_directions()
-
-
-def _circle(cx: Fraction, cy: Fraction, r: Fraction) -> PolyJordanCurve:
-    """Regular 64-gon inscribed in the circle of radius r about (cx, cy)."""
-    return PolyJordanCurve(PLLoop(tuple(
-        RatPoint(cx + r * d.x, cy + r * d.y) for d in _DIRS)))
-
-
-def _quarters(rng: random.Random, lo: int, hi: int) -> Fraction:
-    return F(rng.randrange(4 * lo, 4 * hi + 1), 4)
-
-
-def _circle_pools(rng: random.Random, per_class: int):
-    """Verified circle pairs in four mutual positions.
-
-    Polygon circles inscribed in round circles stay within a relative sag of
-    1 - cos(pi/64), so quarter-unit margins on the radii and separations keep
-    each class's defining property exact; the crossing classes are verified
-    outright.
-    """
-    disjoint, nested, two_cross, general = [], [], [], []
-    while len(disjoint) < per_class:
-        r1, r2 = _quarters(rng, 1, 3), _quarters(rng, 1, 3)
-        d = r1 + r2 + _quarters(rng, 1, 3)
-        disjoint.append((_circle(F(0), F(0), r1), _circle(d, F(0), r2)))
-    while len(nested) < per_class:
-        r_in = _quarters(rng, 1, 2)
-        r_out = r_in + _quarters(rng, 1, 3)
-        cx = F(rng.randrange(-1, 2), 4)
-        cy = F(rng.randrange(-1, 2), 4)
-        inner = _circle(cx, cy, r_in)
-        outer = _circle(F(0), F(0), r_out)
-        nested.append((inner, outer) if rng.randrange(2) else (outer, inner))
-    while len(two_cross) < per_class:
-        r1, r2 = _quarters(rng, 2, 4), _quarters(rng, 2, 4)
-        lo, hi = abs(r1 - r2) + 1, r1 + r2 - 1
-        d = lo + F(rng.randrange(int(4 * (hi - lo)) + 1), 4)
-        pair = (_circle(F(0), F(0), r1), _circle(d, F(0), r2))
-        if len(check_transverse(*pair)) == 2:
-            two_cross.append(pair)
-    while len(general) < per_class:
-        pair = (_circle(F(rng.randrange(-2, 3)), F(rng.randrange(-2, 3)),
-                        _quarters(rng, 1, 4)),
-                _circle(F(rng.randrange(-2, 3)), F(rng.randrange(-2, 3)),
-                        _quarters(rng, 1, 4)))
-        try:
-            if len(check_transverse(*pair)) >= 2:
-                general.append(pair)
-        except NotTransverse:
-            continue
-    return {"disjoint": disjoint, "nested": nested,
-            "two_cross": two_cross, "general": general}
 
 
 def _indexable_map(rng: random.Random, first: PolyJordanCurve,
@@ -185,7 +117,7 @@ def test_c01_figure_fixtures_reproduce_exact_indices():
 def test_c02_circle_index_laws_hold_on_1000_maps():
     t0 = time.monotonic()
     rng = random.Random(20260802)
-    pools = _circle_pools(rng, per_class=5)
+    pools = circle_pools(rng, per_class=5)
     classes = ("disjoint", "nested", "two_cross", "general")
     trials = 0
     for i in range(1000):

@@ -9,6 +9,7 @@ from fpindex.errors import (
     ArcsDisagree,
     BadGluingGeometry,
     DegenerateLoop,
+    FpIndexError,
     HasFixedPoint,
     InputRejection,
     NotOrientationPreserving,
@@ -17,11 +18,12 @@ from fpindex.exact_geom import (
     AffineMap,
     PointLocation,
     interior_point,
+    joint_int_coords,
     point_in_polygon,
     pt,
     signed_area,
 )
-from fpindex.jordan import validate_curve
+from fpindex.jordan import canonical_noncut_pair, validate_curve
 from fpindex.plmap import (
     PLCorrespondence,
     _bend_walk,
@@ -37,6 +39,7 @@ from fpindex.prescribe import prescribe
 from fpindex.torus import build_diagram, path_of_correspondence, realize_path
 
 from geomgen import (
+    circle_pools,
     grid_curve,
     identity_params,
     random_transverse_pair,
@@ -88,6 +91,38 @@ class TestPLCorrespondence:
             for _ in range(10):
                 s = F(rng.randrange(2048), 2048)
                 assert inv.evaluate(phi.evaluate(s)) == s
+
+
+def reference_random_correspondence(rng, breakpoints: int,
+                                    denominator: int = 1024):
+    """random_correspondence drawing Fractions straight into its sets."""
+    def draw():
+        vals = set()
+        while len(vals) < breakpoints:
+            vals.add(F(rng.randrange(denominator), denominator))
+        return sorted(vals)
+    s_vals, t_vals = draw(), draw()
+    shift = rng.randrange(breakpoints)
+    return PLCorrespondence(tuple(zip(s_vals, t_vals[shift:] + t_vals[:shift])))
+
+
+class TestRandomCorrespondence:
+    def test_same_draws_as_the_fraction_sets(self):
+        sizes = random.Random(8800)
+        for seed in range(400):
+            denominator = sizes.choice((3, 12, 64, 1024))
+            count = sizes.randrange(2, min(denominator, 10) + 1)
+            got_rng, want_rng = random.Random(seed), random.Random(seed)
+            got = random_correspondence(got_rng, count, denominator)
+            want = reference_random_correspondence(want_rng, count, denominator)
+            assert got.breakpoints == want.breakpoints
+            assert got_rng.getstate() == want_rng.getstate()
+
+    def test_rejects_more_breakpoints_than_parameters(self):
+        # there are only four parameters k/4; the draw would never finish
+        with pytest.raises(InputRejection):
+            random_correspondence(random.Random(0), 5, 4)
+        assert len(random_correspondence(random.Random(0), 4, 4).breakpoints) == 4
 
 
 class TestIndex:
@@ -229,18 +264,24 @@ def mixed_correspondence(rng, count: int) -> PLCorrespondence:
 
 
 def walk_points(walk):
-    return [(F(s, g), F(t, g)) for s, t, g in walk]
+    """Each entry's parameter and image as rationals, both taken mod 1."""
+    return [(F(s, g) % 1, F(t, g) % 1) for s, t, g, *_ in walk]
 
 
 class TestBendWalkPerPiece:
     def check_walk(self, n_source, n_target, phi) -> bool:
         """Same entries as rationals and in the same order; every per-piece
-        denominator divides the common one. True if one is smaller."""
+        denominator divides the common one; each entry lies in [0, 1) and
+        names the source and target edges holding it. True if one
+        denominator is smaller."""
         got = _bend_walk(n_source, n_target, phi)
         want = reference_bend_walk(n_source, n_target, phi)
         assert walk_points(got) == walk_points(want)
-        assert all(g_old % g == 0 for (_, _, g), (_, _, g_old) in zip(got, want))
-        return any(g < g_old for (_, _, g), (_, _, g_old) in zip(got, want))
+        for s, t, g, i, j in got:
+            assert 0 <= s < g and 0 <= t < g
+            assert (i, j) == (s * n_source // g, t * n_target // g)
+        assert all(g_old % g == 0 for (_, _, g, *_), (_, _, g_old) in zip(got, want))
+        return any(g < g_old for (_, _, g, *_), (_, _, g_old) in zip(got, want))
 
     def test_matches_the_common_denominator_walk(self):
         rng = random.Random(8100)
@@ -268,6 +309,160 @@ class TestBendWalkPerPiece:
                 realized = realize_path(diagram, path)
                 smaller += self.check_walk(len(first), len(second), realized)
         assert smaller > 30
+
+
+def reference_origin_winding(cycle):
+    """The winding rule read on every edge of the cycle."""
+    w = 0
+    for i in range(len(cycle)):
+        xa, ya = cycle[i - 1][0], cycle[i - 1][1]
+        xb, yb = cycle[i][0], cycle[i][1]
+        if (ya > 0 and yb > 0) or (ya < 0 and yb < 0):
+            continue
+        c = xa * yb - ya * xb
+        if c == 0 and xa * xb + ya * yb <= 0:
+            raise HasFixedPoint("difference loop passes through the origin")
+        if ya <= 0 < yb and c > 0:
+            w += 1
+        elif yb <= 0 < ya and c < 0:
+            w -= 1
+    return w
+
+
+def reference_fixed_point_index(source, target, phi):
+    """The index from every bend: the common-denominator walk, each bend
+    placed by divmod as a homogeneous triple over the joint denominator,
+    and every edge of the difference loop wound."""
+    den, xs_s, ys_s, xs_t, ys_t = joint_int_coords(source.loop, target.loop)
+    n, m = len(xs_s), len(xs_t)
+    cycle = []
+    for s, t, g in reference_bend_walk(n, m, phi):
+        i, r = divmod(s * n, g)
+        i, i1 = i % n, (i + 1) % n
+        j, q = divmod(t * m, g)
+        j, j1 = j % m, (j + 1) % m
+        cycle.append((
+            xs_t[j] * (g - q) + xs_t[j1] * q - xs_s[i] * (g - r) - xs_s[i1] * r,
+            ys_t[j] * (g - q) + ys_t[j1] * q - ys_s[i] * (g - r) - ys_s[i1] * r,
+            den * g))
+    if not any(x or y for x, y, _ in cycle):
+        raise HasFixedPoint("correspondence is the identity on the boundary")
+    return reference_origin_winding(cycle)
+
+
+def index_outcome(index, source, target, phi):
+    """The index, or the error's class name and message."""
+    try:
+        return index(source, target, phi)
+    except FpIndexError as exc:
+        return type(exc).__name__, str(exc)
+
+
+THROUGH_ORIGIN = ("HasFixedPoint", "difference loop passes through the origin")
+IDENTITY = ("HasFixedPoint", "correspondence is the identity on the boundary")
+
+
+def cell_relations(source, target, phi) -> dict[str, int]:
+    """How each walk entry's cell compares the target edge's y-range with
+    the source edge's: "apart" (strictly above or below), "touch" (sharing
+    only an end value) or "overlap"."""
+    _, _, ys_s, _, ys_t = joint_int_coords(source.loop, target.loop)
+    counts = {"apart": 0, "touch": 0, "overlap": 0}
+    for _, _, _, i, j in _bend_walk(len(source), len(target), phi):
+        lo_s, hi_s = sorted((ys_s[i], ys_s[(i + 1) % len(ys_s)]))
+        lo_t, hi_t = sorted((ys_t[j], ys_t[(j + 1) % len(ys_t)]))
+        if lo_t > hi_s or hi_t < lo_s:
+            counts["apart"] += 1
+        elif lo_t == hi_s or hi_t == lo_s:
+            counts["touch"] += 1
+        else:
+            counts["overlap"] += 1
+    return counts
+
+
+class TestPrunedIndex:
+    """fixed_point_index builds exact ends only for the difference-loop
+    edges whose cell's y-ranges overlap or touch; it must give the value, or
+    the error class and message, of the reference that winds every bend."""
+
+    def check(self, source, target, phi):
+        got = index_outcome(fixed_point_index, source, target, phi)
+        assert got == index_outcome(reference_fixed_point_index,
+                                    source, target, phi)
+        return got
+
+    def test_circle_pairs_forward_and_inverse(self):
+        rng = random.Random(8300)
+        pools = circle_pools(rng, per_class=1)
+        apart = total = 0
+        for (first, second), in pools.values():
+            for _ in range(10):
+                phi = random_correspondence(rng, rng.randrange(3, 10))
+                for pair in ((first, second, phi),
+                             (second, first, phi.invert())):
+                    self.check(*pair)
+                    counts = cell_relations(*pair)
+                    apart += counts["apart"]
+                    total += sum(counts.values())
+        # the filter's main path: most bends need no exact products
+        assert apart > 0.8 * total
+
+    def test_star_and_canonical_pairs(self):
+        rng = random.Random(8400)
+        pairs = [random_transverse_pair(rng)[:2] for _ in range(30)]
+        pairs += [canonical_noncut_pair(m) for m in range(1, 9)]
+        for first, second in pairs:
+            for _ in range(3):
+                phi = random_correspondence(rng, rng.randrange(3, 10))
+                self.check(first, second, phi)
+                self.check(second, first, phi.invert())
+
+    def test_realized_maps(self):
+        rng = random.Random(8500)
+        for _ in range(12):
+            first, second, crossings = random_transverse_pair(rng)
+            phi = random_correspondence(rng, rng.randrange(3, 9))
+            diagram = build_diagram(first, second, crossings,
+                                    synthesize_constraints(crossings, phi, rng))
+            for path in (path_of_correspondence(diagram, phi),
+                         prescribe(diagram)[0]):
+                self.check(first, second, realize_path(diagram, path))
+
+    def test_identity_maps(self):
+        rng = random.Random(8600)
+        star = validate_curve(star_polygon(rng, 9, pt(0, 0), 2, 4))
+        (circle, _), = circle_pools(rng, per_class=1)["disjoint"]
+        two_pieces = PLCorrespondence(((F(0), F(0)), (F(1, 2), F(1, 2))))
+        for c in (square_curve(0, 0, 2, 2), star, circle):
+            assert self.check(c, c, identity_params(len(c))) == IDENTITY
+            assert self.check(c, c, two_pieces) == IDENTITY
+
+    @pytest.mark.parametrize("target", [
+        # mid-edge: both bottom-edge midpoints are (1, 0)
+        [(-1, -1), (3, 1), (3, 5), (-1, 5)],
+        # at a breakpoint: the shared corner (0, 0)
+        [(0, 0), (3, -1), (3, 4), (-1, 4)],
+        # at a target vertex off the breakpoints and source vertices
+        [(0, -1), (1, 0), (3, -1), (3, 1), (3, 5), (1, 5), (-1, 5), (-1, 1)],
+    ], ids=["mid_edge", "breakpoint", "target_vertex"])
+    def test_differences_through_the_origin(self, target):
+        a = square_curve(0, 0, 2, 4)
+        b = validate_curve([pt(x, y) for x, y in target])
+        assert self.check(a, b, identity_params(4)) == THROUGH_ORIGIN
+
+    def test_horizontal_edges_and_touching_ranges(self):
+        # Grid curves have horizontal edges and share y values, and maps
+        # over small denominators land bends on vertices: many cells touch
+        # exactly, and many difference loops pass through the origin.
+        rng = random.Random(8700)
+        touching = through_origin = 0
+        for _ in range(400):
+            a, b = grid_curve(rng), grid_curve(rng)
+            phi = random_correspondence(rng, rng.randrange(2, 5),
+                                        rng.choice((4, 8, 12)))
+            through_origin += self.check(a, b, phi) == THROUGH_ORIGIN
+            touching += cell_relations(a, b, phi)["touch"] > 0
+        assert touching > 100 and through_origin > 20
 
 
 def nested_glue_fixture():
@@ -307,6 +502,28 @@ class TestGlue:
         far = square_curve(50, 0, 54, 4)
         with pytest.raises(BadGluingGeometry):
             glue(sa, ta, phi_a, far, tb, phi_b)
+
+    @pytest.mark.parametrize("mid", [F(1, 2), F(1)])
+    def test_one_map_passed_twice_equals_an_equal_copy(self, mid):
+        # Piece b's target has eight vertices, piece a's four. Its vertex
+        # (2, mid) is the image of the source point (2, 1), where piece a's
+        # map gives (2, 1); so the pieces disagree there unless mid = 1.
+        sa = ta = square_curve(0, 0, 2, 2)
+        sb = square_curve(2, 0, 4, 2)
+        tb = validate_curve([pt(2, 0), pt(3, 0), pt(4, 0), pt(4, 1), pt(4, 2),
+                             pt(3, 2), pt(2, 2), pt(2, mid)])
+        phi = identity_params(4)
+
+        def outcome(phi_b):
+            try:
+                g = glue(sa, ta, phi, sb, tb, phi_b)
+            except FpIndexError as exc:
+                return type(exc).__name__, str(exc)
+            return g.source.vertices, g.target.vertices, g.phi.breakpoints
+
+        same = outcome(phi)
+        assert same == outcome(PLCorrespondence(phi.breakpoints))
+        assert (same[0] == "ArcsDisagree") == (mid != 1)
 
     def test_glue_rejects_overlapping_interiors(self):
         sa, ta, phi_a, sb, tb, phi_b = nested_glue_fixture()
