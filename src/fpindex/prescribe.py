@@ -17,16 +17,16 @@ threads the midline of the corridor those points leave open.
 
 Every mark and constraint sits at an integer token rank k of n, so the
 solver decides positions on those ranks: realizability, cells, frame checks
-and each pair's box frame (a cyclic shift of the ranks) compare integers.
+and each pair's box frame (a cyclic shift of the ranks) compare integers,
+and a box's edges, halfway between ranks, are integers in units of 1/(2n).
 Threading runs on integers too: a path's vertices are ranks times a scale
 that keeps every midpoint an integer, each mark's side is one comparison at
 its own column's vertex, and the index is read from those sides. So the
 value of a below-set, the oracle's sweep and the reinserted pair's sides
 against a child's path (its vertices lifted to parent ranks) build no path
 and no `Fraction`. `Fraction`s remain in the returned path, which is the
-integer walk scaled once, in `AdjacencyBox` fields, and in the oracle's
-extra anchors, which lie off the token grid and whose denominators join the
-scale.
+integer walk scaled once, and in the oracle's extra anchors, which lie off
+the token grid and whose denominators join the scale.
 """
 from __future__ import annotations
 
@@ -56,12 +56,12 @@ ABOVE = "above"
 _FALLBACK_BITS = ((ABOVE, BELOW), (BELOW, ABOVE), (BELOW, BELOW), (ABOVE, ABOVE))
 
 
-def _cell(value: Fraction | int, bounds: tuple[Fraction | int, Fraction | int],
-          ) -> int:
+def _cell(value: int, bounds: tuple[int, int]) -> int:
     """0, 1, or 2 depending on which side of the two grid lines value falls."""
-    if value in bounds:
+    lo, hi = bounds
+    if value == lo or value == hi:
         raise InvariantFailure("cell query landed on a grid line")
-    return sum(1 for b in bounds if value > b)
+    return (value > lo) + (value > hi)
 
 
 @dataclass(frozen=True)
@@ -70,32 +70,35 @@ class AdjacencyBox:
 
     Coordinates live in the unit square cut at `base_constraint`, chosen as
     the first constraint behind the entry mark so that the box's left edge
-    falls in the leftmost column cell. The row interval is lifted: `row_hi`
-    greater than 1 means the box wraps through the cut row. `descends`
-    records that the entry mark sits above the exit mark, so the pair falls
-    left to right. `grid_cols`/`grid_rows` hold the other two constraints'
-    coordinates, which split the square into nine cells.
+    falls in the leftmost column cell. They are integers in units of 1/unit,
+    where unit = 2n for a size-n diagram, so the square's side is `unit`.
+    The row interval is lifted: `row_hi` greater than `unit` means the box
+    wraps through the cut row. `descends` records that the entry mark sits
+    above the exit mark, so the pair falls left to right.
+    `grid_cols`/`grid_rows` hold the other two constraints' coordinates,
+    which split the square into nine cells.
     """
 
     entry_id: int
     exit_id: int
     base_constraint: int
     descends: bool
-    col_lo: Fraction
-    col_hi: Fraction
-    row_lo: Fraction
-    row_hi: Fraction
-    grid_cols: tuple[Fraction, Fraction]
-    grid_rows: tuple[Fraction, Fraction]
+    col_lo: int
+    col_hi: int
+    row_lo: int
+    row_hi: int
+    grid_cols: tuple[int, int]
+    grid_rows: tuple[int, int]
+    unit: int
 
     @property
     def wrap(self) -> bool:
-        return self.row_hi > 1
+        return self.row_hi > self.unit
 
     @property
-    def row_top(self) -> Fraction:
+    def row_top(self) -> int:
         """Top edge folded back into the unit square."""
-        return self.row_hi - 1 if self.wrap else self.row_hi
+        return self.row_hi - self.unit if self.wrap else self.row_hi
 
     @property
     def lower_left_cell(self) -> tuple[int, int]:
@@ -120,7 +123,13 @@ class BoxCategory(Enum):
 
 
 def find_doubly_adjacent(diagram: TorusDiagram) -> list[AdjacencyBox]:
-    """All crossing pairs adjacent along both curves, entry mark first.
+    """Every doubly adjacent pair's box, in column order."""
+    return [_build_box(diagram, *pair) for pair in _adjacent_pairs(diagram)]
+
+
+def _adjacent_pairs(diagram: TorusDiagram) -> list[tuple]:
+    """(entry mark, partner mark, descends) for each doubly adjacent pair,
+    in column order; no box is built.
 
     Adjacent means consecutive among the marks, so only constraint tokens
     may separate the two. Along the columns the entry mark (where the first
@@ -128,18 +137,17 @@ def find_doubly_adjacent(diagram: TorusDiagram) -> list[AdjacencyBox]:
     A pair that wraps past the constraint its frame is cut at has no box
     and is skipped.
     """
-    marks = diagram.marks
+    marks = diagram.marks  # in column order
     if len(marks) < 4:
         raise TooFewCrossings("pair selection needs at least four crossings")
-    by_col = sorted(marks, key=lambda m: m.col)
-    by_row = sorted(marks, key=lambda m: m.row)
-    row_rank = {m.crossing_id: i for i, m in enumerate(by_row)}
+    row_rank = {tok[1]: i for i, tok in
+                enumerate([t for t in diagram.row_order if t[0] == "m"])}
     count = len(marks)
-    boxes = []
-    for i, entry in enumerate(by_col):
+    pairs = []
+    for i, entry in enumerate(marks):
         if entry.kind is not CrossKind.P:
             continue
-        partner = by_col[(i + 1) % count]
+        partner = marks[(i + 1) % count]
         if partner.kind is not CrossKind.PTILDE:
             raise InvariantFailure("mark kinds stopped alternating")
         gap = (row_rank[entry.crossing_id] - row_rank[partner.crossing_id]) % count
@@ -153,11 +161,11 @@ def find_doubly_adjacent(diagram: TorusDiagram) -> list[AdjacencyBox]:
         if partner.col < entry.col and partner.col > diagram.constraint_rank(
                 _frame_base(diagram, entry))[0]:
             continue
-        boxes.append(_build_box(diagram, entry, partner, descends))
-    if len(boxes) < 2:
+        pairs.append((entry, partner, descends))
+    if len(pairs) < 2:
         raise AssumptionViolated(
-            f"only {len(boxes)} doubly adjacent pairs found", diagram.dump())
-    return boxes
+            f"only {len(pairs)} doubly adjacent pairs found", diagram.dump())
+    return pairs
 
 
 def _frame_base(diagram: TorusDiagram, entry) -> int:
@@ -201,15 +209,12 @@ def _build_box(diagram, entry, partner, descends: bool) -> AdjacencyBox:
         mc, mr = frame(m.col, m.row)
         if ec <= mc <= xc and (bottom <= mr <= lifted or mr <= lifted - n):
             raise InvariantFailure("box swallowed a third crossing mark")
-    half = 2 * n
     return AdjacencyBox(entry_id=entry.crossing_id, exit_id=partner.crossing_id,
                         base_constraint=base, descends=descends,
-                        col_lo=Fraction(2 * ec - 1, half),
-                        col_hi=Fraction(2 * xc + 1, half),
-                        row_lo=Fraction(2 * bottom - 1, half),
-                        row_hi=Fraction(2 * lifted + 1, half),
-                        grid_cols=(Fraction(f2c, n), Fraction(f3c, n)),
-                        grid_rows=(Fraction(f2r, n), Fraction(f3r, n)))
+                        col_lo=2 * ec - 1, col_hi=2 * xc + 1,
+                        row_lo=2 * bottom - 1, row_hi=2 * lifted + 1,
+                        grid_cols=(2 * f2c, 2 * f3c),
+                        grid_rows=(2 * f2r, 2 * f3r), unit=2 * n)
 
 
 def classify_box(box: AdjacencyBox) -> BoxCategory:
@@ -235,16 +240,17 @@ def _holds_lattice_point(box: AdjacencyBox) -> bool:
     for x, y in zip(box.grid_cols, box.grid_rows):
         if not box.col_lo < x < box.col_hi:
             continue
-        if box.row_lo < y < box.row_hi or box.row_lo < y + 1 < box.row_hi:
+        if box.row_lo < y < box.row_hi or \
+                box.row_lo < y + box.unit < box.row_hi:
             return True
     return False
 
 
 def _meets_diagonal_cells(box: AdjacencyBox) -> bool:
-    xs = (Fraction(0), *box.grid_cols, Fraction(1))
-    ys = (Fraction(0), *box.grid_rows, Fraction(1))
+    xs = (0, *box.grid_cols, box.unit)
+    ys = (0, *box.grid_rows, box.unit)
     if box.wrap:
-        parts = ((box.row_lo, Fraction(1)), (Fraction(0), box.row_top))
+        parts = ((box.row_lo, box.unit), (0, box.row_top))
     else:
         parts = ((box.row_lo, box.row_hi),)
     for i in range(3):
@@ -563,10 +569,12 @@ def _solve_single_cell(diagram, depth, levels) -> frozenset[int] | None:
 
 
 def _solve_by_pairs(diagram, depth, levels) -> frozenset[int]:
-    """Try the doubly adjacent pairs in column order, classifying each box
-    only when it is reached; FORBIDDEN boxes are reported after the rest."""
+    """Try the doubly adjacent pairs in column order, building and
+    classifying each box only when it is reached; FORBIDDEN boxes are
+    reported after the rest."""
     failures, forbidden = [], []
-    for box in find_doubly_adjacent(diagram):
+    for entry, partner, descends in _adjacent_pairs(diagram):
+        box = _build_box(diagram, entry, partner, descends)
         pair = (box.entry_id, box.exit_id)
         category = classify_box(box)
         if category is BoxCategory.FORBIDDEN:

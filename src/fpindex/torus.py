@@ -31,7 +31,7 @@ and sides at the first, with no diagram or path rebuilt.
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
@@ -65,12 +65,21 @@ class Containment(Enum):
 
 @dataclass(frozen=True)
 class TorusMark:
+    """A crossing at token ranks (col, row) of a size-n diagram."""
+
     crossing_id: int
     kind: CrossKind
     col: int
     row: int
-    x: Fraction
-    y: Fraction
+    size: int
+
+    @property
+    def x(self) -> Fraction:
+        return Fraction(self.col, self.size)
+
+    @property
+    def y(self) -> Fraction:
+        return Fraction(self.row, self.size)
 
 
 @dataclass(frozen=True)
@@ -147,9 +156,7 @@ class TorusDiagram:
                 continue
             row = row_pos[tok]
             out.append(TorusMark(crossing_id=tok[1], kind=kind_map[tok[1]],
-                                 col=col, row=row,
-                                 x=Fraction(col, self.size),
-                                 y=Fraction(row, self.size)))
+                                 col=col, row=row, size=self.size))
         return tuple(out)
 
     @cached_property
@@ -212,9 +219,11 @@ class TorusDiagram:
     def without_marks(self, ids: Iterable[int]) -> "TorusDiagram":
         """Drop the given marks, keeping every other token's cyclic position.
 
-        Dropping the last marks freezes the current membership answer into a
-        containment tag: removing a doubly adjacent pair never sweeps across
-        a constraint point, so its membership is unchanged.
+        The child is purely combinatorial: token orders, kinds and a
+        containment tag, with no true parameters or linked curves. Dropping
+        the last marks freezes the current membership answer into that tag:
+        removing a doubly adjacent pair never sweeps across a constraint
+        point, so its membership is unchanged.
         """
         gone = set(ids)
         keep = lambda t: t[0] != "m" or t[1] not in gone
@@ -229,30 +238,8 @@ class TorusDiagram:
             containment = (Containment.FIRST_INSIDE_SECOND if in_second
                            else Containment.SECOND_INSIDE_FIRST if in_first
                            else Containment.DISJOINT)
-        col_params = _filter_params(self.col_params, self.col_order, keep)
-        row_params = _filter_params(self.row_params, self.row_order, keep)
         return TorusDiagram(col_order=new_cols, row_order=new_rows,
-                            kinds=new_kinds, containment=containment,
-                            col_params=col_params, row_params=row_params)
-
-    def rebased(self, i: int) -> "TorusDiagram":
-        """The same torus cut at constraint i, which becomes constraint 1."""
-        if i == 1:
-            return self
-        relabel = {("c", j): ("c", (j - i) % 3 + 1) for j in (1, 2, 3)}
-        rename = lambda t: relabel.get(t, t)
-        col_start = self.col_order.index(("c", i))
-        row_start = self.row_order.index(("c", i))
-        new_cols = tuple(rename(t) for t in
-                         self.col_order[col_start:] + self.col_order[:col_start])
-        new_rows = tuple(rename(t) for t in
-                         self.row_order[row_start:] + self.row_order[:row_start])
-        col_params = None if self.col_params is None else \
-            self.col_params[col_start:] + self.col_params[:col_start]
-        row_params = None if self.row_params is None else \
-            self.row_params[row_start:] + self.row_params[:row_start]
-        return replace(self, col_order=new_cols, row_order=new_rows,
-                       col_params=col_params, row_params=row_params)
+                            kinds=new_kinds, containment=containment)
 
     def dump(self, path: "StaircasePath | None" = None) -> str:
         """ASCII rendering, one character cell per token pair, top row first."""
@@ -310,12 +297,6 @@ def _position_of_param(params: tuple[Fraction, ...] | None,
     return (k + frac) / size
 
 
-def _filter_params(params, order, keep):
-    if params is None:
-        return None
-    return tuple(p for p, t in zip(params, order) if keep(t))
-
-
 def build_diagram(first: PolyJordanCurve, second: PolyJordanCurve,
                   crossings: CrossingSet,
                   constraint_pairs: Sequence[tuple[Fraction, Fraction]],
@@ -325,7 +306,8 @@ def build_diagram(first: PolyJordanCurve, second: PolyJordanCurve,
     Each pair is (source parameter, target parameter). Constraint parameters
     must be distinct from each other and from every crossing parameter, and
     the three target parameters must follow the same cyclic order as the
-    sources, or no orientation-preserving map through them exists.
+    sources, or no orientation-preserving map through them exists. The pairs
+    are listed in that cyclic order from the first, which becomes the cut.
     """
     if len(constraint_pairs) != 3:
         raise InputRejection("exactly three prescribed pairs are required")
@@ -345,16 +327,18 @@ def build_diagram(first: PolyJordanCurve, second: PolyJordanCurve,
     if (s_off[0] < s_off[1]) != (t_off[0] < t_off[1]):
         raise OrderViolation(
             "prescribed pairs are cyclically incompatible with orientation")
+    if s_off[0] > s_off[1]:
+        raise OrderViolation("prescribed pairs must be listed in cyclic order "
+                             "from the first pair")
 
-    col_items = [(Fraction(0), ("c", 1)), (s_off[0], ("c", 2)),
-                 (s_off[1], ("c", 3))]
-    row_items = [(Fraction(0), ("c", 1)), (t_off[0], ("c", 2)),
-                 (t_off[1], ("c", 3))]
+    col_items = [(s, ("c", i)) for i, (s, _) in enumerate(pairs, 1)]
+    row_items = [(t, ("c", i)) for i, (_, t) in enumerate(pairs, 1)]
     for c in crossings:
-        col_items.append(((c.param_k - s1) % 1, ("m", c.index)))
-        row_items.append(((c.param_kt - t1) % 1, ("m", c.index)))
-    col_items.sort()
-    row_items.sort()
+        col_items.append((c.param_k % 1, ("m", c.index)))
+        row_items.append((c.param_kt % 1, ("m", c.index)))
+    # every parameter is distinct, so the offsets from the cut never tie
+    col_items.sort(key=lambda item: (item[0] - s1) % 1)
+    row_items.sort(key=lambda item: (item[0] - t1) % 1)
 
     containment = None
     if len(crossings) == 0:
@@ -371,8 +355,8 @@ def build_diagram(first: PolyJordanCurve, second: PolyJordanCurve,
         row_order=tuple(t for _, t in row_items),
         kinds=tuple((c.index, c.kind) for c in crossings),
         containment=containment,
-        col_params=tuple((off + s1) % 1 for off, _ in col_items),
-        row_params=tuple((off + t1) % 1 for off, _ in row_items),
+        col_params=tuple(p for p, _ in col_items),
+        row_params=tuple(p for p, _ in row_items),
         first=first, second=second, crossings=crossings)
 
 
@@ -560,9 +544,9 @@ def delta_split(diagram: TorusDiagram, path: StaircasePath,
     One merge walk: the marks come in column order, so a single pointer
     runs along the path's vertices. A mark at a vertex's x is compared with
     that vertex; any other mark takes the side of the segment over it from
-    the sign of a cross product, with no division. A mark sits at
-    (col / n, row / n), so comparing it with a vertex p / q multiplies
-    integers only.
+    the sign of a cross product. A mark sits at (col / n, row / n), so both
+    tests multiply integers only: the cross product is taken over the
+    common denominator of the mark and the segment's ends.
     """
     below, above = set(), set()
     n = diagram.size
@@ -577,7 +561,11 @@ def delta_split(diagram: TorusDiagram, path: StaircasePath,
             side = m.row * y1.denominator - y1.numerator * n
         else:
             x0, y0 = pts[k - 1]
-            side = (m.y - y0) * (x1 - x0) - (y1 - y0) * (m.x - x0)
+            (a0, b0), (a1, b1) = x0.as_integer_ratio(), x1.as_integer_ratio()
+            (c0, d0), (c1, d1) = y0.as_integer_ratio(), y1.as_integer_ratio()
+            # (m.y - y0) (x1 - x0) - (y1 - y0) (m.x - x0), times n b0 b1 d0 d1
+            side = ((m.row * d0 - c0 * n) * d1 * (a1 * b0 - a0 * b1)
+                    - (c1 * d0 - c0 * d1) * (m.col * b0 - a0 * n) * b1)
         if side == 0:
             raise PathHitsMark(f"path passes through mark {m.crossing_id}")
         (below if side < 0 else above).add(m.crossing_id)

@@ -114,6 +114,21 @@ class TestPrescribeCommand:
         golden = (FIXTURES / "golden_twelve_trace.json").read_bytes()
         assert out.read_bytes() == golden
 
+    def test_pairs_out_of_listed_order_exit_two(self, capsys, tmp_path):
+        # rows 2 and 3 swapped: the same cyclic order on both curves, but
+        # not listed in that order from the first pair
+        data = json.loads((FIXTURES / "twelve_constraints.json").read_text())
+        rows = data["constraints"]
+        rows[1], rows[2] = rows[2], rows[1]
+        swapped = tmp_path / "swapped.json"
+        swapped.write_text(json.dumps(data))
+        code, report = run(capsys, "prescribe", fx("fig_twelve_first.json"),
+                           fx("fig_twelve_second.json"), str(swapped))
+        assert code == 2
+        assert report["error"] == "OrderViolation"
+        assert report["reason"] == ("prescribed pairs must be listed in "
+                                    "cyclic order from the first pair")
+
     def test_svg_per_level(self, capsys, tmp_path):
         svg = tmp_path / "levels.svg"
         code, report = run(capsys, "prescribe",

@@ -1,6 +1,8 @@
 """Three-point prescription: pair selection, box dispatch, solver, oracle."""
+import importlib
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -26,11 +28,15 @@ from fpindex.prescribe import (
     BELOW,
     AdjacencyBox,
     BoxCategory,
+    TraceLevel,
     _build_box,
+    _candidate_plans,
     _events,
     _extra_anchor_points,
+    _frame_assignment,
     _is_realizable,
     _path_induced_bits,
+    _solve,
     _solve_by_pairs,
     _split_value,
     _thread_path,
@@ -57,9 +63,11 @@ from geomgen import (
     synthesize_constraints,
 )
 from test_jordan import alternating_patterns
-from test_torus import reference_all_bases
+from test_torus import rebased, reference_all_bases
 
 F = Fraction
+# the module itself: the package attribute `prescribe` is the function
+PRESCRIBE = importlib.import_module("fpindex.prescribe")
 
 
 def lens_fixture():
@@ -98,23 +106,26 @@ DISPATCH = {
     (2, 0, 1): "forbidden", (2, 0, 2): "empty", (2, 1, 1): "lattice",
 }
 
-GRID = (F(1, 3), F(2, 3))
-MIDS = (F(1, 6), F(1, 2), F(5, 6))
+# box coordinates in units of 1/UNIT: grid lines at 1/3 and 2/3, and the
+# middle of each cell
+UNIT = 24
+GRID = (8, 16)
+MIDS = (4, 12, 20)
 
 
 def synthetic_box(rho, sigma, tau, wrap=None):
     if wrap is None:
         wrap = rho > tau
     if wrap:
-        rows = (MIDS[rho], 1 + MIDS[tau])
+        rows = (MIDS[rho], UNIT + MIDS[tau])
     elif rho == tau:
-        rows = (MIDS[rho] - F(1, 24), MIDS[rho] + F(1, 24))
+        rows = (MIDS[rho] - 1, MIDS[rho] + 1)
     else:
         rows = (MIDS[rho], MIDS[tau])
     return AdjacencyBox(entry_id=0, exit_id=1, base_constraint=1, descends=True,
-                        col_lo=F(1, 12), col_hi=MIDS[sigma],
+                        col_lo=2, col_hi=MIDS[sigma],
                         row_lo=rows[0], row_hi=rows[1],
-                        grid_cols=GRID, grid_rows=GRID)
+                        grid_cols=GRID, grid_rows=GRID, unit=UNIT)
 
 
 class TestDispatchTable:
@@ -164,14 +175,15 @@ class TestFindDoublyAdjacent:
 
 
 def reference_box(diagram, entry, partner, descends, frames):
-    """A pair's box built through the rebased frame diagram; `frames`
-    keeps each rebased diagram by its base constraint."""
+    """A pair's box built through the rebased frame diagram, in units of
+    1/(2n) of its unit square; `frames` keeps each rebased diagram by its
+    base constraint."""
     order = diagram.col_order
     n = diagram.size
     base = next(order[(entry.col - k) % n][1] for k in range(1, n + 1)
                 if order[(entry.col - k) % n][0] == "c")
     if base not in frames:
-        frames[base] = diagram.rebased(base)
+        frames[base] = rebased(diagram, base)
     frame = frames[base]
     placed = {m.crossing_id: m for m in frame.marks}
     e, x = placed[entry.crossing_id], placed[partner.crossing_id]
@@ -179,25 +191,25 @@ def reference_box(diagram, entry, partner, descends, frames):
         raise InvariantFailure("pair order broke under rebasing")
     bottom, top = (x, e) if descends else (e, x)
     lifted = top.row if top.row > bottom.row else top.row + n
-    x2, y2 = frame.constraint_point(2)
-    x3, y3 = frame.constraint_point(3)
+    x2, y2 = frame.constraint_rank(2)
+    x3, y3 = frame.constraint_rank(3)
     box = AdjacencyBox(entry_id=entry.crossing_id, exit_id=partner.crossing_id,
                        base_constraint=base, descends=descends,
-                       col_lo=F(2 * e.col - 1, 2 * n),
-                       col_hi=F(2 * x.col + 1, 2 * n),
-                       row_lo=F(2 * bottom.row - 1, 2 * n),
-                       row_hi=F(2 * lifted + 1, 2 * n),
-                       grid_cols=(x2, x3), grid_rows=(y2, y3))
-    if not 0 < box.col_lo < box.col_hi < 1:
+                       col_lo=2 * e.col - 1, col_hi=2 * x.col + 1,
+                       row_lo=2 * bottom.row - 1, row_hi=2 * lifted + 1,
+                       grid_cols=(2 * x2, 2 * x3), grid_rows=(2 * y2, 2 * y3),
+                       unit=2 * n)
+    if not 0 < box.col_lo < box.col_hi < box.unit:
         raise InvariantFailure("box meets the left or right grid line")
     if box.lower_left_cell[0] != 0:
         raise InvariantFailure("box left edge escaped the first column cell")
     for m in frame.marks:
         if m.crossing_id in (box.entry_id, box.exit_id):
             continue
-        in_rows = (box.row_lo < m.y < min(box.row_hi, F(1))
-                   or (box.wrap and m.y < box.row_top))
-        if box.col_lo < m.x < box.col_hi and in_rows:
+        mx, my = 2 * m.col, 2 * m.row
+        in_rows = (box.row_lo < my < min(box.row_hi, box.unit)
+                   or (box.wrap and my < box.row_top))
+        if box.col_lo < mx < box.col_hi and in_rows:
             raise InvariantFailure("box swallowed a third crossing mark")
     return box
 
@@ -265,6 +277,88 @@ class TestBuildBoxOnRanks:
         for box in find_doubly_adjacent(diagram):
             assert box == reference_box(diagram, placed[box.entry_id],
                                         placed[box.exit_id], box.descends, {})
+
+
+def eager_solve_by_pairs(diagram, depth, levels):
+    """The pair rule with every pair's box built before the first is tried."""
+    failures, forbidden = [], []
+    for box in find_doubly_adjacent(diagram):
+        pair = (box.entry_id, box.exit_id)
+        category = classify_box(box)
+        if category is BoxCategory.FORBIDDEN:
+            forbidden.append((pair, "forbidden"))
+            continue
+        sub = []
+        child = diagram.without_marks(pair)
+        try:
+            child_below = _solve(child, depth + 1, sub)
+        except (AssumptionViolated, InternalCaseGap) as err:
+            failures.append((pair, err.reason))
+            continue
+        scale, events = _events(child)
+        vertices, child_w = _walk(child, scale, events, child_below)
+        path_bits = _path_induced_bits(diagram, box, vertices, scale)
+        tried = set()
+        for label, in_frame, bits in _candidate_plans(box, category, path_bits):
+            assignment = (_frame_assignment(diagram, box, bits) if in_frame
+                          else {box.entry_id: bits[0], box.exit_id: bits[1]})
+            if assignment is None:
+                continue
+            key = tuple(sorted(assignment.items()))
+            if key in tried:
+                continue
+            tried.add(key)
+            below = child_below | {cid for cid, bit in assignment.items()
+                                   if bit == BELOW}
+            if not _is_realizable(diagram, below):
+                continue
+            w = _split_value(diagram, below)
+            if w < child_w:
+                continue
+            levels.extend(sub)
+            levels.append(TraceLevel(
+                depth=depth, rule="pair", index=w, pair=pair,
+                base_constraint=box.base_constraint,
+                cells=(box.lower_left_cell, box.upper_right_cell),
+                wrap=box.wrap, descends=box.descends,
+                category=category.value, candidate=(label, key),
+                child_index=child_w))
+            return below
+        failures.append((pair, "no candidate verified"))
+    raise InternalCaseGap(f"reinsertion failed for every adjacent pair "
+                          f"{failures + forbidden}")
+
+
+class TestBoxesOnDemand:
+    def test_lazy_boxes_change_nothing(self, monkeypatch):
+        calls = Counter()
+
+        def counted(name):
+            inner = getattr(PRESCRIBE, name)
+
+            def wrapper(*args):
+                calls[name] += 1
+                return inner(*args)
+            return wrapper
+
+        monkeypatch.setattr(PRESCRIBE, "_build_box", counted("_build_box"))
+        monkeypatch.setattr(PRESCRIBE, "classify_box", counted("classify_box"))
+        eager_builds = lazy_builds = 0
+        for diagram in box_guard_diagrams():
+            with monkeypatch.context() as eager:
+                eager.setattr(PRESCRIBE, "_solve_by_pairs", eager_solve_by_pairs)
+                calls.clear()
+                _, want = prescribe(diagram)
+                eager_builds += calls["_build_box"]
+            calls.clear()
+            _, got = prescribe(diagram)
+            assert got.levels == want.levels
+            assert got.below == want.below
+            # a box is built only for a pair the solver tries, and each
+            # tried pair is classified once
+            assert calls["_build_box"] == calls["classify_box"]
+            lazy_builds += calls["_build_box"]
+        assert lazy_builds < eager_builds
 
 
 # -- solver: direct rules -------------------------------------------------------

@@ -450,6 +450,26 @@ def reference_reading(diagram, path):
     return eta_below
 
 
+def rebased(diagram, i):
+    """The same torus cut at constraint i, which becomes constraint 1."""
+    if i == 1:
+        return diagram
+    relabel = {("c", j): ("c", (j - i) % 3 + 1) for j in (1, 2, 3)}
+    rename = lambda t: relabel.get(t, t)
+    col_start = diagram.col_order.index(("c", i))
+    row_start = diagram.row_order.index(("c", i))
+    new_cols = tuple(rename(t) for t in
+                     diagram.col_order[col_start:] + diagram.col_order[:col_start])
+    new_rows = tuple(rename(t) for t in
+                     diagram.row_order[row_start:] + diagram.row_order[:row_start])
+    col_params = None if diagram.col_params is None else \
+        diagram.col_params[col_start:] + diagram.col_params[:col_start]
+    row_params = None if diagram.row_params is None else \
+        diagram.row_params[row_start:] + diagram.row_params[:row_start]
+    return replace(diagram, col_order=new_cols, row_order=new_rows,
+                   col_params=col_params, row_params=row_params)
+
+
 def reference_rebase(diagram, path, i):
     """The cut moved by rebuilding: a rebased diagram, and the path with the
     constraint point inserted as a vertex, split there and wrapped."""
@@ -460,7 +480,7 @@ def reference_rebase(diagram, path, i):
     split = pts.index((x0, y0))
     tail = [(x - x0, y - y0) for x, y in pts[split:]]
     head = [(x + 1 - x0, y + 1 - y0) for x, y in pts[1:split + 1]]
-    return diagram.rebased(i), StaircasePath(tuple(tail + head))
+    return rebased(diagram, i), StaircasePath(tuple(tail + head))
 
 
 def reference_all_bases(diagram, path):
@@ -622,7 +642,7 @@ class TestDiagramSurgery:
 
     def test_rebased_diagram_moves_origin(self):
         _, _, _, diagram = lens_fixture()
-        d2 = diagram.rebased(2)
+        d2 = rebased(diagram, 2)
         assert d2.constraint_point(1) == (F(0), F(0))
         assert d2.size == diagram.size
         marks = {m.crossing_id: (m.x, m.y) for m in d2.marks}
