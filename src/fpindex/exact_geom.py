@@ -139,13 +139,6 @@ class Segment:
         return self.a + (self.b - self.a).scale(t)
 
 
-def point_on_segment(seg: Segment, p: RatPoint) -> bool:
-    """Exact membership of p in the closed segment."""
-    _, xs, ys = integer_coords((seg.a, seg.b, p))
-    a, b, q = zip(xs, ys)
-    return cross_int(a, b, q) == 0 and in_box_int(a, b, q)
-
-
 class MeetKind(Enum):
     EMPTY = "empty"
     PROPER = "proper"
@@ -408,27 +401,17 @@ def ray_first_hit(origin: RatPoint, direction: RatPoint,
 
 
 def interior_point(loop: PLLoop) -> RatPoint:
-    """An exact interior point of a positively oriented simple loop."""
-    return point_between_boundaries(loop, ())
+    """An exact interior point of a positively oriented simple loop.
 
-
-def point_between_boundaries(outer: PLLoop, obstacles: Iterable[PLLoop]) -> RatPoint:
-    """A point inside `outer` but outside every obstacle loop.
-
-    Shoots inward from an edge midpoint of `outer`; the first stretch before
-    any boundary (outer's own or an obstacle's) is inside outer and outside
-    all obstacles, because no obstacle boundary has been crossed yet. Only
-    valid when no obstacle boundary passes through the chosen midpoint; the
-    caller guarantees obstacles are disjoint from outer's boundary.
+    Shoots along the inward normal from the midpoint of the first edge and
+    returns the point halfway to the first boundary the ray meets: the open
+    stretch before that hit crosses no edge, so it lies inside the loop.
     """
-    a, b = next(outer.edges())
+    a, b = next(loop.edges())
     m = a + (b - a).scale(Fraction(1, 2))
     d = b - a
     normal = RatPoint(-d.y, d.x)
-    segs = [Segment(p, q) for p, q in outer.edges() if (p, q) != (a, b)]
-    for ob in obstacles:
-        segs.extend(ob.segments())
-    t = ray_first_hit(m, normal, segs)
+    t = ray_first_hit(m, normal, loop.segments()[1:])
     if t is None:
         raise InvariantFailure("inward ray escaped a closed loop")
     return m + normal.scale(t / 2)

@@ -14,15 +14,14 @@ The arrangement of a transverse pair with 2M >= 2 crossings has the crossings
 as vertices, the 4M boundary arcs as edges, and 2M + 2 faces. A pair *cuts*
 when either difference region splits into more than one face. The crossing
 orders along both curves and the crossing kinds fix every face and its
-membership in the two closed regions, so the cut test reads the faces from
-them (crossing_faces) without further geometry. The geometric arrangement
-(build_arrangement) serves rendering: it traces each face's polygon and labels
-it exactly at a sample point in its interior.
+membership in the two closed regions, so the faces are read from them
+(crossing_faces) without further geometry. The cut test counts those labels;
+the arrangement for rendering (build_arrangement) adds each face's polygon by
+walking the boundary arcs the face names.
 """
 from __future__ import annotations
 
 import functools
-from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -45,10 +44,8 @@ from .exact_geom import (
     cmp_directions_ccw,
     cross_int,
     in_box_int,
-    interior_point,
     joint_int_coords,
     meet_int,
-    point_between_boundaries,
     point_in_polygon,
     pt,
     signed_area,
@@ -291,16 +288,6 @@ def check_transverse(first: PolyJordanCurve, second: PolyJordanCurve) -> Crossin
 # -- arrangement -------------------------------------------------------------
 
 @dataclass(frozen=True)
-class BoundaryArc:
-    """Maximal crossing-free boundary arc of one curve, directed positively."""
-
-    curve: str                 # "first" or "second"
-    start: int                 # crossing index at the tail
-    end: int                   # crossing index at the head
-    polyline: tuple[RatPoint, ...]
-
-
-@dataclass(frozen=True)
 class ArrangementFace:
     """One face of the overlay, labeled by region membership."""
 
@@ -308,31 +295,24 @@ class ArrangementFace:
     boundary: tuple[tuple[str, int, int, bool], ...]  # (curve, start, end, forward)
     in_K: bool
     in_Kt: bool
-    sample_point: RatPoint
     polygon: PLLoop | None = None
 
 
-def _arcs_of(curve: PolyJordanCurve, tag: str,
-             ordered: Sequence[Crossing], param_attr: str) -> list[BoundaryArc]:
-    n = len(curve.loop)
-    vertex_params = [Fraction(i, n) for i in range(n)]
+def _arcs_of(curve: PolyJordanCurve, ordered: Sequence[Crossing],
+             param_attr: str) -> list[tuple[RatPoint, ...]]:
+    """Polyline of the curve's arc from each crossing of `ordered` to the
+    next. Vertex i of n sits at parameter i/n, so the vertices inside the
+    arc from p to q are those with n p < i < n q, taken cyclically."""
+    n = len(curve)
     arcs = []
-    k = len(ordered)
-    for a_i in range(k):
-        c_from = ordered[a_i]
-        c_to = ordered[(a_i + 1) % k]
-        p_from = getattr(c_from, param_attr)
-        p_to = getattr(c_to, param_attr)
-        span = (p_to - p_from) % 1
-        if span == 0:
-            span = Fraction(1)
-        inner = sorted(
-            ((vp - p_from) % 1, curve.loop.vertices[i])
-            for i, vp in enumerate(vertex_params)
-            if 0 < (vp - p_from) % 1 < span)
-        polyline = [c_from.point] + [v for _, v in inner] + [c_to.point]
-        arcs.append(BoundaryArc(curve=tag, start=c_from.index, end=c_to.index,
-                                polyline=tuple(polyline)))
+    for c_from, c_to in zip(ordered, ordered[1:] + ordered[:1]):
+        p_from, p_to = getattr(c_from, param_attr), getattr(c_to, param_attr)
+        lo = p_from.numerator * n // p_from.denominator + 1
+        hi = -(-p_to.numerator * n // p_to.denominator)
+        if p_to <= p_from:
+            hi += n
+        inner = [curve.vertices[i % n] for i in range(lo, hi)]
+        arcs.append((c_from.point, *inner, c_to.point))
     return arcs
 
 
@@ -419,93 +399,22 @@ def trace_faces(arcs: Sequence[tuple[int, int, tuple[RatPoint, ...]]],
         outs.sort(key=order)
 
     for cycle in _face_cycles(tails, outgoing):
-        points: list[RatPoint] = []
-        for h in cycle:
-            for q in lines[h][:-1]:
-                if not points or points[-1] != q:
-                    points.append(q)
-        if points[0] == points[-1]:
-            points.pop()
-        polygon = PLLoop(tuple(points))
+        polygon = _join_polylines([lines[h] for h in cycle])
         yield (tuple([(h >> 1, not h & 1) for h in cycle]), polygon,
                signed_area(polygon))
 
 
-def build_arrangement(first: PolyJordanCurve, second: PolyJordanCurve,
-                      crossings: CrossingSet) -> list[ArrangementFace]:
-    """Faces of the overlay of a transverse pair, exactly labeled."""
-    if len(crossings) == 0:
-        return _trivial_arrangement(first, second)
-
-    by_k = list(crossings)
-    by_kt = list(crossings.by_param_kt())
-    arcs = _arcs_of(first, "first", by_k, "param_k") + \
-        _arcs_of(second, "second", by_kt, "param_kt")
-    degree = Counter(node for arc in arcs for node in (arc.start, arc.end))
-    if any(count != 4 for count in degree.values()):
-        raise InvariantFailure("crossing degree is not four")
-
-    faces: list[ArrangementFace] = []
-    negative_faces = 0
-    for steps, polygon, area in trace_faces(
-            [(arc.start, arc.end, arc.polyline) for arc in arcs]):
-        if area == 0:
-            raise InvariantFailure("degenerate arrangement face")
-        if area > 0:
-            sample = interior_point(polygon)
-        else:
-            negative_faces += 1
-            xs = [p.x for c in (first, second) for p in c.vertices]
-            ys = [p.y for c in (first, second) for p in c.vertices]
-            sample = RatPoint(max(xs) + 1, max(ys) + 1)
-        boundary = tuple([(arcs[k].curve, arcs[k].start, arcs[k].end, forward)
-                          for k, forward in steps])
-        faces.append(ArrangementFace(
-            id=len(faces), boundary=boundary,
-            in_K=first.contains(sample) == PointLocation.INSIDE,
-            in_Kt=second.contains(sample) == PointLocation.INSIDE,
-            sample_point=sample, polygon=polygon))
-
-    if negative_faces != 1:
-        raise InvariantFailure("expected exactly one unbounded face")
-    if len(faces) != len(crossings) + 2:
-        raise InvariantFailure(
-            f"Euler check failed: {len(faces)} faces for {len(crossings)} crossings")
-    return faces
-
-
-def _trivial_arrangement(first: PolyJordanCurve,
-                         second: PolyJordanCurve) -> list[ArrangementFace]:
-    """Faces for a crossing-free pair: disjoint or nested."""
-    v1_in_2 = second.contains(first.vertices[0]) == PointLocation.INSIDE
-    v2_in_1 = first.contains(second.vertices[0]) == PointLocation.INSIDE
-    xs = [p.x for c in (first, second) for p in c.vertices]
-    ys = [p.y for c in (first, second) for p in c.vertices]
-    far = RatPoint(max(xs) + 1, max(ys) + 1)
-    full1 = tuple((("first", -1, -1, True),))
-    full2 = tuple((("second", -1, -1, True),))
-    faces = []
-    if not v1_in_2 and not v2_in_1:  # disjoint
-        faces.append(ArrangementFace(0, full1, True, False,
-                                     interior_point(first.loop), first.loop))
-        faces.append(ArrangementFace(1, full2, False, True,
-                                     interior_point(second.loop), second.loop))
-    elif v1_in_2:  # first nested in second
-        faces.append(ArrangementFace(0, full1, True, True,
-                                     interior_point(first.loop), first.loop))
-        faces.append(ArrangementFace(1, full1 + full2, False, True,
-                                     point_between_boundaries(second.loop,
-                                                              [first.loop]),
-                                     None))
-    else:  # second nested in first
-        faces.append(ArrangementFace(0, full2, True, True,
-                                     interior_point(second.loop), second.loop))
-        faces.append(ArrangementFace(1, full1 + full2, True, False,
-                                     point_between_boundaries(first.loop,
-                                                              [second.loop]),
-                                     None))
-    faces.append(ArrangementFace(2, full1 + full2, False, False, far, None))
-    return faces
+def _join_polylines(lines: Sequence[Sequence[RatPoint]]) -> PLLoop:
+    """The closed loop through polylines laid end to end, each ending where
+    the next one starts."""
+    points: list[RatPoint] = []
+    for line in lines:
+        for q in line[:-1]:
+            if not points or points[-1] != q:
+                points.append(q)
+    if points[0] == points[-1]:
+        points.pop()
+    return PLLoop(tuple(points))
 
 
 def crossing_faces(crossings: CrossingSet,
@@ -513,16 +422,17 @@ def crossing_faces(crossings: CrossingSet,
                                    bool, bool]]:
     """Faces of the overlay, read from the crossing orders and kinds alone.
 
-    The arcs are those of build_arrangement: the first curve's from crossing
-    k to k + 1, then the second curve's between crossings consecutive in
-    second-curve order. A crossing's kind fixes the counterclockwise order
-    of the four half-edges leaving it: (first out, second back, first back,
-    second out) at kind P, where the first curve enters the second region,
-    and (first out, second out, first back, second back) at kind Ptilde.
+    The arcs are the first curve's from crossing k to k + 1, then the
+    second curve's between crossings consecutive in second-curve order. A
+    crossing's kind fixes the counterclockwise order of the four half-edges
+    leaving it: (first out, second back, first back, second out) at kind P,
+    where the first curve enters the second region, and (first out, second
+    out, first back, second back) at kind Ptilde.
     Each region lies to the left of its positively directed boundary, so a
     face is in K when a forward first-curve half-edge bounds it, and in Kt
     when a forward second-curve one does. Returns (boundary, in_K, in_Kt)
-    per face, with boundary and face order as in build_arrangement.
+    per face, each boundary a cycle of (curve, start, end, forward) arc
+    steps, the faces in the order of their first half-edge.
     """
     n = len(crossings)
     if n == 0:
@@ -554,6 +464,57 @@ def crossing_faces(crossings: CrossingSet,
     return faces
 
 
+def build_arrangement(first: PolyJordanCurve, second: PolyJordanCurve,
+                      crossings: CrossingSet) -> list[ArrangementFace]:
+    """Faces of the overlay of a transverse pair, exactly labeled.
+
+    Each face's boundary and labels are those of crossing_faces, and its
+    polygon walks the arc polylines that boundary names, each forward or
+    reversed.
+    """
+    if len(crossings) == 0:
+        return _trivial_arrangement(first, second)
+    lines = {}
+    for tag, curve, order, attr in (
+            ("first", first, crossings.crossings, "param_k"),
+            ("second", second, crossings.by_param_kt(), "param_kt")):
+        for c, line in zip(order, _arcs_of(curve, order, attr)):
+            lines[tag, c.index] = line
+    faces: list[ArrangementFace] = []
+    unbounded = 0
+    for boundary, in_K, in_Kt in crossing_faces(crossings):
+        polygon = _join_polylines([
+            lines[curve, start] if forward else lines[curve, start][::-1]
+            for curve, start, _, forward in boundary])
+        area = signed_area(polygon)
+        if area == 0:
+            raise InvariantFailure("degenerate arrangement face")
+        unbounded += area < 0
+        faces.append(ArrangementFace(len(faces), boundary, in_K, in_Kt, polygon))
+    if unbounded != 1:
+        raise InvariantFailure("expected exactly one unbounded face")
+    return faces
+
+
+def _trivial_arrangement(first: PolyJordanCurve,
+                         second: PolyJordanCurve) -> list[ArrangementFace]:
+    """Faces for a crossing-free pair: nested or disjoint."""
+    full1 = (("first", -1, -1, True),)
+    full2 = (("second", -1, -1, True),)
+    if second.contains(first.vertices[0]) == PointLocation.INSIDE:
+        # first nested in second
+        faces = [ArrangementFace(0, full1, True, True, first.loop),
+                 ArrangementFace(1, full1 + full2, False, True)]
+    elif first.contains(second.vertices[0]) == PointLocation.INSIDE:
+        # second nested in first
+        faces = [ArrangementFace(0, full2, True, True, second.loop),
+                 ArrangementFace(1, full1 + full2, True, False)]
+    else:  # disjoint
+        faces = [ArrangementFace(0, full1, True, False, first.loop),
+                 ArrangementFace(1, full2, False, True, second.loop)]
+    return faces + [ArrangementFace(2, full1 + full2, False, False)]
+
+
 def crossing_pattern_cuts(crossings: CrossingSet) -> bool:
     """True when the faces of the crossing pattern split either difference
     region: more than one face is (in K, out Kt), or more than one is
@@ -572,8 +533,8 @@ def cuts_each_other(first: PolyJordanCurve, second: PolyJordanCurve) -> bool:
     Components of first-minus-second are exactly the (in, out) faces of the
     arrangement, and symmetrically, so the test counts labeled faces. It
     reads them from the crossing orders and kinds (crossing_faces) and does
-    no geometry beyond check_transverse; build_arrangement's polygons and
-    sample points serve rendering.
+    no geometry beyond check_transverse; build_arrangement's polygons serve
+    rendering.
     """
     return crossing_pattern_cuts(check_transverse(first, second))
 

@@ -45,9 +45,7 @@ from .exact_geom import (
     AffineMap,
     PLLoop,
     RatPoint,
-    Segment,
     edge_crossing,
-    point_on_segment,
 )
 from .jordan import PolyJordanCurve, validate_curve
 
@@ -414,14 +412,6 @@ def glue(source_a: PolyJordanCurve, target_a: PolyJordanCurve,
     glued_source = _union(outer_src_a, outer_src_b)
     glued_target = _union(outer_tgt_a, outer_tgt_b)
 
-    # The maps must agree on the shared arc: compare at every point where
-    # either restriction can bend, which pins the whole piecewise map.
-    arc_segs = [Segment(a, b) for a, b in zip(shared_src, shared_src[1:])]
-    tgt_arc_segs = [Segment(a, b) for a, b in zip(shared_tgt, shared_tgt[1:])]
-
-    def on_path(p: RatPoint, segs: list[Segment]) -> bool:
-        return any(point_on_segment(s, p) for s in segs)
-
     # Each piece's bends, with the source point at each, serve both passes.
     pieces = []
     for curve, target, phi in ((source_a, target_a, phi_a),
@@ -429,10 +419,14 @@ def glue(source_a: PolyJordanCurve, target_a: PolyJordanCurve,
         pieces.append((target, phi, [(s, curve.point_at(s)) for s in
                                      _refined_params(curve, target, phi)]))
 
+    # The maps must agree on the shared arc: compare at every point where
+    # either restriction can bend, which pins the whole piecewise map. Both
+    # unions are valid, so each pair of curves meets exactly in its shared
+    # arc: a point of one curve lies on that arc when the other curve has it.
     probe_points: list[RatPoint] = list(shared_src)
-    for _, _, bends in pieces:
+    for (_, _, bends), other in zip(pieces, (source_b, source_a)):
         for _, p in bends:
-            if on_path(p, arc_segs) and p not in probe_points:
+            if other.locate_param(p) is not None and p not in probe_points:
                 probe_points.append(p)
 
     for p in probe_points:
@@ -444,7 +438,7 @@ def glue(source_a: PolyJordanCurve, target_a: PolyJordanCurve,
         q_b = target_b.point_at(phi_b.evaluate(s_b))
         if q_a != q_b:
             raise ArcsDisagree(f"maps differ at shared point {p}")
-        if not on_path(q_a, tgt_arc_segs):
+        if target_b.locate_param(q_a) is None:
             raise ArcsDisagree("shared arc does not map onto the shared target arc")
 
     pairs: dict[Fraction, Fraction] = {}

@@ -336,9 +336,12 @@ def build_diagram(first: PolyJordanCurve, second: PolyJordanCurve,
     for c in crossings:
         col_items.append((c.param_k % 1, ("m", c.index)))
         row_items.append((c.param_kt % 1, ("m", c.index)))
-    # every parameter is distinct, so the offsets from the cut never tie
-    col_items.sort(key=lambda item: (item[0] - s1) % 1)
-    row_items.sort(key=lambda item: (item[0] - t1) % 1)
+    # every parameter is distinct, so sorting the reduced parameters and
+    # starting at the first pair orders each axis cyclically from the cut
+    for items in (col_items, row_items):
+        items.sort(key=lambda item: item[0])
+        cut = [token for _, token in items].index(("c", 1))
+        items[:] = items[cut:] + items[:cut]
 
     containment = None
     if len(crossings) == 0:

@@ -1,4 +1,5 @@
 """CLI subcommands end to end: reports, exit codes, SVG output, determinism."""
+import importlib.util
 import json
 import xml.etree.ElementTree as ET
 from pathlib import Path
@@ -7,7 +8,21 @@ import pytest
 
 from fpindex.cli import main
 
+ROOT = Path(__file__).resolve().parent.parent
 FIXTURES = Path(__file__).parent / "fixtures"
+
+
+def _load_renders():
+    """The RENDERS table of scripts/render_figures.py: each committed figure
+    under figures/ with the CLI arguments that draw it."""
+    spec = importlib.util.spec_from_file_location(
+        "render_figures", ROOT / "scripts" / "render_figures.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.RENDERS
+
+
+RENDERS = _load_renders()
 
 
 def fx(name: str) -> str:
@@ -248,6 +263,7 @@ class TestRenderCommand:
         ("overlay", ("pack_one_a.json", "pack_one_b.json")),
         ("faces", ("fig_interleaved_first.json",
                    "fig_interleaved_second.json")),
+        ("faces", ("fig_disjoint_first.json", "fig_disjoint_second.json")),
     ])
     def test_emits_wellformed_svg(self, capsys, tmp_path, kind, inputs):
         svg = tmp_path / f"{kind}.svg"
@@ -260,6 +276,20 @@ class TestRenderCommand:
         root = ET.fromstring(content)
         assert root.tag.endswith("svg")
         assert len(list(root)) > 2
+
+    @pytest.mark.parametrize("name, argv", RENDERS,
+                             ids=[name for name, _ in RENDERS])
+    def test_reproduces_committed_figure(self, capsys, monkeypatch, tmp_path,
+                                         name, argv):
+        # the fixture paths in RENDERS are relative to the checkout
+        monkeypatch.chdir(ROOT)
+        svg = tmp_path / name
+        code, report = run(capsys, *argv, "--svg", str(svg))
+        assert code == 0
+        assert svg.read_bytes() == (ROOT / "figures" / name).read_bytes()
+        committed = json.loads(
+            (ROOT / "figures" / f"{name}.report.json").read_text())
+        assert report == {**committed, "svg": str(svg)}
 
     def test_missing_svg_flag_exits_two(self, capsys):
         code, report = run(capsys, "render", "overlay",

@@ -15,7 +15,6 @@ from fpindex.exact_geom import (
     interior_point,
     orient2d,
     point_in_polygon,
-    point_on_segment,
     pt,
     rat,
     segment_intersection,
@@ -105,14 +104,6 @@ def test_segment_intersection_symmetric(a, b, c, d):
     assert m1.kind == m2.kind
     if m1.kind == MeetKind.PROPER:
         assert m1.point == m2.point
-
-
-def test_point_on_segment():
-    seg = Segment(pt(0, 0), pt(4, 2))
-    assert point_on_segment(seg, pt(2, 1))
-    assert point_on_segment(seg, pt(0, 0))
-    assert not point_on_segment(seg, pt(2, 2))
-    assert not point_on_segment(seg, pt(6, 3))
 
 
 def test_loop_validation():

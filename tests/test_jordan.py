@@ -12,10 +12,13 @@ from fpindex.errors import (
     NotTransverse,
 )
 from fpindex.exact_geom import (
-    PLLoop,
+    PointLocation,
     RatPoint,
     Segment,
-    point_on_segment,
+    cross_int,
+    in_box_int,
+    integer_coords,
+    interior_point,
     pt,
     signed_area,
 )
@@ -23,6 +26,7 @@ from fpindex.jordan import (
     CrossKind,
     Crossing,
     CrossingSet,
+    _arcs_of,
     build_arrangement,
     canonical_noncut_pair,
     check_transverse,
@@ -30,6 +34,7 @@ from fpindex.jordan import (
     crossing_pattern_cuts,
     crossing_word,
     cuts_each_other,
+    trace_faces,
     validate_curve,
 )
 
@@ -111,6 +116,21 @@ class TestValidateCurve:
         for num in range(16):
             t = Fraction(num, 16)
             assert c.locate_param(c.point_at(t)) == t
+
+
+def point_on_segment(seg, p):
+    """Exact membership of p in the closed segment."""
+    _, xs, ys = integer_coords((seg.a, seg.b, p))
+    a, b, q = zip(xs, ys)
+    return cross_int(a, b, q) == 0 and in_box_int(a, b, q)
+
+
+def test_point_on_segment():
+    seg = Segment(pt(0, 0), pt(4, 2))
+    assert point_on_segment(seg, pt(2, 1))
+    assert point_on_segment(seg, pt(0, 0))
+    assert not point_on_segment(seg, pt(2, 2))
+    assert not point_on_segment(seg, pt(6, 3))
 
 
 def reference_locate_param(curve, p):
@@ -211,11 +231,12 @@ class TestArrangement:
                                        (False, True): 2, (False, False): 1}
 
     def test_disjoint_faces(self):
-        faces = build_arrangement(square(0, 0, 1, 1), square(5, 5, 6, 6),
-                                  check_transverse(square(0, 0, 1, 1),
-                                                   square(5, 5, 6, 6)))
+        first, second = square(0, 0, 1, 1), square(5, 5, 6, 6)
+        faces = build_arrangement(first, second,
+                                  check_transverse(first, second))
         assert label_census(faces) == {(True, False): 1, (False, True): 1,
                                        (False, False): 1}
+        assert [f.polygon for f in faces] == [first.loop, second.loop, None]
 
     def test_nested_faces(self):
         outer = square(0, 0, 10, 10)
@@ -223,9 +244,13 @@ class TestArrangement:
         faces = build_arrangement(inner, outer, check_transverse(inner, outer))
         assert label_census(faces) == {(True, True): 1, (False, True): 1,
                                        (False, False): 1}
-        annulus = [f for f in faces if f.in_Kt and not f.in_K][0]
-        assert outer.contains(annulus.sample_point).name == "INSIDE"
-        assert inner.contains(annulus.sample_point).name == "OUTSIDE"
+        # face 0 is the inner loop; the annulus and the unbounded face have
+        # no single boundary loop
+        assert [f.polygon for f in faces] == [inner.loop, None, None]
+        faces = build_arrangement(outer, inner, check_transverse(outer, inner))
+        assert [(f.in_K, f.in_Kt) for f in faces] == [
+            (True, True), (True, False), (False, False)]
+        assert [f.polygon for f in faces] == [inner.loop, None, None]
 
     def test_area_identity_random_pairs(self):
         rng = random.Random(7021)
@@ -292,6 +317,29 @@ def alternating_patterns(m):
                 for k in range(n)))
 
 
+def geometric_faces(first, second, cs):
+    """(boundary, in_K, in_Kt, polygon) per face as the angular sort traces
+    them (trace_faces over the arc polylines), each bounded face labeled at
+    an interior point; the unbounded one is in neither region."""
+    arcs = []
+    for tag, curve, order, attr in (
+            ("first", first, cs.crossings, "param_k"),
+            ("second", second, cs.by_param_kt(), "param_kt")):
+        for a, line in enumerate(_arcs_of(curve, order, attr)):
+            arcs.append((tag, order[a].index,
+                         order[(a + 1) % len(order)].index, line))
+    faces = []
+    for steps, polygon, area in trace_faces([arc[1:] for arc in arcs]):
+        labels = (False, False)
+        if area > 0:
+            p = interior_point(polygon)
+            labels = (first.contains(p) is PointLocation.INSIDE,
+                      second.contains(p) is PointLocation.INSIDE)
+        faces.append((tuple([(*arcs[k][:3], forward) for k, forward in steps]),
+                      *labels, polygon))
+    return faces
+
+
 class TestCrossingFaces:
     def test_matches_geometric_labels_on_random_pairs(self):
         rng = random.Random(4417)
@@ -300,11 +348,13 @@ class TestCrossingFaces:
             a, b, _ = random_transverse_pair(rng)
             for first, second in ((a, b), (b, a)):
                 cs = check_transverse(first, second)
-                faces = build_arrangement(first, second, cs)
-                assert crossing_faces(cs) == [
-                    (f.boundary, f.in_K, f.in_Kt) for f in faces]
-                census = label_census(faces)
-                cuts = census[(True, False)] > 1 or census[(False, True)] > 1
+                faces = geometric_faces(first, second, cs)
+                assert crossing_faces(cs) == [f[:3] for f in faces]
+                assert [f.polygon for f in build_arrangement(
+                    first, second, cs)] == [f[3] for f in faces]
+                labels = [f[1:3] for f in faces]
+                cuts = (labels.count((True, False)) > 1
+                        or labels.count((False, True)) > 1)
                 assert cuts_each_other(first, second) == cuts
                 cutting += cuts
         assert 0 < cutting < 80
@@ -314,9 +364,10 @@ class TestCrossingFaces:
         a, b = canonical_noncut_pair(m)
         for first, second in ((a, b), (b, a)):
             cs = check_transverse(first, second)
-            assert crossing_faces(cs) == [
-                (f.boundary, f.in_K, f.in_Kt)
-                for f in build_arrangement(first, second, cs)]
+            faces = geometric_faces(first, second, cs)
+            assert crossing_faces(cs) == [f[:3] for f in faces]
+            assert [f.polygon for f in build_arrangement(
+                first, second, cs)] == [f[3] for f in faces]
             assert not cuts_each_other(first, second)
 
     @pytest.mark.parametrize("m", [1, 2, 3, 4])
