@@ -5,8 +5,9 @@
 
 PARENT and CHANGE are two checkouts. Pair k runs `perfbench/run.py
 --workload W --seed S+k --seconds T --trace 0` once in each, the parent
-first when k is even and the change first when k is odd, and then one traced
-run on each side gives the per-layer metrics. Each run uses its own
+first when k is even and the change first when k is odd. Then the first
+three seeds run once more on each side with `--trace 1`, in the same
+alternating order, and give the per-layer metrics. Each run uses its own
 checkout's unchanged `perfbench/`, as the benchmark does, and T is the
 `run_seconds` of the change's `BENCHMARK.json`.
 
@@ -20,7 +21,9 @@ sides' medians and quartiles (inclusive method), the pairs the change won
 parent's quartile distance, whether the change won at least nine tenths of
 the pairs by more than that distance, and whether its median stays within
 the metric's bound. It also keeps whether the answer digests were equal on
-every pair, the host's provenance, and the traced per-layer values.
+every pair, the host's provenance, and for each traced per-layer value its
+median, least and greatest over the traced runs of each side, since a
+single traced run swings more than most changes move a layer.
 """
 from __future__ import annotations
 
@@ -65,6 +68,18 @@ def run(checkout: Path, workload: str, seed: int, seconds: float,
 
 def quartiles(values: list[float]) -> list[float]:
     return statistics.quantiles(values, n=4, method="inclusive")
+
+
+def layer_spread(runs: list[dict]) -> dict:
+    """Median, least and greatest of each per-layer value over traced runs."""
+    out = {}
+    for name in {name for metrics in runs for name in metrics}:
+        values = [m[name] for m in runs
+                  if isinstance(m.get(name), (int, float))]
+        if values:
+            out[name] = {"median": statistics.median(values),
+                         "min": min(values), "max": max(values)}
+    return out
 
 
 def summarize(pairs: list[dict], spec: dict) -> dict:
@@ -118,8 +133,14 @@ def main(argv: list[str] | None = None) -> int:
         print(f"{args.workload} seed {seed}: ops_per_s "
               f"{pair['parent']['metrics']['ops_per_s']:.1f} -> "
               f"{pair['change']['metrics']['ops_per_s']:.1f}", flush=True)
-    traced = {side: run(path, args.workload, args.first_seed, seconds,
-                        1)["metrics"] for side, path in sides.items()}
+    traced: dict[str, list[dict]] = {side: [] for side in sides}
+    for k, pair in enumerate(pairs[:3]):
+        order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
+        for side in order:
+            traced[side].append(
+                run(sides[side], args.workload, pair["seed"], seconds,
+                    1)["metrics"])
+    spread = {side: layer_spread(runs) for side, runs in traced.items()}
 
     entry = {
         "seconds": seconds,
@@ -131,9 +152,8 @@ def main(argv: list[str] | None = None) -> int:
         "metrics": summarize(pairs, spec),
         "pairs": pairs,
         "per_layer_traced": {
-            name: {"parent": traced["parent"].get(name),
-                   "change": traced["change"].get(name)}
-            for name in sorted(set(traced["parent"]) | set(traced["change"]))},
+            name: {side: spread[side].get(name) for side in sides}
+            for name in sorted(set(spread["parent"]) | set(spread["change"]))},
     }
     path = ROOT / f"BENCH_{shas['change'][:12]}.json"
     record = json.loads(path.read_text()) if path.exists() else {

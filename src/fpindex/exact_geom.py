@@ -28,9 +28,9 @@ from enum import Enum
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
-from typing import Iterable, Iterator, Sequence, Union
+from typing import Iterator, Sequence, Union
 
-from .errors import InvariantFailure, PointOnLoop
+from .errors import PointOnLoop
 
 RatLike = Union[int, str, Fraction]
 
@@ -61,14 +61,8 @@ class RatPoint:
         f = rat(factor)
         return RatPoint(self.x * f, self.y * f)
 
-    def cross(self, other: "RatPoint") -> Fraction:
-        return self.x * other.y - self.y * other.x
-
     def dot(self, other: "RatPoint") -> Fraction:
         return self.x * other.x + self.y * other.y
-
-    def is_zero(self) -> bool:
-        return self.x == 0 and self.y == 0
 
 
 def pt(x: RatLike, y: RatLike) -> RatPoint:
@@ -346,75 +340,6 @@ def point_in_polygon(loop: PLLoop, p: RatPoint) -> PointLocation:
     except PointOnLoop:
         return PointLocation.ON_BOUNDARY
     return PointLocation.INSIDE if inside else PointLocation.OUTSIDE
-
-
-def cmp_directions_ccw(u: RatPoint, v: RatPoint) -> int:
-    """Compare two nonzero direction vectors by counterclockwise angle.
-
-    Angles start at the positive x-axis. Returns -1/0/+1. Vectors that are
-    positive multiples of each other compare equal.
-    """
-    if u.is_zero() or v.is_zero():
-        raise ValueError("zero direction")
-
-    def half(d: RatPoint) -> int:
-        # 0 for angles in [0, pi), 1 for [pi, 2*pi).
-        if d.y > 0 or (d.y == 0 and d.x > 0):
-            return 0
-        return 1
-
-    hu, hv = half(u), half(v)
-    if hu != hv:
-        return -1 if hu < hv else 1
-    c = u.cross(v)
-    if c > 0:
-        return -1
-    if c < 0:
-        return 1
-    return 0
-
-
-def ray_first_hit(origin: RatPoint, direction: RatPoint,
-                  segments: Iterable[Segment]) -> Fraction | None:
-    """Smallest t > 0 with origin + t*direction on one of the segments."""
-    if direction.is_zero():
-        raise ValueError("zero ray direction")
-    best: Fraction | None = None
-    for seg in segments:
-        e = seg.b - seg.a
-        denom = direction.cross(e)
-        w = seg.a - origin
-        if denom != 0:
-            t = w.cross(e) / denom
-            u = w.cross(direction) / denom
-            if t > 0 and 0 <= u <= 1 and (best is None or t < best):
-                best = t
-        else:
-            # Parallel; collinear only if the offset is parallel too.
-            if direction.cross(w) == 0:
-                d2 = direction.dot(direction)
-                for endpoint in (seg.a, seg.b):
-                    t = direction.dot(endpoint - origin) / d2
-                    if t > 0 and (best is None or t < best):
-                        best = t
-    return best
-
-
-def interior_point(loop: PLLoop) -> RatPoint:
-    """An exact interior point of a positively oriented simple loop.
-
-    Shoots along the inward normal from the midpoint of the first edge and
-    returns the point halfway to the first boundary the ray meets: the open
-    stretch before that hit crosses no edge, so it lies inside the loop.
-    """
-    a, b = next(loop.edges())
-    m = a + (b - a).scale(Fraction(1, 2))
-    d = b - a
-    normal = RatPoint(-d.y, d.x)
-    t = ray_first_hit(m, normal, loop.segments()[1:])
-    if t is None:
-        raise InvariantFailure("inward ray escaped a closed loop")
-    return m + normal.scale(t / 2)
 
 
 @dataclass(frozen=True)

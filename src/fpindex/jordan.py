@@ -18,10 +18,14 @@ membership in the two closed regions, so the faces are read from them
 (crossing_faces) without further geometry. The cut test counts those labels;
 the arrangement for rendering (build_arrangement) adds each face's polygon by
 walking the boundary arcs the face names.
+
+Every face here is traced by one left-face walk over a rotation system
+(_face_cycles). crossing_faces reads each crossing's rotation from its kind;
+trace_faces takes the rotation from its caller, which the packing module
+reads from its contact structure. No tracer sorts half-edges by angle.
 """
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -41,7 +45,6 @@ from .exact_geom import (
     PLLoop,
     PointLocation,
     RatPoint,
-    cmp_directions_ccw,
     cross_int,
     in_box_int,
     joint_int_coords,
@@ -141,21 +144,25 @@ class PolyJordanCurve:
     def locate_param(self, p: RatPoint) -> Fraction | None:
         """Normalized parameter of a boundary point, or None if off-curve.
 
-        The vertices (over their common denominator D) and p (over its own,
-        e) are brought to D * e, so each segment is tested with the integer
-        predicates and only the segment found costs a `Fraction`.
+        The vertices stay over their common denominator D, and p becomes the
+        homogeneous point (X, Y, W) = (p.x W D, p.y W D, W) with W the lcm of
+        its own denominators, so each segment is tested on integers and
+        only the segment found costs a `Fraction`.
         """
         den, xs, ys = self.loop.int_coords
-        e = lcm(p.x.denominator, p.y.denominator)
-        q = (p.x.numerator * (e // p.x.denominator) * den,
-             p.y.numerator * (e // p.y.denominator) * den)
+        w = lcm(p.x.denominator, p.y.denominator)
+        qx = p.x.numerator * (w // p.x.denominator) * den
+        qy = p.y.numerator * (w // p.y.denominator) * den
         n = len(xs)
-        pts = [(x * e, y * e) for x, y in zip(xs, ys)]
-        for i, (a, b) in enumerate(zip(pts, pts[1:] + pts[:1])):
-            if not (in_box_int(a, b, q) and cross_int(a, b, q) == 0):
+        for i in range(n):
+            ax, ay, bx, by = xs[i], ys[i], xs[(i + 1) % n], ys[(i + 1) % n]
+            if not (min(ax, bx) * w <= qx <= max(ax, bx) * w
+                    and min(ay, by) * w <= qy <= max(ay, by) * w):
                 continue
-            axis = 0 if a[0] != b[0] else 1
-            num, step = q[axis] - a[axis], b[axis] - a[axis]
+            if (bx - ax) * (qy - ay * w) != (by - ay) * (qx - ax * w):
+                continue
+            num, step = ((qx - ax * w, (bx - ax) * w) if ax != bx else
+                         (qy - ay * w, (by - ay) * w))
             if num == step:
                 continue  # belongs to the next segment's start
             return Fraction(i * step + num, n * step)
@@ -165,21 +172,10 @@ class PolyJordanCurve:
         return point_in_polygon(self.loop, p)
 
 
-def validate_curve(vertices: Sequence[RatPoint] | PLLoop,
-                   allow_reversal: bool = False) -> PolyJordanCurve:
-    """Checked constructor: simple and positively oriented.
-
-    With allow_reversal, a clockwise simple loop is reversed instead of
-    rejected; reversal never happens silently otherwise. The simplicity check
-    runs once, in PolyJordanCurve, after any reversal.
-    """
+def validate_curve(vertices: Sequence[RatPoint] | PLLoop) -> PolyJordanCurve:
+    """Checked constructor: simple and positively oriented. A clockwise loop
+    is rejected, never reversed."""
     loop = vertices if isinstance(vertices, PLLoop) else PLLoop(tuple(vertices))
-    if allow_reversal and signed_area(loop) <= 0:
-        try:
-            return PolyJordanCurve(loop.reversed_loop())
-        except NotSimple:
-            _check_simple(loop)  # raises again, numbering segments as given
-            raise
     return PolyJordanCurve(loop)
 
 
@@ -316,37 +312,6 @@ def _arcs_of(curve: PolyJordanCurve, ordered: Sequence[Crossing],
     return arcs
 
 
-def _ray_refinement(polyline: Sequence[RatPoint], d: RatPoint) -> Fraction:
-    """Angular tie-break for arcs leaving a node along the same ray: positive
-    for a left bend, negative for a right bend, larger magnitude the earlier
-    the bend comes."""
-    base = polyline[0]
-    for k in range(len(polyline) - 1):
-        step = polyline[k + 1] - polyline[k]
-        turn = d.cross(step)
-        if turn != 0:
-            along = (polyline[k] - base).dot(d)
-            if along <= 0:
-                raise InvariantFailure("arc bends before leaving its node")
-            return Fraction(1 if turn > 0 else -1) / along
-        if step.dot(d) <= 0:
-            raise InvariantFailure("arc doubles back through a contact point")
-    return Fraction(0)
-
-
-def _half_cmp(line1: Sequence[RatPoint], line2: Sequence[RatPoint]) -> int:
-    """Counterclockwise order of two polylines leaving the same node."""
-    d = line1[1] - line1[0]
-    order = cmp_directions_ccw(d, line2[1] - line2[0])
-    if order != 0:
-        return order
-    k1 = _ray_refinement(line1, d)
-    k2 = _ray_refinement(line2, d)
-    if k1 == k2:
-        raise InvariantFailure("indistinguishable arcs at a contact point")
-    return -1 if k1 < k2 else 1
-
-
 def _face_cycles(tails: Sequence[int], outgoing: dict[int, list[int]],
                  ) -> Iterator[list[int]]:
     """Left-face cycles of a plane graph given by its rotation system.
@@ -376,30 +341,23 @@ def _face_cycles(tails: Sequence[int], outgoing: dict[int, list[int]],
 
 
 def trace_faces(arcs: Sequence[tuple[int, int, tuple[RatPoint, ...]]],
+                outgoing: dict[int, list[int]],
                 ) -> Iterator[tuple[tuple[tuple[int, bool], ...], PLLoop,
                                     Fraction]]:
     """Faces of a plane arrangement of directed arcs (tail, head, polyline).
 
-    Each arc gives two half-edges, 2k along arc k and 2k + 1 against it.
-    The half-edges leaving a node are sorted counterclockwise (_half_cmp)
-    and each face is traced on the left (_face_cycles). Yields each face,
-    in the order of its first half-edge, as (arc index, forward) steps with
-    its boundary polygon and signed area.
+    Each arc gives two half-edges, 2k along arc k and 2k + 1 against it, and
+    outgoing[v] lists the half-edges leaving node v in counterclockwise
+    order; the caller knows that rotation from its own structure. Each face
+    is traced on the left (_face_cycles) and yielded, in the order of its
+    first half-edge, as (arc index, forward) steps with its boundary polygon
+    and signed area.
     """
-    lines: list[tuple[RatPoint, ...]] = []
-    tails: list[int] = []
-    for tail, head, polyline in arcs:
-        lines += [polyline, polyline[::-1]]
-        tails += [tail, head]
-    outgoing: dict[int, list[int]] = {}
-    for h, tail in enumerate(tails):
-        outgoing.setdefault(tail, []).append(h)
-    order = functools.cmp_to_key(lambda g, h: _half_cmp(lines[g], lines[h]))
-    for outs in outgoing.values():
-        outs.sort(key=order)
-
+    tails = [node for tail, head, _ in arcs for node in (tail, head)]
     for cycle in _face_cycles(tails, outgoing):
-        polygon = _join_polylines([lines[h] for h in cycle])
+        polygon = _join_polylines([
+            arcs[h >> 1][2][::-1] if h & 1 else arcs[h >> 1][2]
+            for h in cycle])
         yield (tuple([(h >> 1, not h & 1) for h in cycle]), polygon,
                signed_area(polygon))
 

@@ -5,7 +5,10 @@ vertices) holding finitely many interiorwise disjoint polygonal Jordan
 domains.  Pieces touch each other at single mutual vertices, touch each frame
 side at most once and never at a marked corner, and every complementary face
 of the arrangement must be a topological triangle, which makes the contact
-structure a triangulation of a square.
+structure a triangulation of a square.  Exactly two boundaries meet at each
+contact point, so the contact structure alone fixes the counterclockwise
+order of the arcs there, and the faces are traced on that rotation with no
+angular geometry.
 
 Two packings with the same contact structure whose frames overlay in the
 interleaved position cannot be matched piece by piece without a cut.  The
@@ -46,7 +49,6 @@ from .exact_geom import (
     PointLocation,
     RatPoint,
     in_box_int,
-    interior_point,
     point_in_polygon,
 )
 from .jordan import (
@@ -261,11 +263,13 @@ def _scan_contacts(spec: PackingSpec) -> dict[RatPoint, set]:
         if any(point_in_polygon(rect.curve.loop, v) is PointLocation.OUTSIDE
                for v in piece.vertices):
             raise PieceOutsideRect(f"piece {i} leaves the frame")
-    for i in range(len(spec.pieces)):
-        sample = interior_point(spec.pieces[i].loop)
-        for j in range(len(spec.pieces)):
-            if i != j and point_in_polygon(
-                    spec.pieces[j].loop, sample) is PointLocation.INSIDE:
+    # at most one vertex of a piece lies on another piece's boundary, and
+    # the rest lie on one side of it, so the first two vertices decide
+    for i, piece in enumerate(spec.pieces):
+        for j, other in enumerate(spec.pieces):
+            if i != j and any(point_in_polygon(other.loop, v)
+                              is PointLocation.INSIDE
+                              for v in piece.vertices[:2]):
                 raise PiecesOverlap(f"piece {i} reaches inside piece {j}")
     return by_point
 
@@ -327,12 +331,30 @@ class _Analysis(NamedTuple):
 
 
 def _analyze(spec: PackingSpec) -> _Analysis:
+    """The checked arrangement of a packing's boundaries.
+
+    The nodes are the contact points and the frame's marked corners, and the
+    arcs are the boundary runs between them. A third boundary at a contact
+    point would leave some contact edge in a single interstice, so it is
+    rejected at once. Each positively oriented boundary keeps its interior
+    in the counterclockwise sector from its outgoing to its back half-edge,
+    and the pieces' sectors are disjoint and inside the frame's, so the
+    rotation at a node is (a out, a back, b out, b back) for pieces a and b,
+    (frame out, piece out, piece back, frame back) for the frame and a
+    piece, and (frame out, frame back) at a corner. The faces are traced on
+    that rotation (trace_faces) and sorted into piece interiors, interstices
+    and the outer face, and the contact graph must triangulate the square.
+    """
     contacts = _scan_contacts(spec)
     rect = spec.rect
 
     for i in range(len(spec.pieces)):
         if not any(i in objs for objs in contacts.values()):
             raise BadInterstice(f"piece {i} touches nothing")
+    for objs in contacts.values():
+        if len(objs) > 2:
+            raise BadInterstice(
+                f"{len(objs)} boundaries meet at one contact point, want two")
 
     node_specs = [(p, frozenset(objs), False) for p, objs in contacts.items()]
     for k in range(4):
@@ -364,8 +386,23 @@ def _analyze(spec: PackingSpec) -> _Analysis:
     interstices: list[int] = []
     piece_face: dict[int, int] = {}
     outer_count = 0
+    out_half, back_half = {}, {}  # by (node, piece index or "frame")
+    for arc in arcs:
+        owner = "frame" if isinstance(arc.host, str) else arc.host
+        out_half[arc.tail, owner] = 2 * arc.aid
+        back_half[arc.head, owner] = 2 * arc.aid + 1
+    outgoing: dict[int, list[int]] = {}
+    for nd in nodes:
+        pieces = [o for o in nd.objects if isinstance(o, int)]
+        rotation = [h for i in pieces
+                    for h in (out_half[nd.nid, i], back_half[nd.nid, i])]
+        if len(pieces) < 2:  # a frame node
+            rotation = [out_half[nd.nid, "frame"], *rotation,
+                        back_half[nd.nid, "frame"]]
+        outgoing[nd.nid] = rotation
+
     for cycle, polygon, area in trace_faces(
-            [(arc.tail, arc.head, arc.polyline) for arc in arcs]):
+            [(arc.tail, arc.head, arc.polyline) for arc in arcs], outgoing):
         if area == 0:
             raise InvariantFailure("flat arrangement face")
         fid = len(faces)

@@ -576,13 +576,11 @@ def delta_split(diagram: TorusDiagram, path: StaircasePath,
 
 
 def index_from_torus(diagram: TorusDiagram, path: StaircasePath,
-                     check_all_bases: bool = False,
-                     validate_geometry: bool = False) -> int:
+                     check_all_bases: bool = False) -> int:
     """Fixed-point index read off the diagram, checked two ways.
 
     The below-count and above-count formulas are evaluated independently and
-    must agree. With `validate_geometry` the combinatorial memberships are
-    compared against exact point-in-polygon queries on the linked curves.
+    must agree.
 
     With `check_all_bases` the index is read again with the cut at
     constraints 2 and 3, which the path must visit. Cutting at ranks (c, r)
@@ -593,19 +591,6 @@ def index_from_torus(diagram: TorusDiagram, path: StaircasePath,
     alone from below to above. Which marks move depends on the diagram alone.
     """
     below, above = delta_split(diagram, path)
-    if validate_geometry and diagram.first is not None:
-        in_second, in_first = diagram.membership(1)
-        s1 = diagram.col_params[0]
-        t1 = diagram.row_params[0]
-        u_in = point_in_polygon(diagram.second.loop,
-                                diagram.first.point_at(s1))
-        v_in = point_in_polygon(diagram.first.loop,
-                                diagram.second.point_at(t1))
-        if (u_in == PointLocation.INSIDE) != in_second or \
-                (v_in == PointLocation.INSIDE) != in_first:
-            raise FormulaMismatch(
-                "combinatorial membership disagrees with geometry")
-
     eta = _read_index(diagram, below, above, 1)
     if check_all_bases:
         for i in (2, 3):

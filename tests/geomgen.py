@@ -9,17 +9,170 @@ import math
 import random
 from fractions import Fraction
 from functools import cmp_to_key
+from typing import Iterable
 
-from fpindex.errors import NotPositivelyOriented, NotSimple, NotTransverse
-from fpindex.exact_geom import PLLoop, RatPoint, cmp_directions_ccw, pt
+from fpindex.errors import (
+    InvariantFailure,
+    NotPositivelyOriented,
+    NotSimple,
+    NotTransverse,
+)
+from fpindex.exact_geom import (
+    PLLoop,
+    PointLocation,
+    RatPoint,
+    Segment,
+    point_in_polygon,
+    pt,
+)
 from fpindex.jordan import (
     CrossingSet,
     PolyJordanCurve,
     check_transverse,
+    trace_faces,
     validate_curve,
 )
 from fpindex.plmap import PLCorrespondence
-from fpindex.torus import StaircasePath
+from fpindex.torus import StaircasePath, TorusDiagram
+
+
+# -- reference geometry -------------------------------------------------------
+#
+# Rational ray and angle geometry that the package no longer needs: the
+# package reads every rotation from its combinatorial structure, and the
+# tests compare that reading with these angular constructions.
+
+
+def _cross(u: RatPoint, v: RatPoint) -> Fraction:
+    return u.x * v.y - u.y * v.x
+
+
+def cmp_directions_ccw(u: RatPoint, v: RatPoint) -> int:
+    """Compare two nonzero direction vectors by counterclockwise angle.
+
+    Angles start at the positive x-axis. Returns -1/0/+1. Vectors that are
+    positive multiples of each other compare equal.
+    """
+    if u == RatPoint(0, 0) or v == RatPoint(0, 0):
+        raise ValueError("zero direction")
+
+    def half(d: RatPoint) -> int:
+        # 0 for angles in [0, pi), 1 for [pi, 2*pi).
+        return 0 if d.y > 0 or (d.y == 0 and d.x > 0) else 1
+
+    hu, hv = half(u), half(v)
+    if hu != hv:
+        return -1 if hu < hv else 1
+    c = _cross(u, v)
+    return (c < 0) - (c > 0)
+
+
+def ray_first_hit(origin: RatPoint, direction: RatPoint,
+                  segments: Iterable[Segment]) -> Fraction | None:
+    """Smallest t > 0 with origin + t*direction on one of the segments."""
+    if direction == RatPoint(0, 0):
+        raise ValueError("zero ray direction")
+    best: Fraction | None = None
+    for seg in segments:
+        e = seg.b - seg.a
+        denom = _cross(direction, e)
+        w = seg.a - origin
+        if denom != 0:
+            t = _cross(w, e) / denom
+            u = _cross(w, direction) / denom
+            if t > 0 and 0 <= u <= 1 and (best is None or t < best):
+                best = t
+        elif _cross(direction, w) == 0:
+            # collinear: the nearer endpoint ahead is the first hit
+            d2 = direction.dot(direction)
+            for endpoint in (seg.a, seg.b):
+                t = direction.dot(endpoint - origin) / d2
+                if t > 0 and (best is None or t < best):
+                    best = t
+    return best
+
+
+def interior_point(loop: PLLoop) -> RatPoint:
+    """An exact interior point of a positively oriented simple loop.
+
+    Shoots along the inward normal from the midpoint of the first edge and
+    returns the point halfway to the first boundary the ray meets: the open
+    stretch before that hit crosses no edge, so it lies inside the loop.
+    """
+    a, b = next(loop.edges())
+    m = a + (b - a).scale(Fraction(1, 2))
+    d = b - a
+    normal = RatPoint(-d.y, d.x)
+    t = ray_first_hit(m, normal, loop.segments()[1:])
+    if t is None:
+        raise InvariantFailure("inward ray escaped a closed loop")
+    return m + normal.scale(t / 2)
+
+
+def _ray_refinement(polyline, d: RatPoint) -> Fraction:
+    """Angular tie-break for arcs leaving a node along the same ray: positive
+    for a left bend, negative for a right bend, larger magnitude the earlier
+    the bend comes."""
+    base = polyline[0]
+    for k in range(len(polyline) - 1):
+        step = polyline[k + 1] - polyline[k]
+        turn = _cross(d, step)
+        if turn != 0:
+            along = (polyline[k] - base).dot(d)
+            if along <= 0:
+                raise InvariantFailure("arc bends before leaving its node")
+            return Fraction(1 if turn > 0 else -1) / along
+        if step.dot(d) <= 0:
+            raise InvariantFailure("arc doubles back through a contact point")
+    return Fraction(0)
+
+
+def _half_cmp(line1, line2) -> int:
+    """Counterclockwise order of two polylines leaving the same node."""
+    d = line1[1] - line1[0]
+    order = cmp_directions_ccw(d, line2[1] - line2[0])
+    if order != 0:
+        return order
+    k1 = _ray_refinement(line1, d)
+    k2 = _ray_refinement(line2, d)
+    if k1 == k2:
+        raise InvariantFailure("indistinguishable arcs at a contact point")
+    return -1 if k1 < k2 else 1
+
+
+def angular_trace_faces(arcs):
+    """trace_faces with each node's rotation found by sorting the half-edges
+    leaving it by angle: half-edge 2k runs along arc (tail, head, polyline)
+    k and 2k + 1 against it."""
+    lines, tails = [], []
+    for tail, head, polyline in arcs:
+        lines += [polyline, polyline[::-1]]
+        tails += [tail, head]
+    outgoing: dict[int, list[int]] = {}
+    for h, tail in enumerate(tails):
+        outgoing.setdefault(tail, []).append(h)
+    order = cmp_to_key(lambda g, h: _half_cmp(lines[g], lines[h]))
+    for outs in outgoing.values():
+        outs.sort(key=order)
+    return trace_faces(arcs, outgoing)
+
+
+def membership_matches_geometry(diagram: TorusDiagram) -> bool:
+    """Whether the diagram's combinatorial memberships at constraint 1 agree
+    with exact point-in-polygon queries on its linked curves; True for a
+    diagram without curves."""
+    if diagram.first is None:
+        return True
+    in_second, in_first = diagram.membership(1)
+    u = diagram.first.point_at(diagram.col_params[0])
+    v = diagram.second.point_at(diagram.row_params[0])
+    return ((point_in_polygon(diagram.second.loop, u)
+             is PointLocation.INSIDE) == in_second
+            and (point_in_polygon(diagram.first.loop, v)
+                 is PointLocation.INSIDE) == in_first)
+
+
+# -- generators ---------------------------------------------------------------
 
 
 def rational_direction(t: Fraction) -> RatPoint:

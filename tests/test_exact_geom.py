@@ -11,8 +11,6 @@ from fpindex.exact_geom import (
     PointLocation,
     RatPoint,
     Segment,
-    cmp_directions_ccw,
-    interior_point,
     orient2d,
     point_in_polygon,
     pt,
@@ -22,7 +20,13 @@ from fpindex.exact_geom import (
     winding_number,
     winding_of_cycle,
 )
-from geomgen import parity_ray_oracle, star_polygon, turning_winding_oracle
+from geomgen import (
+    cmp_directions_ccw,
+    interior_point,
+    parity_ray_oracle,
+    star_polygon,
+    turning_winding_oracle,
+)
 
 UNIT_SQUARE = PLLoop((pt(0, 0), pt(1, 0), pt(1, 1), pt(0, 1)))
 

@@ -18,7 +18,6 @@ from fpindex.exact_geom import (
     cross_int,
     in_box_int,
     integer_coords,
-    interior_point,
     pt,
     signed_area,
 )
@@ -34,11 +33,15 @@ from fpindex.jordan import (
     crossing_pattern_cuts,
     crossing_word,
     cuts_each_other,
-    trace_faces,
     validate_curve,
 )
 
-from geomgen import random_transverse_pair, star_polygon
+from geomgen import (
+    angular_trace_faces,
+    interior_point,
+    random_transverse_pair,
+    star_polygon,
+)
 from meander_oracle import enumerate_noncut_words
 
 
@@ -61,11 +64,6 @@ class TestValidateCurve:
     def test_rejects_cw_square(self):
         with pytest.raises(NotPositivelyOriented):
             validate_curve([pt(0, 0), pt(0, 1), pt(1, 1), pt(1, 0)])
-
-    def test_reverses_cw_square_when_allowed(self):
-        c = validate_curve([pt(0, 0), pt(0, 1), pt(1, 1), pt(1, 0)],
-                           allow_reversal=True)
-        assert signed_area(c.loop) > 0
 
     def test_rejects_bowtie(self):
         with pytest.raises(NotSimple):
@@ -319,8 +317,8 @@ def alternating_patterns(m):
 
 def geometric_faces(first, second, cs):
     """(boundary, in_K, in_Kt, polygon) per face as the angular sort traces
-    them (trace_faces over the arc polylines), each bounded face labeled at
-    an interior point; the unbounded one is in neither region."""
+    them (angular_trace_faces over the arc polylines), each bounded face
+    labeled at an interior point; the unbounded one is in neither region."""
     arcs = []
     for tag, curve, order, attr in (
             ("first", first, cs.crossings, "param_k"),
@@ -329,7 +327,7 @@ def geometric_faces(first, second, cs):
             arcs.append((tag, order[a].index,
                          order[(a + 1) % len(order)].index, line))
     faces = []
-    for steps, polygon, area in trace_faces([arc[1:] for arc in arcs]):
+    for steps, polygon, area in angular_trace_faces([arc[1:] for arc in arcs]):
         labels = (False, False)
         if area > 0:
             p = interior_point(polygon)

@@ -12,7 +12,7 @@ from fpindex.errors import (
     PieceOutsideRect,
     PiecesOverlap,
 )
-from fpindex.exact_geom import AffineMap, PLLoop, RatPoint
+from fpindex.exact_geom import AffineMap, PLLoop, PointLocation, RatPoint
 from fpindex.jordan import PolyJordanCurve
 from fpindex.packing import (
     PackingSpec,
@@ -25,6 +25,7 @@ from fpindex.packing import (
     validate_packing,
 )
 
+from geomgen import angular_trace_faces, interior_point
 from packfix import curve, one_piece_pair, pt, two_piece_pair
 
 F = Fraction
@@ -147,7 +148,8 @@ class TestValidatePacking:
     def test_rejects_nested_pieces(self):
         spec, _, _ = one_piece_pair()
         inner = curve((2, 1), (3, 2), (2, 3), (1, 2))
-        with pytest.raises(PiecesOverlap):
+        with pytest.raises(PiecesOverlap,
+                           match="piece 1 reaches inside piece 0"):
             validate_packing(PackingSpec(spec.rect, spec.pieces + (inner,)))
 
     def test_rejects_piece_touch_at_non_vertex_of_other_piece(self):
@@ -161,6 +163,24 @@ class TestValidatePacking:
         slab = curve((2, 0), (3, 2), (2, 4), (1, 2))
         with pytest.raises(BadInterstice):
             validate_packing(PackingSpec(rect, (slab,)))
+
+    def test_rejects_three_pieces_at_one_point(self):
+        rect = TopoRectangle(
+            curve((0, 0), (4, 0), (8, 0), (8, 4), (8, 8), (4, 8), (0, 8),
+                  (0, 4)),
+            (0, 2, 4, 6))
+        pieces = (curve((4, 0), (5, 3), (4, 4), (3, 3)),
+                  curve((4, 4), (8, 4), (4, 8)),
+                  curve((4, 4), (3, 6), (0, 4)))
+        with pytest.raises(BadInterstice):
+            validate_packing(PackingSpec(rect, pieces))
+
+    def test_rejects_two_pieces_at_one_frame_vertex(self):
+        rect = one_piece_pair()[0].rect
+        pieces = (curve((2, 0), (3, 2), (2, 2)),
+                  curve((2, 0), (1, 3), (1, 1)))
+        with pytest.raises(BadInterstice):
+            validate_packing(PackingSpec(rect, pieces))
 
     def test_graph_is_affine_invariant(self):
         spec, _, _ = two_piece_pair()
@@ -177,6 +197,50 @@ class TestValidatePacking:
         moved = translate_packing(spec, pt(7, -3))
         _, graph_m = validate_packing(moved)
         assert graph_m.sorted_edges() == graph.sorted_edges()
+
+
+def angular_faces(spec: PackingSpec) -> list[tuple]:
+    """(cycle, node ids, kind, polygon) per face of the packing's arcs as the
+    angular sort traces them; a bounded face is a piece's interior exactly
+    when an interior point of it lies inside some piece."""
+    arcs = spec.analysis.arcs
+    faces = []
+    for cycle, polygon, area in angular_trace_faces(
+            [(arc.tail, arc.head, arc.polyline) for arc in arcs]):
+        kind = "outer"
+        if area > 0:
+            p = interior_point(polygon)
+            kind = "interior" if any(
+                piece.contains(p) is PointLocation.INSIDE
+                for piece in spec.pieces) else "interstice"
+        faces.append((cycle, tuple([arcs[aid].tail if forward
+                                    else arcs[aid].head
+                                    for aid, forward in cycle]),
+                      kind, polygon))
+    return faces
+
+
+class TestContactRotation:
+    """The packing's faces, traced on the rotation its contacts force, are
+    the faces the angular sort traces."""
+
+    MAPS = (AffineMap(F(0), F(-1), F(1), F(0)),  # a quarter turn
+            AffineMap(F(2), F(1), F(0), F(3), F(5), F(-7)),
+            AffineMap(F(3), F(0), F(1), F(2)),
+            AffineMap(F(1, 3), F(-2, 5), F(1, 7), F(1), F(-1, 2), F(4)))
+
+    def test_faces_match_angular_sort(self):
+        specs = [spec for pair in (one_piece_pair(), two_piece_pair())
+                 for spec in pair[:2]]
+        images = [mapped_packing(spec, m) for spec in specs for m in self.MAPS]
+        moved = [translate_packing(spec, pt(F(7, 2), -3)) for spec in specs]
+        assert all(m.determinant() > 0 for m in self.MAPS)
+        for spec in specs + images + moved:
+            faces = spec.analysis.faces
+            assert [(f.cycle, f.node_ids, f.kind, f.polygon)
+                    for f in faces] == angular_faces(spec)
+            assert sum(f.kind == "interstice" for f in faces) == \
+                2 * len(spec.pieces) + 2
 
 
 class TestOverlay:

@@ -17,7 +17,6 @@ from fpindex.errors import (
 from fpindex.exact_geom import (
     AffineMap,
     PointLocation,
-    interior_point,
     joint_int_coords,
     point_in_polygon,
     pt,
@@ -42,6 +41,7 @@ from geomgen import (
     circle_pools,
     grid_curve,
     identity_params,
+    interior_point,
     random_transverse_pair,
     square_curve,
     star_polygon,

@@ -36,6 +36,7 @@ from fpindex.torus import (
 
 from geomgen import (
     identity_params,
+    membership_matches_geometry,
     path_through_constraints,
     random_monotone_path,
     random_transverse_pair,
@@ -354,8 +355,8 @@ class TestIndexFromTorus:
         first, second, _, diagram = lens_fixture()
         phi = identity_params(4)
         path = path_of_correspondence(diagram, phi)
-        eta = index_from_torus(diagram, path, check_all_bases=True,
-                               validate_geometry=True)
+        eta = index_from_torus(diagram, path, check_all_bases=True)
+        assert membership_matches_geometry(diagram)
         assert eta == 0
         assert fixed_point_index(first, second, phi) == 0
 
@@ -372,8 +373,8 @@ class TestIndexFromTorus:
             constraints = synthesize_constraints(crossings, phi, rng)
             diagram = build_diagram(first, second, crossings, constraints)
             path = path_of_correspondence(diagram, phi)
-            eta_torus = index_from_torus(diagram, path, check_all_bases=True,
-                                         validate_geometry=True)
+            eta_torus = index_from_torus(diagram, path, check_all_bases=True)
+            assert membership_matches_geometry(diagram)
             assert eta_torus == eta_geom
             done += 1
 
