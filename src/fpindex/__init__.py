@@ -9,6 +9,11 @@ topological rectangles.
 
 The names below load on first use (PEP 562), so `import fpindex.jordan`
 compiles only `jordan` and what it imports.
+
+The package attribute `prescribe` is the function, not the module of the
+same name, so `import fpindex.prescribe as P` binds the function. Import
+the module's other names from it directly, as in
+`from fpindex.prescribe import find_doubly_adjacent`.
 """
 import sys
 from importlib import import_module

@@ -35,6 +35,21 @@ from .errors import PointOnLoop
 RatLike = Union[int, str, Fraction]
 
 
+def trusted(cls, **fields):
+    """An instance of the frozen dataclass `cls` with the given fields set
+    and its `__post_init__` skipped; a field left out reads the default the
+    class declares.
+
+    This is the one trusted constructor behind the package's validated
+    types. Call it only where the checks would pass by construction: on an
+    object derived from one that has passed them, by an operation that
+    keeps them (an inverse, a rotation, a translate, a child diagram).
+    """
+    obj = object.__new__(cls)
+    obj.__dict__.update(fields)
+    return obj
+
+
 def rat(value: RatLike) -> Fraction:
     """Coerce an int, "p/q" string, or Fraction to an exact Fraction."""
     if isinstance(value, Fraction):
@@ -242,9 +257,6 @@ class PLLoop:
     def segments(self) -> list[Segment]:
         return [Segment(a, b) for a, b in self.edges()]
 
-    def reversed_loop(self) -> "PLLoop":
-        return PLLoop(tuple(reversed(self.vertices)))
-
     def translated(self, v: RatPoint) -> "PLLoop":
         return PLLoop(tuple(p + v for p in self.vertices))
 
@@ -359,8 +371,3 @@ class AffineMap:
     def apply(self, p: RatPoint) -> RatPoint:
         return RatPoint(self.a * p.x + self.b * p.y + self.e,
                         self.c * p.x + self.d * p.y + self.f)
-
-    def apply_vector(self, v: RatPoint) -> RatPoint:
-        """Linear part only; differences of points transform this way."""
-        return RatPoint(self.a * v.x + self.b * v.y,
-                        self.c * v.x + self.d * v.y)

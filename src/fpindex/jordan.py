@@ -115,13 +115,22 @@ def _check_simple(loop: PLLoop) -> None:
 
 @dataclass(frozen=True)
 class PolyJordanCurve:
-    """A simple, positively oriented closed polygonal curve."""
+    """A simple, positively oriented closed polygonal curve.
+
+    The constructor (and `validate_curve`) checks both. The orientation is read at the lowest, then leftmost, vertex: once the
+    loop is simple, that vertex is convex and its neighbours are not
+    collinear with it, so the turn there has the sign of the signed area.
+    """
 
     loop: PLLoop
 
     def __post_init__(self) -> None:
         _check_simple(self.loop)
-        if signed_area(self.loop) <= 0:
+        _, xs, ys = self.loop.int_coords
+        k = min(range(len(xs)), key=lambda i: (ys[i], xs[i]))
+        k1 = (k + 1) % len(xs)
+        if cross_int((xs[k - 1], ys[k - 1]), (xs[k], ys[k]),
+                     (xs[k1], ys[k1])) < 0:
             raise NotPositivelyOriented("loop has non-positive signed area")
 
     @property

@@ -50,6 +50,7 @@ from .exact_geom import (
     RatPoint,
     in_box_int,
     point_in_polygon,
+    trusted,
 )
 from .jordan import (
     PolyJordanCurve,
@@ -794,10 +795,12 @@ def certify_incompatibility(first: PackingSpec, second: PackingSpec,
 
 
 def translate_packing(spec: PackingSpec, shift: RatPoint) -> PackingSpec:
-    """The same packing moved rigidly by a vector."""
+    """The same packing moved rigidly by a vector. A translate of a simple,
+    counterclockwise curve is one too, so the moved curves are not checked
+    again."""
+    def moved(curve: PolyJordanCurve) -> PolyJordanCurve:
+        return trusted(PolyJordanCurve, loop=curve.loop.translated(shift))
+
     return PackingSpec(
-        rect=TopoRectangle(
-            PolyJordanCurve(spec.rect.curve.loop.translated(shift)),
-            spec.rect.corners),
-        pieces=tuple(PolyJordanCurve(piece.loop.translated(shift))
-                     for piece in spec.pieces))
+        rect=TopoRectangle(moved(spec.rect.curve), spec.rect.corners),
+        pieces=tuple([moved(piece) for piece in spec.pieces]))

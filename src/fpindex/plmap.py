@@ -22,6 +22,9 @@ sign across the cell, so that step neither meets nor crosses the x-axis and
 adds nothing to the winding number. It is skipped with two comparisons of
 the curves' own integer coordinates. Only steps in cells whose ranges
 overlap or touch get exact integer ends and the crossing rule.
+
+A correspondence is checked once, where it enters; maps derived from a
+checked one, such as its inverse, skip the check (`PLCorrespondence`).
 """
 from __future__ import annotations
 
@@ -46,6 +49,7 @@ from .exact_geom import (
     PLLoop,
     RatPoint,
     edge_crossing,
+    trusted,
 )
 from .jordan import PolyJordanCurve, validate_curve
 
@@ -56,12 +60,18 @@ class PLCorrespondence:
 
     Breakpoints are (s, t) pairs with all s in [0, 1) strictly increasing and
     the t sequence strictly increasing cyclically with exactly one wrap, which
-    is what degree one plus injectivity means for a monotone map.
+    is what degree one plus injectivity means for a monotone map. `wrap` is
+    the position of the least t, the breakpoint after that one descent.
+
+    The constructor checks all of this. `_trusted` checks nothing: it is for
+    maps made from a valid one (`invert`) or by construction
+    (`random_correspondence`, `torus.realize_path`), which know the wrap.
     """
 
     breakpoints: tuple[tuple[Fraction, Fraction], ...]
     s_vals: tuple[Fraction, ...] = field(init=False, repr=False,
                                          compare=False)
+    wrap: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         bps = self.breakpoints
@@ -75,12 +85,21 @@ class PLCorrespondence:
             raise InputRejection("target parameters must lie in [0, 1)")
         if any(a >= b for a, b in zip(s_vals, s_vals[1:])):
             raise NotOrientationPreserving("source parameters not increasing")
-        descents = sum(1 for i in range(len(t_vals))
-                       if t_vals[(i + 1) % len(t_vals)] <= t_vals[i])
-        if descents != 1:
+        n = len(t_vals)
+        descents = [i for i in range(n) if t_vals[(i + 1) % n] <= t_vals[i]]
+        if len(descents) != 1:
             raise NotOrientationPreserving(
                 "target parameters must increase cyclically with one wrap")
         object.__setattr__(self, "s_vals", s_vals)
+        object.__setattr__(self, "wrap", (descents[0] + 1) % n)
+
+    @classmethod
+    def _trusted(cls, breakpoints: tuple[tuple[Fraction, Fraction], ...],
+                 wrap: int) -> "PLCorrespondence":
+        """Unchecked constructor for breakpoints known to be valid, with
+        the least target parameter at position `wrap`."""
+        return trusted(cls, breakpoints=breakpoints,
+                       s_vals=tuple([s for s, _ in breakpoints]), wrap=wrap)
 
     def evaluate(self, s: Fraction) -> Fraction:
         s = s % 1
@@ -96,8 +115,13 @@ class PLCorrespondence:
         return (t_i + t_step * (s - s_i) / (s_next - s_i)) % 1
 
     def invert(self) -> "PLCorrespondence":
-        flipped = sorted((t, s) for s, t in self.breakpoints)
-        return PLCorrespondence(tuple(flipped))
+        """The inverse map: the flipped pairs, rotated to start at the least
+        target parameter, so they need no sort and no check. The least
+        source parameter, first here, lands at position n - wrap."""
+        bps, w = self.breakpoints, self.wrap
+        n = len(bps)
+        return PLCorrespondence._trusted(
+            tuple([(t, s) for s, t in bps[w:] + bps[:w]]), (n - w) % n)
 
 
 def random_correspondence(rng, breakpoints: int,
@@ -124,7 +148,10 @@ def random_correspondence(rng, breakpoints: int,
     # straight from an iterator it grows by reallocation, which made the
     # resident size creep up over thousands of calls. Hot paths here build
     # tuples and argument lists from lists for the same reason.
-    return PLCorrespondence(tuple(list(zip(s_vals, t_cyc))))
+    # Both draws are sorted and distinct, so the pairs are valid by
+    # construction, and the least target sits where the rotation put t_vals[0].
+    return PLCorrespondence._trusted(tuple(list(zip(s_vals, t_cyc))),
+                                     (breakpoints - shift) % breakpoints)
 
 
 def _inner_vertices(lo: int, width: int, n: int, den: int,
@@ -300,13 +327,18 @@ def transform_pair(source: PolyJordanCurve, target: PolyJordanCurve,
     """Transport a correspondence along an orientation-preserving affine map.
 
     Parameters are per-edge fractions, which affine maps preserve, so the same
-    breakpoint table works for the transformed curves.
+    breakpoint table works for the transformed curves. A map with positive
+    determinant keeps a curve simple and counterclockwise, so the images are
+    not checked again.
     """
     if mapping.determinant() <= 0:
         raise NotOrientationPreserving("affine map must have positive determinant")
-    new_source = validate_curve([mapping.apply(p) for p in source.vertices])
-    new_target = validate_curve([mapping.apply(p) for p in target.vertices])
-    return new_source, new_target, phi
+
+    def image(curve: PolyJordanCurve) -> PolyJordanCurve:
+        return trusted(PolyJordanCurve, loop=PLLoop(tuple(
+            [mapping.apply(p) for p in curve.vertices])))
+
+    return image(source), image(target), phi
 
 
 # -- gluing ------------------------------------------------------------------

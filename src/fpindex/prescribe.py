@@ -47,6 +47,7 @@ from .errors import (
     TooFewCrossings,
     TooLarge,
 )
+from .exact_geom import trusted
 from .jordan import CrossKind
 from .torus import StaircasePath, TorusDiagram, _read_index, index_from_torus
 
@@ -345,12 +346,13 @@ def _walk(diagram: TorusDiagram, scale: int, events,
 
 def _thread_path(diagram: TorusDiagram, below_ids, extra=()) -> StaircasePath:
     """Monotone faithful path with exactly the given marks below it: the
-    integer walk, scaled to `Fraction`s once."""
+    integer walk, scaled to `Fraction`s once. `_walk` has checked that its
+    vertices rise strictly, so the path is built without a check."""
     scale, events = _events(diagram, extra)
     vertices, _ = _walk(diagram, scale, events, below_ids)
     d = diagram.size * scale
-    return StaircasePath(tuple([(Fraction(x, d), Fraction(y, d))
-                                for x, y in vertices]))
+    return trusted(StaircasePath, points=tuple(
+        [(Fraction(x, d), Fraction(y, d)) for x, y in vertices]))
 
 
 def _split_value(diagram: TorusDiagram, below_ids, extra=()) -> int:

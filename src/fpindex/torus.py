@@ -27,6 +27,11 @@ next crossing tells you which side you are on.
 Cutting at another prescribed pair is a cyclic shift of the torus by that
 pair's token ranks, so the reading at that cut follows from the marks' ranks
 and sides at the first, with no diagram or path rebuilt.
+
+Diagrams and paths are checked once, where they enter: by the
+`TorusDiagram` and `StaircasePath` constructors. Those this module derives
+from checked input, whose invariants hold by construction, are built by the
+trusted constructor `exact_geom.trusted`; each such function says why.
 """
 from __future__ import annotations
 
@@ -48,7 +53,13 @@ from .errors import (
     PathHitsMark,
     SquareTooLarge,
 )
-from .exact_geom import PointLocation, RatPoint, point_in_polygon, winding_of_cycle
+from .exact_geom import (
+    PointLocation,
+    RatPoint,
+    point_in_polygon,
+    trusted,
+    winding_of_cycle,
+)
 from .jordan import CrossKind, CrossingSet, PolyJordanCurve
 from .plmap import PLCorrespondence
 
@@ -124,14 +135,7 @@ class TorusDiagram:
         mark_ids = [t[1] for t in cols if t[0] == "m"]
         if sorted(kind_map) != sorted(mark_ids):
             raise InputRejection("kinds must cover exactly the marks")
-        if len(mark_ids) % 2 != 0:
-            raise AlternationViolation("odd number of marks")
-        for order in (cols, rows):
-            seq = [kind_map[t[1]] for t in order if t[0] == "m"]
-            for a, b in zip(seq, seq[1:] + seq[:1]):
-                if len(seq) >= 2 and a == b:
-                    raise AlternationViolation(
-                        "mark kinds fail to alternate along a circle")
+        _check_alternation(cols, rows, kind_map)
         if not mark_ids and self.containment is None:
             raise InputRejection("a diagram without marks needs a containment tag")
         for params, order in ((self.col_params, cols), (self.row_params, rows)):
@@ -224,12 +228,17 @@ class TorusDiagram:
         the last marks freezes the current membership answer into that tag:
         removing a doubly adjacent pair never sweeps across a constraint
         point, so its membership is unchanged.
+
+        Removing marks leaves the constraints, their order and the other
+        tokens as they were, so of the constructor's checks only the even
+        count and the alternation can fail; the child gets those two alone.
         """
         gone = set(ids)
         keep = lambda t: t[0] != "m" or t[1] not in gone
         new_cols = tuple(t for t in self.col_order if keep(t))
         new_rows = tuple(t for t in self.row_order if keep(t))
         new_kinds = tuple((k, v) for k, v in self.kinds if k not in gone)
+        _check_alternation(new_cols, new_rows, dict(new_kinds))
         containment = self.containment
         if not any(t[0] == "m" for t in new_cols) and containment is None:
             in_second, in_first = self.membership(1)
@@ -238,8 +247,8 @@ class TorusDiagram:
             containment = (Containment.FIRST_INSIDE_SECOND if in_second
                            else Containment.SECOND_INSIDE_FIRST if in_first
                            else Containment.DISJOINT)
-        return TorusDiagram(col_order=new_cols, row_order=new_rows,
-                            kinds=new_kinds, containment=containment)
+        return trusted(TorusDiagram, col_order=new_cols, row_order=new_rows,
+                       kinds=new_kinds, containment=containment)
 
     def dump(self, path: "StaircasePath | None" = None) -> str:
         """ASCII rendering, one character cell per token pair, top row first."""
@@ -259,6 +268,21 @@ class TorusDiagram:
                     grid[row][col] = "*"
         lines = ["".join(row) for row in reversed(grid)]
         return "\n".join(lines)
+
+
+def _check_alternation(cols: Sequence[TokenId], rows: Sequence[TokenId],
+                       kind_map: dict[int, CrossKind]) -> None:
+    """AlternationViolation unless the marks are even in number and their
+    kinds alternate along both cyclic token orders."""
+    seqs = [[kind_map[t[1]] for t in order if t[0] == "m"]
+            for order in (cols, rows)]
+    if len(seqs[0]) % 2 != 0:
+        raise AlternationViolation("odd number of marks")
+    for seq in seqs:
+        for a, b in zip(seq, seq[1:] + seq[:1]):
+            if len(seq) >= 2 and a == b:
+                raise AlternationViolation(
+                    "mark kinds fail to alternate along a circle")
 
 
 def _cyclically_increasing(params: Sequence[Fraction]) -> bool:
@@ -308,6 +332,11 @@ def build_diagram(first: PolyJordanCurve, second: PolyJordanCurve,
     the three target parameters must follow the same cyclic order as the
     sources, or no orientation-preserving map through them exists. The pairs
     are listed in that cyclic order from the first, which becomes the cut.
+
+    The crossings come from `jordan.check_transverse`: distinct ids and
+    parameters, an even count, kinds alternating along both curves. With
+    the checks below on the constraints, every `TorusDiagram` condition
+    holds, so the diagram is built without repeating them.
     """
     if len(constraint_pairs) != 3:
         raise InputRejection("exactly three prescribed pairs are required")
@@ -353,7 +382,8 @@ def build_diagram(first: PolyJordanCurve, second: PolyJordanCurve,
                        else Containment.SECOND_INSIDE_FIRST if v_in
                        else Containment.DISJOINT)
 
-    return TorusDiagram(
+    return trusted(
+        TorusDiagram,
         col_order=tuple(t for _, t in col_items),
         row_order=tuple(t for _, t in row_items),
         kinds=tuple((c.index, c.kind) for c in crossings),
@@ -407,8 +437,10 @@ def straight_path(diagram: TorusDiagram) -> StaircasePath:
     """The polyline through the three constraint lattice points."""
     x2, y2 = diagram.constraint_point(2)
     x3, y3 = diagram.constraint_point(3)
-    return StaircasePath(((Fraction(0), Fraction(0)), (x2, y2), (x3, y3),
-                          (Fraction(1), Fraction(1))))
+    # the diagram's constraints rise in both orders: 0 < rank 2 < rank 3 < n
+    return trusted(StaircasePath, points=(
+        (Fraction(0), Fraction(0)), (x2, y2), (x3, y3),
+        (Fraction(1), Fraction(1))))
 
 
 def path_of_correspondence(diagram: TorusDiagram,
@@ -426,7 +458,8 @@ def path_of_correspondence(diagram: TorusDiagram,
     interpolated on integers; equal offsets from the three sources merge
     into one vertex. A column token sits at x = k/n and a row-token
     preimage at y = j/n with no arithmetic, and every other coordinate
-    costs one `Fraction`.
+    costs one `Fraction`. The walk's offsets rise strictly and phi is
+    increasing, so the path is built without a check.
     """
     if diagram.col_params is None:
         raise InputRejection("diagram carries no true parameters")
@@ -478,7 +511,7 @@ def path_of_correspondence(diagram: TorusDiagram,
             y = _rank_position(rh - 1, vn, vd, rows, n)
         pts.append((x, y))
     pts.append((Fraction(1), Fraction(1)))
-    return StaircasePath(tuple(pts))
+    return trusted(StaircasePath, points=tuple(pts))
 
 
 def _lerp(lo, hi, num: int, den: int, axis: int) -> tuple[int, int]:
@@ -507,15 +540,25 @@ def realize_path(diagram: TorusDiagram, path: StaircasePath) -> PLCorrespondence
 
     With true parameters attached this reverses `path_of_correspondence`; on
     an abstract diagram it returns the correspondence in token coordinates.
+
+    A valid path rises strictly in both coordinates, and token positions map
+    to parameters in cyclic order, so the pairs are a valid map once rotated
+    to the least source parameter; it is built without a check.
     """
     points = path.points[:-1]
+    if len(points) < 2:
+        raise InputRejection("need at least two breakpoints")
     if diagram.col_params is None:
-        return PLCorrespondence(points)
+        return PLCorrespondence._trusted(points, 0)
     cols, rows = diagram._unit_params
-    pairs = list(zip(_params_at(cols, [x for x, _ in points]),
-                     _params_at(rows, [y for _, y in points])))
-    pairs.sort()  # a rotation: the source parameters rise cyclically
-    return PLCorrespondence(tuple(pairs))
+    s_vals = _params_at(cols, [x for x, _ in points])
+    t_vals = _params_at(rows, [y for _, y in points])
+    n = len(points)
+    lo = min(range(n), key=s_vals.__getitem__)
+    wrap = min(range(n), key=t_vals.__getitem__)
+    pairs = list(zip(s_vals, t_vals))
+    return PLCorrespondence._trusted(tuple(pairs[lo:] + pairs[:lo]),
+                                     (wrap - lo) % n)
 
 
 def _params_at(params: list[Fraction],

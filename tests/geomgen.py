@@ -157,6 +157,11 @@ def angular_trace_faces(arcs):
     return trace_faces(arcs, outgoing)
 
 
+def reversed_loop(loop: PLLoop) -> PLLoop:
+    """The loop traversed the other way round."""
+    return PLLoop(tuple(reversed(loop.vertices)))
+
+
 def membership_matches_geometry(diagram: TorusDiagram) -> bool:
     """Whether the diagram's combinatorial memberships at constraint 1 agree
     with exact point-in-polygon queries on its linked curves; True for a

@@ -24,6 +24,7 @@ from geomgen import (
     cmp_directions_ccw,
     interior_point,
     parity_ray_oracle,
+    reversed_loop,
     star_polygon,
     turning_winding_oracle,
 )
@@ -119,13 +120,13 @@ def test_loop_validation():
 
 def test_signed_area_unit_square():
     assert signed_area(UNIT_SQUARE) == 1
-    assert signed_area(UNIT_SQUARE.reversed_loop()) == -1
+    assert signed_area(reversed_loop(UNIT_SQUARE)) == -1
 
 
 def test_winding_unit_square():
     center = pt("1/2", "1/2")
     assert winding_number(UNIT_SQUARE, center) == 1
-    assert winding_number(UNIT_SQUARE.reversed_loop(), center) == -1
+    assert winding_number(reversed_loop(UNIT_SQUARE), center) == -1
     assert winding_number(UNIT_SQUARE, pt(2, 2)) == 0
 
 

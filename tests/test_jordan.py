@@ -12,6 +12,7 @@ from fpindex.errors import (
     NotTransverse,
 )
 from fpindex.exact_geom import (
+    PLLoop,
     PointLocation,
     RatPoint,
     Segment,
@@ -38,8 +39,10 @@ from fpindex.jordan import (
 
 from geomgen import (
     angular_trace_faces,
+    circle_polygon,
     interior_point,
     random_transverse_pair,
+    reversed_loop,
     star_polygon,
 )
 from meander_oracle import enumerate_noncut_words
@@ -114,6 +117,38 @@ class TestValidateCurve:
         for num in range(16):
             t = Fraction(num, 16)
             assert c.locate_param(c.point_at(t)) == t
+
+
+def counterclockwise_loops():
+    """Seeded star polygons, 64-gon circles and both curves of each
+    canonical non-cutting pair up to 40 crossings."""
+    rng = random.Random(7500)
+    for _ in range(60):
+        yield star_polygon(rng, rng.randrange(5, 17), pt(0, 0), 2, 5)
+    for cx, cy, r in ((0, 0, 1), (Fraction(1, 3), -2, Fraction(1, 4)),
+                      (7, Fraction(5, 2), Fraction(37, 3))):
+        yield circle_polygon(Fraction(cx), Fraction(cy), Fraction(r)).loop
+    for m in range(1, 21):
+        for curve in canonical_noncut_pair(m):
+            yield curve.loop
+
+
+class TestOrientationAtExtremeVertex:
+    def test_agrees_with_the_shoelace_sign(self):
+        # The constructor reads the turn at the lowest, then leftmost,
+        # vertex; start each loop there, just after it and where it was.
+        for loop in counterclockwise_loops():
+            _, xs, ys = loop.int_coords
+            low = min(range(len(xs)), key=lambda i: (ys[i], xs[i]))
+            for k in {0, low, low + 1}:
+                start = PLLoop(loop.vertices[k:] + loop.vertices[:k])
+                assert signed_area(start) > 0
+                validate_curve(start)
+                back = reversed_loop(start)
+                assert signed_area(back) < 0
+                with pytest.raises(NotPositivelyOriented,
+                                   match="loop has non-positive signed area"):
+                    validate_curve(back)
 
 
 def point_on_segment(seg, p):

@@ -78,6 +78,19 @@ print(json.dumps([isinstance(prescribe, types.FunctionType),
                   fpindex.prescribe is module.prescribe]))
 """) == [True, True, True]
 
+    def test_submodule_imports_after_the_function_is_bound(self):
+        # `import fpindex.prescribe as P` reads the package attribute, which
+        # is the function; importing names from the module still works.
+        assert fresh("""
+import json, types
+import fpindex
+fpindex.prescribe
+import fpindex.prescribe as P
+from fpindex.prescribe import find_doubly_adjacent
+print(json.dumps([isinstance(P, types.FunctionType),
+                  find_doubly_adjacent.__module__]))
+""") == [True, "fpindex.prescribe"]
+
     def test_dir_and_star_import_list_every_name(self):
         names, starred = fresh("""
 import json, fpindex
