@@ -34,10 +34,12 @@ from typing import Iterator, Sequence
 
 from .errors import (
     AlternationViolation,
+    InputRejection,
     InvariantFailure,
     NotPositivelyOriented,
     NotSimple,
     NotTransverse,
+    OrderViolation,
 )
 from .exact_geom import (
     IntPoint,
@@ -117,9 +119,10 @@ def _check_simple(loop: PLLoop) -> None:
 class PolyJordanCurve:
     """A simple, positively oriented closed polygonal curve.
 
-    The constructor (and `validate_curve`) checks both. The orientation is read at the lowest, then leftmost, vertex: once the
-    loop is simple, that vertex is convex and its neighbours are not
-    collinear with it, so the turn there has the sign of the signed area.
+    The constructor (and `validate_curve`) checks both. The orientation is
+    read at the lowest, then leftmost, vertex: once the loop is simple, that
+    vertex is convex and its neighbours are not collinear with it, so the
+    turn there has the sign of the signed area.
     """
 
     loop: PLLoop
@@ -213,7 +216,14 @@ class Crossing:
 
 @dataclass(frozen=True)
 class CrossingSet:
-    """All crossings of a transverse pair, sorted by first-curve parameter."""
+    """All crossings of a transverse pair, sorted by first-curve parameter.
+
+    The constructor checks the order, the even count and the alternation of
+    kinds along both curves, then that the ids are distinct and that the
+    parameters on each curve are distinct and lie in [0, 1), as
+    `check_transverse` makes them. `torus.build_diagram` relies on all of
+    these to build its diagram without checking it again.
+    """
 
     crossings: tuple[Crossing, ...]
 
@@ -223,10 +233,19 @@ class CrossingSet:
             raise InvariantFailure("crossings not sorted by first-curve parameter")
         if len(self.crossings) % 2 != 0:
             raise AlternationViolation("odd crossing count")
-        for order in (self.crossings, self.by_param_kt()):
+        by_kt = self.by_param_kt()
+        for order in (self.crossings, by_kt):
             for a, b in zip(order, order[1:] + order[:1]):
                 if len(order) >= 2 and a.kind == b.kind:
                     raise AlternationViolation("crossing kinds fail to alternate")
+        if len({c.index for c in self.crossings}) != len(params):
+            raise InputRejection("duplicate tokens")
+        params_kt = [c.param_kt for c in by_kt]
+        for ps in (params, params_kt):
+            if ps and not 0 <= ps[0] <= ps[-1] < 1:
+                raise InputRejection("crossing parameters must lie in [0, 1)")
+            if any(a == b for a, b in zip(ps, ps[1:])):
+                raise OrderViolation("true parameters out of cyclic order")
 
     def __len__(self) -> int:
         return len(self.crossings)

@@ -333,10 +333,11 @@ def build_diagram(first: PolyJordanCurve, second: PolyJordanCurve,
     sources, or no orientation-preserving map through them exists. The pairs
     are listed in that cyclic order from the first, which becomes the cut.
 
-    The crossings come from `jordan.check_transverse`: distinct ids and
-    parameters, an even count, kinds alternating along both curves. With
-    the checks below on the constraints, every `TorusDiagram` condition
-    holds, so the diagram is built without repeating them.
+    The `CrossingSet` constructor has checked the crossings: distinct ids,
+    distinct parameters in [0, 1) on each curve, an even count, kinds
+    alternating along both curves. With the checks below on the
+    constraints, every `TorusDiagram` condition holds, so the diagram is
+    built without repeating them.
     """
     if len(constraint_pairs) != 3:
         raise InputRejection("exactly three prescribed pairs are required")

@@ -18,9 +18,10 @@ from fpindex.errors import (
     AlternationViolation,
     AssumptionViolated,
     InputRejection,
+    OrderViolation,
 )
 from fpindex.exact_geom import AffineMap, pt
-from fpindex.jordan import canonical_noncut_pair, check_transverse
+from fpindex.jordan import CrossingSet, canonical_noncut_pair, check_transverse
 from fpindex.packing import translate_packing
 from fpindex.plmap import PLCorrespondence, random_correspondence, transform_pair
 from fpindex.prescribe import (
@@ -197,6 +198,35 @@ class TestDiagrams:
         diagram, _ = next(canonical_diagrams([2]))
         with pytest.raises(AlternationViolation, match=reason):
             diagram.without_marks(drop)
+
+
+class TestHandBuiltCrossings:
+    """`build_diagram` trusts its `CrossingSet`, so a set that breaks what
+    it relies on is rejected where it is made. A repeated parameter or id
+    raises the class and message that the checked `TorusDiagram` raised."""
+
+    @pytest.mark.parametrize("change, error, message", [
+        (lambda c0, c1: replace(c1, param_k=c0.param_k),
+         OrderViolation, "true parameters out of cyclic order"),
+        (lambda c0, c1: replace(c1, param_kt=c0.param_kt),
+         OrderViolation, "true parameters out of cyclic order"),
+        (lambda c0, c1: replace(c1, index=c0.index),
+         InputRejection, "duplicate tokens"),
+        (lambda c0, c1: replace(c1, param_k=c1.param_k + 1),
+         InputRejection, r"crossing parameters must lie in \[0, 1\)"),
+        (lambda c0, c1: replace(c1, param_kt=c1.param_kt - 1),
+         InputRejection, r"crossing parameters must lie in \[0, 1\)"),
+    ])
+    def test_rejected_on_the_way_to_build_diagram(self, change, error, message):
+        first, second = square_curve(0, 0, 4, 4), square_curve(2, 1, 6, 3)
+        c0, c1 = check_transverse(first, second)
+        pairs = synthesize_constraints(
+            CrossingSet((c0, c1)), random_correspondence(random.Random(5), 5),
+            random.Random(5))
+        with pytest.raises(error, match=message) as caught:
+            build_diagram(first, second, CrossingSet((c0, change(c0, c1))),
+                          pairs)
+        assert caught.type is error
 
 
 class TestPaths:
