@@ -30,6 +30,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from math import lcm
+from operator import attrgetter
 from typing import Iterator, Sequence
 
 from .errors import (
@@ -214,6 +215,9 @@ class Crossing:
     kind: CrossKind
 
 
+_lowest_terms = attrgetter("numerator", "denominator")
+
+
 @dataclass(frozen=True)
 class CrossingSet:
     """All crossings of a transverse pair, sorted by first-curve parameter.
@@ -244,7 +248,9 @@ class CrossingSet:
         for ps in (params, params_kt):
             if ps and not 0 <= ps[0] <= ps[-1] < 1:
                 raise InputRejection("crossing parameters must lie in [0, 1)")
-            if any(a == b for a, b in zip(ps, ps[1:])):
+            # a Fraction is kept in lowest terms, so a set of these pairs
+            # finds a repeated parameter without hashing Fractions
+            if len(set(map(_lowest_terms, ps))) != len(ps):
                 raise OrderViolation("true parameters out of cyclic order")
 
     def __len__(self) -> int:

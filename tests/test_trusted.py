@@ -216,7 +216,8 @@ class TestHandBuiltCrossings:
          InputRejection, r"crossing parameters must lie in \[0, 1\)"),
         (lambda c0, c1: replace(c1, param_kt=c1.param_kt - 1),
          InputRejection, r"crossing parameters must lie in \[0, 1\)"),
-    ])
+    ], ids=["repeated_param_k", "repeated_param_kt", "repeated_id",
+            "param_k_above_range", "param_kt_below_range"])
     def test_rejected_on_the_way_to_build_diagram(self, change, error, message):
         first, second = square_curve(0, 0, 4, 4), square_curve(2, 1, 6, 3)
         c0, c1 = check_transverse(first, second)
