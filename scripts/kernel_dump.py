@@ -19,7 +19,11 @@ acceptance test: the glued source and target vertices and breakpoints, or
 the error class alone. A fourth file, `circle.txt`, records the index
 forward and on the inverse map for seeded maps on seeded 64-gon circle
 pairs in four positions (disjoint, nested, two crossings, general), whose
-coordinates carry denominators near 10^12. The script loads `fpindex` from
+coordinates carry denominators near 10^12. A fifth file, `packing.txt`,
+records `assemble_theorem_certificate` on both pairs of `tests/packfix.py`
+and seeded translates of each: the certificate (frame, piece and
+interstice indices and interstice triples) and every map the certificate
+passes to `fixed_point_index`, with its index. The script loads `fpindex` from
 this checkout's `src/`, so the dumps of two checkouts are identical exactly
 when `diff -r OUT_A OUT_B` prints nothing.
 """
@@ -34,6 +38,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
+from fpindex import packing  # noqa: E402
 from fpindex.errors import FpIndexError  # noqa: E402
 from fpindex.jordan import canonical_noncut_pair, check_transverse  # noqa: E402
 from fpindex.plmap import (  # noqa: E402
@@ -42,6 +47,7 @@ from fpindex.plmap import (  # noqa: E402
     glue,
     random_correspondence,
 )
+from fpindex.exact_geom import RatPoint  # noqa: E402
 from fpindex.prescribe import oracle_enumerate, prescribe  # noqa: E402
 from fpindex.torus import (  # noqa: E402
     StaircasePath,
@@ -62,6 +68,7 @@ from geomgen import (  # noqa: E402
     random_transverse_pair,
     synthesize_constraints,
 )
+from packfix import one_piece_pair, two_piece_pair  # noqa: E402
 
 RANDOM_PAIRS = 150
 CANONICAL_SIZES = range(1, 17)
@@ -70,6 +77,7 @@ GLUE_GRID_PAIRS = 1000
 GLUE_SQUARE_FIXTURES = 100
 CIRCLE_PAIRS_PER_CLASS = 2
 CIRCLE_MAPS = 25
+PACKING_TRANSLATES = 3
 
 
 def fmt(value) -> str:
@@ -194,6 +202,48 @@ def circle_dump(seed: int) -> list[str]:
     return out
 
 
+def packing_dump(seed: int) -> list[str]:
+    rng = random.Random(f"kernel-dump-packing:{seed}")
+    out: list[str] = []
+    calls: list[str] = []
+    index = packing.fixed_point_index
+
+    def recorded(source, target, phi):
+        calls.append(f"map {outcome(index, source, target, phi)} "
+                     f"{fmt(phi.breakpoints)}")
+        return index(source, target, phi)
+
+    packing.fixed_point_index = recorded
+    try:
+        for name, make in (("one_piece_pair", one_piece_pair),
+                           ("two_piece_pair", two_piece_pair)):
+            first, second, corr = make()
+            shifts = [RatPoint(Fraction(0), Fraction(0))]
+            shifts += [RatPoint(Fraction(rng.randrange(-99, 100),
+                                         rng.randrange(1, 12)),
+                                Fraction(rng.randrange(-99, 100),
+                                         rng.randrange(1, 12)))
+                       for _ in range(PACKING_TRANSLATES)]
+            for shift in shifts:
+                out.append(f"# {name} shift {shift.x},{shift.y}")
+                calls.clear()
+                try:
+                    cert = packing.assemble_theorem_certificate(
+                        packing.translate_packing(first, shift),
+                        packing.translate_packing(second, shift), corr)
+                    out.append(
+                        f"certificate rect {cert.rect_index} "
+                        f"pieces {fmt(cert.piece_indices)} "
+                        f"interstices {fmt(cert.interstice_indices)} "
+                        f"triples {fmt(cert.interstice_triples)}")
+                except FpIndexError as err:
+                    out.append(f"certificate {type(err).__name__}: {err}")
+                out.extend(calls)
+    finally:
+        packing.fixed_point_index = index
+    return out
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("outdir", type=Path)
@@ -201,7 +251,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     args.outdir.mkdir(parents=True, exist_ok=True)
     for name, build in (("random", random_dump), ("canonical", canonical_dump),
-                        ("glue", glue_dump), ("circle", circle_dump)):
+                        ("glue", glue_dump), ("circle", circle_dump),
+                        ("packing", packing_dump)):
         path = args.outdir / f"{name}.txt"
         path.write_text("\n".join(build(args.seed)) + "\n", encoding="utf-8")
         print("wrote", path)

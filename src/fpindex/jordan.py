@@ -488,17 +488,28 @@ def build_arrangement(first: PolyJordanCurve, second: PolyJordanCurve,
     return faces
 
 
+def _containment(first: PolyJordanCurve, second: PolyJordanCurve) -> str:
+    """How a transverse pair without crossings lies, as a value of
+    torus.Containment: "first_inside_second", "second_inside_first" or
+    "disjoint". Each curve lies on one side of the other, so one vertex of
+    each decides."""
+    if second.contains(first.vertices[0]) is PointLocation.INSIDE:
+        return "first_inside_second"
+    if first.contains(second.vertices[0]) is PointLocation.INSIDE:
+        return "second_inside_first"
+    return "disjoint"
+
+
 def _trivial_arrangement(first: PolyJordanCurve,
                          second: PolyJordanCurve) -> list[ArrangementFace]:
     """Faces for a crossing-free pair: nested or disjoint."""
     full1 = (("first", -1, -1, True),)
     full2 = (("second", -1, -1, True),)
-    if second.contains(first.vertices[0]) == PointLocation.INSIDE:
-        # first nested in second
+    containment = _containment(first, second)
+    if containment == "first_inside_second":
         faces = [ArrangementFace(0, full1, True, True, first.loop),
                  ArrangementFace(1, full1 + full2, False, True)]
-    elif first.contains(second.vertices[0]) == PointLocation.INSIDE:
-        # second nested in first
+    elif containment == "second_inside_first":
         faces = [ArrangementFace(0, full2, True, True, second.loop),
                  ArrangementFace(1, full1 + full2, True, False)]
     else:  # disjoint

@@ -59,7 +59,7 @@ from .jordan import (
     segment_contacts,
     trace_faces,
 )
-from .plmap import PLCorrespondence, _refined_params, fixed_point_index
+from .plmap import PLCorrespondence, _carry, _refined_params, fixed_point_index
 
 SIDES = ("a", "b", "c", "d")
 
@@ -325,7 +325,6 @@ class _Analysis(NamedTuple):
     nodes: tuple[_Node, ...]
     arcs: tuple[_Arc, ...]
     faces: tuple[_Face, ...]
-    face_of: dict
     node_by_objects: dict
     interstices: tuple[int, ...]
     graph: ContactGraph
@@ -383,7 +382,6 @@ def _analyze(spec: PackingSpec) -> _Analysis:
             arcs.append(_Arc(len(arcs), i, tail, head, pts))
 
     faces: list[_Face] = []
-    face_of: dict = {}
     interstices: list[int] = []
     piece_face: dict[int, int] = {}
     outer_count = 0
@@ -419,8 +417,6 @@ def _analyze(spec: PackingSpec) -> _Analysis:
         else:
             kind, piece, objects = "interstice", None, frozenset(hosts)
             interstices.append(fid)
-        for step in cycle:
-            face_of[step] = fid
         node_ids = tuple([arcs[aid].tail if forward else arcs[aid].head
                           for aid, forward in cycle])
         faces.append(_Face(fid, cycle, node_ids, polygon, area, kind, piece,
@@ -468,7 +464,7 @@ def _analyze(spec: PackingSpec) -> _Analysis:
             "contact structure is not a triangulation of a square")
 
     return _Analysis(nodes=nodes, arcs=tuple(arcs),
-                     faces=tuple(faces), face_of=face_of,
+                     faces=tuple(faces),
                      node_by_objects=node_by_objects,
                      interstices=tuple(interstices),
                      graph=ContactGraph(len(spec.pieces), frozenset(edges),
@@ -509,20 +505,17 @@ def check_overlay_transverse(first: PackingSpec, second: PackingSpec,
             crossing_points.extend((ia, ib, c.point) for c in crossings)
     for ia, ib, p in crossing_points:
         for x, (label, curve) in enumerate(table_a):
-            if x != ia and point_in_polygon(
-                    curve.loop, p) is PointLocation.ON_BOUNDARY:
+            if x != ia and curve.locate_param(p) is not None:
                 raise NotTransverseOverlay(
                     f"a crossing point lies on {label} as well")
         for x, (label, curve) in enumerate(table_b):
-            if x != ib and point_in_polygon(
-                    curve.loop, p) is PointLocation.ON_BOUNDARY:
+            if x != ib and curve.locate_param(p) is not None:
                 raise NotTransverseOverlay(
                     f"a crossing point lies on {label} as well")
     for own_nodes, table in zip(nodes, (table_b, table_a)):
         for nd in own_nodes:
             for label, curve in table:
-                if point_in_polygon(
-                        curve.loop, nd.point) is PointLocation.ON_BOUNDARY:
+                if curve.locate_param(nd.point) is not None:
                     raise NotTransverseOverlay(
                         f"a contact point of one packing lies on {label} "
                         "of the other")
@@ -567,8 +560,6 @@ def _checked_analyses(first: PackingSpec, second: PackingSpec,
                       ) -> tuple[_Analysis, _Analysis]:
     try:
         check_overlay_transverse(first, second)
-    except HypothesesNotMet:
-        raise
     except InputRejection as exc:
         raise HypothesesNotMet(f"{type(exc).__name__}: {exc}") from exc
     return _matched_analyses(first, second, correspondence)
@@ -611,72 +602,18 @@ def _first_cutting_pair(first: PackingSpec, second: PackingSpec,
         "hypotheses hold yet no corresponding pair cuts")
 
 
-class _InterMap(NamedTuple):
-    source: PolyJordanCurve
-    target: PolyJordanCurve
-    phi: PLCorrespondence
-    index: int
-    refined: tuple[Fraction, ...]
-
-
-def _arc_pairs(inter: _InterMap, host: PolyJordanCurve,
-               mate: PolyJordanCurve, tail_pt: RatPoint, head_pt: RatPoint,
-               piece_side: bool) -> list[tuple[Fraction, Fraction]]:
-    """The interstice map restricted to one host arc, rewritten in host and
-    mate parameters and ordered along the host's positive direction.
-
-    Interstice boundaries traverse piece arcs backward, so those restrictions
-    come out reversed and are flipped at the end.
-    """
-    start_pt, end_pt = (head_pt, tail_pt) if piece_side else (tail_pt, head_pt)
-    s_start = inter.source.locate_param(start_pt)
-    s_end = inter.source.locate_param(end_pt)
-    if s_start is None or s_end is None:
-        raise InvariantFailure("arc endpoint missing from an interstice")
-    span = (s_end - s_start) % 1
-    inside = [q for q in inter.refined if 0 < (q - s_start) % 1 < span]
-    inside.sort(key=lambda q: (q - s_start) % 1)
-    pairs = []
-    for q in (s_start, *inside, s_end):
-        sigma = host.locate_param(inter.source.point_at(q))
-        tau = mate.locate_param(inter.target.point_at(inter.phi.evaluate(q)))
-        if sigma is None or tau is None:
-            raise InvariantFailure("restricted map leaves the mated boundaries")
-        pairs.append((sigma, tau))
-    if piece_side:
-        pairs.reverse()
-    return pairs
-
-
-def _host_map(arc_runs: list[list[tuple[Fraction, Fraction]]],
-              ) -> PLCorrespondence:
-    """Concatenate per-arc restrictions into one boundary correspondence."""
-    chain: list[tuple[Fraction, Fraction]] = []
-    for run in sorted(arc_runs, key=lambda r: r[0][0]):
-        if not chain:
-            chain.extend(run)
-            continue
-        if chain[-1] != run[0]:
-            raise InvariantFailure(
-                "interstice maps disagree at a contact point")
-        chain.extend(run[1:])
-    if chain[0] != chain[-1]:
-        raise InvariantFailure("assembled boundary map does not close up")
-    chain.pop()
-    base = min(range(len(chain)), key=lambda k: chain[k][0])
-    return PLCorrespondence(tuple(chain[base:] + chain[:base]))
-
-
 def assemble_theorem_certificate(first: PackingSpec, second: PackingSpec,
                                  correspondence: Sequence[int],
                                  ) -> TheoremCertificate:
     """Build a compatible family of boundary maps and check the bookkeeping.
 
     One map per interstice pair is prescribed through its three corners; the
-    piece and frame maps are restrictions of those, so the identity
-    frame index == piece indices + interstice indices holds exactly and is
-    asserted.  With no pieces at all there is nothing to assemble and the
-    certificate reports the bare frame corner-map index as a diagnostic.
+    piece and frame maps are restrictions of those, carried onto each
+    boundary from the interstices bordering it by plmap._carry (the helper
+    glue uses), so the identity frame index == piece indices + interstice
+    indices holds exactly and is asserted.  With no pieces at all there is
+    nothing to assemble and the certificate reports the bare frame
+    corner-map index as a diagnostic.
     """
     if not first.pieces and not second.pieces:
         return TheoremCertificate(
@@ -701,7 +638,8 @@ def _certificate(first: PackingSpec, second: PackingSpec,
 
     mate_face = {second_a.faces[fid].objects: fid
                  for fid in second_a.interstices}
-    inter_maps: dict[int, _InterMap] = {}
+    # (face objects, (target, map, bends)) per interstice, for _carry
+    inter_maps: list[tuple[frozenset, tuple]] = []
     inter_indices: list[int] = []
     triples: list[tuple] = []
     for fid in first_a.interstices:
@@ -736,30 +674,24 @@ def _certificate(first: PackingSpec, second: PackingSpec,
             raise InvariantFailure("prescribed and realized indices disagree")
         if eta < 0:
             raise InvariantFailure("prescription returned a negative index")
-        inter_maps[fid] = _InterMap(source, target, phi, eta,
-                                    tuple(_refined_params(source, target,
-                                                          phi)))
+        inter_maps.append((face.objects, (target, phi, [
+            (s, source.point_at(s))
+            for s in _refined_params(source, target, phi)])))
         inter_indices.append(eta)
         triples.append(tuple(sorted(face.objects, key=_label_key)))
 
-    def restriction(arc: _Arc, host: PolyJordanCurve, mate: PolyJordanCurve,
-                    piece_side: bool) -> list[tuple[Fraction, Fraction]]:
-        inter = inter_maps[first_a.face_of[(arc.aid, not piece_side)]]
-        return _arc_pairs(inter, host, mate,
-                          first_a.nodes[arc.tail].point,
-                          first_a.nodes[arc.head].point, piece_side)
+    def carried_index(host: PolyJordanCurve, mate: PolyJordanCurve,
+                      labels: set) -> int:
+        # only the interstices bordering the host meet it, each in one arc
+        return fixed_point_index(host, mate, _carry(
+            host, mate, [m for objects, m in inter_maps if objects & labels],
+            InvariantFailure))
 
-    piece_indices: list[int] = []
-    for i, piece in enumerate(first.pieces):
-        mate = second.pieces[correspondence[i]]
-        runs = [restriction(arc, piece, mate, True)
-                for arc in first_a.arcs if arc.host == i]
-        piece_indices.append(
-            fixed_point_index(piece, mate, _host_map(runs)))
-    runs = [restriction(arc, first.rect.curve, second.rect.curve, False)
-            for arc in first_a.arcs if isinstance(arc.host, str)]
-    rect_index = fixed_point_index(first.rect.curve, second.rect.curve,
-                                   _host_map(runs))
+    piece_indices = [carried_index(piece, second.pieces[correspondence[i]],
+                                   {i})
+                     for i, piece in enumerate(first.pieces)]
+    rect_index = carried_index(first.rect.curve, second.rect.curve,
+                               set(SIDES))
 
     if rect_index != sum(piece_indices) + sum(inter_indices):
         raise InvariantFailure("index additivity failed on the assembled maps")

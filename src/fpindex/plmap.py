@@ -420,6 +420,33 @@ def _union(outer_a: list[RatPoint], outer_b: list[RatPoint],
             "outer boundaries touch away from the junctions") from exc
 
 
+def _carry(source: PolyJordanCurve, target: PolyJordanCurve,
+           pieces: Iterable[tuple[PolyJordanCurve, PLCorrespondence,
+                                  list[tuple[Fraction, RatPoint]]]],
+           error: type[Exception]) -> PLCorrespondence:
+    """The map from source to target that piece maps give at their bends.
+
+    Each piece is (its target, its map, its bends as (parameter, point)),
+    the bends being its _refined_params with the point at each. A bend whose
+    point lies on source is carried there, with its image located on target;
+    the others are skipped. A map bends only at its pieces' bends, so these
+    pairs are the whole map. Raises `error` when an image misses target or
+    two pieces send one point to two images.
+    """
+    pairs: dict[Fraction, Fraction] = {}
+    for piece_target, phi, bends in pieces:
+        for s, p in bends:
+            s_new = source.locate_param(p)
+            if s_new is None:
+                continue
+            t_new = target.locate_param(piece_target.point_at(phi.evaluate(s)))
+            if t_new is None:
+                raise error("image point missing from the glued target")
+            if pairs.setdefault(s_new, t_new) != t_new:
+                raise error("maps differ at a junction")
+    return PLCorrespondence(tuple(sorted(pairs.items())))
+
+
 def glue(source_a: PolyJordanCurve, target_a: PolyJordanCurve,
          phi_a: PLCorrespondence,
          source_b: PolyJordanCurve, target_b: PolyJordanCurve,
@@ -429,7 +456,9 @@ def glue(source_a: PolyJordanCurve, target_a: PolyJordanCurve,
     The two source curves must meet in exactly one arc with disjoint
     interiors, and likewise the targets; both correspondences must send the
     shared source arc onto the shared target arc identically. The result maps
-    the union boundary by whichever original map covers each side.
+    the union boundary by whichever original map covers each side: _carry
+    moves both maps' bends onto the union, as it moves interstice maps onto
+    piece and frame boundaries in packing.assemble_theorem_certificate.
     """
     (shared_src, outer_src_a), (shared_src_b, outer_src_b) = _split_pair(
         source_a, source_b)
@@ -473,18 +502,6 @@ def glue(source_a: PolyJordanCurve, target_a: PolyJordanCurve,
         if target_b.locate_param(q_a) is None:
             raise ArcsDisagree("shared arc does not map onto the shared target arc")
 
-    pairs: dict[Fraction, Fraction] = {}
-    for target, phi, bends in pieces:
-        for s, p in bends:
-            s_new = glued_source.locate_param(p)
-            if s_new is None:
-                continue  # interior of the shared arc
-            q = target.point_at(phi.evaluate(s))
-            t_new = glued_target.locate_param(q)
-            if t_new is None:
-                raise ArcsDisagree("image point missing from the glued target")
-            if s_new in pairs and pairs[s_new] != t_new:
-                raise ArcsDisagree("maps differ at a junction")
-            pairs[s_new] = t_new
-    theta = PLCorrespondence(tuple(sorted(pairs.items())))
-    return GluedMap(source=glued_source, target=glued_target, phi=theta)
+    return GluedMap(source=glued_source, target=glued_target,
+                    phi=_carry(glued_source, glued_target, pieces,
+                               ArcsDisagree))

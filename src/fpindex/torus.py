@@ -54,13 +54,11 @@ from .errors import (
     SquareTooLarge,
 )
 from .exact_geom import (
-    PointLocation,
     RatPoint,
-    point_in_polygon,
     trusted,
     winding_of_cycle,
 )
-from .jordan import CrossKind, CrossingSet, PolyJordanCurve
+from .jordan import CrossKind, CrossingSet, PolyJordanCurve, _containment
 from .plmap import PLCorrespondence
 
 TokenId = tuple[str, int]  # ("c", 1..3) for constraints, ("m", id) for marks
@@ -373,22 +371,13 @@ def build_diagram(first: PolyJordanCurve, second: PolyJordanCurve,
         cut = [token for _, token in items].index(("c", 1))
         items[:] = items[cut:] + items[:cut]
 
-    containment = None
-    if len(crossings) == 0:
-        u = first.point_at(s1)
-        v = second.point_at(t1)
-        u_in = point_in_polygon(second.loop, u) == PointLocation.INSIDE
-        v_in = point_in_polygon(first.loop, v) == PointLocation.INSIDE
-        containment = (Containment.FIRST_INSIDE_SECOND if u_in
-                       else Containment.SECOND_INSIDE_FIRST if v_in
-                       else Containment.DISJOINT)
-
     return trusted(
         TorusDiagram,
         col_order=tuple(t for _, t in col_items),
         row_order=tuple(t for _, t in row_items),
         kinds=tuple((c.index, c.kind) for c in crossings),
-        containment=containment,
+        containment=(Containment(_containment(first, second))
+                     if len(crossings) == 0 else None),
         col_params=tuple(p for p, _ in col_items),
         row_params=tuple(p for p, _ in row_items),
         first=first, second=second, crossings=crossings)

@@ -1,4 +1,5 @@
 """Packing validation, contact graphs, overlays, and theorem certificates."""
+import random
 from fractions import Fraction
 
 import pytest
@@ -13,6 +14,7 @@ from fpindex.errors import (
     PiecesOverlap,
 )
 from fpindex.exact_geom import AffineMap, PLLoop, PointLocation, RatPoint
+from fpindex import packing
 from fpindex.jordan import PolyJordanCurve
 from fpindex.packing import (
     PackingSpec,
@@ -24,6 +26,7 @@ from fpindex.packing import (
     translate_packing,
     validate_packing,
 )
+from fpindex.plmap import PLCorrespondence, _refined_params
 
 from geomgen import angular_trace_faces, interior_point
 from packfix import curve, one_piece_pair, pt, two_piece_pair
@@ -357,3 +360,114 @@ class TestCertificate:
         assert cert.rect_index == -1
         assert cert.piece_indices == (-1,)
         assert cert.rect_index == cert.piece_sum + cert.interstice_sum
+
+
+def arc_pairs(source, target, phi, refined, host, mate, tail_pt, head_pt,
+              piece_side):
+    """An interstice map restricted to one host arc, in host and mate
+    parameters and ordered along the host. Interstice boundaries run along
+    piece arcs backward, so those restrictions are flipped at the end."""
+    start_pt, end_pt = (head_pt, tail_pt) if piece_side else (tail_pt, head_pt)
+    s_start, s_end = source.locate_param(start_pt), source.locate_param(end_pt)
+    span = (s_end - s_start) % 1
+    inside = sorted((q for q in refined if 0 < (q - s_start) % 1 < span),
+                    key=lambda q: (q - s_start) % 1)
+    pairs = [(host.locate_param(source.point_at(q)),
+              mate.locate_param(target.point_at(phi.evaluate(q))))
+             for q in (s_start, *inside, s_end)]
+    return pairs[::-1] if piece_side else pairs
+
+
+def host_map(runs) -> PLCorrespondence:
+    """Per-arc restrictions joined at their shared ends into one map."""
+    chain = []
+    for run in sorted(runs, key=lambda r: r[0][0]):
+        assert not chain or chain[-1] == run[0]
+        chain.extend(run if not chain else run[1:])
+    assert chain[0] == chain.pop()
+    base = min(range(len(chain)), key=lambda k: chain[k][0])
+    return PLCorrespondence(tuple(chain[base:] + chain[:base]))
+
+
+def reference_host_maps(first, second, corr, inter_calls):
+    """Piece maps, then the frame map, restricted arc by arc from the
+    interstice maps (source, target, phi), one per interstice in order."""
+    analysis = first.analysis
+    face_of = {step: fid for fid in analysis.interstices
+               for step in analysis.faces[fid].cycle}
+    inter = {}
+    for fid, (source, target, phi) in zip(analysis.interstices, inter_calls):
+        assert source.loop == analysis.faces[fid].polygon
+        inter[fid] = (source, target, phi,
+                      _refined_params(source, target, phi))
+
+    def restricted(host, mate, labels):
+        runs = []
+        for arc in analysis.arcs:
+            if arc.host in labels:
+                piece_side = isinstance(arc.host, int)
+                runs.append(arc_pairs(
+                    *inter[face_of[arc.aid, not piece_side]], host, mate,
+                    analysis.nodes[arc.tail].point,
+                    analysis.nodes[arc.head].point, piece_side))
+        return host_map(runs)
+
+    maps = [(piece, restricted(piece, second.pieces[corr[i]], {i}))
+            for i, piece in enumerate(first.pieces)]
+    maps.append((first.rect.curve, restricted(
+        first.rect.curve, second.rect.curve, set(packing.SIDES))))
+    return maps
+
+
+def bent_one_piece_pair():
+    """one_piece_pair with a vertex added to three of the pieces' arcs, so
+    that the interstice maps have bends off their own breakpoints."""
+    first, second, corr = one_piece_pair()
+    return (PackingSpec(first.rect, (curve(
+                (2, 0), (F(16, 5), F(4, 5)), (4, 2), (F(16, 5), F(16, 5)),
+                (2, 4), (0, 2)),)),
+            PackingSpec(second.rect, (curve(
+                (2, 1), (6, 2), (2, 3), (F(-1, 2), F(5, 2)), (-2, 2)),)),
+            corr)
+
+
+class TestCarriedHostMaps:
+    """Every piece and frame map the certificate builds has the breakpoints
+    of the interstice maps restricted arc by arc and joined at the contact
+    points."""
+
+    def cases(self):
+        rng = random.Random(1515)
+        for first, second, corr in (one_piece_pair(), two_piece_pair(),
+                                    bent_one_piece_pair()):
+            yield first, second, corr
+            for _ in range(2):
+                shift = pt(F(rng.randrange(-60, 61), rng.randrange(1, 9)),
+                           F(rng.randrange(-60, 61), rng.randrange(1, 9)))
+                yield (translate_packing(first, shift),
+                       translate_packing(second, shift), corr)
+        m = AffineMap(F(2), F(1), F(0), F(3), F(5), F(-7))
+        first, second, corr = two_piece_pair()
+        yield mapped_packing(first, m), mapped_packing(second, m), corr
+
+    def test_host_maps_match_arc_by_arc_restriction(self, monkeypatch):
+        calls = []
+        index = packing.fixed_point_index
+
+        def recorded(source, target, phi):
+            calls.append((source, target, phi))
+            return index(source, target, phi)
+
+        monkeypatch.setattr(packing, "fixed_point_index", recorded)
+        for first, second, corr in self.cases():
+            calls.clear()
+            cert = assemble_theorem_certificate(first, second, corr)
+            # the frame corner map, one map per interstice, then the hosts
+            count = len(cert.interstice_indices)
+            hosts = calls[1 + count:]
+            want = reference_host_maps(first, second, corr,
+                                       calls[1:1 + count])
+            assert len(hosts) == len(first.pieces) + 1 == len(want)
+            for (source, _, phi), (host, ref) in zip(hosts, want):
+                assert source is host
+                assert phi.breakpoints == ref.breakpoints

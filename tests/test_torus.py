@@ -421,6 +421,18 @@ class TestIndexFromTorus:
         phi = realize_path(diagram, path)
         assert fixed_point_index(first, second, phi) == 1
 
+    def test_outer_first_straight_path(self):
+        first = square_curve(0, 0, 10, 10)
+        second = square_curve(4, 4, 6, 6)
+        crossings = check_transverse(first, second)
+        constraints = [(F(0), F(0)), (F(1, 3), F(1, 3)), (F(2, 3), F(2, 3))]
+        diagram = build_diagram(first, second, crossings, constraints)
+        assert diagram.containment is Containment.SECOND_INSIDE_FIRST
+        path = straight_path(diagram)
+        phi = realize_path(diagram, path)
+        assert index_from_torus(diagram, path) == \
+            fixed_point_index(first, second, phi) == 1
+
     def test_membership_matches_geometry_random(self):
         rng = random.Random(6300)
         for _ in range(15):
