@@ -20,12 +20,12 @@ the error class alone. A fourth file, `circle.txt`, records the index
 forward and on the inverse map for seeded maps on seeded 64-gon circle
 pairs in four positions (disjoint, nested, two crossings, general), whose
 coordinates carry denominators near 10^12. A fifth file, `packing.txt`,
-records `assemble_theorem_certificate` on both pairs of `tests/packfix.py`
-and seeded translates of each: the certificate (frame, piece and
-interstice indices and interstice triples) and every map the certificate
-passes to `fixed_point_index`, with its index. The script loads `fpindex` from
-this checkout's `src/`, so the dumps of two checkouts are identical exactly
-when `diff -r OUT_A OUT_B` prints nothing.
+records `assemble_theorem_certificate` on the three pairs of
+`tests/packfix.py` and seeded translates of each: the certificate (frame,
+piece and interstice indices and interstice triples) and every map the
+certificate passes to `fixed_point_index`, with its index. The script
+loads `fpindex` from this checkout's `src/`, so the dumps of two checkouts
+are identical exactly when `diff -r OUT_A OUT_B` prints nothing.
 """
 from __future__ import annotations
 
@@ -68,7 +68,11 @@ from geomgen import (  # noqa: E402
     random_transverse_pair,
     synthesize_constraints,
 )
-from packfix import one_piece_pair, two_piece_pair  # noqa: E402
+from packfix import (  # noqa: E402
+    bent_one_piece_pair,
+    one_piece_pair,
+    two_piece_pair,
+)
 
 RANDOM_PAIRS = 150
 CANONICAL_SIZES = range(1, 17)
@@ -216,7 +220,8 @@ def packing_dump(seed: int) -> list[str]:
     packing.fixed_point_index = recorded
     try:
         for name, make in (("one_piece_pair", one_piece_pair),
-                           ("two_piece_pair", two_piece_pair)):
+                           ("two_piece_pair", two_piece_pair),
+                           ("bent_one_piece_pair", bent_one_piece_pair)):
             first, second, corr = make()
             shifts = [RatPoint(Fraction(0), Fraction(0))]
             shifts += [RatPoint(Fraction(rng.randrange(-99, 100),

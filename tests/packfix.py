@@ -1,6 +1,6 @@
 """Hand-built packing fixtures shared by the packing, CLI, and acceptance tests.
 
-Both pairs overlay a tall packing with a wide squashed copy so the frames
+Each pair overlays a tall packing with a wide squashed copy so the frames
 interleave (corner map index -1) and the first piece pair cuts.
 """
 from fractions import Fraction
@@ -62,3 +62,20 @@ def two_piece_pair() -> tuple[PackingSpec, PackingSpec, list[int]]:
         curve((3, F(11, 4)), (8, F(29, 8)), (3, F(9, 2)), (-2, F(29, 8))),
     ))
     return first, second, [0, 1]
+
+
+def bent_one_piece_pair() -> tuple[PackingSpec, PackingSpec, list[int]]:
+    """one_piece_pair with a vertex added to three of the pieces' arcs.
+
+    The other pairs' interstices are triangles whose only vertices are
+    their contact points, so each interstice map bends at every vertex of
+    both its curves; here three interstice maps have vertices to carry
+    that are not among their own breakpoints.
+    """
+    first, second, corr = one_piece_pair()
+    return (PackingSpec(first.rect, (curve(
+                (2, 0), (F(16, 5), F(4, 5)), (4, 2), (F(16, 5), F(16, 5)),
+                (2, 4), (0, 2)),)),
+            PackingSpec(second.rect, (curve(
+                (2, 1), (6, 2), (2, 3), (F(-1, 2), F(5, 2)), (-2, 2)),)),
+            corr)

@@ -29,7 +29,13 @@ from fpindex.packing import (
 from fpindex.plmap import PLCorrespondence, _refined_params
 
 from geomgen import angular_trace_faces, interior_point
-from packfix import curve, one_piece_pair, pt, two_piece_pair
+from packfix import (
+    bent_one_piece_pair,
+    curve,
+    one_piece_pair,
+    pt,
+    two_piece_pair,
+)
 
 F = Fraction
 
@@ -417,18 +423,6 @@ def reference_host_maps(first, second, corr, inter_calls):
     maps.append((first.rect.curve, restricted(
         first.rect.curve, second.rect.curve, set(packing.SIDES))))
     return maps
-
-
-def bent_one_piece_pair():
-    """one_piece_pair with a vertex added to three of the pieces' arcs, so
-    that the interstice maps have bends off their own breakpoints."""
-    first, second, corr = one_piece_pair()
-    return (PackingSpec(first.rect, (curve(
-                (2, 0), (F(16, 5), F(4, 5)), (4, 2), (F(16, 5), F(16, 5)),
-                (2, 4), (0, 2)),)),
-            PackingSpec(second.rect, (curve(
-                (2, 1), (6, 2), (2, 3), (F(-1, 2), F(5, 2)), (-2, 2)),)),
-            corr)
 
 
 class TestCarriedHostMaps:
