@@ -23,11 +23,11 @@ Sign conventions, used consistently by the whole package:
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
+from operator import attrgetter
 from typing import Iterator, Sequence, Union
 
 from .errors import PointOnLoop
@@ -35,18 +35,63 @@ from .errors import PointOnLoop
 RatLike = Union[int, str, Fraction]
 
 
+_new = object.__new__
+_set = object.__setattr__  # writes a field past the raising __setattr__
+
+
+def _no_setattr(self, name, value):
+    raise AttributeError(f"cannot assign to field {name!r}")
+
+
+def _no_delattr(self, name):
+    raise AttributeError(f"cannot delete field {name!r}")
+
+
+def value_type(cls):
+    """Class decorator that makes `cls` an immutable value type.
+
+    `cls._fields` names the fields in order. Two instances are equal when
+    they are of the same class and their field tuples are equal; an
+    instance hashes as its field tuple and reprs as `Name(field=value, ...)`.
+    Setting or deleting any attribute raises AttributeError, so `__init__`
+    and `trusted` write fields with `_set`. A class with a
+    `cached_property` keeps its `__dict__`; the others use `__slots__`.
+    """
+    names = cls._fields
+    get = attrgetter(*names)
+    values = get if len(names) > 1 else lambda obj: (get(obj),)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return values(self) == values(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(values(self))
+
+    def __repr__(self):
+        body = ", ".join([f"{name}={value!r}"
+                          for name, value in zip(names, values(self))])
+        return f"{self.__class__.__qualname__}({body})"
+
+    cls.__eq__, cls.__hash__, cls.__repr__ = __eq__, __hash__, __repr__
+    cls.__setattr__, cls.__delattr__ = _no_setattr, _no_delattr
+    return cls
+
+
 def trusted(cls, **fields):
-    """An instance of the frozen dataclass `cls` with the given fields set
-    and its `__post_init__` skipped; a field left out reads the default the
-    class declares.
+    """An instance of the value type `cls` with the given fields set and
+    its `__init__` skipped; a field left out reads the default the class
+    declares, so a slotted class must be given every field.
 
     This is the one trusted constructor behind the package's validated
     types. Call it only where the checks would pass by construction: on an
     object derived from one that has passed them, by an operation that
     keeps them (an inverse, a rotation, a translate, a child diagram).
     """
-    obj = object.__new__(cls)
-    obj.__dict__.update(fields)
+    obj = _new(cls)
+    for name, value in fields.items():
+        _set(obj, name, value)
     return obj
 
 
@@ -59,12 +104,15 @@ def rat(value: RatLike) -> Fraction:
     raise TypeError(f"cannot interpret {value!r} as a rational")
 
 
-@dataclass(frozen=True)
+@value_type
 class RatPoint:
     """A point (or vector; the algebra is the same) with rational coordinates."""
 
-    x: Fraction
-    y: Fraction
+    __slots__ = _fields = ("x", "y")
+
+    def __init__(self, x: Fraction, y: Fraction) -> None:
+        _set(self, "x", x)
+        _set(self, "y", y)
 
     def __add__(self, other: "RatPoint") -> "RatPoint":
         return RatPoint(self.x + other.x, self.y + other.y)
@@ -133,16 +181,17 @@ def orient2d(a: RatPoint, b: RatPoint, c: RatPoint) -> int:
     return (v > 0) - (v < 0)
 
 
-@dataclass(frozen=True)
+@value_type
 class Segment:
     """A closed straight segment with distinct endpoints."""
 
-    a: RatPoint
-    b: RatPoint
+    __slots__ = _fields = ("a", "b")
 
-    def __post_init__(self) -> None:
-        if self.a == self.b:
+    def __init__(self, a: RatPoint, b: RatPoint) -> None:
+        if a == b:
             raise ValueError("degenerate segment: endpoints coincide")
+        _set(self, "a", a)
+        _set(self, "b", b)
 
     def point_at(self, t: RatLike) -> RatPoint:
         return self.a + (self.b - self.a).scale(t)
@@ -154,7 +203,7 @@ class MeetKind(Enum):
     DEGENERATE = "degenerate"
 
 
-@dataclass(frozen=True)
+@value_type
 class SegmentMeeting:
     """Outcome of intersecting two segments.
 
@@ -163,8 +212,11 @@ class SegmentMeeting:
     lying on the other segment, collinear overlap).
     """
 
-    kind: MeetKind
-    point: RatPoint | None = None
+    __slots__ = _fields = ("kind", "point")
+
+    def __init__(self, kind: MeetKind, point: RatPoint | None = None) -> None:
+        _set(self, "kind", kind)
+        _set(self, "point", point)
 
     @staticmethod
     def empty() -> "SegmentMeeting":
@@ -215,7 +267,7 @@ def segment_intersection(s: Segment, t: Segment) -> SegmentMeeting:
     return SegmentMeeting.empty()
 
 
-@dataclass(frozen=True)
+@value_type
 class PLLoop:
     """A closed polygonal loop: >= 3 vertices, cyclically consecutive distinct.
 
@@ -223,15 +275,16 @@ class PLLoop:
     are the main customers of winding_number.
     """
 
-    vertices: tuple[RatPoint, ...]
+    _fields = ("vertices",)
 
-    def __post_init__(self) -> None:
-        n = len(self.vertices)
+    def __init__(self, vertices: tuple[RatPoint, ...]) -> None:
+        n = len(vertices)
         if n < 3:
             raise ValueError("a loop needs at least 3 vertices")
         for i in range(n):
-            if self.vertices[i] == self.vertices[(i + 1) % n]:
+            if vertices[i] == vertices[(i + 1) % n]:
                 raise ValueError("consecutive loop vertices must be distinct")
+        _set(self, "vertices", vertices)
 
     def __len__(self) -> int:
         return len(self.vertices)
@@ -354,16 +407,20 @@ def point_in_polygon(loop: PLLoop, p: RatPoint) -> PointLocation:
     return PointLocation.INSIDE if inside else PointLocation.OUTSIDE
 
 
-@dataclass(frozen=True)
+@value_type
 class AffineMap:
     """Exact affine plane map x' = a x + b y + e, y' = c x + d y + f."""
 
-    a: Fraction
-    b: Fraction
-    c: Fraction
-    d: Fraction
-    e: Fraction = Fraction(0)
-    f: Fraction = Fraction(0)
+    __slots__ = _fields = ("a", "b", "c", "d", "e", "f")
+
+    def __init__(self, a: Fraction, b: Fraction, c: Fraction, d: Fraction,
+                 e: Fraction = Fraction(0), f: Fraction = Fraction(0)) -> None:
+        _set(self, "a", a)
+        _set(self, "b", b)
+        _set(self, "c", c)
+        _set(self, "d", d)
+        _set(self, "e", e)
+        _set(self, "f", f)
 
     def determinant(self) -> Fraction:
         return self.a * self.d - self.b * self.c

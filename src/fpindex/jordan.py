@@ -26,7 +26,6 @@ reads from its contact structure. No tracer sorts half-edges by angle.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from math import lcm
@@ -48,6 +47,7 @@ from .exact_geom import (
     PLLoop,
     PointLocation,
     RatPoint,
+    _set,
     cross_int,
     in_box_int,
     joint_int_coords,
@@ -55,6 +55,7 @@ from .exact_geom import (
     point_in_polygon,
     pt,
     signed_area,
+    value_type,
 )
 
 
@@ -116,7 +117,7 @@ def _check_simple(loop: PLLoop) -> None:
         raise NotSimple(f"segments {i} and {j} intersect")
 
 
-@dataclass(frozen=True)
+@value_type
 class PolyJordanCurve:
     """A simple, positively oriented closed polygonal curve.
 
@@ -126,16 +127,17 @@ class PolyJordanCurve:
     turn there has the sign of the signed area.
     """
 
-    loop: PLLoop
+    __slots__ = _fields = ("loop",)
 
-    def __post_init__(self) -> None:
-        _check_simple(self.loop)
-        _, xs, ys = self.loop.int_coords
+    def __init__(self, loop: PLLoop) -> None:
+        _check_simple(loop)
+        _, xs, ys = loop.int_coords
         k = min(range(len(xs)), key=lambda i: (ys[i], xs[i]))
         k1 = (k + 1) % len(xs)
         if cross_int((xs[k - 1], ys[k - 1]), (xs[k], ys[k]),
                      (xs[k1], ys[k1])) < 0:
             raise NotPositivelyOriented("loop has non-positive signed area")
+        _set(self, "loop", loop)
 
     @property
     def vertices(self) -> tuple[RatPoint, ...]:
@@ -200,7 +202,7 @@ class CrossKind(Enum):
         return CrossKind.PTILDE if self is CrossKind.P else CrossKind.P
 
 
-@dataclass(frozen=True)
+@value_type
 class Crossing:
     """One transverse boundary crossing.
 
@@ -208,17 +210,21 @@ class Crossing:
     serves as the crossing's stable id everywhere downstream.
     """
 
-    index: int
-    point: RatPoint
-    param_k: Fraction
-    param_kt: Fraction
-    kind: CrossKind
+    __slots__ = _fields = ("index", "point", "param_k", "param_kt", "kind")
+
+    def __init__(self, index: int, point: RatPoint, param_k: Fraction,
+                 param_kt: Fraction, kind: CrossKind) -> None:
+        _set(self, "index", index)
+        _set(self, "point", point)
+        _set(self, "param_k", param_k)
+        _set(self, "param_kt", param_kt)
+        _set(self, "kind", kind)
 
 
 _lowest_terms = attrgetter("numerator", "denominator")
 
 
-@dataclass(frozen=True)
+@value_type
 class CrossingSet:
     """All crossings of a transverse pair, sorted by first-curve parameter.
 
@@ -229,10 +235,11 @@ class CrossingSet:
     these to build its diagram without checking it again.
     """
 
-    crossings: tuple[Crossing, ...]
+    __slots__ = _fields = ("crossings",)
 
-    def __post_init__(self) -> None:
-        params = [c.param_k for c in self.crossings]
+    def __init__(self, crossings: tuple[Crossing, ...]) -> None:
+        _set(self, "crossings", crossings)
+        params = [c.param_k for c in crossings]
         if params != sorted(params):
             raise InvariantFailure("crossings not sorted by first-curve parameter")
         if len(self.crossings) % 2 != 0:
@@ -317,15 +324,20 @@ def check_transverse(first: PolyJordanCurve, second: PolyJordanCurve) -> Crossin
 
 # -- arrangement -------------------------------------------------------------
 
-@dataclass(frozen=True)
+@value_type
 class ArrangementFace:
-    """One face of the overlay, labeled by region membership."""
+    """One face of the overlay, labeled by region membership. Each boundary
+    entry is (curve, start, end, forward)."""
 
-    id: int
-    boundary: tuple[tuple[str, int, int, bool], ...]  # (curve, start, end, forward)
-    in_K: bool
-    in_Kt: bool
-    polygon: PLLoop | None = None
+    __slots__ = _fields = ("id", "boundary", "in_K", "in_Kt", "polygon")
+
+    def __init__(self, id: int, boundary: tuple[tuple[str, int, int, bool], ...],
+                 in_K: bool, in_Kt: bool, polygon: PLLoop | None = None) -> None:
+        _set(self, "id", id)
+        _set(self, "boundary", boundary)
+        _set(self, "in_K", in_K)
+        _set(self, "in_Kt", in_Kt)
+        _set(self, "polygon", polygon)
 
 
 def _arcs_of(curve: PolyJordanCurve, ordered: Sequence[Crossing],

@@ -22,7 +22,6 @@ telescoping identity exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import NamedTuple, Sequence
@@ -48,9 +47,11 @@ from .exact_geom import (
     PLLoop,
     PointLocation,
     RatPoint,
+    _set,
     in_box_int,
     point_in_polygon,
     trusted,
+    value_type,
 )
 from .jordan import (
     PolyJordanCurve,
@@ -74,26 +75,27 @@ def _label_key(label) -> tuple[int, object]:
 # -- domain types ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@value_type
 class TopoRectangle:
     """Frame curve with four marked corner vertices in counterclockwise order.
 
     Side k runs from corner k to corner k+1; sides are named a, b, c, d.
     """
 
-    curve: PolyJordanCurve
-    corners: tuple[int, int, int, int]
+    __slots__ = _fields = ("curve", "corners")
 
-    def __post_init__(self) -> None:
-        n = len(self.curve)
-        if len(self.corners) != 4 or len(set(self.corners)) != 4:
+    def __init__(self, curve: PolyJordanCurve,
+                 corners: tuple[int, int, int, int]) -> None:
+        n = len(curve)
+        if len(corners) != 4 or len(set(corners)) != 4:
             raise InputRejection("exactly four distinct corner indices required")
-        if any(not isinstance(c, int) or not 0 <= c < n for c in self.corners):
+        if any(not isinstance(c, int) or not 0 <= c < n for c in corners):
             raise InputRejection("corner index out of range")
-        wraps = sum(1 for k in range(4)
-                    if self.corners[(k + 1) % 4] <= self.corners[k])
+        wraps = sum(1 for k in range(4) if corners[(k + 1) % 4] <= corners[k])
         if wraps != 1:
             raise InputRejection("corner indices must be listed in cyclic order")
+        _set(self, "curve", curve)
+        _set(self, "corners", corners)
 
     @property
     def corner_points(self) -> tuple[RatPoint, ...]:
@@ -115,12 +117,16 @@ class TopoRectangle:
         raise InvariantFailure("frame vertex escaped every side range")
 
 
-@dataclass(frozen=True)
+@value_type
 class PackingSpec:
     """A frame and the pieces packed inside it."""
 
-    rect: TopoRectangle
-    pieces: tuple[PolyJordanCurve, ...]
+    _fields = ("rect", "pieces")
+
+    def __init__(self, rect: TopoRectangle,
+                 pieces: tuple[PolyJordanCurve, ...]) -> None:
+        _set(self, "rect", rect)
+        _set(self, "pieces", pieces)
 
     @cached_property
     def analysis(self) -> "_Analysis":
@@ -129,13 +135,17 @@ class PackingSpec:
         return _analyze(self)
 
 
-@dataclass(frozen=True)
+@value_type
 class ContactGraph:
     """Tangency structure: frame sides a-d plus one vertex per piece."""
 
-    piece_count: int
-    edges: frozenset
-    triangles: frozenset
+    __slots__ = _fields = ("piece_count", "edges", "triangles")
+
+    def __init__(self, piece_count: int, edges: frozenset,
+                 triangles: frozenset) -> None:
+        _set(self, "piece_count", piece_count)
+        _set(self, "edges", edges)
+        _set(self, "triangles", triangles)
 
     def sorted_edges(self) -> tuple[tuple, ...]:
         pairs = [tuple(sorted(e, key=_label_key)) for e in self.edges]
@@ -146,18 +156,21 @@ class ContactGraph:
         return tuple(sorted(trips, key=lambda p: tuple(map(_label_key, p))))
 
 
-@dataclass(frozen=True)
+@value_type
 class OverlayReport:
     """Per-pair transverse crossing counts for two overlaid packings."""
 
-    entries: tuple[tuple[str, str, int], ...]
+    __slots__ = _fields = ("entries",)
+
+    def __init__(self, entries: tuple[tuple[str, str, int], ...]) -> None:
+        _set(self, "entries", entries)
 
     @property
     def total_crossings(self) -> int:
         return sum(count for _, _, count in self.entries)
 
 
-@dataclass(frozen=True)
+@value_type
 class TheoremCertificate:
     """Verified index bookkeeping for a matched pair of packings.
 
@@ -167,12 +180,19 @@ class TheoremCertificate:
     cutting pair.
     """
 
-    rect_index: int
-    piece_indices: tuple[int, ...]
-    interstice_indices: tuple[int, ...]
-    interstice_triples: tuple[tuple, ...]
-    cutting_index: "int | None"
-    degenerate: bool = False
+    __slots__ = _fields = ("rect_index", "piece_indices", "interstice_indices",
+                           "interstice_triples", "cutting_index", "degenerate")
+
+    def __init__(self, rect_index: int, piece_indices: tuple[int, ...],
+                 interstice_indices: tuple[int, ...],
+                 interstice_triples: tuple[tuple, ...],
+                 cutting_index: int | None, degenerate: bool = False) -> None:
+        _set(self, "rect_index", rect_index)
+        _set(self, "piece_indices", piece_indices)
+        _set(self, "interstice_indices", interstice_indices)
+        _set(self, "interstice_triples", interstice_triples)
+        _set(self, "cutting_index", cutting_index)
+        _set(self, "degenerate", degenerate)
 
     @property
     def piece_sum(self) -> int:

@@ -29,7 +29,6 @@ checked one, such as its inverse, skip the check (`PLCorrespondence`).
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
 from typing import Iterable
@@ -48,13 +47,16 @@ from .exact_geom import (
     AffineMap,
     PLLoop,
     RatPoint,
+    _new,
+    _set,
     edge_crossing,
     trusted,
+    value_type,
 )
 from .jordan import PolyJordanCurve, validate_curve
 
 
-@dataclass(frozen=True)
+@value_type
 class PLCorrespondence:
     """Orientation-preserving piecewise-affine degree-one circle map.
 
@@ -66,15 +68,16 @@ class PLCorrespondence:
     The constructor checks all of this. `_trusted` checks nothing: it is for
     maps made from a valid one (`invert`) or by construction
     (`random_correspondence`, `torus.realize_path`), which know the wrap.
+    `s_vals` (the source parameters) and `wrap` are derived from the
+    breakpoints, so equality, hash and repr read the breakpoints alone.
     """
 
-    breakpoints: tuple[tuple[Fraction, Fraction], ...]
-    s_vals: tuple[Fraction, ...] = field(init=False, repr=False,
-                                         compare=False)
-    wrap: int = field(init=False, repr=False, compare=False)
+    __slots__ = ("breakpoints", "s_vals", "wrap")
+    _fields = ("breakpoints",)
 
-    def __post_init__(self) -> None:
-        bps = self.breakpoints
+    def __init__(self, breakpoints: tuple[tuple[Fraction, Fraction], ...],
+                 ) -> None:
+        bps = breakpoints
         if len(bps) < 2:
             raise InputRejection("need at least two breakpoints")
         s_vals = tuple([s for s, _ in bps])
@@ -90,16 +93,23 @@ class PLCorrespondence:
         if len(descents) != 1:
             raise NotOrientationPreserving(
                 "target parameters must increase cyclically with one wrap")
-        object.__setattr__(self, "s_vals", s_vals)
-        object.__setattr__(self, "wrap", (descents[0] + 1) % n)
+        _set(self, "breakpoints", bps)
+        _set(self, "s_vals", s_vals)
+        _set(self, "wrap", (descents[0] + 1) % n)
 
     @classmethod
     def _trusted(cls, breakpoints: tuple[tuple[Fraction, Fraction], ...],
                  wrap: int) -> "PLCorrespondence":
         """Unchecked constructor for breakpoints known to be valid, with
-        the least target parameter at position `wrap`."""
-        return trusted(cls, breakpoints=breakpoints,
-                       s_vals=tuple([s for s, _ in breakpoints]), wrap=wrap)
+        the least target parameter at position `wrap`. It is
+        `exact_geom.trusted` written out for the three slots: maps are
+        made often, and the generic loop over keyword fields costs about a
+        third more per call."""
+        obj = _new(cls)
+        _set(obj, "breakpoints", breakpoints)
+        _set(obj, "s_vals", tuple([s for s, _ in breakpoints]))
+        _set(obj, "wrap", wrap)
+        return obj
 
     def evaluate(self, s: Fraction) -> Fraction:
         s = s % 1
@@ -343,13 +353,17 @@ def transform_pair(source: PolyJordanCurve, target: PolyJordanCurve,
 
 # -- gluing ------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@value_type
 class GluedMap:
     """Result of joining two correspondences along a shared boundary arc."""
 
-    source: PolyJordanCurve
-    target: PolyJordanCurve
-    phi: PLCorrespondence
+    __slots__ = _fields = ("source", "target", "phi")
+
+    def __init__(self, source: PolyJordanCurve, target: PolyJordanCurve,
+                 phi: PLCorrespondence) -> None:
+        _set(self, "source", source)
+        _set(self, "target", target)
+        _set(self, "phi", phi)
 
 
 def _insert_on_edges(curve: PolyJordanCurve,

@@ -31,7 +31,6 @@ the token grid and whose denominators join the scale.
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from math import lcm
@@ -47,7 +46,7 @@ from .errors import (
     TooFewCrossings,
     TooLarge,
 )
-from .exact_geom import trusted
+from .exact_geom import _set, trusted, value_type
 from .jordan import CrossKind
 from .torus import StaircasePath, TorusDiagram, _read_index, index_from_torus
 
@@ -65,7 +64,7 @@ def _cell(value: int, bounds: tuple[int, int]) -> int:
     return (value > lo) + (value > hi)
 
 
-@dataclass(frozen=True)
+@value_type
 class AdjacencyBox:
     """Axis-aligned neighborhood of a doubly adjacent crossing pair.
 
@@ -80,17 +79,25 @@ class AdjacencyBox:
     which split the square into nine cells.
     """
 
-    entry_id: int
-    exit_id: int
-    base_constraint: int
-    descends: bool
-    col_lo: int
-    col_hi: int
-    row_lo: int
-    row_hi: int
-    grid_cols: tuple[int, int]
-    grid_rows: tuple[int, int]
-    unit: int
+    __slots__ = _fields = ("entry_id", "exit_id", "base_constraint",
+                           "descends", "col_lo", "col_hi", "row_lo", "row_hi",
+                           "grid_cols", "grid_rows", "unit")
+
+    def __init__(self, entry_id: int, exit_id: int, base_constraint: int,
+                 descends: bool, col_lo: int, col_hi: int, row_lo: int,
+                 row_hi: int, grid_cols: tuple[int, int],
+                 grid_rows: tuple[int, int], unit: int) -> None:
+        _set(self, "entry_id", entry_id)
+        _set(self, "exit_id", exit_id)
+        _set(self, "base_constraint", base_constraint)
+        _set(self, "descends", descends)
+        _set(self, "col_lo", col_lo)
+        _set(self, "col_hi", col_hi)
+        _set(self, "row_lo", row_lo)
+        _set(self, "row_hi", row_hi)
+        _set(self, "grid_cols", grid_cols)
+        _set(self, "grid_rows", grid_rows)
+        _set(self, "unit", unit)
 
     @property
     def wrap(self) -> bool:
@@ -464,31 +471,47 @@ def _parent_rank(rank: int, gone: list[int]) -> int:
 
 # -- the solver ----------------------------------------------------------------
 
-@dataclass(frozen=True)
+@value_type
 class TraceLevel:
     """One solver step; pair fields stay None for the direct rules."""
 
-    depth: int
-    rule: str
-    index: int
-    pair: tuple[int, int] | None = None
-    base_constraint: int | None = None
-    cells: tuple[tuple[int, int], tuple[int, int]] | None = None
-    wrap: bool | None = None
-    descends: bool | None = None
-    category: str | None = None
-    candidate: tuple[str, tuple[tuple[int, str], ...]] | None = None
-    child_index: int | None = None
+    __slots__ = _fields = ("depth", "rule", "index", "pair", "base_constraint",
+                           "cells", "wrap", "descends", "category",
+                           "candidate", "child_index")
+
+    def __init__(self, depth: int, rule: str, index: int,
+                 pair: tuple[int, int] | None = None,
+                 base_constraint: int | None = None,
+                 cells: tuple[tuple[int, int], tuple[int, int]] | None = None,
+                 wrap: bool | None = None, descends: bool | None = None,
+                 category: str | None = None,
+                 candidate: tuple[str, tuple[tuple[int, str], ...]] | None = None,
+                 child_index: int | None = None) -> None:
+        _set(self, "depth", depth)
+        _set(self, "rule", rule)
+        _set(self, "index", index)
+        _set(self, "pair", pair)
+        _set(self, "base_constraint", base_constraint)
+        _set(self, "cells", cells)
+        _set(self, "wrap", wrap)
+        _set(self, "descends", descends)
+        _set(self, "category", category)
+        _set(self, "candidate", candidate)
+        _set(self, "child_index", child_index)
 
 
-@dataclass(frozen=True)
+@value_type
 class PrescriptionTrace:
     """Audit trail of the induction, deepest level first."""
 
-    levels: tuple[TraceLevel, ...]
-    below: frozenset[int]
-    path: StaircasePath
-    index: int
+    __slots__ = _fields = ("levels", "below", "path", "index")
+
+    def __init__(self, levels: tuple[TraceLevel, ...], below: frozenset[int],
+                 path: StaircasePath, index: int) -> None:
+        _set(self, "levels", levels)
+        _set(self, "below", below)
+        _set(self, "path", path)
+        _set(self, "index", index)
 
 
 def prescribe(diagram: TorusDiagram) -> tuple[StaircasePath, PrescriptionTrace]:

@@ -36,7 +36,6 @@ trusted constructor `exact_geom.trusted`; each such function says why.
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
@@ -55,7 +54,9 @@ from .errors import (
 )
 from .exact_geom import (
     RatPoint,
+    _set,
     trusted,
+    value_type,
     winding_of_cycle,
 )
 from .jordan import CrossKind, CrossingSet, PolyJordanCurve, _containment
@@ -72,15 +73,19 @@ class Containment(Enum):
     SECOND_INSIDE_FIRST = "second_inside_first"
 
 
-@dataclass(frozen=True)
+@value_type
 class TorusMark:
     """A crossing at token ranks (col, row) of a size-n diagram."""
 
-    crossing_id: int
-    kind: CrossKind
-    col: int
-    row: int
-    size: int
+    __slots__ = _fields = ("crossing_id", "kind", "col", "row", "size")
+
+    def __init__(self, crossing_id: int, kind: CrossKind, col: int, row: int,
+                 size: int) -> None:
+        _set(self, "crossing_id", crossing_id)
+        _set(self, "kind", kind)
+        _set(self, "col", col)
+        _set(self, "row", row)
+        _set(self, "size", size)
 
     @property
     def x(self) -> Fraction:
@@ -91,7 +96,7 @@ class TorusMark:
         return Fraction(self.row, self.size)
 
 
-@dataclass(frozen=True)
+@value_type
 class TorusDiagram:
     """Combinatorial torus data: cyclic token orders plus crossing kinds.
 
@@ -101,20 +106,24 @@ class TorusDiagram:
     retain the true parameters when the diagram came from geometry; purely
     combinatorial diagrams leave them None. A diagram without marks cannot
     know the mutual position of the curves, so it carries `containment`.
+    The fields after `kinds` default to None, here and for `trusted`.
     """
 
-    col_order: tuple[TokenId, ...]
-    row_order: tuple[TokenId, ...]
-    kinds: tuple[tuple[int, CrossKind], ...]
-    containment: Containment | None = None
-    col_params: tuple[Fraction, ...] | None = None
-    row_params: tuple[Fraction, ...] | None = None
-    first: PolyJordanCurve | None = None
-    second: PolyJordanCurve | None = None
-    crossings: CrossingSet | None = None
+    _fields = ("col_order", "row_order", "kinds", "containment", "col_params",
+               "row_params", "first", "second", "crossings")
+    containment = col_params = row_params = None
+    first = second = crossings = None
 
-    def __post_init__(self) -> None:
-        cols, rows = self.col_order, self.row_order
+    def __init__(self, col_order: tuple[TokenId, ...],
+                 row_order: tuple[TokenId, ...],
+                 kinds: tuple[tuple[int, CrossKind], ...],
+                 containment: Containment | None = None,
+                 col_params: tuple[Fraction, ...] | None = None,
+                 row_params: tuple[Fraction, ...] | None = None,
+                 first: PolyJordanCurve | None = None,
+                 second: PolyJordanCurve | None = None,
+                 crossings: CrossingSet | None = None) -> None:
+        cols, rows = col_order, row_order
         if sorted(cols) != sorted(rows):
             raise InputRejection("column and row token sets differ")
         if len(set(cols)) != len(cols):
@@ -129,20 +138,29 @@ class TorusDiagram:
             if not c_pos[1] < c_pos[2] < c_pos[3]:
                 raise OrderViolation(
                     "constraints must appear in the same cyclic order on both curves")
-        kind_map = dict(self.kinds)
+        kind_map = dict(kinds)
         mark_ids = [t[1] for t in cols if t[0] == "m"]
         if sorted(kind_map) != sorted(mark_ids):
             raise InputRejection("kinds must cover exactly the marks")
         _check_alternation(cols, rows, kind_map)
-        if not mark_ids and self.containment is None:
+        if not mark_ids and containment is None:
             raise InputRejection("a diagram without marks needs a containment tag")
-        for params, order in ((self.col_params, cols), (self.row_params, rows)):
+        for params, order in ((col_params, cols), (row_params, rows)):
             if params is None:
                 continue
             if len(params) != len(order):
                 raise InputRejection("parameter list does not match token count")
             if not _cyclically_increasing(params):
                 raise OrderViolation("true parameters out of cyclic order")
+        _set(self, "col_order", col_order)
+        _set(self, "row_order", row_order)
+        _set(self, "kinds", kinds)
+        _set(self, "containment", containment)
+        _set(self, "col_params", col_params)
+        _set(self, "row_params", row_params)
+        _set(self, "first", first)
+        _set(self, "second", second)
+        _set(self, "crossings", crossings)
 
     @property
     def size(self) -> int:
@@ -232,10 +250,11 @@ class TorusDiagram:
         count and the alternation can fail; the child gets those two alone.
         """
         gone = set(ids)
-        keep = lambda t: t[0] != "m" or t[1] not in gone
-        new_cols = tuple(t for t in self.col_order if keep(t))
-        new_rows = tuple(t for t in self.row_order if keep(t))
-        new_kinds = tuple((k, v) for k, v in self.kinds if k not in gone)
+        new_cols = tuple([t for t in self.col_order
+                          if t[0] != "m" or t[1] not in gone])
+        new_rows = tuple([t for t in self.row_order
+                          if t[0] != "m" or t[1] not in gone])
+        new_kinds = tuple([(k, v) for k, v in self.kinds if k not in gone])
         _check_alternation(new_cols, new_rows, dict(new_kinds))
         containment = self.containment
         if not any(t[0] == "m" for t in new_cols) and containment is None:
@@ -394,19 +413,20 @@ def abstract_diagram(col_order: Sequence[TokenId], row_order: Sequence[TokenId],
 
 # -- paths -------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@value_type
 class StaircasePath:
     """Strictly increasing path from (0,0) to (1,1) in the cut unit square."""
 
-    points: tuple[tuple[Fraction, Fraction], ...]
+    _fields = ("points",)
 
-    def __post_init__(self) -> None:
-        pts = self.points
+    def __init__(self, points: tuple[tuple[Fraction, Fraction], ...]) -> None:
+        pts = points
         if len(pts) < 2 or pts[0] != (0, 0) or pts[-1] != (1, 1):
             raise InputRejection("path must run from (0,0) to (1,1)")
         for (x0, y0), (x1, y1) in zip(pts, pts[1:]):
             if not (x0 < x1 and y0 < y1):
                 raise InputRejection("path must be strictly increasing")
+        _set(self, "points", pts)
 
     @cached_property
     def _xs(self) -> tuple[Fraction, ...]:

@@ -116,24 +116,47 @@ def fx(name: str) -> str:
 
 
 TWELVE = [fx("fig_twelve_first"), fx("fig_twelve_second")]
-CORE = ["cli", "errors", "exact_geom", "jordan", "serialize"]
+CORE = ["cli", "errors", "exact_geom", "jordan"]
 LAYERS = {  # command: argv, and the modules it loads beyond CORE
-    "cut": (["cut", *TWELVE], []),
+    "cut": (["cut", *TWELVE], ["serialize"]),
     "index": (["index", fx("fig_interleaved_first"),
                fx("fig_interleaved_second"), fx("identity_corner_map")],
-              ["plmap"]),
+              ["plmap", "serialize"]),
     "torus": (["torus", *TWELVE, fx("twelve_constraints")],
-              ["plmap", "torus"]),
+              ["plmap", "serialize", "torus"]),
     "prescribe": (["prescribe", *TWELVE, fx("twelve_constraints")],
-                  ["plmap", "prescribe", "torus"]),
+                  ["plmap", "prescribe", "serialize", "torus"]),
     "incompat": (["incompat", fx("pack_one_a"), fx("pack_one_b"),
-                  fx("corr_one")], ["packing", "plmap", "prescribe", "torus"]),
-    "render_faces": (["render", "faces", *TWELVE], ["svg"]),
+                  fx("corr_one")],
+                 ["packing", "plmap", "prescribe", "serialize", "torus"]),
+    "render_faces": (["render", "faces", *TWELVE], ["serialize", "svg"]),
     "render_overlay": (["render", "overlay", fx("pack_two_a"),
-                        fx("pack_two_b")], ["packing", "plmap", "svg"]),
+                        fx("pack_two_b")],
+                       ["packing", "plmap", "serialize", "svg"]),
     "render_torus": (["render", "torus", *TWELVE, fx("twelve_constraints")],
-                     ["plmap", "prescribe", "svg", "torus"]),
+                     ["plmap", "prescribe", "serialize", "svg", "torus"]),
+    "selftest": (["selftest", "--trials", "1"],
+                 ["packing", "plmap", "prescribe", "selftest", "torus"]),
 }
+MODULES = sorted(p.stem for p in (ROOT / "src" / "fpindex").glob("*.py")
+                 if p.stem != "__init__")
+# what the package must not import: dataclasses pulls in inspect, ast, dis
+# and tokenize, which cost every command its start-up time
+HEAVY = ("dataclasses", "inspect")
+ADDED_HEAVY = ("print(json.dumps(sorted(m for m in set(sys.modules) - before"
+               f" if m in {HEAVY!r})))")
+
+
+def command_code(command: str, tmp_path) -> str:
+    """Code that runs one command of LAYERS in-process."""
+    argv, _ = LAYERS[command]
+    if argv[0] == "render":
+        argv = [*argv, "--svg", str(tmp_path / "out.svg")]
+    argv = [*argv, "--out", str(tmp_path / "report.json")]
+    return f"""
+from fpindex import cli
+assert cli.main({argv!r}) == 0
+"""
 
 
 class TestImportBudget:
@@ -143,12 +166,18 @@ class TestImportBudget:
 
     @pytest.mark.parametrize("command", sorted(LAYERS))
     def test_each_command_loads_only_its_layers(self, command, tmp_path):
-        argv, extra = LAYERS[command]
-        if argv[0] == "render":
-            argv = [*argv, "--svg", str(tmp_path / "out.svg")]
-        argv = [*argv, "--out", str(tmp_path / "report.json")]
-        assert fresh(f"""
-import json, sys
-from fpindex import cli
-assert cli.main({argv!r}) == 0
-""" + LOADED) == sorted(CORE + extra)
+        assert fresh("import json, sys" + command_code(command, tmp_path)
+                     + LOADED) == sorted(CORE + LAYERS[command][1])
+
+    @pytest.mark.parametrize("command", sorted(LAYERS))
+    def test_no_command_imports_dataclasses_or_inspect(self, command,
+                                                       tmp_path):
+        assert fresh("import json, sys\nbefore = set(sys.modules)"
+                     + command_code(command, tmp_path) + ADDED_HEAVY) == []
+
+    @pytest.mark.parametrize("module", MODULES)
+    def test_no_module_imports_dataclasses_or_inspect(self, module):
+        assert fresh(f"""import json, sys
+before = set(sys.modules)
+import fpindex.{module}
+""" + ADDED_HEAVY) == []

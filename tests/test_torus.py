@@ -1,7 +1,6 @@
 """Torus diagrams, staircase paths, and the two index formulas."""
 import heapq
 import random
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -43,6 +42,7 @@ from geomgen import (
     square_curve,
     synthesize_constraints,
 )
+from twins import rebuilt
 
 F = Fraction
 
@@ -479,7 +479,7 @@ def rebased(diagram, i):
         diagram.col_params[col_start:] + diagram.col_params[:col_start]
     row_params = None if diagram.row_params is None else \
         diagram.row_params[row_start:] + diagram.row_params[:row_start]
-    return replace(diagram, col_order=new_cols, row_order=new_rows,
+    return rebuilt(diagram, col_order=new_cols, row_order=new_rows,
                    col_params=col_params, row_params=row_params)
 
 
@@ -608,7 +608,7 @@ class TestRealizePathOnePass:
                      random_monotone_path(rng, rng.randrange(1, 9), 211),
                      random_monotone_path(rng, rng.randrange(1, n), 2 * n)]
             # the same true parameters, some written outside [0, 1)
-            lifted = replace(diagram, col_params=tuple(
+            lifted = rebuilt(diagram, col_params=tuple(
                 p + k % 3 - 1 for k, p in enumerate(diagram.col_params)))
             for path in paths:
                 for d in (diagram, abstract, lifted):

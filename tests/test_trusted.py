@@ -3,13 +3,12 @@
 A map, diagram, path or curve is checked once, where it enters. What the
 package derives from a checked object by an operation that keeps the
 invariant (an inverse, a rotation, a child diagram, a translate) is built by
-the trusted constructor `exact_geom.trusted`, which skips `__post_init__`.
-Each test takes what one trusted call site makes on seeded draws and
+the trusted constructor `exact_geom.trusted`, which skips `__init__` and its
+checks. Each test takes what one trusted call site makes on seeded draws and
 rebuilds it with the checked constructor: the rebuild must succeed and
 compare equal, and a map must keep its `s_vals` and `wrap`.
 """
 import random
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -48,6 +47,7 @@ from geomgen import (
     synthesize_constraints,
 )
 from packfix import one_piece_pair, two_piece_pair
+from twins import rebuilt
 
 F = Fraction
 
@@ -55,7 +55,7 @@ F = Fraction
 def checked(obj):
     """obj rebuilt from its fields by the checked constructor, which must
     accept it and give an equal object; a map keeps s_vals and wrap too."""
-    again = replace(obj)
+    again = rebuilt(obj)
     assert again == obj
     if isinstance(obj, PLCorrespondence):
         assert (again.s_vals, again.wrap) == (obj.s_vals, obj.wrap)
@@ -206,15 +206,15 @@ class TestHandBuiltCrossings:
     raises the class and message that the checked `TorusDiagram` raised."""
 
     @pytest.mark.parametrize("change, error, message", [
-        (lambda c0, c1: replace(c1, param_k=c0.param_k),
+        (lambda c0, c1: rebuilt(c1, param_k=c0.param_k),
          OrderViolation, "true parameters out of cyclic order"),
-        (lambda c0, c1: replace(c1, param_kt=c0.param_kt),
+        (lambda c0, c1: rebuilt(c1, param_kt=c0.param_kt),
          OrderViolation, "true parameters out of cyclic order"),
-        (lambda c0, c1: replace(c1, index=c0.index),
+        (lambda c0, c1: rebuilt(c1, index=c0.index),
          InputRejection, "duplicate tokens"),
-        (lambda c0, c1: replace(c1, param_k=c1.param_k + 1),
+        (lambda c0, c1: rebuilt(c1, param_k=c1.param_k + 1),
          InputRejection, r"crossing parameters must lie in \[0, 1\)"),
-        (lambda c0, c1: replace(c1, param_kt=c1.param_kt - 1),
+        (lambda c0, c1: rebuilt(c1, param_kt=c1.param_kt - 1),
          InputRejection, r"crossing parameters must lie in \[0, 1\)"),
     ], ids=["repeated_param_k", "repeated_param_kt", "repeated_id",
             "param_k_above_range", "param_kt_below_range"])

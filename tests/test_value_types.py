@@ -1,0 +1,170 @@
+"""The package's value types against the frozen dataclasses they replaced.
+
+Each class made by `exact_geom.value_type` must compare, hash and repr as
+its frozen-dataclass twin in `twins.py` does: sets of points are iterated in
+`packing`, and `scripts/kernel_dump.py` writes reprs. The instances are what
+the package builds on seeded draws.
+"""
+import importlib
+import random
+from fractions import Fraction
+from functools import lru_cache
+
+import pytest
+
+from fpindex import exact_geom
+from fpindex.exact_geom import AffineMap, Segment, SegmentMeeting
+from fpindex.jordan import build_arrangement, check_transverse
+from fpindex.packing import (
+    assemble_theorem_certificate,
+    check_overlay_transverse,
+    validate_packing,
+)
+from fpindex.plmap import glue, random_correspondence
+from fpindex.prescribe import find_doubly_adjacent, prescribe
+from fpindex.torus import abstract_diagram, build_diagram, straight_path
+
+from geomgen import (
+    glued_square_fixture,
+    random_transverse_pair,
+    synthesize_constraints,
+)
+from packfix import one_piece_pair, two_piece_pair
+from twins import TWINS
+
+F = Fraction
+SEEDS = (11, 12, 13)
+MODULES = ("exact_geom", "jordan", "packing", "plmap", "prescribe", "torus")
+
+
+@lru_cache(maxsize=None)
+def samples(seed: int) -> dict[str, list]:
+    """Two or more instances of every value type, drawn from the seed."""
+    rng = random.Random(seed)
+    first, second, crossings = random_transverse_pair(
+        rng, min_crossings=4, max_crossings=8)
+    phi = random_correspondence(rng, rng.randrange(3, 8))
+    diagram = build_diagram(first, second, crossings,
+                            synthesize_constraints(crossings, phi, rng))
+    path, trace = prescribe(diagram)
+    p, q = first.vertices[:2]
+    pack_a, pack_b, corr = (one_piece_pair, two_piece_pair)[seed % 2]()
+    shift = F(rng.randrange(1, 9), rng.randrange(2, 9))
+    return {
+        "RatPoint": [p, q, crossings.crossings[0].point],
+        "Segment": [Segment(p, q), Segment(q, p)],
+        "SegmentMeeting": [SegmentMeeting.empty(), SegmentMeeting.proper(p),
+                           SegmentMeeting.proper(q),
+                           SegmentMeeting.degenerate()],
+        "PLLoop": [first.loop, second.loop],
+        "AffineMap": [AffineMap(F(2), shift, F(0), F(3)),
+                      AffineMap(F(2), shift, F(0), F(3), shift, -shift)],
+        "PolyJordanCurve": [first, second],
+        "Crossing": list(crossings.crossings[:3]),
+        "CrossingSet": [crossings, check_transverse(second, first)],
+        "ArrangementFace": build_arrangement(first, second, crossings)[:3],
+        "PLCorrespondence": [phi, phi.invert()],
+        "GluedMap": [glue(*glued_square_fixture(rng)),
+                     glue(*glued_square_fixture(rng))],
+        "TorusMark": list(diagram.marks[:3]),
+        "TorusDiagram": [diagram, abstract_diagram(
+            diagram.col_order, diagram.row_order, dict(diagram.kinds))],
+        "StaircasePath": [path, straight_path(diagram)],
+        "AdjacencyBox": find_doubly_adjacent(diagram)[:2],
+        "TraceLevel": list(trace.levels[:3]),
+        "PrescriptionTrace": [trace],
+        "TopoRectangle": [pack_a.rect, pack_b.rect],
+        "PackingSpec": [pack_a, pack_b],
+        "ContactGraph": [validate_packing(pack_a)[1],
+                         validate_packing(pack_b)[1]],
+        "OverlayReport": [check_overlay_transverse(pack_a, pack_b)],
+        "TheoremCertificate": [assemble_theorem_certificate(pack_a, pack_b,
+                                                            corr)],
+    }
+
+
+def values(obj) -> dict:
+    return {name: getattr(obj, name) for name in type(obj)._fields}
+
+
+def twin(obj):
+    return TWINS[type(obj).__name__](**values(obj))
+
+
+def instances(name: str) -> list:
+    """Every seed's samples of one class."""
+    return [obj for seed in SEEDS for obj in samples(seed)[name]]
+
+
+def test_every_value_type_has_a_twin_and_samples():
+    found = set()
+    for module in MODULES:
+        for obj in vars(importlib.import_module(f"fpindex.{module}")).values():
+            if (isinstance(obj, type) and obj.__module__ == f"fpindex.{module}"
+                    and obj.__setattr__ is exact_geom._no_setattr):
+                found.add(obj.__name__)
+    assert found == set(TWINS)
+    assert len(found) == 22
+    for seed in SEEDS:
+        for name, objs in samples(seed).items():
+            assert objs and all(type(obj).__name__ == name for obj in objs)
+
+
+@pytest.mark.parametrize("name", sorted(TWINS))
+def test_eq_hash_and_repr_match_the_dataclass(name):
+    objs = instances(name)
+    objs += [type(obj)(**values(obj)) for obj in objs]  # equal, not identical
+    twins = [twin(obj) for obj in objs]
+    for obj, tw in zip(objs, twins):
+        assert hash(obj) == hash(tw)
+        assert repr(obj) == repr(tw)
+    for a, ta in zip(objs, twins):
+        for b, tb in zip(objs, twins):
+            assert (a == b) is (ta == tb)
+            assert (a != b) is (ta != tb)
+
+
+@pytest.mark.parametrize("name", sorted(TWINS))
+def test_positional_and_keyword_construction_agree(name):
+    for obj in instances(name):
+        fields = values(obj)
+        by_position = type(obj)(*fields.values())
+        by_keyword = type(obj)(**fields)
+        assert by_position == obj and by_keyword == obj
+        assert repr(by_position) == repr(by_keyword) == repr(obj)
+
+
+@pytest.mark.parametrize("name", sorted(TWINS))
+def test_never_equal_to_another_class(name):
+    for obj in instances(name):
+        tw = twin(obj)
+        assert obj.__eq__(tw) is NotImplemented
+        assert obj != tw and tw != obj
+        assert obj != tuple(values(obj).values())
+
+
+@pytest.mark.parametrize("name", sorted(TWINS))
+def test_setting_or_deleting_raises(name):
+    for obj in instances(name):
+        before = repr(obj)
+        for field, value in values(obj).items():
+            with pytest.raises(AttributeError):
+                setattr(obj, field, value)
+            with pytest.raises(AttributeError):
+                delattr(obj, field)
+        with pytest.raises(AttributeError):
+            obj.not_a_field = 1
+        assert repr(obj) == before
+
+
+def test_cached_values_are_computed_once():
+    made = samples(SEEDS[0])
+    loop = made["PLLoop"][0]
+    diagram = made["TorusDiagram"][0]
+    path = made["StaircasePath"][0]
+    spec = made["PackingSpec"][0]
+    for obj, attr in ((loop, "int_coords"), (loop, "edge_y_ranges"),
+                      (diagram, "marks"), (diagram, "p_ids"),
+                      (diagram, "_constraint_ranks"), (path, "_xs"),
+                      (spec, "analysis")):
+        assert getattr(obj, attr) is getattr(obj, attr)
