@@ -1,4 +1,5 @@
 """CLI subcommands end to end: reports, exit codes, SVG output, determinism."""
+import importlib
 import importlib.util
 import json
 import xml.etree.ElementTree as ET
@@ -350,6 +351,17 @@ class TestSelftestCommand:
                      "--out", str(b)]) == 0
         assert json.loads(a.read_text())["seed"] != \
             json.loads(b.read_text())["seed"]
+
+    def test_violation_exits_one_with_the_full_report(self, capsys,
+                                                      monkeypatch):
+        selftest = importlib.import_module("fpindex.selftest")
+        violation = {"name": "packing_kernel", "trials": 1,
+                     "violations": [{"why": "planted"}]}
+        monkeypatch.setattr(selftest, "_suite_packing", lambda *_: violation)
+        code, report = run(capsys, "selftest", "--trials", "1")
+        assert code == 1
+        assert report["ok"] is False
+        assert report["suites"][-1] == violation
 
     @pytest.mark.parametrize("trials", ["0", "-1"])
     def test_trials_below_one_exit_two(self, capsys, trials):
