@@ -238,18 +238,18 @@ class CrossingSet:
     __slots__ = _fields = ("crossings",)
 
     def __init__(self, crossings: tuple[Crossing, ...]) -> None:
-        _set(self, "crossings", crossings)
+        _set(self, "crossings", crossings)  # by_param_kt reads it
         params = [c.param_k for c in crossings]
         if params != sorted(params):
             raise InvariantFailure("crossings not sorted by first-curve parameter")
-        if len(self.crossings) % 2 != 0:
+        if len(crossings) % 2 != 0:
             raise AlternationViolation("odd crossing count")
         by_kt = self.by_param_kt()
-        for order in (self.crossings, by_kt):
+        for order in (crossings, by_kt):
             for a, b in zip(order, order[1:] + order[:1]):
                 if len(order) >= 2 and a.kind == b.kind:
                     raise AlternationViolation("crossing kinds fail to alternate")
-        if len({c.index for c in self.crossings}) != len(params):
+        if len({c.index for c in crossings}) != len(params):
             raise InputRejection("duplicate tokens")
         params_kt = [c.param_kt for c in by_kt]
         for ps in (params, params_kt):
