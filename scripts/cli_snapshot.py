@@ -54,6 +54,13 @@ COMMANDS = {
     "render_faces": f"render faces {TWELVE} --svg {{svg}}",
     "selftest_default": "selftest",
     "selftest_seeded": "selftest --seed 7 --trials 3",
+    # the parser: help texts and the dispatch error paths
+    "help": "--help",
+    **{f"help_{cmd}": f"{cmd} --help" for cmd in
+       ("index", "torus", "prescribe", "cut", "incompat", "render", "selftest")},
+    "render_without_svg": f"render faces {TWELVE}",
+    "selftest_zero_trials": "selftest --trials 0",
+    "index_missing_map": f"index {INTERLEAVED}",
 }
 
 
@@ -73,7 +80,8 @@ def main(argv: list[str]) -> int:
         return 2
     out = Path(argv[0]).resolve()
     shutil.copytree(FIXTURES, out / "inputs", dirs_exist_ok=True)
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    # a fixed width, so argparse wraps help and usage the same everywhere
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), COLUMNS="80")
     codes = []
     for name, words in COMMANDS.items():
         proc = subprocess.run([sys.executable, "-m", "fpindex.cli",

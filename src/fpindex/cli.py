@@ -16,7 +16,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
-from typing import TYPE_CHECKING, NamedTuple
+from typing import TYPE_CHECKING
 
 from .errors import InputRejection, InvariantFailure, NotTransverse
 
@@ -24,19 +24,6 @@ if TYPE_CHECKING:
     from .jordan import PolyJordanCurve
     from .packing import PackingSpec
     from .torus import TorusDiagram
-
-
-class RunConfig(NamedTuple):
-    """Parsed invocation; same config and seed give bit-identical reports."""
-
-    command: str
-    inputs: tuple[str, ...]
-    seed: int = 0
-    trials: int | None = None
-    out: str | None = None
-    svg: str | None = None
-    epsilon: str | None = None
-    kind: str | None = None
 
 
 # -- command implementations ------------------------------------------------------
@@ -139,10 +126,10 @@ def cmd_prescribe(curve_a: str, curve_b: str, constraints_path: str,
 
 
 def cmd_cut(curve_a: str, curve_b: str) -> dict:
-    from .jordan import check_transverse, cuts_each_other
+    from .jordan import check_transverse, crossing_pattern_cuts
     first, second = _curves_from_files(curve_a, curve_b)
     crossings = check_transverse(first, second)
-    return {"cuts": cuts_each_other(first, second),
+    return {"cuts": crossing_pattern_cuts(crossings),
             "crossings": len(crossings)}
 
 
@@ -193,7 +180,9 @@ def cmd_incompat(pack_a: str, pack_b: str, correspondence_path: str,
     }
 
 
-def cmd_render(kind: str, inputs: tuple[str, ...], svg: str) -> dict:
+def cmd_render(kind: str, inputs: list[str], svg: str | None) -> dict:
+    if not svg:
+        raise InputRejection("render requires --svg OUTPUT")
     if kind == "torus":
         if len(inputs) != 3:
             raise InputRejection("render torus needs curveA curveB constraints")
@@ -218,6 +207,11 @@ def cmd_render(kind: str, inputs: tuple[str, ...], svg: str) -> dict:
     return {"kind": kind, "svg": svg, "bytes": len(content.encode())}
 
 
+def cmd_selftest(seed: int, trials: int | None) -> dict:
+    from . import selftest
+    return selftest.cmd_selftest(seed, trials)
+
+
 # -- dispatch ---------------------------------------------------------------------
 
 
@@ -238,27 +232,6 @@ def _emit(report: dict, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _run(config: RunConfig) -> dict:
-    if config.command == "index":
-        return cmd_index(*config.inputs)
-    if config.command == "torus":
-        return cmd_torus(*config.inputs, svg=config.svg)
-    if config.command == "prescribe":
-        return cmd_prescribe(*config.inputs, svg=config.svg)
-    if config.command == "cut":
-        return cmd_cut(*config.inputs)
-    if config.command == "incompat":
-        return cmd_incompat(*config.inputs, epsilon=config.epsilon)
-    if config.command == "render":
-        if not config.svg:
-            raise InputRejection("render requires --svg OUTPUT")
-        return cmd_render(config.kind or "", config.inputs, config.svg)
-    if config.command == "selftest":
-        from .selftest import cmd_selftest
-        return cmd_selftest(config.seed, config.trials)
-    raise InputRejection(f"unknown command {config.command!r}")
-
-
 def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fpindex",
@@ -267,11 +240,15 @@ def _parser() -> argparse.ArgumentParser:
                     "incompatibility checks.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name: str, *positionals: str, svg=False, epsilon=False,
+    def add(run, *positionals: str, svg=False, epsilon=False,
             seeded=False) -> None:
+        """A subparser that passes its arguments to `run` by name; a
+        positional's `_path` suffix is left out of the help text."""
+        name = run.__name__.removeprefix("cmd_")
         p = sub.add_parser(name)
+        p.set_defaults(run=run)
         for pos in positionals:
-            p.add_argument(pos)
+            p.add_argument(pos, metavar=pos.removesuffix("_path"))
         if name == "render":
             p.add_argument("kind", choices=("torus", "overlay", "faces"))
             p.add_argument("inputs", nargs="+")
@@ -285,39 +262,23 @@ def _parser() -> argparse.ArgumentParser:
             p.add_argument("--trials", type=int)
         p.add_argument("--out", help="write the JSON report here")
 
-    add("index", "curve_a", "curve_b", "map")
-    add("torus", "curve_a", "curve_b", "constraints", svg=True)
-    add("prescribe", "curve_a", "curve_b", "constraints", svg=True)
-    add("cut", "curve_a", "curve_b")
-    add("incompat", "pack_a", "pack_b", "correspondence", epsilon=True)
-    add("render", svg=True)
-    add("selftest", seeded=True)
+    add(cmd_index, "curve_a", "curve_b", "map_path")
+    add(cmd_torus, "curve_a", "curve_b", "constraints_path", svg=True)
+    add(cmd_prescribe, "curve_a", "curve_b", "constraints_path", svg=True)
+    add(cmd_cut, "curve_a", "curve_b")
+    add(cmd_incompat, "pack_a", "pack_b", "correspondence_path", epsilon=True)
+    add(cmd_render, svg=True)
+    add(cmd_selftest, seeded=True)
     return parser
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    named = vars(args)
-    order = {"index": ("curve_a", "curve_b", "map"),
-             "torus": ("curve_a", "curve_b", "constraints"),
-             "prescribe": ("curve_a", "curve_b", "constraints"),
-             "cut": ("curve_a", "curve_b"),
-             "incompat": ("pack_a", "pack_b", "correspondence"),
-             "render": (), "selftest": ()}
-    inputs = tuple(named[k] for k in order[args.command])
-    if args.command == "render":
-        inputs = tuple(args.inputs)
-    return RunConfig(
-        command=args.command, inputs=inputs,
-        seed=named.get("seed") or 0, trials=named.get("trials"),
-        out=named.get("out"), svg=named.get("svg"),
-        epsilon=named.get("epsilon"), kind=named.get("kind"))
-
-
 def main(argv: list[str] | None = None) -> int:
-    config = _config_from_args(_parser().parse_args(argv))
+    args = vars(_parser().parse_args(argv))
+    run, out = args.pop("run"), args.pop("out")
+    del args["command"]
     code = 0
     try:
-        report = _run(config)
+        report = run(**args)
     except InputRejection as exc:
         code, report = 2, {"error": type(exc).__name__, "reason": str(exc)}
     except InvariantFailure as exc:
@@ -325,7 +286,7 @@ def main(argv: list[str] | None = None) -> int:
         code, report = 1, getattr(exc, "report", None) or {
             "error": type(exc).__name__, "reason": str(exc)}
     try:
-        _emit(report, config.out)
+        _emit(report, out)
     except InputRejection as exc:  # --out itself cannot be written
         _emit({"error": type(exc).__name__, "reason": str(exc)}, None)
         return 2

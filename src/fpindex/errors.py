@@ -37,7 +37,8 @@ class NotSimple(InputRejection):
 
 
 class NotPositivelyOriented(InputRejection):
-    """The loop is clockwise (negative signed area) and auto-reversal is off."""
+    """The loop is clockwise (negative signed area); curves are never
+    reversed, so a clockwise input is rejected."""
 
 
 class NotTransverse(InputRejection):

@@ -10,10 +10,13 @@ index value as an independent cross-check.
 
 A staircase path's homotopy class rel marks is determined by which marks lie
 below it, so the solver manipulates below-sets and materializes a path only
-for verification and output. A below-set is realizable exactly when no
-below point sits strictly up-and-left of an above point, where the two
-interior constraint lattice points count on both sides; the realization
-threads the midline of the corridor those points leave open.
+for verification and output. One integer walk (`_walk`) decides, values and
+threads a below-set: it raises the path through the midline of the corridor
+each mark leaves open, and fails exactly when a below point sits strictly
+up-and-left of an above point, where the two interior constraint lattice
+points count on both sides. Each diagram's event list is built once and
+shared by every candidate the solver walks on it, and the solver hands the
+winning walk up, so no below-set is walked twice.
 
 Every mark and constraint sits at an integer token rank k of n, so the
 solver decides positions on those ranks: realizability, cells, frame checks
@@ -25,7 +28,7 @@ its own column's vertex, and the index is read from those sides. So the
 value of a below-set, the oracle's sweep and the reinserted pair's sides
 against a child's path (its vertices lifted to parent ranks) build no path
 and no `Fraction`. `Fraction`s remain in the returned path, which is the
-integer walk scaled once, and in the oracle's extra anchors, which lie off
+winning walk scaled once, and in the oracle's extra anchors, which lie off
 the token grid and whose denominators join the scale.
 """
 from __future__ import annotations
@@ -271,24 +274,6 @@ def _meets_diagonal_cells(box: AdjacencyBox) -> bool:
 
 # -- bipartitions: realizability, threading, value ----------------------------
 
-def _is_realizable(diagram: TorusDiagram, below_ids, extra=()) -> bool:
-    return _realizable(_events(diagram, extra)[1], below_ids)
-
-
-def _realizable(events, below_ids) -> bool:
-    """No below point or anchor sits strictly up and left of an above point
-    or anchor: in column order, each above point or anchor must lie at or
-    over the highest below point or anchor before it."""
-    high = -1
-    for _, y, cid in events:
-        if cid is None or cid not in below_ids:
-            if high > y:
-                return False
-        if cid is None or cid in below_ids:
-            high = max(high, y)
-    return True
-
-
 def _events(diagram: TorusDiagram, extra=()) -> tuple[int, list]:
     """The scale and the anchors and marks in column order, on integers.
 
@@ -309,36 +294,43 @@ def _events(diagram: TorusDiagram, extra=()) -> tuple[int, list]:
 
 
 def _walk(diagram: TorusDiagram, scale: int, events,
-          below_ids) -> tuple[list[tuple[int, int]], int]:
-    """Thread a below-set: the path's vertices over n * scale, and its index.
+          below_ids) -> tuple[list[tuple[int, int]], int] | None:
+    """Thread a below-set: the path's vertices over n * scale, and its index;
+    None when the set is not realizable.
 
-    Each mark column carries a vertex, so a mark's side is one comparison
-    with that vertex's height. The marks land on the requested sides by
-    construction; the comparisons recheck that the path misses them, and
-    the index is read from those sides with both formulas.
+    A set is realizable exactly when no below mark or anchor sits strictly
+    up and left of an above mark or anchor (the two interior constraint
+    points and any extra anchors count on both sides). The backward pass
+    that finds each event's ceiling, the lowest anchor or above mark at or
+    after it, returns None at the first below mark or anchor over the
+    ceiling behind it. Otherwise every mark's corridor, between the highest
+    below point so far and its ceiling, is open, and the walk takes its
+    midline. Each mark column carries a vertex, so a mark's side is one
+    comparison with that vertex's height. The marks land on the requested
+    sides by construction; the comparisons recheck that the path misses
+    them, and the index is read from those sides with both formulas.
     """
     top = diagram.size * scale
     # ceiling[i]: lowest anchor or above-mark row at or after event i
-    ceiling = [top] * (len(events) + 1)
-    for i in range(len(events) - 1, -1, -1):
-        _, y, cid = events[i]
-        ceiling[i] = ceiling[i + 1] if cid in below_ids else min(ceiling[i + 1], y)
+    ceiling, low = [], top
+    for _, y, cid in reversed(events):
+        if cid is None or cid in below_ids:
+            if y > low:
+                return None
+        if cid not in below_ids and y < low:
+            low = y
+        ceiling.append(low)
+    ceiling.reverse()
     vertices = [(0, 0)]
     below, above = set(), set()
     x0 = level = floor = 0
     for i, (x, y, cid) in enumerate(events):
         if cid is None:
-            if level >= y:
-                raise InvariantFailure("bipartition is not realizable")
             new = floor = y
         else:
             if cid in below_ids:
                 floor = max(floor, y)
-            lo = max(level, floor)
-            hi = ceiling[i]
-            if lo >= hi:
-                raise InvariantFailure("bipartition is not realizable")
-            new = (lo + hi) >> 1
+            new = (max(level, floor) + ceiling[i]) >> 1
             if new == y:
                 raise PathHitsMark(f"path passes through mark {cid}")
             (below if y < new else above).add(cid)
@@ -352,20 +344,20 @@ def _walk(diagram: TorusDiagram, scale: int, events,
 
 
 def _thread_path(diagram: TorusDiagram, below_ids, extra=()) -> StaircasePath:
-    """Monotone faithful path with exactly the given marks below it: the
-    integer walk, scaled to `Fraction`s once. `_walk` has checked that its
-    vertices rise strictly, so the path is built without a check."""
+    """Monotone faithful path with exactly the given marks below it."""
     scale, events = _events(diagram, extra)
-    vertices, _ = _walk(diagram, scale, events, below_ids)
+    walk = _walk(diagram, scale, events, below_ids)
+    if walk is None:
+        raise InvariantFailure("bipartition is not realizable")
+    return _staircase(diagram, scale, walk[0])
+
+
+def _staircase(diagram: TorusDiagram, scale: int, vertices) -> StaircasePath:
+    """The integer walk scaled to `Fraction`s once. `_walk` has checked that
+    its vertices rise strictly, so the path is built without a check."""
     d = diagram.size * scale
     return trusted(StaircasePath, points=tuple(
         [(Fraction(x, d), Fraction(y, d)) for x, y in vertices]))
-
-
-def _split_value(diagram: TorusDiagram, below_ids, extra=()) -> int:
-    """Index of the path threaded for the below-set, read on integers from
-    the walk's vertices with both formulas; no path is built."""
-    return _walk(diagram, *_events(diagram, extra), below_ids)[1]
 
 
 # -- reinsertion ---------------------------------------------------------------
@@ -517,8 +509,8 @@ class PrescriptionTrace:
 def prescribe(diagram: TorusDiagram) -> tuple[StaircasePath, PrescriptionTrace]:
     """Faithful mark-avoiding staircase path with nonnegative index."""
     levels: list[TraceLevel] = []
-    below = _solve(diagram, 0, levels)
-    path = _thread_path(diagram, below)
+    below, scale, vertices, _ = _solve(diagram, 0, levels)
+    path = _staircase(diagram, scale, vertices)
     index = index_from_torus(diagram, path, check_all_bases=True)
     if index < 0:
         raise InternalCaseGap("solver returned a negative index:\n"
@@ -528,75 +520,62 @@ def prescribe(diagram: TorusDiagram) -> tuple[StaircasePath, PrescriptionTrace]:
     return path, trace
 
 
-def _solve(diagram: TorusDiagram, depth: int,
-           levels: list[TraceLevel]) -> frozenset[int]:
+def _solve(diagram: TorusDiagram, depth: int, levels: list[TraceLevel]):
+    """(below-set, scale, walk vertices, index) of a nonnegative path.
+
+    The diagram's event list is built once and shared by every candidate.
+    The direct rules keep the best nonnegative candidate, the first on a
+    tie: no crossings, then a single crossing pair (every below-set), then
+    the single-cell rule (marks sharing a column or row cell, each bit
+    forced by the constraint points or else uniform). Anything else, or a
+    single cell with no nonnegative choice, goes to the pair rule.
+    """
+    scale, events = _events(diagram)
     marks = diagram.marks
+    ids = [m.crossing_id for m in marks]
     if not marks:
-        w = _split_value(diagram, frozenset())
-        if w < 0:
-            raise InternalCaseGap("crossing-free diagram with negative index")
-        levels.append(TraceLevel(depth=depth, rule="no-crossings", index=w))
-        return frozenset()
-    if len(marks) == 2:
-        return _solve_two_marks(diagram, depth, levels)
-    shortcut = _solve_single_cell(diagram, depth, levels)
-    if shortcut is not None:
-        return shortcut
-    return _solve_by_pairs(diagram, depth, levels)
-
-
-def _solve_two_marks(diagram, depth, levels) -> frozenset[int]:
-    ids = [m.crossing_id for m in diagram.marks]
+        rule, candidates = "no-crossings", [()]
+    elif len(marks) == 2:
+        rule, candidates = "two-crossings", [(), ids[:1], ids[1:], ids]
+    else:
+        rule, candidates = "single-cell", []
+        c2 = diagram.constraint_rank(2)
+        c3 = diagram.constraint_rank(3)
+        grid_cols = (c2[0], c3[0])
+        grid_rows = (c2[1], c3[1])
+        if len({_cell(m.col, grid_cols) for m in marks}) == 1 or \
+                len({_cell(m.row, grid_rows) for m in marks}) == 1:
+            forced = {}
+            for m in marks:
+                for cx, cy in (c2, c3):
+                    if m.col < cx and m.row > cy:
+                        forced[m.crossing_id] = ABOVE
+                    elif m.col > cx and m.row < cy:
+                        forced[m.crossing_id] = BELOW
+            candidates = [[cid for cid in ids if forced.get(cid, free) == BELOW]
+                          for free in (BELOW, ABOVE)]
     best = None
-    for picks in ((), (ids[0],), (ids[1],), tuple(ids)):
+    for picks in candidates:
         below = frozenset(picks)
-        if not _is_realizable(diagram, below):
-            continue
-        w = _split_value(diagram, below)
-        if w >= 0 and (best is None or w > best[1]):
-            best = (below, w)
-    if best is None:
+        walk = _walk(diagram, scale, events, below)
+        if walk is not None and walk[1] >= 0 and \
+                (best is None or walk[1] > best[3]):
+            best = (below, scale, *walk)
+    if best is not None:
+        levels.append(TraceLevel(depth=depth, rule=rule, index=best[3]))
+        return best
+    if not marks:
+        raise InternalCaseGap("crossing-free diagram with negative index")
+    if len(marks) == 2:
         raise InternalCaseGap(
             "no nonnegative choice for a single crossing pair:\n" + diagram.dump())
-    levels.append(TraceLevel(depth=depth, rule="two-crossings", index=best[1]))
-    return best[0]
+    return _solve_by_pairs(diagram, scale, events, depth, levels)
 
 
-def _solve_single_cell(diagram, depth, levels) -> frozenset[int] | None:
-    marks = diagram.marks
-    c2 = diagram.constraint_rank(2)
-    c3 = diagram.constraint_rank(3)
-    grid_cols = (c2[0], c3[0])
-    grid_rows = (c2[1], c3[1])
-    if len({_cell(m.col, grid_cols) for m in marks}) > 1 and \
-            len({_cell(m.row, grid_rows) for m in marks}) > 1:
-        return None
-    forced = {}
-    for m in marks:
-        for cx, cy in (c2, c3):
-            if m.col < cx and m.row > cy:
-                forced[m.crossing_id] = ABOVE
-            elif m.col > cx and m.row < cy:
-                forced[m.crossing_id] = BELOW
-    best = None
-    for free_bit in (BELOW, ABOVE):
-        below = frozenset(m.crossing_id for m in marks
-                          if forced.get(m.crossing_id, free_bit) == BELOW)
-        if not _is_realizable(diagram, below):
-            continue
-        w = _split_value(diagram, below)
-        if w >= 0 and (best is None or w > best[1]):
-            best = (below, w)
-    if best is None:
-        return None
-    levels.append(TraceLevel(depth=depth, rule="single-cell", index=best[1]))
-    return best[0]
-
-
-def _solve_by_pairs(diagram, depth, levels) -> frozenset[int]:
+def _solve_by_pairs(diagram, scale, events, depth, levels):
     """Try the doubly adjacent pairs in column order, building and
     classifying each box only when it is reached; FORBIDDEN boxes are
-    reported after the rest."""
+    reported after the rest. Returns what `_solve` returns."""
     failures, forbidden = [], []
     for entry, partner, descends in _adjacent_pairs(diagram):
         box = _build_box(diagram, entry, partner, descends)
@@ -608,13 +587,12 @@ def _solve_by_pairs(diagram, depth, levels) -> frozenset[int]:
         sub: list[TraceLevel] = []
         child = diagram.without_marks(pair)
         try:
-            child_below = _solve(child, depth + 1, sub)
+            child_below, child_scale, vertices, child_w = _solve(
+                child, depth + 1, sub)
         except (AssumptionViolated, InternalCaseGap) as err:
             failures.append((pair, err.reason))
             continue
-        scale, events = _events(child)
-        vertices, child_w = _walk(child, scale, events, child_below)
-        path_bits = _path_induced_bits(diagram, box, vertices, scale)
+        path_bits = _path_induced_bits(diagram, box, vertices, child_scale)
         tried = set()
         for label, in_frame, bits in _candidate_plans(box, category, path_bits):
             assignment = (_frame_assignment(diagram, box, bits) if in_frame
@@ -627,20 +605,18 @@ def _solve_by_pairs(diagram, depth, levels) -> frozenset[int]:
             tried.add(key)
             below = child_below | {cid for cid, bit in assignment.items()
                                    if bit == BELOW}
-            if not _is_realizable(diagram, below):
-                continue
-            w = _split_value(diagram, below)
-            if w < child_w:
+            walk = _walk(diagram, scale, events, below)
+            if walk is None or walk[1] < child_w:
                 continue
             levels.extend(sub)
             levels.append(TraceLevel(
-                depth=depth, rule="pair", index=w, pair=pair,
+                depth=depth, rule="pair", index=walk[1], pair=pair,
                 base_constraint=box.base_constraint,
                 cells=(box.lower_left_cell, box.upper_right_cell),
                 wrap=box.wrap, descends=box.descends,
                 category=category.value, candidate=(label, key),
                 child_index=child_w))
-            return below
+            return below, scale, *walk
         failures.append((pair, "no candidate verified"))
     raise InternalCaseGap(
         f"reinsertion failed for every adjacent pair {failures + forbidden}:\n"
@@ -668,9 +644,9 @@ def oracle_enumerate(diagram: TorusDiagram,
     achievable = set()
     for mask in range(1 << len(ids)):
         below = frozenset(cid for i, cid in enumerate(ids) if mask >> i & 1)
-        if not _realizable(events, below):
-            continue
-        achievable.add(_walk(diagram, scale, events, below)[1])
+        walk = _walk(diagram, scale, events, below)
+        if walk is not None:
+            achievable.add(walk[1])
     return frozenset(achievable)
 
 

@@ -31,21 +31,6 @@ def load_json_file(path: str) -> Any:
         raise InputRejection(f"{path} is not valid JSON: {exc}") from exc
 
 
-def fraction_from_json(value: Any, what: str = "rational") -> Fraction:
-    """Accept [num, den] pairs, or a bare integer for whole values."""
-    if isinstance(value, bool):
-        raise InputRejection(f"{what} must be an integer pair, got a boolean")
-    if isinstance(value, int):
-        return Fraction(value)
-    if (isinstance(value, list) and len(value) == 2
-            and all(isinstance(v, int) and not isinstance(v, bool)
-                    for v in value)):
-        if value[1] == 0:
-            raise InputRejection(f"{what} has a zero denominator")
-        return Fraction(value[0], value[1])
-    raise InputRejection(f"{what} must be an integer pair [num, den]")
-
-
 def fraction_to_json(value: Fraction) -> list[int]:
     return [value.numerator, value.denominator]
 

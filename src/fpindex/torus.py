@@ -128,6 +128,10 @@ class TorusDiagram:
             raise InputRejection("column and row token sets differ")
         if len(set(cols)) != len(cols):
             raise InputRejection("duplicate tokens")
+        if any(t[0] != "m" and t not in (("c", 1), ("c", 2), ("c", 3))
+               for t in cols):
+            raise InputRejection(
+                "tokens must be constraints ('c', 1..3) or marks ('m', id)")
         for order in (cols, rows):
             if order[0] != ("c", 1):
                 raise OrderViolation("orders must start at the first constraint")

@@ -4,6 +4,7 @@ import itertools
 import random
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -34,11 +35,9 @@ from fpindex.prescribe import (
     _events,
     _extra_anchor_points,
     _frame_assignment,
-    _is_realizable,
     _path_induced_bits,
     _solve,
     _solve_by_pairs,
-    _split_value,
     _thread_path,
     _walk,
     classify_box,
@@ -46,6 +45,7 @@ from fpindex.prescribe import (
     oracle_enumerate,
     prescribe,
 )
+from fpindex.serialize import load_constraints, load_curve, load_json_file
 from fpindex.torus import (
     Containment,
     StaircasePath,
@@ -279,7 +279,7 @@ class TestBuildBoxOnRanks:
                                         placed[box.exit_id], box.descends, {})
 
 
-def eager_solve_by_pairs(diagram, depth, levels):
+def eager_solve_by_pairs(diagram, scale, events, depth, levels):
     """The pair rule with every pair's box built before the first is tried."""
     failures, forbidden = [], []
     for box in find_doubly_adjacent(diagram):
@@ -291,13 +291,12 @@ def eager_solve_by_pairs(diagram, depth, levels):
         sub = []
         child = diagram.without_marks(pair)
         try:
-            child_below = _solve(child, depth + 1, sub)
+            child_below, child_scale, vertices, child_w = _solve(
+                child, depth + 1, sub)
         except (AssumptionViolated, InternalCaseGap) as err:
             failures.append((pair, err.reason))
             continue
-        scale, events = _events(child)
-        vertices, child_w = _walk(child, scale, events, child_below)
-        path_bits = _path_induced_bits(diagram, box, vertices, scale)
+        path_bits = _path_induced_bits(diagram, box, vertices, child_scale)
         tried = set()
         for label, in_frame, bits in _candidate_plans(box, category, path_bits):
             assignment = (_frame_assignment(diagram, box, bits) if in_frame
@@ -310,20 +309,18 @@ def eager_solve_by_pairs(diagram, depth, levels):
             tried.add(key)
             below = child_below | {cid for cid, bit in assignment.items()
                                    if bit == BELOW}
-            if not _is_realizable(diagram, below):
-                continue
-            w = _split_value(diagram, below)
-            if w < child_w:
+            walk = _walk(diagram, scale, events, below)
+            if walk is None or walk[1] < child_w:
                 continue
             levels.extend(sub)
             levels.append(TraceLevel(
-                depth=depth, rule="pair", index=w, pair=pair,
+                depth=depth, rule="pair", index=walk[1], pair=pair,
                 base_constraint=box.base_constraint,
                 cells=(box.lower_left_cell, box.upper_right_cell),
                 wrap=box.wrap, descends=box.descends,
                 category=category.value, candidate=(label, key),
                 child_index=child_w))
-            return below
+            return below, scale, *walk
         failures.append((pair, "no candidate verified"))
     raise InternalCaseGap(f"reinsertion failed for every adjacent pair "
                           f"{failures + forbidden}")
@@ -360,6 +357,46 @@ class TestBoxesOnDemand:
             lazy_builds += calls["_build_box"]
         assert lazy_builds < eager_builds
 
+
+
+def twelve_crossing_diagram():
+    fixtures = Path(__file__).parent / "fixtures"
+    first, second = (load_curve(load_json_file(fixtures / name), name)
+                     for name in ("fig_twelve_first.json",
+                                  "fig_twelve_second.json"))
+    constraints = load_constraints(
+        load_json_file(fixtures / "twelve_constraints.json"))
+    return build_diagram(first, second, check_transverse(first, second),
+                         constraints)
+
+
+class TestOneEventListPerDiagram:
+    @pytest.mark.parametrize("make", [
+        twelve_crossing_diagram,
+        lambda: canonical_diagram(3, seed=23)[3],
+        lambda: canonical_diagram(6, seed=506)[3],
+    ])
+    def test_events_built_once_per_visited_diagram(self, make, monkeypatch):
+        # every diagram the solver visits builds its event list once, shared
+        # by all its candidates; neither the pair rule nor prescribe builds
+        # another
+        built, visited = [], []
+
+        def counted(calls, inner):
+            def wrapper(diagram, *args):
+                calls.append(diagram)
+                return inner(diagram, *args)
+            return wrapper
+
+        monkeypatch.setattr(PRESCRIBE, "_events",
+                            counted(built, PRESCRIBE._events))
+        monkeypatch.setattr(PRESCRIBE, "_solve",
+                            counted(visited, PRESCRIBE._solve))
+        diagram = make()
+        _, trace = prescribe(diagram)
+        assert visited[0] is diagram
+        assert [id(d) for d in built] == [id(d) for d in visited]
+        assert len(visited) > max(lv.depth for lv in trace.levels)
 
 # -- solver: direct rules -------------------------------------------------------
 
@@ -507,10 +544,10 @@ class TestThreading:
         # the second constraint point sits up-and-left of the first mark, so
         # that mark can never rise above a faithful path
         _, _, _, diagram = lens_fixture()
-        assert not _is_realizable(diagram, frozenset())
-        assert _is_realizable(diagram, frozenset({0}))
-        assert not _is_realizable(diagram, frozenset({1}))
-        assert _is_realizable(diagram, frozenset({0, 1}))
+        assert walk_value(diagram, frozenset()) is None
+        assert walk_value(diagram, frozenset({0})) is not None
+        assert walk_value(diagram, frozenset({1})) is None
+        assert walk_value(diagram, frozenset({0, 1})) is not None
 
     def test_threaded_path_matches_requested_split(self):
         _, _, _, diagram = lens_fixture()
@@ -669,13 +706,21 @@ def geometric_diagrams(rng, count: int, max_crossings: int = 12):
                             synthesize_constraints(crossings, phi, rng)), phi
 
 
+def walk_value(diagram, below, extra=()):
+    """The index `_walk` reads for a below-set, None when it is not
+    realizable."""
+    walk = _walk(diagram, *_events(diagram, extra), below)
+    return None if walk is None else walk[1]
+
+
 def check_below_set(diagram, below, extra=()):
     """Realizability, value or error, and the threaded path, both routes;
     True when the set is realizable."""
-    ok = _is_realizable(diagram, below, extra)
+    got = outcome(walk_value, diagram, below, extra)
+    ok = got is not None
     assert ok == reference_is_realizable(diagram, below, extra)
-    assert outcome(_split_value, diagram, below, extra) == \
-        outcome(reference_split_value, diagram, below, extra)
+    if ok:
+        assert got == outcome(reference_split_value, diagram, below, extra)
     assert outcome(_thread_path, diagram, below, extra) == \
         outcome(reference_thread_path, diagram, below, extra)
     return ok
@@ -698,7 +743,7 @@ class TestSplitValueOnIntegers:
         for diagram, _ in geometric_diagrams(rng, 200):
             for below in below_sets(rng, diagram, cap=64):
                 if check_below_set(diagram, below):
-                    values.add(_split_value(diagram, below))
+                    values.add(walk_value(diagram, below))
             _, trace = prescribe(diagram)
             assert trace.path == reference_thread_path(diagram, trace.below)
         assert len(values) > 3
@@ -771,11 +816,11 @@ class TestChildSidesOnIntegers:
             for box in boxes:
                 child = diagram.without_marks((box.entry_id, box.exit_id))
                 for below in below_sets(rng, child, cap=32):
-                    if not _is_realizable(child, below):
-                        continue
                     scale, events = _events(child)
-                    vertices, _ = _walk(child, scale, events, below)
-                    got = _path_induced_bits(diagram, box, vertices, scale)
+                    walk = _walk(child, scale, events, below)
+                    if walk is None:
+                        continue
+                    got = _path_induced_bits(diagram, box, walk[0], scale)
                     assert got == reference_path_induced_bits(
                         diagram, child, reference_thread_path(child, below), box)
                     seen.add(got)
@@ -822,11 +867,13 @@ class TestPairsPastTheFrameCut:
             else:
                 assert [(b.entry_id, b.exit_id) for b in boxes] == kept
             try:
-                below = _solve_by_pairs(diagram, 0, [])
+                below, _, _, w = _solve_by_pairs(diagram, *_events(diagram),
+                                                 0, [])
             except (AssumptionViolated, InternalCaseGap):
                 pass
             else:
-                assert _split_value(diagram, below) >= 0
+                assert w >= 0
+                assert walk_value(diagram, below) == w
             path, trace = prescribe(diagram)
             assert trace.index >= 0
         assert skipped >= 2

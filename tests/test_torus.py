@@ -18,7 +18,7 @@ from fpindex.errors import (
 )
 from fpindex.jordan import CrossKind, canonical_noncut_pair, check_transverse
 from fpindex.plmap import PLCorrespondence, fixed_point_index, random_correspondence
-from fpindex.prescribe import _is_realizable, _thread_path, prescribe
+from fpindex.prescribe import _events, _thread_path, _walk, prescribe
 from fpindex.torus import (
     Containment,
     StaircasePath,
@@ -92,6 +92,17 @@ class TestBuildDiagram:
                 (("c", 1), ("m", 0), ("m", 1), ("c", 2), ("c", 3)),
                 (("c", 1), ("m", 0), ("m", 1), ("c", 2), ("c", 3)),
                 {0: CrossKind.P, 1: CrossKind.P})
+
+    @pytest.mark.parametrize("stray", [("c", 4), ("x", 7)])
+    def test_rejects_tokens_that_are_neither_constraint_nor_mark(self, stray):
+        # a stray token would otherwise count as one more grid rank
+        order = (("c", 1), ("m", 0), ("c", 2), ("m", 1), ("c", 3), stray)
+        kinds = {0: CrossKind.P, 1: CrossKind.PTILDE}
+        reason = r"tokens must be constraints \('c', 1..3\) or marks"
+        with pytest.raises(InputRejection, match=reason):
+            abstract_diagram(order, order, kinds)
+        with pytest.raises(InputRejection, match=reason):
+            TorusDiagram(order, order, tuple(sorted(kinds.items())))
 
     def test_canonical_pair_row_order(self):
         # Along the first curve the crossings alternate enter/exit going down
@@ -526,7 +537,7 @@ def threaded_paths(rng, diagram, count: int):
     ids = [m.crossing_id for m in diagram.marks]
     for _ in range(count):
         below = frozenset(i for i in ids if rng.random() < 0.5)
-        if _is_realizable(diagram, below):
+        if _walk(diagram, *_events(diagram), below) is not None:
             yield _thread_path(diagram, below)
 
 

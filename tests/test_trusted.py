@@ -25,8 +25,9 @@ from fpindex.packing import translate_packing
 from fpindex.plmap import PLCorrespondence, random_correspondence, transform_pair
 from fpindex.prescribe import (
     _adjacent_pairs,
-    _is_realizable,
+    _events,
     _thread_path,
+    _walk,
     prescribe,
 )
 from fpindex.torus import (
@@ -243,7 +244,7 @@ class TestPaths:
             ids = [m.crossing_id for m in diagram.marks]
             for _ in range(16):
                 below = frozenset(c for c in ids if rng.randrange(2))
-                if _is_realizable(diagram, below):
+                if _walk(diagram, *_events(diagram), below) is not None:
                     checked(_thread_path(diagram, below))
             checked(prescribe(diagram)[0])
 
