@@ -23,8 +23,11 @@ coordinates carry denominators near 10^12. A fifth file, `packing.txt`,
 records `assemble_theorem_certificate` on the three pairs of
 `tests/packfix.py` and seeded translates of each: the certificate (frame,
 piece and interstice indices and interstice triples) and every map the
-certificate passes to `fixed_point_index`, with its index. The script
-loads `fpindex` from this checkout's `src/`, so the dumps of two checkouts
+certificate passes to `fixed_point_index`, with its index. A sixth file,
+`rotated.txt`, records the crossing set and second-curve order of each
+canonical pair and of its quarter turn: the tall pairs and the wide ones
+sweep their boxes along different axes, so both sweeps are covered. The
+script loads `fpindex` from this checkout's `src/`, so the dumps of two checkouts
 are identical exactly when `diff -r OUT_A OUT_B` prints nothing.
 """
 from __future__ import annotations
@@ -46,8 +49,9 @@ from fpindex.plmap import (  # noqa: E402
     fixed_point_index,
     glue,
     random_correspondence,
+    transform_pair,
 )
-from fpindex.exact_geom import RatPoint  # noqa: E402
+from fpindex.exact_geom import AffineMap, RatPoint  # noqa: E402
 from fpindex.prescribe import oracle_enumerate, prescribe  # noqa: E402
 from fpindex.torus import (  # noqa: E402
     StaircasePath,
@@ -249,6 +253,29 @@ def packing_dump(seed: int) -> list[str]:
     return out
 
 
+def rotated_dump(seed: int) -> list[str]:
+    """Crossing sets of the canonical pairs and their quarter turns, which
+    draw nothing from the seed."""
+    quarter_turn = AffineMap(Fraction(0), Fraction(-1), Fraction(1), Fraction(0))
+    out: list[str] = []
+    for m in CANONICAL_SIZES:
+        pair = canonical_noncut_pair(m)
+        for name, (first, second) in (
+                ("canonical", pair),
+                ("quarter_turn",
+                 transform_pair(*pair, identity_params(4), quarter_turn)[:2])):
+            out.append(f"# {name} {m}")
+            try:
+                crossings = check_transverse(first, second)
+            except FpIndexError as err:
+                out.append(f"crossings {type(err).__name__}: {err}")
+                continue
+            out.append(f"crossings {fmt(crossings)}")
+            out.append("second_curve_order "
+                       f"{fmt([c.index for c in crossings.by_param_kt()])}")
+    return out
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("outdir", type=Path)
@@ -257,7 +284,7 @@ def main(argv: list[str] | None = None) -> int:
     args.outdir.mkdir(parents=True, exist_ok=True)
     for name, build in (("random", random_dump), ("canonical", canonical_dump),
                         ("glue", glue_dump), ("circle", circle_dump),
-                        ("packing", packing_dump)):
+                        ("packing", packing_dump), ("rotated", rotated_dump)):
         path = args.outdir / f"{name}.txt"
         path.write_text("\n".join(build(args.seed)) + "\n", encoding="utf-8")
         print("wrote", path)

@@ -23,13 +23,16 @@ Every face here is traced by one left-face walk over a rotation system
 (_face_cycles). crossing_faces reads each crossing's rotation from its kind;
 trace_faces takes the rotation from its caller, which the packing module
 reads from its contact structure. No tracer sorts half-edges by angle.
+
+Segment pairs are found by one box sweep (_box_pairs), along y when the
+boxes are thinner against their extent that way; the crossing scan splits it
+by curve, so it tests only pairs across the two curves.
 """
 from __future__ import annotations
 
 from enum import Enum
 from fractions import Fraction
 from math import lcm
-from operator import attrgetter
 from typing import Iterator, Sequence
 
 from .errors import (
@@ -72,23 +75,29 @@ def _segment_boxes(xs: Sequence[int], ys: Sequence[int],
 
 
 def _box_pairs(boxes: Sequence[tuple[int, int, int, int]],
-               ) -> Iterator[tuple[int, int]]:
-    """Every pair (a, b), a < b, of boxes whose closed extents meet.
-
-    One sweep over the boxes sorted by left edge, as in Shamos and Hoey,
-    "Geometric intersection problems", FOCS 1976, with a plain active list
-    in place of their y-ordered tree: a box leaves the list once its right
-    edge lies strictly left of the sweep line, so two boxes sharing a single
-    x-coordinate are still paired.
-    """
-    active: list[int] = []
+               split: int | None = None) -> Iterator[tuple[int, int]]:
+    """Every pair (a, b), a < b, of boxes whose closed extents meet, in no
+    set order; with a split, only those with a < split <= b, found with one
+    active list per side. One sweep by low edge, as in Shamos and Hoey,
+    "Geometric intersection problems", FOCS 1976, with plain lists for their
+    tree; a box leaves once its high edge is strictly behind the sweep line,
+    so boxes sharing one coordinate still pair. The sweep runs along x
+    unless sum(y-widths) * x-extent < sum(x-widths) * y-extent."""
+    if boxes:
+        lo_x, hi_x, lo_y, hi_y = zip(*boxes)
+        if ((sum(hi_y) - sum(lo_y)) * (max(hi_x) - min(lo_x))
+                < (sum(hi_x) - sum(lo_x)) * (max(hi_y) - min(lo_y))):
+            boxes = list(zip(lo_y, hi_y, lo_x, hi_x))
+    active = ([],) * 2 if split is None else ([], [])  # same list twice
     for b in sorted(range(len(boxes)), key=lambda k: boxes[k][0]):
-        lo_x, _, lo_y, hi_y = boxes[b]
-        active = [a for a in active if boxes[a][1] >= lo_x]
-        for a in active:
-            if boxes[a][2] <= hi_y and lo_y <= boxes[a][3]:
+        lo, _, lo_across, hi_across = boxes[b]
+        side = split is not None and b >= split
+        other = active[not side]
+        other[:] = [a for a in other if boxes[a][1] >= lo]
+        for a in other:
+            if boxes[a][2] <= hi_across and lo_across <= boxes[a][3]:
                 yield (a, b) if a < b else (b, a)
-        active.append(b)
+        active[side].append(b)
 
 
 def _check_simple(loop: PLLoop) -> None:
@@ -221,9 +230,6 @@ class Crossing:
         _set(self, "kind", kind)
 
 
-_lowest_terms = attrgetter("numerator", "denominator")
-
-
 @value_type
 class CrossingSet:
     """All crossings of a transverse pair, sorted by first-curve parameter.
@@ -232,19 +238,23 @@ class CrossingSet:
     kinds along both curves, then that the ids are distinct and that the
     parameters on each curve are distinct and lie in [0, 1), as
     `check_transverse` makes them. `torus.build_diagram` relies on all of
-    these to build its diagram without checking it again.
+    these to build its diagram without checking it again. It keeps the
+    second-curve order for `by_param_kt`; equality reads `crossings` alone.
     """
 
-    __slots__ = _fields = ("crossings",)
+    __slots__ = ("crossings", "_by_kt")
+    _fields = ("crossings",)
 
     def __init__(self, crossings: tuple[Crossing, ...]) -> None:
-        _set(self, "crossings", crossings)  # by_param_kt reads it
         params = [c.param_k for c in crossings]
         if params != sorted(params):
             raise InvariantFailure("crossings not sorted by first-curve parameter")
         if len(crossings) % 2 != 0:
             raise AlternationViolation("odd crossing count")
-        by_kt = self.by_param_kt()
+        # an exact key that compares a Fraction only when 64 bits tie
+        by_kt = tuple(sorted(crossings, key=lambda c: (
+            (c.param_kt.numerator << 64) // c.param_kt.denominator,
+            c.param_kt)))
         for order in (crossings, by_kt):
             for a, b in zip(order, order[1:] + order[:1]):
                 if len(order) >= 2 and a.kind == b.kind:
@@ -255,10 +265,11 @@ class CrossingSet:
         for ps in (params, params_kt):
             if ps and not 0 <= ps[0] <= ps[-1] < 1:
                 raise InputRejection("crossing parameters must lie in [0, 1)")
-            # a Fraction is kept in lowest terms, so a set of these pairs
-            # finds a repeated parameter without hashing Fractions
-            if len(set(map(_lowest_terms, ps))) != len(ps):
+            # lowest terms: a set of pairs finds a repeat without hashing
+            if len({(p.numerator, p.denominator) for p in ps}) != len(ps):
                 raise OrderViolation("true parameters out of cyclic order")
+        _set(self, "crossings", crossings)
+        _set(self, "_by_kt", by_kt)
 
     def __len__(self) -> int:
         return len(self.crossings)
@@ -267,7 +278,7 @@ class CrossingSet:
         return iter(self.crossings)
 
     def by_param_kt(self) -> tuple[Crossing, ...]:
-        return tuple(sorted(self.crossings, key=lambda c: c.param_kt))
+        return self._by_kt
 
 
 def segment_contacts(first: PLLoop, second: PLLoop,
@@ -278,15 +289,14 @@ def segment_contacts(first: PLLoop, second: PLLoop,
     over one denominator D, and (i, j, *meet_int(a, b, c, d)) for each
     segment ab = P1[i] P1[i + 1] of the first loop that meets a segment
     cd = P2[j] P2[j + 1] of the second, in (i, j) order. Only segment pairs
-    whose closed bounding boxes meet are tested (_box_pairs).
+    whose closed bounding boxes meet are tested (_box_pairs, split by loop).
     """
     den, xs1, ys1, xs2, ys2 = joint_int_coords(first, second)
     pts1, pts2 = list(zip(xs1, ys1)), list(zip(xs2, ys2))
     n1, n2 = len(pts1), len(pts2)
     hits = []
-    for i, j in _box_pairs(_segment_boxes(xs1, ys1) + _segment_boxes(xs2, ys2)):
-        if i >= n1 or j < n1:
-            continue
+    for i, j in _box_pairs(_segment_boxes(xs1, ys1) + _segment_boxes(xs2, ys2),
+                           split=n1):
         j -= n1
         meet = meet_int(pts1[i], pts1[(i + 1) % n1], pts2[j], pts2[(j + 1) % n2])
         if meet[0] is not MeetKind.EMPTY:
@@ -296,10 +306,12 @@ def segment_contacts(first: PLLoop, second: PLLoop,
 
 
 def check_transverse(first: PolyJordanCurve, second: PolyJordanCurve) -> CrossingSet:
-    """Crossing set of a transverse pair; NotTransverse on any bad contact."""
+    """Crossing set of a transverse pair; NotTransverse on any bad contact.
+    Crossings are sorted by (segment i, floor(2^64 u), param_k) for u along
+    segment i, an exact key that compares a `Fraction` only on a tie."""
     den, pts1, pts2, hits = segment_contacts(first.loop, second.loop)
     n1, n2 = len(pts1), len(pts2)
-    found: list[tuple[Fraction, Fraction, RatPoint, CrossKind]] = []
+    found: list[tuple[int, int, Fraction, Fraction, RatPoint, CrossKind]] = []
     for i, j, kind, d1, d2, d3, d4 in hits:
         if kind is MeetKind.DEGENERATE:
             raise NotTransverse(
@@ -309,16 +321,18 @@ def check_transverse(first: PolyJordanCurve, second: PolyJordanCurve) -> Crossin
         # The crossing lies at u = d1 / (d1 - d2) along s = ab and at
         # v = d3 / (d3 - d4) along t = cd.
         du, dv = d1 - d2, d3 - d4
+        if du < 0:
+            d1, du = -d1, -du
         point = RatPoint(Fraction(a[0] * du + (b[0] - a[0]) * d1, den * du),
                          Fraction(a[1] * du + (b[1] - a[1]) * d1, den * du))
         turn = (d[0] - c[0]) * (b[1] - a[1]) - (d[1] - c[1]) * (b[0] - a[0])
-        found.append((Fraction(i * du + d1, du * n1),
+        found.append((i, (d1 << 64) // du, Fraction(i * du + d1, du * n1),
                       Fraction(j * dv + d3, dv * n2), point,
                       CrossKind.P if turn > 0 else CrossKind.PTILDE))
-    found.sort(key=lambda item: item[0])
+    found.sort(key=lambda item: item[:3])
     crossings = tuple(
         Crossing(index=n, point=p, param_k=pk, param_kt=pkt, kind=kind)
-        for n, (pk, pkt, p, kind) in enumerate(found))
+        for n, (_, _, pk, pkt, p, kind) in enumerate(found))
     return CrossingSet(crossings)
 
 

@@ -56,7 +56,7 @@ from .exact_geom import (
 from .jordan import (
     PolyJordanCurve,
     check_transverse,
-    cuts_each_other,
+    crossing_pattern_cuts,
     segment_contacts,
     trace_faces,
 )
@@ -158,12 +158,17 @@ class ContactGraph:
 
 @value_type
 class OverlayReport:
-    """Per-pair transverse crossing counts for two overlaid packings."""
+    """Per-pair transverse crossing counts for two overlaid packings. The
+    cut tests read each label pair's `CrossingSet` from `crossing_sets`,
+    which is not a field: equality, hash and repr read `entries` alone."""
 
-    __slots__ = _fields = ("entries",)
+    __slots__ = ("entries", "crossing_sets")
+    _fields = ("entries",)
 
-    def __init__(self, entries: tuple[tuple[str, str, int], ...]) -> None:
+    def __init__(self, entries: tuple[tuple[str, str, int], ...],
+                 crossing_sets: dict | None = None) -> None:
         _set(self, "entries", entries)
+        _set(self, "crossing_sets", crossing_sets)
 
     @property
     def total_crossings(self) -> int:
@@ -513,6 +518,7 @@ def check_overlay_transverse(first: PackingSpec, second: PackingSpec,
     table_a = _curve_table(first)
     table_b = _curve_table(second)
     entries = []
+    pair_crossings = {}
     crossing_points: list[tuple[int, int, RatPoint]] = []
     for ia, (label_a, curve_a) in enumerate(table_a):
         for ib, (label_b, curve_b) in enumerate(table_b):
@@ -522,6 +528,7 @@ def check_overlay_transverse(first: PackingSpec, second: PackingSpec,
                 raise NotTransverseOverlay(
                     f"{label_a} against {label_b}: {exc}") from exc
             entries.append((label_a, label_b, len(crossings)))
+            pair_crossings[label_a, label_b] = crossings
             crossing_points.extend((ia, ib, c.point) for c in crossings)
     for ia, ib, p in crossing_points:
         for x, (label, curve) in enumerate(table_a):
@@ -539,7 +546,7 @@ def check_overlay_transverse(first: PackingSpec, second: PackingSpec,
                     raise NotTransverseOverlay(
                         f"a contact point of one packing lies on {label} "
                         "of the other")
-    return OverlayReport(tuple(entries))
+    return OverlayReport(tuple(entries), pair_crossings)
 
 
 def isomorphic_contact(first: ContactGraph, second: ContactGraph,
@@ -577,12 +584,12 @@ def _frame_corner_index(first: PackingSpec, second: PackingSpec) -> int:
 
 def _checked_analyses(first: PackingSpec, second: PackingSpec,
                       correspondence: Sequence[int],
-                      ) -> tuple[_Analysis, _Analysis]:
+                      ) -> tuple[_Analysis, _Analysis, OverlayReport]:
     try:
-        check_overlay_transverse(first, second)
+        overlay = check_overlay_transverse(first, second)
     except InputRejection as exc:
         raise HypothesesNotMet(f"{type(exc).__name__}: {exc}") from exc
-    return _matched_analyses(first, second, correspondence)
+    return (*_matched_analyses(first, second, correspondence), overlay)
 
 
 def _matched_analyses(first: PackingSpec, second: PackingSpec,
@@ -609,14 +616,15 @@ def find_cutting_pair(first: PackingSpec, second: PackingSpec,
     Hypotheses are enforced first: both packings valid, the overlay
     transverse, contact structures matching, frames interleaved.
     """
-    _checked_analyses(first, second, correspondence)
-    return _first_cutting_pair(first, second, correspondence)
+    return _first_cutting_pair(
+        correspondence, _checked_analyses(first, second, correspondence)[2])
 
 
-def _first_cutting_pair(first: PackingSpec, second: PackingSpec,
-                        correspondence: Sequence[int]) -> int:
-    for i, piece in enumerate(first.pieces):
-        if cuts_each_other(piece, second.pieces[correspondence[i]]):
+def _first_cutting_pair(correspondence: Sequence[int],
+                        overlay: OverlayReport) -> int:
+    for i, j in enumerate(correspondence):
+        if crossing_pattern_cuts(overlay.crossing_sets[f"piece{i}",
+                                                       f"piece{j}"]):
             return i
     raise TheoremViolationSuspected(
         "hypotheses hold yet no corresponding pair cuts")
@@ -646,7 +654,8 @@ def assemble_theorem_certificate(first: PackingSpec, second: PackingSpec,
 
 def _certificate(first: PackingSpec, second: PackingSpec,
                  correspondence: Sequence[int], first_a: _Analysis,
-                 second_a: _Analysis) -> TheoremCertificate:
+                 second_a: _Analysis, overlay: OverlayReport,
+                 ) -> TheoremCertificate:
     """assemble_theorem_certificate on packings whose hypotheses hold."""
     # loaded here, so that reading or drawing a packing does not load them
     from .prescribe import prescribe
@@ -719,8 +728,8 @@ def _certificate(first: PackingSpec, second: PackingSpec,
     if cutting is None:
         raise TheoremViolationSuspected(
             f"no piece map carries a negative index (frame {rect_index})")
-    if not cuts_each_other(first.pieces[cutting],
-                           second.pieces[correspondence[cutting]]):
+    if not crossing_pattern_cuts(overlay.crossing_sets[
+            f"piece{cutting}", f"piece{correspondence[cutting]}"]):
         raise InvariantFailure("negative-index pair fails the cut test")
     return TheoremCertificate(
         rect_index=rect_index,
@@ -741,9 +750,9 @@ def certify_incompatibility(first: PackingSpec, second: PackingSpec,
     """
     overlay = check_overlay_transverse(first, second)
     analyses = _matched_analyses(first, second, correspondence)
-    cutting = _first_cutting_pair(first, second, correspondence)
+    cutting = _first_cutting_pair(correspondence, overlay)
     return overlay, cutting, _certificate(first, second, correspondence,
-                                          *analyses)
+                                          *analyses, overlay)
 
 
 def translate_packing(spec: PackingSpec, shift: RatPoint) -> PackingSpec:

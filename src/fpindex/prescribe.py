@@ -343,15 +343,6 @@ def _walk(diagram: TorusDiagram, scale: int, events,
     return vertices, _read_index(diagram, below, above, 1)
 
 
-def _thread_path(diagram: TorusDiagram, below_ids, extra=()) -> StaircasePath:
-    """Monotone faithful path with exactly the given marks below it."""
-    scale, events = _events(diagram, extra)
-    walk = _walk(diagram, scale, events, below_ids)
-    if walk is None:
-        raise InvariantFailure("bipartition is not realizable")
-    return _staircase(diagram, scale, walk[0])
-
-
 def _staircase(diagram: TorusDiagram, scale: int, vertices) -> StaircasePath:
     """The integer walk scaled to `Fraction`s once. `_walk` has checked that
     its vertices rise strictly, so the path is built without a check."""

@@ -358,17 +358,24 @@ def build_diagram(first: PolyJordanCurve, second: PolyJordanCurve,
     distinct parameters in [0, 1) on each curve, an even count, kinds
     alternating along both curves. With the checks below on the
     constraints, every `TorusDiagram` condition holds, so the diagram is
-    built without repeating them.
+    built without repeating them. The crossings come sorted on both curves,
+    so bisection merges each constraint in and finds one on a crossing.
     """
     if len(constraint_pairs) != 3:
         raise InputRejection("exactly three prescribed pairs are required")
     pairs = [(s % 1, t % 1) for s, t in constraint_pairs]
-    cross_s = {c.param_k for c in crossings}
-    cross_t = {c.param_kt for c in crossings}
-    for s, t in pairs:
-        if s in cross_s or t in cross_t:
-            raise ConstraintOnCurve(
-                "prescribed parameter coincides with a crossing")
+    by_kt = crossings.by_param_kt()
+    axes = [([c.param_k for c in crossings],
+             [("m", c.index) for c in crossings]),
+            ([c.param_kt for c in by_kt], [("m", c.index) for c in by_kt])]
+    for i, pair in enumerate(pairs, 1):
+        for (params, tokens), value in zip(axes, pair):
+            k = bisect.bisect_left(params, value)
+            if k < len(params) and params[k] == value and tokens[k][0] == "m":
+                raise ConstraintOnCurve(
+                    "prescribed parameter coincides with a crossing")
+            params.insert(k, value)
+            tokens.insert(k, ("c", i))
     if len({s for s, _ in pairs}) != 3 or len({t for _, t in pairs}) != 3:
         raise InputRejection("prescribed parameters must be distinct")
 
@@ -382,27 +389,21 @@ def build_diagram(first: PolyJordanCurve, second: PolyJordanCurve,
         raise OrderViolation("prescribed pairs must be listed in cyclic order "
                              "from the first pair")
 
-    col_items = [(s, ("c", i)) for i, (s, _) in enumerate(pairs, 1)]
-    row_items = [(t, ("c", i)) for i, (_, t) in enumerate(pairs, 1)]
-    for c in crossings:
-        col_items.append((c.param_k % 1, ("m", c.index)))
-        row_items.append((c.param_kt % 1, ("m", c.index)))
-    # every parameter is distinct, so sorting the reduced parameters and
-    # starting at the first pair orders each axis cyclically from the cut
-    for items in (col_items, row_items):
-        items.sort(key=lambda item: item[0])
-        cut = [token for _, token in items].index(("c", 1))
-        items[:] = items[cut:] + items[:cut]
+    # every parameter is distinct, so each merged axis started at the first
+    # pair runs cyclically from the cut
+    (col_params, col_order), (row_params, row_order) = [
+        (tuple(p[cut:] + p[:cut]), tuple(t[cut:] + t[:cut]))
+        for p, t in axes for cut in [t.index(("c", 1))]]
 
     return trusted(
         TorusDiagram,
-        col_order=tuple(t for _, t in col_items),
-        row_order=tuple(t for _, t in row_items),
+        col_order=col_order,
+        row_order=row_order,
         kinds=tuple((c.index, c.kind) for c in crossings),
         containment=(Containment(_containment(first, second))
                      if len(crossings) == 0 else None),
-        col_params=tuple(p for p, _ in col_items),
-        row_params=tuple(p for p, _ in row_items),
+        col_params=col_params,
+        row_params=row_params,
         first=first, second=second, crossings=crossings)
 
 

@@ -33,6 +33,7 @@ from fpindex.jordan import (
     validate_curve,
 )
 from fpindex.plmap import PLCorrespondence
+from fpindex.prescribe import ABOVE, BELOW, _events, _staircase, _walk
 from fpindex.torus import StaircasePath, TorusDiagram
 
 
@@ -175,6 +176,52 @@ def membership_matches_geometry(diagram: TorusDiagram) -> bool:
              is PointLocation.INSIDE) == in_second
             and (point_in_polygon(diagram.first.loop, v)
                  is PointLocation.INSIDE) == in_first)
+
+
+# -- threaded paths -----------------------------------------------------------
+
+
+def thread_path(diagram: TorusDiagram, below_ids, extra=()) -> StaircasePath:
+    """Monotone faithful path with exactly the given marks below it, from
+    the package's integer walk."""
+    scale, events = _events(diagram, extra)
+    walk = _walk(diagram, scale, events, below_ids)
+    if walk is None:
+        raise InvariantFailure("bipartition is not realizable")
+    return _staircase(diagram, scale, walk[0])
+
+
+def reference_thread_path(diagram, below_ids, extra=()):
+    """The threading on `Fraction`s: a midpoint level per mark, every path
+    point divided by n."""
+    n = diagram.size
+    anchors = [diagram.constraint_rank(2), diagram.constraint_rank(3), *extra]
+    events = sorted([(x, y, "anchor") for x, y in anchors] +
+                    [(m.col, m.row, BELOW if m.crossing_id in below_ids
+                      else ABOVE) for m in diagram.marks])
+    ceiling = [n] * (len(events) + 1)
+    for i in range(len(events) - 1, -1, -1):
+        _, y, tag = events[i]
+        ceiling[i] = ceiling[i + 1] if tag == BELOW else min(ceiling[i + 1], y)
+    points = [(Fraction(0), Fraction(0))]
+    level = floor = 0
+    for i, (x, y, tag) in enumerate(events):
+        if tag == "anchor":
+            if level >= y:
+                raise InvariantFailure("bipartition is not realizable")
+            points.append((Fraction(x, n), Fraction(y, n)))
+            level = floor = y
+            continue
+        if tag == BELOW:
+            floor = max(floor, y)
+        lo = max(level, floor)
+        hi = ceiling[i]
+        if lo >= hi:
+            raise InvariantFailure("bipartition is not realizable")
+        level = Fraction(lo + hi, 2)
+        points.append((Fraction(x, n), level / n))
+    points.append((Fraction(1), Fraction(1)))
+    return StaircasePath(tuple(points))
 
 
 # -- generators ---------------------------------------------------------------

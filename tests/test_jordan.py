@@ -12,6 +12,7 @@ from fpindex.errors import (
     NotTransverse,
 )
 from fpindex.exact_geom import (
+    AffineMap,
     PLLoop,
     PointLocation,
     RatPoint,
@@ -27,6 +28,7 @@ from fpindex.jordan import (
     Crossing,
     CrossingSet,
     _arcs_of,
+    _box_pairs,
     build_arrangement,
     canonical_noncut_pair,
     check_transverse,
@@ -36,10 +38,12 @@ from fpindex.jordan import (
     cuts_each_other,
     validate_curve,
 )
+from fpindex.plmap import transform_pair
 
 from geomgen import (
     angular_trace_faces,
     circle_polygon,
+    identity_params,
     interior_point,
     random_transverse_pair,
     reversed_loop,
@@ -242,6 +246,76 @@ class TestCheckTransverse:
     def test_disjoint_is_empty(self):
         cs = check_transverse(square(0, 0, 1, 1), square(5, 5, 6, 6))
         assert len(cs) == 0
+
+    @pytest.mark.parametrize("m", [1, 5, 16])
+    def test_quarter_turn_keeps_params_and_kinds(self, m):
+        # the canonical pair is tall and its quarter turn wide, so the two
+        # scans sweep along different axes
+        first, second = canonical_noncut_pair(m)
+        turn = AffineMap(Fraction(0), Fraction(-1), Fraction(1), Fraction(0))
+        turned = transform_pair(first, second, identity_params(4), turn)[:2]
+        cs, turned_cs = check_transverse(first, second), check_transverse(*turned)
+        assert len(cs) == 2 * m
+        assert ([(c.param_k, c.param_kt, c.kind) for c in cs]
+                == [(c.param_k, c.param_kt, c.kind) for c in turned_cs])
+        assert [turn.apply(c.point) for c in cs] == \
+            [c.point for c in turned_cs]
+
+    def test_second_curve_order_is_the_sorted_one(self):
+        rng = random.Random(2101)
+        sets = [check_transverse(*canonical_noncut_pair(m)) for m in (1, 4, 9)]
+        sets += [random_transverse_pair(rng)[2] for _ in range(40)]
+        sets.append(check_transverse(square(0, 0, 1, 1), square(5, 5, 6, 6)))
+        for cs in sets:
+            assert cs.by_param_kt() == tuple(
+                sorted(cs.crossings, key=lambda c: c.param_kt))
+
+
+def brute_box_pairs(boxes, split=None):
+    """Every pair a < b (a < split <= b with a split) of closed boxes that
+    meet, by testing all of them."""
+    n = len(boxes)
+    return sorted(
+        (a, b) for a in range(n) for b in range(a + 1, n)
+        if (split is None or a < split <= b)
+        and boxes[a][0] <= boxes[b][1] and boxes[b][0] <= boxes[a][1]
+        and boxes[a][2] <= boxes[b][3] and boxes[b][2] <= boxes[a][3])
+
+
+def random_boxes(rng, count, width, height, grid):
+    """Boxes (lo_x, hi_x, lo_y, hi_y) on a grid of `grid` steps, each up to
+    width by height steps across; a small grid makes many boxes share a
+    coordinate."""
+    boxes = []
+    for _ in range(count):
+        lo_x, lo_y = rng.randrange(grid), rng.randrange(grid)
+        boxes.append((lo_x, lo_x + rng.randrange(width + 1),
+                      lo_y, lo_y + rng.randrange(height + 1)))
+    return boxes
+
+
+class TestBoxPairs:
+    """The sweep, along either axis, against all pairs."""
+
+    SHAPES = {"tall": (2, 40, 60), "wide": (40, 2, 60),
+              "shared": (3, 3, 6), "square": (10, 10, 40)}
+
+    @pytest.mark.parametrize("shape", sorted(SHAPES))
+    def test_matches_all_pairs(self, shape):
+        rng = random.Random(f"box-pairs:{shape}")
+        width, height, grid = self.SHAPES[shape]
+        for count in (0, 1, 2, 5, 17, 40):
+            boxes = random_boxes(rng, count, width, height, grid)
+            assert sorted(_box_pairs(boxes)) == brute_box_pairs(boxes)
+            for split in {0, count // 3, count}:
+                assert (sorted(_box_pairs(boxes, split))
+                        == brute_box_pairs(boxes, split))
+
+    def test_pairs_come_once(self):
+        rng = random.Random("box-pairs:once")
+        boxes = random_boxes(rng, 60, 3, 3, 5)
+        pairs = list(_box_pairs(boxes, 30))
+        assert len(pairs) == len(set(pairs)) == len(brute_box_pairs(boxes, 30))
 
 
 class TestArrangement:

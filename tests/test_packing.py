@@ -1,6 +1,8 @@
 """Packing validation, contact graphs, overlays, and theorem certificates."""
 import random
+from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -14,7 +16,7 @@ from fpindex.errors import (
     PiecesOverlap,
 )
 from fpindex.exact_geom import AffineMap, PLLoop, PointLocation, RatPoint
-from fpindex import packing
+from fpindex import jordan, packing
 from fpindex.jordan import PolyJordanCurve
 from fpindex.packing import (
     PackingSpec,
@@ -27,6 +29,11 @@ from fpindex.packing import (
     validate_packing,
 )
 from fpindex.plmap import PLCorrespondence, _refined_params
+from fpindex.serialize import (
+    load_json_file,
+    load_packing,
+    load_piece_correspondence,
+)
 
 from geomgen import angular_trace_faces, interior_point
 from packfix import (
@@ -322,6 +329,40 @@ class TestFindCuttingPair:
         two, _, _ = two_piece_pair()
         with pytest.raises((HypothesesNotMet, InputRejection)):
             find_cutting_pair(first, two, [0])
+
+
+def shipped_packings(name: str):
+    """The fixture packings pack_NAME_a and pack_NAME_b with corr_NAME."""
+    fixtures = Path(__file__).parent / "fixtures"
+    first, second = (load_packing(load_json_file(str(
+        fixtures / f"pack_{name}_{side}.json"))) for side in "ab")
+    corr = load_piece_correspondence(load_json_file(str(
+        fixtures / f"corr_{name}.json")))
+    return first, second, corr
+
+
+class TestOneCrossingScanPerPair:
+    """The cut tests read the overlay's crossing sets."""
+
+    @pytest.mark.parametrize("name", ["one", "two"])
+    @pytest.mark.parametrize("run", [
+        packing.certify_incompatibility, packing.find_cutting_pair,
+        packing.assemble_theorem_certificate])
+    def test_shipped_packings(self, name, run, monkeypatch):
+        first, second, corr = shipped_packings(name)
+        calls = Counter()
+        scan = jordan.check_transverse
+
+        def counted(a, b):
+            calls[a, b] += 1
+            return scan(a, b)
+
+        monkeypatch.setattr(jordan, "check_transverse", counted)
+        monkeypatch.setattr(packing, "check_transverse", counted)
+        run(first, second, corr)
+        overlay_pairs = (len(first.pieces) + 1) * (len(second.pieces) + 1)
+        assert len(calls) >= overlay_pairs
+        assert max(calls.values()) == 1
 
 
 class TestCertificate:

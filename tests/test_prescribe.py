@@ -38,7 +38,6 @@ from fpindex.prescribe import (
     _path_induced_bits,
     _solve,
     _solve_by_pairs,
-    _thread_path,
     _walk,
     classify_box,
     find_doubly_adjacent,
@@ -59,8 +58,10 @@ from fpindex.torus import (
 from geomgen import (
     identity_params,
     random_transverse_pair,
+    reference_thread_path,
     square_curve,
     synthesize_constraints,
+    thread_path,
 )
 from test_jordan import alternating_patterns
 from test_torus import rebased, reference_all_bases
@@ -552,7 +553,7 @@ class TestThreading:
     def test_threaded_path_matches_requested_split(self):
         _, _, _, diagram = lens_fixture()
         for below in (frozenset({0}), frozenset({0, 1})):
-            path = _thread_path(diagram, below)
+            path = thread_path(diagram, below)
             assert delta_split(diagram, path)[0] == below
             xs = [x for x, _ in path.points]
             ys = [y for _, y in path.points]
@@ -630,39 +631,6 @@ def reference_is_realizable(diagram, below_ids, extra=()):
                    for qx, qy in above + anchors)
 
 
-def reference_thread_path(diagram, below_ids, extra=()):
-    """The threading on `Fraction`s: a midpoint level per mark, every path
-    point divided by n."""
-    n = diagram.size
-    anchors = [diagram.constraint_rank(2), diagram.constraint_rank(3), *extra]
-    events = sorted([(x, y, "anchor") for x, y in anchors] +
-                    [(m.col, m.row, BELOW if m.crossing_id in below_ids
-                      else ABOVE) for m in diagram.marks])
-    ceiling = [n] * (len(events) + 1)
-    for i in range(len(events) - 1, -1, -1):
-        _, y, tag = events[i]
-        ceiling[i] = ceiling[i + 1] if tag == BELOW else min(ceiling[i + 1], y)
-    points = [(F(0), F(0))]
-    level = floor = 0
-    for i, (x, y, tag) in enumerate(events):
-        if tag == "anchor":
-            if level >= y:
-                raise InvariantFailure("bipartition is not realizable")
-            points.append((F(x, n), F(y, n)))
-            level = floor = y
-            continue
-        if tag == BELOW:
-            floor = max(floor, y)
-        lo = max(level, floor)
-        hi = ceiling[i]
-        if lo >= hi:
-            raise InvariantFailure("bipartition is not realizable")
-        level = F(lo + hi, 2)
-        points.append((F(x, n), level / n))
-    points.append((F(1), F(1)))
-    return StaircasePath(tuple(points))
-
-
 def reference_split_value(diagram, below_ids, extra=()):
     return index_from_torus(diagram, reference_thread_path(diagram, below_ids,
                                                            extra))
@@ -721,7 +689,7 @@ def check_below_set(diagram, below, extra=()):
     assert ok == reference_is_realizable(diagram, below, extra)
     if ok:
         assert got == outcome(reference_split_value, diagram, below, extra)
-    assert outcome(_thread_path, diagram, below, extra) == \
+    assert outcome(thread_path, diagram, below, extra) == \
         outcome(reference_thread_path, diagram, below, extra)
     return ok
 

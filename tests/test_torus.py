@@ -16,9 +16,15 @@ from fpindex.errors import (
     PathHitsMark,
     SquareTooLarge,
 )
-from fpindex.jordan import CrossKind, canonical_noncut_pair, check_transverse
+from fpindex.exact_geom import trusted
+from fpindex.jordan import (
+    CrossKind,
+    _containment,
+    canonical_noncut_pair,
+    check_transverse,
+)
 from fpindex.plmap import PLCorrespondence, fixed_point_index, random_correspondence
-from fpindex.prescribe import _events, _thread_path, _walk, prescribe
+from fpindex.prescribe import _events, _walk, prescribe
 from fpindex.torus import (
     Containment,
     StaircasePath,
@@ -41,6 +47,7 @@ from geomgen import (
     random_transverse_pair,
     square_curve,
     synthesize_constraints,
+    thread_path,
 )
 from twins import rebuilt
 
@@ -112,6 +119,130 @@ class TestBuildDiagram:
         assert [c.kind for c in crossings] == [CrossKind.P, CrossKind.PTILDE,
                                                CrossKind.P, CrossKind.PTILDE]
         assert [c.index for c in crossings.by_param_kt()] == [3, 2, 1, 0]
+
+
+def reference_build_diagram(first, second, crossings, constraint_pairs):
+    """build_diagram by sorting every parameter, with hashed sets of the
+    crossing parameters for the coincidence check."""
+    if len(constraint_pairs) != 3:
+        raise InputRejection("exactly three prescribed pairs are required")
+    pairs = [(s % 1, t % 1) for s, t in constraint_pairs]
+    cross_s = {c.param_k for c in crossings}
+    cross_t = {c.param_kt for c in crossings}
+    for s, t in pairs:
+        if s in cross_s or t in cross_t:
+            raise ConstraintOnCurve(
+                "prescribed parameter coincides with a crossing")
+    if len({s for s, _ in pairs}) != 3 or len({t for _, t in pairs}) != 3:
+        raise InputRejection("prescribed parameters must be distinct")
+    s1, t1 = pairs[0]
+    s_off = [(pairs[1][0] - s1) % 1, (pairs[2][0] - s1) % 1]
+    t_off = [(pairs[1][1] - t1) % 1, (pairs[2][1] - t1) % 1]
+    if (s_off[0] < s_off[1]) != (t_off[0] < t_off[1]):
+        raise OrderViolation(
+            "prescribed pairs are cyclically incompatible with orientation")
+    if s_off[0] > s_off[1]:
+        raise OrderViolation("prescribed pairs must be listed in cyclic order "
+                             "from the first pair")
+    col_items = [(s, ("c", i)) for i, (s, _) in enumerate(pairs, 1)]
+    row_items = [(t, ("c", i)) for i, (_, t) in enumerate(pairs, 1)]
+    for c in crossings:
+        col_items.append((c.param_k % 1, ("m", c.index)))
+        row_items.append((c.param_kt % 1, ("m", c.index)))
+    for items in (col_items, row_items):
+        items.sort(key=lambda item: item[0])
+        cut = [token for _, token in items].index(("c", 1))
+        items[:] = items[cut:] + items[:cut]
+    return trusted(
+        TorusDiagram,
+        col_order=tuple(t for _, t in col_items),
+        row_order=tuple(t for _, t in row_items),
+        kinds=tuple((c.index, c.kind) for c in crossings),
+        containment=(Containment(_containment(first, second))
+                     if len(crossings) == 0 else None),
+        col_params=tuple(p for p, _ in col_items),
+        row_params=tuple(p for p, _ in row_items),
+        first=first, second=second, crossings=crossings)
+
+
+def value_in_gap(rng, params, gap):
+    """A parameter in gap `gap` of the sorted crossing parameters: before
+    the first for 0, after the last for len(params), shifted by a whole
+    turn now and then."""
+    lo = params[gap - 1] if gap else F(0)
+    hi = params[gap] if gap < len(params) else F(1)
+    value = lo + (hi - lo) * F(rng.randrange(0 if gap else 1, 16), 16)
+    return value + rng.choice((0, 0, 0, 1, -2))
+
+
+def constraint_placements(rng, crossings, gaps):
+    """Three pairs in cyclic order, on gaps (s gap, t gap) of the crossings'
+    first- and second-curve parameters."""
+    axes = ([c.param_k for c in crossings],
+            [c.param_kt for c in crossings.by_param_kt()])
+    values = [sorted((value_in_gap(rng, params, g[axis]) for g in gaps),
+                     key=lambda v: v % 1)
+              for axis, params in enumerate(axes)]
+    pairs = list(zip(*values))
+    start = rng.randrange(3)
+    return pairs[start:] + pairs[:start]
+
+
+def diagram_outcome(build, *args):
+    try:
+        return build(*args)
+    except (ConstraintOnCurve, InputRejection, OrderViolation) as err:
+        return type(err).__name__, str(err)
+
+
+class TestBuildDiagramMerge:
+    """The bisect-and-merge build_diagram against the sort-based one."""
+
+    def cases(self):
+        rng = random.Random(2201)
+        pairs = [canonical_noncut_pair(m) for m in (1, 3)]
+        pairs += [random_transverse_pair(rng)[:2] for _ in range(12)]
+        pairs += [(square_curve(0, 0, 1, 1), square_curve(5, 5, 6, 6)),
+                  (square_curve(1, 1, 2, 2), square_curve(0, 0, 4, 4))]
+        for first, second in pairs:
+            crossings = check_transverse(first, second)
+            n = len(crossings)
+            layouts = [[(0, 0), (n // 2, n // 2), (n, n)],   # ends and middle
+                       [(0, n), (0, n), (n, 0)],              # two in a gap
+                       [(n // 2, n)] * 3]                     # all in one
+            layouts += [[(rng.randrange(n + 1), rng.randrange(n + 1))
+                         for _ in range(3)] for _ in range(8)]
+            for gaps in layouts:
+                yield first, second, crossings, constraint_placements(
+                    rng, crossings, gaps)
+
+    def test_equals_sort_based_reference(self):
+        built = 0
+        for first, second, crossings, pairs in self.cases():
+            ours = diagram_outcome(build_diagram, first, second, crossings,
+                                   pairs)
+            assert ours == diagram_outcome(reference_build_diagram, first,
+                                           second, crossings, pairs)
+            built += isinstance(ours, TorusDiagram)
+        assert built >= 100
+
+    def test_equal_errors_on_bad_placements(self):
+        rng = random.Random(2202)
+        for first, second, crossings, pairs in self.cases():
+            crossing = rng.choice(crossings.crossings or (None,))
+            if crossing is not None:
+                on_curve = [(crossing.param_k, pairs[0][1]), *pairs[1:]]
+                on_target = [pairs[0], (pairs[1][0], crossing.param_kt + 1),
+                             pairs[2]]
+            else:
+                on_curve = on_target = pairs[:2]
+            for bad in (on_curve, on_target, pairs[::-1],
+                        [pairs[0], pairs[0], pairs[2]]):
+                ours = diagram_outcome(build_diagram, first, second,
+                                       crossings, bad)
+                assert not isinstance(ours, TorusDiagram)
+                assert ours == diagram_outcome(reference_build_diagram, first,
+                                               second, crossings, bad)
 
 
 class TestStaircasePath:
@@ -533,12 +664,12 @@ def reading_outcome(read, diagram, path):
 
 
 def threaded_paths(rng, diagram, count: int):
-    """Paths `_thread_path` threads for random realizable bipartitions."""
+    """Paths `thread_path` threads for random realizable bipartitions."""
     ids = [m.crossing_id for m in diagram.marks]
     for _ in range(count):
         below = frozenset(i for i in ids if rng.random() < 0.5)
         if _walk(diagram, *_events(diagram), below) is not None:
-            yield _thread_path(diagram, below)
+            yield thread_path(diagram, below)
 
 
 def reference_diagrams(rng, count: int):

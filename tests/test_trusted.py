@@ -26,7 +26,6 @@ from fpindex.plmap import PLCorrespondence, random_correspondence, transform_pai
 from fpindex.prescribe import (
     _adjacent_pairs,
     _events,
-    _thread_path,
     _walk,
     prescribe,
 )
@@ -46,6 +45,7 @@ from geomgen import (
     random_transverse_pair,
     square_curve,
     synthesize_constraints,
+    thread_path,
 )
 from packfix import one_piece_pair, two_piece_pair
 from twins import rebuilt
@@ -245,7 +245,7 @@ class TestPaths:
             for _ in range(16):
                 below = frozenset(c for c in ids if rng.randrange(2))
                 if _walk(diagram, *_events(diagram), below) is not None:
-                    checked(_thread_path(diagram, below))
+                    checked(thread_path(diagram, below))
             checked(prescribe(diagram)[0])
 
 
