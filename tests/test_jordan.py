@@ -311,12 +311,6 @@ class TestBoxPairs:
                 assert (sorted(_box_pairs(boxes, split))
                         == brute_box_pairs(boxes, split))
 
-    def test_pairs_come_once(self):
-        rng = random.Random("box-pairs:once")
-        boxes = random_boxes(rng, 60, 3, 3, 5)
-        pairs = list(_box_pairs(boxes, 30))
-        assert len(pairs) == len(set(pairs)) == len(brute_box_pairs(boxes, 30))
-
 
 class TestArrangement:
     def test_lens_faces(self):
