@@ -6,9 +6,9 @@ configurations are reported, never repaired.
 
 Predicates run on integers: the points they need are scaled once to integer
 numerators over a common denominator (`integer_coords`, cached per loop as
-`PLLoop.int_coords`), and the integer kernels `cross_int`, `in_box_int`,
-`meet_int`, `edge_crossing` and `origin_winding` decide them without
-Fraction arithmetic.
+`PLLoop.int_coords` with its edge boxes `PLLoop.edge_boxes`), and the
+integer kernels `cross_int`, `in_box_int`, `meet_int`, `edge_crossing` and
+`origin_winding` decide them without Fraction arithmetic.
 
 Sign conventions, used consistently by the whole package:
 
@@ -82,7 +82,8 @@ def value_type(cls):
 def trusted(cls, **fields):
     """An instance of the value type `cls` with the given fields set and
     its `__init__` skipped; a field left out reads the default the class
-    declares, so a slotted class must be given every field.
+    declares, so a slotted class must be given every field; a cached value
+    (a loop's int_coords) may be seeded too.
 
     This is the one trusted constructor behind the package's validated
     types. Call it only where the checks would pass by construction: on an
@@ -149,17 +150,6 @@ def integer_coords(points: Sequence[RatPoint],
     return (den,
             tuple([p.x.numerator * (den // p.x.denominator) for p in points]),
             tuple([p.y.numerator * (den // p.y.denominator) for p in points]))
-
-
-def joint_int_coords(first: "PLLoop", second: "PLLoop",
-                     ) -> tuple[int, list[int], list[int], list[int], list[int]]:
-    """(D, X1, Y1, X2, Y2): the vertices of both loops over one denominator."""
-    den1, xs1, ys1 = first.int_coords
-    den2, xs2, ys2 = second.int_coords
-    den = lcm(den1, den2)
-    f1, f2 = den // den1, den // den2
-    return (den, [x * f1 for x in xs1], [y * f1 for y in ys1],
-            [x * f2 for x in xs2], [y * f2 for y in ys2])
 
 
 def cross_int(a: IntPoint, b: IntPoint, c: IntPoint) -> int:
@@ -295,12 +285,23 @@ class PLLoop:
         return integer_coords(self.vertices)
 
     @cached_property
+    def edge_boxes(self) -> tuple[tuple[int, int, int, int], ...]:
+        """(lo_x, hi_x, lo_y, hi_y) of edge i, from vertex i to vertex i + 1,
+        over int_coords' denominator; computed once per loop."""
+        _, xs, ys = self.int_coords
+        boxes = []
+        for xa, xb, ya, yb in zip(xs, xs[1:] + xs[:1], ys, ys[1:] + ys[:1]):
+            if xa > xb:  # swaps, not min and max: four times as fast
+                xa, xb = xb, xa
+            if ya > yb:
+                ya, yb = yb, ya
+            boxes.append((xa, xb, ya, yb))
+        return tuple(boxes)
+
+    @cached_property
     def edge_y_ranges(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        """(low, high): the least and greatest Y of edge i, from vertex i to
-        vertex i + 1, over int_coords' denominator; computed once per loop."""
-        _, _, ys = self.int_coords
-        pairs = list(zip(ys, ys[1:] + ys[:1]))
-        return (tuple([min(p) for p in pairs]), tuple([max(p) for p in pairs]))
+        """(low, high): the y columns of edge_boxes."""
+        return tuple(zip(*self.edge_boxes))[2:]
 
     def edges(self) -> Iterator[tuple[RatPoint, RatPoint]]:
         n = len(self.vertices)

@@ -53,25 +53,12 @@ from .exact_geom import (
     _set,
     cross_int,
     in_box_int,
-    joint_int_coords,
     meet_int,
     point_in_polygon,
-    pt,
     signed_area,
+    trusted,
     value_type,
 )
-
-
-def _segment_boxes(xs: Sequence[int], ys: Sequence[int],
-                   ) -> list[tuple[int, int, int, int]]:
-    """(lo_x, hi_x, lo_y, hi_y) of segment k, from vertex k to vertex k + 1."""
-    n = len(xs)
-    boxes = []
-    for k in range(n):
-        k1 = (k + 1) % n
-        boxes.append((min(xs[k], xs[k1]), max(xs[k], xs[k1]),
-                      min(ys[k], ys[k1]), max(ys[k], ys[k1])))
-    return boxes
 
 
 def _box_pairs(boxes: Sequence[tuple[int, int, int, int]],
@@ -113,7 +100,7 @@ def _check_simple(loop: PLLoop) -> None:
         if cross_int(a, b, c) == 0 and (in_box_int(b, c, a)
                                         or in_box_int(a, b, c)):
             bad.append((k, k + 1) if k + 1 < n else (0, k))
-    for i, j in _box_pairs(_segment_boxes(xs, ys)):
+    for i, j in _box_pairs(loop.edge_boxes):
         if j - i in (1, n - 1):
             continue
         kind = meet_int(pts[i], pts[(i + 1) % n], pts[j], pts[(j + 1) % n])[0]
@@ -289,14 +276,23 @@ def segment_contacts(first: PLLoop, second: PLLoop,
     over one denominator D, and (i, j, *meet_int(a, b, c, d)) for each
     segment ab = P1[i] P1[i + 1] of the first loop that meets a segment
     cd = P2[j] P2[j + 1] of the second, in (i, j) order. Only segment pairs
-    whose closed bounding boxes meet are tested (_box_pairs, split by loop).
+    whose closed bounding boxes meet are tested (_box_pairs on the loops'
+    edge tables, split by loop).
     """
-    den, xs1, ys1, xs2, ys2 = joint_int_coords(first, second)
-    pts1, pts2 = list(zip(xs1, ys1)), list(zip(xs2, ys2))
+    den = lcm(first.int_coords[0], second.int_coords[0])
+    joint = []
+    for loop in (first, second):
+        own, xs, ys = loop.int_coords
+        boxes = loop.edge_boxes
+        if own != den:
+            f = den // own
+            xs, ys = [x * f for x in xs], [y * f for y in ys]
+            boxes = [(a * f, b * f, c * f, d * f) for a, b, c, d in boxes]
+        joint.append((list(zip(xs, ys)), boxes))
+    (pts1, boxes1), (pts2, boxes2) = joint
     n1, n2 = len(pts1), len(pts2)
     hits = []
-    for i, j in _box_pairs(_segment_boxes(xs1, ys1) + _segment_boxes(xs2, ys2),
-                           split=n1):
+    for i, j in _box_pairs([*boxes1, *boxes2], split=n1):
         j -= n1
         meet = meet_int(pts1[i], pts1[(i + 1) % n1], pts2[j], pts2[(j + 1) % n2])
         if meet[0] is not MeetKind.EMPTY:
@@ -599,22 +595,20 @@ def canonical_noncut_pair(m: int) -> tuple[PolyJordanCurve, PolyJordanCurve]:
     First curve: an 8 x 6m rectangle. Second curve: a slab to its left whose
     right wall carries m half-octagon bumps poking through the rectangle's
     left side, two crossings per bump. Both difference regions stay connected.
+
+    Both are simple and counterclockwise by construction, and are built
+    trusted from integers over denominators 1 and 5, their loops' int_coords.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
-    height = 6 * m
-    rect = validate_curve([pt(0, 0), pt(8, 0), pt(8, height), pt(0, height)])
-    wall = Fraction(-1)
-    verts: list[RatPoint] = [pt(-10, -2), pt(wall, -2)]
-    for i in range(1, m + 1):
-        c = Fraction(6 * i - 3)
-        verts.extend([
-            RatPoint(wall, c - 2),
-            RatPoint(Fraction(2, 5), c - Fraction(7, 5)),
-            RatPoint(Fraction(1), c),
-            RatPoint(Fraction(2, 5), c + Fraction(7, 5)),
-            RatPoint(wall, c + 2),
-        ])
-    verts.extend([pt(wall, height + 2), pt(-10, height + 2)])
-    bumpy = validate_curve(verts)
-    return rect, bumpy
+    xs, ys = [-50, -5], [-10, -10]
+    for c in range(15, 30 * m, 30):  # bump centre 6i - 3, over 5
+        xs += [-5, 2, 5, 2, -5]
+        ys += [c - 10, c - 7, c, c + 7, c + 10]
+    curves = []
+    for den, xs, ys in ((1, (0, 8, 8, 0), (0, 0, 6 * m, 6 * m)),
+                        (5, (*xs, -5, -50), (*ys, 30 * m + 10, 30 * m + 10))):
+        loop = trusted(PLLoop, int_coords=(den, xs, ys), vertices=tuple([
+            RatPoint(Fraction(x, den), Fraction(y, den)) for x, y in zip(xs, ys)]))
+        curves.append(trusted(PolyJordanCurve, loop=loop))
+    return curves[0], curves[1]

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 from .errors import (
     BadInterstice,
@@ -303,30 +303,57 @@ def _scan_contacts(spec: PackingSpec) -> dict[RatPoint, set]:
 # -- arrangement of the packed boundaries ----------------------------------------
 
 
-class _Node(NamedTuple):
-    nid: int
-    point: RatPoint
-    objects: frozenset
-    is_corner: bool
+@value_type
+class _Node:
+    """A contact point or a marked frame corner."""
+
+    __slots__ = _fields = ("nid", "point", "objects", "is_corner")
+
+    def __init__(self, nid: int, point: RatPoint, objects: frozenset,
+                 is_corner: bool) -> None:
+        _set(self, "nid", nid)
+        _set(self, "point", point)
+        _set(self, "objects", objects)
+        _set(self, "is_corner", is_corner)
 
 
-class _Arc(NamedTuple):
-    aid: int
-    host: object  # piece index, or a side name for frame arcs
-    tail: int
-    head: int
-    polyline: tuple[RatPoint, ...]
+@value_type
+class _Arc:
+    """A boundary run between two nodes; its host is a piece index, or a
+    side name for frame arcs."""
+
+    __slots__ = _fields = ("aid", "host", "tail", "head", "polyline")
+
+    def __init__(self, aid: int, host: object, tail: int, head: int,
+                 polyline: tuple[RatPoint, ...]) -> None:
+        _set(self, "aid", aid)
+        _set(self, "host", host)
+        _set(self, "tail", tail)
+        _set(self, "head", head)
+        _set(self, "polyline", polyline)
 
 
-class _Face(NamedTuple):
-    fid: int
-    cycle: tuple[tuple[int, bool], ...]  # (arc id, traversed forward)
-    node_ids: tuple[int, ...]
-    polygon: PLLoop
-    area: Fraction
-    kind: str  # "interior", "outer", or "interstice"
-    piece: "int | None"
-    objects: "frozenset | None"
+@value_type
+class _Face:
+    """A face of the arrangement: its cycle of (arc id, traversed forward)
+    steps, kind "interior", "outer" or "interstice", and the piece or the
+    objects where they apply."""
+
+    __slots__ = _fields = ("fid", "cycle", "node_ids", "polygon", "area",
+                           "kind", "piece", "objects")
+
+    def __init__(self, fid: int, cycle: tuple[tuple[int, bool], ...],
+                 node_ids: tuple[int, ...], polygon: PLLoop, area: Fraction,
+                 kind: str, piece: int | None, objects: frozenset | None,
+                 ) -> None:
+        _set(self, "fid", fid)
+        _set(self, "cycle", cycle)
+        _set(self, "node_ids", node_ids)
+        _set(self, "polygon", polygon)
+        _set(self, "area", area)
+        _set(self, "kind", kind)
+        _set(self, "piece", piece)
+        _set(self, "objects", objects)
 
 
 def _split_curve(curve: PolyJordanCurve, stops: list[tuple[int, int]],
@@ -346,13 +373,20 @@ def _split_curve(curve: PolyJordanCurve, stops: list[tuple[int, int]],
     return runs
 
 
-class _Analysis(NamedTuple):
-    nodes: tuple[_Node, ...]
-    arcs: tuple[_Arc, ...]
-    faces: tuple[_Face, ...]
-    node_by_objects: dict
-    interstices: tuple[int, ...]
-    graph: ContactGraph
+@value_type
+class _Analysis:
+    """The checked arrangement of a packing, as `_analyze` builds it."""
+
+    __slots__ = _fields = ("nodes", "arcs", "faces", "interstices", "graph")
+
+    def __init__(self, nodes: tuple[_Node, ...], arcs: tuple[_Arc, ...],
+                 faces: tuple[_Face, ...], interstices: tuple[int, ...],
+                 graph: ContactGraph) -> None:
+        _set(self, "nodes", nodes)
+        _set(self, "arcs", arcs)
+        _set(self, "faces", faces)
+        _set(self, "interstices", interstices)
+        _set(self, "graph", graph)
 
 
 def _analyze(spec: PackingSpec) -> _Analysis:
@@ -388,8 +422,7 @@ def _analyze(spec: PackingSpec) -> _Analysis:
     node_specs.sort(key=lambda s: (s[0].x, s[0].y))
     nodes = tuple(_Node(nid, p, objs, corner)
                   for nid, (p, objs, corner) in enumerate(node_specs))
-    node_by_objects = {nd.objects: nd.nid for nd in nodes}
-    if len(node_by_objects) != len(nodes):
+    if len({nd.objects for nd in nodes}) != len(nodes):
         raise InvariantFailure("two contact points share an object set")
 
     rect_vertex = {p: i for i, p in enumerate(rect.curve.vertices)}
@@ -490,7 +523,6 @@ def _analyze(spec: PackingSpec) -> _Analysis:
 
     return _Analysis(nodes=nodes, arcs=tuple(arcs),
                      faces=tuple(faces),
-                     node_by_objects=node_by_objects,
                      interstices=tuple(interstices),
                      graph=ContactGraph(len(spec.pieces), frozenset(edges),
                                         triangles))
@@ -667,6 +699,7 @@ def _certificate(first: PackingSpec, second: PackingSpec,
 
     mate_face = {second_a.faces[fid].objects: fid
                  for fid in second_a.interstices}
+    mate_node = {nd.objects: nd for nd in second_a.nodes}
     # (face objects, (target, map, bends)) per interstice, for _carry
     inter_maps: list[tuple[frozenset, tuple]] = []
     inter_indices: list[int] = []
@@ -679,12 +712,11 @@ def _certificate(first: PackingSpec, second: PackingSpec,
         corner_pairs = []
         for nid in face.node_ids:
             node = first_a.nodes[nid]
-            mate_nid = second_a.node_by_objects.get(relabel(node.objects))
-            if mate_nid is None:
+            mate_nd = mate_node.get(relabel(node.objects))
+            if mate_nd is None:
                 raise HypothesesNotMet("contact points do not correspond")
-            corner_pairs.append(
-                (source.locate_param(node.point),
-                 target.locate_param(second_a.nodes[mate_nid].point)))
+            corner_pairs.append((source.locate_param(node.point),
+                                 target.locate_param(mate_nd.point)))
         try:
             crossings = check_transverse(source, target)
         except NotTransverse as exc:

@@ -18,7 +18,6 @@ from fpindex.exact_geom import (
     AffineMap,
     PointLocation,
     RatPoint,
-    joint_int_coords,
     point_in_polygon,
     pt,
     signed_area,
@@ -328,6 +327,17 @@ def reference_origin_winding(cycle):
         elif yb <= 0 < ya and c < 0:
             w -= 1
     return w
+
+
+def joint_int_coords(first, second):
+    """(D, X1, Y1, X2, Y2): the vertices of both loops over one
+    denominator."""
+    den1, xs1, ys1 = first.int_coords
+    den2, xs2, ys2 = second.int_coords
+    den = lcm(den1, den2)
+    f1, f2 = den // den1, den // den2
+    return (den, [x * f1 for x in xs1], [y * f1 for y in ys1],
+            [x * f2 for x in xs2], [y * f2 for y in ys2])
 
 
 def reference_fixed_point_index(source, target, phi):

@@ -38,6 +38,7 @@ from fpindex.prescribe import (
     _path_induced_bits,
     _solve,
     _solve_by_pairs,
+    _staircase,
     _walk,
     classify_box,
     find_doubly_adjacent,
@@ -692,6 +693,36 @@ def check_below_set(diagram, below, extra=()):
     assert outcome(thread_path, diagram, below, extra) == \
         outcome(reference_thread_path, diagram, below, extra)
     return ok
+
+
+class TestTorusFormulaOnEveryBelowSet:
+    """The torus formula on every path class of the small canonical pairs.
+
+    Every realizable below-set of the diagram is threaded, scaled and
+    realized as a map; its geometric index, its torus reading at every base
+    and the walk's value must agree. Together the values are the oracle's
+    set.
+    """
+
+    # the seed's constraints leave 4, 9 and 12 realizable below-sets, with
+    # indices 0, 1 and 2 on each pair
+    @pytest.mark.parametrize("m, count", [(1, 4), (2, 9), (3, 12)])
+    def test_canonical_pair(self, m, count):
+        first, second, _, diagram = canonical_diagram(m, 9410)
+        scale, events = _events(diagram)
+        values = []
+        for below in below_sets(None, diagram):
+            walk = _walk(diagram, scale, events, below)
+            if walk is None:
+                continue
+            vertices, index = walk
+            path = _staircase(diagram, scale, vertices)
+            phi = realize_path(diagram, path)
+            assert fixed_point_index(first, second, phi) == index
+            assert index_from_torus(diagram, path, check_all_bases=True) == index
+            values.append(index)
+        assert len(values) == count
+        assert set(values) == oracle_enumerate(diagram) == {0, 1, 2}
 
 
 class TestSplitValueOnIntegers:

@@ -19,8 +19,13 @@ from fpindex.errors import (
     InputRejection,
     OrderViolation,
 )
-from fpindex.exact_geom import AffineMap, pt
-from fpindex.jordan import CrossingSet, canonical_noncut_pair, check_transverse
+from fpindex.exact_geom import AffineMap, integer_coords, pt
+from fpindex.jordan import (
+    CrossingSet,
+    canonical_noncut_pair,
+    check_transverse,
+    validate_curve,
+)
 from fpindex.packing import translate_packing
 from fpindex.plmap import PLCorrespondence, random_correspondence, transform_pair
 from fpindex.prescribe import (
@@ -259,6 +264,23 @@ class TestCurves:
                 moved = translate_packing(spec, shift)
                 for curve in (moved.rect.curve, *moved.pieces):
                     checked(curve)
+
+    def test_canonical_pairs_from_integers(self):
+        # built trusted on seeded int_coords: the checked constructor
+        # accepts each curve, and the seeded and cached tables are the ones
+        # the vertices give
+        for m in range(1, 65):
+            for curve in canonical_noncut_pair(m):
+                assert validate_curve(curve.vertices) == curve
+                loop = curve.loop
+                _, xs, ys = loop.int_coords
+                assert loop.int_coords == integer_coords(loop.vertices)
+                ends = zip(xs, xs[1:] + xs[:1], ys, ys[1:] + ys[:1])
+                boxes = tuple([(min(xa, xb), max(xa, xb), min(ya, yb),
+                                max(ya, yb)) for xa, xb, ya, yb in ends])
+                assert loop.edge_boxes == boxes
+                assert loop.edge_y_ranges == (
+                    tuple([b[2] for b in boxes]), tuple([b[3] for b in boxes]))
 
     def test_affine_images(self):
         rng = random.Random(7401)

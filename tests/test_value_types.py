@@ -80,6 +80,10 @@ def samples(seed: int) -> dict[str, list]:
         "OverlayReport": [check_overlay_transverse(pack_a, pack_b)],
         "TheoremCertificate": [assemble_theorem_certificate(pack_a, pack_b,
                                                             corr)],
+        "_Node": list(pack_a.analysis.nodes[:3]),
+        "_Arc": list(pack_a.analysis.arcs[:3]),
+        "_Face": list(pack_a.analysis.faces[:3]),
+        "_Analysis": [pack_a.analysis, pack_b.analysis],
     }
 
 
@@ -104,7 +108,7 @@ def test_every_value_type_has_a_twin_and_samples():
                     and obj.__setattr__ is exact_geom._no_setattr):
                 found.add(obj.__name__)
     assert found == set(TWINS)
-    assert len(found) == 22
+    assert len(found) == 26
     for seed in SEEDS:
         for name, objs in samples(seed).items():
             assert objs and all(type(obj).__name__ == name for obj in objs)
@@ -163,7 +167,8 @@ def test_cached_values_are_computed_once():
     diagram = made["TorusDiagram"][0]
     path = made["StaircasePath"][0]
     spec = made["PackingSpec"][0]
-    for obj, attr in ((loop, "int_coords"), (loop, "edge_y_ranges"),
+    for obj, attr in ((loop, "int_coords"), (loop, "edge_boxes"),
+                      (loop, "edge_y_ranges"),
                       (diagram, "marks"), (diagram, "p_ids"),
                       (diagram, "_constraint_ranks"), (path, "_xs"),
                       (spec, "analysis")):

@@ -206,6 +206,48 @@ class TheoremCertificate:
     degenerate: object = False
 
 
+# The analysis records were `typing.NamedTuple`s, which compare, hash and
+# repr by their field tuple as these do; `_Analysis` lost `node_by_objects`,
+# a dict that its one reader now builds from `nodes`.
+
+@dataclass(frozen=True)
+class _Node:
+    nid: object
+    point: object
+    objects: object
+    is_corner: object
+
+
+@dataclass(frozen=True)
+class _Arc:
+    aid: object
+    host: object
+    tail: object
+    head: object
+    polyline: object
+
+
+@dataclass(frozen=True)
+class _Face:
+    fid: object
+    cycle: object
+    node_ids: object
+    polygon: object
+    area: object
+    kind: object
+    piece: object
+    objects: object
+
+
+@dataclass(frozen=True)
+class _Analysis:
+    nodes: object
+    arcs: object
+    faces: object
+    interstices: object
+    graph: object
+
+
 TWINS = {cls.__name__: cls for cls in (
     RatPoint, Segment, SegmentMeeting, PLLoop, AffineMap,
     PolyJordanCurve, Crossing, CrossingSet, ArrangementFace,
@@ -213,4 +255,4 @@ TWINS = {cls.__name__: cls for cls in (
     TorusMark, TorusDiagram, StaircasePath,
     AdjacencyBox, TraceLevel, PrescriptionTrace,
     TopoRectangle, PackingSpec, ContactGraph, OverlayReport,
-    TheoremCertificate)}
+    TheoremCertificate, _Node, _Arc, _Face, _Analysis)}
