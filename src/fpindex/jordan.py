@@ -601,13 +601,13 @@ def canonical_noncut_pair(m: int) -> tuple[PolyJordanCurve, PolyJordanCurve]:
     """
     if m < 1:
         raise ValueError("m must be >= 1")
-    xs, ys = [-50, -5], [-10, -10]
-    for c in range(15, 30 * m, 30):  # bump centre 6i - 3, over 5
-        xs += [-5, 2, 5, 2, -5]
-        ys += [c - 10, c - 7, c, c + 7, c + 10]
+    sx, sy = [-50, -5], [-10, -10]  # the slab, over 5
+    for c in range(15, 30 * m, 30):  # bump centre 6i - 3
+        sx += [-5, 2, 5, 2, -5]
+        sy += [c - 10, c - 7, c, c + 7, c + 10]
     curves = []
     for den, xs, ys in ((1, (0, 8, 8, 0), (0, 0, 6 * m, 6 * m)),
-                        (5, (*xs, -5, -50), (*ys, 30 * m + 10, 30 * m + 10))):
+                        (5, (*sx, -5, -50), (*sy, 30 * m + 10, 30 * m + 10))):
         loop = trusted(PLLoop, int_coords=(den, xs, ys), vertices=tuple([
             RatPoint(Fraction(x, den), Fraction(y, den)) for x, y in zip(xs, ys)]))
         curves.append(trusted(PolyJordanCurve, loop=loop))
