@@ -12,16 +12,17 @@ loop is a boundary fixed point and leaves the index undefined; callers get
 HasFixedPoint instead of a number.
 
 The loop can bend only where phi bends or either curve has a vertex, so one
-merge walk (_bend_walk) lists those bends on integers, with the source edge
-and the target edge holding each. Between two consecutive bends the loop
-stays in one cell, a source edge against a target edge. The index filters
-first and decides exactly after (Yap, "Towards exact geometric
-computation", CGTA 1997): when the target edge's y-range lies strictly
-above or strictly below the source edge's, the loop's y keeps one strict
-sign across the cell, so that step neither meets nor crosses the x-axis and
-adds nothing to the winding number. It is skipped with two comparisons of
-the curves' own integer coordinates. Only steps in cells whose ranges
-overlap or touch get exact integer ends and the crossing rule.
+lazy merge walk (_bend_steps) yields its steps on integers: between two
+consecutive bends the loop stays in one cell, a source edge against a target
+edge. The index filters first and decides exactly after (Yap, "Towards exact
+geometric computation", CGTA 1997): when the target edge's y-range lies
+strictly above or strictly below the source edge's, the loop's y keeps one
+strict sign across the cell, so that step neither meets nor crosses the
+x-axis and adds nothing to the winding number. It is skipped with two
+comparisons of the curves' own integer coordinates, before any arithmetic
+on it. Only steps in cells whose ranges overlap or touch get exact integer
+ends and the crossing rule. The same walk's step starts are the bend list
+(_bend_walk) of _refined_params and difference_loop.
 
 A correspondence is checked once, where it enters; maps derived from a
 checked one, such as its inverse, skip the check (`PLCorrespondence`).
@@ -30,8 +31,9 @@ from __future__ import annotations
 
 import bisect
 from fractions import Fraction
+from itertools import starmap
 from math import lcm
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .errors import (
     ArcsDisagree,
@@ -164,77 +166,74 @@ def random_correspondence(rng, breakpoints: int,
                                      (breakpoints - shift) % breakpoints)
 
 
-def _inner_vertices(lo: int, width: int, n: int, den: int,
-                    step: int) -> list[int]:
-    """Local u = (i * den - lo * n) * step of the vertices i/n lying strictly
-    between lo/den and (lo + width)/den, ascending."""
-    return [(i * den - lo * n) * step
-            for i in range(lo * n // den + 1, -(-(lo + width) * n // den))]
+def _bend_steps(n_source: int, n_target: int, phi: PLCorrespondence,
+                ) -> Iterator[tuple]:
+    """The difference loop's steps, once around from s = 0.
 
+    Between two parameters where phi bends or either curve has a vertex,
+    the loop runs straight in one cell, source edge i against target edge
+    j. Each step is ((G, S, T, ds, dt), u, v, i, j): the loop runs from
+    local u to local v in cell (i, j), where local u is the source
+    parameter (S + u ds)/G, with image (T + u dt)/G.
 
-def _bend_walk(n_source: int, n_target: int, phi: PLCorrespondence,
-               ) -> list[tuple[int, int, int, int, int]]:
-    """Every parameter where the difference loop can bend, with its cell.
-
-    One merge walk over three sorted streams: the breakpoints of phi, the
-    source vertices i/n_source, and the preimages of the target vertices
-    j/n_target. Each entry (S, T, G, i, j) is a source parameter S/G in
-    [0, 1), its image T/G in [0, 1), the source edge i = floor(n_source S/G)
-    and the target edge j = floor(n_target T/G) that hold them. Entries are
-    sorted by S/G, starting at the first at or after s = 0.
-
-    Each piece of phi, from (s_k, t_k) to (s_k+1, t_k+1), has its own
-    denominator D, the lcm of its two breakpoints' denominators, so no
-    entry carries the denominators of the other pieces. Over D the piece
-    has integer widths ds and dt and is affine in a local integer u in
-    [0, U), U = lcm(n_source * ds, n_target * dt): every vertex of either
-    curve in the piece falls on an integer u, and the piece's entries share
-    the denominator G = D * U.
-
-    The edges come without a division per entry: i steps up when the walk
-    passes a source vertex and j when it passes a target-vertex preimage,
-    each wrapping to 0 (and its parameter down by 1) at its curve's vertex
-    count. No vertex lies strictly between two consecutive entries, so the
-    difference loop runs from entry k to entry k + 1 inside cell
-    (i_k, j_k): source edge i_k against target edge j_k.
+    A piece of phi, from (s_k, t_k) to (s_k+1, t_k+1), has its own
+    denominator D, the lcm of its breakpoints' denominators, integer widths
+    ds and dt over D, and a local integer u in [0, U), U = lcm(n_source *
+    ds, n_target * dt), G = D * U. Each curve's vertices in the piece are
+    an arithmetic progression in u, and the walk merges the two: i steps
+    up at a source vertex and j at a target-vertex preimage, each wrapping
+    to 0 (S or T down by G) at its curve's vertex count. The piece holding
+    s = 1 is walked from there to its end first, and up to there last.
     """
     bps = phi.breakpoints
     count = len(bps)
-    walk: list[tuple[int, int, int, int, int]] = []
-    wrap = 0
+    pieces = []
     for k in range(count):
         (sa, ta), (sb, tb) = bps[k], bps[(k + 1) % count]
         den = lcm(sa.denominator, ta.denominator, sb.denominator, tb.denominator)
         s0 = sa.numerator * (den // sa.denominator)
         t0 = ta.numerator * (den // ta.denominator)
-        ds = sb.numerator * (den // sb.denominator) - s0
-        if k == count - 1:
-            ds += den
+        ds = (sb.numerator * (den // sb.denominator) - s0) % den
         dt = (tb.numerator * (den // tb.denominator) - t0) % den
         span = lcm(n_source * ds, n_target * dt)
-        g = den * span
-        us = _inner_vertices(s0, ds, n_source, den, span // (n_source * ds))
-        ut = _inner_vertices(t0, dt, n_target, den, span // (n_target * dt))
-        us.append(span)
-        ut.append(span)
-        i, j = s0 * n_source // den, t0 * n_target // den
-        s, t = s0 * span, t0 * span
-        a = b = u = 0
-        while True:
-            walk.append((s + u * ds, t + u * dt, g, i, j))
-            next_s, next_t = us[a], ut[b]
-            u = next_s if next_s < next_t else next_t
-            if u == span:
-                break
+        pieces.append((den * span, s0 * span, t0 * span, ds, dt, span))
+    last = pieces.pop()
+    one = (last[0] - last[1]) // last[3]  # the local u of s = 1
+    runs = [(last, one, last[5]), *[(p, 0, p[5]) for p in pieces],
+            (last, 0, one)]
+    for (g, s, t, ds, dt, _), u, end in runs:
+        wrap_s, i = divmod((s + u * ds) * n_source // g, n_source)
+        wrap_t, j = divmod((t + u * dt) * n_target // g, n_target)
+        s, t = s - wrap_s * g, t - wrap_t * g  # the first run starts at s = 1
+        stride_s, stride_t = g // (n_source * ds), g // (n_target * dt)
+        next_s = (i + 1) * stride_s - s // ds
+        next_t = (j + 1) * stride_t - t // dt
+        piece = (g, s, t, ds, dt)
+        while u < end:
+            v = next_s if next_s < next_t else next_t
+            if v > end:
+                v = end
+            yield piece, u, v, i, j
+            u = v
             if next_s == u:
-                a, i = a + 1, i + 1
-                if i == n_source:  # s passes 1: the cycle starts here
-                    i, s, wrap = 0, s - g, len(walk)
+                next_s, i = next_s + stride_s, i + 1
+                if i == n_source:
+                    i, s = 0, s - g
+                    piece = (g, s, t, ds, dt)
             if next_t == u:
-                b, j = b + 1, j + 1
+                next_t, j = next_t + stride_t, j + 1
                 if j == n_target:
                     j, t = 0, t - g
-    return walk[wrap:] + walk[:wrap]
+                    piece = (g, s, t, ds, dt)
+
+
+def _bend_walk(n_source: int, n_target: int, phi: PLCorrespondence,
+               ) -> list[tuple[int, int, int, int, int]]:
+    """The start (S, T, G, i, j) of each step of _bend_steps: a source
+    parameter S/G in [0, 1) where the difference loop can bend, its image
+    T/G in [0, 1), and the source edge i and target edge j holding them."""
+    return [(s + u * ds, t + u * dt, g, i, j) for (g, s, t, ds, dt), u, _, i, j
+            in _bend_steps(n_source, n_target, phi)]
 
 
 def _refined_params(source: PolyJordanCurve, target: PolyJordanCurve,
@@ -247,18 +246,17 @@ def _refined_params(source: PolyJordanCurve, target: PolyJordanCurve,
 
 def _difference_at(source: PolyJordanCurve, target: PolyJordanCurve):
     """(fs, ft, at): fs and ft take the two curves' integer coordinates
-    (PLLoop.int_coords) to their common denominator D, and at maps a walk
-    entry (S, T, G, i, j) to target(T/G) - source(S/G) as the homogeneous
-    integer triple (X, Y, D * G)."""
+    (PLLoop.int_coords) to their common denominator D, and at(S, T, G, i, j)
+    is target(T/G) - source(S/G), with S/G on source edge i and T/G on
+    target edge j, as the homogeneous integer triple (X, Y, D * G)."""
     den_s, xs, ys = source.loop.int_coords
     den_t, xt, yt = target.loop.int_coords
     den = lcm(den_s, den_t)
     fs, ft = den // den_s, den // den_t
     n, m = len(xs), len(xt)
 
-    def at(entry: tuple[int, int, int, int, int]) -> tuple[int, int, int]:
+    def at(s: int, t: int, g: int, i: int, j: int) -> tuple[int, int, int]:
         # Point at parameter S/G: vertex i plus r/G of the way to vertex i + 1.
-        s, t, g, i, j = entry
         r, q = s * n - i * g, t * m - j * g
         i1, j1 = (i + 1) % n, (j + 1) % m
         return ((xt[j] * (g - q) + xt[j1] * q) * ft
@@ -276,7 +274,7 @@ def difference_loop(source: PolyJordanCurve, target: PolyJordanCurve,
     _, _, at = _difference_at(source, target)
     points: list[RatPoint] = []
     for entry in _bend_walk(len(source), len(target), phi):
-        x, y, w = at(entry)
+        x, y, w = at(*entry)
         q = RatPoint(Fraction(x, w), Fraction(y, w))
         if not points or points[-1] != q:
             points.append(q)
@@ -291,20 +289,19 @@ def fixed_point_index(source: PolyJordanCurve, target: PolyJordanCurve,
                       phi: PLCorrespondence) -> int:
     """Winding number of the difference loop around the origin.
 
-    The loop is read off _bend_walk, and only where it can meet the x-axis.
-    Its edge from entry k to entry k + 1 lies in cell (i_k, j_k), so its Y
-    stays between (low of target edge j) - (high of source edge i) and
-    (high of target edge j) - (low of source edge i), the curves' own edge
-    ranges (PLLoop.edge_y_ranges). When that interval lies strictly on one
-    side of 0, both ends of the edge lie strictly on that side and
-    edge_crossing would return 0 for it without raising, so the edge is
-    skipped without arithmetic. Only edges in cells whose ranges overlap or
-    touch get exact integer ends, and each end is computed once.
+    The loop is read step by step off _bend_steps. A step in cell (i, j)
+    keeps its Y between (low of target edge j) - (high of source edge i)
+    and (high of target edge j) - (low of source edge i), the curves' own
+    edge ranges (PLLoop.edge_y_ranges). When that interval lies strictly on
+    one side of 0, so do both ends of the step, edge_crossing would return
+    0 for it without raising, and the step is skipped with two comparisons.
+    Only a kept step gets exact ends, from its own cell's vertices; an end
+    shared with the kept step before it is reused.
 
     Raises HasFixedPoint when some boundary point maps to itself, where no
     index is defined.
     """
-    walk = _bend_walk(len(source), len(target), phi)
+    n, m = len(source), len(target)
     fs, ft, at = _difference_at(source, target)
     low_s, high_s = source.loop.edge_y_ranges
     low_t, high_t = target.loop.edge_y_ranges
@@ -312,19 +309,18 @@ def fixed_point_index(source: PolyJordanCurve, target: PolyJordanCurve,
         low_s, high_s = [y * fs for y in low_s], [y * fs for y in high_s]
     if ft != 1:
         low_t, high_t = [y * ft for y in low_t], [y * ft for y in high_t]
-    count = len(walk)
     w = 0
-    done, end = -1, None  # the walk entry whose point `end` holds
+    end = None  # the end of the step before, if that step was kept
     try:
-        for k, (_, _, _, i, j) in enumerate(walk):
+        for (g, s, t, ds, dt), u, v, i, j in _bend_steps(n, m, phi):
             if low_t[j] > high_s[i] or high_t[j] < low_s[i]:
-                continue  # Y keeps one strict sign along the whole edge
-            xa, ya, _ = end if done == k else at(walk[k])
-            done = k + 1
-            end = at(walk[done % count])
+                end = None  # Y keeps one strict sign along the whole step
+                continue
+            xa, ya, _ = end or at(s + u * ds, t + u * dt, g, i, j)
+            end = at(s + v * ds, t + v * dt, g, i, j)
             w += edge_crossing(xa, ya, end[0], end[1])
     except PointOnLoop as exc:
-        if not any(x or y for x, y, _ in map(at, walk)):
+        if not any(x or y for x, y, _ in starmap(at, _bend_walk(n, m, phi))):
             raise HasFixedPoint(
                 "correspondence is the identity on the boundary") from exc
         raise HasFixedPoint("difference loop passes through the origin") from exc

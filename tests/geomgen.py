@@ -251,52 +251,57 @@ def unit_directions(n: int = 64) -> tuple[RatPoint, ...]:
 _DIRS = unit_directions()
 
 
-def circle_polygon(cx: Fraction, cy: Fraction, r: Fraction) -> PolyJordanCurve:
-    """Regular 64-gon inscribed in the circle of radius r about (cx, cy)."""
+def circle_polygon(cx: Fraction, cy: Fraction, r: Fraction,
+                   dirs: tuple[RatPoint, ...] = _DIRS) -> PolyJordanCurve:
+    """Polygon inscribed in the circle of radius r about (cx, cy), with a
+    vertex in each of the directions dirs: a regular 64-gon by default."""
     return PolyJordanCurve(PLLoop(tuple(
-        RatPoint(cx + r * d.x, cy + r * d.y) for d in _DIRS)))
+        RatPoint(cx + r * d.x, cy + r * d.y) for d in dirs)))
 
 
 def _quarters(rng: random.Random, lo: int, hi: int) -> Fraction:
     return Fraction(rng.randrange(4 * lo, 4 * hi + 1), 4)
 
 
-def circle_pools(rng: random.Random, per_class: int):
-    """Verified 64-gon circle pairs in four mutual positions: "disjoint",
+def circle_pools(rng: random.Random, per_class: int,
+                 dirs: tuple[RatPoint, ...] = _DIRS):
+    """Verified circle pairs in four mutual positions: "disjoint",
     "nested", "two_cross" and "general" map to lists of per_class pairs.
+    Each circle is a circle_polygon on dirs, 64-gons by default.
 
     Polygon circles inscribed in round circles stay within a relative sag of
-    1 - cos(pi/64), so quarter-unit margins on the radii and separations keep
-    each class's defining property exact; the crossing classes are verified
-    outright.
+    1 - cos(pi/n) for n near-regular directions, so for n >= 16 quarter-unit
+    margins on the radii and separations keep each class's defining property
+    exact; the crossing classes are verified outright.
     """
     F = Fraction
     disjoint, nested, two_cross, general = [], [], [], []
     while len(disjoint) < per_class:
         r1, r2 = _quarters(rng, 1, 3), _quarters(rng, 1, 3)
         d = r1 + r2 + _quarters(rng, 1, 3)
-        disjoint.append((circle_polygon(F(0), F(0), r1),
-                         circle_polygon(d, F(0), r2)))
+        disjoint.append((circle_polygon(F(0), F(0), r1, dirs),
+                         circle_polygon(d, F(0), r2, dirs)))
     while len(nested) < per_class:
         r_in = _quarters(rng, 1, 2)
         r_out = r_in + _quarters(rng, 1, 3)
         cx = F(rng.randrange(-1, 2), 4)
         cy = F(rng.randrange(-1, 2), 4)
-        inner = circle_polygon(cx, cy, r_in)
-        outer = circle_polygon(F(0), F(0), r_out)
+        inner = circle_polygon(cx, cy, r_in, dirs)
+        outer = circle_polygon(F(0), F(0), r_out, dirs)
         nested.append((inner, outer) if rng.randrange(2) else (outer, inner))
     while len(two_cross) < per_class:
         r1, r2 = _quarters(rng, 2, 4), _quarters(rng, 2, 4)
         lo, hi = abs(r1 - r2) + 1, r1 + r2 - 1
         d = lo + F(rng.randrange(int(4 * (hi - lo)) + 1), 4)
-        pair = (circle_polygon(F(0), F(0), r1), circle_polygon(d, F(0), r2))
+        pair = (circle_polygon(F(0), F(0), r1, dirs),
+                circle_polygon(d, F(0), r2, dirs))
         if len(check_transverse(*pair)) == 2:
             two_cross.append(pair)
     while len(general) < per_class:
         pair = (circle_polygon(F(rng.randrange(-2, 3)), F(rng.randrange(-2, 3)),
-                               _quarters(rng, 1, 4)),
+                               _quarters(rng, 1, 4), dirs),
                 circle_polygon(F(rng.randrange(-2, 3)), F(rng.randrange(-2, 3)),
-                               _quarters(rng, 1, 4)))
+                               _quarters(rng, 1, 4), dirs))
         try:
             if len(check_transverse(*pair)) >= 2:
                 general.append(pair)

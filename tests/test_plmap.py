@@ -1,7 +1,11 @@
 """Circle correspondences, difference loops, index, gluing, transport."""
+import importlib.util
+import itertools
+import json
 import random
 from fractions import Fraction
 from math import lcm
+from pathlib import Path
 
 import pytest
 
@@ -18,6 +22,7 @@ from fpindex.exact_geom import (
     AffineMap,
     PointLocation,
     RatPoint,
+    edge_crossing,
     point_in_polygon,
     pt,
     signed_area,
@@ -26,7 +31,6 @@ from fpindex.jordan import canonical_noncut_pair, validate_curve
 from fpindex.plmap import (
     PLCorrespondence,
     _bend_walk,
-    _inner_vertices,
     difference_loop,
     fixed_point_index,
     glue,
@@ -215,6 +219,14 @@ class TestIndex:
             except HasFixedPoint:
                 continue
             assert fixed_point_index(second, first, phi.invert()) == eta
+
+
+def _inner_vertices(lo: int, width: int, n: int, den: int,
+                    step: int) -> list[int]:
+    """Local u = (i * den - lo * n) * step of the vertices i/n lying strictly
+    between lo/den and (lo + width)/den, ascending."""
+    return [(i * den - lo * n) * step
+            for i in range(lo * n // den + 1, -(-(lo + width) * n // den))]
 
 
 def reference_bend_walk(n_source, n_target, phi):
@@ -474,6 +486,98 @@ class TestPrunedIndex:
             through_origin += self.check(a, b, phi) == THROUGH_ORIGIN
             touching += cell_relations(a, b, phi)["touch"] > 0
         assert touching > 100 and through_origin > 20
+
+    def test_exact_ends_only_on_kept_cells(self, monkeypatch):
+        # One edge_crossing call per step whose cell's ranges overlap or
+        # touch, and none for a step the filter skips.
+        calls = []
+
+        def counted(*ends):
+            calls.append(ends)
+            return edge_crossing(*ends)
+
+        monkeypatch.setattr("fpindex.plmap.edge_crossing", counted)
+        rng = random.Random(8800)
+        pairs = [pair for pair, in circle_pools(rng, per_class=1).values()]
+        pairs += [random_transverse_pair(rng)[:2] for _ in range(8)]
+        indexed = 0
+        for first, second in pairs:
+            for _ in range(4):
+                phi = random_correspondence(rng, rng.randrange(3, 10))
+                for pair in ((first, second, phi),
+                             (second, first, phi.invert())):
+                    calls.clear()
+                    try:
+                        fixed_point_index(*pair)
+                    except HasFixedPoint:
+                        continue
+                    counts = cell_relations(*pair)
+                    assert len(calls) == counts["touch"] + counts["overlap"]
+                    indexed += 1
+        assert indexed > 60
+
+
+def lattice_square_maps(shared_edge: int) -> list[PLCorrespondence]:
+    """Every map that is the identity on a square's corners k/4 and has at
+    most one extra breakpoint (s, t), on an edge other than shared_edge,
+    with s and t on the 1/16 lattice strictly inside that edge's band."""
+    corners = [(F(k, 4), F(k, 4)) for k in range(4)]
+    maps = [PLCorrespondence(tuple(corners))]
+    for edge in range(4):
+        if edge == shared_edge:
+            continue
+        for a, b in itertools.product(range(1, 4), repeat=2):
+            extra = (F(4 * edge + a, 16), F(4 * edge + b, 16))
+            maps.append(PLCorrespondence(tuple(sorted(corners + [extra]))))
+    return maps
+
+
+class TestLatticeAdditivity:
+    """Index additivity under gluing on every lattice map of one fixed
+    glued_square_fixture-style configuration, sides at most 3."""
+
+    def test_indices_add_on_every_lattice_pair(self):
+        # Source squares share x = 2, target squares share x = 3. Each
+        # target's bottom edge runs along its source's, one unit to the
+        # right, so one lattice map per piece sends a point of that edge to
+        # itself.
+        sa, sb = square_curve(0, 0, 2, 2), square_curve(2, 0, 4, 2)
+        ta, tb = square_curve(1, 0, 3, 3), square_curve(3, 0, 5, 3)
+        maps_a, maps_b = lattice_square_maps(1), lattice_square_maps(3)
+        assert len(maps_a) == len(maps_b) == 28
+        fixed = added = 0
+        for phi_a, phi_b in itertools.product(maps_a, maps_b):
+            try:
+                eta_a = fixed_point_index(sa, ta, phi_a)
+                eta_b = fixed_point_index(sb, tb, phi_b)
+            except HasFixedPoint:
+                fixed += 1
+                continue
+            joined = glue(sa, ta, phi_a, sb, tb, phi_b)
+            assert fixed_point_index(joined.source, joined.target,
+                                     joined.phi) == eta_a + eta_b
+            added += 1
+        assert fixed > 0 and fixed + added == 784
+
+
+class TestIndexRungsScript:
+    def test_quick_report(self, capsys):
+        spec = importlib.util.spec_from_file_location(
+            "index_rungs",
+            Path(__file__).resolve().parent.parent / "scripts" / "index_rungs.py")
+        script = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(script)
+        assert script.main(["--quick"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        [rung] = report["rungs"]
+        assert rung["n"] == 16
+        assert set(rung["classes"]) == {"disjoint", "nested", "two_cross",
+                                        "general"}
+        for row in rung["classes"].values():
+            assert row["best_us"] > 0
+            # every step of a 16-gon pair's loop is walked; few get exact ends
+            assert row["cells_walked"] >= 32
+            assert 0 < row["cells_exact"] < row["cells_walked"]
 
 
 def nested_glue_fixture():
