@@ -49,9 +49,8 @@ from fpindex.plmap import (  # noqa: E402
     fixed_point_index,
     glue,
     random_correspondence,
-    transform_pair,
 )
-from fpindex.exact_geom import AffineMap, RatPoint  # noqa: E402
+from fpindex.exact_geom import RatPoint  # noqa: E402
 from fpindex.prescribe import oracle_enumerate, prescribe  # noqa: E402
 from fpindex.torus import (  # noqa: E402
     StaircasePath,
@@ -59,10 +58,10 @@ from fpindex.torus import (  # noqa: E402
     index_from_torus,
     path_of_correspondence,
     realize_path,
-    straight_path,
 )
 
 from geomgen import (  # noqa: E402
+    AffineMap,
     circle_pools,
     glued_square_fixture,
     grid_curve,
@@ -70,7 +69,9 @@ from geomgen import (  # noqa: E402
     path_through_constraints,
     random_monotone_path,
     random_transverse_pair,
+    straight_path,
     synthesize_constraints,
+    transform_pair,
 )
 from packfix import (  # noqa: E402
     bent_one_piece_pair,

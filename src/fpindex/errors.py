@@ -91,10 +91,6 @@ class FormulaMismatch(InvariantFailure):
     """The two index formulas (or a combinatorial/geometric pair) disagree."""
 
 
-class SquareTooLarge(InputRejection):
-    """No square around the mark avoids all other marks at this size."""
-
-
 class PathHitsMark(InputRejection):
     """The staircase path passes through a crossing mark."""
 
@@ -118,7 +114,8 @@ class InternalCaseGap(InvariantFailure):
 
 
 class TooLarge(InputRejection):
-    """The diagram exceeds the exhaustive oracle's size bound."""
+    """The diagram exceeds the exhaustive oracle's size bound. Kept with
+    oracle_enumerate until ROADMAP item 5's DP replaces the oracle."""
 
 
 # -- packings ----------------------------------------------------------------

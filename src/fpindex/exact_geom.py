@@ -125,6 +125,7 @@ class RatPoint:
         f = rat(factor)
         return RatPoint(self.x * f, self.y * f)
 
+    # kept for the benchmark's per-call timings until ROADMAP item 10
     def dot(self, other: "RatPoint") -> Fraction:
         return self.x * other.x + self.y * other.y
 
@@ -163,6 +164,7 @@ def in_box_int(a: IntPoint, b: IntPoint, p: IntPoint) -> bool:
             and min(a[1], b[1]) <= p[1] <= max(a[1], b[1]))
 
 
+# kept for the benchmark's per-call timings until ROADMAP item 10
 def orient2d(a: RatPoint, b: RatPoint, c: RatPoint) -> int:
     """+1 if a,b,c counterclockwise, -1 if clockwise, 0 if collinear."""
     _, xs, ys = integer_coords((a, b, c))
@@ -171,6 +173,7 @@ def orient2d(a: RatPoint, b: RatPoint, c: RatPoint) -> int:
     return (v > 0) - (v < 0)
 
 
+# kept for the benchmark's per-call timings until ROADMAP item 10
 @value_type
 class Segment:
     """A closed straight segment with distinct endpoints."""
@@ -193,6 +196,7 @@ class MeetKind(Enum):
     DEGENERATE = "degenerate"
 
 
+# kept for the benchmark's per-call timings until ROADMAP item 10
 @value_type
 class SegmentMeeting:
     """Outcome of intersecting two segments.
@@ -245,6 +249,7 @@ def meet_int(a: IntPoint, b: IntPoint, c: IntPoint, d: IntPoint,
     return MeetKind.EMPTY, d1, d2, d3, d4
 
 
+# kept for the benchmark's per-call timings until ROADMAP item 10
 def segment_intersection(s: Segment, t: Segment) -> SegmentMeeting:
     """Exact segment intersection, symmetric in its arguments."""
     _, xs, ys = integer_coords((s.a, s.b, t.a, t.b))
@@ -308,6 +313,7 @@ class PLLoop:
         for i in range(n):
             yield self.vertices[i], self.vertices[(i + 1) % n]
 
+    # kept for the benchmark's per-call timings until ROADMAP item 10
     def segments(self) -> list[Segment]:
         return [Segment(a, b) for a, b in self.edges()]
 
@@ -368,29 +374,13 @@ def origin_winding(cycle: Sequence[Sequence[int]]) -> int:
     return w
 
 
-def _winding_about(den: int, xs: Sequence[int], ys: Sequence[int],
-                   p: RatPoint) -> int:
-    """origin_winding of the points (xs / den, ys / den) taken relative to p."""
+def winding_number(loop: PLLoop, p: RatPoint) -> int:
+    """Winding number of the loop around p; PointOnLoop if p is on the loop."""
+    den, xs, ys = loop.int_coords
     e = lcm(p.x.denominator, p.y.denominator)
     px = p.x.numerator * (e // p.x.denominator) * den
     py = p.y.numerator * (e // p.y.denominator) * den
     return origin_winding([(x * e - px, y * e - py) for x, y in zip(xs, ys)])
-
-
-def winding_of_cycle(points: Sequence[RatPoint], p: RatPoint) -> int:
-    """Winding number of a cyclic point sequence around p.
-
-    Tolerates consecutive duplicate points (zero-length steps count for
-    nothing). Raises PointOnLoop when p lies on the traced path.
-    """
-    if not points:
-        raise ValueError("empty cycle")
-    return _winding_about(*integer_coords(points), p)
-
-
-def winding_number(loop: PLLoop, p: RatPoint) -> int:
-    """Winding number of the loop around p; PointOnLoop if p is on the loop."""
-    return _winding_about(*loop.int_coords, p)
 
 
 class PointLocation(Enum):
@@ -406,26 +396,3 @@ def point_in_polygon(loop: PLLoop, p: RatPoint) -> PointLocation:
     except PointOnLoop:
         return PointLocation.ON_BOUNDARY
     return PointLocation.INSIDE if inside else PointLocation.OUTSIDE
-
-
-@value_type
-class AffineMap:
-    """Exact affine plane map x' = a x + b y + e, y' = c x + d y + f."""
-
-    __slots__ = _fields = ("a", "b", "c", "d", "e", "f")
-
-    def __init__(self, a: Fraction, b: Fraction, c: Fraction, d: Fraction,
-                 e: Fraction = Fraction(0), f: Fraction = Fraction(0)) -> None:
-        _set(self, "a", a)
-        _set(self, "b", b)
-        _set(self, "c", c)
-        _set(self, "d", d)
-        _set(self, "e", e)
-        _set(self, "f", f)
-
-    def determinant(self) -> Fraction:
-        return self.a * self.d - self.b * self.c
-
-    def apply(self, p: RatPoint) -> RatPoint:
-        return RatPoint(self.a * p.x + self.b * p.y + self.e,
-                        self.c * p.x + self.d * p.y + self.f)

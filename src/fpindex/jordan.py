@@ -93,18 +93,17 @@ def _check_simple(loop: PLLoop) -> None:
     pts = list(zip(xs, ys))
     n = len(pts)
     bad: list[tuple[int, int]] = []
-    for k in range(n):
-        # Segments k and k + 1 share vertex k + 1; any doubling back puts a
-        # far endpoint on the other segment.
-        a, b, c = pts[k], pts[(k + 1) % n], pts[(k + 2) % n]
-        if cross_int(a, b, c) == 0 and (in_box_int(b, c, a)
-                                        or in_box_int(a, b, c)):
-            bad.append((k, k + 1) if k + 1 < n else (0, k))
     for i, j in _box_pairs(loop.edge_boxes):
         if j - i in (1, n - 1):
-            continue
-        kind = meet_int(pts[i], pts[(i + 1) % n], pts[j], pts[(j + 1) % n])[0]
-        if kind is not MeetKind.EMPTY:
+            # Segments k and k + 1 share vertex k + 1, so the sweep pairs
+            # them; any doubling back puts a far endpoint on the other one.
+            k = i if j == i + 1 else j
+            a, b, c = pts[k], pts[(k + 1) % n], pts[(k + 2) % n]
+            if cross_int(a, b, c) == 0 and (in_box_int(b, c, a)
+                                            or in_box_int(a, b, c)):
+                bad.append((i, j))
+        elif meet_int(pts[i], pts[(i + 1) % n], pts[j],
+                      pts[(j + 1) % n])[0] is not MeetKind.EMPTY:
             bad.append((i, j))
     if bad:
         i, j = min(bad)
@@ -193,9 +192,6 @@ def validate_curve(vertices: Sequence[RatPoint] | PLLoop) -> PolyJordanCurve:
 class CrossKind(Enum):
     P = "P"           # first curve enters the second region
     PTILDE = "Pt"     # first curve exits the second region
-
-    def other(self) -> "CrossKind":
-        return CrossKind.PTILDE if self is CrossKind.P else CrossKind.P
 
 
 @value_type
@@ -350,21 +346,22 @@ class ArrangementFace:
         _set(self, "polygon", polygon)
 
 
-def _arcs_of(curve: PolyJordanCurve, ordered: Sequence[Crossing],
-             param_attr: str) -> list[tuple[RatPoint, ...]]:
-    """Polyline of the curve's arc from each crossing of `ordered` to the
-    next. Vertex i of n sits at parameter i/n, so the vertices inside the
+def _arcs_of(curve: PolyJordanCurve,
+             stops: Sequence[tuple[Fraction, RatPoint]],
+             ) -> list[tuple[RatPoint, ...]]:
+    """Polyline of the curve's arc from each (parameter, point) stop to the
+    next, the stops sorted by parameter; a single stop gives the whole
+    loop. Vertex i of n sits at parameter i/n, so the vertices inside the
     arc from p to q are those with n p < i < n q, taken cyclically."""
     n = len(curve)
     arcs = []
-    for c_from, c_to in zip(ordered, ordered[1:] + ordered[:1]):
-        p_from, p_to = getattr(c_from, param_attr), getattr(c_to, param_attr)
+    for (p_from, a), (p_to, b) in zip(stops, stops[1:] + stops[:1]):
         lo = p_from.numerator * n // p_from.denominator + 1
         hi = -(-p_to.numerator * n // p_to.denominator)
         if p_to <= p_from:
             hi += n
         inner = [curve.vertices[i % n] for i in range(lo, hi)]
-        arcs.append((c_from.point, *inner, c_to.point))
+        arcs.append((a, *inner, b))
     return arcs
 
 
@@ -492,7 +489,8 @@ def build_arrangement(first: PolyJordanCurve, second: PolyJordanCurve,
     for tag, curve, order, attr in (
             ("first", first, crossings.crossings, "param_k"),
             ("second", second, crossings.by_param_kt(), "param_kt")):
-        for c, line in zip(order, _arcs_of(curve, order, attr)):
+        stops = [(getattr(c, attr), c.point) for c in order]
+        for c, line in zip(order, _arcs_of(curve, stops)):
             lines[tag, c.index] = line
     faces: list[ArrangementFace] = []
     unbounded = 0
@@ -510,16 +508,23 @@ def build_arrangement(first: PolyJordanCurve, second: PolyJordanCurve,
     return faces
 
 
-def _containment(first: PolyJordanCurve, second: PolyJordanCurve) -> str:
-    """How a transverse pair without crossings lies, as a value of
-    torus.Containment: "first_inside_second", "second_inside_first" or
-    "disjoint". Each curve lies on one side of the other, so one vertex of
-    each decides."""
+class Containment(Enum):
+    """Mutual position of a crossing-free pair."""
+
+    DISJOINT = "disjoint"
+    FIRST_INSIDE_SECOND = "first_inside_second"
+    SECOND_INSIDE_FIRST = "second_inside_first"
+
+
+def _containment(first: PolyJordanCurve,
+                 second: PolyJordanCurve) -> Containment:
+    """How a transverse pair without crossings lies. Each curve lies on one
+    side of the other, so one vertex of each decides."""
     if second.contains(first.vertices[0]) is PointLocation.INSIDE:
-        return "first_inside_second"
+        return Containment.FIRST_INSIDE_SECOND
     if first.contains(second.vertices[0]) is PointLocation.INSIDE:
-        return "second_inside_first"
-    return "disjoint"
+        return Containment.SECOND_INSIDE_FIRST
+    return Containment.DISJOINT
 
 
 def _trivial_arrangement(first: PolyJordanCurve,
@@ -528,10 +533,10 @@ def _trivial_arrangement(first: PolyJordanCurve,
     full1 = (("first", -1, -1, True),)
     full2 = (("second", -1, -1, True),)
     containment = _containment(first, second)
-    if containment == "first_inside_second":
+    if containment is Containment.FIRST_INSIDE_SECOND:
         faces = [ArrangementFace(0, full1, True, True, first.loop),
                  ArrangementFace(1, full1 + full2, False, True)]
-    elif containment == "second_inside_first":
+    elif containment is Containment.SECOND_INSIDE_FIRST:
         faces = [ArrangementFace(0, full2, True, True, second.loop),
                  ArrangementFace(1, full1 + full2, True, False)]
     else:  # disjoint
@@ -562,31 +567,6 @@ def cuts_each_other(first: PolyJordanCurve, second: PolyJordanCurve) -> bool:
     rendering.
     """
     return crossing_pattern_cuts(check_transverse(first, second))
-
-
-def crossing_word(crossings: CrossingSet) -> tuple[int, ...]:
-    """Canonical combinatorial class word of a crossing set.
-
-    Crossings are numbered along the first curve; the word records the
-    sequence of those numbers along the second curve, started at an entering
-    crossing and shifted so it opens with 0, minimized over all entering
-    starts. Two transverse pairs get equal words exactly when their crossing
-    patterns match combinatorially.
-    """
-    n = len(crossings)
-    if n == 0:
-        raise InvariantFailure("word undefined without crossings")
-    kt_seq = [c.index for c in crossings.by_param_kt()]
-    best: tuple[int, ...] | None = None
-    for c in crossings:
-        if c.kind != CrossKind.P:
-            continue
-        start = kt_seq.index(c.index)
-        tau = tuple((kt_seq[(start + t) % n] - c.index) % n for t in range(n))
-        if best is None or tau < best:
-            best = tau
-    assert best is not None
-    return best
 
 
 def canonical_noncut_pair(m: int) -> tuple[PolyJordanCurve, PolyJordanCurve]:

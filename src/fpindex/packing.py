@@ -55,6 +55,7 @@ from .exact_geom import (
 )
 from .jordan import (
     PolyJordanCurve,
+    _arcs_of,
     check_transverse,
     crossing_pattern_cuts,
     segment_contacts,
@@ -146,14 +147,6 @@ class ContactGraph:
         _set(self, "piece_count", piece_count)
         _set(self, "edges", edges)
         _set(self, "triangles", triangles)
-
-    def sorted_edges(self) -> tuple[tuple, ...]:
-        pairs = [tuple(sorted(e, key=_label_key)) for e in self.edges]
-        return tuple(sorted(pairs, key=lambda p: tuple(map(_label_key, p))))
-
-    def sorted_triangles(self) -> tuple[tuple, ...]:
-        trips = [tuple(sorted(t, key=_label_key)) for t in self.triangles]
-        return tuple(sorted(trips, key=lambda p: tuple(map(_label_key, p))))
 
 
 @value_type
@@ -362,15 +355,10 @@ def _split_curve(curve: PolyJordanCurve, stops: list[tuple[int, int]],
     (vertex index, node id) stops, in positive cyclic order."""
     n = len(curve)
     stops = sorted(stops)
-    runs = []
-    for k, (vi, tail) in enumerate(stops):
-        vj, head = stops[(k + 1) % len(stops)]
-        count = (vj - vi) % n
-        if count == 0:
-            count = n  # a single stop keeps the whole loop
-        pts = tuple(curve.vertices[(vi + t) % n] for t in range(count + 1))
-        runs.append((tail, head, pts))
-    return runs
+    lines = _arcs_of(curve, [(Fraction(i, n), curve.vertices[i])
+                             for i, _ in stops])
+    return [(tail, head, line) for (_, tail), (_, head), line
+            in zip(stops, stops[1:] + stops[:1], lines)]
 
 
 @value_type

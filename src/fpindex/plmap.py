@@ -46,13 +46,11 @@ from .errors import (
     PointOnLoop,
 )
 from .exact_geom import (
-    AffineMap,
     PLLoop,
     RatPoint,
     _new,
     _set,
     edge_crossing,
-    trusted,
     value_type,
 )
 from .jordan import PolyJordanCurve, validate_curve
@@ -270,7 +268,8 @@ def _difference_at(source: PolyJordanCurve, target: PolyJordanCurve):
 
 def difference_loop(source: PolyJordanCurve, target: PolyJordanCurve,
                     phi: PLCorrespondence) -> PLLoop:
-    """The loop of displacement vectors target(phi(s)) - source(s)."""
+    """The loop of displacement vectors target(phi(s)) - source(s). It is
+    the index's definition, which the tests hold fixed_point_index to."""
     _, _, at = _difference_at(source, target)
     points: list[RatPoint] = []
     for entry in _bend_walk(len(source), len(target), phi):
@@ -325,26 +324,6 @@ def fixed_point_index(source: PolyJordanCurve, target: PolyJordanCurve,
                 "correspondence is the identity on the boundary") from exc
         raise HasFixedPoint("difference loop passes through the origin") from exc
     return w
-
-
-def transform_pair(source: PolyJordanCurve, target: PolyJordanCurve,
-                   phi: PLCorrespondence, mapping: AffineMap,
-                   ) -> tuple[PolyJordanCurve, PolyJordanCurve, PLCorrespondence]:
-    """Transport a correspondence along an orientation-preserving affine map.
-
-    Parameters are per-edge fractions, which affine maps preserve, so the same
-    breakpoint table works for the transformed curves. A map with positive
-    determinant keeps a curve simple and counterclockwise, so the images are
-    not checked again.
-    """
-    if mapping.determinant() <= 0:
-        raise NotOrientationPreserving("affine map must have positive determinant")
-
-    def image(curve: PolyJordanCurve) -> PolyJordanCurve:
-        return trusted(PolyJordanCurve, loop=PLLoop(tuple(
-            [mapping.apply(p) for p in curve.vertices])))
-
-    return image(source), image(target), phi
 
 
 # -- gluing ------------------------------------------------------------------

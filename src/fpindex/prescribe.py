@@ -134,7 +134,8 @@ class BoxCategory(Enum):
 
 
 def find_doubly_adjacent(diagram: TorusDiagram) -> list[AdjacencyBox]:
-    """Every doubly adjacent pair's box, in column order."""
+    """Every doubly adjacent pair's box, in column order. The README names
+    it as API; the solver builds each box only when it reaches the pair."""
     return [_build_box(diagram, *pair) for pair in _adjacent_pairs(diagram)]
 
 
@@ -382,20 +383,16 @@ def _candidate_plans(box: AdjacencyBox, category: BoxCategory, path_bits):
 def _frame_assignment(diagram: TorusDiagram, box: AdjacencyBox, bits):
     """Turn a requirement stated in the box's frame into bits at the main
     cut, or None when the frame geometry makes it unsatisfiable."""
-    if box.base_constraint == 1:
-        return {box.entry_id: bits[0], box.exit_id: bits[1]}
-    cx, cy = diagram.constraint_rank(box.base_constraint)
-    marks = {m.crossing_id: m for m in diagram.marks}
+    above, below = diagram._forced_marks[box.base_constraint]
     out = {}
     for cid, bit in zip((box.entry_id, box.exit_id), bits):
-        m = marks[cid]
-        if m.col < cx and m.row > cy:
+        if cid in above:
             # the box frame sees this mark below any faithful path, while
             # the main cut forces it above
             if bit == ABOVE:
                 return None
             out[cid] = ABOVE
-        elif m.col > cx and m.row < cy:
+        elif cid in below:
             if bit == BELOW:
                 return None
             out[cid] = BELOW
@@ -536,15 +533,12 @@ def _solve(diagram: TorusDiagram, depth: int, levels: list[TraceLevel]):
         grid_rows = (c2[1], c3[1])
         if len({_cell(m.col, grid_cols) for m in marks}) == 1 or \
                 len({_cell(m.row, grid_rows) for m in marks}) == 1:
-            forced = {}
-            for m in marks:
-                for cx, cy in (c2, c3):
-                    if m.col < cx and m.row > cy:
-                        forced[m.crossing_id] = ABOVE
-                    elif m.col > cx and m.row < cy:
-                        forced[m.crossing_id] = BELOW
-            candidates = [[cid for cid in ids if forced.get(cid, free) == BELOW]
-                          for free in (BELOW, ABOVE)]
+            # no mark is up-left of one constraint and down-right of the other
+            forced = diagram._forced_marks
+            forced_above = forced[2][0] | forced[3][0]
+            forced_below = forced[2][1] | forced[3][1]
+            candidates = [[cid for cid in ids if cid not in forced_above],
+                          [cid for cid in ids if cid in forced_below]]
     best = None
     for picks in candidates:
         below = frozenset(picks)
@@ -624,7 +618,8 @@ def oracle_enumerate(diagram: TorusDiagram,
     Exhausts all mark bipartitions and keeps the realizable ones. Extra
     prescribed pairs (source, target parameters) shrink the feasible set
     without changing any value, turning the three-point problem into a
-    diagnostic four-or-more-point one.
+    diagnostic four-or-more-point one. It stays, with TooLarge, until
+    ROADMAP item 5's DP replaces it.
     """
     marks = diagram.marks
     if len(marks) > 12:

@@ -36,7 +36,6 @@ trusted constructor `exact_geom.trusted`; each such function says why.
 from __future__ import annotations
 
 import bisect
-from enum import Enum
 from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Sequence
@@ -50,27 +49,18 @@ from .errors import (
     InvariantFailure,
     OrderViolation,
     PathHitsMark,
-    SquareTooLarge,
 )
-from .exact_geom import (
-    RatPoint,
-    _set,
-    trusted,
-    value_type,
-    winding_of_cycle,
+from .exact_geom import _set, trusted, value_type
+from .jordan import (
+    Containment,
+    CrossKind,
+    CrossingSet,
+    PolyJordanCurve,
+    _containment,
 )
-from .jordan import CrossKind, CrossingSet, PolyJordanCurve, _containment
 from .plmap import PLCorrespondence
 
 TokenId = tuple[str, int]  # ("c", 1..3) for constraints, ("m", id) for marks
-
-
-class Containment(Enum):
-    """Mutual position of a crossing-free pair."""
-
-    DISJOINT = "disjoint"
-    FIRST_INSIDE_SECOND = "first_inside_second"
-    SECOND_INSIDE_FIRST = "second_inside_first"
 
 
 @value_type
@@ -110,19 +100,15 @@ class TorusDiagram:
     """
 
     _fields = ("col_order", "row_order", "kinds", "containment", "col_params",
-               "row_params", "first", "second", "crossings")
+               "row_params")
     containment = col_params = row_params = None
-    first = second = crossings = None
 
     def __init__(self, col_order: tuple[TokenId, ...],
                  row_order: tuple[TokenId, ...],
                  kinds: tuple[tuple[int, CrossKind], ...],
                  containment: Containment | None = None,
                  col_params: tuple[Fraction, ...] | None = None,
-                 row_params: tuple[Fraction, ...] | None = None,
-                 first: PolyJordanCurve | None = None,
-                 second: PolyJordanCurve | None = None,
-                 crossings: CrossingSet | None = None) -> None:
+                 row_params: tuple[Fraction, ...] | None = None) -> None:
         cols, rows = col_order, row_order
         if sorted(cols) != sorted(rows):
             raise InputRejection("column and row token sets differ")
@@ -162,9 +148,6 @@ class TorusDiagram:
         _set(self, "containment", containment)
         _set(self, "col_params", col_params)
         _set(self, "row_params", row_params)
-        _set(self, "first", first)
-        _set(self, "second", second)
-        _set(self, "crossings", crossings)
 
     @property
     def size(self) -> int:
@@ -202,6 +185,17 @@ class TorusDiagram:
         col, row = self._constraint_ranks[i]
         return Fraction(col, self.size), Fraction(row, self.size)
 
+    @cached_property
+    def _forced_marks(self) -> dict[int, tuple[frozenset[int], frozenset[int]]]:
+        """(above, below) per constraint i: the ids of the marks strictly up
+        and left of it, which every path through its lattice point passes
+        below, and of those strictly down and right, which it passes above."""
+        return {i: (frozenset([m.crossing_id for m in self.marks
+                               if m.col < c and m.row > r]),
+                    frozenset([m.crossing_id for m in self.marks
+                               if m.col > c and m.row < r]))
+                for i, (c, r) in self._constraint_ranks.items()}
+
     def membership(self, i: int = 1) -> tuple[bool, bool]:
         """Is constraint i's source point inside the second region, and its
         target point inside the first? Decided by the next crossing ahead."""
@@ -223,31 +217,46 @@ class TorusDiagram:
                 next_is_p(self.row_order, row))
 
     @cached_property
-    def _col_offsets(self) -> tuple[Fraction, ...] | None:
-        return _cyclic_offsets(self.col_params)
-
-    @cached_property
-    def _row_offsets(self) -> tuple[Fraction, ...] | None:
-        return _cyclic_offsets(self.row_params)
+    def _offsets(self) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
+        """Per axis, each token's parameter offset from the first token, mod
+        1, as an integer pair (numerator, denominator), closed by (1, 1)."""
+        return tuple([[((p - params[0]) % 1).as_integer_ratio()
+                       for p in params] + [(1, 1)]
+                      for params in (self.col_params, self.row_params)])
 
     @cached_property
     def _unit_params(self) -> tuple[list[Fraction], list[Fraction]]:
         return [p % 1 for p in self.col_params], [p % 1 for p in self.row_params]
 
     def x_of_param(self, s: Fraction) -> Fraction:
-        return _position_of_param(self.col_params, self._col_offsets, s)
+        """Position in [0, 1) of a first-curve parameter: from token k's
+        parameter to token k + 1's it runs linearly from k/n to (k + 1)/n.
+        A diagram without true parameters places s at s mod 1."""
+        return self._position(0, self.col_params, s)
 
     def y_of_param(self, t: Fraction) -> Fraction:
-        return _position_of_param(self.row_params, self._row_offsets, t)
+        """Position of a second-curve parameter, as x_of_param."""
+        return self._position(1, self.row_params, t)
+
+    def _position(self, axis: int, params, value: Fraction) -> Fraction:
+        value %= 1
+        if params is None:
+            return value
+        offsets = self._offsets[axis]
+        num, den = ((value - params[0]) % 1).as_integer_ratio()
+        # the last offset at or below num / den, by the sign of a product
+        k = bisect.bisect_right(
+            offsets, 0, key=lambda o: o[0] * den - num * o[1]) - 1
+        return _rank_position(k, num, den, offsets, self.size)
 
     def without_marks(self, ids: Iterable[int]) -> "TorusDiagram":
         """Drop the given marks, keeping every other token's cyclic position.
 
         The child is purely combinatorial: token orders, kinds and a
-        containment tag, with no true parameters or linked curves. Dropping
-        the last marks freezes the current membership answer into that tag:
-        removing a doubly adjacent pair never sweeps across a constraint
-        point, so its membership is unchanged.
+        containment tag, with no true parameters. Dropping the last marks
+        freezes the current membership answer into that tag: removing a
+        doubly adjacent pair never sweeps across a constraint point, so its
+        membership is unchanged.
 
         Removing marks leaves the constraints, their order and the other
         tokens as they were, so of the constructor's checks only the even
@@ -318,30 +327,6 @@ def _cyclically_increasing(params: Sequence[Fraction]) -> bool:
     return drops == 0 or (drops == 1 and params[-1] < params[0])
 
 
-def _cyclic_offsets(params: tuple[Fraction, ...] | None,
-                    ) -> tuple[Fraction, ...] | None:
-    """Each token's parameter offset from the first token, closed by 1."""
-    if params is None:
-        return None
-    base = params[0]
-    return tuple([(p - base) % 1 for p in params] + [Fraction(1)])
-
-
-def _position_of_param(params: tuple[Fraction, ...] | None,
-                       offsets: tuple[Fraction, ...] | None,
-                       value: Fraction) -> Fraction:
-    value = value % 1
-    if params is None:
-        return value
-    size = len(params)
-    off = (value - params[0]) % 1
-    k = bisect.bisect_right(offsets, off) - 1
-    if not 0 <= k < size:
-        raise InvariantFailure("parameter fell outside the token cover")
-    frac = (off - offsets[k]) / (offsets[k + 1] - offsets[k])
-    return (k + frac) / size
-
-
 def build_diagram(first: PolyJordanCurve, second: PolyJordanCurve,
                   crossings: CrossingSet,
                   constraint_pairs: Sequence[tuple[Fraction, Fraction]],
@@ -400,20 +385,10 @@ def build_diagram(first: PolyJordanCurve, second: PolyJordanCurve,
         col_order=col_order,
         row_order=row_order,
         kinds=tuple((c.index, c.kind) for c in crossings),
-        containment=(Containment(_containment(first, second))
+        containment=(_containment(first, second)
                      if len(crossings) == 0 else None),
         col_params=col_params,
-        row_params=row_params,
-        first=first, second=second, crossings=crossings)
-
-
-def abstract_diagram(col_order: Sequence[TokenId], row_order: Sequence[TokenId],
-                     kinds: dict[int, CrossKind],
-                     containment: Containment | None = None) -> TorusDiagram:
-    """Purely combinatorial diagram, for synthesis and enumeration."""
-    return TorusDiagram(col_order=tuple(col_order), row_order=tuple(row_order),
-                        kinds=tuple(sorted(kinds.items())),
-                        containment=containment)
+        row_params=row_params)
 
 
 # -- paths -------------------------------------------------------------------
@@ -448,16 +423,6 @@ class StaircasePath:
         return self.y_at(x) == y
 
 
-def straight_path(diagram: TorusDiagram) -> StaircasePath:
-    """The polyline through the three constraint lattice points."""
-    x2, y2 = diagram.constraint_point(2)
-    x3, y3 = diagram.constraint_point(3)
-    # the diagram's constraints rise in both orders: 0 < rank 2 < rank 3 < n
-    return trusted(StaircasePath, points=(
-        (Fraction(0), Fraction(0)), (x2, y2), (x3, y3),
-        (Fraction(1), Fraction(1))))
-
-
 def path_of_correspondence(diagram: TorusDiagram,
                            phi: PLCorrespondence) -> StaircasePath:
     """Graph of a correspondence in the cut square.
@@ -487,8 +452,7 @@ def path_of_correspondence(diagram: TorusDiagram,
     knots = [(u_last - 1, v_last - 1), *knots, (u_first + 1, v_first + 1)]
     knots = [(u.numerator, u.denominator, v.numerator, v.denominator)
              for u, v in knots]
-    cols = [(c.numerator, c.denominator) for c in diagram._col_offsets]
-    rows = [(r.numerator, r.denominator) for r in diagram._row_offsets]
+    cols, rows = diagram._offsets
     # u at each row token's v, on the piece of phi over it; then u = 1
     pre = []
     p = 0
@@ -656,11 +620,9 @@ def index_from_torus(diagram: TorusDiagram, path: StaircasePath,
             if not path.passes_through(x, y):
                 raise BasePointOnGrid(
                     f"cannot move the cut to constraint {i}: path misses it")
-            c, r = diagram.constraint_rank(i)
-            down = {m.crossing_id for m in diagram.marks if m.col < c and m.row > r}
-            up = {m.crossing_id for m in diagram.marks if m.col > c and m.row < r}
-            again = _read_index(diagram, (below - up) | down,
-                                (above - down) | up, i)
+            up_left, down_right = diagram._forced_marks[i]
+            again = _read_index(diagram, (below - down_right) | up_left,
+                                (above - up_left) | down_right, i)
             if again != eta:
                 raise FormulaMismatch(
                     f"cut at constraint {i} gives {again}, not {eta}")
@@ -677,32 +639,3 @@ def _read_index(diagram: TorusDiagram, below, above, i: int) -> int:
         raise FormulaMismatch(
             f"below-form gives {eta_below}, above-form gives {eta_above}")
     return eta_below
-
-
-def local_winding(diagram: TorusDiagram, crossing_id: int,
-                  eps: Fraction | None = None) -> int:
-    """Winding of the displacement image of a small parameter square around
-    a crossing: +1 at entering crossings, -1 at exiting ones."""
-    if diagram.first is None or diagram.crossings is None:
-        raise InputRejection("local winding needs the linked curves")
-    crossing = next(c for c in diagram.crossings if c.index == crossing_id)
-
-    def bound(value: Fraction, others: list[Fraction], n: int) -> Fraction:
-        gaps = [(o - value) % 1 for o in others if o != value]
-        gaps += [(value - o) % 1 for o in others if o != value]
-        seg = Fraction(1, n)
-        in_seg = min((value % seg), seg - (value % seg)) or seg
-        return min(gaps + [in_seg])
-
-    s, t = crossing.param_k, crossing.param_kt
-    s_max = bound(s, list(diagram.col_params), len(diagram.first))
-    t_max = bound(t, list(diagram.row_params), len(diagram.second))
-    if eps is None:
-        eps = min(s_max, t_max) / 2
-    elif eps >= min(s_max, t_max):
-        raise SquareTooLarge("square would cross another token or a vertex")
-    corners = [(s - eps, t - eps), (s + eps, t - eps),
-               (s + eps, t + eps), (s - eps, t + eps)]
-    cycle = [diagram.second.point_at(tc) - diagram.first.point_at(sc)
-             for sc, tc in corners]
-    return winding_of_cycle(cycle, RatPoint(Fraction(0), Fraction(0)))

@@ -1,18 +1,23 @@
-"""Shared seeded generators for geometry tests.
+"""Shared seeded generators for geometry tests, and the reference helpers
+that only tests and scripts use.
 
 Everything here produces exact rational data from a `random.Random` instance,
 so any failure reproduces from the seed alone.
 """
 from __future__ import annotations
 
+import bisect
 import math
 import random
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from fpindex.errors import (
+    InputRejection,
     InvariantFailure,
+    NotOrientationPreserving,
     NotPositivelyOriented,
     NotSimple,
     NotTransverse,
@@ -22,10 +27,16 @@ from fpindex.exact_geom import (
     PointLocation,
     RatPoint,
     Segment,
+    integer_coords,
+    origin_winding,
     point_in_polygon,
     pt,
+    trusted,
 )
 from fpindex.jordan import (
+    Containment,
+    CrossKind,
+    Crossing,
     CrossingSet,
     PolyJordanCurve,
     check_transverse,
@@ -34,7 +45,7 @@ from fpindex.jordan import (
 )
 from fpindex.plmap import PLCorrespondence
 from fpindex.prescribe import ABOVE, BELOW, _events, _staircase, _walk
-from fpindex.torus import StaircasePath, TorusDiagram
+from fpindex.torus import StaircasePath, TokenId, TorusDiagram
 
 
 # -- reference geometry -------------------------------------------------------
@@ -163,19 +174,139 @@ def reversed_loop(loop: PLLoop) -> PLLoop:
     return PLLoop(tuple(reversed(loop.vertices)))
 
 
-def membership_matches_geometry(diagram: TorusDiagram) -> bool:
+def membership_matches_geometry(diagram: TorusDiagram,
+                                first: PolyJordanCurve,
+                                second: PolyJordanCurve) -> bool:
     """Whether the diagram's combinatorial memberships at constraint 1 agree
-    with exact point-in-polygon queries on its linked curves; True for a
-    diagram without curves."""
-    if diagram.first is None:
-        return True
+    with exact point-in-polygon queries on the curves it was built from."""
     in_second, in_first = diagram.membership(1)
-    u = diagram.first.point_at(diagram.col_params[0])
-    v = diagram.second.point_at(diagram.row_params[0])
-    return ((point_in_polygon(diagram.second.loop, u)
+    u = first.point_at(diagram.col_params[0])
+    v = second.point_at(diagram.row_params[0])
+    return ((point_in_polygon(second.loop, u)
              is PointLocation.INSIDE) == in_second
-            and (point_in_polygon(diagram.first.loop, v)
+            and (point_in_polygon(first.loop, v)
                  is PointLocation.INSIDE) == in_first)
+
+
+def winding_of_cycle(points: Sequence[RatPoint], p: RatPoint) -> int:
+    """Winding number of a cyclic point sequence around p.
+
+    Tolerates consecutive duplicate points (zero-length steps count for
+    nothing). Raises PointOnLoop when p lies on the traced path.
+    """
+    _, xs, ys = integer_coords([q - p for q in points])
+    return origin_winding(list(zip(xs, ys)))
+
+
+class SquareTooLarge(InputRejection):
+    """No square around the mark avoids all other marks at this size."""
+
+
+def local_winding(diagram: TorusDiagram, first: PolyJordanCurve,
+                  second: PolyJordanCurve, crossing: Crossing,
+                  eps: Fraction | None = None) -> int:
+    """Winding of the displacement image of a small parameter square around
+    a crossing of first and second, on the diagram built from them: +1 at
+    entering crossings, -1 at exiting ones."""
+    def bound(value: Fraction, others: list[Fraction], n: int) -> Fraction:
+        gaps = [(o - value) % 1 for o in others if o != value]
+        gaps += [(value - o) % 1 for o in others if o != value]
+        seg = Fraction(1, n)
+        in_seg = min((value % seg), seg - (value % seg)) or seg
+        return min(gaps + [in_seg])
+
+    s, t = crossing.param_k, crossing.param_kt
+    s_max = bound(s, list(diagram.col_params), len(first))
+    t_max = bound(t, list(diagram.row_params), len(second))
+    if eps is None:
+        eps = min(s_max, t_max) / 2
+    elif eps >= min(s_max, t_max):
+        raise SquareTooLarge("square would cross another token or a vertex")
+    corners = [(s - eps, t - eps), (s + eps, t - eps),
+               (s + eps, t + eps), (s - eps, t + eps)]
+    cycle = [second.point_at(tc) - first.point_at(sc) for sc, tc in corners]
+    return winding_of_cycle(cycle, RatPoint(Fraction(0), Fraction(0)))
+
+
+def abstract_diagram(col_order: Sequence[TokenId], row_order: Sequence[TokenId],
+                     kinds: dict[int, CrossKind],
+                     containment: Containment | None = None) -> TorusDiagram:
+    """Purely combinatorial diagram, for synthesis and enumeration."""
+    return TorusDiagram(col_order=tuple(col_order), row_order=tuple(row_order),
+                        kinds=tuple(sorted(kinds.items())),
+                        containment=containment)
+
+
+def straight_path(diagram: TorusDiagram) -> StaircasePath:
+    """The polyline through the three constraint lattice points."""
+    x2, y2 = diagram.constraint_point(2)
+    x3, y3 = diagram.constraint_point(3)
+    # the diagram's constraints rise in both orders: 0 < rank 2 < rank 3 < n
+    return trusted(StaircasePath, points=(
+        (Fraction(0), Fraction(0)), (x2, y2), (x3, y3),
+        (Fraction(1), Fraction(1))))
+
+
+def cyclic_offsets(params: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
+    """Each token's parameter offset from the first token, closed by 1."""
+    base = params[0]
+    return tuple([(p - base) % 1 for p in params] + [Fraction(1)])
+
+
+def position_of_param(params: tuple[Fraction, ...] | None,
+                      value: Fraction) -> Fraction:
+    """TorusDiagram.x_of_param and y_of_param on `Fraction`s: the offset
+    from the first token placed between its two tokens by a bisection."""
+    value = value % 1
+    if params is None:
+        return value
+    offsets = cyclic_offsets(params)
+    size = len(params)
+    off = (value - params[0]) % 1
+    k = bisect.bisect_right(offsets, off) - 1
+    if not 0 <= k < size:
+        raise InvariantFailure("parameter fell outside the token cover")
+    frac = (off - offsets[k]) / (offsets[k + 1] - offsets[k])
+    return (k + frac) / size
+
+
+@dataclass(frozen=True)
+class AffineMap:
+    """Exact affine plane map x' = a x + b y + e, y' = c x + d y + f."""
+
+    a: Fraction
+    b: Fraction
+    c: Fraction
+    d: Fraction
+    e: Fraction = Fraction(0)
+    f: Fraction = Fraction(0)
+
+    def determinant(self) -> Fraction:
+        return self.a * self.d - self.b * self.c
+
+    def apply(self, p: RatPoint) -> RatPoint:
+        return RatPoint(self.a * p.x + self.b * p.y + self.e,
+                        self.c * p.x + self.d * p.y + self.f)
+
+
+def transform_pair(source: PolyJordanCurve, target: PolyJordanCurve,
+                   phi: PLCorrespondence, mapping: AffineMap,
+                   ) -> tuple[PolyJordanCurve, PolyJordanCurve, PLCorrespondence]:
+    """Transport a correspondence along an orientation-preserving affine map.
+
+    Parameters are per-edge fractions, which affine maps preserve, so the same
+    breakpoint table works for the transformed curves. A map with positive
+    determinant keeps a curve simple and counterclockwise, so the images are
+    not checked again.
+    """
+    if mapping.determinant() <= 0:
+        raise NotOrientationPreserving("affine map must have positive determinant")
+
+    def image(curve: PolyJordanCurve) -> PolyJordanCurve:
+        return trusted(PolyJordanCurve, loop=PLLoop(tuple(
+            [mapping.apply(p) for p in curve.vertices])))
+
+    return image(source), image(target), phi
 
 
 # -- threaded paths -----------------------------------------------------------

@@ -7,7 +7,8 @@ together form a single closed cycle. Choosing which outside face is unbounded
 fixes the labeling. This module enumerates every such configuration, labels
 its faces by exact flood fill on the dual graph, filters the non-cutting ones,
 and reduces each to a canonical word so distinct geometric realizations can be
-compared against the full combinatorial catalog.
+compared against the full combinatorial catalog; `crossing_word` reads that
+word off a geometric crossing set.
 
 This code shares nothing with the package's geometric arrangement builder; it
 exists to cross-check it.
@@ -203,4 +204,30 @@ def _word(n, edges, halves, twin, face_of, in_kt) -> tuple[int, ...]:
         if best is None or tau < best:
             best = tau
     assert best is not None, "no entering crossing found"
+    return best
+
+
+def crossing_word(crossings) -> tuple[int, ...]:
+    """Canonical combinatorial class word of a `jordan.CrossingSet`, read
+    from its crossing orders and kinds.
+
+    Crossings are numbered along the first curve; the word records the
+    sequence of those numbers along the second curve, started at an entering
+    crossing and shifted so it opens with 0, minimized over all entering
+    starts. Two transverse pairs get equal words exactly when their crossing
+    patterns match combinatorially.
+    """
+    n = len(crossings)
+    if n == 0:
+        raise ValueError("word undefined without crossings")
+    kt_seq = [c.index for c in crossings.by_param_kt()]
+    best: tuple[int, ...] | None = None
+    for c in crossings:
+        if c.kind.value != "P":
+            continue
+        start = kt_seq.index(c.index)
+        tau = tuple((kt_seq[(start + t) % n] - c.index) % n for t in range(n))
+        if best is None or tau < best:
+            best = tau
+    assert best is not None
     return best

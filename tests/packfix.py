@@ -7,7 +7,7 @@ from fractions import Fraction
 
 from fpindex.exact_geom import PLLoop, RatPoint
 from fpindex.jordan import PolyJordanCurve
-from fpindex.packing import PackingSpec, TopoRectangle
+from fpindex.packing import PackingSpec, TopoRectangle, _label_key
 
 F = Fraction
 
@@ -18,6 +18,18 @@ def pt(x, y) -> RatPoint:
 
 def curve(*vertices) -> PolyJordanCurve:
     return PolyJordanCurve(PLLoop(tuple(pt(x, y) for x, y in vertices)))
+
+
+def sorted_edges(graph) -> tuple[tuple, ...]:
+    """A `ContactGraph`'s edges as sorted label pairs, frame sides first."""
+    pairs = [tuple(sorted(e, key=_label_key)) for e in graph.edges]
+    return tuple(sorted(pairs, key=lambda p: tuple(map(_label_key, p))))
+
+
+def sorted_triangles(graph) -> tuple[tuple, ...]:
+    """A `ContactGraph`'s triangles as sorted label triples."""
+    trips = [tuple(sorted(t, key=_label_key)) for t in graph.triangles]
+    return tuple(sorted(trips, key=lambda p: tuple(map(_label_key, p))))
 
 
 def one_piece_pair() -> tuple[PackingSpec, PackingSpec, list[int]]:

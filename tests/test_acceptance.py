@@ -14,13 +14,11 @@ from fractions import Fraction
 from pathlib import Path
 
 from fpindex.errors import HasFixedPoint
-from fpindex.exact_geom import AffineMap
 from fpindex.jordan import (
     CrossKind,
     PolyJordanCurve,
     canonical_noncut_pair,
     check_transverse,
-    crossing_word,
 )
 from fpindex.packing import assemble_theorem_certificate, find_cutting_pair
 from fpindex.plmap import (
@@ -28,27 +26,28 @@ from fpindex.plmap import (
     fixed_point_index,
     glue,
     random_correspondence,
-    transform_pair,
 )
 from fpindex.prescribe import oracle_enumerate, prescribe
 from fpindex.serialize import load_curve, load_json_file, load_map
 from fpindex.torus import (
     build_diagram,
     index_from_torus,
-    local_winding,
     path_of_correspondence,
     realize_path,
 )
 
 from geomgen import (
+    AffineMap,
     circle_pools,
     glued_square_fixture,
+    local_winding,
     membership_matches_geometry,
     random_transverse_pair,
     square_curve,
     synthesize_constraints,
+    transform_pair,
 )
-from meander_oracle import enumerate_noncut_words
+from meander_oracle import crossing_word, enumerate_noncut_words
 from packfix import one_piece_pair, two_piece_pair
 
 F = Fraction
@@ -166,13 +165,14 @@ def test_c04_torus_reading_matches_geometry_on_1000_instances():
             diagram = build_diagram(first, second, crossings, pairs)
             path = path_of_correspondence(diagram, phi)
             eta = index_from_torus(diagram, path, check_all_bases=True)
-            assert membership_matches_geometry(diagram)
+            assert membership_matches_geometry(diagram, first, second)
             realized = realize_path(diagram, path)
             assert fixed_point_index(first, second, realized) == eta
             if not windings_checked:
                 for crossing in crossings:
                     want = 1 if crossing.kind is CrossKind.P else -1
-                    assert local_winding(diagram, crossing.index) == want
+                    assert local_winding(diagram, first, second,
+                                         crossing) == want
                 windings_checked = True
             instances += 1
     assert instances == 1000

@@ -18,7 +18,6 @@ from fpindex.exact_geom import (
     segment_intersection,
     signed_area,
     winding_number,
-    winding_of_cycle,
 )
 from geomgen import (
     cmp_directions_ccw,
@@ -27,6 +26,7 @@ from geomgen import (
     reversed_loop,
     star_polygon,
     turning_winding_oracle,
+    winding_of_cycle,
 )
 
 UNIT_SQUARE = PLLoop((pt(0, 0), pt(1, 0), pt(1, 1), pt(0, 1)))

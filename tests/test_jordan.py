@@ -12,7 +12,6 @@ from fpindex.errors import (
     NotTransverse,
 )
 from fpindex.exact_geom import (
-    AffineMap,
     PLLoop,
     PointLocation,
     RatPoint,
@@ -34,13 +33,12 @@ from fpindex.jordan import (
     check_transverse,
     crossing_faces,
     crossing_pattern_cuts,
-    crossing_word,
     cuts_each_other,
     validate_curve,
 )
-from fpindex.plmap import transform_pair
 
 from geomgen import (
+    AffineMap,
     angular_trace_faces,
     circle_polygon,
     identity_params,
@@ -48,8 +46,9 @@ from geomgen import (
     random_transverse_pair,
     reversed_loop,
     star_polygon,
+    transform_pair,
 )
-from meander_oracle import enumerate_noncut_words
+from meander_oracle import crossing_word, enumerate_noncut_words
 
 
 def square(x0, y0, x1, y1):
@@ -403,9 +402,9 @@ def alternating_patterns(m):
     """Every crossing set with 2m crossings whose kinds alternate along both
     curves, the second curve's order listed from crossing 0."""
     n = 2 * m
-    for first_kind in (CrossKind.P, CrossKind.PTILDE):
-        kinds = [first_kind if k % 2 == 0 else first_kind.other()
-                 for k in range(n)]
+    for first_kind, other_kind in ((CrossKind.P, CrossKind.PTILDE),
+                                   (CrossKind.PTILDE, CrossKind.P)):
+        kinds = [first_kind if k % 2 == 0 else other_kind for k in range(n)]
         odd, even = range(1, n, 2), range(2, n, 2)
         for odds, evens in itertools.product(itertools.permutations(odd),
                                              itertools.permutations(even)):
@@ -426,7 +425,8 @@ def geometric_faces(first, second, cs):
     for tag, curve, order, attr in (
             ("first", first, cs.crossings, "param_k"),
             ("second", second, cs.by_param_kt(), "param_kt")):
-        for a, line in enumerate(_arcs_of(curve, order, attr)):
+        stops = [(getattr(c, attr), c.point) for c in order]
+        for a, line in enumerate(_arcs_of(curve, stops)):
             arcs.append((tag, order[a].index,
                          order[(a + 1) % len(order)].index, line))
     faces = []

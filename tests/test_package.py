@@ -4,6 +4,7 @@ Every check runs in a fresh interpreter: what a process has already imported
 decides both what `from fpindex import ...` finds and what `sys.modules`
 holds. The load checks count modules, not milliseconds.
 """
+import ast
 import json
 import os
 import subprocess
@@ -181,3 +182,78 @@ class TestImportBudget:
 before = set(sys.modules)
 import fpindex.{module}
 """ + ADDED_HEAVY) == []
+
+
+# Definitions that nothing else in the package uses and that stay, each with
+# its reason. Code that only tests or scripts call lives in tests/.
+KEPT = {
+    "exact_geom.PLLoop.segments": "the benchmark's per-call metrics time the "
+                                  "Fraction segments until ROADMAP item 10",
+    "exact_geom.RatPoint.dot": "the benchmark's generator uses it until "
+                               "ROADMAP item 10",
+    "plmap.difference_loop": "the index's definition; tier-1 holds "
+                             "fixed_point_index to it",
+    "prescribe.find_doubly_adjacent": "the README names it as API",
+    "serialize.dump_packing": "writes the shipped packing fixtures "
+                              "(scripts/make_fixtures.py), the inverse of "
+                              "load_packing",
+    "torus.path_of_correspondence": "the torus reading of a map, which the "
+                                    "README documents and the benchmark times",
+}
+
+
+def unused_definitions(package: Path, exported, kept) -> list[str]:
+    """Top-level functions and classes, and methods, of the package's modules
+    that no other package code names, outside `exported` and dunders.
+
+    A method counts as used where some attribute access names it, anything
+    else where a name or an attribute does, outside the definition itself
+    and outside every unused definition not in `kept`; the search repeats
+    until no new one turns up, so code that only such code calls is unused
+    too.
+    """
+    defs, uses = [], {}
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defs.append((f"{path.stem}.{node.name}", node, False))
+            if isinstance(node, ast.ClassDef):
+                defs += [(f"{path.stem}.{node.name}.{item.name}", item, True)
+                         for item in node.body
+                         if isinstance(item, ast.FunctionDef)]
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Attribute, ast.Name)):
+                name = node.attr if isinstance(node, ast.Attribute) else node.id
+                uses.setdefault(name, []).append(
+                    (isinstance(node, ast.Attribute), path.stem, node.lineno))
+    spans = {qual: (qual.split(".")[0], node.lineno, node.end_lineno)
+             for qual, node, _ in defs}
+    defs = [(qual, node.name, method) for qual, node, method in defs
+            if not (node.name.startswith("__") and node.name.endswith("__"))
+            and (method or node.name not in exported)]
+
+    def inside(where: str, line: int, quals) -> bool:
+        return any(where == spans[q][0] and spans[q][1] <= line <= spans[q][2]
+                   for q in quals)
+
+    unused: set[str] = set()
+    while True:
+        dead = unused - set(kept)
+        found = {qual for qual, name, method in defs if not any(
+            (attr or not method) and not inside(where, line, [qual, *dead])
+            for attr, where, line in uses.get(name, ()))}
+        if found <= unused:
+            return sorted(unused)
+        unused |= found
+
+
+class TestNoTestOnlyCode:
+    def test_every_definition_is_used_exported_or_kept(self):
+        exported = set(fresh("import json, fpindex\n"
+                             "print(json.dumps(fpindex.__all__))"))
+        unused = unused_definitions(ROOT / "src" / "fpindex", exported, KEPT)
+        extra = [qual for qual in unused if qual not in KEPT]
+        assert not extra, f"no package code uses {extra}"
+        stale = [qual for qual in KEPT if qual not in unused]
+        assert not stale, f"package code uses the kept {stale}"

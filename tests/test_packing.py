@@ -15,7 +15,7 @@ from fpindex.errors import (
     PieceOutsideRect,
     PiecesOverlap,
 )
-from fpindex.exact_geom import AffineMap, PLLoop, PointLocation, RatPoint
+from fpindex.exact_geom import PLLoop, PointLocation, RatPoint
 from fpindex import jordan, packing
 from fpindex.jordan import PolyJordanCurve
 from fpindex.packing import (
@@ -35,12 +35,14 @@ from fpindex.serialize import (
     load_piece_correspondence,
 )
 
-from geomgen import angular_trace_faces, interior_point
+from geomgen import AffineMap, angular_trace_faces, interior_point
 from packfix import (
     bent_one_piece_pair,
     curve,
     one_piece_pair,
     pt,
+    sorted_edges,
+    sorted_triangles,
     two_piece_pair,
 )
 
@@ -91,25 +93,25 @@ class TestValidatePacking:
         spec, _, _ = one_piece_pair()
         _, graph = validate_packing(spec)
         assert graph.piece_count == 1
-        assert graph.sorted_edges() == (
+        assert sorted_edges(graph) == (
             ("a", "b"), ("a", "d"), ("a", 0), ("b", "c"), ("b", 0),
             ("c", "d"), ("c", 0), ("d", 0))
-        assert graph.sorted_triangles() == (
+        assert sorted_triangles(graph) == (
             ("a", "b", 0), ("a", "d", 0), ("b", "c", 0), ("c", "d", 0))
 
     def test_two_piece_contact_graph(self):
         spec, other, _ = two_piece_pair()
         _, graph = validate_packing(spec)
         assert graph.piece_count == 2
-        assert graph.sorted_edges() == (
+        assert sorted_edges(graph) == (
             ("a", "b"), ("a", "d"), ("a", 0), ("b", "c"), ("b", 0),
             ("b", 1), ("c", "d"), ("c", 1), ("d", 0), ("d", 1), (0, 1))
-        assert graph.sorted_triangles() == (
+        assert sorted_triangles(graph) == (
             ("a", "b", 0), ("a", "d", 0), ("b", "c", 1), ("b", 0, 1),
             ("c", "d", 1), ("d", 0, 1))
         _, graph_b = validate_packing(other)
-        assert graph_b.sorted_edges() == graph.sorted_edges()
-        assert graph_b.sorted_triangles() == graph.sorted_triangles()
+        assert sorted_edges(graph_b) == sorted_edges(graph)
+        assert sorted_triangles(graph_b) == sorted_triangles(graph)
 
     def test_contact_where_segment_boxes_share_one_x(self):
         # At (4, 4) piece 0's vertical edge ends and piece 1's edges leave to
@@ -122,7 +124,7 @@ class TestValidatePacking:
         right = curve((6, 0), (8, 4), (6, 8), (4, 4))
         _, graph = validate_packing(PackingSpec(rect, (left, right)))
         assert frozenset({0, 1}) in graph.edges
-        assert graph.sorted_triangles() == (
+        assert sorted_triangles(graph) == (
             ("a", "b", 1), ("a", "d", 0), ("a", 0, 1), ("b", "c", 1),
             ("c", "d", 0), ("c", 0, 1))
 
@@ -204,15 +206,15 @@ class TestValidatePacking:
         m = AffineMap(F(2), F(1), F(0), F(3), F(5), F(-7))
         assert m.determinant() > 0
         _, mapped = validate_packing(mapped_packing(spec, m))
-        assert mapped.sorted_edges() == graph.sorted_edges()
-        assert mapped.sorted_triangles() == graph.sorted_triangles()
+        assert sorted_edges(mapped) == sorted_edges(graph)
+        assert sorted_triangles(mapped) == sorted_triangles(graph)
 
     def test_graph_survives_translation(self):
         spec, _, _ = one_piece_pair()
         _, graph = validate_packing(spec)
         moved = translate_packing(spec, pt(7, -3))
         _, graph_m = validate_packing(moved)
-        assert graph_m.sorted_edges() == graph.sorted_edges()
+        assert sorted_edges(graph_m) == sorted_edges(graph)
 
 
 def angular_faces(spec: PackingSpec) -> list[tuple]:

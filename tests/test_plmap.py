@@ -19,7 +19,6 @@ from fpindex.errors import (
     NotOrientationPreserving,
 )
 from fpindex.exact_geom import (
-    AffineMap,
     PointLocation,
     RatPoint,
     edge_crossing,
@@ -35,13 +34,13 @@ from fpindex.plmap import (
     fixed_point_index,
     glue,
     random_correspondence,
-    transform_pair,
 )
 
 from fpindex.prescribe import prescribe
 from fpindex.torus import build_diagram, path_of_correspondence, realize_path
 
 from geomgen import (
+    AffineMap,
     circle_pools,
     grid_curve,
     identity_params,
@@ -50,6 +49,7 @@ from geomgen import (
     square_curve,
     star_polygon,
     synthesize_constraints,
+    transform_pair,
     turning_winding_oracle,
 )
 

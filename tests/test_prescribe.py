@@ -49,7 +49,6 @@ from fpindex.serialize import load_constraints, load_curve, load_json_file
 from fpindex.torus import (
     Containment,
     StaircasePath,
-    abstract_diagram,
     build_diagram,
     delta_split,
     index_from_torus,
@@ -57,6 +56,7 @@ from fpindex.torus import (
 )
 
 from geomgen import (
+    abstract_diagram,
     identity_params,
     random_transverse_pair,
     reference_thread_path,

@@ -14,7 +14,6 @@ from fpindex.errors import (
     InputRejection,
     OrderViolation,
     PathHitsMark,
-    SquareTooLarge,
 )
 from fpindex.exact_geom import trusted
 from fpindex.jordan import (
@@ -29,23 +28,26 @@ from fpindex.torus import (
     Containment,
     StaircasePath,
     TorusDiagram,
-    abstract_diagram,
     build_diagram,
     delta_split,
     index_from_torus,
-    local_winding,
     path_of_correspondence,
     realize_path,
-    straight_path,
 )
 
 from geomgen import (
+    SquareTooLarge,
+    abstract_diagram,
+    cyclic_offsets,
     identity_params,
+    local_winding,
     membership_matches_geometry,
     path_through_constraints,
+    position_of_param,
     random_monotone_path,
     random_transverse_pair,
     square_curve,
+    straight_path,
     synthesize_constraints,
     thread_path,
 )
@@ -161,8 +163,7 @@ def reference_build_diagram(first, second, crossings, constraint_pairs):
         containment=(Containment(_containment(first, second))
                      if len(crossings) == 0 else None),
         col_params=tuple(p for p, _ in col_items),
-        row_params=tuple(p for p, _ in row_items),
-        first=first, second=second, crossings=crossings)
+        row_params=tuple(p for p, _ in row_items))
 
 
 def value_in_gap(rng, params, gap):
@@ -377,7 +378,8 @@ def reference_path_of_correspondence(diagram, phi):
     knots = sorted([((s - s1) % 1, (t - t1) % 1) for s, t in phi.breakpoints])
     (u_last, v_last), (u_first, v_first) = knots[-1], knots[0]
     knots = [(u_last - 1, v_last - 1), *knots, (u_first + 1, v_first + 1)]
-    cols, rows = diagram._col_offsets, diagram._row_offsets
+    cols = cyclic_offsets(diagram.col_params)
+    rows = cyclic_offsets(diagram.row_params)
     row_preimages = []
     p = 0
     for v in rows[:-1]:
@@ -498,7 +500,7 @@ class TestIndexFromTorus:
         phi = identity_params(4)
         path = path_of_correspondence(diagram, phi)
         eta = index_from_torus(diagram, path, check_all_bases=True)
-        assert membership_matches_geometry(diagram)
+        assert membership_matches_geometry(diagram, first, second)
         assert eta == 0
         assert fixed_point_index(first, second, phi) == 0
 
@@ -516,7 +518,7 @@ class TestIndexFromTorus:
             diagram = build_diagram(first, second, crossings, constraints)
             path = path_of_correspondence(diagram, phi)
             eta_torus = index_from_torus(diagram, path, check_all_bases=True)
-            assert membership_matches_geometry(diagram)
+            assert membership_matches_geometry(diagram, first, second)
             assert eta_torus == eta_geom
             done += 1
 
@@ -723,16 +725,17 @@ class TestAllBasesByRankShift:
 def reference_realize_path(diagram, path):
     """Each vertex converted on its own from its scaled position, then the
     pairs sorted."""
-    def param(params, offsets, pos):
+    def param(params, pos):
         pos = pos % 1
         if params is None:
             return pos
+        offsets = cyclic_offsets(params)
         scaled = pos * len(params)
         k = int(scaled)
         off = offsets[k] + (scaled - k) * (offsets[k + 1] - offsets[k])
         return (params[0] + off) % 1
-    pairs = sorted((param(diagram.col_params, diagram._col_offsets, x),
-                    param(diagram.row_params, diagram._row_offsets, y))
+    pairs = sorted((param(diagram.col_params, x),
+                    param(diagram.row_params, y))
                    for x, y in path.points[:-1])
     return PLCorrespondence(tuple(pairs))
 
@@ -764,16 +767,62 @@ class TestRealizePathOnePass:
         assert on_token > 500 and between > 500
 
 
+class TestPositionOfParam:
+    def test_matches_the_fraction_reference(self):
+        """x_of_param and y_of_param against the `Fraction` conversion, on
+        canonical, random, crossing-free and abstract diagrams: at seeded
+        parameters, on every token (also written a turn off), and on both
+        sides of the wrap at the first token and at 0."""
+        rng = random.Random(8600)
+        diagrams = [lens_fixture()[3]]
+        pairs = [canonical_noncut_pair(m) for m in (1, 3, 6)]
+        pairs += [random_transverse_pair(rng)[:2] for _ in range(15)]
+        for first, second in pairs:
+            crossings = check_transverse(first, second)
+            phi = random_correspondence(rng, rng.randrange(3, 9))
+            diagrams.append(build_diagram(
+                first, second, crossings,
+                synthesize_constraints(crossings, phi, rng)))
+        for first, second in ((square_curve(0, 0, 2, 2),
+                               square_curve(10, 10, 14, 14)),
+                              (square_curve(4, 4, 6, 6),
+                               square_curve(0, 0, 10, 10))):
+            diagrams.append(build_diagram(
+                first, second, check_transverse(first, second),
+                [(F(1, 7), F(2, 9)), (F(1, 3), F(1, 2)), (F(5, 7), F(8, 9))]))
+        diagrams += [abstract_diagram(d.col_order, d.row_order,
+                                      dict(d.kinds), d.containment)
+                     for d in diagrams]
+        tiny = F(1, 2**40)
+        seen = {"random": 0, "token": 0, "wrap": 0, "abstract": 0}
+        for diagram in diagrams:
+            for params, convert in ((diagram.col_params, diagram.x_of_param),
+                                    (diagram.row_params, diagram.y_of_param)):
+                cases = [("random", F(rng.randrange(-4096, 8192), 4096))
+                         for _ in range(20)]
+                cases += [("wrap", v) for v in (F(0), F(1), -tiny, tiny)]
+                if params is not None:
+                    cases += [("token", p + k) for p in params
+                              for k in (0, 1, -1)]
+                    cases += [("wrap", params[0] + d) for d in (-tiny, tiny)]
+                for tag, value in cases:
+                    assert convert(value) == position_of_param(params, value)
+                    seen["abstract" if params is None else tag] += 1
+        assert min(seen.values()) > 50
+
+
 class TestLocalWinding:
     def test_lens_kinds(self):
-        _, _, _, diagram = lens_fixture()
-        assert local_winding(diagram, 0) == 1
-        assert local_winding(diagram, 1) == -1
+        first, second, crossings, diagram = lens_fixture()
+        a, b = crossings
+        assert local_winding(diagram, first, second, a) == 1
+        assert local_winding(diagram, first, second, b) == -1
 
     def test_too_large_square_rejected(self):
-        _, _, _, diagram = lens_fixture()
+        first, second, crossings, diagram = lens_fixture()
         with pytest.raises(SquareTooLarge):
-            local_winding(diagram, 0, eps=F(1, 2))
+            local_winding(diagram, first, second, crossings.crossings[0],
+                          eps=F(1, 2))
 
     def test_kind_rule_on_random_instances(self):
         rng = random.Random(6400)
@@ -784,7 +833,7 @@ class TestLocalWinding:
             diagram = build_diagram(first, second, crossings, constraints)
             for c in crossings:
                 want = 1 if c.kind is CrossKind.P else -1
-                assert local_winding(diagram, c.index) == want
+                assert local_winding(diagram, first, second, c) == want
 
 
 class TestDiagramSurgery:

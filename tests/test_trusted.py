@@ -19,7 +19,7 @@ from fpindex.errors import (
     InputRejection,
     OrderViolation,
 )
-from fpindex.exact_geom import AffineMap, integer_coords, pt
+from fpindex.exact_geom import integer_coords, pt
 from fpindex.jordan import (
     CrossingSet,
     canonical_noncut_pair,
@@ -27,7 +27,7 @@ from fpindex.jordan import (
     validate_curve,
 )
 from fpindex.packing import translate_packing
-from fpindex.plmap import PLCorrespondence, random_correspondence, transform_pair
+from fpindex.plmap import PLCorrespondence, random_correspondence
 from fpindex.prescribe import (
     _adjacent_pairs,
     _events,
@@ -37,20 +37,22 @@ from fpindex.prescribe import (
 from fpindex.torus import (
     Containment,
     StaircasePath,
-    abstract_diagram,
     build_diagram,
     path_of_correspondence,
     realize_path,
-    straight_path,
 )
 
 from geomgen import (
+    AffineMap,
+    abstract_diagram,
     path_through_constraints,
     random_monotone_path,
     random_transverse_pair,
     square_curve,
+    straight_path,
     synthesize_constraints,
     thread_path,
+    transform_pair,
 )
 from packfix import one_piece_pair, two_piece_pair
 from twins import rebuilt

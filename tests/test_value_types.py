@@ -7,13 +7,12 @@ the package builds on seeded draws.
 """
 import importlib
 import random
-from fractions import Fraction
 from functools import lru_cache
 
 import pytest
 
 from fpindex import exact_geom
-from fpindex.exact_geom import AffineMap, Segment, SegmentMeeting
+from fpindex.exact_geom import Segment, SegmentMeeting
 from fpindex.jordan import build_arrangement, check_transverse
 from fpindex.packing import (
     assemble_theorem_certificate,
@@ -22,17 +21,18 @@ from fpindex.packing import (
 )
 from fpindex.plmap import glue, random_correspondence
 from fpindex.prescribe import find_doubly_adjacent, prescribe
-from fpindex.torus import abstract_diagram, build_diagram, straight_path
+from fpindex.torus import build_diagram
 
 from geomgen import (
+    abstract_diagram,
     glued_square_fixture,
     random_transverse_pair,
+    straight_path,
     synthesize_constraints,
 )
 from packfix import one_piece_pair, two_piece_pair
 from twins import TWINS
 
-F = Fraction
 SEEDS = (11, 12, 13)
 MODULES = ("exact_geom", "jordan", "packing", "plmap", "prescribe", "torus")
 
@@ -49,7 +49,6 @@ def samples(seed: int) -> dict[str, list]:
     path, trace = prescribe(diagram)
     p, q = first.vertices[:2]
     pack_a, pack_b, corr = (one_piece_pair, two_piece_pair)[seed % 2]()
-    shift = F(rng.randrange(1, 9), rng.randrange(2, 9))
     return {
         "RatPoint": [p, q, crossings.crossings[0].point],
         "Segment": [Segment(p, q), Segment(q, p)],
@@ -57,8 +56,6 @@ def samples(seed: int) -> dict[str, list]:
                            SegmentMeeting.proper(q),
                            SegmentMeeting.degenerate()],
         "PLLoop": [first.loop, second.loop],
-        "AffineMap": [AffineMap(F(2), shift, F(0), F(3)),
-                      AffineMap(F(2), shift, F(0), F(3), shift, -shift)],
         "PolyJordanCurve": [first, second],
         "Crossing": list(crossings.crossings[:3]),
         "CrossingSet": [crossings, check_transverse(second, first)],
@@ -108,7 +105,7 @@ def test_every_value_type_has_a_twin_and_samples():
                     and obj.__setattr__ is exact_geom._no_setattr):
                 found.add(obj.__name__)
     assert found == set(TWINS)
-    assert len(found) == 26
+    assert len(found) == 25
     for seed in SEEDS:
         for name, objs in samples(seed).items():
             assert objs and all(type(obj).__name__ == name for obj in objs)

@@ -9,7 +9,6 @@ that test alone; the package never imports `dataclasses`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 
 def rebuilt(obj, **changes):
@@ -43,16 +42,6 @@ class SegmentMeeting:
 @dataclass(frozen=True)
 class PLLoop:
     vertices: object
-
-
-@dataclass(frozen=True)
-class AffineMap:
-    a: object
-    b: object
-    c: object
-    d: object
-    e: object = Fraction(0)
-    f: object = Fraction(0)
 
 
 # -- jordan ----------------------------------------------------------------------
@@ -120,9 +109,6 @@ class TorusDiagram:
     containment: object = None
     col_params: object = None
     row_params: object = None
-    first: object = None
-    second: object = None
-    crossings: object = None
 
 
 @dataclass(frozen=True)
@@ -249,7 +235,7 @@ class _Analysis:
 
 
 TWINS = {cls.__name__: cls for cls in (
-    RatPoint, Segment, SegmentMeeting, PLLoop, AffineMap,
+    RatPoint, Segment, SegmentMeeting, PLLoop,
     PolyJordanCurve, Crossing, CrossingSet, ArrangementFace,
     PLCorrespondence, GluedMap,
     TorusMark, TorusDiagram, StaircasePath,
