@@ -12,9 +12,9 @@ swapped, on its inverse. Per class the report gives, per index call:
 - `best_us`: the best of REPEATS passes over those calls, in microseconds;
 - `cells_walked`: the steps of the difference loop, one per cell
   (`plmap._bend_walk`'s entries);
-- `cells_exact`: the steps given exact ends, counted as calls of
-  `plmap.edge_crossing` in one extra pass;
-- `exact_frac`: cells_exact / cells_walked, the edge filter's hit rate.
+- `cells_exact`: the steps the walk's key filter keeps, which get exact
+  ends, counted as calls of `plmap.edge_crossing` in one extra pass;
+- `exact_frac`: cells_exact / cells_walked, the share the filter keeps.
 
 The report is JSON, on standard output and in FILE if given. It loads
 `fpindex` from this checkout's `src/`.

@@ -47,6 +47,7 @@ _EXPORTS = {
     "isomorphic_contact": "packing",
     "oracle_enumerate": "prescribe",
     "orient2d": "exact_geom",
+    "path_of_correspondence": "torus",
     "point_in_polygon": "exact_geom",
     "prescribe": "prescribe",
     "pt": "exact_geom",

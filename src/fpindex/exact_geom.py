@@ -304,9 +304,13 @@ class PLLoop:
         return tuple(boxes)
 
     @cached_property
-    def edge_y_ranges(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        """(low, high): the y columns of edge_boxes."""
-        return tuple(zip(*self.edge_boxes))[2:]
+    def edge_y_keys(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """(lo, hi): floor(2^64 low_y) and ceil(2^64 high_y) of each edge."""
+        den, _, ys = self.int_coords
+        lo = [(y << 64) // den for y in ys]
+        hi = [-((-y << 64) // den) for y in ys]
+        return (tuple([a if a < b else b for a, b in zip(lo, lo[1:] + lo[:1])]),
+                tuple([a if a > b else b for a, b in zip(hi, hi[1:] + hi[:1])]))
 
     def edges(self) -> Iterator[tuple[RatPoint, RatPoint]]:
         n = len(self.vertices)

@@ -18,11 +18,11 @@ edge. The index filters first and decides exactly after (Yap, "Towards exact
 geometric computation", CGTA 1997): when the target edge's y-range lies
 strictly above or strictly below the source edge's, the loop's y keeps one
 strict sign across the cell, so that step neither meets nor crosses the
-x-axis and adds nothing to the winding number. It is skipped with two
-comparisons of the curves' own integer coordinates, before any arithmetic
-on it. Only steps in cells whose ranges overlap or touch get exact integer
-ends and the crossing rule. The same walk's step starts are the bend list
-(_bend_walk) of _refined_params and difference_loop.
+x-axis and adds nothing to the winding number. The walk skips such a step
+itself, on two comparisons of the curves' cached keys (PLLoop.edge_y_keys:
+edge y-ranges widened out to multiples of 2^-64, so keys apart imply ranges
+apart; no per-pair rescale). Only kept steps get exact ends. Walked without
+keys, its step starts are the bends of _refined_params and difference_loop.
 
 A correspondence is checked once, where it enters; maps derived from a
 checked one, such as its inverse, skip the check (`PLCorrespondence`).
@@ -165,14 +165,15 @@ def random_correspondence(rng, breakpoints: int,
 
 
 def _bend_steps(n_source: int, n_target: int, phi: PLCorrespondence,
-                ) -> Iterator[tuple]:
-    """The difference loop's steps, once around from s = 0.
+                keys: tuple | None = None) -> Iterator[tuple]:
+    """The difference loop's steps, once around from s = 0, or with keys
+    (the source's and then the target's edge_y_keys) those in kept cells.
 
     Between two parameters where phi bends or either curve has a vertex,
     the loop runs straight in one cell, source edge i against target edge
-    j. Each step is ((G, S, T, ds, dt), u, v, i, j): the loop runs from
-    local u to local v in cell (i, j), where local u is the source
-    parameter (S + u ds)/G, with image (T + u dt)/G.
+    j. Each step is ((G, S, T, ds, dt), u, v, i, j, follows): from local u
+    to local v in cell (i, j), local u being the source parameter (S + u ds)/G
+    with image (T + u dt)/G; follows says the step before was yielded too.
 
     A piece of phi, from (s_k, t_k) to (s_k+1, t_k+1), has its own
     denominator D, the lcm of its breakpoints' denominators, integer widths
@@ -183,16 +184,16 @@ def _bend_steps(n_source: int, n_target: int, phi: PLCorrespondence,
     to 0 (S or T down by G) at its curve's vertex count. The piece holding
     s = 1 is walked from there to its end first, and up to there last.
     """
-    bps = phi.breakpoints
-    count = len(bps)
+    lo_s, hi_s, lo_t, hi_t = keys or ((),) * 4
+    follows = False
+    ints = [(s.numerator, s.denominator, t.numerator, t.denominator)
+            for s, t in phi.breakpoints]
     pieces = []
-    for k in range(count):
-        (sa, ta), (sb, tb) = bps[k], bps[(k + 1) % count]
-        den = lcm(sa.denominator, ta.denominator, sb.denominator, tb.denominator)
-        s0 = sa.numerator * (den // sa.denominator)
-        t0 = ta.numerator * (den // ta.denominator)
-        ds = (sb.numerator * (den // sb.denominator) - s0) % den
-        dt = (tb.numerator * (den // tb.denominator) - t0) % den
+    for (sa, qa, ta, wa), (sb, qb, tb, wb) in zip(ints, ints[1:] + ints[:1]):
+        den = lcm(qa, wa, qb, wb)
+        s0, t0 = sa * (den // qa), ta * (den // wa)
+        ds = (sb * (den // qb) - s0) % den
+        dt = (tb * (den // wb) - t0) % den
         span = lcm(n_source * ds, n_target * dt)
         pieces.append((den * span, s0 * span, t0 * span, ds, dt, span))
     last = pieces.pop()
@@ -211,7 +212,10 @@ def _bend_steps(n_source: int, n_target: int, phi: PLCorrespondence,
             v = next_s if next_s < next_t else next_t
             if v > end:
                 v = end
-            yield piece, u, v, i, j
+            kept = keys is None or (lo_t[j] <= hi_s[i] and hi_t[j] >= lo_s[i])
+            if kept:
+                yield piece, u, v, i, j, follows
+            follows = kept
             u = v
             if next_s == u:
                 next_s, i = next_s + stride_s, i + 1
@@ -230,7 +234,8 @@ def _bend_walk(n_source: int, n_target: int, phi: PLCorrespondence,
     """The start (S, T, G, i, j) of each step of _bend_steps: a source
     parameter S/G in [0, 1) where the difference loop can bend, its image
     T/G in [0, 1), and the source edge i and target edge j holding them."""
-    return [(s + u * ds, t + u * dt, g, i, j) for (g, s, t, ds, dt), u, _, i, j
+    return [(s + u * ds, t + u * dt, g, i, j)
+            for (g, s, t, ds, dt), u, _, i, j, _
             in _bend_steps(n_source, n_target, phi)]
 
 
@@ -243,10 +248,9 @@ def _refined_params(source: PolyJordanCurve, target: PolyJordanCurve,
 
 
 def _difference_at(source: PolyJordanCurve, target: PolyJordanCurve):
-    """(fs, ft, at): fs and ft take the two curves' integer coordinates
-    (PLLoop.int_coords) to their common denominator D, and at(S, T, G, i, j)
-    is target(T/G) - source(S/G), with S/G on source edge i and T/G on
-    target edge j, as the homogeneous integer triple (X, Y, D * G)."""
+    """at(S, T, G, i, j): target(T/G) - source(S/G), with S/G on source
+    edge i and T/G on target edge j, as the homogeneous triple (X, Y, D * G)
+    over the curves' int_coords taken to their common denominator D."""
     den_s, xs, ys = source.loop.int_coords
     den_t, xt, yt = target.loop.int_coords
     den = lcm(den_s, den_t)
@@ -263,14 +267,14 @@ def _difference_at(source: PolyJordanCurve, target: PolyJordanCurve):
                 - (ys[i] * (g - r) + ys[i1] * r) * fs,
                 den * g)
 
-    return fs, ft, at
+    return at
 
 
 def difference_loop(source: PolyJordanCurve, target: PolyJordanCurve,
                     phi: PLCorrespondence) -> PLLoop:
     """The loop of displacement vectors target(phi(s)) - source(s). It is
     the index's definition, which the tests hold fixed_point_index to."""
-    _, _, at = _difference_at(source, target)
+    at = _difference_at(source, target)
     points: list[RatPoint] = []
     for entry in _bend_walk(len(source), len(target), phi):
         x, y, w = at(*entry)
@@ -290,32 +294,24 @@ def fixed_point_index(source: PolyJordanCurve, target: PolyJordanCurve,
 
     The loop is read step by step off _bend_steps. A step in cell (i, j)
     keeps its Y between (low of target edge j) - (high of source edge i)
-    and (high of target edge j) - (low of source edge i), the curves' own
-    edge ranges (PLLoop.edge_y_ranges). When that interval lies strictly on
-    one side of 0, so do both ends of the step, edge_crossing would return
-    0 for it without raising, and the step is skipped with two comparisons.
-    Only a kept step gets exact ends, from its own cell's vertices; an end
-    shared with the kept step before it is reused.
+    and (high of target edge j) - (low of source edge i). When the curves'
+    keys (PLLoop.edge_y_keys) put that interval strictly on one side of 0,
+    so are both ends of the step, edge_crossing would return 0 for it
+    without raising, and the walk skips it. Only a kept step gets exact
+    ends, from its own cell's vertices, or its start from the step before.
 
     Raises HasFixedPoint when some boundary point maps to itself, where no
     index is defined.
     """
     n, m = len(source), len(target)
-    fs, ft, at = _difference_at(source, target)
-    low_s, high_s = source.loop.edge_y_ranges
-    low_t, high_t = target.loop.edge_y_ranges
-    if fs != 1:
-        low_s, high_s = [y * fs for y in low_s], [y * fs for y in high_s]
-    if ft != 1:
-        low_t, high_t = [y * ft for y in low_t], [y * ft for y in high_t]
+    at = _difference_at(source, target)
+    keys = (*source.loop.edge_y_keys, *target.loop.edge_y_keys)
     w = 0
-    end = None  # the end of the step before, if that step was kept
+    end = None
     try:
-        for (g, s, t, ds, dt), u, v, i, j in _bend_steps(n, m, phi):
-            if low_t[j] > high_s[i] or high_t[j] < low_s[i]:
-                end = None  # Y keeps one strict sign along the whole step
-                continue
-            xa, ya, _ = end or at(s + u * ds, t + u * dt, g, i, j)
+        for (g, s, t, ds, dt), u, v, i, j, follows in _bend_steps(
+                n, m, phi, keys):
+            xa, ya, _ = end if follows else at(s + u * ds, t + u * dt, g, i, j)
             end = at(s + v * ds, t + v * dt, g, i, j)
             w += edge_crossing(xa, ya, end[0], end[1])
     except PointOnLoop as exc:

@@ -23,9 +23,10 @@ PUBLIC = [
     "assemble_theorem_certificate", "build_diagram", "canonical_noncut_pair",
     "check_overlay_transverse", "check_transverse", "cuts_each_other",
     "find_cutting_pair", "fixed_point_index", "glue", "index_from_torus",
-    "isomorphic_contact", "oracle_enumerate", "orient2d", "point_in_polygon",
-    "prescribe", "pt", "rat", "realize_path", "segment_intersection",
-    "signed_area", "translate_packing", "validate_curve", "validate_packing",
+    "isomorphic_contact", "oracle_enumerate", "orient2d",
+    "path_of_correspondence", "point_in_polygon", "prescribe", "pt", "rat",
+    "realize_path", "segment_intersection", "signed_area",
+    "translate_packing", "validate_curve", "validate_packing",
     "winding_number",
 ]
 
@@ -197,8 +198,6 @@ KEPT = {
     "serialize.dump_packing": "writes the shipped packing fixtures "
                               "(scripts/make_fixtures.py), the inverse of "
                               "load_packing",
-    "torus.path_of_correspondence": "the torus reading of a map, which the "
-                                    "README documents and the benchmark times",
 }
 
 

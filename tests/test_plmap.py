@@ -2,6 +2,7 @@
 import importlib.util
 import itertools
 import json
+import math
 import random
 from fractions import Fraction
 from math import lcm
@@ -405,8 +406,9 @@ def cell_relations(source, target, phi) -> dict[str, int]:
 
 class TestPrunedIndex:
     """fixed_point_index builds exact ends only for the difference-loop
-    edges whose cell's y-ranges overlap or touch; it must give the value, or
-    the error class and message, of the reference that winds every bend."""
+    edges whose cell's y-keys overlap or touch, which every cell whose exact
+    y-ranges do passes; it must give the value, or the error class and
+    message, of the reference that winds every bend."""
 
     def check(self, source, target, phi):
         got = index_outcome(fixed_point_index, source, target, phi)
@@ -517,6 +519,70 @@ class TestPrunedIndex:
         assert indexed > 60
 
 
+    # The walk filters on PLLoop.edge_y_keys, each edge's y-range floored and
+    # ceiled at 2^-64: keys apart must imply exact ranges apart, and a cell
+    # whose ranges are apart by less than 2^-64 is kept and must add 0.
+
+    @pytest.mark.parametrize("gap", [F(1, 2 ** 70), F(-1, 2 ** 70),
+                                     F(1, 3 * 2 ** 65)])
+    def test_ranges_apart_by_less_than_the_key_step(self, monkeypatch, gap):
+        # The target's bottom edge lies at y = 1 + gap, the source's top
+        # edge at y = 1: apart, but by less than 2^-64, so their keys meet
+        # and the walk keeps the cells between them.
+        calls = []
+
+        def counted(*ends):
+            calls.append(ends)
+            return edge_crossing(*ends)
+
+        monkeypatch.setattr("fpindex.plmap.edge_crossing", counted)
+        source = square_curve(0, 0, 2, 1)
+        target = validate_curve([pt(-1, 1 + gap), pt(3, 1 + gap), pt(3, 4),
+                                 pt(-1, 4)])
+        rng = random.Random(8900)
+        maps = [rotation_params(4, 2), rotation_params(4, 1)]
+        maps += [random_correspondence(rng, rng.randrange(3, 8))
+                 for _ in range(20)]
+        widened = 0
+        for phi in maps:
+            for pair in ((source, target, phi), (target, source, phi.invert())):
+                calls.clear()
+                self.check(*pair)
+                counts = cell_relations(*pair)
+                assert len(calls) >= counts["touch"] + counts["overlap"]
+                widened += len(calls) > counts["touch"] + counts["overlap"]
+        assert widened > 10
+
+    @pytest.mark.parametrize("scale", [F(1), F(1, 3), F(7, 5)])
+    def test_touching_ranges_with_a_fixed_point(self, scale):
+        # Source edge 1 runs up to (2, 2) and target edge 3 down to it: their
+        # y-ranges touch at 2, and the quarter-turn map sends (2, 2) to
+        # itself there, so the index is undefined.
+        source = validate_curve([pt(x * scale, y * scale) for x, y in
+                                 ((0, 0), (2, 0), (2, 2), (0, 2))])
+        target = validate_curve([pt(x * scale, y * scale) for x, y in
+                                 ((2, 2), (4, 2), (4, 4), (2, 4))])
+        phi = rotation_params(4, 2)
+        for pair in ((source, target, phi), (target, source, phi.invert())):
+            assert self.check(*pair) == THROUGH_ORIGIN
+            assert cell_relations(*pair)["touch"] > 0
+
+    def test_keys_bracket_the_exact_ranges(self):
+        rng = random.Random(9000)
+        curves = [c for pair, in circle_pools(rng, per_class=1).values()
+                  for c in pair]
+        curves += [c for _ in range(20) for c in random_transverse_pair(rng)[:2]]
+        curves += [c for m in (1, 5, 16) for c in canonical_noncut_pair(m)]
+        curves += [grid_curve(rng) for _ in range(20)]
+        for curve in curves:
+            ys = [p.y for p in curve.vertices]
+            lo, hi = curve.loop.edge_y_keys
+            assert len(lo) == len(hi) == len(ys)
+            for i, (a, b) in enumerate(zip(ys, ys[1:] + ys[:1])):
+                assert lo[i] == math.floor(min(a, b) * 2 ** 64)
+                assert hi[i] == math.ceil(max(a, b) * 2 ** 64)
+
+
 def lattice_square_maps(shared_edge: int) -> list[PLCorrespondence]:
     """Every map that is the identity on a square's corners k/4 and has at
     most one extra breakpoint (s, t), on an edge other than shared_edge,
@@ -573,11 +639,13 @@ class TestIndexRungsScript:
         assert rung["n"] == 16
         assert set(rung["classes"]) == {"disjoint", "nested", "two_cross",
                                         "general"}
-        for row in rung["classes"].values():
+        # the per-call means of the walk and of the exact ends, as the
+        # exact y-range filter gave them: the key filter keeps no extra step
+        cells = {"disjoint": (38.5, 9.5), "nested": (38.8, 7.0),
+                 "two_cross": (38.5, 6.0), "general": (36.2, 5.0)}
+        for cls, row in rung["classes"].items():
             assert row["best_us"] > 0
-            # every step of a 16-gon pair's loop is walked; few get exact ends
-            assert row["cells_walked"] >= 32
-            assert 0 < row["cells_exact"] < row["cells_walked"]
+            assert (row["cells_walked"], row["cells_exact"]) == cells[cls]
 
 
 def nested_glue_fixture():

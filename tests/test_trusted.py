@@ -19,7 +19,7 @@ from fpindex.errors import (
     InputRejection,
     OrderViolation,
 )
-from fpindex.exact_geom import integer_coords, pt
+from fpindex.exact_geom import PLLoop, integer_coords, pt
 from fpindex.jordan import (
     CrossingSet,
     canonical_noncut_pair,
@@ -281,8 +281,7 @@ class TestCurves:
                 boxes = tuple([(min(xa, xb), max(xa, xb), min(ya, yb),
                                 max(ya, yb)) for xa, xb, ya, yb in ends])
                 assert loop.edge_boxes == boxes
-                assert loop.edge_y_ranges == (
-                    tuple([b[2] for b in boxes]), tuple([b[3] for b in boxes]))
+                assert loop.edge_y_keys == PLLoop(loop.vertices).edge_y_keys
 
     def test_affine_images(self):
         rng = random.Random(7401)
