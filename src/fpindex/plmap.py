@@ -296,9 +296,9 @@ def fixed_point_index(source: PolyJordanCurve, target: PolyJordanCurve,
     keeps its Y between (low of target edge j) - (high of source edge i)
     and (high of target edge j) - (low of source edge i). When the curves'
     keys (PLLoop.edge_y_keys) put that interval strictly on one side of 0,
-    so are both ends of the step, edge_crossing would return 0 for it
-    without raising, and the walk skips it. Only a kept step gets exact
-    ends, from its own cell's vertices, or its start from the step before.
+    both ends of the step lie there too, edge_crossing would return 0 for
+    it without raising, and the walk skips it. A kept step gets exact ends
+    from its own cell's vertices, or its start from the kept step before.
 
     Raises HasFixedPoint when some boundary point maps to itself, where no
     index is defined.
