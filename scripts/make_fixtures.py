@@ -18,13 +18,18 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from fpindex.exact_geom import PLLoop, RatPoint, pt
-from fpindex.jordan import check_transverse, validate_curve
-from fpindex.packing import PackingSpec, TopoRectangle
-from fpindex.plmap import random_correspondence
-from fpindex.serialize import dump_curve, dump_map, dump_packing
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
-FIXTURES = Path(__file__).resolve().parent.parent / "tests" / "fixtures"
+from fpindex.exact_geom import PLLoop, RatPoint, pt  # noqa: E402
+from fpindex.jordan import check_transverse, validate_curve  # noqa: E402
+from fpindex.packing import PackingSpec, TopoRectangle  # noqa: E402
+from fpindex.plmap import random_correspondence  # noqa: E402
+from fpindex.serialize import dump_map  # noqa: E402
+
+from packfix import dump_curve, dump_packing  # noqa: E402
+
+FIXTURES = ROOT / "tests" / "fixtures"
 
 F = Fraction
 

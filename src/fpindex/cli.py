@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 from typing import TYPE_CHECKING
@@ -98,9 +99,8 @@ def cmd_prescribe(curve_a: str, curve_b: str, constraints_path: str,
             f"realized index {eta} disagrees with trace value {trace.index}")
     if svg:
         from .svg import render_torus
-        base, dot, suffix = svg.rpartition(".")
-        if not dot:
-            base, suffix = svg, "svg"
+        base, suffix = os.path.splitext(svg)  # the file name's extension
+        suffix = suffix[1:] if suffix else "svg"
         levels = sorted({lv.depth for lv in trace.levels})
         for depth in levels:
             pairs = [lv.pair for lv in trace.levels

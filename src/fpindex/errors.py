@@ -70,13 +70,17 @@ class BadGluingGeometry(InputRejection):
 
 
 class NotOrientationPreserving(InputRejection):
-    """The affine map has non-positive determinant."""
+    """A boundary correspondence reverses orientation: its source
+    parameters do not increase, or its target parameters do not increase
+    cyclically with exactly one wrap."""
 
 
 # -- torus diagrams ----------------------------------------------------------
 
 class ConstraintOnCurve(InputRejection):
-    """A constraint point lies on the other curve (or off its own)."""
+    """A prescribed point lands on a mark: a constraint parameter equals a
+    crossing parameter, or an extra oracle pair lands on a token or on
+    another extra pair."""
 
 
 class OrderViolation(InputRejection):
@@ -84,7 +88,7 @@ class OrderViolation(InputRejection):
 
 
 class BasePointOnGrid(InputRejection):
-    """The base point shares a column or row with a crossing mark."""
+    """The cut cannot move to constraint 2 or 3: the path misses it."""
 
 
 class FormulaMismatch(InvariantFailure):

@@ -37,6 +37,7 @@ RatLike = Union[int, str, Fraction]
 
 _new = object.__new__
 _set = object.__setattr__  # writes a field past the raising __setattr__
+_MISSING = object()
 
 
 def _no_setattr(self, name, value):
@@ -56,10 +57,43 @@ def value_type(cls):
     Setting or deleting any attribute raises AttributeError, so `__init__`
     and `trusted` write fields with `_set`. A class with a
     `cached_property` keeps its `__dict__`; the others use `__slots__`.
+
+    A class that defines no `__init__` gets a shared one. It binds the
+    positional arguments, then the keyword arguments, to `_fields` in order,
+    fills a field left out from `cls._defaults` (a dict declared next to
+    `_fields`), and raises TypeError wherever a frozen dataclass would: a
+    missing field, an unknown keyword, too many positionals, or a field
+    given twice. Validating classes write their own `__init__`, and so do
+    five that only set fields: `RatPoint`, `Crossing` and `TorusMark`,
+    built per vertex, crossing or mark, where the shared binding costs
+    about twice a hand-written one; `SegmentMeeting`, which the
+    benchmark times per call; and `OverlayReport`, which also sets a slot
+    that is not a field.
     """
     names = cls._fields
     get = attrgetter(*names)
     values = get if len(names) > 1 else lambda obj: (get(obj),)
+    defaults = cls.__dict__.get("_defaults", {})
+    where = cls.__qualname__ + "()"
+
+    def __init__(self, *args, **kwargs):
+        if len(args) > len(names):
+            raise TypeError(f"{where} takes {len(names)} positional "
+                            f"arguments but {len(args)} were given")
+        for name, value in zip(names, args):
+            _set(self, name, value)
+        for name in names[len(args):]:
+            value = kwargs.pop(name, _MISSING)
+            if value is _MISSING:
+                value = defaults.get(name, _MISSING)
+                if value is _MISSING:
+                    raise TypeError(f"{where} missing argument {name!r}")
+            _set(self, name, value)
+        if kwargs:
+            name = next(iter(kwargs))
+            problem = ("got multiple values for argument" if name in names
+                       else "got an unexpected keyword argument")
+            raise TypeError(f"{where} {problem} {name!r}")
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
@@ -76,14 +110,17 @@ def value_type(cls):
 
     cls.__eq__, cls.__hash__, cls.__repr__ = __eq__, __hash__, __repr__
     cls.__setattr__, cls.__delattr__ = _no_setattr, _no_delattr
+    if "__init__" not in cls.__dict__:
+        cls.__init__ = __init__
     return cls
 
 
 def trusted(cls, **fields):
     """An instance of the value type `cls` with the given fields set and
-    its `__init__` skipped; a field left out reads the default the class
-    declares, so a slotted class must be given every field; a cached value
-    (a loop's int_coords) may be seeded too.
+    its `__init__`, written out or shared, skipped. A field left out reads
+    the class attribute of that name (`TorusDiagram` declares some), never
+    `_defaults`, so a slotted class must be given every field; a cached
+    value (a loop's int_coords) may be seeded too.
 
     This is the one trusted constructor behind the package's validated
     types. Call it only where the checks would pass by construction: on an
@@ -111,6 +148,7 @@ class RatPoint:
 
     __slots__ = _fields = ("x", "y")
 
+    # written out: built per vertex, where the shared binding costs ~2x
     def __init__(self, x: Fraction, y: Fraction) -> None:
         _set(self, "x", x)
         _set(self, "y", y)
@@ -208,6 +246,7 @@ class SegmentMeeting:
 
     __slots__ = _fields = ("kind", "point")
 
+    # written out: the benchmark times segment_intersection per call
     def __init__(self, kind: MeetKind, point: RatPoint | None = None) -> None:
         _set(self, "kind", kind)
         _set(self, "point", point)

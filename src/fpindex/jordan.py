@@ -204,6 +204,7 @@ class Crossing:
 
     __slots__ = _fields = ("index", "point", "param_k", "param_kt", "kind")
 
+    # written out: built per crossing, where the shared binding costs ~2x
     def __init__(self, index: int, point: RatPoint, param_k: Fraction,
                  param_kt: Fraction, kind: CrossKind) -> None:
         _set(self, "index", index)
@@ -336,14 +337,7 @@ class ArrangementFace:
     entry is (curve, start, end, forward)."""
 
     __slots__ = _fields = ("id", "boundary", "in_K", "in_Kt", "polygon")
-
-    def __init__(self, id: int, boundary: tuple[tuple[str, int, int, bool], ...],
-                 in_K: bool, in_Kt: bool, polygon: PLLoop | None = None) -> None:
-        _set(self, "id", id)
-        _set(self, "boundary", boundary)
-        _set(self, "in_K", in_K)
-        _set(self, "in_Kt", in_Kt)
-        _set(self, "polygon", polygon)
+    _defaults = {"polygon": None}
 
 
 def _arcs_of(curve: PolyJordanCurve,

@@ -44,7 +44,6 @@ from .errors import (
 )
 from .exact_geom import (
     MeetKind,
-    PLLoop,
     PointLocation,
     RatPoint,
     _set,
@@ -124,11 +123,6 @@ class PackingSpec:
 
     _fields = ("rect", "pieces")
 
-    def __init__(self, rect: TopoRectangle,
-                 pieces: tuple[PolyJordanCurve, ...]) -> None:
-        _set(self, "rect", rect)
-        _set(self, "pieces", pieces)
-
     @cached_property
     def analysis(self) -> "_Analysis":
         """The checked contact arrangement (_analyze), built once per spec;
@@ -142,12 +136,6 @@ class ContactGraph:
 
     __slots__ = _fields = ("piece_count", "edges", "triangles")
 
-    def __init__(self, piece_count: int, edges: frozenset,
-                 triangles: frozenset) -> None:
-        _set(self, "piece_count", piece_count)
-        _set(self, "edges", edges)
-        _set(self, "triangles", triangles)
-
 
 @value_type
 class OverlayReport:
@@ -158,6 +146,7 @@ class OverlayReport:
     __slots__ = ("entries", "crossing_sets")
     _fields = ("entries",)
 
+    # written out: it also sets crossing_sets, a slot that is not a field
     def __init__(self, entries: tuple[tuple[str, str, int], ...],
                  crossing_sets: dict | None = None) -> None:
         _set(self, "entries", entries)
@@ -180,17 +169,7 @@ class TheoremCertificate:
 
     __slots__ = _fields = ("rect_index", "piece_indices", "interstice_indices",
                            "interstice_triples", "cutting_index", "degenerate")
-
-    def __init__(self, rect_index: int, piece_indices: tuple[int, ...],
-                 interstice_indices: tuple[int, ...],
-                 interstice_triples: tuple[tuple, ...],
-                 cutting_index: int | None, degenerate: bool = False) -> None:
-        _set(self, "rect_index", rect_index)
-        _set(self, "piece_indices", piece_indices)
-        _set(self, "interstice_indices", interstice_indices)
-        _set(self, "interstice_triples", interstice_triples)
-        _set(self, "cutting_index", cutting_index)
-        _set(self, "degenerate", degenerate)
+    _defaults = {"degenerate": False}
 
     @property
     def piece_sum(self) -> int:
@@ -302,13 +281,6 @@ class _Node:
 
     __slots__ = _fields = ("nid", "point", "objects", "is_corner")
 
-    def __init__(self, nid: int, point: RatPoint, objects: frozenset,
-                 is_corner: bool) -> None:
-        _set(self, "nid", nid)
-        _set(self, "point", point)
-        _set(self, "objects", objects)
-        _set(self, "is_corner", is_corner)
-
 
 @value_type
 class _Arc:
@@ -316,14 +288,6 @@ class _Arc:
     side name for frame arcs."""
 
     __slots__ = _fields = ("aid", "host", "tail", "head", "polyline")
-
-    def __init__(self, aid: int, host: object, tail: int, head: int,
-                 polyline: tuple[RatPoint, ...]) -> None:
-        _set(self, "aid", aid)
-        _set(self, "host", host)
-        _set(self, "tail", tail)
-        _set(self, "head", head)
-        _set(self, "polyline", polyline)
 
 
 @value_type
@@ -334,19 +298,6 @@ class _Face:
 
     __slots__ = _fields = ("fid", "cycle", "node_ids", "polygon", "area",
                            "kind", "piece", "objects")
-
-    def __init__(self, fid: int, cycle: tuple[tuple[int, bool], ...],
-                 node_ids: tuple[int, ...], polygon: PLLoop, area: Fraction,
-                 kind: str, piece: int | None, objects: frozenset | None,
-                 ) -> None:
-        _set(self, "fid", fid)
-        _set(self, "cycle", cycle)
-        _set(self, "node_ids", node_ids)
-        _set(self, "polygon", polygon)
-        _set(self, "area", area)
-        _set(self, "kind", kind)
-        _set(self, "piece", piece)
-        _set(self, "objects", objects)
 
 
 def _split_curve(curve: PolyJordanCurve, stops: list[tuple[int, int]],
@@ -366,15 +317,6 @@ class _Analysis:
     """The checked arrangement of a packing, as `_analyze` builds it."""
 
     __slots__ = _fields = ("nodes", "arcs", "faces", "interstices", "graph")
-
-    def __init__(self, nodes: tuple[_Node, ...], arcs: tuple[_Arc, ...],
-                 faces: tuple[_Face, ...], interstices: tuple[int, ...],
-                 graph: ContactGraph) -> None:
-        _set(self, "nodes", nodes)
-        _set(self, "arcs", arcs)
-        _set(self, "faces", faces)
-        _set(self, "interstices", interstices)
-        _set(self, "graph", graph)
 
 
 def _analyze(spec: PackingSpec) -> _Analysis:

@@ -330,12 +330,6 @@ class GluedMap:
 
     __slots__ = _fields = ("source", "target", "phi")
 
-    def __init__(self, source: PolyJordanCurve, target: PolyJordanCurve,
-                 phi: PLCorrespondence) -> None:
-        _set(self, "source", source)
-        _set(self, "target", target)
-        _set(self, "phi", phi)
-
 
 def _insert_on_edges(curve: PolyJordanCurve,
                      extra: Iterable[RatPoint]) -> PLLoop:

@@ -49,7 +49,7 @@ from .errors import (
     TooFewCrossings,
     TooLarge,
 )
-from .exact_geom import _set, trusted, value_type
+from .exact_geom import trusted, value_type
 from .jordan import CrossKind
 from .torus import StaircasePath, TorusDiagram, _read_index, index_from_torus
 
@@ -85,22 +85,6 @@ class AdjacencyBox:
     __slots__ = _fields = ("entry_id", "exit_id", "base_constraint",
                            "descends", "col_lo", "col_hi", "row_lo", "row_hi",
                            "grid_cols", "grid_rows", "unit")
-
-    def __init__(self, entry_id: int, exit_id: int, base_constraint: int,
-                 descends: bool, col_lo: int, col_hi: int, row_lo: int,
-                 row_hi: int, grid_cols: tuple[int, int],
-                 grid_rows: tuple[int, int], unit: int) -> None:
-        _set(self, "entry_id", entry_id)
-        _set(self, "exit_id", exit_id)
-        _set(self, "base_constraint", base_constraint)
-        _set(self, "descends", descends)
-        _set(self, "col_lo", col_lo)
-        _set(self, "col_hi", col_hi)
-        _set(self, "row_lo", row_lo)
-        _set(self, "row_hi", row_hi)
-        _set(self, "grid_cols", grid_cols)
-        _set(self, "grid_rows", grid_rows)
-        _set(self, "unit", unit)
 
     @property
     def wrap(self) -> bool:
@@ -458,26 +442,7 @@ class TraceLevel:
     __slots__ = _fields = ("depth", "rule", "index", "pair", "base_constraint",
                            "cells", "wrap", "descends", "category",
                            "candidate", "child_index")
-
-    def __init__(self, depth: int, rule: str, index: int,
-                 pair: tuple[int, int] | None = None,
-                 base_constraint: int | None = None,
-                 cells: tuple[tuple[int, int], tuple[int, int]] | None = None,
-                 wrap: bool | None = None, descends: bool | None = None,
-                 category: str | None = None,
-                 candidate: tuple[str, tuple[tuple[int, str], ...]] | None = None,
-                 child_index: int | None = None) -> None:
-        _set(self, "depth", depth)
-        _set(self, "rule", rule)
-        _set(self, "index", index)
-        _set(self, "pair", pair)
-        _set(self, "base_constraint", base_constraint)
-        _set(self, "cells", cells)
-        _set(self, "wrap", wrap)
-        _set(self, "descends", descends)
-        _set(self, "category", category)
-        _set(self, "candidate", candidate)
-        _set(self, "child_index", child_index)
+    _defaults = dict.fromkeys(_fields[3:])
 
 
 @value_type
@@ -485,13 +450,6 @@ class PrescriptionTrace:
     """Audit trail of the induction, deepest level first."""
 
     __slots__ = _fields = ("levels", "below", "path", "index")
-
-    def __init__(self, levels: tuple[TraceLevel, ...], below: frozenset[int],
-                 path: StaircasePath, index: int) -> None:
-        _set(self, "levels", levels)
-        _set(self, "below", below)
-        _set(self, "path", path)
-        _set(self, "index", index)
 
 
 def prescribe(diagram: TorusDiagram) -> tuple[StaircasePath, PrescriptionTrace]:

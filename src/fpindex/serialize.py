@@ -66,12 +66,6 @@ def load_curve(obj: Any, what: str = "curve") -> PolyJordanCurve:
     return validate_curve(points)
 
 
-def dump_curve(curve: PolyJordanCurve) -> dict:
-    return {"vertices": [[p.x.numerator, p.x.denominator,
-                          p.y.numerator, p.y.denominator]
-                         for p in curve.vertices]}
-
-
 def load_rect(obj: Any, what: str = "rect") -> TopoRectangle:
     """A curve object with an extra "corners": [i, j, k, l] field."""
     from .packing import TopoRectangle
@@ -82,12 +76,6 @@ def load_rect(obj: Any, what: str = "rect") -> TopoRectangle:
                     for c in corners)):
         raise InputRejection(f"{what}.corners must be four vertex indices")
     return TopoRectangle(curve, tuple(corners))
-
-
-def dump_rect(rect: TopoRectangle) -> dict:
-    out = dump_curve(rect.curve)
-    out["corners"] = list(rect.corners)
-    return out
 
 
 def load_packing(obj: Any, what: str = "packing") -> PackingSpec:
@@ -102,11 +90,6 @@ def load_packing(obj: Any, what: str = "packing") -> PackingSpec:
         rect=load_rect(obj["rect"], f"{what}.rect"),
         pieces=tuple(load_curve(p, f"{what}.pieces[{i}]")
                      for i, p in enumerate(pieces)))
-
-
-def dump_packing(spec: PackingSpec) -> dict:
-    return {"rect": dump_rect(spec.rect),
-            "pieces": [dump_curve(p) for p in spec.pieces]}
 
 
 def load_map(obj: Any, what: str = "map") -> PLCorrespondence:

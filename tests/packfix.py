@@ -1,7 +1,10 @@
-"""Hand-built packing fixtures shared by the packing, CLI, and acceptance tests.
+"""Hand-built packing fixtures shared by the packing, CLI, and acceptance tests,
+and the JSON writers for curves and packings.
 
 Each pair overlays a tall packing with a wide squashed copy so the frames
-interleave (corner map index -1) and the first piece pair cuts.
+interleave (corner map index -1) and the first piece pair cuts. The writers
+are the inverses of `serialize.load_curve` and `serialize.load_packing`;
+`scripts/make_fixtures.py` writes the shipped fixtures with them.
 """
 from fractions import Fraction
 
@@ -30,6 +33,20 @@ def sorted_triangles(graph) -> tuple[tuple, ...]:
     """A `ContactGraph`'s triangles as sorted label triples."""
     trips = [tuple(sorted(t, key=_label_key)) for t in graph.triangles]
     return tuple(sorted(trips, key=lambda p: tuple(map(_label_key, p))))
+
+
+def dump_curve(curve: PolyJordanCurve) -> dict:
+    """The JSON object that `serialize.load_curve` reads back as `curve`."""
+    return {"vertices": [[p.x.numerator, p.x.denominator,
+                          p.y.numerator, p.y.denominator]
+                         for p in curve.vertices]}
+
+
+def dump_packing(spec: PackingSpec) -> dict:
+    """The JSON object that `serialize.load_packing` reads back as `spec`."""
+    return {"rect": {**dump_curve(spec.rect.curve),
+                     "corners": list(spec.rect.corners)},
+            "pieces": [dump_curve(p) for p in spec.pieces]}
 
 
 def one_piece_pair() -> tuple[PackingSpec, PackingSpec, list[int]]:

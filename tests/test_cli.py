@@ -157,6 +157,21 @@ class TestPrescribeCommand:
             assert level_file.exists()
             ET.fromstring(level_file.read_text())
 
+    @pytest.mark.parametrize("name", ["./twelve", "figs.v2/twelve"])
+    def test_svg_without_extension_keeps_its_directory(self, capsys, tmp_path,
+                                                       monkeypatch, name):
+        (tmp_path / "figs.v2").mkdir()
+        monkeypatch.chdir(tmp_path)
+        code, report = run(capsys, "prescribe", fx("fig_twelve_first.json"),
+                           fx("fig_twelve_second.json"),
+                           fx("twelve_constraints.json"), "--svg", name)
+        assert code == 0
+        written = sorted(p.relative_to(tmp_path).as_posix()
+                         for p in tmp_path.rglob("*.svg"))
+        stem = name.removeprefix("./")
+        assert written == sorted(f"{stem}-L{depth}.svg"
+                                 for depth in range(report["depth"] + 1))
+
 
 class TestCutCommand:
     def test_interleaved_rectangles_cut(self, capsys):

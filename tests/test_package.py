@@ -195,9 +195,6 @@ KEPT = {
     "plmap.difference_loop": "the index's definition; tier-1 holds "
                              "fixed_point_index to it",
     "prescribe.find_doubly_adjacent": "the README names it as API",
-    "serialize.dump_packing": "writes the shipped packing fixtures "
-                              "(scripts/make_fixtures.py), the inverse of "
-                              "load_packing",
 }
 
 
@@ -256,3 +253,52 @@ class TestNoTestOnlyCode:
         assert not extra, f"no package code uses {extra}"
         stale = [qual for qual in KEPT if qual not in unused]
         assert not stale, f"package code uses the kept {stale}"
+
+
+# Value types whose written-out `__init__` only sets fields, each with its
+# reason. Any other such class takes `value_type`'s shared `__init__`.
+FIELD_ONLY_INITS = {
+    "exact_geom.RatPoint": "built per vertex, where the shared binding costs "
+                           "about twice a written-out one",
+    "exact_geom.SegmentMeeting": "the benchmark times segment_intersection "
+                                 "per call until ROADMAP item 10",
+    "jordan.Crossing": "built per crossing, where the shared binding costs "
+                       "about twice a written-out one",
+    "packing.OverlayReport": "also sets crossing_sets, a slot that is not a "
+                             "field",
+    "torus.TorusMark": "built per mark, where the shared binding costs about "
+                       "twice a written-out one",
+}
+
+
+def field_only_inits(package: Path) -> list[str]:
+    """The `@value_type` classes whose `__init__` does nothing but call
+    `_set`, after an optional docstring."""
+    found = []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if not (isinstance(node, ast.ClassDef) and any(
+                    isinstance(d, ast.Name) and d.id == "value_type"
+                    for d in node.decorator_list)):
+                continue
+            for item in node.body:
+                if not (isinstance(item, ast.FunctionDef)
+                        and item.name == "__init__"):
+                    continue
+                body = item.body
+                if ast.get_docstring(item) is not None:
+                    body = body[1:]
+                if all(isinstance(st, ast.Expr) and isinstance(st.value, ast.Call)
+                       and isinstance(st.value.func, ast.Name)
+                       and st.value.func.id == "_set" for st in body):
+                    found.append(f"{path.stem}.{node.name}")
+    return sorted(found)
+
+
+class TestSharedConstructor:
+    def test_only_the_kept_value_types_write_a_field_only_init(self):
+        found = field_only_inits(ROOT / "src" / "fpindex")
+        extra = [qual for qual in found if qual not in FIELD_ONLY_INITS]
+        assert not extra, f"{extra} should take value_type's shared __init__"
+        stale = [qual for qual in FIELD_ONLY_INITS if qual not in found]
+        assert not stale, f"the kept {stale} no longer write one"

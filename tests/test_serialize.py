@@ -5,9 +5,7 @@ import pytest
 
 from fpindex.errors import InputRejection
 from fpindex.serialize import (
-    dump_curve,
     dump_map,
-    dump_packing,
     fraction_to_json,
     load_curve,
     load_map,
@@ -15,7 +13,7 @@ from fpindex.serialize import (
     load_piece_correspondence,
 )
 
-from packfix import curve, one_piece_pair
+from packfix import curve, dump_curve, dump_packing, one_piece_pair
 
 F = Fraction
 

@@ -5,6 +5,7 @@ its frozen-dataclass twin in `twins.py` does: sets of points are iterated in
 `packing`, and `scripts/kernel_dump.py` writes reprs. The instances are what
 the package builds on seeded draws.
 """
+import dataclasses
 import importlib
 import random
 from functools import lru_cache
@@ -35,6 +36,8 @@ from twins import TWINS
 
 SEEDS = (11, 12, 13)
 MODULES = ("exact_geom", "jordan", "packing", "plmap", "prescribe", "torus")
+# `__init__` arguments that are not fields
+INIT_ONLY = {"OverlayReport": ("crossing_sets",)}
 
 
 @lru_cache(maxsize=None)
@@ -97,15 +100,19 @@ def instances(name: str) -> list:
     return [obj for seed in SEEDS for obj in samples(seed)[name]]
 
 
+VALUE_TYPES = {
+    obj.__name__: obj for module in MODULES
+    for obj in vars(importlib.import_module(f"fpindex.{module}")).values()
+    if (isinstance(obj, type) and obj.__module__ == f"fpindex.{module}"
+        and obj.__setattr__ is exact_geom._no_setattr)}
+# the classes that take `value_type`'s shared `__init__`
+SHARED = sorted(name for name, cls in VALUE_TYPES.items()
+                if cls.__init__.__qualname__ == "value_type.<locals>.__init__")
+
+
 def test_every_value_type_has_a_twin_and_samples():
-    found = set()
-    for module in MODULES:
-        for obj in vars(importlib.import_module(f"fpindex.{module}")).values():
-            if (isinstance(obj, type) and obj.__module__ == f"fpindex.{module}"
-                    and obj.__setattr__ is exact_geom._no_setattr):
-                found.add(obj.__name__)
-    assert found == set(TWINS)
-    assert len(found) == 25
+    assert set(VALUE_TYPES) == set(TWINS)
+    assert len(VALUE_TYPES) == 25
     for seed in SEEDS:
         for name, objs in samples(seed).items():
             assert objs and all(type(obj).__name__ == name for obj in objs)
@@ -133,6 +140,45 @@ def test_positional_and_keyword_construction_agree(name):
         by_keyword = type(obj)(**fields)
         assert by_position == obj and by_keyword == obj
         assert repr(by_position) == repr(by_keyword) == repr(obj)
+
+
+@pytest.mark.parametrize("name", sorted(TWINS))
+def test_argument_errors_match_the_dataclass(name):
+    fields = values(instances(name)[0])
+    first = next(iter(fields))
+    extra = [None] * (1 + len(INIT_ONLY.get(name, ())))
+    rest = {key: value for key, value in fields.items() if key != first}
+    for cls in (VALUE_TYPES[name], TWINS[name]):
+        with pytest.raises(TypeError):
+            cls(*fields.values(), *extra)  # too many positionals
+        with pytest.raises(TypeError):
+            cls(**rest)  # a required field missing
+        with pytest.raises(TypeError):
+            cls(**fields, not_a_field=None)
+        with pytest.raises(TypeError):
+            cls(fields[first], **fields)  # by position and by keyword
+
+
+@pytest.mark.parametrize("name", SHARED)
+def test_shared_defaults_are_the_dataclass_defaults(name):
+    assert getattr(VALUE_TYPES[name], "_defaults", {}) == {
+        f.name: f.default for f in dataclasses.fields(TWINS[name])
+        if f.default is not dataclasses.MISSING}
+
+
+@pytest.mark.parametrize("name", ["ArrangementFace", "TheoremCertificate",
+                                  "TraceLevel"])
+def test_required_fields_alone_fill_the_defaults(name):
+    cls = VALUE_TYPES[name]
+    assert name in SHARED
+    for obj in instances(name):
+        required = {f.name: getattr(obj, f.name)
+                    for f in dataclasses.fields(TWINS[name])
+                    if f.default is dataclasses.MISSING}
+        built, tw = cls(**required), TWINS[name](**required)
+        assert values(built) == vars(tw)
+        assert repr(built) == repr(tw) and hash(built) == hash(tw)
+        assert cls(*required.values()) == built
 
 
 @pytest.mark.parametrize("name", sorted(TWINS))
