@@ -8,13 +8,16 @@ script times, in this process, one pass through the layers a `noncut_ladder`
 op runs: `canonical_noncut_pair`, `check_transverse` and `cuts_each_other`
 on that fresh pair, `fixed_point_index` of a seeded map without fixed
 points, `build_diagram` with three constraints through the map, `prescribe`,
-and `realize_path` of the prescribed path. Each layer reports the best of
+and `realize_path` of the prescribed path. It also times `segment_contacts`,
+the integer sweep both crossing scans start from, on the same pair after
+them, with the pair's edge tables built. Each layer reports the best of
 REPEATS passes in milliseconds, each pass on a new pair, map and diagram
-from the same seed. Then it prescribes on DRAWS seeded draws of map and
-constraints and reports the median and greatest `prescribe` time and the
-median and greatest prescription depth (the deepest trace level). The
-report is JSON, on standard output and in FILE if given. It loads `fpindex`
-from this checkout's `src/`.
+from the same seed; `check_transverse_over_sweep` is the best
+`check_transverse` over the best `segment_contacts`. Then it prescribes on
+DRAWS seeded draws of map and constraints and reports the median and
+greatest `prescribe` time and the median and greatest prescription depth
+(the deepest trace level). The report is JSON, on standard output and in
+FILE if given. It loads `fpindex` from this checkout's `src/`.
 """
 from __future__ import annotations
 
@@ -36,6 +39,7 @@ from fpindex.jordan import (  # noqa: E402
     canonical_noncut_pair,
     check_transverse,
     cuts_each_other,
+    segment_contacts,
 )
 from fpindex.plmap import fixed_point_index, random_correspondence  # noqa: E402
 from fpindex.prescribe import prescribe  # noqa: E402
@@ -47,7 +51,8 @@ RUNGS = (1, 5, 8, 12, 16, 20, 32, 64)
 REPEATS = 20
 DRAWS = 30
 LAYERS = ("canonical_noncut_pair", "check_transverse", "cuts_each_other",
-          "fixed_point_index", "build_diagram", "prescribe", "realize_path")
+          "segment_contacts", "fixed_point_index", "build_diagram",
+          "prescribe", "realize_path")
 
 
 def indexable_map(rng: random.Random, first, second):
@@ -75,6 +80,7 @@ def one_pass(m: int, seed: int) -> tuple[dict[str, float], int]:
     first, second = timed("canonical_noncut_pair", canonical_noncut_pair, m)
     crossings = timed("check_transverse", check_transverse, first, second)
     timed("cuts_each_other", cuts_each_other, first, second)
+    timed("segment_contacts", segment_contacts, first.loop, second.loop)
     phi = indexable_map(rng, first, second)
     timed("fixed_point_index", fixed_point_index, first, second, phi)
     pairs = synthesize_constraints(crossings, phi, rng)
@@ -100,6 +106,8 @@ def rung(m: int) -> dict:
         "m": m,
         "crossings": 2 * m,
         "best_ms": {layer: round(best[layer] * 1e3, 4) for layer in LAYERS},
+        "check_transverse_over_sweep": round(
+            best["check_transverse"] / best["segment_contacts"], 2),
         "prescribe_draws": {
             "draws": DRAWS,
             "median_ms": round(statistics.median(times), 3),

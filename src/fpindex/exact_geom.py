@@ -64,11 +64,11 @@ def value_type(cls):
     `_fields`), and raises TypeError wherever a frozen dataclass would: a
     missing field, an unknown keyword, too many positionals, or a field
     given twice. Validating classes write their own `__init__`, and so do
-    five that only set fields: `RatPoint`, `Crossing` and `TorusMark`,
-    built per vertex, crossing or mark, where the shared binding costs
-    about twice a hand-written one; `SegmentMeeting`, which the
-    benchmark times per call; and `OverlayReport`, which also sets a slot
-    that is not a field.
+    five that only set fields: `RatPoint` and `TorusMark`, built per
+    vertex or mark, where the shared binding costs about twice a
+    hand-written one; `Crossing`, which keeps its `point` field in a slot
+    behind a property; `SegmentMeeting`, which the benchmark times per
+    call; and `OverlayReport`, which also sets a slot that is not a field.
     """
     names = cls._fields
     get = attrgetter(*names)

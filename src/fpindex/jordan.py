@@ -8,21 +8,18 @@ proper interior crossings of segments. Crossings carry a kind:
 * kind Ptilde: the first boundary crosses out (the second crosses in).
 
 Kinds alternate along both boundaries. Parameters normalize each curve to
-[0, 1) with vertex i of an n-gon at parameter i/n.
+[0, 1) with vertex i of an n-gon at parameter i/n. One integer pass
+(_crossing_pass) reads both crossing orders, the kinds and every check
+without a `Fraction`; check_transverse adds the parameters.
 
 The arrangement of a transverse pair with 2M >= 2 crossings has the crossings
 as vertices, the 4M boundary arcs as edges, and 2M + 2 faces. A pair *cuts*
 when either difference region splits into more than one face. The crossing
-orders along both curves and the crossing kinds fix every face and its
-membership in the two closed regions, so the faces are read from them
-(crossing_faces) without further geometry. The cut test counts those labels;
-the arrangement for rendering (build_arrangement) adds each face's polygon by
-walking the boundary arcs the face names.
-
-Every face here is traced by one left-face walk over a rotation system
-(_face_cycles). crossing_faces reads each crossing's rotation from its kind;
-trace_faces takes the rotation from its caller, which the packing module
-reads from its contact structure. No tracer sorts half-edges by angle.
+orders and kinds fix every face and its labels (_pattern_faces), which the
+cut test counts; build_arrangement adds each face's polygon for rendering.
+Every face is traced by one left-face walk over a rotation system
+(_face_cycles), read from the kinds here and from the contact structure in
+the packing module (trace_faces). No tracer sorts half-edges by angle.
 
 Segment pairs are found by one box sweep (_box_pairs), along y when the
 boxes are thinner against their extent that way; the crossing scan splits it
@@ -202,16 +199,26 @@ class Crossing:
     serves as the crossing's stable id everywhere downstream.
     """
 
-    __slots__ = _fields = ("index", "point", "param_k", "param_kt", "kind")
+    __slots__ = ("index", "_point", "param_k", "param_kt", "kind", "_at")
+    _fields = ("index", "point", "param_k", "param_kt", "kind")
 
-    # written out: built per crossing, where the shared binding costs ~2x
+    # written out: `point` lives in the _point slot behind its property
     def __init__(self, index: int, point: RatPoint, param_k: Fraction,
                  param_kt: Fraction, kind: CrossKind) -> None:
         _set(self, "index", index)
-        _set(self, "point", point)
+        _set(self, "_point", point)
         _set(self, "param_k", param_k)
         _set(self, "param_kt", param_kt)
         _set(self, "kind", kind)
+
+    @property
+    def point(self) -> RatPoint:
+        """Built when first read from check_transverse's _at = (a, b, u, w, D)."""
+        if self._point is None:
+            (ax, ay), (bx, by), u, w, den = self._at
+            _set(self, "_point", RatPoint(Fraction(ax * w + (bx - ax) * u, den * w),
+                                          Fraction(ay * w + (by - ay) * u, den * w)))
+        return self._point
 
 
 @value_type
@@ -220,10 +227,10 @@ class CrossingSet:
 
     The constructor checks the order, the even count and the alternation of
     kinds along both curves, then that the ids are distinct and that the
-    parameters on each curve are distinct and lie in [0, 1), as
-    `check_transverse` makes them. `torus.build_diagram` relies on all of
-    these to build its diagram without checking it again. It keeps the
-    second-curve order for `by_param_kt`; equality reads `crossings` alone.
+    parameters on each curve are distinct and lie in [0, 1), all of which
+    `check_transverse`'s integer pass has established. `torus.build_diagram`
+    relies on them to build its diagram without checking it again. It keeps
+    the second-curve order for `by_param_kt`; equality reads `crossings`.
     """
 
     __slots__ = ("crossings", "_by_kt")
@@ -233,16 +240,10 @@ class CrossingSet:
         params = [c.param_k for c in crossings]
         if params != sorted(params):
             raise InvariantFailure("crossings not sorted by first-curve parameter")
-        if len(crossings) % 2 != 0:
-            raise AlternationViolation("odd crossing count")
-        # an exact key that compares a Fraction only when 64 bits tie
-        by_kt = tuple(sorted(crossings, key=lambda c: (
-            (c.param_kt.numerator << 64) // c.param_kt.denominator,
-            c.param_kt)))
-        for order in (crossings, by_kt):
-            for a, b in zip(order, order[1:] + order[:1]):
-                if len(order) >= 2 and a.kind == b.kind:
-                    raise AlternationViolation("crossing kinds fail to alternate")
+        order = _exact_order([(0, c.param_kt.numerator, c.param_kt.denominator)
+                              for c in crossings])
+        _check_kinds([c.kind for c in crossings], order)
+        by_kt = tuple([crossings[h] for h in order])
         if len({c.index for c in crossings}) != len(params):
             raise InputRejection("duplicate tokens")
         params_kt = [c.param_kt for c in by_kt]
@@ -298,35 +299,69 @@ def segment_contacts(first: PLLoop, second: PLLoop,
     return den, pts1, pts2, hits
 
 
-def check_transverse(first: PolyJordanCurve, second: PolyJordanCurve) -> CrossingSet:
-    """Crossing set of a transverse pair; NotTransverse on any bad contact.
-    Crossings are sorted by (segment i, floor(2^64 u), param_k) for u along
-    segment i, an exact key that compares a `Fraction` only on a tie."""
-    den, pts1, pts2, hits = segment_contacts(first.loop, second.loop)
-    n1, n2 = len(pts1), len(pts2)
-    found: list[tuple[int, int, Fraction, Fraction, RatPoint, CrossKind]] = []
+def _check_kinds(kinds: Sequence, by_kt: Sequence[int]) -> None:
+    """AlternationViolation on an odd count, or unless the kinds alternate
+    along their own order and along the positions listed in by_kt."""
+    if len(kinds) % 2 != 0:
+        raise AlternationViolation("odd crossing count")
+    for order in (list(range(len(kinds))), by_kt):
+        if any(kinds[a] == kinds[b] for a, b in zip(order, order[1:] + order[:1])):
+            raise AlternationViolation("crossing kinds fail to alternate")
+
+
+def _exact_order(values: list[tuple[int, int, int]]) -> list[int]:
+    """Positions of the values (s, u, w), read as s + u / w with w > 0, in
+    increasing order: by (s, floor(2^64 u / w)), or if two of those tie, by
+    the numerators over one common denominator."""
+    keys = [(s, (u << 64) // w) for s, u, w in values]
+    if len(set(keys)) < len(keys):
+        big = lcm(*[w for _, _, w in values])
+        keys = [(s, u * (big // w)) for s, u, w in values]
+    return sorted(range(len(keys)), key=keys.__getitem__)
+
+
+def _crossing_pass(first: PLLoop, second: PLLoop):
+    """(D, P1, P2, found, by_kt, kinds) of a loop pair, from integers alone.
+
+    found holds the crossings in first-curve order as (i, j, u, v, w, is_p):
+    u / w along segment i, v / w along segment j, kind P if is_p; by_kt
+    lists positions in found in second-curve order. NotTransverse on the
+    first degenerate contact, then CrossingSet's checks. No parameter
+    repeats: two crossings at one point need a degenerate contact.
+    """
+    den, pts1, pts2, hits = segment_contacts(first, second)
+    found = []
     for i, j, kind, d1, d2, d3, d4 in hits:
         if kind is MeetKind.DEGENERATE:
             raise NotTransverse(
                 f"non-crossing contact between segment {i} and segment {j}")
-        a, b = pts1[i], pts1[(i + 1) % n1]
-        c, d = pts2[j], pts2[(j + 1) % n2]
-        # The crossing lies at u = d1 / (d1 - d2) along s = ab and at
-        # v = d3 / (d3 - d4) along t = cd.
-        du, dv = d1 - d2, d3 - d4
-        if du < 0:
-            d1, du = -d1, -du
-        point = RatPoint(Fraction(a[0] * du + (b[0] - a[0]) * d1, den * du),
-                         Fraction(a[1] * du + (b[1] - a[1]) * d1, den * du))
-        turn = (d[0] - c[0]) * (b[1] - a[1]) - (d[1] - c[1]) * (b[0] - a[0])
-        found.append((i, (d1 << 64) // du, Fraction(i * du + d1, du * n1),
-                      Fraction(j * dv + d3, dv * n2), point,
-                      CrossKind.P if turn > 0 else CrossKind.PTILDE))
-    found.sort(key=lambda item: item[:3])
-    crossings = tuple(
-        Crossing(index=n, point=p, param_k=pk, param_kt=pkt, kind=kind)
-        for n, (_, _, pk, pkt, p, kind) in enumerate(found))
-    return CrossingSet(crossings)
+        # turn = (d - c) x (b - a) = d3 - d4 = d2 - d1, and the crossing
+        # lies at d1 / (d1 - d2) along s = ab and d3 / (d3 - d4) along t = cd
+        turn = d3 - d4
+        found.append((i, j, -d1, d3, turn, True) if turn > 0 else
+                     (i, j, d1, -d3, -turn, False))
+    found = [found[h] for h in _exact_order([(i, u, w) for i, _, u, _, w, _ in found])]
+    by_kt = _exact_order([(j, v, w) for _, j, _, v, w, _ in found])
+    kinds = [is_p for *_, is_p in found]
+    _check_kinds(kinds, by_kt)
+    return den, pts1, pts2, found, by_kt, kinds
+
+
+def check_transverse(first: PolyJordanCurve, second: PolyJordanCurve) -> CrossingSet:
+    """Crossing set of a transverse pair; NotTransverse on any bad contact.
+    Each crossing of the integer pass costs two `Fraction`s, its parameters;
+    its point is built when read."""
+    den, pts1, pts2, found, by_kt, kinds = _crossing_pass(first.loop, second.loop)
+    n1, n2 = len(pts1), len(pts2)
+    crossings = []
+    for k, (i, j, u, v, w, is_p) in enumerate(found):
+        c = Crossing(k, None, Fraction(i * w + u, w * n1),
+                     Fraction(j * w + v, w * n2),
+                     CrossKind.P if is_p else CrossKind.PTILDE)
+        _set(c, "_at", (pts1[i], pts1[(i + 1) % n1], u, w, den))
+        crossings.append(c)
+    return trusted(CrossingSet, crossings=tuple(crossings),
+                   _by_kt=tuple([crossings[k] for k in by_kt]))
 
 
 # -- arrangement -------------------------------------------------------------
@@ -359,52 +394,46 @@ def _arcs_of(curve: PolyJordanCurve,
     return arcs
 
 
-def _face_cycles(tails: Sequence[int], outgoing: dict[int, list[int]],
-                 ) -> Iterator[list[int]]:
+def _face_cycles(outgoing: Sequence[Sequence[int]]) -> Iterator[list[int]]:
     """Left-face cycles of a plane graph given by its rotation system.
 
-    Half-edge h leaves node tails[h] and is the twin of h ^ 1, so its head
-    is tails[h ^ 1]; outgoing[v] lists the half-edges leaving node v in
-    counterclockwise order. After a half-edge comes the clockwise successor
-    of its twin, as in the doubly connected edge list of Muller and
-    Preparata, TCS 1978. Yields each cycle in the order of its first
-    half-edge.
+    Each list in outgoing holds the half-edges leaving one node in
+    counterclockwise order; half-edge h is the twin of h ^ 1, which leaves
+    h's head. After a half-edge comes the clockwise successor of its twin,
+    as in the doubly connected edge list of Muller and Preparata, TCS 1978.
+    Yields each cycle in the order of its first half-edge.
     """
-    position = {h: pos for outs in outgoing.values()
-                for pos, h in enumerate(outs)}
-    seen: set[int] = set()
-    for h0 in range(len(tails)):
-        if h0 in seen:
-            continue
-        cycle, h = [], h0
-        while True:
+    after = [0] * sum(map(len, outgoing))
+    for outs in outgoing:
+        for pos, h in enumerate(outs):
+            after[h ^ 1] = outs[pos - 1]
+    seen = [False] * len(after)
+    for h in range(len(after)):
+        cycle = []
+        while not seen[h]:
+            seen[h] = True
             cycle.append(h)
-            seen.add(h)
-            outs = outgoing[tails[h ^ 1]]  # the twin's tail is h's head
-            h = outs[(position[h ^ 1] - 1) % len(outs)]
-            if h == h0:
-                break
-        yield cycle
+            h = after[h]
+        if cycle:
+            yield cycle
 
 
-def trace_faces(arcs: Sequence[tuple[int, int, tuple[RatPoint, ...]]],
-                outgoing: dict[int, list[int]],
+def trace_faces(lines: Sequence[tuple[RatPoint, ...]],
+                outgoing: Sequence[Sequence[int]],
                 ) -> Iterator[tuple[tuple[tuple[int, bool], ...], PLLoop,
                                     Fraction]]:
-    """Faces of a plane arrangement of directed arcs (tail, head, polyline).
+    """Faces of a plane arrangement of directed arcs, given as polylines.
 
     Each arc gives two half-edges, 2k along arc k and 2k + 1 against it, and
-    outgoing[v] lists the half-edges leaving node v in counterclockwise
-    order; the caller knows that rotation from its own structure. Each face
-    is traced on the left (_face_cycles) and yielded, in the order of its
-    first half-edge, as (arc index, forward) steps with its boundary polygon
-    and signed area.
+    each list in outgoing holds the half-edges leaving one node in
+    counterclockwise order; the caller knows that rotation from its own
+    structure. Each face is traced on the left (_face_cycles) and yielded,
+    in the order of its first half-edge, as (arc index, forward) steps with
+    its boundary polygon and signed area.
     """
-    tails = [node for tail, head, _ in arcs for node in (tail, head)]
-    for cycle in _face_cycles(tails, outgoing):
+    for cycle in _face_cycles(outgoing):
         polygon = _join_polylines([
-            arcs[h >> 1][2][::-1] if h & 1 else arcs[h >> 1][2]
-            for h in cycle])
+            lines[h >> 1][::-1] if h & 1 else lines[h >> 1] for h in cycle])
         yield (tuple([(h >> 1, not h & 1) for h in cycle]), polygon,
                signed_area(polygon))
 
@@ -422,51 +451,53 @@ def _join_polylines(lines: Sequence[Sequence[RatPoint]]) -> PLLoop:
     return PLLoop(tuple(points))
 
 
-def crossing_faces(crossings: CrossingSet,
-                   ) -> list[tuple[tuple[tuple[str, int, int, bool], ...],
-                                   bool, bool]]:
+def _pattern_faces(by_kt: Sequence[int], kinds: Sequence[bool],
+                   ) -> list[tuple[list[int], bool, bool]]:
     """Faces of the overlay, read from the crossing orders and kinds alone.
 
-    The arcs are the first curve's from crossing k to k + 1, then the
-    second curve's between crossings consecutive in second-curve order. A
-    crossing's kind fixes the counterclockwise order of the four half-edges
-    leaving it: (first out, second back, first back, second out) at kind P,
-    where the first curve enters the second region, and (first out, second
-    out, first back, second back) at kind Ptilde.
-    Each region lies to the left of its positively directed boundary, so a
-    face is in K when a forward first-curve half-edge bounds it, and in Kt
-    when a forward second-curve one does. Returns (boundary, in_K, in_Kt)
-    per face, each boundary a cycle of (curve, start, end, forward) arc
-    steps, the faces in the order of their first half-edge.
+    Crossing k is k-th in first-curve order, by_kt lists the crossings in
+    second-curve order, and kinds[k] is True at kind P. Arc k runs along the
+    first curve from crossing k to k + 1, arc n + a along the second from
+    by_kt[a] to by_kt[a + 1]. A kind fixes the counterclockwise order of the
+    half-edges leaving its crossing: (first out, second back, first back,
+    second out) at P, where the first curve enters the second region, and
+    (first out, second out, first back, second back) at Ptilde. Each region
+    lies left of its boundary, so a face is in K (Kt) when a forward first
+    (second) curve half-edge bounds it. Returns (cycle, in_K, in_Kt) per face.
     """
-    n = len(crossings)
-    if n == 0:
-        raise InvariantFailure("faces undefined without crossings")
-    by_kt = crossings.by_param_kt()
-    arcs = [("first", k, (k + 1) % n) for k in range(n)] + \
-        [("second", by_kt[a].index, by_kt[(a + 1) % n].index)
-         for a in range(n)]
-    tails = [node for _, tail, head in arcs for node in (tail, head)]
-    outgoing: dict[int, list[int]] = {}
-    for a, c in enumerate(by_kt):
-        k = c.index
+    n = len(kinds)
+    outgoing: list[list[int]] = [[]] * n
+    for a, k in enumerate(by_kt):
         first_out, first_back = 2 * k, 2 * ((k - 1) % n) + 1
         second_out, second_back = 2 * (n + a), 2 * (n + (a - 1) % n) + 1
         outgoing[k] = ([first_out, second_back, first_back, second_out]
-                       if c.kind is CrossKind.P else
+                       if kinds[k] else
                        [first_out, second_out, first_back, second_back])
-
     faces = []
-    for cycle in _face_cycles(tails, outgoing):
-        # the rotation alternates the curves, so every face meets both
-        in_K = next(not h & 1 for h in cycle if h < 2 * n)
-        in_Kt = next(not h & 1 for h in cycle if h >= 2 * n)
-        faces.append((tuple([(*arcs[h >> 1], not h & 1) for h in cycle]),
-                      in_K, in_Kt))
+    for cycle in _face_cycles(outgoing):
+        # the rotation alternates the curves: of the first two half-edges,
+        # the lower is on the first curve
+        faces.append((cycle, *[not h & 1 for h in sorted(cycle[:2])]))
     if len(faces) != n + 2:
         raise InvariantFailure(
             f"Euler check failed: {len(faces)} faces for {n} crossings")
     return faces
+
+
+def crossing_faces(crossings: CrossingSet,
+                   ) -> list[tuple[tuple[tuple[str, int, int, bool], ...],
+                                   bool, bool]]:
+    """(boundary, in_K, in_Kt) per face of the overlay (_pattern_faces),
+    each boundary a cycle of (curve, start, end, forward) arc steps."""
+    n = len(crossings)
+    if n == 0:
+        raise InvariantFailure("faces undefined without crossings")
+    by_kt = [c.index for c in crossings.by_param_kt()]
+    arcs = [("first", k, (k + 1) % n) for k in range(n)] + \
+        [("second", by_kt[a], by_kt[(a + 1) % n]) for a in range(n)]
+    return [(tuple([(*arcs[h >> 1], not h & 1) for h in cycle]), in_K, in_Kt)
+            for cycle, in_K, in_Kt in _pattern_faces(
+                by_kt, [c.kind is CrossKind.P for c in crossings])]
 
 
 def build_arrangement(first: PolyJordanCurve, second: PolyJordanCurve,
@@ -539,28 +570,31 @@ def _trivial_arrangement(first: PolyJordanCurve,
     return faces + [ArrangementFace(2, full1 + full2, False, False)]
 
 
+def _cuts(faces: Sequence[tuple[object, bool, bool]]) -> bool:
+    """More than one face is (in K, out Kt), or more than one (in Kt, out K)."""
+    only = [0, 0]
+    for _, in_K, in_Kt in faces:
+        if in_K != in_Kt:
+            only[in_Kt] += 1
+    return max(only) > 1
+
+
 def crossing_pattern_cuts(crossings: CrossingSet) -> bool:
     """True when the faces of the crossing pattern split either difference
-    region: more than one face is (in K, out Kt), or more than one is
-    (in Kt, out K). A pattern without crossings never cuts."""
-    if len(crossings) == 0:
-        return False
-    faces = crossing_faces(crossings)
-    only_first = sum(1 for _, in_K, in_Kt in faces if in_K and not in_Kt)
-    only_second = sum(1 for _, in_K, in_Kt in faces if in_Kt and not in_K)
-    return only_first > 1 or only_second > 1
+    region. A pattern without crossings never cuts."""
+    return len(crossings) > 0 and _cuts(crossing_faces(crossings))
 
 
 def cuts_each_other(first: PolyJordanCurve, second: PolyJordanCurve) -> bool:
     """True when either closed difference region is disconnected.
 
     Components of first-minus-second are exactly the (in, out) faces of the
-    arrangement, and symmetrically, so the test counts labeled faces. It
-    reads them from the crossing orders and kinds (crossing_faces) and does
-    no geometry beyond check_transverse; build_arrangement's polygons serve
-    rendering.
+    arrangement, and symmetrically, so the test counts the face labels of
+    the integer pass's orders and kinds. It checks as check_transverse does
+    and builds no `Fraction`, `Crossing` or `CrossingSet`.
     """
-    return crossing_pattern_cuts(check_transverse(first, second))
+    _, _, _, _, by_kt, kinds = _crossing_pass(first.loop, second.loop)
+    return len(kinds) > 0 and _cuts(_pattern_faces(by_kt, kinds))
 
 
 def canonical_noncut_pair(m: int) -> tuple[PolyJordanCurve, PolyJordanCurve]:

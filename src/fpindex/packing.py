@@ -378,7 +378,7 @@ def _analyze(spec: PackingSpec) -> _Analysis:
         owner = "frame" if isinstance(arc.host, str) else arc.host
         out_half[arc.tail, owner] = 2 * arc.aid
         back_half[arc.head, owner] = 2 * arc.aid + 1
-    outgoing: dict[int, list[int]] = {}
+    outgoing: list[list[int]] = []
     for nd in nodes:
         pieces = [o for o in nd.objects if isinstance(o, int)]
         rotation = [h for i in pieces
@@ -386,10 +386,10 @@ def _analyze(spec: PackingSpec) -> _Analysis:
         if len(pieces) < 2:  # a frame node
             rotation = [out_half[nd.nid, "frame"], *rotation,
                         back_half[nd.nid, "frame"]]
-        outgoing[nd.nid] = rotation
+        outgoing.append(rotation)
 
     for cycle, polygon, area in trace_faces(
-            [(arc.tail, arc.head, arc.polyline) for arc in arcs], outgoing):
+            [arc.polyline for arc in arcs], outgoing):
         if area == 0:
             raise InvariantFailure("flat arrangement face")
         fid = len(faces)

@@ -227,7 +227,7 @@ class TorusDiagram:
 
     @cached_property
     def _unit_params(self) -> tuple[list[Fraction], list[Fraction]]:
-        return [p % 1 for p in self.col_params], [p % 1 for p in self.row_params]
+        return _unit(self.col_params), _unit(self.row_params)
 
     def x_of_param(self, s: Fraction) -> Fraction:
         """Position in [0, 1) of a first-curve parameter: from token k's
@@ -316,14 +316,20 @@ def _check_alternation(cols: Sequence[TokenId], rows: Sequence[TokenId],
                     "mark kinds fail to alternate along a circle")
 
 
+def _unit(params: Sequence[Fraction]) -> list[Fraction]:
+    """The parameters mod 1, reduced only if one lies outside [0, 1)."""
+    if all(0 <= p.numerator < p.denominator for p in params):
+        return list(params)
+    return [p % 1 for p in params]
+
+
 def _cyclically_increasing(params: Sequence[Fraction]) -> bool:
     """Do the offsets (p - params[0]) % 1 increase strictly?
 
     On values in [0, 1) that holds exactly when the sequence rises strictly
     but for at most one drop, and after a drop ends below its start.
     """
-    if not all(0 <= p.numerator < p.denominator for p in params):
-        params = [p % 1 for p in params]
+    params = _unit(params)
     drops = sum(1 for a, b in zip(params, params[1:]) if b <= a)
     return drops == 0 or (drops == 1 and params[-1] < params[0])
 

@@ -166,7 +166,7 @@ def angular_trace_faces(arcs):
     order = cmp_to_key(lambda g, h: _half_cmp(lines[g], lines[h]))
     for outs in outgoing.values():
         outs.sort(key=order)
-    return trace_faces(arcs, outgoing)
+    return trace_faces(lines[::2], outgoing.values())
 
 
 def reversed_loop(loop: PLLoop) -> PLLoop:

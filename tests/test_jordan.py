@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from fpindex import jordan
 from fpindex.errors import (
     InvariantFailure,
     NotPositivelyOriented,
@@ -28,6 +29,7 @@ from fpindex.jordan import (
     CrossingSet,
     _arcs_of,
     _box_pairs,
+    _exact_order,
     build_arrangement,
     canonical_noncut_pair,
     check_transverse,
@@ -213,6 +215,14 @@ class TestLocateParamOnIntegers:
         assert found > 700 and missed > 700
 
 
+REJECTED = {
+    "shared_vertex": (square(0, 0, 2, 2), square(2, 2, 4, 4)),
+    "touching_edge": (square(0, 0, 2, 2), square(1, 2, 3, 4)),
+    "vertex_on_edge": (square(0, 0, 4, 4),
+                       validate_curve([pt(4, 2), pt(6, 1), pt(6, 3)])),
+}
+
+
 class TestCheckTransverse:
     def test_lens_kinds_and_params(self):
         # Overlap rectangle is [2,4]x[1,3]; the first curve's right side is
@@ -230,17 +240,15 @@ class TestCheckTransverse:
 
     def test_rejects_shared_vertex(self):
         with pytest.raises(NotTransverse):
-            check_transverse(square(0, 0, 2, 2), square(2, 2, 4, 4))
+            check_transverse(*REJECTED["shared_vertex"])
 
     def test_rejects_touching_edge(self):
         with pytest.raises(NotTransverse):
-            check_transverse(square(0, 0, 2, 2), square(1, 2, 3, 4))
+            check_transverse(*REJECTED["touching_edge"])
 
     def test_rejects_vertex_on_edge(self):
-        first = square(0, 0, 4, 4)
-        second = validate_curve([pt(4, 2), pt(6, 1), pt(6, 3)])
         with pytest.raises(NotTransverse):
-            check_transverse(first, second)
+            check_transverse(*REJECTED["vertex_on_edge"])
 
     def test_disjoint_is_empty(self):
         cs = check_transverse(square(0, 0, 1, 1), square(5, 5, 6, 6))
@@ -382,6 +390,114 @@ class TestArrangement:
             assert census.get((True, False), 0) >= 1
             assert census.get((False, True), 0) >= 1
             done += 1
+
+
+def counted_fractions(monkeypatch) -> list[int]:
+    """A one-item counter of `Fraction.__new__` calls from here on."""
+    calls = [0]
+    new = Fraction.__new__
+
+    def counted(cls, *args, **kwargs):
+        calls[0] += 1
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counted))
+    return calls
+
+
+def random_pairs(seed, count):
+    rng = random.Random(seed)
+    return [random_transverse_pair(rng)[:2] for _ in range(count)]
+
+
+class TestIntegerCrossings:
+    """cuts_each_other reads the crossing orders and kinds from integers
+    alone, and check_transverse builds two `Fraction`s per crossing, its
+    parameters, until something reads its point."""
+
+    def test_cuts_each_other_builds_no_fraction_or_crossing(self, monkeypatch):
+        pairs = [canonical_noncut_pair(16), *random_pairs(2401, 40)]
+        calls = counted_fractions(monkeypatch)
+
+        def refused(*args, **kwargs):
+            raise AssertionError("cuts_each_other built a crossing")
+
+        monkeypatch.setattr(jordan, "Crossing", refused)
+        monkeypatch.setattr(jordan, "CrossingSet", refused)
+        cutting = sum(cuts_each_other(a, b) for a, b in pairs)
+        assert calls[0] == 0
+        assert 0 < cutting < len(pairs)
+
+    def test_check_transverse_builds_two_fractions_per_crossing(
+            self, monkeypatch):
+        pairs = [canonical_noncut_pair(16), *random_pairs(2402, 40)]
+        calls = counted_fractions(monkeypatch)
+        for first, second in pairs:
+            before = calls[0]
+            cs = check_transverse(first, second)
+            assert calls[0] - before == 2 * len(cs)
+            assert len({(c.param_k, c.param_kt) for c in cs}) == len(cs)
+            assert calls[0] - before == 2 * len(cs)
+            points = [c.point for c in cs]
+            assert calls[0] - before == 4 * len(cs)
+            assert [c.point for c in cs] == points  # computed once
+            assert calls[0] - before == 4 * len(cs)
+
+    def test_lazy_point_is_the_eager_one(self):
+        pairs = [canonical_noncut_pair(m) for m in (1, 5, 16)]
+        pairs += random_pairs(2403, 40)
+        for first, second in pairs:
+            cs = check_transverse(first, second)
+            for c in cs:
+                # a + (b - a) u on segment i of the first curve, as the
+                # crossing used to be built
+                assert c.point == first.point_at(c.param_k)
+                assert c.point == second.point_at(c.param_kt)
+                eager = Crossing(c.index, first.point_at(c.param_k),
+                                 c.param_k, c.param_kt, c.kind)
+                assert eager == c and hash(eager) == hash(c)
+                assert repr(eager) == repr(c)
+
+    def test_cuts_each_other_is_the_pattern_cut(self):
+        pairs = [canonical_noncut_pair(m) for m in range(1, 11)]
+        pairs += random_pairs(2404, 40)
+        cutting = 0
+        for a, b in pairs:
+            for first, second in ((a, b), (b, a)):
+                cuts = cuts_each_other(first, second)
+                assert cuts == crossing_pattern_cuts(
+                    check_transverse(first, second))
+                cutting += cuts
+        assert 0 < cutting
+
+    @pytest.mark.parametrize("name", sorted(REJECTED))
+    def test_rejections_match_check_transverse(self, name):
+        first, second = REJECTED[name]
+        with pytest.raises(NotTransverse) as scan:
+            check_transverse(first, second)
+        with pytest.raises(NotTransverse) as cut:
+            cuts_each_other(first, second)
+        assert cut.type is scan.type
+        assert str(cut.value) == str(scan.value)
+
+    def test_exact_order_breaks_64_bit_ties(self):
+        # values closer than 2^-64 share the 64-bit key; the order is
+        # the exact one either way
+        third = (1 << 70) // 3
+        values = [(0, third + 2, 1 << 70), (0, third, 1 << 70), (0, 1, 3),
+                  (0, third + 1, 1 << 70), (1, 1, 3), (0, 0, 5)]
+        assert len({(s, (u << 64) // w) for s, u, w in values}) < 6
+        assert _exact_order(values) == [5, 1, 2, 3, 0, 4]
+        rng = random.Random(2405)
+        for _ in range(200):
+            values = []
+            for _ in range(rng.randrange(1, 9)):
+                w = rng.choice([3, 7, 1 << 66, 3 << 66])
+                values.append((rng.randrange(2), rng.randrange(w), w))
+            exact = [s + Fraction(u, w) for s, u, w in values]
+            if len(set(exact)) == len(values):
+                assert [exact[h] for h in _exact_order(values)] \
+                    == sorted(exact)
 
 
 class TestCuts:

@@ -262,8 +262,8 @@ FIELD_ONLY_INITS = {
                            "about twice a written-out one",
     "exact_geom.SegmentMeeting": "the benchmark times segment_intersection "
                                  "per call until ROADMAP item 10",
-    "jordan.Crossing": "built per crossing, where the shared binding costs "
-                       "about twice a written-out one",
+    "jordan.Crossing": "keeps its point field in the _point slot, behind a "
+                       "property that computes it when first read",
     "packing.OverlayReport": "also sets crossing_sets, a slot that is not a "
                              "field",
     "torus.TorusMark": "built per mark, where the shared binding costs about "

@@ -208,6 +208,21 @@ class TestDiagrams:
             diagram.without_marks(drop)
 
 
+class TestCrossingSets:
+    def test_check_transverse_sets(self):
+        # built trusted after the integer pass: the checked constructor
+        # accepts each set, with the same second-curve order
+        rng = random.Random(7450)
+        pairs = [canonical_noncut_pair(m) for m in range(1, 21)]
+        pairs += [random_transverse_pair(rng)[:2] for _ in range(40)]
+        pairs.append((square_curve(0, 0, 1, 1), square_curve(5, 5, 6, 6)))
+        for a, b in pairs:
+            for first, second in ((a, b), (b, a)):
+                crossings = check_transverse(first, second)
+                again = checked(crossings)
+                assert again.by_param_kt() == crossings.by_param_kt()
+
+
 class TestHandBuiltCrossings:
     """`build_diagram` trusts its `CrossingSet`, so a set that breaks what
     it relies on is rejected where it is made. A repeated parameter or id
