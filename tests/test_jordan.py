@@ -449,8 +449,7 @@ class TestIntegerCrossings:
         for first, second in pairs:
             cs = check_transverse(first, second)
             for c in cs:
-                # a + (b - a) u on segment i of the first curve, as the
-                # crossing used to be built
+                # point_at builds a + (b - a) u eagerly, in Fractions
                 assert c.point == first.point_at(c.param_k)
                 assert c.point == second.point_at(c.param_kt)
                 eager = Crossing(c.index, first.point_at(c.param_k),
