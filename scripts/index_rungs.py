@@ -12,8 +12,12 @@ swapped, on its inverse. Per class the report gives, per index call:
 - `best_us`: the best of REPEATS passes over those calls, in microseconds;
 - `cells_walked`: the steps of the difference loop, one per cell
   (`plmap._bend_walk`'s entries);
+- `cells_y`: the steps whose cells' y keys meet (`PLLoop.edge_keys`), which
+  a filter on y alone would keep;
 - `cells_exact`: the steps the walk's key filter keeps, which get exact
-  ends, counted as calls of `plmap.edge_crossing` in one extra pass;
+  ends, counted as calls of `plmap.edge_crossing` in one extra pass. The
+  filter also skips a cell whose target edge lies left of its source edge,
+  so cells_y - cells_exact is what the x keys remove;
 - `exact_frac`: cells_exact / cells_walked, the share the filter keeps.
 
 The report is JSON, on standard output and in FILE if given. It loads
@@ -75,6 +79,17 @@ def exact_ends(calls: list[tuple]) -> int:
     return count
 
 
+def y_kept(calls: list[tuple]) -> int:
+    """Steps over these calls whose cells' y keys meet."""
+    count = 0
+    for source, target, phi in calls:
+        _, _, lo_s, hi_s = source.loop.edge_keys
+        _, _, lo_t, hi_t = target.loop.edge_keys
+        count += sum(lo_t[j] <= hi_s[i] and hi_t[j] >= lo_s[i] for *_, i, j
+                     in plmap._bend_walk(len(source), len(target), phi))
+    return count
+
+
 def rung(n: int) -> dict:
     rng = random.Random(n)
     pools = circle_pools(rng, per_class=1, dirs=unit_directions(n))
@@ -93,6 +108,7 @@ def rung(n: int) -> dict:
         classes[cls] = {
             "best_us": round(best / len(calls) * 1e6, 1),
             "cells_walked": round(walked / len(calls), 1),
+            "cells_y": round(y_kept(calls) / len(calls), 1),
             "cells_exact": round(exact / len(calls), 1),
             "exact_frac": round(exact / walked, 4),
         }

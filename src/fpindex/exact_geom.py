@@ -343,13 +343,19 @@ class PLLoop:
         return tuple(boxes)
 
     @cached_property
-    def edge_y_keys(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        """(lo, hi): floor(2^64 low_y) and ceil(2^64 high_y) of each edge."""
-        den, _, ys = self.int_coords
-        lo = [(y << 64) // den for y in ys]
-        hi = [-((-y << 64) // den) for y in ys]
-        return (tuple([a if a < b else b for a, b in zip(lo, lo[1:] + lo[:1])]),
+    def edge_keys(self) -> tuple[tuple[int, ...], ...]:
+        """(lo_x, hi_x, lo_y, hi_y): floor(2^64 low) and ceil(2^64 high) of
+        each edge's x- and y-range, from one divmod per coordinate."""
+        den, xs, ys = self.int_coords
+        keys = []
+        for vs in (xs, ys):
+            qr = [divmod(v << 64, den) for v in vs]
+            lo = [q for q, _ in qr]
+            hi = [q + 1 if r else q for q, r in qr]
+            keys += (
+                tuple([a if a < b else b for a, b in zip(lo, lo[1:] + lo[:1])]),
                 tuple([a if a > b else b for a, b in zip(hi, hi[1:] + hi[:1])]))
+        return tuple(keys)
 
     def edges(self) -> Iterator[tuple[RatPoint, RatPoint]]:
         n = len(self.vertices)

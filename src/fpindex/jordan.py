@@ -65,23 +65,29 @@ def _box_pairs(boxes: Sequence[tuple[int, int, int, int]],
     active list per side. One sweep by low edge, as in Shamos and Hoey,
     "Geometric intersection problems", FOCS 1976, with plain lists for their
     tree; a box leaves once its high edge is strictly behind the sweep line,
-    so boxes sharing one coordinate still pair. The sweep runs along x
-    unless sum(y-widths) * x-extent < sum(x-widths) * y-extent."""
+    so boxes sharing one coordinate still pair; a side's list is rebuilt
+    only once its least high edge is behind. The sweep runs along x unless
+    sum(y-widths) * x-extent < sum(x-widths) * y-extent."""
     if boxes:
         lo_x, hi_x, lo_y, hi_y = zip(*boxes)
         if ((sum(hi_y) - sum(lo_y)) * (max(hi_x) - min(lo_x))
                 < (sum(hi_x) - sum(lo_x)) * (max(hi_y) - min(lo_y))):
             boxes = list(zip(lo_y, hi_y, lo_x, hi_x))
-    active = ([],) * 2 if split is None else ([], [])  # same list twice
+    inf = float("inf")
+    active = ([[], inf],) * 2 if split is None else ([[], inf], [[], inf])
     for b in sorted(range(len(boxes)), key=lambda k: boxes[k][0]):
-        lo, _, lo_across, hi_across = boxes[b]
+        lo, hi, lo_across, hi_across = boxes[b]
         side = split is not None and b >= split
         other = active[not side]
-        other[:] = [a for a in other if boxes[a][1] >= lo]
-        for a in other:
-            if boxes[a][2] <= hi_across and lo_across <= boxes[a][3]:
+        if other[1] < lo:
+            other[0] = kept = [e for e in other[0] if e[0] >= lo]
+            other[1] = min(kept)[0] if kept else inf
+        for _, lo_a, hi_a, a in other[0]:
+            if lo_a <= hi_across and lo_across <= hi_a:
                 yield (a, b) if a < b else (b, a)
-        active[side].append(b)
+        mine = active[side]
+        mine[0].append((hi, lo_across, hi_across, b))
+        mine[1] = hi if hi < mine[1] else mine[1]
 
 
 def _check_simple(loop: PLLoop) -> None:

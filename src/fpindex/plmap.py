@@ -15,14 +15,15 @@ The loop can bend only where phi bends or either curve has a vertex, so one
 lazy merge walk (_bend_steps) yields its steps on integers: between two
 consecutive bends the loop stays in one cell, a source edge against a target
 edge. The index filters first and decides exactly after (Yap, "Towards exact
-geometric computation", CGTA 1997): when the target edge's y-range lies
-strictly above or strictly below the source edge's, the loop's y keeps one
-strict sign across the cell, so that step neither meets nor crosses the
-x-axis and adds nothing to the winding number. The walk skips such a step
-itself, on two comparisons of the curves' cached keys (PLLoop.edge_y_keys:
-edge y-ranges widened out to multiples of 2^-64, so keys apart imply ranges
-apart; no per-pair rescale). Only kept steps get exact ends. Walked without
-keys, its step starts are the bends of _refined_params and difference_loop.
+geometric computation", CGTA 1997): a step counts, or meets the origin, only
+if it meets the closed positive x half-axis. It cannot when the target
+edge's y-range lies strictly above or below the source edge's (the loop's y
+keeps one sign across the cell), nor when the target edge's x-range lies
+strictly left of the source edge's (its x stays negative). The walk skips
+such a step itself, on three comparisons of the curves' cached keys
+(PLLoop.edge_keys: edge ranges widened out to multiples of 2^-64, so keys
+apart imply ranges apart; no per-pair rescale). Only kept steps get exact
+ends. Walked without keys, its step starts are _refined_params' bends.
 
 A correspondence is checked once, where it enters; maps derived from a
 checked one, such as its inverse, skip the check (`PLCorrespondence`).
@@ -167,7 +168,8 @@ def random_correspondence(rng, breakpoints: int,
 def _bend_steps(n_source: int, n_target: int, phi: PLCorrespondence,
                 keys: tuple | None = None) -> Iterator[tuple]:
     """The difference loop's steps, once around from s = 0, or with keys
-    (the source's and then the target's edge_y_keys) those in kept cells.
+    (the source's and then the target's edge_keys) those in cells whose y
+    keys meet and whose target hi_x key is not below the source lo_x key.
 
     Between two parameters where phi bends or either curve has a vertex,
     the loop runs straight in one cell, source edge i against target edge
@@ -184,7 +186,7 @@ def _bend_steps(n_source: int, n_target: int, phi: PLCorrespondence,
     to 0 (S or T down by G) at its curve's vertex count. The piece holding
     s = 1 is walked from there to its end first, and up to there last.
     """
-    lo_s, hi_s, lo_t, hi_t = keys or ((),) * 4
+    (lx_s, _, lo_s, hi_s), (_, hx_t, lo_t, hi_t) = keys or (((),) * 4,) * 2
     follows = False
     ints = [(s.numerator, s.denominator, t.numerator, t.denominator)
             for s, t in phi.breakpoints]
@@ -212,7 +214,8 @@ def _bend_steps(n_source: int, n_target: int, phi: PLCorrespondence,
             v = next_s if next_s < next_t else next_t
             if v > end:
                 v = end
-            kept = keys is None or (lo_t[j] <= hi_s[i] and hi_t[j] >= lo_s[i])
+            kept = keys is None or (lo_t[j] <= hi_s[i] and hi_t[j] >= lo_s[i]
+                                    and hx_t[j] >= lx_s[i])
             if kept:
                 yield piece, u, v, i, j, follows
             follows = kept
@@ -292,20 +295,20 @@ def fixed_point_index(source: PolyJordanCurve, target: PolyJordanCurve,
                       phi: PLCorrespondence) -> int:
     """Winding number of the difference loop around the origin.
 
-    The loop is read step by step off _bend_steps. A step in cell (i, j)
-    keeps its Y between (low of target edge j) - (high of source edge i)
-    and (high of target edge j) - (low of source edge i). When the curves'
-    keys (PLLoop.edge_y_keys) put that interval strictly on one side of 0,
-    both ends of the step lie there too, edge_crossing would return 0 for
-    it without raising, and the walk skips it. A kept step gets exact ends
-    from its own cell's vertices, or its start from the kept step before.
+    The loop is read step by step off _bend_steps. In cell (i, j) a step's
+    Y lies between (low of target edge j) - (high of source edge i) and
+    (high of target edge j) - (low of source edge i), and its X alike. When
+    the curves' keys (PLLoop.edge_keys) put the Y interval strictly on one
+    side of 0 or the X interval below 0, edge_crossing would return 0 for
+    the step without raising, and the walk skips it. A kept step gets exact
+    ends from its cell's vertices, or its start from the kept step before.
 
     Raises HasFixedPoint when some boundary point maps to itself, where no
     index is defined.
     """
     n, m = len(source), len(target)
     at = _difference_at(source, target)
-    keys = (*source.loop.edge_y_keys, *target.loop.edge_y_keys)
+    keys = (source.loop.edge_keys, target.loop.edge_keys)
     w = 0
     end = None
     try:

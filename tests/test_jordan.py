@@ -2,6 +2,7 @@
 import itertools
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -289,6 +290,26 @@ def brute_box_pairs(boxes, split=None):
         and boxes[a][2] <= boxes[b][3] and boxes[b][2] <= boxes[a][3])
 
 
+def eager_box_pairs(boxes, split=None):
+    """_box_pairs as it was before its eviction went lazy: the other side's
+    active list is rebuilt at every box the sweep visits."""
+    if boxes:
+        lo_x, hi_x, lo_y, hi_y = zip(*boxes)
+        if ((sum(hi_y) - sum(lo_y)) * (max(hi_x) - min(lo_x))
+                < (sum(hi_x) - sum(lo_x)) * (max(hi_y) - min(lo_y))):
+            boxes = list(zip(lo_y, hi_y, lo_x, hi_x))
+    active = ([],) * 2 if split is None else ([], [])
+    for b in sorted(range(len(boxes)), key=lambda k: boxes[k][0]):
+        lo, _, lo_across, hi_across = boxes[b]
+        side = split is not None and b >= split
+        other = active[not side]
+        other[:] = [a for a in other if boxes[a][1] >= lo]
+        for a in other:
+            if boxes[a][2] <= hi_across and lo_across <= boxes[a][3]:
+                yield (a, b) if a < b else (b, a)
+        active[side].append(b)
+
+
 def random_boxes(rng, count, width, height, grid):
     """Boxes (lo_x, hi_x, lo_y, hi_y) on a grid of `grid` steps, each up to
     width by height steps across; a small grid makes many boxes share a
@@ -317,6 +338,33 @@ class TestBoxPairs:
             for split in {0, count // 3, count}:
                 assert (sorted(_box_pairs(boxes, split))
                         == brute_box_pairs(boxes, split))
+
+    def test_same_order_as_eager_eviction(self):
+        # A side's active list is rebuilt only when its least high edge has
+        # fallen behind the sweep, so the sweep yields the pairs of the
+        # eager rebuild, in its order: on each curve's own edges (the
+        # simplicity check) and on a pair's joint edges (the crossing scan).
+        rng = random.Random("box-pairs:eager")
+        pairs = [canonical_noncut_pair(m) for m in (1, 2, 5, 16)]
+        pairs += [random_transverse_pair(rng)[:2] for _ in range(20)]
+        for first, second in pairs:
+            for curve in (first, second):
+                boxes = curve.loop.edge_boxes
+                assert (list(_box_pairs(boxes))
+                        == list(eager_box_pairs(boxes)))
+            den = lcm(first.loop.int_coords[0], second.loop.int_coords[0])
+            joint = [tuple(v * (den // loop.int_coords[0]) for v in box)
+                     for loop in (first.loop, second.loop)
+                     for box in loop.edge_boxes]
+            split = len(first)
+            assert (list(_box_pairs(joint, split))
+                    == list(eager_box_pairs(joint, split)))
+        for shape, (width, height, grid) in sorted(self.SHAPES.items()):
+            for count in (2, 17, 40):
+                boxes = random_boxes(rng, count, width, height, grid)
+                for split in (None, count // 3):
+                    assert (list(_box_pairs(boxes, split))
+                            == list(eager_box_pairs(boxes, split)))
 
 
 class TestArrangement:

@@ -387,17 +387,24 @@ IDENTITY = ("HasFixedPoint", "correspondence is the identity on the boundary")
 
 
 def cell_relations(source, target, phi) -> dict[str, int]:
-    """How each walk entry's cell compares the target edge's y-range with
-    the source edge's: "apart" (strictly above or below), "touch" (sharing
-    only an end value) or "overlap"."""
-    _, _, ys_s, _, ys_t = joint_int_coords(source.loop, target.loop)
-    counts = {"apart": 0, "touch": 0, "overlap": 0}
-    for _, _, _, i, j in _bend_walk(len(source), len(target), phi):
-        lo_s, hi_s = sorted((ys_s[i], ys_s[(i + 1) % len(ys_s)]))
-        lo_t, hi_t = sorted((ys_t[j], ys_t[(j + 1) % len(ys_t)]))
+    """How each walk entry's cell compares the target edge's ranges with
+    the source edge's, by the exact rule that the index's key filter
+    follows: "y_apart" (y-ranges strictly above or below), else "x_left"
+    (the target's x-range strictly left of the source's), else "touch"
+    (a y end or the x ends meet, with equality) or "overlap"."""
+    _, xs_s, ys_s, xs_t, ys_t = joint_int_coords(source.loop, target.loop)
+    n, m = len(xs_s), len(xs_t)
+    counts = {"y_apart": 0, "x_left": 0, "touch": 0, "overlap": 0}
+    for _, _, _, i, j in _bend_walk(n, m, phi):
+        lo_s, hi_s = sorted((ys_s[i], ys_s[(i + 1) % n]))
+        lo_t, hi_t = sorted((ys_t[j], ys_t[(j + 1) % m]))
+        lx_s = min(xs_s[i], xs_s[(i + 1) % n])
+        hx_t = max(xs_t[j], xs_t[(j + 1) % m])
         if lo_t > hi_s or hi_t < lo_s:
-            counts["apart"] += 1
-        elif lo_t == hi_s or hi_t == lo_s:
+            counts["y_apart"] += 1
+        elif hx_t < lx_s:
+            counts["x_left"] += 1
+        elif lo_t == hi_s or hi_t == lo_s or hx_t == lx_s:
             counts["touch"] += 1
         else:
             counts["overlap"] += 1
@@ -427,7 +434,7 @@ class TestPrunedIndex:
                              (second, first, phi.invert())):
                     self.check(*pair)
                     counts = cell_relations(*pair)
-                    apart += counts["apart"]
+                    apart += counts["y_apart"]
                     total += sum(counts.values())
         # the filter's main path: most bends need no exact products
         assert apart > 0.8 * total
@@ -491,7 +498,7 @@ class TestPrunedIndex:
 
     def test_exact_ends_only_on_kept_cells(self, monkeypatch):
         # One edge_crossing call per step whose cell's ranges overlap or
-        # touch, and none for a step the filter skips.
+        # touch, and none for a step the filter skips: y apart or x left.
         calls = []
 
         def counted(*ends):
@@ -502,7 +509,7 @@ class TestPrunedIndex:
         rng = random.Random(8800)
         pairs = [pair for pair, in circle_pools(rng, per_class=1).values()]
         pairs += [random_transverse_pair(rng)[:2] for _ in range(8)]
-        indexed = 0
+        indexed = x_left = 0
         for first, second in pairs:
             for _ in range(4):
                 phi = random_correspondence(rng, rng.randrange(3, 10))
@@ -516,12 +523,14 @@ class TestPrunedIndex:
                     counts = cell_relations(*pair)
                     assert len(calls) == counts["touch"] + counts["overlap"]
                     indexed += 1
-        assert indexed > 60
+                    x_left += counts["x_left"]
+        assert indexed > 60 and x_left > 100
 
 
-    # The walk filters on PLLoop.edge_y_keys, each edge's y-range floored and
-    # ceiled at 2^-64: keys apart must imply exact ranges apart, and a cell
-    # whose ranges are apart by less than 2^-64 is kept and must add 0.
+    # The walk filters on PLLoop.edge_keys, each edge's x- and y-range
+    # floored and ceiled at 2^-64: keys apart must imply exact ranges apart,
+    # and a cell whose ranges are apart by less than 2^-64 is kept and must
+    # add 0.
 
     @pytest.mark.parametrize("gap", [F(1, 2 ** 70), F(-1, 2 ** 70),
                                      F(1, 3 * 2 ** 65)])
@@ -553,6 +562,54 @@ class TestPrunedIndex:
                 widened += len(calls) > counts["touch"] + counts["overlap"]
         assert widened > 10
 
+    @pytest.mark.parametrize("gap", [F(1, 2 ** 70), F(-1, 2 ** 70),
+                                     F(1, 3 * 2 ** 65)])
+    def test_x_ranges_apart_by_less_than_the_key_step(self, monkeypatch, gap):
+        # The target's right edge lies at x = -gap, the source's left edge
+        # at x = 0. With gap > 0 the target's edges that reach x = -gap lie
+        # left of the source's edges that reach x = 0, and with gap < 0 the
+        # source's lie left of the target's, which the inverse walk sees:
+        # apart by less than 2^-64, so their keys meet and the walk keeps
+        # those cells.
+        calls = []
+
+        def counted(*ends):
+            calls.append(ends)
+            return edge_crossing(*ends)
+
+        monkeypatch.setattr("fpindex.plmap.edge_crossing", counted)
+        source = square_curve(0, 0, 2, 2)
+        target = validate_curve([pt(-3, -1), pt(-gap, -1), pt(-gap, 3),
+                                 pt(-3, 3)])
+        rng = random.Random(8950)
+        maps = [rotation_params(4, 2), rotation_params(4, 1)]
+        maps += [random_correspondence(rng, rng.randrange(3, 8))
+                 for _ in range(20)]
+        widened = x_left = 0
+        for phi in maps:
+            for pair in ((source, target, phi), (target, source, phi.invert())):
+                calls.clear()
+                self.check(*pair)
+                counts = cell_relations(*pair)
+                assert len(calls) >= counts["touch"] + counts["overlap"]
+                widened += len(calls) > counts["touch"] + counts["overlap"]
+                x_left += counts["x_left"]
+        assert x_left > 0 and widened > 10
+
+    @pytest.mark.parametrize("scale", [F(1), F(1, 3), F(7, 5)])
+    def test_touching_x_ranges_with_a_fixed_point(self, scale):
+        # Source edge 3 runs down x = 0 from (0, 2) and target edge 1 up it
+        # from (0, 0): their x-ranges touch at 0, and the half-turn map sends
+        # (0, 1) to itself there, so the index is undefined.
+        source = validate_curve([pt(x * scale, y * scale) for x, y in
+                                 ((0, 0), (2, 0), (2, 2), (0, 2))])
+        target = validate_curve([pt(x * scale, y * scale) for x, y in
+                                 ((-2, 0), (0, 0), (0, 2), (-2, 2))])
+        phi = rotation_params(4, 2)
+        for pair in ((source, target, phi), (target, source, phi.invert())):
+            assert self.check(*pair) == THROUGH_ORIGIN
+            assert cell_relations(*pair)["touch"] > 0
+
     @pytest.mark.parametrize("scale", [F(1), F(1, 3), F(7, 5)])
     def test_touching_ranges_with_a_fixed_point(self, scale):
         # Source edge 1 runs up to (2, 2) and target edge 3 down to it: their
@@ -567,6 +624,39 @@ class TestPrunedIndex:
             assert self.check(*pair) == THROUGH_ORIGIN
             assert cell_relations(*pair)["touch"] > 0
 
+    def test_every_lattice_map_in_each_position(self):
+        # Every map with two or three breakpoints on the 1/6 lattice, which
+        # holds the triangles' vertices and two of each square's, between
+        # lattice polygons left of each other, nested, crossing and sharing
+        # the edge x = 0. Both orders of each pair run every map: the set is
+        # closed under inversion, so the inverses run too.
+        grid = [F(k, 6) for k in range(6)]
+        maps = [PLCorrespondence(tuple(zip(ss, ts[r:] + ts[:r])))
+                for size in (2, 3)
+                for ss in itertools.combinations(grid, size)
+                for ts in itertools.combinations(grid, size)
+                for r in range(size)]
+        assert len(maps) == 2 * 15 ** 2 + 3 * 20 ** 2
+
+        def tri(*corners):
+            return validate_curve([pt(x, y) for x, y in corners])
+
+        square = square_curve(0, 0, 2, 2)
+        positions = {
+            "left": (square, tri((-3, 1), (-1, 0), (-1, 3))),
+            "nested": (square_curve(-1, -1, 3, 3), tri((0, 0), (2, 1), (1, 2))),
+            "crossing": (square, tri((1, -1), (3, 1), (1, 3))),
+            "shared_edge": (square, square_curve(-2, 0, 0, 2)),
+        }
+        for name, (first, second) in positions.items():
+            seen = set()
+            for phi in maps:
+                seen.add(self.check(first, second, phi))
+                seen.add(self.check(second, first, phi))
+            assert seen == {"left": {0}, "nested": {1},
+                            "crossing": {0, 1, THROUGH_ORIGIN},
+                            "shared_edge": {0, THROUGH_ORIGIN}}[name]
+
     def test_keys_bracket_the_exact_ranges(self):
         rng = random.Random(9000)
         curves = [c for pair, in circle_pools(rng, per_class=1).values()
@@ -575,12 +665,14 @@ class TestPrunedIndex:
         curves += [c for m in (1, 5, 16) for c in canonical_noncut_pair(m)]
         curves += [grid_curve(rng) for _ in range(20)]
         for curve in curves:
-            ys = [p.y for p in curve.vertices]
-            lo, hi = curve.loop.edge_y_keys
-            assert len(lo) == len(hi) == len(ys)
-            for i, (a, b) in enumerate(zip(ys, ys[1:] + ys[:1])):
-                assert lo[i] == math.floor(min(a, b) * 2 ** 64)
-                assert hi[i] == math.ceil(max(a, b) * 2 ** 64)
+            keys = curve.loop.edge_keys
+            assert len(keys) == 4
+            for axis, (lo, hi) in enumerate((keys[:2], keys[2:])):
+                vs = [p.y if axis else p.x for p in curve.vertices]
+                assert len(lo) == len(hi) == len(vs)
+                for i, (a, b) in enumerate(zip(vs, vs[1:] + vs[:1])):
+                    assert lo[i] == math.floor(min(a, b) * 2 ** 64)
+                    assert hi[i] == math.ceil(max(a, b) * 2 ** 64)
 
 
 def lattice_square_maps(shared_edge: int) -> list[PLCorrespondence]:
@@ -639,13 +731,15 @@ class TestIndexRungsScript:
         assert rung["n"] == 16
         assert set(rung["classes"]) == {"disjoint", "nested", "two_cross",
                                         "general"}
-        # the per-call means of the walk and of the exact ends, as the
-        # exact y-range filter gave them: the key filter keeps no extra step
-        cells = {"disjoint": (38.5, 9.5), "nested": (38.8, 7.0),
-                 "two_cross": (38.5, 6.0), "general": (36.2, 5.0)}
+        # the per-call means of the walk, of the steps whose y keys meet,
+        # and of the exact ends, as the exact rule of cell_relations gives
+        # them (touch + overlap): the key filter keeps no extra step
+        cells = {"disjoint": (38.5, 9.5, 4.8), "nested": (38.8, 7.0, 3.5),
+                 "two_cross": (38.5, 6.0, 3.4), "general": (36.2, 5.0, 2.9)}
         for cls, row in rung["classes"].items():
             assert row["best_us"] > 0
-            assert (row["cells_walked"], row["cells_exact"]) == cells[cls]
+            assert (row["cells_walked"], row["cells_y"],
+                    row["cells_exact"]) == cells[cls]
 
 
 def nested_glue_fixture():

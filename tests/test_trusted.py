@@ -296,7 +296,7 @@ class TestCurves:
                 boxes = tuple([(min(xa, xb), max(xa, xb), min(ya, yb),
                                 max(ya, yb)) for xa, xb, ya, yb in ends])
                 assert loop.edge_boxes == boxes
-                assert loop.edge_y_keys == PLLoop(loop.vertices).edge_y_keys
+                assert loop.edge_keys == PLLoop(loop.vertices).edge_keys
 
     def test_affine_images(self):
         rng = random.Random(7401)

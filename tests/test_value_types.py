@@ -211,7 +211,7 @@ def test_cached_values_are_computed_once():
     path = made["StaircasePath"][0]
     spec = made["PackingSpec"][0]
     for obj, attr in ((loop, "int_coords"), (loop, "edge_boxes"),
-                      (loop, "edge_y_keys"),
+                      (loop, "edge_keys"),
                       (diagram, "marks"), (diagram, "p_ids"),
                       (diagram, "_constraint_ranks"), (path, "_xs"),
                       (spec, "analysis")):
