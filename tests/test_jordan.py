@@ -291,8 +291,8 @@ def brute_box_pairs(boxes, split=None):
 
 
 def eager_box_pairs(boxes, split=None):
-    """_box_pairs as it was before its eviction went lazy: the other side's
-    active list is rebuilt at every box the sweep visits."""
+    """_box_pairs with eager eviction, the reference for its order: the
+    other side's active list is rebuilt at every box the sweep visits."""
     if boxes:
         lo_x, hi_x, lo_y, hi_y = zip(*boxes)
         if ((sum(hi_y) - sum(lo_y)) * (max(hi_x) - min(lo_x))
@@ -359,7 +359,7 @@ class TestBoxPairs:
             split = len(first)
             assert (list(_box_pairs(joint, split))
                     == list(eager_box_pairs(joint, split)))
-        for shape, (width, height, grid) in sorted(self.SHAPES.items()):
+        for width, height, grid in self.SHAPES.values():
             for count in (2, 17, 40):
                 boxes = random_boxes(rng, count, width, height, grid)
                 for split in (None, count // 3):

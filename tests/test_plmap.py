@@ -413,9 +413,10 @@ def cell_relations(source, target, phi) -> dict[str, int]:
 
 class TestPrunedIndex:
     """fixed_point_index builds exact ends only for the difference-loop
-    edges whose cell's y-keys overlap or touch, which every cell whose exact
-    y-ranges do passes; it must give the value, or the error class and
-    message, of the reference that winds every bend."""
+    edges whose cell's y-keys meet and whose target x-keys do not lie left
+    of the source's, which every cell that the exact ranges keep passes; it
+    must give the value, or the error class and message, of the reference
+    that winds every bend."""
 
     def check(self, source, target, phi):
         got = index_outcome(fixed_point_index, source, target, phi)
