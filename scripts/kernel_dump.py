@@ -26,7 +26,14 @@ piece and interstice indices and interstice triples) and every map the
 certificate passes to `fixed_point_index`, with its index. A sixth file,
 `rotated.txt`, records the crossing set and second-curve order of each
 canonical pair and of its quarter turn: the tall pairs and the wide ones
-sweep their boxes along different axes, so both sweeps are covered. The
+sweep their boxes along different axes, so both sweeps are covered. A
+seventh file, `predicates.txt`, records the exact predicates on seeded star
+polygons, lattice polygons and near-degenerate variants of them (a vertex
+moved onto another edge, 10^-9 off it, onto its neighbours' line or back
+past a neighbour): each `validate_curve` outcome, `signed_area`,
+`locate_param` on vertices, edge midpoints and off-curve points,
+`winding_number` around those points, and `check_transverse` on pairs of
+them and on tiny translates, whose crossings carry their points. The
 script loads `fpindex` from this checkout's `src/`, so the dumps of two checkouts
 are identical exactly when `diff -r OUT_A OUT_B` prints nothing.
 """
@@ -43,7 +50,12 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
 from fpindex import packing  # noqa: E402
 from fpindex.errors import FpIndexError  # noqa: E402
-from fpindex.jordan import canonical_noncut_pair, check_transverse  # noqa: E402
+from fpindex.exact_geom import signed_area, winding_number  # noqa: E402
+from fpindex.jordan import (  # noqa: E402
+    canonical_noncut_pair,
+    check_transverse,
+    validate_curve,
+)
 from fpindex.plmap import (  # noqa: E402
     _refined_params,
     fixed_point_index,
@@ -68,6 +80,7 @@ from geomgen import (  # noqa: E402
     identity_params,
     path_through_constraints,
     random_monotone_path,
+    star_polygon,
     random_transverse_pair,
     straight_path,
     synthesize_constraints,
@@ -87,6 +100,7 @@ GLUE_SQUARE_FIXTURES = 100
 CIRCLE_PAIRS_PER_CLASS = 2
 CIRCLE_MAPS = 25
 PACKING_TRANSLATES = 3
+PREDICATE_POLYGONS = 30
 
 
 def fmt(value) -> str:
@@ -104,7 +118,7 @@ def fmt(value) -> str:
 def outcome(fn, *args, **kwargs):
     try:
         return fmt(fn(*args, **kwargs))
-    except FpIndexError as err:
+    except (FpIndexError, ValueError) as err:
         return f"{type(err).__name__}: {err}"
 
 
@@ -277,6 +291,68 @@ def rotated_dump(seed: int) -> list[str]:
     return out
 
 
+def near_degenerate(rng: random.Random, vertices: list) -> list[list]:
+    """Variants of a polygon with one vertex k moved: onto the midpoint of
+    another edge, 10^-9 off it either way, onto the line of its two
+    neighbours, and past its next neighbour along the edge into it."""
+    n = len(vertices)
+    k = rng.randrange(n)
+    before, after = vertices[k - 1], vertices[(k + 1) % n]
+    e = (k + 1 + rng.randrange(1, n - 1)) % n  # an edge not starting at k + 1
+    mid = (vertices[e] + vertices[(e + 1) % n]).scale(Fraction(1, 2))
+    tiny = RatPoint(Fraction(1, 10**9), Fraction(-1, 10**9))
+    moved = [mid, mid + tiny, mid - tiny,
+             (before + after).scale(Fraction(1, 2)),
+             after + (after - vertices[k]).scale(Fraction(1, 3))]
+    return [vertices[:k] + [p] + vertices[k + 1:] for p in moved]
+
+
+def predicates_dump(seed: int) -> list[str]:
+    rng = random.Random(f"kernel-dump-predicates:{seed}")
+    out: list[str] = []
+    polygons = []
+    for k in range(PREDICATE_POLYGONS):
+        star = star_polygon(rng, rng.randrange(3, 13),
+                            RatPoint(Fraction(rng.randrange(-9, 10), 7),
+                                     Fraction(rng.randrange(-9, 10), 5)),
+                            Fraction(1), Fraction(4))
+        lattice = grid_curve(rng)
+        for name, vs in (("star", list(star.vertices)),
+                         ("lattice", list(lattice.vertices))):
+            polygons.append((f"{name} {k}", vs))
+            polygons += [(f"{name} {k} moved {v}", moved) for v, moved
+                         in enumerate(near_degenerate(rng, vs))]
+    curves = []
+    for name, vs in polygons:
+        out.append(f"# {name}: {fmt([(p.x, p.y) for p in vs])}")
+        try:
+            curve = validate_curve(vs)
+        except (FpIndexError, ValueError) as err:
+            out.append(f"validate {type(err).__name__}: {err}")
+            continue
+        out.append("validate ok")
+        curves.append(curve)
+        out.append(f"area {fmt(signed_area(curve.loop))}")
+        n = len(vs)
+        mids = [(vs[i] + vs[(i + 1) % n]).scale(Fraction(1, 2))
+                for i in range(n)]
+        off = RatPoint(Fraction(1, 10**9), Fraction(1, 3 * 10**9))
+        probes = vs + mids + [p + off for p in mids] + [
+            sum(vs[1:], vs[0]).scale(Fraction(1, n))]
+        out.append("locate " + fmt([curve.locate_param(p) for p in probes]))
+        out.append("winding " + " ".join(
+            outcome(winding_number, curve.loop, p) for p in probes))
+    shift = RatPoint(Fraction(1, 10**12), Fraction(-1, 7 * 10**11))
+    for k, first in enumerate(curves):
+        second = curves[(k + 1) % len(curves)]
+        moved = validate_curve([p + shift for p in first.vertices])
+        for name, other in (("next", second), ("tiny_shift", moved),
+                            ("self", first)):
+            out.append(f"# pair {k} {name}")
+            out.append(f"crossings {outcome(check_transverse, first, other)}")
+    return out
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("outdir", type=Path)
@@ -285,7 +361,8 @@ def main(argv: list[str] | None = None) -> int:
     args.outdir.mkdir(parents=True, exist_ok=True)
     for name, build in (("random", random_dump), ("canonical", canonical_dump),
                         ("glue", glue_dump), ("circle", circle_dump),
-                        ("packing", packing_dump), ("rotated", rotated_dump)):
+                        ("packing", packing_dump), ("rotated", rotated_dump),
+                        ("predicates", predicates_dump)):
         path = args.outdir / f"{name}.txt"
         path.write_text("\n".join(build(args.seed)) + "\n", encoding="utf-8")
         print("wrote", path)

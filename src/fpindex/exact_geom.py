@@ -4,11 +4,11 @@ Every coordinate is a `fractions.Fraction` and every predicate is decided
 exactly; nothing in here touches floats, rounds, or perturbs. Degenerate
 configurations are reported, never repaired.
 
-Predicates run on integers: the points they need are scaled once to integer
-numerators over a common denominator (`integer_coords`, cached per loop as
-`PLLoop.int_coords` with its edge boxes `PLLoop.edge_boxes`), and the
-integer kernels `cross_int`, `in_box_int`, `meet_int`, `edge_crossing` and
-`origin_winding` decide them without Fraction arithmetic.
+Predicates run on integers, with one point form: the homogeneous row
+(X, Y, W) of `row`, W > 0 the lcm of the point's own two denominators, which
+a loop caches per vertex (`PLLoop.rows`) with one edge table built from them
+(`PLLoop.edge_keys`). The kernels `turn_int`, `in_box_int`, `meet_int`,
+`edge_crossing` and `origin_winding` decide predicates on rows alone.
 
 Sign conventions, used consistently by the whole package:
 
@@ -120,7 +120,7 @@ def trusted(cls, **fields):
     its `__init__`, written out or shared, skipped. A field left out reads
     the class attribute of that name (`TorusDiagram` declares some), never
     `_defaults`, so a slotted class must be given every field; a cached
-    value (a loop's int_coords) may be seeded too.
+    value (a loop's rows) may be seeded too.
 
     This is the one trusted constructor behind the package's validated
     types. Call it only where the checks would pass by construction: on an
@@ -175,39 +175,37 @@ def pt(x: RatLike, y: RatLike) -> RatPoint:
 ORIGIN = pt(0, 0)
 
 
-IntPoint = tuple[int, int]
+Row = tuple[int, int, int]
 
 
-def integer_coords(points: Sequence[RatPoint],
-                   ) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
-    """(D, X, Y) with point k equal to (X[k] / D, Y[k] / D).
-
-    D > 0 is the lcm of every coordinate denominator, so predicates on the
-    integer numerators agree with predicates on the points.
-    """
-    den = lcm(*[q.denominator for p in points for q in (p.x, p.y)])
-    return (den,
-            tuple([p.x.numerator * (den // p.x.denominator) for p in points]),
-            tuple([p.y.numerator * (den // p.y.denominator) for p in points]))
+def row(p: RatPoint) -> Row:
+    """p as the integer row (X, Y, W) with p = (X / W, Y / W), where W > 0
+    is the lcm of p's two denominators."""
+    (nx, qx), (ny, qy) = p.x.as_integer_ratio(), p.y.as_integer_ratio()
+    w = lcm(qx, qy)
+    return nx * (w // qx), ny * (w // qy), w
 
 
-def cross_int(a: IntPoint, b: IntPoint, c: IntPoint) -> int:
-    """Twice the signed area of triangle a, b, c; positive if counterclockwise."""
-    return (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
+def turn_int(a: Row, b: Row, c: Row) -> int:
+    """(a x b) . c, the determinant of the rows: positive when a, b, c turn
+    counterclockwise and 0 when they are collinear. a x b is the line
+    through a and b, and the dot product puts c on its side."""
+    (xa, ya, wa), (xb, yb, wb) = a, b
+    return ((ya * wb - wa * yb) * c[0] + (wa * xb - xa * wb) * c[1]
+            + (xa * yb - ya * xb) * c[2])
 
 
-def in_box_int(a: IntPoint, b: IntPoint, p: IntPoint) -> bool:
-    """p lies in the closed bounding box of a and b."""
-    return (min(a[0], b[0]) <= p[0] <= max(a[0], b[0])
-            and min(a[1], b[1]) <= p[1] <= max(a[1], b[1]))
+def in_box_int(a: Row, b: Row, p: Row) -> bool:
+    """p lies in the closed bounding box of a and b, cross-multiplied."""
+    (xa, ya, wa), (xb, yb, wb), (xp, yp, wp) = a, b, p
+    return ((xa * wp - xp * wa) * (xb * wp - xp * wb) <= 0
+            and (ya * wp - yp * wa) * (yb * wp - yp * wb) <= 0)
 
 
 # kept for the benchmark's per-call timings until ROADMAP item 10
 def orient2d(a: RatPoint, b: RatPoint, c: RatPoint) -> int:
     """+1 if a,b,c counterclockwise, -1 if clockwise, 0 if collinear."""
-    _, xs, ys = integer_coords((a, b, c))
-    p, q, r = zip(xs, ys)
-    v = cross_int(p, q, r)
+    v = turn_int(row(a), row(b), row(c))
     return (v > 0) - (v < 0)
 
 
@@ -264,18 +262,23 @@ class SegmentMeeting:
         return SegmentMeeting(MeetKind.DEGENERATE)
 
 
-def meet_int(a: IntPoint, b: IntPoint, c: IntPoint, d: IntPoint,
+def meet_int(a: Row, b: Row, c: Row, d: Row,
              ) -> tuple[MeetKind, int, int, int, int]:
-    """Contact of the integer segments s = ab and t = cd.
+    """Contact of the segments s = ab and t = cd, given as rows.
 
-    Returns the kind with d1, d2 = cross_int(c, d, a), cross_int(c, d, b)
-    and d3, d4 = cross_int(a, b, c), cross_int(a, b, d). A PROPER crossing
-    lies at parameter d1 / (d1 - d2) along s and d3 / (d3 - d4) along t.
+    Returns the kind with d1, d2 = turn_int(c, d, a), turn_int(c, d, b) and
+    d3, d4 = turn_int(a, b, c), turn_int(a, b, d): four dot products on the
+    two line vectors c x d and a x b. Each d carries the W of its three
+    rows, so a PROPER crossing lies at parameter d1 W_b / (d1 W_b - d2 W_a)
+    along s and d3 W_d / (d3 W_d - d4 W_c) along t.
     """
-    d1 = cross_int(c, d, a)
-    d2 = cross_int(c, d, b)
-    d3 = cross_int(a, b, c)
-    d4 = cross_int(a, b, d)
+    (xa, ya, wa), (xb, yb, wb), (xc, yc, wc), (xd, yd, wd) = a, b, c, d
+    lx, ly, lw = yc * wd - wc * yd, wc * xd - xc * wd, xc * yd - yc * xd
+    d1 = lx * xa + ly * ya + lw * wa
+    d2 = lx * xb + ly * yb + lw * wb
+    lx, ly, lw = ya * wb - wa * yb, wa * xb - xa * wb, xa * yb - ya * xb
+    d3 = lx * xc + ly * yc + lw * wc
+    d4 = lx * xd + ly * yd + lw * wd
     if ((d1 > 0 and d2 > 0) or (d1 < 0 and d2 < 0)
             or (d3 > 0 and d4 > 0) or (d3 < 0 and d4 < 0)):
         return MeetKind.EMPTY, d1, d2, d3, d4
@@ -291,11 +294,11 @@ def meet_int(a: IntPoint, b: IntPoint, c: IntPoint, d: IntPoint,
 # kept for the benchmark's per-call timings until ROADMAP item 10
 def segment_intersection(s: Segment, t: Segment) -> SegmentMeeting:
     """Exact segment intersection, symmetric in its arguments."""
-    _, xs, ys = integer_coords((s.a, s.b, t.a, t.b))
-    a, b, c, d = zip(xs, ys)
-    kind, d1, d2, _, _ = meet_int(a, b, c, d)
+    a, b = row(s.a), row(s.b)
+    kind, d1, d2, _, _ = meet_int(a, b, row(t.a), row(t.b))
     if kind is MeetKind.PROPER:
-        return SegmentMeeting.proper(s.point_at(Fraction(d1, d1 - d2)))
+        u = d1 * b[2]
+        return SegmentMeeting.proper(s.point_at(Fraction(u, u - d2 * a[2])))
     if kind is MeetKind.DEGENERATE:
         return SegmentMeeting.degenerate()
     return SegmentMeeting.empty()
@@ -324,32 +327,19 @@ class PLLoop:
         return len(self.vertices)
 
     @cached_property
-    def int_coords(self) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
-        """The vertices as integer_coords, computed once per loop."""
-        return integer_coords(self.vertices)
-
-    @cached_property
-    def edge_boxes(self) -> tuple[tuple[int, int, int, int], ...]:
-        """(lo_x, hi_x, lo_y, hi_y) of edge i, from vertex i to vertex i + 1,
-        over int_coords' denominator; computed once per loop."""
-        _, xs, ys = self.int_coords
-        boxes = []
-        for xa, xb, ya, yb in zip(xs, xs[1:] + xs[:1], ys, ys[1:] + ys[:1]):
-            if xa > xb:  # swaps, not min and max: four times as fast
-                xa, xb = xb, xa
-            if ya > yb:
-                ya, yb = yb, ya
-            boxes.append((xa, xb, ya, yb))
-        return tuple(boxes)
+    def rows(self) -> tuple[Row, ...]:
+        """The vertices as rows (`row`), computed once per loop."""
+        return tuple([row(p) for p in self.vertices])
 
     @cached_property
     def edge_keys(self) -> tuple[tuple[int, ...], ...]:
         """(lo_x, hi_x, lo_y, hi_y): floor(2^64 low) and ceil(2^64 high) of
-        each edge's x- and y-range, from one divmod per coordinate."""
-        den, xs, ys = self.int_coords
+        each edge's x- and y-range, from one divmod per row coordinate.
+        Keys apart imply ranges apart."""
+        rows = self.rows
         keys = []
-        for vs in (xs, ys):
-            qr = [divmod(v << 64, den) for v in vs]
+        for k in (0, 1):
+            qr = [divmod(r[k] << 64, r[2]) for r in rows]
             lo = [q for q, _ in qr]
             hi = [q + 1 if r else q for q, r in qr]
             keys += (
@@ -371,10 +361,14 @@ class PLLoop:
 
 
 def signed_area(loop: PLLoop) -> Fraction:
-    """Shoelace area: positive for counterclockwise loops."""
-    den, xs, ys = loop.int_coords
-    total = sum(xs[i - 1] * ys[i] - xs[i] * ys[i - 1] for i in range(len(xs)))
-    return Fraction(total, 2 * den * den)
+    """Shoelace area: positive for counterclockwise loops. Each edge adds
+    its rows' cross term over the product of their weights; the terms are
+    summed on integers per product, and one `Fraction` per product."""
+    rows = loop.rows
+    sums: dict[int, int] = {}
+    for (xa, ya, wa), (xb, yb, wb) in zip(rows, rows[1:] + rows[:1]):
+        sums[wa * wb] = sums.get(wa * wb, 0) + xa * yb - ya * xb
+    return sum([Fraction(t, 2 * w) for w, t in sums.items()], Fraction(0))
 
 
 def edge_crossing(xa: int, ya: int, xb: int, yb: int) -> int:
@@ -424,12 +418,11 @@ def origin_winding(cycle: Sequence[Sequence[int]]) -> int:
 
 
 def winding_number(loop: PLLoop, p: RatPoint) -> int:
-    """Winding number of the loop around p; PointOnLoop if p is on the loop."""
-    den, xs, ys = loop.int_coords
-    e = lcm(p.x.denominator, p.y.denominator)
-    px = p.x.numerator * (e // p.x.denominator) * den
-    py = p.y.numerator * (e // p.y.denominator) * den
-    return origin_winding([(x * e - px, y * e - py) for x, y in zip(xs, ys)])
+    """Winding number of the loop around p; PointOnLoop if p is on the loop.
+    Each vertex minus p is read up to the positive weight W W_p."""
+    px, py, pw = row(p)
+    return origin_winding([(x * pw - px * w, y * pw - py * w)
+                           for x, y, w in loop.rows])
 
 
 class PointLocation(Enum):

@@ -21,15 +21,16 @@ Every face is traced by one left-face walk over a rotation system
 (_face_cycles), read from the kinds here and from the contact structure in
 the packing module (trace_faces). No tracer sorts half-edges by angle.
 
-Segment pairs are found by one box sweep (_box_pairs), along y when the
-boxes are thinner against their extent that way; the crossing scan splits it
-by curve, so it tests only pairs across the two curves.
+Segment pairs are found by one box sweep (_box_pairs) over the loops' edge
+keys (PLLoop.edge_keys), along y when the boxes are thinner against their
+extent that way; the crossing scan splits it by curve, so it tests only
+pairs across the two curves. meet_int decides each pair on the loops' own
+rows (PLLoop.rows), and nothing is rescaled.
 """
 from __future__ import annotations
 
 from enum import Enum
 from fractions import Fraction
-from math import lcm
 from typing import Iterator, Sequence
 
 from .errors import (
@@ -42,18 +43,19 @@ from .errors import (
     OrderViolation,
 )
 from .exact_geom import (
-    IntPoint,
     MeetKind,
     PLLoop,
     PointLocation,
     RatPoint,
+    Row,
     _set,
-    cross_int,
     in_box_int,
     meet_int,
     point_in_polygon,
+    row,
     signed_area,
     trusted,
+    turn_int,
     value_type,
 )
 
@@ -92,21 +94,20 @@ def _box_pairs(boxes: Sequence[tuple[int, int, int, int]],
 
 def _check_simple(loop: PLLoop) -> None:
     """NotSimple naming the first offending segment pair in (i, j) order."""
-    _, xs, ys = loop.int_coords
-    pts = list(zip(xs, ys))
-    n = len(pts)
+    rows = loop.rows
+    n = len(rows)
     bad: list[tuple[int, int]] = []
-    for i, j in _box_pairs(loop.edge_boxes):
+    for i, j in _box_pairs(list(zip(*loop.edge_keys))):
         if j - i in (1, n - 1):
             # Segments k and k + 1 share vertex k + 1, so the sweep pairs
             # them; any doubling back puts a far endpoint on the other one.
             k = i if j == i + 1 else j
-            a, b, c = pts[k], pts[(k + 1) % n], pts[(k + 2) % n]
-            if cross_int(a, b, c) == 0 and (in_box_int(b, c, a)
-                                            or in_box_int(a, b, c)):
+            a, b, c = rows[k], rows[(k + 1) % n], rows[(k + 2) % n]
+            if turn_int(a, b, c) == 0 and (in_box_int(b, c, a)
+                                           or in_box_int(a, b, c)):
                 bad.append((i, j))
-        elif meet_int(pts[i], pts[(i + 1) % n], pts[j],
-                      pts[(j + 1) % n])[0] is not MeetKind.EMPTY:
+        elif meet_int(rows[i], rows[(i + 1) % n], rows[j],
+                      rows[(j + 1) % n])[0] is not MeetKind.EMPTY:
             bad.append((i, j))
     if bad:
         i, j = min(bad)
@@ -129,11 +130,13 @@ class PolyJordanCurve:
 
     def __init__(self, loop: PLLoop) -> None:
         _check_simple(loop)
-        _, xs, ys = loop.int_coords
-        k = min(range(len(xs)), key=lambda i: (ys[i], xs[i]))
-        k1 = (k + 1) % len(xs)
-        if cross_int((xs[k - 1], ys[k - 1]), (xs[k], ys[k]),
-                     (xs[k1], ys[k1])) < 0:
+        rows = loop.rows
+        k = 0
+        for i, (x, y, w) in enumerate(rows):  # lowest, then leftmost
+            xk, yk, wk = rows[k]
+            if y * wk < yk * w or (y * wk == yk * w and x * wk < xk * w):
+                k = i
+        if turn_int(rows[k - 1], rows[k], rows[(k + 1) % len(rows)]) < 0:
             raise NotPositivelyOriented("loop has non-positive signed area")
         _set(self, "loop", loop)
 
@@ -157,25 +160,26 @@ class PolyJordanCurve:
     def locate_param(self, p: RatPoint) -> Fraction | None:
         """Normalized parameter of a boundary point, or None if off-curve.
 
-        The vertices stay over their common denominator D, and p becomes the
-        homogeneous point (X, Y, W) = (p.x W D, p.y W D, W) with W the lcm of
-        its own denominators, so each segment is tested on integers and
-        only the segment found costs a `Fraction`.
+        p becomes its row q = (X, Y, W). An edge is tested exactly only when
+        its keys (PLLoop.edge_keys) hold floor(2^64 X / W) and
+        floor(2^64 Y / W), and only the edge found costs a `Fraction`.
         """
-        den, xs, ys = self.loop.int_coords
-        w = lcm(p.x.denominator, p.y.denominator)
-        qx = p.x.numerator * (w // p.x.denominator) * den
-        qy = p.y.numerator * (w // p.y.denominator) * den
-        n = len(xs)
+        rows = self.loop.rows
+        lo_x, hi_x, lo_y, hi_y = self.loop.edge_keys
+        q = px, py, pw = row(p)
+        kx, ky = (px << 64) // pw, (py << 64) // pw
+        n = len(rows)
         for i in range(n):
-            ax, ay, bx, by = xs[i], ys[i], xs[(i + 1) % n], ys[(i + 1) % n]
-            if not (min(ax, bx) * w <= qx <= max(ax, bx) * w
-                    and min(ay, by) * w <= qy <= max(ay, by) * w):
+            if not (lo_x[i] <= kx <= hi_x[i] and lo_y[i] <= ky <= hi_y[i]):
                 continue
-            if (bx - ax) * (qy - ay * w) != (by - ay) * (qx - ax * w):
+            a, b = (xa, ya, wa), (xb, yb, wb) = rows[i], rows[(i + 1) % n]
+            if turn_int(a, b, q) or not in_box_int(a, b, q):
                 continue
-            num, step = ((qx - ax * w, (bx - ax) * w) if ax != bx else
-                         (qy - ay * w, (by - ay) * w))
+            # q = a + (num / step)(b - a), read on x unless the edge is
+            # vertical, over the weights W_a W_b W
+            num, step = (((px * wa - xa * pw) * wb, (xb * wa - xa * wb) * pw)
+                         if xa * wb != xb * wa else
+                         ((py * wa - ya * pw) * wb, (yb * wa - ya * wb) * pw))
             if num == step:
                 continue  # belongs to the next segment's start
             return Fraction(i * step + num, n * step)
@@ -219,11 +223,13 @@ class Crossing:
 
     @property
     def point(self) -> RatPoint:
-        """Built when first read from check_transverse's _at = (a, b, u, w, D)."""
+        """Built when first read from check_transverse's _at = (a, b, u, w):
+        the point u / w of the way along from row a to row b."""
         if self._point is None:
-            (ax, ay), (bx, by), u, w, den = self._at
-            _set(self, "_point", RatPoint(Fraction(ax * w + (bx - ax) * u, den * w),
-                                          Fraction(ay * w + (by - ay) * u, den * w)))
+            (xa, ya, wa), (xb, yb, wb), u, w = self._at
+            fa, fb, den = wb * (w - u), wa * u, wa * wb * w
+            _set(self, "_point", RatPoint(Fraction(xa * fa + xb * fb, den),
+                                          Fraction(ya * fa + yb * fb, den)))
         return self._point
 
 
@@ -273,36 +279,27 @@ class CrossingSet:
 
 
 def segment_contacts(first: PLLoop, second: PLLoop,
-                     ) -> tuple[int, list[IntPoint], list[IntPoint], list[tuple]]:
+                     ) -> tuple[tuple[Row, ...], tuple[Row, ...], list[tuple]]:
     """Every contact between a segment of one loop and one of the other.
 
-    Returns (D, P1, P2, hits): the vertices of both loops as integer points
-    over one denominator D, and (i, j, *meet_int(a, b, c, d)) for each
-    segment ab = P1[i] P1[i + 1] of the first loop that meets a segment
-    cd = P2[j] P2[j + 1] of the second, in (i, j) order. Only segment pairs
-    whose closed bounding boxes meet are tested (_box_pairs on the loops'
-    edge tables, split by loop).
+    Returns (R1, R2, hits): the loops' own rows (PLLoop.rows), and
+    (i, j, *meet_int(a, b, c, d)) for each segment ab = R1[i] R1[i + 1] of
+    the first loop that meets a segment cd = R2[j] R2[j + 1] of the second,
+    in (i, j) order. Only segment pairs whose key boxes meet are tested
+    (_box_pairs on the loops' edge_keys, split by loop).
     """
-    den = lcm(first.int_coords[0], second.int_coords[0])
-    joint = []
-    for loop in (first, second):
-        own, xs, ys = loop.int_coords
-        boxes = loop.edge_boxes
-        if own != den:
-            f = den // own
-            xs, ys = [x * f for x in xs], [y * f for y in ys]
-            boxes = [(a * f, b * f, c * f, d * f) for a, b, c, d in boxes]
-        joint.append((list(zip(xs, ys)), boxes))
-    (pts1, boxes1), (pts2, boxes2) = joint
-    n1, n2 = len(pts1), len(pts2)
+    rows1, rows2 = first.rows, second.rows
+    n1, n2 = len(rows1), len(rows2)
     hits = []
-    for i, j in _box_pairs([*boxes1, *boxes2], split=n1):
+    for i, j in _box_pairs([*zip(*first.edge_keys), *zip(*second.edge_keys)],
+                           split=n1):
         j -= n1
-        meet = meet_int(pts1[i], pts1[(i + 1) % n1], pts2[j], pts2[(j + 1) % n2])
+        meet = meet_int(rows1[i], rows1[(i + 1) % n1],
+                        rows2[j], rows2[(j + 1) % n2])
         if meet[0] is not MeetKind.EMPTY:
             hits.append((i, j, *meet))
     hits.sort(key=lambda hit: (hit[0], hit[1]))
-    return den, pts1, pts2, hits
+    return rows1, rows2, hits
 
 
 def _check_kinds(kinds: Sequence, by_kt: Sequence[int]) -> None:
@@ -318,16 +315,15 @@ def _check_kinds(kinds: Sequence, by_kt: Sequence[int]) -> None:
 def _exact_order(values: list[tuple[int, int, int]]) -> list[int]:
     """Positions of the values (s, u, w), read as s + u / w with w > 0, in
     increasing order: by (s, floor(2^64 u / w)), or if two of those tie, by
-    the numerators over one common denominator."""
+    (s, u / w) exactly."""
     keys = [(s, (u << 64) // w) for s, u, w in values]
     if len(set(keys)) < len(keys):
-        big = lcm(*[w for _, _, w in values])
-        keys = [(s, u * (big // w)) for s, u, w in values]
+        keys = [(s, Fraction(u, w)) for s, u, w in values]
     return sorted(range(len(keys)), key=keys.__getitem__)
 
 
 def _crossing_pass(first: PLLoop, second: PLLoop):
-    """(D, P1, P2, found, by_kt, kinds) of a loop pair, from integers alone.
+    """(R1, R2, found, by_kt, kinds) of a loop pair, from integers alone.
 
     found holds the crossings in first-curve order as (i, j, u, v, w, is_p):
     u / w along segment i, v / w along segment j, kind P if is_p; by_kt
@@ -335,36 +331,40 @@ def _crossing_pass(first: PLLoop, second: PLLoop):
     first degenerate contact, then CrossingSet's checks. No parameter
     repeats: two crossings at one point need a degenerate contact.
     """
-    den, pts1, pts2, hits = segment_contacts(first, second)
+    rows1, rows2, hits = segment_contacts(first, second)
+    n1, n2 = len(rows1), len(rows2)
     found = []
     for i, j, kind, d1, d2, d3, d4 in hits:
         if kind is MeetKind.DEGENERATE:
             raise NotTransverse(
                 f"non-crossing contact between segment {i} and segment {j}")
-        # turn = (d - c) x (b - a) = d3 - d4 = d2 - d1, and the crossing
-        # lies at d1 / (d1 - d2) along s = ab and d3 / (d3 - d4) along t = cd
-        turn = d3 - d4
-        found.append((i, j, -d1, d3, turn, True) if turn > 0 else
-                     (i, j, d1, -d3, -turn, False))
+        # The crossing lies at d1 W_b / (d1 W_b - d2 W_a) along s = ab and
+        # d3 W_d / (d3 W_d - d4 W_c) along t = cd; both denominators are
+        # turn = d3 W_d - d4 W_c = d2 W_a - d1 W_b up to sign, and the kind
+        # is P when turn > 0.
+        u, v = d1 * rows1[(i + 1) % n1][2], d3 * rows2[(j + 1) % n2][2]
+        turn = v - d4 * rows2[j][2]
+        found.append((i, j, -u, v, turn, True) if turn > 0 else
+                     (i, j, u, -v, -turn, False))
     found = [found[h] for h in _exact_order([(i, u, w) for i, _, u, _, w, _ in found])]
     by_kt = _exact_order([(j, v, w) for _, j, _, v, w, _ in found])
     kinds = [is_p for *_, is_p in found]
     _check_kinds(kinds, by_kt)
-    return den, pts1, pts2, found, by_kt, kinds
+    return rows1, rows2, found, by_kt, kinds
 
 
 def check_transverse(first: PolyJordanCurve, second: PolyJordanCurve) -> CrossingSet:
     """Crossing set of a transverse pair; NotTransverse on any bad contact.
     Each crossing of the integer pass costs two `Fraction`s, its parameters;
     its point is built when read."""
-    den, pts1, pts2, found, by_kt, kinds = _crossing_pass(first.loop, second.loop)
-    n1, n2 = len(pts1), len(pts2)
+    rows1, rows2, found, by_kt, kinds = _crossing_pass(first.loop, second.loop)
+    n1, n2 = len(rows1), len(rows2)
     crossings = []
     for k, (i, j, u, v, w, is_p) in enumerate(found):
         c = Crossing(k, None, Fraction(i * w + u, w * n1),
                      Fraction(j * w + v, w * n2),
                      CrossKind.P if is_p else CrossKind.PTILDE)
-        _set(c, "_at", (pts1[i], pts1[(i + 1) % n1], u, w, den))
+        _set(c, "_at", (rows1[i], rows1[(i + 1) % n1], u, w))
         crossings.append(c)
     return trusted(CrossingSet, crossings=tuple(crossings),
                    _by_kt=tuple([crossings[k] for k in by_kt]))
@@ -599,7 +599,7 @@ def cuts_each_other(first: PolyJordanCurve, second: PolyJordanCurve) -> bool:
     the integer pass's orders and kinds. It checks as check_transverse does
     and builds no `Fraction`, `Crossing` or `CrossingSet`.
     """
-    _, _, _, _, by_kt, kinds = _crossing_pass(first.loop, second.loop)
+    _, _, _, by_kt, kinds = _crossing_pass(first.loop, second.loop)
     return len(kinds) > 0 and _cuts(_pattern_faces(by_kt, kinds))
 
 
@@ -611,7 +611,7 @@ def canonical_noncut_pair(m: int) -> tuple[PolyJordanCurve, PolyJordanCurve]:
     left side, two crossings per bump. Both difference regions stay connected.
 
     Both are simple and counterclockwise by construction, and are built
-    trusted from integers over denominators 1 and 5, their loops' int_coords.
+    trusted from integers over 1 and 5, seeding the rows PLLoop.rows gives.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
@@ -622,7 +622,9 @@ def canonical_noncut_pair(m: int) -> tuple[PolyJordanCurve, PolyJordanCurve]:
     curves = []
     for den, xs, ys in ((1, (0, 8, 8, 0), (0, 0, 6 * m, 6 * m)),
                         (5, (*sx, -5, -50), (*sy, 30 * m + 10, 30 * m + 10))):
-        loop = trusted(PLLoop, int_coords=(den, xs, ys), vertices=tuple([
-            RatPoint(Fraction(x, den), Fraction(y, den)) for x, y in zip(xs, ys)]))
+        rows = tuple([(x // den, y // den, 1) if x % den == 0 == y % den
+                      else (x, y, den) for x, y in zip(xs, ys)])
+        loop = trusted(PLLoop, rows=rows, vertices=tuple([
+            RatPoint(Fraction(x, w), Fraction(y, w)) for x, y, w in rows]))
         curves.append(trusted(PolyJordanCurve, loop=loop))
     return curves[0], curves[1]

@@ -187,7 +187,7 @@ def _pair_meeting(first: PolyJordanCurve, second: PolyJordanCurve,
                   ) -> tuple[bool, set[RatPoint], bool]:
     """How two boundaries meet: whether they cross properly, their isolated
     touch points, and whether they share a positive-length stretch."""
-    _, pts1, pts2, hits = segment_contacts(first.loop, second.loop)
+    rows1, rows2, hits = segment_contacts(first.loop, second.loop)
     v1, v2 = first.vertices, second.vertices
     crossed = overlap = False
     touches: set[RatPoint] = set()
@@ -196,7 +196,7 @@ def _pair_meeting(first: PolyJordanCurve, second: PolyJordanCurve,
             crossed = True
             continue
         i1, j1 = (i + 1) % len(v1), (j + 1) % len(v2)
-        a, b, c, d = pts1[i], pts1[i1], pts2[j], pts2[j1]
+        a, b, c, d = rows1[i], rows1[i1], rows2[j], rows2[j1]
         # an endpoint lies on the other segment when it is collinear with
         # it (a zero cross product from meet_int) and inside its box
         shared = {vertex for dk, end, seg, vertex in (

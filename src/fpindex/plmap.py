@@ -23,7 +23,8 @@ strictly left of the source edge's (its x stays negative). The walk skips
 such a step itself, on three comparisons of the curves' cached keys
 (PLLoop.edge_keys: edge ranges widened out to multiples of 2^-64, so keys
 apart imply ranges apart; no per-pair rescale). Only kept steps get exact
-ends. Walked without keys, its step starts are _refined_params' bends.
+ends, read off the rows of the cell's four end vertices (_difference_at).
+Walked without keys, its step starts are _refined_params' bends.
 
 A correspondence is checked once, where it enters; maps derived from a
 checked one, such as its inverse, skip the check (`PLCorrespondence`).
@@ -252,23 +253,21 @@ def _refined_params(source: PolyJordanCurve, target: PolyJordanCurve,
 
 def _difference_at(source: PolyJordanCurve, target: PolyJordanCurve):
     """at(S, T, G, i, j): target(T/G) - source(S/G), with S/G on source
-    edge i and T/G on target edge j, as the homogeneous triple (X, Y, D * G)
-    over the curves' int_coords taken to their common denominator D."""
-    den_s, xs, ys = source.loop.int_coords
-    den_t, xt, yt = target.loop.int_coords
-    den = lcm(den_s, den_t)
-    fs, ft = den // den_s, den // den_t
-    n, m = len(xs), len(xt)
+    edge i and T/G on target edge j, as a homogeneous triple (X, Y, W) read
+    off the four end rows of the two edges (PLLoop.rows)."""
+    src, tgt = source.loop.rows, target.loop.rows
+    n, m = len(src), len(tgt)
 
     def at(s: int, t: int, g: int, i: int, j: int) -> tuple[int, int, int]:
         # Point at parameter S/G: vertex i plus r/G of the way to vertex i + 1.
         r, q = s * n - i * g, t * m - j * g
-        i1, j1 = (i + 1) % n, (j + 1) % m
-        return ((xt[j] * (g - q) + xt[j1] * q) * ft
-                - (xs[i] * (g - r) + xs[i1] * r) * fs,
-                (yt[j] * (g - q) + yt[j1] * q) * ft
-                - (ys[i] * (g - r) + ys[i1] * r) * fs,
-                den * g)
+        (xa, ya, wa), (xb, yb, wb) = src[i], src[(i + 1) % n]
+        (xc, yc, wc), (xd, yd, wd) = tgt[j], tgt[(j + 1) % m]
+        ws, wt = wa * wb, wc * wd
+        fa, fb = wb * (g - r) * wt, wa * r * wt
+        fc, fd = wd * (g - q) * ws, wc * q * ws
+        return (xc * fc + xd * fd - xa * fa - xb * fb,
+                yc * fc + yd * fd - ya * fa - yb * fb, ws * wt * g)
 
     return at
 

@@ -27,8 +27,10 @@ def load_json_file(path: str) -> Any:
             return json.load(handle)
     except OSError as exc:
         raise InputRejection(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or bytes that are not UTF-8
         raise InputRejection(f"{path} is not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise InputRejection(f"{path} nests too deeply to load") from exc
 
 
 def fraction_to_json(value: Fraction) -> list[int]:

@@ -12,6 +12,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key
+from math import lcm
 from typing import Iterable, Sequence
 
 from fpindex.errors import (
@@ -26,8 +27,8 @@ from fpindex.exact_geom import (
     PLLoop,
     PointLocation,
     RatPoint,
+    MeetKind,
     Segment,
-    integer_coords,
     origin_winding,
     point_in_polygon,
     pt,
@@ -307,6 +308,73 @@ def transform_pair(source: PolyJordanCurve, target: PolyJordanCurve,
             [mapping.apply(p) for p in curve.vertices])))
 
     return image(source), image(target), phi
+
+
+# -- loop-wide integer reference -----------------------------------------------
+#
+# The package reads every point as its own homogeneous row (exact_geom.row).
+# These kernels are the form it replaced: all points scaled to integers over
+# one shared denominator, the lcm of every coordinate denominator. The tests
+# hold the row kernels to them.
+
+
+def integer_coords(points: Sequence[RatPoint],
+                   ) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
+    """(D, X, Y) with point k equal to (X[k] / D, Y[k] / D).
+
+    D > 0 is the lcm of every coordinate denominator, so predicates on the
+    integer numerators agree with predicates on the points.
+    """
+    den = lcm(*[q.denominator for p in points for q in (p.x, p.y)])
+    return (den,
+            tuple([p.x.numerator * (den // p.x.denominator) for p in points]),
+            tuple([p.y.numerator * (den // p.y.denominator) for p in points]))
+
+
+def ref_cross(a, b, c) -> int:
+    """Twice the signed area of the integer triangle a, b, c."""
+    return (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
+
+
+def ref_in_box(a, b, p) -> bool:
+    """The integer point p lies in the closed bounding box of a and b."""
+    return (min(a[0], b[0]) <= p[0] <= max(a[0], b[0])
+            and min(a[1], b[1]) <= p[1] <= max(a[1], b[1]))
+
+
+def ref_meet(a, b, c, d):
+    """(kind, d1, d2, d3, d4) of the integer segments ab and cd, a PROPER
+    crossing at d1 / (d1 - d2) along ab and d3 / (d3 - d4) along cd."""
+    d1, d2 = ref_cross(c, d, a), ref_cross(c, d, b)
+    d3, d4 = ref_cross(a, b, c), ref_cross(a, b, d)
+    if ((d1 > 0 and d2 > 0) or (d1 < 0 and d2 < 0)
+            or (d3 > 0 and d4 > 0) or (d3 < 0 and d4 < 0)):
+        return MeetKind.EMPTY, d1, d2, d3, d4
+    if d1 and d2 and d3 and d4:
+        return MeetKind.PROPER, d1, d2, d3, d4
+    if ((d1 == 0 and ref_in_box(c, d, a)) or (d2 == 0 and ref_in_box(c, d, b))
+            or (d3 == 0 and ref_in_box(a, b, c))
+            or (d4 == 0 and ref_in_box(a, b, d))):
+        return MeetKind.DEGENERATE, d1, d2, d3, d4
+    return MeetKind.EMPTY, d1, d2, d3, d4
+
+
+def ref_locate_param(vertices: Sequence[RatPoint], p: RatPoint):
+    """PolyJordanCurve.locate_param on the loop-wide integers of the
+    vertices and p: the normalized parameter of p, or None off the loop."""
+    _, xs, ys = integer_coords([*vertices, p])
+    pts = list(zip(xs, ys))
+    q = pts.pop()
+    n = len(pts)
+    for i in range(n):
+        a, b = pts[i], pts[(i + 1) % n]
+        if ref_cross(a, b, q) or not ref_in_box(a, b, q):
+            continue
+        k = 0 if a[0] != b[0] else 1
+        if q[k] == b[k]:
+            continue  # belongs to the next segment's start
+        return Fraction(i * (b[k] - a[k]) + q[k] - a[k], n * (b[k] - a[k]))
+    return None
 
 
 # -- threaded paths -----------------------------------------------------------

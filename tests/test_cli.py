@@ -76,6 +76,19 @@ class TestIndexCommand:
         assert code == 2
         assert report["error"] == "InputRejection"
 
+    @pytest.mark.parametrize("content", [b"\xff\xfe", b"[" * 200_000],
+                             ids=["not_utf8", "deep_nesting"])
+    def test_unreadable_json_exits_two(self, capsys, tmp_path, content):
+        # a decoding error or the parser's recursion limit is a rejected
+        # input, not a traceback
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(content)
+        code, report = run(capsys, "cut", str(bad),
+                           fx("fig_twelve_second.json"))
+        assert code == 2
+        assert set(report) == {"error", "reason"}
+        assert report["error"] == "InputRejection"
+
     def test_report_bytes_are_deterministic(self, tmp_path):
         outs = []
         for name in ("a.json", "b.json"):

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -11,21 +12,33 @@ from fpindex.exact_geom import (
     PointLocation,
     RatPoint,
     Segment,
+    in_box_int,
+    meet_int,
     orient2d,
     point_in_polygon,
     pt,
     rat,
+    row,
     segment_intersection,
     signed_area,
+    turn_int,
     winding_number,
 )
+from fpindex.jordan import validate_curve
 from geomgen import (
+    circle_polygon,
     cmp_directions_ccw,
+    integer_coords,
     interior_point,
     parity_ray_oracle,
+    ref_cross,
+    ref_in_box,
+    ref_locate_param,
+    ref_meet,
     reversed_loop,
     star_polygon,
     turning_winding_oracle,
+    unit_directions,
     winding_of_cycle,
 )
 
@@ -211,3 +224,78 @@ def test_interior_point_star_polygons():
                             Fraction(1), Fraction(5))
         p = interior_point(loop)
         assert point_in_polygon(loop, p) == PointLocation.INSIDE
+
+
+def sign(v: int) -> int:
+    return (v > 0) - (v < 0)
+
+
+# x in halves and y in thirds, so a point's row weight W is 1, 2, 3 or 6,
+# and three points in sixths; the segments among them include collinear
+# overlaps, shared ends, T-contacts and vertical and horizontal segments
+MIXED_GRID = [pt(Fraction(i, 2), Fraction(j, 3))
+              for i in range(3) for j in range(3)] + [
+    pt(Fraction(1, 6), Fraction(1, 6)), pt(Fraction(1, 3), Fraction(1, 2)),
+    pt(Fraction(5, 6), Fraction(5, 6))]
+
+
+class TestRowsAgainstLoopWide:
+    """The per-vertex row kernels against the loop-wide reference
+    (geomgen.integer_coords: every point over one shared denominator)."""
+
+    def test_every_segment_pair_on_a_mixed_grid(self):
+        segments = list(itertools.permutations(MIXED_GRID, 2))
+        kinds = set()
+        for (pa, pb), (pc, pd) in itertools.product(segments, repeat=2):
+            a, b, c, d = rows = [row(p) for p in (pa, pb, pc, pd)]
+            for r, p in zip(rows, (pa, pb, pc, pd)):
+                assert r[2] > 0 and Fraction(r[0], r[2]) == p.x \
+                    and Fraction(r[1], r[2]) == p.y
+            _, xs, ys = integer_coords((pa, pb, pc, pd))
+            ra, rb, rc, rd = zip(xs, ys)
+            kind, d1, d2, d3, d4 = meet_int(a, b, c, d)
+            ref_kind, r1, r2, r3, r4 = ref_meet(ra, rb, rc, rd)
+            assert kind is ref_kind
+            kinds.add(kind)
+            assert [sign(v) for v in (d1, d2, d3, d4)] \
+                == [sign(v) for v in (r1, r2, r3, r4)]
+            # the crossing pass's one denominator: d3 W_d - d4 W_c equals
+            # d2 W_a - d1 W_b, positive exactly at kind P
+            turn = d3 * d[2] - d4 * c[2]
+            assert turn == d2 * a[2] - d1 * b[2]
+            assert sign(turn) == sign(r2 - r1)
+            if kind is MeetKind.PROPER:
+                assert Fraction(d1 * b[2], d1 * b[2] - d2 * a[2]) \
+                    == Fraction(r1, r1 - r2)
+                assert Fraction(d3 * d[2], d3 * d[2] - d4 * c[2]) \
+                    == Fraction(r3, r3 - r4)
+            for p, q in ((c, rc), (d, rd)):
+                assert sign(turn_int(a, b, p)) == sign(ref_cross(ra, rb, q))
+                assert in_box_int(a, b, p) == ref_in_box(ra, rb, q)
+        assert kinds == set(MeetKind)
+
+    def test_locate_param_on_grid_triangles(self):
+        probes = MIXED_GRID + [(p + q).scale(Fraction(1, 2))
+                               for p, q in itertools.combinations(MIXED_GRID, 2)]
+        found = 0
+        for tri in itertools.combinations(MIXED_GRID, 3):
+            if orient2d(*tri) == 0:
+                continue
+            curve = validate_curve(tri if orient2d(*tri) > 0 else tri[::-1])
+            for p in probes:
+                s = curve.locate_param(p)
+                assert s == ref_locate_param(curve.vertices, p)
+                found += s is not None
+        assert found > 1000
+
+    def test_rows_stay_per_vertex(self):
+        # a 1,024-gon with denominators near 10^12: the loop-wide
+        # denominator has over 11,000 bits, a row at most the bits of one
+        # numerator and two denominators
+        curve = circle_polygon(Fraction(1, 3), Fraction(-2), Fraction(7, 2),
+                               unit_directions(1024))
+        bits = max(q.bit_length() for p in curve.vertices
+                   for v in (p.x, p.y) for q in (abs(v.numerator), v.denominator))
+        assert integer_coords(curve.vertices)[0].bit_length() > 100 * bits
+        assert max(abs(v).bit_length() for r in curve.loop.rows for v in r) \
+            <= 3 * bits

@@ -2,7 +2,6 @@
 import itertools
 import random
 from fractions import Fraction
-from math import lcm
 
 import pytest
 
@@ -14,15 +13,16 @@ from fpindex.errors import (
     NotTransverse,
 )
 from fpindex.exact_geom import (
+    MeetKind,
     PLLoop,
     PointLocation,
     RatPoint,
     Segment,
-    cross_int,
     in_box_int,
-    integer_coords,
     pt,
+    row,
     signed_area,
+    turn_int,
 )
 from fpindex.jordan import (
     CrossKind,
@@ -37,6 +37,7 @@ from fpindex.jordan import (
     crossing_faces,
     crossing_pattern_cuts,
     cuts_each_other,
+    segment_contacts,
     validate_curve,
 )
 
@@ -144,8 +145,8 @@ class TestOrientationAtExtremeVertex:
         # The constructor reads the turn at the lowest, then leftmost,
         # vertex; start each loop there, just after it and where it was.
         for loop in counterclockwise_loops():
-            _, xs, ys = loop.int_coords
-            low = min(range(len(xs)), key=lambda i: (ys[i], xs[i]))
+            vs = loop.vertices
+            low = min(range(len(vs)), key=lambda i: (vs[i].y, vs[i].x))
             for k in {0, low, low + 1}:
                 start = PLLoop(loop.vertices[k:] + loop.vertices[:k])
                 assert signed_area(start) > 0
@@ -159,9 +160,8 @@ class TestOrientationAtExtremeVertex:
 
 def point_on_segment(seg, p):
     """Exact membership of p in the closed segment."""
-    _, xs, ys = integer_coords((seg.a, seg.b, p))
-    a, b, q = zip(xs, ys)
-    return cross_int(a, b, q) == 0 and in_box_int(a, b, q)
+    a, b, q = row(seg.a), row(seg.b), row(p)
+    return turn_int(a, b, q) == 0 and in_box_int(a, b, q)
 
 
 def test_point_on_segment():
@@ -322,6 +322,24 @@ def random_boxes(rng, count, width, height, grid):
     return boxes
 
 
+def test_segment_contacts_hand_back_each_loops_own_rows():
+    # denominators 7 and 11 are coprime: nothing is rescaled to a joint
+    # denominator, and each crossing's parameters come from the own rows
+    first = validate_curve([pt(0, 0), pt(Fraction(22, 7), 0),
+                            pt(Fraction(22, 7), Fraction(22, 7)),
+                            pt(0, Fraction(22, 7))])
+    second = validate_curve([pt(Fraction(x, 11), Fraction(y, 11))
+                             for x, y in ((13, 5), (57, 5), (57, 49), (13, 49))])
+    rows1, rows2, hits = segment_contacts(first.loop, second.loop)
+    assert rows1 is first.loop.rows and rows2 is second.loop.rows
+    assert rows1 == ((0, 0, 1), (22, 0, 7), (22, 22, 7), (0, 22, 7))
+    assert [(i, j, kind) for i, j, kind, *_ in hits] == [
+        (1, 0, MeetKind.PROPER), (2, 3, MeetKind.PROPER)]
+    crossings = check_transverse(first, second)
+    assert [c.point for c in crossings] == [pt(Fraction(22, 7), Fraction(5, 11)),
+                                            pt(Fraction(13, 11), Fraction(22, 7))]
+
+
 class TestBoxPairs:
     """The sweep, along either axis, against all pairs."""
 
@@ -349,13 +367,10 @@ class TestBoxPairs:
         pairs += [random_transverse_pair(rng)[:2] for _ in range(20)]
         for first, second in pairs:
             for curve in (first, second):
-                boxes = curve.loop.edge_boxes
+                boxes = list(zip(*curve.loop.edge_keys))
                 assert (list(_box_pairs(boxes))
                         == list(eager_box_pairs(boxes)))
-            den = lcm(first.loop.int_coords[0], second.loop.int_coords[0])
-            joint = [tuple(v * (den // loop.int_coords[0]) for v in box)
-                     for loop in (first.loop, second.loop)
-                     for box in loop.edge_boxes]
+            joint = [*zip(*first.loop.edge_keys), *zip(*second.loop.edge_keys)]
             split = len(first)
             assert (list(_box_pairs(joint, split))
                     == list(eager_box_pairs(joint, split)))

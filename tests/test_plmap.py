@@ -45,6 +45,7 @@ from geomgen import (
     circle_pools,
     grid_curve,
     identity_params,
+    integer_coords,
     interior_point,
     random_transverse_pair,
     square_curve,
@@ -345,8 +346,8 @@ def reference_origin_winding(cycle):
 def joint_int_coords(first, second):
     """(D, X1, Y1, X2, Y2): the vertices of both loops over one
     denominator."""
-    den1, xs1, ys1 = first.int_coords
-    den2, xs2, ys2 = second.int_coords
+    den1, xs1, ys1 = integer_coords(first.vertices)
+    den2, xs2, ys2 = integer_coords(second.vertices)
     den = lcm(den1, den2)
     f1, f2 = den // den1, den // den2
     return (den, [x * f1 for x in xs1], [y * f1 for y in ys1],

@@ -19,7 +19,7 @@ from fpindex.errors import (
     InputRejection,
     OrderViolation,
 )
-from fpindex.exact_geom import PLLoop, integer_coords, pt
+from fpindex.exact_geom import PLLoop, pt
 from fpindex.jordan import (
     CrossingSet,
     canonical_noncut_pair,
@@ -283,19 +283,14 @@ class TestCurves:
                     checked(curve)
 
     def test_canonical_pairs_from_integers(self):
-        # built trusted on seeded int_coords: the checked constructor
-        # accepts each curve, and the seeded and cached tables are the ones
-        # the vertices give
+        # built trusted on seeded rows: the checked constructor accepts
+        # each curve, and the seeded rows and cached keys are the ones the
+        # vertices give
         for m in range(1, 65):
             for curve in canonical_noncut_pair(m):
                 assert validate_curve(curve.vertices) == curve
                 loop = curve.loop
-                _, xs, ys = loop.int_coords
-                assert loop.int_coords == integer_coords(loop.vertices)
-                ends = zip(xs, xs[1:] + xs[:1], ys, ys[1:] + ys[:1])
-                boxes = tuple([(min(xa, xb), max(xa, xb), min(ya, yb),
-                                max(ya, yb)) for xa, xb, ya, yb in ends])
-                assert loop.edge_boxes == boxes
+                assert loop.rows == PLLoop(loop.vertices).rows
                 assert loop.edge_keys == PLLoop(loop.vertices).edge_keys
 
     def test_affine_images(self):

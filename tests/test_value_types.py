@@ -210,8 +210,7 @@ def test_cached_values_are_computed_once():
     diagram = made["TorusDiagram"][0]
     path = made["StaircasePath"][0]
     spec = made["PackingSpec"][0]
-    for obj, attr in ((loop, "int_coords"), (loop, "edge_boxes"),
-                      (loop, "edge_keys"),
+    for obj, attr in ((loop, "rows"), (loop, "edge_keys"),
                       (diagram, "marks"), (diagram, "p_ids"),
                       (diagram, "_constraint_ranks"), (path, "_xs"),
                       (spec, "analysis")):
