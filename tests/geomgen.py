@@ -310,7 +310,7 @@ def transform_pair(source: PolyJordanCurve, target: PolyJordanCurve,
     return image(source), image(target), phi
 
 
-# -- loop-wide integer reference -----------------------------------------------
+# -- loop-wide integer reference --------------------------------------------
 #
 # The package reads every point as its own homogeneous row (exact_geom.row).
 # These kernels are the form it replaced: all points scaled to integers over

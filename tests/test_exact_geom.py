@@ -275,8 +275,8 @@ class TestRowsAgainstLoopWide:
         assert kinds == set(MeetKind)
 
     def test_locate_param_on_grid_triangles(self):
-        probes = MIXED_GRID + [(p + q).scale(Fraction(1, 2))
-                               for p, q in itertools.combinations(MIXED_GRID, 2)]
+        pairs = itertools.combinations(MIXED_GRID, 2)
+        probes = MIXED_GRID + [(p + q).scale(Fraction(1, 2)) for p, q in pairs]
         found = 0
         for tri in itertools.combinations(MIXED_GRID, 3):
             if orient2d(*tri) == 0:
@@ -294,8 +294,8 @@ class TestRowsAgainstLoopWide:
         # numerator and two denominators
         curve = circle_polygon(Fraction(1, 3), Fraction(-2), Fraction(7, 2),
                                unit_directions(1024))
-        bits = max(q.bit_length() for p in curve.vertices
-                   for v in (p.x, p.y) for q in (abs(v.numerator), v.denominator))
+        bits = max(abs(n).bit_length() for p in curve.vertices
+                   for n in (*p.x.as_integer_ratio(), *p.y.as_integer_ratio()))
         assert integer_coords(curve.vertices)[0].bit_length() > 100 * bits
         assert max(abs(v).bit_length() for r in curve.loop.rows for v in r) \
             <= 3 * bits

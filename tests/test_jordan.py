@@ -328,16 +328,18 @@ def test_segment_contacts_hand_back_each_loops_own_rows():
     first = validate_curve([pt(0, 0), pt(Fraction(22, 7), 0),
                             pt(Fraction(22, 7), Fraction(22, 7)),
                             pt(0, Fraction(22, 7))])
+    corners = ((13, 5), (57, 5), (57, 49), (13, 49))
     second = validate_curve([pt(Fraction(x, 11), Fraction(y, 11))
-                             for x, y in ((13, 5), (57, 5), (57, 49), (13, 49))])
+                             for x, y in corners])
     rows1, rows2, hits = segment_contacts(first.loop, second.loop)
     assert rows1 is first.loop.rows and rows2 is second.loop.rows
     assert rows1 == ((0, 0, 1), (22, 0, 7), (22, 22, 7), (0, 22, 7))
     assert [(i, j, kind) for i, j, kind, *_ in hits] == [
         (1, 0, MeetKind.PROPER), (2, 3, MeetKind.PROPER)]
     crossings = check_transverse(first, second)
-    assert [c.point for c in crossings] == [pt(Fraction(22, 7), Fraction(5, 11)),
-                                            pt(Fraction(13, 11), Fraction(22, 7))]
+    assert [c.point for c in crossings] == [
+        pt(Fraction(22, 7), Fraction(5, 11)),
+        pt(Fraction(13, 11), Fraction(22, 7))]
 
 
 class TestBoxPairs:
