@@ -119,7 +119,7 @@ class InternalCaseGap(InvariantFailure):
 
 class TooLarge(InputRejection):
     """The diagram exceeds the exhaustive oracle's size bound. Kept with
-    oracle_enumerate until ROADMAP item 5's DP replaces the oracle."""
+    oracle_enumerate until the index-set DP replaces the oracle."""
 
 
 # -- packings ----------------------------------------------------------------

@@ -64,11 +64,11 @@ def value_type(cls):
     `_fields`), and raises TypeError wherever a frozen dataclass would: a
     missing field, an unknown keyword, too many positionals, or a field
     given twice. Validating classes write their own `__init__`, and so do
-    five that only set fields: `RatPoint` and `TorusMark`, built per
-    vertex or mark, where the shared binding costs about twice a
-    hand-written one; `Crossing`, which keeps its `point` field in a slot
-    behind a property; `SegmentMeeting`, which the benchmark times per
-    call; and `OverlayReport`, which also sets a slot that is not a field.
+    four that only set fields: `RatPoint`, built per vertex, where the
+    shared binding costs about twice a hand-written one; `Crossing`, which
+    keeps its `point` field in a slot behind a property; `SegmentMeeting`,
+    which the benchmark times per call; and `OverlayReport`, which also sets
+    a slot that is not a field.
     """
     names = cls._fields
     get = attrgetter(*names)
@@ -163,7 +163,7 @@ class RatPoint:
         f = rat(factor)
         return RatPoint(self.x * f, self.y * f)
 
-    # kept for the benchmark's per-call timings until ROADMAP item 10
+    # kept for the benchmark's per-call timings until it times the row kernels
     def dot(self, other: "RatPoint") -> Fraction:
         return self.x * other.x + self.y * other.y
 
@@ -202,14 +202,14 @@ def in_box_int(a: Row, b: Row, p: Row) -> bool:
             and (ya * wp - yp * wa) * (yb * wp - yp * wb) <= 0)
 
 
-# kept for the benchmark's per-call timings until ROADMAP item 10
+# kept for the benchmark's per-call timings until it times the row kernels
 def orient2d(a: RatPoint, b: RatPoint, c: RatPoint) -> int:
     """+1 if a,b,c counterclockwise, -1 if clockwise, 0 if collinear."""
     v = turn_int(row(a), row(b), row(c))
     return (v > 0) - (v < 0)
 
 
-# kept for the benchmark's per-call timings until ROADMAP item 10
+# kept for the benchmark's per-call timings until it times the row kernels
 @value_type
 class Segment:
     """A closed straight segment with distinct endpoints."""
@@ -232,7 +232,7 @@ class MeetKind(Enum):
     DEGENERATE = "degenerate"
 
 
-# kept for the benchmark's per-call timings until ROADMAP item 10
+# kept for the benchmark's per-call timings until it times the row kernels
 @value_type
 class SegmentMeeting:
     """Outcome of intersecting two segments.
@@ -291,7 +291,7 @@ def meet_int(a: Row, b: Row, c: Row, d: Row,
     return MeetKind.EMPTY, d1, d2, d3, d4
 
 
-# kept for the benchmark's per-call timings until ROADMAP item 10
+# kept for the benchmark's per-call timings until it times the row kernels
 def segment_intersection(s: Segment, t: Segment) -> SegmentMeeting:
     """Exact segment intersection, symmetric in its arguments."""
     a, b = row(s.a), row(s.b)
@@ -352,7 +352,7 @@ class PLLoop:
         for i in range(n):
             yield self.vertices[i], self.vertices[(i + 1) % n]
 
-    # kept for the benchmark's per-call timings until ROADMAP item 10
+    # kept for the benchmark's per-call timings until it times the row kernels
     def segments(self) -> list[Segment]:
         return [Segment(a, b) for a, b in self.edges()]
 

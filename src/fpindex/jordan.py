@@ -66,30 +66,30 @@ def _box_pairs(boxes: Sequence[tuple[int, int, int, int]],
     set order; with a split, only those with a < split <= b, found with one
     active list per side. One sweep by low edge, as in Shamos and Hoey,
     "Geometric intersection problems", FOCS 1976, with plain lists for their
-    tree; a box leaves once its high edge is strictly behind the sweep line,
-    so boxes sharing one coordinate still pair; a side's list is rebuilt
-    only once its least high edge is behind. The sweep runs along x unless
-    sum(y-widths) * x-extent < sum(x-widths) * y-extent."""
+    tree; a box is active until its high edge is strictly behind the sweep
+    line, so boxes sharing one coordinate still pair. A list is pruned of
+    the boxes that left, which the pair test skips, once it holds over twice
+    (plus 4) what it kept at the last pruning: no rebuild per step, even on
+    a single curve, whose sweep drops a box at nearly every step. The sweep
+    runs along x unless sum(y-widths) * x-extent < sum(x-widths) * y-extent."""
     if boxes:
         lo_x, hi_x, lo_y, hi_y = zip(*boxes)
         if ((sum(hi_y) - sum(lo_y)) * (max(hi_x) - min(lo_x))
                 < (sum(hi_x) - sum(lo_x)) * (max(hi_y) - min(lo_y))):
             boxes = list(zip(lo_y, hi_y, lo_x, hi_x))
-    inf = float("inf")
-    active = ([[], inf],) * 2 if split is None else ([[], inf], [[], inf])
+    # per side: [entries (hi, lo_across, hi_across, box), count kept]
+    active = ([[], 0],) * 2 if split is None else ([[], 0], [[], 0])
     for b in sorted(range(len(boxes)), key=lambda k: boxes[k][0]):
         lo, hi, lo_across, hi_across = boxes[b]
         side = split is not None and b >= split
         other = active[not side]
-        if other[1] < lo:
-            other[0] = kept = [e for e in other[0] if e[0] >= lo]
-            other[1] = min(kept)[0] if kept else inf
-        for _, lo_a, hi_a, a in other[0]:
-            if lo_a <= hi_across and lo_across <= hi_a:
+        if len(other[0]) > 2 * other[1] + 4:
+            other[0] = [e for e in other[0] if e[0] >= lo]
+            other[1] = len(other[0])
+        for hi_a, lo_a, across_a, a in other[0]:
+            if lo <= hi_a and lo_a <= hi_across and lo_across <= across_a:
                 yield (a, b) if a < b else (b, a)
-        mine = active[side]
-        mine[0].append((hi, lo_across, hi_across, b))
-        mine[1] = hi if hi < mine[1] else mine[1]
+        active[side][0].append((hi, lo_across, hi_across, b))
 
 
 def _check_simple(loop: PLLoop) -> None:

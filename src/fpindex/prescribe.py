@@ -5,8 +5,11 @@ path through the three constraint lattice points that avoids every crossing
 mark and carries a nonnegative index. It works by induction on the crossing
 count: pick a crossing pair adjacent along both curves, delete it, solve the
 smaller diagram, then thread the path past the reinserted pair without
-letting the index drop. `oracle_enumerate` brute-forces every achievable
-index value as an independent cross-check.
+letting the index drop. The induction is one loop over an explicit stack
+of levels (`_drive`), each the diagram on integers (`torus.Ranks`) with its
+event list; a child level is derived from its parent's in O(n) (`_child`).
+`oracle_enumerate` brute-forces every achievable index value as an
+independent cross-check.
 
 A staircase path's homotopy class rel marks is determined by which marks lie
 below it, so the solver manipulates below-sets and materializes a path only
@@ -14,21 +17,19 @@ for verification and output. One integer walk (`_walk`) decides, values and
 threads a below-set: it raises the path through the midline of the corridor
 each mark leaves open, and fails exactly when a below point sits strictly
 up-and-left of an above point, where the two interior constraint lattice
-points count on both sides. Each diagram's event list is built once and
-shared by every candidate the solver walks on it, and the solver hands the
-winning walk up, so no below-set is walked twice.
+points count on both sides. A level's event list serves every candidate
+walked on it, and the solver hands the winning walk up, so no below-set is
+walked twice.
 
 Every mark and constraint sits at an integer token rank k of n, so the
 solver decides positions on those ranks: realizability, cells, frame checks
 and each pair's box frame (a cyclic shift of the ranks) compare integers,
 and a box's edges, halfway between ranks, are integers in units of 1/(2n).
 Threading runs on integers too: a path's vertices are ranks times a scale
-that keeps every midpoint an integer, each mark's side is one comparison at
-its own column's vertex, and the index is read from those sides. So the
-value of a below-set, the oracle's sweep and the reinserted pair's sides
-against a child's path (its vertices lifted to parent ranks) build no path
-and no `Fraction`. `Fraction`s remain in the returned path, which is the
-winning walk scaled once, and in the oracle's extra anchors, which lie off
+that keeps every midpoint an integer, and each mark's side is one
+comparison at its own column's vertex. So the solver, the oracle and the
+final check build no path and no `Fraction`, but for the returned path,
+the winning walk scaled once, and the oracle's extra anchors, which lie off
 the token grid and whose denominators join the scale.
 """
 from __future__ import annotations
@@ -50,8 +51,7 @@ from .errors import (
     TooLarge,
 )
 from .exact_geom import trusted, value_type
-from .jordan import CrossKind
-from .torus import StaircasePath, TorusDiagram, _read_index, index_from_torus
+from .torus import Ranks, StaircasePath, TorusDiagram, _read_path
 
 BELOW = "below"
 ABOVE = "above"
@@ -120,12 +120,13 @@ class BoxCategory(Enum):
 def find_doubly_adjacent(diagram: TorusDiagram) -> list[AdjacencyBox]:
     """Every doubly adjacent pair's box, in column order. The README names
     it as API; the solver builds each box only when it reaches the pair."""
-    return [_build_box(diagram, *pair) for pair in _adjacent_pairs(diagram)]
+    level = diagram._ranks
+    return [_build_box(level, *pair) for pair in _adjacent_pairs(level)]
 
 
-def _adjacent_pairs(diagram: TorusDiagram) -> list[tuple]:
-    """(entry mark, partner mark, descends) for each doubly adjacent pair,
-    in column order; no box is built.
+def _adjacent_pairs(level: Ranks) -> list[tuple[int, int, bool]]:
+    """(entry, partner, descends) for each doubly adjacent pair, in column
+    order, each mark by its place in that order; no box is built.
 
     Adjacent means consecutive among the marks, so only constraint tokens
     may separate the two. Along the columns the entry mark (where the first
@@ -133,79 +134,76 @@ def _adjacent_pairs(diagram: TorusDiagram) -> list[tuple]:
     A pair that wraps past the constraint its frame is cut at has no box
     and is skipped.
     """
-    marks = diagram.marks  # in column order
-    if len(marks) < 4:
+    ids, cols, p_ids, count = level.ids, level.cols, level.p_ids, len(level.ids)
+    if count < 4:
         raise TooFewCrossings("pair selection needs at least four crossings")
-    row_rank = {tok[1]: i for i, tok in
-                enumerate([t for t in diagram.row_order if t[0] == "m"])}
-    count = len(marks)
+    # a mark's rank among the marks by row: less the constraints below it
+    (_, r1), (_, r2), (_, r3) = level.constraints
+    row_rank = [r - (r > r1) - (r > r2) - (r > r3) for r in level.rows]
     pairs = []
-    for i, entry in enumerate(marks):
-        if entry.kind is not CrossKind.P:
+    for e, cid in enumerate(ids):
+        if cid not in p_ids:
             continue
-        partner = marks[(i + 1) % count]
-        if partner.kind is not CrossKind.PTILDE:
+        x = (e + 1) % count
+        if ids[x] in p_ids:
             raise InvariantFailure("mark kinds stopped alternating")
-        gap = (row_rank[entry.crossing_id] - row_rank[partner.crossing_id]) % count
-        if gap == 1:
-            descends = True
-        elif gap == count - 1:
-            descends = False
-        else:
+        gap = (row_rank[e] - row_rank[x]) % count
+        if gap not in (1, count - 1):
             continue
         # only the pair that wraps through column 0 can pass its frame's cut
-        if partner.col < entry.col and partner.col > diagram.constraint_rank(
-                _frame_base(diagram, entry))[0]:
+        if x == 0 and cols[0] > level.constraints[
+                _frame_base(level, cols[e]) - 1][0]:
             continue
-        pairs.append((entry, partner, descends))
+        pairs.append((e, x, gap == 1))  # descends
     if len(pairs) < 2:
         raise AssumptionViolated(
-            f"only {len(pairs)} doubly adjacent pairs found", diagram.dump())
+            f"only {len(pairs)} doubly adjacent pairs found", level.dump())
     return pairs
 
 
-def _frame_base(diagram: TorusDiagram, entry) -> int:
-    """The constraint behind the entry mark, where its pair's frame is cut."""
-    rank = diagram.constraint_rank
-    return (3 if entry.col > rank(3)[0] else 2 if entry.col > rank(2)[0]
-            else 1)
+def _frame_base(level: Ranks, col: int) -> int:
+    """The constraint behind an entry column, where its pair's frame is cut."""
+    _, (c2, _), (c3, _) = level.constraints
+    return 3 if col > c3 else 2 if col > c2 else 1
 
 
-def _build_box(diagram, entry, partner, descends: bool) -> AdjacencyBox:
-    """The pair's box in the frame cut at the constraint behind the entry.
+def _build_box(level: Ranks, e: int, x: int, descends: bool) -> AdjacencyBox:
+    """The box of entry mark e and partner x in the frame cut at the
+    constraint behind the entry.
 
     The frame is a cyclic shift, so every token's frame rank is its rank
     minus the base constraint's, mod n, and the frame's constraints 2 and 3
     are the base's two successors; the checks run on those ranks.
     """
-    n = diagram.size
-    rank = diagram.constraint_rank
-    base = _frame_base(diagram, entry)
-    c0, r0 = rank(base)
+    n = level.size
+    cols, rows, ids = level.cols, level.rows, level.ids
+    base = _frame_base(level, cols[e])
+    c0, r0 = level.constraints[base - 1]
 
     def frame(col: int, row: int) -> tuple[int, int]:
         return (col - c0) % n, (row - r0) % n
 
-    ec, er = frame(entry.col, entry.row)
-    xc, xr = frame(partner.col, partner.row)
+    ec, er = frame(cols[e], rows[e])
+    xc, xr = frame(cols[x], rows[x])
     if not ec < xc:
         raise InvariantFailure("pair order broke under rebasing")
     bottom, top = (xr, er) if descends else (er, xr)
     lifted = top if top > bottom else top + n
-    f2c, f2r = frame(*rank(base % 3 + 1))
-    f3c, f3r = frame(*rank((base + 1) % 3 + 1))
+    f2c, f2r = frame(*level.constraints[base % 3])
+    f3c, f3r = frame(*level.constraints[(base + 1) % 3])
     # the box edges sit halfway between token ranks: 2k -+ 1 over 2n
     if not 0 < 2 * ec - 1 < 2 * xc + 1 < 2 * n:
         raise InvariantFailure("box meets the left or right grid line")
     if ec > f2c:
         raise InvariantFailure("box left edge escaped the first column cell")
-    for m in diagram.marks:
-        if m.crossing_id in (entry.crossing_id, partner.crossing_id):
-            continue
-        mc, mr = frame(m.col, m.row)
-        if ec <= mc <= xc and (bottom <= mr <= lifted or mr <= lifted - n):
+    # marks between the two by frame column: none when they are adjacent
+    k = (e + 1) % len(ids)
+    while k != x:
+        mr = (rows[k] - r0) % n
+        if bottom <= mr <= lifted or mr <= lifted - n:
             raise InvariantFailure("box swallowed a third crossing mark")
-    return AdjacencyBox(entry_id=entry.crossing_id, exit_id=partner.crossing_id,
+        k = (k + 1) % len(ids)
+    return AdjacencyBox(entry_id=ids[e], exit_id=ids[x],
                         base_constraint=base, descends=descends,
                         col_lo=2 * ec - 1, col_hi=2 * xc + 1,
                         row_lo=2 * bottom - 1, row_hi=2 * lifted + 1,
@@ -259,7 +257,7 @@ def _meets_diagonal_cells(box: AdjacencyBox) -> bool:
 
 # -- bipartitions: realizability, threading, value ----------------------------
 
-def _events(diagram: TorusDiagram, extra=()) -> tuple[int, list]:
+def _events(level: Ranks, extra=()) -> tuple[int, list]:
     """The scale and the anchors and marks in column order, on integers.
 
     Coordinates are token ranks times scale = 2^(events + 1) times the lcm
@@ -267,18 +265,17 @@ def _events(diagram: TorusDiagram, extra=()) -> tuple[int, list]:
     takes is again an integer. A mark event carries its id, an anchor None.
     """
     scale = lcm(*[v.denominator for p in extra for v in p]) \
-        << (len(diagram.marks) + len(extra) + 3)
-    events = [(c * scale, r * scale, None) for c, r in
-              (diagram.constraint_rank(2), diagram.constraint_rank(3))]
+        << (len(level.ids) + len(extra) + 3)
+    events = [(c * scale, r * scale, None) for c, r in level.constraints[1:]]
     events += [(x.numerator * (scale // x.denominator),
                 y.numerator * (scale // y.denominator), None) for x, y in extra]
-    events += [(m.col * scale, m.row * scale, m.crossing_id)
-               for m in diagram.marks]
+    events += [(c * scale, r * scale, cid)
+               for c, r, cid in zip(level.cols, level.rows, level.ids)]
     events.sort(key=lambda e: e[0])
     return scale, events
 
 
-def _walk(diagram: TorusDiagram, scale: int, events,
+def _walk(level: Ranks, scale: int, events,
           below_ids) -> tuple[list[tuple[int, int]], int] | None:
     """Thread a below-set: the path's vertices over n * scale, and its index;
     None when the set is not realizable.
@@ -295,7 +292,7 @@ def _walk(diagram: TorusDiagram, scale: int, events,
     sides by construction; the comparisons recheck that the path misses
     them, and the index is read from those sides with both formulas.
     """
-    top = diagram.size * scale
+    top = level.size * scale
     # ceiling[i]: lowest anchor or above-mark row at or after event i
     ceiling, low = [], top
     for _, y, cid in reversed(events):
@@ -308,24 +305,24 @@ def _walk(diagram: TorusDiagram, scale: int, events,
     ceiling.reverse()
     vertices = [(0, 0)]
     below, above = set(), set()
-    x0 = level = floor = 0
+    x0 = height = floor = 0
     for i, (x, y, cid) in enumerate(events):
         if cid is None:
             new = floor = y
         else:
-            if cid in below_ids:
-                floor = max(floor, y)
-            new = (max(level, floor) + ceiling[i]) >> 1
+            if cid in below_ids and y > floor:
+                floor = y
+            new = ((height if height > floor else floor) + ceiling[i]) >> 1
             if new == y:
                 raise PathHitsMark(f"path passes through mark {cid}")
             (below if y < new else above).add(cid)
-        if not (x0 < x and level < new):
+        if not (x0 < x and height < new):
             raise InputRejection("path must be strictly increasing")
         x0 = x
-        level = new
-        vertices.append((x, level))
+        height = new
+        vertices.append((x, height))
     vertices.append((top, top))
-    return vertices, _read_index(diagram, below, above, 1)
+    return vertices, level.read(below, above, 1)
 
 
 def _staircase(diagram: TorusDiagram, scale: int, vertices) -> StaircasePath:
@@ -364,10 +361,10 @@ def _candidate_plans(box: AdjacencyBox, category: BoxCategory, path_bits):
     return plans
 
 
-def _frame_assignment(diagram: TorusDiagram, box: AdjacencyBox, bits):
+def _frame_assignment(level: Ranks, box: AdjacencyBox, bits):
     """Turn a requirement stated in the box's frame into bits at the main
     cut, or None when the frame geometry makes it unsatisfiable."""
-    above, below = diagram._forced_marks[box.base_constraint]
+    above, below = level.forced[box.base_constraint]
     out = {}
     for cid, bit in zip((box.entry_id, box.exit_id), bits):
         if cid in above:
@@ -385,10 +382,9 @@ def _frame_assignment(diagram: TorusDiagram, box: AdjacencyBox, bits):
     return out
 
 
-def _path_induced_bits(parent: TorusDiagram, box: AdjacencyBox,
-                       vertices, scale: int):
-    """Sides of the reinserted pair against the child's threaded path, or
-    None when the path meets one of its marks.
+def _path_induced_bits(level: Ranks, e: int, x: int, vertices, scale: int):
+    """Sides of the reinserted pair, marks e and x of the level, against
+    the child's threaded path, or None when the path meets one of them.
 
     The child path's vertices (child ranks times scale) lift to parent
     ranks: child rank i becomes the parent rank of the same token, and a
@@ -397,10 +393,8 @@ def _path_induced_bits(parent: TorusDiagram, box: AdjacencyBox,
     is no child token, so it lies strictly inside one lifted segment and
     its side is the sign of one cross product.
     """
-    marks = {m.crossing_id: m for m in parent.marks}
-    pair = (marks[box.entry_id], marks[box.exit_id])
-    gone_cols = sorted(m.col for m in pair)
-    gone_rows = sorted(m.row for m in pair)
+    pair = [(level.cols[k], level.rows[k]) for k in (e, x)]
+    gone_cols, gone_rows = (sorted(v) for v in zip(*pair))
 
     def lift(v: int, gone: list[int]) -> int:
         i, r = divmod(v, scale)
@@ -410,15 +404,15 @@ def _path_induced_bits(parent: TorusDiagram, box: AdjacencyBox,
         return lo * scale + (_parent_rank(i + 1, gone) - lo) * r
 
     bits = []
-    for m in pair:
-        # the first vertex right of the mark sits at child rank m.col minus
+    for col, row in pair:
+        # the first vertex right of the mark sits at child rank col minus
         # the removed columns before it
-        child_col = m.col - sum(1 for g in gone_cols if g < m.col)
+        child_col = col - sum(1 for g in gone_cols if g < col)
         k = bisect.bisect_left(vertices, child_col * scale, key=lambda v: v[0])
         (x0, y0), (x1, y1) = vertices[k - 1], vertices[k]
         x0, x1 = lift(x0, gone_cols), lift(x1, gone_cols)
         y0, y1 = lift(y0, gone_rows), lift(y1, gone_rows)
-        side = (m.row * scale - y0) * (x1 - x0) - (y1 - y0) * (m.col * scale - x0)
+        side = (row * scale - y0) * (x1 - x0) - (y1 - y0) * (col * scale - x0)
         if side == 0:
             return None
         bits.append(BELOW if side < 0 else ABOVE)
@@ -431,6 +425,40 @@ def _parent_rank(rank: int, gone: list[int]) -> int:
         if rank >= g:
             rank += 1
     return rank
+
+
+def _child(level: Ranks, scale: int, events, e: int, x: int):
+    """The level without e and x, a doubly adjacent pair, with its scale
+    (the parent's over 4, as two fewer events need two fewer halvings) and
+    event list, derived in O(n). Deleting two tokens moves each later rank
+    down past them (the inverse of `_parent_rank`) and keeps every order
+    and the alternation, and each constraint forces what it forced but the
+    pair: nothing is sorted or checked again. A child keeps marks, so it
+    needs no containment tag."""
+    ids = level.ids
+    gone = {ids[e], ids[x]}
+    c0, c1 = sorted((level.cols[e], level.cols[x]))
+    r0, r1 = sorted((level.rows[e], level.rows[x]))
+    lo, hi = sorted((e, x))
+
+    def kept(seq: list) -> list:
+        return seq[:lo] + seq[lo + 1:hi] + seq[hi + 1:]
+
+    child = Ranks(
+        level.size - 2,
+        tuple([(c - (c > c0) - (c > c1), r - (r > r0) - (r > r1))
+               for c, r in level.constraints]),
+        [c - (c > c0) - (c > c1) for c in kept(level.cols)],
+        [r - (r > r0) - (r > r1) for r in kept(level.rows)],
+        kept(ids), level.p_ids - gone,
+        {i: (up - gone, down - gone)
+         for i, (up, down) in level.forced.items()})
+    # a level's events are its tokens but constraint 1: the kth is at column k
+    shift, child_scale = scale.bit_length() - 1, scale >> 2
+    rows = [(y >> shift, cid) for _, y, cid in events if cid not in gone]
+    return child, child_scale, [
+        (k * child_scale, (r - (r > r0) - (r > r1)) * child_scale, cid)
+        for k, (r, cid) in enumerate(rows, 1)]
 
 
 # -- the solver ----------------------------------------------------------------
@@ -453,46 +481,71 @@ class PrescriptionTrace:
 
 
 def prescribe(diagram: TorusDiagram) -> tuple[StaircasePath, PrescriptionTrace]:
-    """Faithful mark-avoiding staircase path with nonnegative index."""
-    levels: list[TraceLevel] = []
-    below, scale, vertices, _ = _solve(diagram, 0, levels)
+    """Faithful mark-avoiding staircase path with nonnegative index. The
+    winning walk is checked on its integer vertices as
+    `index_from_torus(check_all_bases=True)` checks a path."""
+    level = diagram._ranks
+    below, scale, vertices, _, levels = _drive(_solve(level, *_events(level), 0))
     path = _staircase(diagram, scale, vertices)
-    index = index_from_torus(diagram, path, check_all_bases=True)
+    d = diagram.size * scale
+    index = _read_path(level, [(x, d, y, d) for x, y in vertices], True)[2]
     if index < 0:
         raise InternalCaseGap("solver returned a negative index:\n"
                               + diagram.dump(path))
-    trace = PrescriptionTrace(levels=tuple(levels), below=below,
-                              path=path, index=index)
-    return path, trace
+    return path, PrescriptionTrace(levels=tuple(levels), below=below,
+                                   path=path, index=index)
 
 
-def _solve(diagram: TorusDiagram, depth: int, levels: list[TraceLevel]):
-    """(below-set, scale, walk vertices, index) of a nonnegative path.
+def _drive(solver):
+    """The induction from one level's solver (`_solve`, a generator that
+    yields each child level it needs solved), as one loop over a stack: a
+    finished level's solution is sent to its parent, and an
+    AssumptionViolated or InternalCaseGap thrown into it, as a call would."""
+    stack, reply, failure = [solver], None, None
+    while True:
+        try:
+            child = (stack[-1].send(reply) if failure is None
+                     else stack[-1].throw(failure))
+        except StopIteration as done:
+            stack.pop()
+            if not stack:
+                return done.value
+            reply, failure = done.value, None
+        except (AssumptionViolated, InternalCaseGap) as err:
+            stack.pop()
+            if not stack:
+                raise
+            reply, failure = None, err
+        else:
+            stack.append(_solve(*child))
+            reply = failure = None
 
-    The diagram's event list is built once and shared by every candidate.
-    The direct rules keep the best nonnegative candidate, the first on a
-    tie: no crossings, then a single crossing pair (every below-set), then
-    the single-cell rule (marks sharing a column or row cell, each bit
-    forced by the constraint points or else uniform). Anything else, or a
-    single cell with no nonnegative choice, goes to the pair rule.
+
+def _solve(level: Ranks, scale: int, events, depth: int):
+    """(below-set, scale, walk vertices, index, trace deepest level first)
+    of a nonnegative path; a generator that `_drive` runs.
+
+    The level's event list serves every candidate. The direct rules keep
+    the best nonnegative candidate, the first on a tie: no crossings, then a
+    single crossing pair (every below-set), then the single-cell rule (marks
+    sharing a column or row cell, each bit forced by the constraint points
+    or else uniform). Anything else, or a single cell with no nonnegative
+    choice, goes to the pair rule.
     """
-    scale, events = _events(diagram)
-    marks = diagram.marks
-    ids = [m.crossing_id for m in marks]
-    if not marks:
+    ids = level.ids
+    if not ids:
         rule, candidates = "no-crossings", [()]
-    elif len(marks) == 2:
+    elif len(ids) == 2:
         rule, candidates = "two-crossings", [(), ids[:1], ids[1:], ids]
     else:
         rule, candidates = "single-cell", []
-        c2 = diagram.constraint_rank(2)
-        c3 = diagram.constraint_rank(3)
-        grid_cols = (c2[0], c3[0])
-        grid_rows = (c2[1], c3[1])
-        if len({_cell(m.col, grid_cols) for m in marks}) == 1 or \
-                len({_cell(m.row, grid_rows) for m in marks}) == 1:
+        _, (c2, r2), (c3, r3) = level.constraints
+        cols, rows = level.cols, level.rows
+        # cells rise with the rank: all marks share one if the extremes do
+        if _cell(cols[0], (c2, c3)) == _cell(cols[-1], (c2, c3)) or \
+                _cell(min(rows), (r2, r3)) == _cell(max(rows), (r2, r3)):
             # no mark is up-left of one constraint and down-right of the other
-            forced = diagram._forced_marks
+            forced = level.forced
             forced_above = forced[2][0] | forced[3][0]
             forced_below = forced[2][1] | forced[3][1]
             candidates = [[cid for cid in ids if cid not in forced_above],
@@ -500,45 +553,43 @@ def _solve(diagram: TorusDiagram, depth: int, levels: list[TraceLevel]):
     best = None
     for picks in candidates:
         below = frozenset(picks)
-        walk = _walk(diagram, scale, events, below)
+        walk = _walk(level, scale, events, below)
         if walk is not None and walk[1] >= 0 and \
                 (best is None or walk[1] > best[3]):
             best = (below, scale, *walk)
     if best is not None:
-        levels.append(TraceLevel(depth=depth, rule=rule, index=best[3]))
-        return best
-    if not marks:
+        return (*best, [TraceLevel(depth=depth, rule=rule, index=best[3])])
+    if not ids:
         raise InternalCaseGap("crossing-free diagram with negative index")
-    if len(marks) == 2:
+    if len(ids) == 2:
         raise InternalCaseGap(
-            "no nonnegative choice for a single crossing pair:\n" + diagram.dump())
-    return _solve_by_pairs(diagram, scale, events, depth, levels)
+            "no nonnegative choice for a single crossing pair:\n" + level.dump())
+    return (yield from _solve_by_pairs(level, scale, events, depth))
 
 
-def _solve_by_pairs(diagram, scale, events, depth, levels):
+def _solve_by_pairs(level: Ranks, scale: int, events, depth: int):
     """Try the doubly adjacent pairs in column order, building and
     classifying each box only when it is reached; FORBIDDEN boxes are
-    reported after the rest. Returns what `_solve` returns."""
+    reported after the rest. Yields and returns as `_solve` does."""
     failures, forbidden = [], []
-    for entry, partner, descends in _adjacent_pairs(diagram):
-        box = _build_box(diagram, entry, partner, descends)
+    for e, x, descends in _adjacent_pairs(level):
+        box = _build_box(level, e, x, descends)
         pair = (box.entry_id, box.exit_id)
         category = classify_box(box)
         if category is BoxCategory.FORBIDDEN:
             forbidden.append((pair, "forbidden"))
             continue
-        sub: list[TraceLevel] = []
-        child = diagram.without_marks(pair)
+        child = _child(level, scale, events, e, x)
         try:
-            child_below, child_scale, vertices, child_w = _solve(
-                child, depth + 1, sub)
+            child_below, child_scale, vertices, child_w, trace = \
+                yield (*child, depth + 1)
         except (AssumptionViolated, InternalCaseGap) as err:
             failures.append((pair, err.reason))
             continue
-        path_bits = _path_induced_bits(diagram, box, vertices, child_scale)
+        path_bits = _path_induced_bits(level, e, x, vertices, child_scale)
         tried = set()
         for label, in_frame, bits in _candidate_plans(box, category, path_bits):
-            assignment = (_frame_assignment(diagram, box, bits) if in_frame
+            assignment = (_frame_assignment(level, box, bits) if in_frame
                           else {box.entry_id: bits[0], box.exit_id: bits[1]})
             if assignment is None:
                 continue
@@ -548,22 +599,21 @@ def _solve_by_pairs(diagram, scale, events, depth, levels):
             tried.add(key)
             below = child_below | {cid for cid, bit in assignment.items()
                                    if bit == BELOW}
-            walk = _walk(diagram, scale, events, below)
+            walk = _walk(level, scale, events, below)
             if walk is None or walk[1] < child_w:
                 continue
-            levels.extend(sub)
-            levels.append(TraceLevel(
+            trace.append(TraceLevel(
                 depth=depth, rule="pair", index=walk[1], pair=pair,
                 base_constraint=box.base_constraint,
                 cells=(box.lower_left_cell, box.upper_right_cell),
                 wrap=box.wrap, descends=box.descends,
                 category=category.value, candidate=(label, key),
                 child_index=child_w))
-            return below, scale, *walk
+            return below, scale, *walk, trace
         failures.append((pair, "no candidate verified"))
     raise InternalCaseGap(
         f"reinsertion failed for every adjacent pair {failures + forbidden}:\n"
-        + diagram.dump())
+        + level.dump())
 
 
 # -- exhaustive oracle -----------------------------------------------------------
@@ -576,19 +626,19 @@ def oracle_enumerate(diagram: TorusDiagram,
     Exhausts all mark bipartitions and keeps the realizable ones. Extra
     prescribed pairs (source, target parameters) shrink the feasible set
     without changing any value, turning the three-point problem into a
-    diagnostic four-or-more-point one. It stays, with TooLarge, until
-    ROADMAP item 5's DP replaces it.
+    diagnostic four-or-more-point one. It stays, with TooLarge, until the
+    index-set DP replaces it.
     """
-    marks = diagram.marks
-    if len(marks) > 12:
-        raise TooLarge(f"{len(marks)} crossings exceed the enumeration bound of 12")
+    level = diagram._ranks
+    ids = level.ids
+    if len(ids) > 12:
+        raise TooLarge(f"{len(ids)} crossings exceed the enumeration bound of 12")
     extra = _extra_anchor_points(diagram, extra_pairs)
-    scale, events = _events(diagram, extra)
-    ids = [m.crossing_id for m in marks]
+    scale, events = _events(level, extra)
     achievable = set()
     for mask in range(1 << len(ids)):
         below = frozenset(cid for i, cid in enumerate(ids) if mask >> i & 1)
-        walk = _walk(diagram, scale, events, below)
+        walk = _walk(level, scale, events, below)
         if walk is not None:
             achievable.add(walk[1])
     return frozenset(achievable)

@@ -26,7 +26,8 @@ next crossing tells you which side you are on.
 
 Cutting at another prescribed pair is a cyclic shift of the torus by that
 pair's token ranks, so the reading at that cut follows from the marks' ranks
-and sides at the first, with no diagram or path rebuilt.
+and sides at the first, with no diagram or path rebuilt. One routine reads
+a path's integer vertices on the diagram's integer form (`_read_path`).
 
 Diagrams and paths are checked once, where they enter: by the
 `TorusDiagram` and `StaircasePath` constructors. Those this module derives
@@ -38,7 +39,7 @@ from __future__ import annotations
 import bisect
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import (
     AlternationViolation,
@@ -46,7 +47,6 @@ from .errors import (
     ConstraintOnCurve,
     FormulaMismatch,
     InputRejection,
-    InvariantFailure,
     OrderViolation,
     PathHitsMark,
 )
@@ -68,15 +68,6 @@ class TorusMark:
     """A crossing at token ranks (col, row) of a size-n diagram."""
 
     __slots__ = _fields = ("crossing_id", "kind", "col", "row", "size")
-
-    # written out: built per mark, where the shared binding costs ~2x
-    def __init__(self, crossing_id: int, kind: CrossKind, col: int, row: int,
-                 size: int) -> None:
-        _set(self, "crossing_id", crossing_id)
-        _set(self, "kind", kind)
-        _set(self, "col", col)
-        _set(self, "row", row)
-        _set(self, "size", size)
 
     @property
     def x(self) -> Fraction:
@@ -155,67 +146,29 @@ class TorusDiagram:
         return len(self.col_order)
 
     @cached_property
-    def marks(self) -> tuple[TorusMark, ...]:
-        kind_map = dict(self.kinds)
+    def _ranks(self) -> "Ranks":
+        """The diagram on integers, which every reading of it uses."""
         row_pos = {t: i for i, t in enumerate(self.row_order)}
-        out = []
-        for col, tok in enumerate(self.col_order):
-            if tok[0] != "m":
-                continue
-            row = row_pos[tok]
-            out.append(TorusMark(crossing_id=tok[1], kind=kind_map[tok[1]],
-                                 col=col, row=row, size=self.size))
-        return tuple(out)
+        tokens = [(col, row_pos[t], t) for col, t in enumerate(self.col_order)]
+        # the constructor has checked that constraints 1, 2, 3 come in order
+        constraints = tuple([(c, r) for c, r, t in tokens if t[0] == "c"])
+        marks = [(c, r, t[1]) for c, r, t in tokens if t[0] == "m"]
+        # per constraint i the marks strictly up-left and down-right of it
+        forced = {i: (frozenset([k for x, y, k in marks if x < c and y > r]),
+                      frozenset([k for x, y, k in marks if x > c and y < r]))
+                  for i, (c, r) in enumerate(constraints, 1)}
+        p_ids = frozenset([k for k, kind in self.kinds if kind is CrossKind.P])
+        return Ranks(self.size, constraints,
+                     *(map(list, zip(*marks)) if marks else ([], [], [])),
+                     p_ids, forced, self.containment)
 
     @cached_property
-    def p_ids(self) -> frozenset[int]:
-        """Ids of the entering (kind P) marks."""
-        return frozenset(k for k, kind in dict(self.kinds).items()
-                         if kind is CrossKind.P)
-
-    @cached_property
-    def _constraint_ranks(self) -> dict[int, tuple[int, int]]:
-        return {i: (self.col_order.index(("c", i)), self.row_order.index(("c", i)))
-                for i in (1, 2, 3)}
-
-    def constraint_rank(self, i: int) -> tuple[int, int]:
-        """Column and row token rank of constraint i."""
-        return self._constraint_ranks[i]
-
-    def constraint_point(self, i: int) -> tuple[Fraction, Fraction]:
-        col, row = self._constraint_ranks[i]
-        return Fraction(col, self.size), Fraction(row, self.size)
-
-    @cached_property
-    def _forced_marks(self) -> dict[int, tuple[frozenset[int], frozenset[int]]]:
-        """(above, below) per constraint i: the ids of the marks strictly up
-        and left of it, which every path through its lattice point passes
-        below, and of those strictly down and right, which it passes above."""
-        return {i: (frozenset([m.crossing_id for m in self.marks
-                               if m.col < c and m.row > r]),
-                    frozenset([m.crossing_id for m in self.marks
-                               if m.col > c and m.row < r]))
-                for i, (c, r) in self._constraint_ranks.items()}
-
-    def membership(self, i: int = 1) -> tuple[bool, bool]:
-        """Is constraint i's source point inside the second region, and its
-        target point inside the first? Decided by the next crossing ahead."""
-        if not self.kinds:
-            return (self.containment is Containment.FIRST_INSIDE_SECOND,
-                    self.containment is Containment.SECOND_INSIDE_FIRST)
-        p_ids = self.p_ids
-
-        def next_is_p(order: Sequence[TokenId], start: int) -> bool:
-            n = len(order)
-            for step in range(1, n + 1):
-                tok = order[(start + step) % n]
-                if tok[0] == "m":
-                    return tok[1] in p_ids
-            raise InvariantFailure("unreachable: diagram has marks")
-
-        col, row = self._constraint_ranks[i]
-        return (not next_is_p(self.col_order, col),
-                next_is_p(self.row_order, row))
+    def marks(self) -> tuple[TorusMark, ...]:
+        """The marks in column order, for reports and figures."""
+        ranks, kind = self._ranks, dict(self.kinds)
+        return tuple([TorusMark(crossing_id=k, kind=kind[k], col=x, row=y,
+                                size=ranks.size)
+                      for x, y, k in zip(ranks.cols, ranks.rows, ranks.ids)])
 
     @cached_property
     def _offsets(self) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
@@ -250,55 +203,66 @@ class TorusDiagram:
             offsets, 0, key=lambda o: o[0] * den - num * o[1]) - 1
         return _rank_position(k, num, den, offsets, self.size)
 
-    def without_marks(self, ids: Iterable[int]) -> "TorusDiagram":
-        """Drop the given marks, keeping every other token's cyclic position.
+    def dump(self, path: "StaircasePath | None" = None) -> str:
+        return self._ranks.dump(path)
 
-        The child is purely combinatorial: token orders, kinds and a
-        containment tag, with no true parameters. Dropping the last marks
-        freezes the current membership answer into that tag: removing a
-        doubly adjacent pair never sweeps across a constraint point, so its
-        membership is unchanged.
 
-        Removing marks leaves the constraints, their order and the other
-        tokens as they were, so of the constructor's checks only the even
-        count and the alternation can fail; the child gets those two alone.
-        """
-        gone = set(ids)
-        new_cols = tuple([t for t in self.col_order
-                          if t[0] != "m" or t[1] not in gone])
-        new_rows = tuple([t for t in self.row_order
-                          if t[0] != "m" or t[1] not in gone])
-        new_kinds = tuple([(k, v) for k, v in self.kinds if k not in gone])
-        _check_alternation(new_cols, new_rows, dict(new_kinds))
-        containment = self.containment
-        if not any(t[0] == "m" for t in new_cols) and containment is None:
-            in_second, in_first = self.membership(1)
-            if in_second and in_first:
-                raise InvariantFailure("contradictory memberships at deletion")
-            containment = (Containment.FIRST_INSIDE_SECOND if in_second
-                           else Containment.SECOND_INSIDE_FIRST if in_first
-                           else Containment.DISJOINT)
-        return trusted(TorusDiagram, col_order=new_cols, row_order=new_rows,
-                       kinds=new_kinds, containment=containment)
+class Ranks(NamedTuple):
+    """A torus diagram on integers, as the index reading and the solver
+    read it: the (col, row) token ranks of constraints 1 to 3, the marks in
+    column order, the entering marks' ids, per constraint i the (above,
+    below) ids of the marks every path through it passes below and above,
+    and the containment tag of a diagram without marks."""
+
+    size: int
+    constraints: tuple[tuple[int, int], ...]
+    cols: list[int]
+    rows: list[int]
+    ids: list[int]
+    p_ids: frozenset[int]
+    forced: dict[int, tuple[frozenset[int], frozenset[int]]]
+    containment: Containment | None = None
+
+    def membership(self, i: int = 1) -> tuple[bool, bool]:
+        """Is constraint i's source point inside the second region, and its
+        target point inside the first? Decided by the next crossing ahead on
+        each curve: the next mark right of it and above it, cyclically."""
+        if not self.ids:
+            return (self.containment is Containment.FIRST_INSIDE_SECOND,
+                    self.containment is Containment.SECOND_INSIDE_FIRST)
+        col, row = self.constraints[i - 1]
+        ids, rows = self.ids, self.rows
+        right = ids[bisect.bisect_right(self.cols, col) % len(ids)]
+        up = ids[rows.index(min([r for r in rows if r > row] or rows))]
+        return right not in self.p_ids, up in self.p_ids
+
+    def read(self, below, above, i: int) -> int:
+        """The index from the marks below and above a path, with the cut at
+        constraint i, by both formulas; they must agree."""
+        base = sum(self.membership(i))
+        p_below, p_above = len(below & self.p_ids), len(above & self.p_ids)
+        eta_below = base - p_below + (len(below) - p_below)
+        eta_above = base + p_above - (len(above) - p_above)
+        if eta_below != eta_above:
+            raise FormulaMismatch(
+                f"below-form gives {eta_below}, above-form gives {eta_above}")
+        return eta_below
 
     def dump(self, path: "StaircasePath | None" = None) -> str:
         """ASCII rendering, one character cell per token pair, top row first."""
         n = self.size
         grid = [["." for _ in range(n)] for _ in range(n)]
-        for m in self.marks:
-            grid[m.row][m.col] = "P" if m.kind is CrossKind.P else "~"
-        for i in (1, 2, 3):
-            x, y = self.constraint_point(i)
-            grid[int(y * n)][int(x * n)] = str(i)
+        for col, row, k in zip(self.cols, self.rows, self.ids):
+            grid[row][col] = "P" if k in self.p_ids else "~"
+        for i, (col, row) in enumerate(self.constraints, 1):
+            grid[row][col] = str(i)
         if path is not None:
             for col in range(n):
-                x = Fraction(2 * col + 1, 2 * n)
-                y = path.y_at(x)
+                y = path.y_at(Fraction(2 * col + 1, 2 * n))
                 row = min(int(y * n), n - 1)
                 if grid[row][col] == ".":
                     grid[row][col] = "*"
-        lines = ["".join(row) for row in reversed(grid)]
-        return "\n".join(lines)
+        return "\n".join(["".join(row) for row in reversed(grid)])
 
 
 def _check_alternation(cols: Sequence[TokenId], rows: Sequence[TokenId],
@@ -309,11 +273,9 @@ def _check_alternation(cols: Sequence[TokenId], rows: Sequence[TokenId],
             for order in (cols, rows)]
     if len(seqs[0]) % 2 != 0:
         raise AlternationViolation("odd number of marks")
-    for seq in seqs:
-        for a, b in zip(seq, seq[1:] + seq[:1]):
-            if len(seq) >= 2 and a == b:
-                raise AlternationViolation(
-                    "mark kinds fail to alternate along a circle")
+    if any(a == b for seq in seqs if len(seq) >= 2
+           for a, b in zip(seq, seq[1:] + seq[:1])):
+        raise AlternationViolation("mark kinds fail to alternate along a circle")
 
 
 def _unit(params: Sequence[Fraction]) -> list[Fraction]:
@@ -425,9 +387,6 @@ class StaircasePath:
         k = max(bisect.bisect_left(self._xs, x), 1)
         (x0, y0), (x1, y1) = self.points[k - 1], self.points[k]
         return y0 + (y1 - y0) * (x - x0) / (x1 - x0)
-
-    def passes_through(self, x: Fraction, y: Fraction) -> bool:
-        return self.y_at(x) == y
 
 
 def path_of_correspondence(diagram: TorusDiagram,
@@ -569,41 +528,6 @@ def _params_at(params: list[Fraction],
     return out
 
 
-def delta_split(diagram: TorusDiagram, path: StaircasePath,
-                ) -> tuple[frozenset[int], frozenset[int]]:
-    """Mark ids strictly below and strictly above the path.
-
-    One merge walk: the marks come in column order, so a single pointer
-    runs along the path's vertices. A mark at a vertex's x is compared with
-    that vertex; any other mark takes the side of the segment over it from
-    the sign of a cross product. A mark sits at (col / n, row / n), so both
-    tests multiply integers only: the cross product is taken over the
-    common denominator of the mark and the segment's ends.
-    """
-    below, above = set(), set()
-    n = diagram.size
-    pts = path.points
-    k = 1
-    for m in diagram.marks:
-        x1, y1 = pts[k]
-        while x1.numerator * n < m.col * x1.denominator:
-            k += 1
-            x1, y1 = pts[k]
-        if x1.numerator * n == m.col * x1.denominator:
-            side = m.row * y1.denominator - y1.numerator * n
-        else:
-            x0, y0 = pts[k - 1]
-            (a0, b0), (a1, b1) = x0.as_integer_ratio(), x1.as_integer_ratio()
-            (c0, d0), (c1, d1) = y0.as_integer_ratio(), y1.as_integer_ratio()
-            # (m.y - y0) (x1 - x0) - (y1 - y0) (m.x - x0), times n b0 b1 d0 d1
-            side = ((m.row * d0 - c0 * n) * d1 * (a1 * b0 - a0 * b1)
-                    - (c1 * d0 - c0 * d1) * (m.col * b0 - a0 * n) * b1)
-        if side == 0:
-            raise PathHitsMark(f"path passes through mark {m.crossing_id}")
-        (below if side < 0 else above).add(m.crossing_id)
-    return frozenset(below), frozenset(above)
-
-
 def index_from_torus(diagram: TorusDiagram, path: StaircasePath,
                      check_all_bases: bool = False) -> int:
     """Fixed-point index read off the diagram, checked two ways.
@@ -619,30 +543,55 @@ def index_from_torus(diagram: TorusDiagram, path: StaircasePath,
     from above the path (up and left of the constraint) to below, the row
     alone from below to above. Which marks move depends on the diagram alone.
     """
-    below, above = delta_split(diagram, path)
-    eta = _read_index(diagram, below, above, 1)
+    points = [(x.numerator, x.denominator, y.numerator, y.denominator)
+              for x, y in path.points]
+    return _read_path(diagram._ranks, points, check_all_bases)[2]
+
+
+def _read_path(ranks: Ranks, points, check_all_bases: bool):
+    """The ids of the marks strictly below and above a path, its vertices
+    given as integer ratios (x_num, x_den, y_num, y_den), and its index.
+
+    One merge walk: the marks and constraints 2 and 3 come in column order,
+    so one pointer runs along the vertices. A token at a vertex's x is
+    compared with that vertex, any other with the segment over it by the
+    sign of a cross product over the common denominator: integers only.
+    """
+    below, above, through = set(), set(), []
+    n = ranks.size
+    tokens = list(zip(ranks.cols, ranks.rows, ranks.ids))
+    for col, row in ranks.constraints[1:]:
+        bisect.insort(tokens, (col, row, None))
+    k = 1
+    for col, row, cid in tokens:
+        a1, b1, c1, d1 = points[k]
+        while a1 * n < col * b1:
+            k += 1
+            a1, b1, c1, d1 = points[k]
+        if a1 * n == col * b1:
+            side = row * d1 - c1 * n
+        else:
+            a0, b0, c0, d0 = points[k - 1]
+            # (row/n - y0) (x1 - x0) - (y1 - y0) (col/n - x0), times
+            # n b0 b1 d0 d1
+            side = ((row * d0 - c0 * n) * d1 * (a1 * b0 - a0 * b1)
+                    - (c1 * d0 - c0 * d1) * (col * b0 - a0 * n) * b1)
+        if cid is None:
+            through.append(side == 0)
+        elif side == 0:
+            raise PathHitsMark(f"path passes through mark {cid}")
+        else:
+            (below if side < 0 else above).add(cid)
+    eta = ranks.read(below, above, 1)
     if check_all_bases:
-        for i in (2, 3):
-            x, y = diagram.constraint_point(i)
-            if not path.passes_through(x, y):
+        for i, passes in zip((2, 3), through):
+            if not passes:
                 raise BasePointOnGrid(
                     f"cannot move the cut to constraint {i}: path misses it")
-            up_left, down_right = diagram._forced_marks[i]
-            again = _read_index(diagram, (below - down_right) | up_left,
-                                (above - up_left) | down_right, i)
+            up_left, down_right = ranks.forced[i]
+            again = ranks.read((below - down_right) | up_left,
+                               (above - up_left) | down_right, i)
             if again != eta:
                 raise FormulaMismatch(
                     f"cut at constraint {i} gives {again}, not {eta}")
-    return eta
-
-
-def _read_index(diagram: TorusDiagram, below, above, i: int) -> int:
-    """Both formulas with the cut at constraint i; they must agree."""
-    p_below, p_above = len(below & diagram.p_ids), len(above & diagram.p_ids)
-    base = sum(diagram.membership(i))
-    eta_below = base - p_below + (len(below) - p_below)
-    eta_above = base + p_above - (len(above) - p_above)
-    if eta_below != eta_above:
-        raise FormulaMismatch(
-            f"below-form gives {eta_below}, above-form gives {eta_above}")
-    return eta_below
+    return below, above, eta

@@ -46,7 +46,7 @@ from fpindex.jordan import (
 )
 from fpindex.plmap import PLCorrespondence
 from fpindex.prescribe import ABOVE, BELOW, _events, _staircase, _walk
-from fpindex.torus import StaircasePath, TokenId, TorusDiagram
+from fpindex.torus import StaircasePath, TokenId, TorusDiagram, _read_path
 
 
 # -- reference geometry -------------------------------------------------------
@@ -180,7 +180,7 @@ def membership_matches_geometry(diagram: TorusDiagram,
                                 second: PolyJordanCurve) -> bool:
     """Whether the diagram's combinatorial memberships at constraint 1 agree
     with exact point-in-polygon queries on the curves it was built from."""
-    in_second, in_first = diagram.membership(1)
+    in_second, in_first = diagram._ranks.membership(1)
     u = first.point_at(diagram.col_params[0])
     v = second.point_at(diagram.row_params[0])
     return ((point_in_polygon(second.loop, u)
@@ -238,10 +238,45 @@ def abstract_diagram(col_order: Sequence[TokenId], row_order: Sequence[TokenId],
                         containment=containment)
 
 
+def constraint_point(diagram: TorusDiagram, i: int) -> tuple[Fraction, Fraction]:
+    """Constraint i's lattice point in the cut unit square."""
+    col, row = diagram._ranks.constraints[i - 1]
+    return Fraction(col, diagram.size), Fraction(row, diagram.size)
+
+
+def without_marks(diagram: TorusDiagram, ids: Iterable[int]) -> TorusDiagram:
+    """The diagram without the given marks, every other token keeping its
+    cyclic position, built by the checked constructor: the reference for
+    the child levels the solver derives (`prescribe._child`).
+
+    The child is purely combinatorial: token orders, kinds and a
+    containment tag, with no true parameters. Dropping the last marks
+    freezes the current membership answer into that tag: removing a doubly
+    adjacent pair never sweeps across a constraint point, so its membership
+    is unchanged.
+    """
+    gone = set(ids)
+    cols = tuple([t for t in diagram.col_order
+                  if t[0] != "m" or t[1] not in gone])
+    rows = tuple([t for t in diagram.row_order
+                  if t[0] != "m" or t[1] not in gone])
+    kinds = tuple([(k, v) for k, v in diagram.kinds if k not in gone])
+    containment = diagram.containment
+    if not any(t[0] == "m" for t in cols) and containment is None:
+        in_second, in_first = diagram._ranks.membership(1)
+        if in_second and in_first:
+            raise InvariantFailure("contradictory memberships at deletion")
+        containment = (Containment.FIRST_INSIDE_SECOND if in_second
+                       else Containment.SECOND_INSIDE_FIRST if in_first
+                       else Containment.DISJOINT)
+    return TorusDiagram(col_order=cols, row_order=rows, kinds=kinds,
+                        containment=containment)
+
+
 def straight_path(diagram: TorusDiagram) -> StaircasePath:
     """The polyline through the three constraint lattice points."""
-    x2, y2 = diagram.constraint_point(2)
-    x3, y3 = diagram.constraint_point(3)
+    x2, y2 = constraint_point(diagram, 2)
+    x3, y3 = constraint_point(diagram, 3)
     # the diagram's constraints rise in both orders: 0 < rank 2 < rank 3 < n
     return trusted(StaircasePath, points=(
         (Fraction(0), Fraction(0)), (x2, y2), (x3, y3),
@@ -380,21 +415,38 @@ def ref_locate_param(vertices: Sequence[RatPoint], p: RatPoint):
 # -- threaded paths -----------------------------------------------------------
 
 
+def delta_split(diagram: TorusDiagram, path: StaircasePath,
+                ) -> tuple[set[int], set[int]]:
+    """Mark ids strictly below and strictly above the path, by the package's
+    reading (`torus._read_path`)."""
+    points = [(x.numerator, x.denominator, y.numerator, y.denominator)
+              for x, y in path.points]
+    return _read_path(diagram._ranks, points, False)[:2]
+
+
+def walk_below(diagram: TorusDiagram, below_ids, extra=()):
+    """The package's integer walk of a below-set on the whole diagram:
+    (scale, vertices, index), or None when the set is not realizable."""
+    level = diagram._ranks
+    scale, events = _events(level, extra)
+    walk = _walk(level, scale, events, below_ids)
+    return None if walk is None else (scale, *walk)
+
+
 def thread_path(diagram: TorusDiagram, below_ids, extra=()) -> StaircasePath:
     """Monotone faithful path with exactly the given marks below it, from
     the package's integer walk."""
-    scale, events = _events(diagram, extra)
-    walk = _walk(diagram, scale, events, below_ids)
+    walk = walk_below(diagram, below_ids, extra)
     if walk is None:
         raise InvariantFailure("bipartition is not realizable")
-    return _staircase(diagram, scale, walk[0])
+    return _staircase(diagram, *walk[:2])
 
 
 def reference_thread_path(diagram, below_ids, extra=()):
     """The threading on `Fraction`s: a midpoint level per mark, every path
     point divided by n."""
     n = diagram.size
-    anchors = [diagram.constraint_rank(2), diagram.constraint_rank(3), *extra]
+    anchors = [*diagram._ranks.constraints[1:], *extra]
     events = sorted([(x, y, "anchor") for x, y in anchors] +
                     [(m.col, m.row, BELOW if m.crossing_id in below_ids
                       else ABOVE) for m in diagram.marks])
@@ -674,8 +726,8 @@ def random_monotone_path(rng: random.Random, count: int,
 def path_through_constraints(rng: random.Random, diagram,
                              den: int) -> StaircasePath:
     """Random monotone path over 1/den steps through constraints 2 and 3."""
-    corners = [(Fraction(0), Fraction(0)), diagram.constraint_point(2),
-               diagram.constraint_point(3), (Fraction(1), Fraction(1))]
+    corners = [(Fraction(0), Fraction(0)), constraint_point(diagram, 2),
+               constraint_point(diagram, 3), (Fraction(1), Fraction(1))]
     points = [corners[0]]
     for (x0, y0), (x1, y1) in zip(corners, corners[1:]):
         lo_x, hi_x = int(x0 * den) + 1, int(x1 * den)

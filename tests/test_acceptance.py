@@ -39,6 +39,7 @@ from fpindex.torus import (
 from geomgen import (
     AffineMap,
     circle_pools,
+    constraint_point,
     glued_square_fixture,
     local_winding,
     membership_matches_geometry,
@@ -216,7 +217,8 @@ def test_c06_prescription_succeeds_on_500_random_pairs():
         path, trace = prescribe(diagram)
         assert trace.index >= 0
         for i in (2, 3):
-            assert path.passes_through(*diagram.constraint_point(i))
+            x, y = constraint_point(diagram, i)
+            assert path.y_at(x) == y
         realized = realize_path(diagram, path)
         assert fixed_point_index(first, second, realized) == trace.index
         if len(crossings) <= 8:

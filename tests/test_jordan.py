@@ -360,10 +360,11 @@ class TestBoxPairs:
                         == brute_box_pairs(boxes, split))
 
     def test_same_order_as_eager_eviction(self):
-        # A side's active list is rebuilt only when its least high edge has
-        # fallen behind the sweep, so the sweep yields the pairs of the
-        # eager rebuild, in its order: on each curve's own edges (the
-        # simplicity check) and on a pair's joint edges (the crossing scan).
+        # A side's active list is pruned only now and then, and the pair
+        # test skips the boxes that have left, so the sweep yields the
+        # pairs of the eager rebuild, in its order: on each curve's own
+        # edges (the simplicity check) and on a pair's joint edges (the
+        # crossing scan).
         rng = random.Random("box-pairs:eager")
         pairs = [canonical_noncut_pair(m) for m in (1, 2, 5, 16)]
         pairs += [random_transverse_pair(rng)[:2] for _ in range(20)]

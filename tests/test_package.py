@@ -189,9 +189,10 @@ import fpindex.{module}
 # its reason. Code that only tests or scripts call lives in tests/.
 KEPT = {
     "exact_geom.PLLoop.segments": "the benchmark's per-call metrics time the "
-                                  "Fraction segments until ROADMAP item 10",
+                                  "Fraction segments until the benchmark "
+                                  "revision measures the row kernels",
     "exact_geom.RatPoint.dot": "the benchmark's generator uses it until "
-                               "ROADMAP item 10",
+                               "the benchmark revision",
     "plmap.difference_loop": "the index's definition; tier-1 holds "
                              "fixed_point_index to it",
     "prescribe.find_doubly_adjacent": "the README names it as API",
@@ -261,13 +262,11 @@ FIELD_ONLY_INITS = {
     "exact_geom.RatPoint": "built per vertex, where the shared binding costs "
                            "about twice a written-out one",
     "exact_geom.SegmentMeeting": "the benchmark times segment_intersection "
-                                 "per call until ROADMAP item 10",
+                                 "per call until the benchmark revision",
     "jordan.Crossing": "keeps its point field in the _point slot, behind a "
                        "property that computes it when first read",
     "packing.OverlayReport": "also sets crossing_sets, a slot that is not a "
                              "field",
-    "torus.TorusMark": "built per mark, where the shared binding costs about "
-                       "twice a written-out one",
 }
 
 

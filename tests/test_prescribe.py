@@ -2,6 +2,7 @@
 import importlib
 import itertools
 import random
+import sys
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
@@ -10,10 +11,13 @@ import pytest
 
 from fpindex.errors import (
     AssumptionViolated,
+    BasePointOnGrid,
     ConstraintOnCurve,
     FpIndexError,
+    HasFixedPoint,
     InternalCaseGap,
     InvariantFailure,
+    PathHitsMark,
     TooFewCrossings,
     TooLarge,
 )
@@ -29,14 +33,13 @@ from fpindex.prescribe import (
     BELOW,
     AdjacencyBox,
     BoxCategory,
-    TraceLevel,
+    _adjacent_pairs,
     _build_box,
-    _candidate_plans,
+    _child,
+    _drive,
     _events,
     _extra_anchor_points,
-    _frame_assignment,
     _path_induced_bits,
-    _solve,
     _solve_by_pairs,
     _staircase,
     _walk,
@@ -49,20 +52,24 @@ from fpindex.serialize import load_constraints, load_curve, load_json_file
 from fpindex.torus import (
     Containment,
     StaircasePath,
+    TorusMark,
+    _read_path,
     build_diagram,
-    delta_split,
     index_from_torus,
     realize_path,
 )
 
 from geomgen import (
     abstract_diagram,
+    delta_split,
     identity_params,
     random_transverse_pair,
     reference_thread_path,
     square_curve,
     synthesize_constraints,
     thread_path,
+    walk_below,
+    without_marks,
 )
 from test_jordan import alternating_patterns
 from test_torus import rebased, reference_all_bases
@@ -193,8 +200,8 @@ def reference_box(diagram, entry, partner, descends, frames):
         raise InvariantFailure("pair order broke under rebasing")
     bottom, top = (x, e) if descends else (e, x)
     lifted = top.row if top.row > bottom.row else top.row + n
-    x2, y2 = frame.constraint_rank(2)
-    x3, y3 = frame.constraint_rank(3)
+    x2, y2 = frame.col_order.index(("c", 2)), frame.row_order.index(("c", 2))
+    x3, y3 = frame.col_order.index(("c", 3)), frame.row_order.index(("c", 3))
     box = AdjacencyBox(entry_id=entry.crossing_id, exit_id=partner.crossing_id,
                        base_constraint=base, descends=descends,
                        col_lo=2 * e.col - 1, col_hi=2 * x.col + 1,
@@ -253,11 +260,12 @@ class TestBuildBoxOnRanks:
                 if entry.kind is not CrossKind.P:
                     continue
                 for step in (1, 2, 3):
-                    partner = marks[(i + step) % len(marks)]
+                    j = (i + step) % len(marks)
+                    partner = marks[j]
                     gap = (row_rank[entry.crossing_id]
                            - row_rank[partner.crossing_id]) % len(marks)
                     for descends in (True, False):
-                        got = box_outcome(_build_box, diagram, entry, partner,
+                        got = box_outcome(_build_box, diagram._ranks, i, j,
                                           descends)
                         assert got == box_outcome(reference_box, diagram,
                                                   entry, partner, descends,
@@ -281,53 +289,6 @@ class TestBuildBoxOnRanks:
                                         placed[box.exit_id], box.descends, {})
 
 
-def eager_solve_by_pairs(diagram, scale, events, depth, levels):
-    """The pair rule with every pair's box built before the first is tried."""
-    failures, forbidden = [], []
-    for box in find_doubly_adjacent(diagram):
-        pair = (box.entry_id, box.exit_id)
-        category = classify_box(box)
-        if category is BoxCategory.FORBIDDEN:
-            forbidden.append((pair, "forbidden"))
-            continue
-        sub = []
-        child = diagram.without_marks(pair)
-        try:
-            child_below, child_scale, vertices, child_w = _solve(
-                child, depth + 1, sub)
-        except (AssumptionViolated, InternalCaseGap) as err:
-            failures.append((pair, err.reason))
-            continue
-        path_bits = _path_induced_bits(diagram, box, vertices, child_scale)
-        tried = set()
-        for label, in_frame, bits in _candidate_plans(box, category, path_bits):
-            assignment = (_frame_assignment(diagram, box, bits) if in_frame
-                          else {box.entry_id: bits[0], box.exit_id: bits[1]})
-            if assignment is None:
-                continue
-            key = tuple(sorted(assignment.items()))
-            if key in tried:
-                continue
-            tried.add(key)
-            below = child_below | {cid for cid, bit in assignment.items()
-                                   if bit == BELOW}
-            walk = _walk(diagram, scale, events, below)
-            if walk is None or walk[1] < child_w:
-                continue
-            levels.extend(sub)
-            levels.append(TraceLevel(
-                depth=depth, rule="pair", index=walk[1], pair=pair,
-                base_constraint=box.base_constraint,
-                cells=(box.lower_left_cell, box.upper_right_cell),
-                wrap=box.wrap, descends=box.descends,
-                category=category.value, candidate=(label, key),
-                child_index=child_w))
-            return below, scale, *walk
-        failures.append((pair, "no candidate verified"))
-    raise InternalCaseGap(f"reinsertion failed for every adjacent pair "
-                          f"{failures + forbidden}")
-
-
 class TestBoxesOnDemand:
     def test_lazy_boxes_change_nothing(self, monkeypatch):
         calls = Counter()
@@ -340,15 +301,23 @@ class TestBoxesOnDemand:
                 return inner(*args)
             return wrapper
 
+        def eager_pairs(level):
+            # every pair's box built before the first is tried
+            pairs = _adjacent_pairs(level)
+            calls["available"] += len(pairs)
+            for pair in pairs:
+                _build_box(level, *pair)
+            return pairs
+
         monkeypatch.setattr(PRESCRIBE, "_build_box", counted("_build_box"))
         monkeypatch.setattr(PRESCRIBE, "classify_box", counted("classify_box"))
         eager_builds = lazy_builds = 0
         for diagram in box_guard_diagrams():
             with monkeypatch.context() as eager:
-                eager.setattr(PRESCRIBE, "_solve_by_pairs", eager_solve_by_pairs)
+                eager.setattr(PRESCRIBE, "_adjacent_pairs", eager_pairs)
                 calls.clear()
                 _, want = prescribe(diagram)
-                eager_builds += calls["_build_box"]
+                eager_builds += calls["available"]
             calls.clear()
             _, got = prescribe(diagram)
             assert got.levels == want.levels
@@ -358,7 +327,6 @@ class TestBoxesOnDemand:
             assert calls["_build_box"] == calls["classify_box"]
             lazy_builds += calls["_build_box"]
         assert lazy_builds < eager_builds
-
 
 
 def twelve_crossing_diagram():
@@ -372,33 +340,99 @@ def twelve_crossing_diagram():
                          constraints)
 
 
-class TestOneEventListPerDiagram:
+class TestOneEventListPerPrescription:
     @pytest.mark.parametrize("make", [
         twelve_crossing_diagram,
         lambda: canonical_diagram(3, seed=23)[3],
         lambda: canonical_diagram(6, seed=506)[3],
     ])
-    def test_events_built_once_per_visited_diagram(self, make, monkeypatch):
-        # every diagram the solver visits builds its event list once, shared
-        # by all its candidates; neither the pair rule nor prescribe builds
-        # another
-        built, visited = [], []
+    def test_one_build_each_level_derived(self, make, monkeypatch):
+        # a prescribe call builds one event list, the first level's; every
+        # deeper level the solver visits, event list included, is the one
+        # `_child` derived from its parent, and neither the pair rule nor
+        # the final check builds another
+        built, derived, visited = [], [], []
 
         def counted(calls, inner):
-            def wrapper(diagram, *args):
-                calls.append(diagram)
-                return inner(diagram, *args)
+            def wrapper(*args):
+                result = inner(*args)
+                calls.append((args, result))
+                return result
             return wrapper
 
-        monkeypatch.setattr(PRESCRIBE, "_events",
-                            counted(built, PRESCRIBE._events))
-        monkeypatch.setattr(PRESCRIBE, "_solve",
-                            counted(visited, PRESCRIBE._solve))
+        for name, calls in (("_events", built), ("_child", derived),
+                            ("_solve", visited)):
+            monkeypatch.setattr(PRESCRIBE, name,
+                                counted(calls, getattr(PRESCRIBE, name)))
         diagram = make()
         _, trace = prescribe(diagram)
-        assert visited[0] is diagram
-        assert [id(d) for d in built] == [id(d) for d in visited]
+        assert len(built) == 1
+        (level,), (scale, events) = built[0]
+        assert level is diagram._ranks
+        assert visited[0][0] == (level, scale, events, 0)
+        assert [args[:3] for args, _ in visited[1:]] == \
+            [child for _, child in derived]
         assert len(visited) > max(lv.depth for lv in trace.levels)
+
+
+class TestNoMarkObjectsInTheSolver:
+    # canonical draws whose prescription is 0, 2, 4, ..., 12 levels deep
+    DRAWS = [(1, 0), (3, 2), (7, 2), (10, 3), (14, 2), (17, 6), (20, 6)]
+
+    def test_mark_objects_do_not_grow_with_depth(self, monkeypatch):
+        # TorusMark is report surface: prescribe builds none, at any depth
+        built = Counter()
+        init = TorusMark.__init__
+
+        def counting(self, *args, **kwargs):
+            built["marks"] += 1
+            init(self, *args, **kwargs)
+
+        diagrams = [canonical_diagram(m, seed)[3] for m, seed in self.DRAWS]
+        monkeypatch.setattr(TorusMark, "__init__", counting)
+        per_depth = {}
+        for diagram in diagrams:
+            before = built["marks"]
+            _, trace = prescribe(diagram)
+            depth = max(lv.depth for lv in trace.levels)
+            per_depth[depth] = built["marks"] - before
+        assert sorted(per_depth) == [0, 2, 4, 6, 8, 10, 12]
+        assert set(per_depth.values()) == {0}
+        # the counter sees the marks a report builds
+        assert len(diagrams[-1].marks) == 40 == built["marks"]
+
+
+class TestDeepPrescription:
+    def test_depth_57_draw_under_a_low_recursion_limit(self):
+        # 2m = 128 with the map and constraints `noncut_rungs.py` draws for
+        # seed 64,001: the pair rule goes 57 levels deep. The recursion
+        # limit leaves 60 frames above this one, fewer than a solver that
+        # recursed once or twice per level would need
+        first, second = canonical_noncut_pair(64)
+        crossings = check_transverse(first, second)
+        rng = random.Random(64001)
+        while True:
+            phi = random_correspondence(rng, rng.randrange(3, 10))
+            try:
+                fixed_point_index(first, second, phi)
+                break
+            except HasFixedPoint:
+                continue
+        diagram = build_diagram(first, second, crossings,
+                                synthesize_constraints(crossings, phi, rng))
+        depth, frame = 0, sys._getframe()
+        while frame is not None:
+            depth, frame = depth + 1, frame.f_back
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(depth + 60)
+        try:
+            path, trace = prescribe(diagram)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert max(lv.depth for lv in trace.levels) == 57
+        assert trace.index >= 0
+        assert fixed_point_index(first, second, realize_path(diagram, path)) \
+            == trace.index
 
 # -- solver: direct rules -------------------------------------------------------
 
@@ -413,8 +447,8 @@ class TestPrescribeDirect:
         path, trace = prescribe(d)
         assert trace.index == 0
         assert [lv.rule for lv in trace.levels] == ["no-crossings"]
-        assert path.passes_through(F(1, 3), F(1, 3))
-        assert path.passes_through(F(2, 3), F(2, 3))
+        assert path.y_at(F(1, 3)) == F(1, 3)
+        assert path.y_at(F(2, 3)) == F(2, 3)
 
     def test_nested_curves_value_one(self):
         d = abstract_diagram(three_point_orders(), three_point_orders(), {},
@@ -624,7 +658,8 @@ class TestOracle:
 
 def reference_is_realizable(diagram, below_ids, extra=()):
     """Every below point or anchor against every above point or anchor."""
-    anchors = [diagram.constraint_rank(2), diagram.constraint_rank(3), *extra]
+    anchors = [(diagram.col_order.index(c), diagram.row_order.index(c))
+               for c in (("c", 2), ("c", 3))] + list(extra)
     below = [(m.col, m.row) for m in diagram.marks if m.crossing_id in below_ids]
     above = [(m.col, m.row) for m in diagram.marks
              if m.crossing_id not in below_ids]
@@ -678,8 +713,8 @@ def geometric_diagrams(rng, count: int, max_crossings: int = 12):
 def walk_value(diagram, below, extra=()):
     """The index `_walk` reads for a below-set, None when it is not
     realizable."""
-    walk = _walk(diagram, *_events(diagram, extra), below)
-    return None if walk is None else walk[1]
+    walk = walk_below(diagram, below, extra)
+    return None if walk is None else walk[2]
 
 
 def check_below_set(diagram, below, extra=()):
@@ -709,10 +744,11 @@ class TestTorusFormulaOnEveryBelowSet:
     @pytest.mark.parametrize("m, count", [(1, 4), (2, 9), (3, 12)])
     def test_canonical_pair(self, m, count):
         first, second, _, diagram = canonical_diagram(m, 9410)
-        scale, events = _events(diagram)
+        level = diagram._ranks
+        scale, events = _events(level)
         values = []
         for below in below_sets(None, diagram):
-            walk = _walk(diagram, scale, events, below)
+            walk = _walk(level, scale, events, below)
             if walk is None:
                 continue
             vertices, index = walk
@@ -808,23 +844,123 @@ class TestChildSidesOnIntegers:
         for diagram in diagrams:
             if len(diagram.marks) < 4:
                 continue
+            level = diagram._ranks
             try:
-                boxes = find_doubly_adjacent(diagram)
+                pairs = _adjacent_pairs(level)
+                boxes = [_build_box(level, *pair) for pair in pairs]
             except InvariantFailure:
                 continue  # too few pairs, or a box guard fired
-            for box in boxes:
-                child = diagram.without_marks((box.entry_id, box.exit_id))
+            scale, events = _events(level)
+            for (e, x, _), box in zip(pairs, boxes):
+                child = without_marks(diagram, (box.entry_id, box.exit_id))
+                kid, kid_scale, kid_events = _child(level, scale, events, e, x)
                 for below in below_sets(rng, child, cap=32):
-                    scale, events = _events(child)
-                    walk = _walk(child, scale, events, below)
+                    walk = _walk(kid, kid_scale, kid_events, below)
                     if walk is None:
                         continue
-                    got = _path_induced_bits(diagram, box, walk[0], scale)
+                    got = _path_induced_bits(level, e, x, walk[0], kid_scale)
                     assert got == reference_path_induced_bits(
                         diagram, child, reference_thread_path(child, below), box)
                     seen.add(got)
         assert {(BELOW, BELOW), (ABOVE, ABOVE), (BELOW, ABOVE),
                 (ABOVE, BELOW)} <= seen
+
+
+def bent_walks(level, scale, vertices):
+    """A walk's vertices, then each bend of them that misses constraint 2
+    or 3 by one unit ("c") or passes through a mark ("m"), where the bend
+    keeps the vertices rising, each with its tag."""
+    yield None, vertices
+    heights = {x: y for x, y in vertices}
+    points = [(c * scale, r * scale) for c, r in level.constraints[1:]]
+    points += [(c * scale, r * scale) for c, r in zip(level.cols, level.rows)]
+    for i, (x, y) in enumerate(points):
+        k = vertices.index((x, heights[x]))
+        target = y + 1 if i < 2 else y
+        if vertices[k - 1][1] < target < vertices[k + 1][1] and \
+                target != heights[x]:
+            yield "c" if i < 2 else "m", \
+                vertices[:k] + [(x, target)] + vertices[k + 1:]
+
+
+class TestFinalCheckOnIntegers:
+    def test_reading_of_the_walk_is_the_path_reading(self):
+        # prescribe checks the winning walk's integer vertices with the
+        # routine behind index_from_torus(check_all_bases=True): on walks,
+        # and on walks bent off a constraint or onto a mark, the two agree,
+        # errors included
+        rng = random.Random(9600)
+        seen = Counter()
+        for diagram, _ in geometric_diagrams(rng, 30):
+            level = diagram._ranks
+            scale, events = _events(level)
+            d = diagram.size * scale
+            for below in below_sets(rng, diagram, cap=8):
+                walk = _walk(level, scale, events, below)
+                if walk is None:
+                    continue
+                for _, bent in bent_walks(level, scale, walk[0]):
+                    got = outcome(lambda: _read_path(
+                        level, [(x, d, y, d) for x, y in bent], True)[2])
+                    path = StaircasePath(tuple([(F(x, d), F(y, d))
+                                                for x, y in bent]))
+                    assert got == outcome(index_from_torus, diagram, path,
+                                          True)
+                    seen[got[0] if isinstance(got, tuple) else "index"] += 1
+        assert set(seen) == {"index", "BasePointOnGrid", "PathHitsMark"}
+
+    @pytest.mark.parametrize("tag, error", [("c", BasePointOnGrid),
+                                            ("m", PathHitsMark)])
+    def test_prescribe_rejects_a_bent_winning_walk(self, tag, error,
+                                                  monkeypatch):
+        # the check runs on the walk the solver hands back: bent off a
+        # constraint or onto a mark, it does not get out
+        diagram = canonical_diagram(6, seed=506)[3]
+        drive = PRESCRIBE._drive
+
+        def bent(solver):
+            below, scale, vertices, index, levels = drive(solver)
+            vertices = next(v for t, v in bent_walks(diagram._ranks, scale,
+                                                     vertices) if t == tag)
+            return below, scale, vertices, index, levels
+
+        monkeypatch.setattr(PRESCRIBE, "_drive", bent)
+        with pytest.raises(error):
+            prescribe(diagram)
+
+
+def rank_fields(level):
+    return (level.size, level.constraints, level.cols, level.rows, level.ids,
+            level.p_ids, level.forced, level.containment)
+
+
+class TestChildLevels:
+    def test_each_child_is_the_diagram_without_its_pair(self):
+        # every child the pair rule can take, down the first child at each
+        # level: its ranks, kinds, forced sets, scale and event list are
+        # those of the diagram rebuilt without the pair
+        rng = random.Random(9500)
+        diagrams = [canonical_diagram(m, seed=m)[3] for m in range(2, 13)]
+        diagrams += [d for d, _ in geometric_diagrams(rng, 40)]
+        count = 0
+        for diagram in diagrams:
+            level = diagram._ranks
+            scale, events = _events(level)
+            while len(level.ids) >= 4:
+                try:
+                    pairs = _adjacent_pairs(level)
+                except AssumptionViolated:
+                    break
+                kids = []
+                for e, x, _ in pairs:
+                    kid = _child(level, scale, events, e, x)
+                    want = without_marks(diagram, (level.ids[e], level.ids[x]))
+                    assert rank_fields(kid[0]) == rank_fields(want._ranks)
+                    assert kid[1:] == _events(want._ranks)
+                    kids.append((kid, want))
+                    count += 1
+                (level, scale, events), diagram = kids[0]
+        assert count > 300
 
 
 def doubly_adjacent_pairs(diagram):
@@ -837,11 +973,12 @@ def doubly_adjacent_pairs(diagram):
     for i, entry in enumerate(by_col):
         if entry.kind is not CrossKind.P:
             continue
-        partner = by_col[(i + 1) % count]
+        j = (i + 1) % count
+        partner = by_col[j]
         gap = (row_rank[entry.crossing_id]
                - row_rank[partner.crossing_id]) % count
         if gap in (1, count - 1):
-            yield entry, partner, gap == 1
+            yield i, j, entry, partner, gap == 1
 
 
 class TestPairsPastTheFrameCut:
@@ -853,8 +990,8 @@ class TestPairsPastTheFrameCut:
         skipped = 0
         for diagram, _ in geometric_diagrams(random.Random(9300), 60):
             kept = []
-            for entry, partner, descends in doubly_adjacent_pairs(diagram):
-                if box_outcome(_build_box, diagram, entry, partner, descends) \
+            for i, j, entry, partner, descends in doubly_adjacent_pairs(diagram):
+                if box_outcome(_build_box, diagram._ranks, i, j, descends) \
                         == "pair order broke under rebasing":
                     skipped += 1
                 else:
@@ -865,9 +1002,10 @@ class TestPairsPastTheFrameCut:
                 assert len(kept) < 2
             else:
                 assert [(b.entry_id, b.exit_id) for b in boxes] == kept
+            level = diagram._ranks
             try:
-                below, _, _, w = _solve_by_pairs(diagram, *_events(diagram),
-                                                 0, [])
+                below, _, _, w, _ = _drive(
+                    _solve_by_pairs(level, *_events(level), 0))
             except (AssumptionViolated, InternalCaseGap):
                 pass
             else:

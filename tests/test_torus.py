@@ -23,13 +23,12 @@ from fpindex.jordan import (
     check_transverse,
 )
 from fpindex.plmap import PLCorrespondence, fixed_point_index, random_correspondence
-from fpindex.prescribe import _events, _walk, prescribe
+from fpindex.prescribe import prescribe
 from fpindex.torus import (
     Containment,
     StaircasePath,
     TorusDiagram,
     build_diagram,
-    delta_split,
     index_from_torus,
     path_of_correspondence,
     realize_path,
@@ -38,7 +37,9 @@ from fpindex.torus import (
 from geomgen import (
     SquareTooLarge,
     abstract_diagram,
+    constraint_point,
     cyclic_offsets,
+    delta_split,
     identity_params,
     local_winding,
     membership_matches_geometry,
@@ -48,6 +49,8 @@ from geomgen import (
     random_transverse_pair,
     square_curve,
     straight_path,
+    walk_below,
+    without_marks,
     synthesize_constraints,
     thread_path,
 )
@@ -77,7 +80,7 @@ class TestBuildDiagram:
         marks = {m.crossing_id: m for m in diagram.marks}
         assert (marks[0].x, marks[0].y) == (F(2, 5), F(1, 5))
         assert (marks[1].x, marks[1].y) == (F(3, 5), F(3, 5))
-        assert diagram.membership(1) == (False, True)
+        assert diagram._ranks.membership(1) == (False, True)
 
     def test_rejects_constraint_on_crossing(self):
         first = square_curve(0, 0, 4, 4)
@@ -261,8 +264,8 @@ class TestStaircasePath:
         _, _, _, diagram = lens_fixture()
         phi = identity_params(4)
         path = path_of_correspondence(diagram, phi)
-        assert path.passes_through(F(1, 5), F(2, 5))
-        assert path.passes_through(F(4, 5), F(4, 5))
+        assert path.y_at(F(1, 5)) == F(2, 5)
+        assert path.y_at(F(4, 5)) == F(4, 5)
         below, above = delta_split(diagram, path)
         assert below == frozenset({0})
         assert above == frozenset({1})
@@ -589,7 +592,7 @@ class TestIndexFromTorus:
             v = second.point_at(constraints[0][1])
             want = (point_in_polygon(second.loop, u) == PointLocation.INSIDE,
                     point_in_polygon(first.loop, v) == PointLocation.INSIDE)
-            assert diagram.membership(1) == want
+            assert diagram._ranks.membership(1) == want
 
 
 def reference_reading(diagram, path):
@@ -598,7 +601,7 @@ def reference_reading(diagram, path):
     kinds = dict(diagram.kinds)
     p_below = sum(1 for i in below if kinds[i] is CrossKind.P)
     p_above = sum(1 for i in above if kinds[i] is CrossKind.P)
-    base = sum(diagram.membership(1))
+    base = sum(diagram._ranks.membership(1))
     eta_below = base - p_below + (len(below) - p_below)
     eta_above = base + p_above - (len(above) - p_above)
     if eta_below != eta_above:
@@ -630,7 +633,7 @@ def rebased(diagram, i):
 def reference_rebase(diagram, path, i):
     """The cut moved by rebuilding: a rebased diagram, and the path with the
     constraint point inserted as a vertex, split there and wrapped."""
-    x0, y0 = diagram.constraint_point(i)
+    x0, y0 = constraint_point(diagram, i)
     pts = list(path.points)
     if (x0, y0) not in pts:
         pts.insert(next(k for k, (x, _) in enumerate(pts) if x > x0), (x0, y0))
@@ -644,8 +647,8 @@ def reference_all_bases(diagram, path):
     """index_from_torus(check_all_bases=True) through rebuilt diagrams."""
     eta = reference_reading(diagram, path)
     for i in (2, 3):
-        x, y = diagram.constraint_point(i)
-        if not path.passes_through(x, y):
+        x, y = constraint_point(diagram, i)
+        if path.y_at(x) != y:
             raise BasePointOnGrid(
                 f"cannot move the cut to constraint {i}: path misses it")
         again = reference_reading(*reference_rebase(diagram, path, i))
@@ -670,7 +673,7 @@ def threaded_paths(rng, diagram, count: int):
     ids = [m.crossing_id for m in diagram.marks]
     for _ in range(count):
         below = frozenset(i for i in ids if rng.random() < 0.5)
-        if _walk(diagram, *_events(diagram), below) is not None:
+        if walk_below(diagram, below) is not None:
             yield thread_path(diagram, below)
 
 
@@ -839,15 +842,15 @@ class TestLocalWinding:
 class TestDiagramSurgery:
     def test_without_marks_freezes_membership(self):
         _, _, _, diagram = lens_fixture()
-        smaller = diagram.without_marks([0, 1])
+        smaller = without_marks(diagram, [0, 1])
         assert smaller.containment is Containment.SECOND_INSIDE_FIRST
         assert smaller.size == 3
-        assert smaller.membership(1) == (False, True)
+        assert smaller._ranks.membership(1) == (False, True)
 
     def test_rebased_diagram_moves_origin(self):
         _, _, _, diagram = lens_fixture()
         d2 = rebased(diagram, 2)
-        assert d2.constraint_point(1) == (F(0), F(0))
+        assert constraint_point(d2, 1) == (F(0), F(0))
         assert d2.size == diagram.size
         marks = {m.crossing_id: (m.x, m.y) for m in d2.marks}
         assert marks[0] == (F(1, 5), F(4, 5))

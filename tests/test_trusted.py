@@ -21,6 +21,7 @@ from fpindex.errors import (
 )
 from fpindex.exact_geom import PLLoop, pt
 from fpindex.jordan import (
+    CrossKind,
     CrossingSet,
     canonical_noncut_pair,
     check_transverse,
@@ -30,13 +31,14 @@ from fpindex.packing import translate_packing
 from fpindex.plmap import PLCorrespondence, random_correspondence
 from fpindex.prescribe import (
     _adjacent_pairs,
+    _child,
     _events,
-    _walk,
     prescribe,
 )
 from fpindex.torus import (
     Containment,
     StaircasePath,
+    TorusDiagram,
     build_diagram,
     path_of_correspondence,
     realize_path,
@@ -53,6 +55,8 @@ from geomgen import (
     synthesize_constraints,
     thread_path,
     transform_pair,
+    walk_below,
+    without_marks,
 )
 from packfix import one_piece_pair, two_piece_pair
 from twins import rebuilt
@@ -162,17 +166,39 @@ BARE = abstract_diagram([("c", 1), ("c", 2), ("c", 3)],
 
 
 def children(diagram):
-    """The child for each doubly adjacent pair, and so on down from the
-    first child at each level, as prescribe's first attempt descends."""
-    while len(diagram.marks) >= 4:
+    """The child level the pair rule derives for each doubly adjacent pair,
+    and so on down from the first child at each level, as prescribe's first
+    attempt descends."""
+    level = diagram._ranks
+    scale, events = _events(level)
+    while len(level.ids) >= 4:
         try:
-            pairs = _adjacent_pairs(diagram)
+            pairs = _adjacent_pairs(level)
         except AssumptionViolated:
             return
-        kids = [diagram.without_marks((entry.crossing_id, partner.crossing_id))
-                for entry, partner, _ in pairs]
-        yield from kids
-        diagram = kids[0]
+        kids = [_child(level, scale, events, e, x) for e, x, _ in pairs]
+        yield from (kid for kid, _, _ in kids)
+        level, scale, events = kids[0]
+
+
+def checked_level(level):
+    """A level the solver derived without a check, rebuilt as a diagram by
+    the checked constructor, which must accept it and read the same ranks,
+    kinds and forced sets."""
+    n = level.size
+    cols, rows = [None] * n, [None] * n
+    for i, (c, r) in enumerate(level.constraints, 1):
+        cols[c] = rows[r] = ("c", i)
+    for c, r, k in zip(level.cols, level.rows, level.ids):
+        cols[c] = rows[r] = ("m", k)
+    kinds = tuple([(k, CrossKind.P if k in level.p_ids else CrossKind.PTILDE)
+                   for k in level.ids])
+    again = TorusDiagram(tuple(cols), tuple(rows), kinds,
+                         level.containment)._ranks
+    fields = ("size", "constraints", "cols", "rows", "ids", "p_ids",
+              "forced", "containment")
+    assert [getattr(again, f) for f in fields] == \
+        [getattr(level, f) for f in fields]
 
 
 class TestDiagrams:
@@ -186,12 +212,12 @@ class TestDiagrams:
         count = 0
         for diagram, _ in geometric_diagrams(7201, 30, min_crossings=4):
             for child in children(diagram):
-                checked(child)
+                checked_level(child)
                 count += 1
         for diagram, _ in canonical_diagrams(range(2, 9)):
             for child in children(diagram):
-                assert len(child.marks) < len(diagram.marks)
-                checked(child)
+                assert len(child.ids) < len(diagram.marks)
+                checked_level(child)
                 count += 1
         assert count > 100
 
@@ -205,7 +231,7 @@ class TestDiagrams:
         # marks 0 and 2 have the same kind; dropping both leaves 1 next to 3
         diagram, _ = next(canonical_diagrams([2]))
         with pytest.raises(AlternationViolation, match=reason):
-            diagram.without_marks(drop)
+            without_marks(diagram, drop)
 
 
 class TestCrossingSets:
@@ -266,7 +292,7 @@ class TestPaths:
             ids = [m.crossing_id for m in diagram.marks]
             for _ in range(16):
                 below = frozenset(c for c in ids if rng.randrange(2))
-                if _walk(diagram, *_events(diagram), below) is not None:
+                if walk_below(diagram, below) is not None:
                     checked(thread_path(diagram, below))
             checked(prescribe(diagram)[0])
 

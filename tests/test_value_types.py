@@ -211,7 +211,6 @@ def test_cached_values_are_computed_once():
     path = made["StaircasePath"][0]
     spec = made["PackingSpec"][0]
     for obj, attr in ((loop, "rows"), (loop, "edge_keys"),
-                      (diagram, "marks"), (diagram, "p_ids"),
-                      (diagram, "_constraint_ranks"), (path, "_xs"),
+                      (diagram, "marks"), (diagram, "_ranks"), (path, "_xs"),
                       (spec, "analysis")):
         assert getattr(obj, attr) is getattr(obj, attr)
