@@ -223,7 +223,7 @@ class Ranks(NamedTuple):
     forced: dict[int, tuple[frozenset[int], frozenset[int]]]
     containment: Containment | None = None
 
-    def membership(self, i: int = 1) -> tuple[bool, bool]:
+    def membership(self, i: int) -> tuple[bool, bool]:
         """Is constraint i's source point inside the second region, and its
         target point inside the first? Decided by the next crossing ahead on
         each curve: the next mark right of it and above it, cyclically."""
