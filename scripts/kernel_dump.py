@@ -4,7 +4,8 @@
 
 For seeded random transverse pairs (`tests/geomgen.py`) and the canonical
 non-cutting pairs, each with a seeded map and three constraints through it,
-the dump records: `fixed_point_index` and `_refined_params` of the map,
+the dump records: `fixed_point_index` of the map and the source
+parameters of its bends (`_bend_walk`),
 `path_of_correspondence`, the breakpoints `realize_path` gives for the
 correspondence, straight, prescribed and random monotone paths (some of
 them through constraints 2 and 3) with the index of each realized map,
@@ -57,7 +58,7 @@ from fpindex.jordan import (  # noqa: E402
     validate_curve,
 )
 from fpindex.plmap import (  # noqa: E402
-    _refined_params,
+    _bend_walk,
     fixed_point_index,
     glue,
     random_correspondence,
@@ -129,7 +130,8 @@ def dump_case(out: list[str], rng: random.Random, xrng: random.Random,
     phi = random_correspondence(rng, rng.randrange(3, 9))
     out.append(f"phi {fmt(phi.breakpoints)}")
     out.append(f"index {outcome(fixed_point_index, first, second, phi)}")
-    out.append(f"refined {fmt(_refined_params(first, second, phi))}")
+    out.append("refined " + fmt([Fraction(s, g) for s, _, g, _, _ in
+                                 _bend_walk(len(first), len(second), phi)]))
     diagram = build_diagram(first, second, crossings,
                             synthesize_constraints(crossings, phi, rng))
     paths = {"straight": straight_path(diagram)}

@@ -8,7 +8,8 @@ Predicates run on integers, with one point form: the homogeneous row
 (X, Y, W) of `row`, W > 0 the lcm of the point's own two denominators, which
 a loop caches per vertex (`PLLoop.rows`) with one edge table built from them
 (`PLLoop.edge_keys`). The kernels `turn_int`, `in_box_int`, `meet_int`,
-`edge_crossing` and `origin_winding` decide predicates on rows alone.
+`edge_crossing` and `origin_winding` decide predicates on rows alone, and
+`between` places a point along a segment as a row.
 
 Sign conventions, used consistently by the whole package:
 
@@ -172,9 +173,6 @@ def pt(x: RatLike, y: RatLike) -> RatPoint:
     return RatPoint(rat(x), rat(y))
 
 
-ORIGIN = pt(0, 0)
-
-
 Row = tuple[int, int, int]
 
 
@@ -184,6 +182,14 @@ def row(p: RatPoint) -> Row:
     (nx, qx), (ny, qy) = p.x.as_integer_ratio(), p.y.as_integer_ratio()
     w = lcm(qx, qy)
     return nx * (w // qx), ny * (w // qy), w
+
+
+def between(a: Row, b: Row, u: int, w: int) -> Row:
+    """The row of the point u / w of the way along from row a to row b,
+    over the weight W_a W_b w, which it does not reduce."""
+    (xa, ya, wa), (xb, yb, wb) = a, b
+    fa, fb = wb * (w - u), wa * u
+    return xa * fa + xb * fb, ya * fa + yb * fb, wa * wb * w
 
 
 def turn_int(a: Row, b: Row, c: Row) -> int:

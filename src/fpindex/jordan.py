@@ -49,6 +49,7 @@ from .exact_geom import (
     RatPoint,
     Row,
     _set,
+    between,
     in_box_int,
     meet_int,
     point_in_polygon,
@@ -149,24 +150,25 @@ class PolyJordanCurve:
 
     def point_at(self, param: Fraction) -> RatPoint:
         """Point at a normalized parameter (vertex i of an n-gon at i/n)."""
-        n = len(self.loop)
-        scaled = (param % 1) * n
-        i = int(scaled)
-        frac = scaled - i
-        a = self.loop.vertices[i]
-        b = self.loop.vertices[(i + 1) % n]
-        return a + (b - a).scale(frac)
+        rows = self.loop.rows
+        n = len(rows)
+        i, r = divmod((param % 1) * n, 1)
+        x, y, w = between(rows[i], rows[(i + 1) % n], r.numerator,
+                          r.denominator)
+        return RatPoint(Fraction(x, w), Fraction(y, w))
 
     def locate_param(self, p: RatPoint) -> Fraction | None:
-        """Normalized parameter of a boundary point, or None if off-curve.
+        """Normalized parameter of a boundary point, or None if off-curve."""
+        return self.locate_row(row(p))
 
-        p becomes its row q = (X, Y, W). An edge is tested exactly only when
-        its keys (PLLoop.edge_keys) hold floor(2^64 X / W) and
-        floor(2^64 Y / W), and only the edge found costs a `Fraction`.
-        """
+    def locate_row(self, q: Row) -> Fraction | None:
+        """locate_param of the point with row q = (X, Y, W), W > 0 but not
+        necessarily least. An edge is tested exactly only when its keys
+        (PLLoop.edge_keys) hold floor(2^64 X / W) and floor(2^64 Y / W),
+        and only the edge found costs a `Fraction`."""
         rows = self.loop.rows
         lo_x, hi_x, lo_y, hi_y = self.loop.edge_keys
-        q = px, py, pw = row(p)
+        px, py, pw = q
         kx, ky = (px << 64) // pw, (py << 64) // pw
         n = len(rows)
         for i in range(n):
@@ -226,10 +228,8 @@ class Crossing:
         """Built when first read from check_transverse's _at = (a, b, u, w):
         the point u / w of the way along from row a to row b."""
         if self._point is None:
-            (xa, ya, wa), (xb, yb, wb), u, w = self._at
-            fa, fb, den = wb * (w - u), wa * u, wa * wb * w
-            _set(self, "_point", RatPoint(Fraction(xa * fa + xb * fb, den),
-                                          Fraction(ya * fa + yb * fb, den)))
+            x, y, w = between(*self._at)
+            _set(self, "_point", RatPoint(Fraction(x, w), Fraction(y, w)))
         return self._point
 
 

@@ -60,12 +60,9 @@ from .jordan import (
     segment_contacts,
     trace_faces,
 )
-from .plmap import PLCorrespondence, _carry, _refined_params, fixed_point_index
+from .plmap import PLCorrespondence, _carry, fixed_point_index
 
 SIDES = ("a", "b", "c", "d")
-
-# a label is a piece index or a frame side name
-Label = "int | str"
 
 
 def _label_key(label) -> tuple[int, object]:
@@ -474,16 +471,18 @@ def _curve_table(spec: PackingSpec) -> tuple[tuple[str, PolyJordanCurve], ...]:
 def check_overlay_transverse(first: PackingSpec, second: PackingSpec,
                              ) -> OverlayReport:
     """Require every boundary of one packing to meet every boundary of the
-    other transversally, with no coincidences at contact points."""
+    other transversally. Nothing else can coincide: each contact point and
+    marked corner of a valid packing is a vertex of its boundaries, so one
+    on a boundary of the other packing is a contact check_transverse
+    rejects, and a crossing point on a third boundary would be one."""
     # a packing that breaks a rule is reported before any overlay fault
-    nodes = (first.analysis.nodes, second.analysis.nodes)
-    table_a = _curve_table(first)
+    validate_packing(first)
+    validate_packing(second)
     table_b = _curve_table(second)
     entries = []
     pair_crossings = {}
-    crossing_points: list[tuple[int, int, RatPoint]] = []
-    for ia, (label_a, curve_a) in enumerate(table_a):
-        for ib, (label_b, curve_b) in enumerate(table_b):
+    for label_a, curve_a in _curve_table(first):
+        for label_b, curve_b in table_b:
             try:
                 crossings = check_transverse(curve_a, curve_b)
             except NotTransverse as exc:
@@ -491,23 +490,6 @@ def check_overlay_transverse(first: PackingSpec, second: PackingSpec,
                     f"{label_a} against {label_b}: {exc}") from exc
             entries.append((label_a, label_b, len(crossings)))
             pair_crossings[label_a, label_b] = crossings
-            crossing_points.extend((ia, ib, c.point) for c in crossings)
-    for ia, ib, p in crossing_points:
-        for x, (label, curve) in enumerate(table_a):
-            if x != ia and curve.locate_param(p) is not None:
-                raise NotTransverseOverlay(
-                    f"a crossing point lies on {label} as well")
-        for x, (label, curve) in enumerate(table_b):
-            if x != ib and curve.locate_param(p) is not None:
-                raise NotTransverseOverlay(
-                    f"a crossing point lies on {label} as well")
-    for own_nodes, table in zip(nodes, (table_b, table_a)):
-        for nd in own_nodes:
-            for label, curve in table:
-                if curve.locate_param(nd.point) is not None:
-                    raise NotTransverseOverlay(
-                        f"a contact point of one packing lies on {label} "
-                        "of the other")
     return OverlayReport(tuple(entries), pair_crossings)
 
 
@@ -630,7 +612,7 @@ def _certificate(first: PackingSpec, second: PackingSpec,
     mate_face = {second_a.faces[fid].objects: fid
                  for fid in second_a.interstices}
     mate_node = {nd.objects: nd for nd in second_a.nodes}
-    # (face objects, (target, map, bends)) per interstice, for _carry
+    # (face objects, (source, target, map)) per interstice, for _carry
     inter_maps: list[tuple[frozenset, tuple]] = []
     inter_indices: list[int] = []
     triples: list[tuple] = []
@@ -665,9 +647,7 @@ def _certificate(first: PackingSpec, second: PackingSpec,
             raise InvariantFailure("prescribed and realized indices disagree")
         if eta < 0:
             raise InvariantFailure("prescription returned a negative index")
-        inter_maps.append((face.objects, (target, phi, [
-            (s, source.point_at(s))
-            for s in _refined_params(source, target, phi)])))
+        inter_maps.append((face.objects, (source, target, phi)))
         inter_indices.append(eta)
         triples.append(tuple(sorted(face.objects, key=_label_key)))
 

@@ -24,7 +24,9 @@ such a step itself, on three comparisons of the curves' cached keys
 (PLLoop.edge_keys: edge ranges widened out to multiples of 2^-64, so keys
 apart imply ranges apart; no per-pair rescale). Only kept steps get exact
 ends, read off the rows of the cell's four end vertices (_difference_at).
-Walked without keys, its step starts are _refined_params' bends.
+Walked without keys, its step starts are the bends (_bend_walk), which
+_carried reads as rows and locates on other curves: glue and the packing
+certificate carry maps that way, with no `Fraction` point per bend.
 
 A correspondence is checked once, where it enters; maps derived from a
 checked one, such as its inverse, skip the check (`PLCorrespondence`).
@@ -52,6 +54,7 @@ from .exact_geom import (
     RatPoint,
     _new,
     _set,
+    between,
     edge_crossing,
     value_type,
 )
@@ -243,14 +246,6 @@ def _bend_walk(n_source: int, n_target: int, phi: PLCorrespondence,
             in _bend_steps(n_source, n_target, phi)]
 
 
-def _refined_params(source: PolyJordanCurve, target: PolyJordanCurve,
-                    phi: PLCorrespondence) -> list[Fraction]:
-    """Parameters where the difference loop can bend: breakpoints, source
-    vertices, and preimages of target vertices, sorted."""
-    return [Fraction(s, g) for s, _, g, _, _ in
-            _bend_walk(len(source), len(target), phi)]
-
-
 def _difference_at(source: PolyJordanCurve, target: PolyJordanCurve):
     """at(S, T, G, i, j): target(T/G) - source(S/G), with S/G on source
     edge i and T/G on target edge j, as a homogeneous triple (X, Y, W) read
@@ -401,29 +396,40 @@ def _union(outer_a: list[RatPoint], outer_b: list[RatPoint],
             "outer boundaries touch away from the junctions") from exc
 
 
+def _carried(host: PolyJordanCurve, host_target: PolyJordanCurve,
+             source: PolyJordanCurve, target: PolyJordanCurve,
+             phi: PLCorrespondence) -> Iterator[tuple]:
+    """(s, t, p) for each bend of phi (_bend_walk) whose point, the row p
+    read off its edge's end rows, lies on host: s its parameter there, and
+    t its image's on host_target, or None when the image misses it."""
+    src, tgt = source.loop.rows, target.loop.rows
+    n, m = len(src), len(tgt)
+    for s, t, g, i, j in _bend_walk(n, m, phi):
+        p = between(src[i], src[(i + 1) % n], s * n - i * g, g)
+        s_new = host.locate_row(p)
+        if s_new is not None:
+            yield s_new, host_target.locate_row(
+                between(tgt[j], tgt[(j + 1) % m], t * m - j * g, g)), p
+
+
 def _carry(source: PolyJordanCurve, target: PolyJordanCurve,
-           pieces: Iterable[tuple[PolyJordanCurve, PLCorrespondence,
-                                  list[tuple[Fraction, RatPoint]]]],
+           pieces: Iterable[tuple[PolyJordanCurve, PolyJordanCurve,
+                                  PLCorrespondence]],
            error: type[Exception]) -> PLCorrespondence:
     """The map from source to target that piece maps give at their bends.
 
-    Each piece is (its target, its map, its bends as (parameter, point)),
-    the bends being its _refined_params with the point at each. A bend whose
-    point lies on source is carried there, with its image located on target;
-    the others are skipped. A map bends only at its pieces' bends, so these
-    pairs are the whole map. Raises `error` when an image misses target or
-    two pieces send one point to two images.
+    Each piece is (its source, its target, its map). A bend whose point lies
+    on source is carried there, with its image located on target; the
+    others are skipped (_carried). A map bends only at its pieces' bends,
+    so these pairs are the whole map. Raises `error` when an image misses
+    target or two pieces send one point to two images.
     """
     pairs: dict[Fraction, Fraction] = {}
-    for piece_target, phi, bends in pieces:
-        for s, p in bends:
-            s_new = source.locate_param(p)
-            if s_new is None:
-                continue
-            t_new = target.locate_param(piece_target.point_at(phi.evaluate(s)))
-            if t_new is None:
+    for piece in pieces:
+        for s, t, _ in _carried(source, target, *piece):
+            if t is None:
                 raise error("image point missing from the glued target")
-            if pairs.setdefault(s_new, t_new) != t_new:
+            if pairs.setdefault(s, t) != t:
                 raise error("maps differ at a junction")
     return PLCorrespondence(tuple(sorted(pairs.items())))
 
@@ -454,35 +460,19 @@ def glue(source_a: PolyJordanCurve, target_a: PolyJordanCurve,
     glued_source = _union(outer_src_a, outer_src_b)
     glued_target = _union(outer_tgt_a, outer_tgt_b)
 
-    # Each piece's bends, with the source point at each, serve both passes.
-    pieces = []
-    for curve, target, phi in ((source_a, target_a, phi_a),
-                               (source_b, target_b, phi_b)):
-        pieces.append((target, phi, [(s, curve.point_at(s)) for s in
-                                     _refined_params(curve, target, phi)]))
-
-    # The maps must agree on the shared arc: compare at every point where
-    # either restriction can bend, which pins the whole piecewise map. Both
-    # unions are valid, so each pair of curves meets exactly in its shared
-    # arc: a point of one curve lies on that arc when the other curve has it.
-    probe_points: list[RatPoint] = list(shared_src)
-    for (_, _, bends), other in zip(pieces, (source_b, source_a)):
-        for _, p in bends:
-            if other.locate_param(p) is not None and p not in probe_points:
-                probe_points.append(p)
-
-    for p in probe_points:
-        s_a = source_a.locate_param(p)
-        s_b = source_b.locate_param(p)
-        if s_a is None or s_b is None:
-            raise BadGluingGeometry("shared arc point missing from a source")
-        q_a = target_a.point_at(phi_a.evaluate(s_a))
-        q_b = target_b.point_at(phi_b.evaluate(s_b))
-        if q_a != q_b:
-            raise ArcsDisagree(f"maps differ at shared point {p}")
-        if target_b.locate_param(q_a) is None:
-            raise ArcsDisagree("shared arc does not map onto the shared target arc")
+    # The maps must agree on the shared arc, where each pair of curves meets
+    # (both unions are valid). Each of its vertices is a bend of one map,
+    # and between two bends on it both maps are affine, so it is enough
+    # that each map's bends on the other source go where the other map
+    # sends them.
+    piece_a, piece_b = (source_a, target_a, phi_a), (source_b, target_b, phi_b)
+    for (host, host_target, other), piece in ((piece_b, piece_a),
+                                              (piece_a, piece_b)):
+        for s, t, (x, y, w) in _carried(host, host_target, *piece):
+            if t is None or t != other.evaluate(s):
+                raise ArcsDisagree("maps differ at shared point "
+                                   f"{RatPoint(Fraction(x, w), Fraction(y, w))}")
 
     return GluedMap(source=glued_source, target=glued_target,
-                    phi=_carry(glued_source, glued_target, pieces,
+                    phi=_carry(glued_source, glued_target, (piece_a, piece_b),
                                ArcsDisagree))

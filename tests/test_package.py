@@ -200,8 +200,9 @@ KEPT = {
 
 
 def unused_definitions(package: Path, exported, kept) -> list[str]:
-    """Top-level functions and classes, and methods, of the package's modules
-    that no other package code names, outside `exported` and dunders.
+    """Top-level functions, classes and plain-name assignments, and methods,
+    of the package's modules that no other package code names, outside
+    `exported` and dunders.
 
     A method counts as used where some attribute access names it, anything
     else where a name or an attribute does, outside the definition itself
@@ -214,9 +215,15 @@ def unused_definitions(package: Path, exported, kept) -> list[str]:
         tree = ast.parse(path.read_text())
         for node in tree.body:
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                defs.append((f"{path.stem}.{node.name}", node, False))
+                defs.append((f"{path.stem}.{node.name}", node.name, node,
+                             False))
+            if isinstance(node, ast.Assign):
+                defs += [(f"{path.stem}.{target.id}", target.id, node, False)
+                         for target in node.targets
+                         if isinstance(target, ast.Name)]
             if isinstance(node, ast.ClassDef):
-                defs += [(f"{path.stem}.{node.name}.{item.name}", item, True)
+                defs += [(f"{path.stem}.{node.name}.{item.name}", item.name,
+                          item, True)
                          for item in node.body
                          if isinstance(item, ast.FunctionDef)]
         for node in ast.walk(tree):
@@ -225,10 +232,10 @@ def unused_definitions(package: Path, exported, kept) -> list[str]:
                 uses.setdefault(name, []).append(
                     (isinstance(node, ast.Attribute), path.stem, node.lineno))
     spans = {qual: (qual.split(".")[0], node.lineno, node.end_lineno)
-             for qual, node, _ in defs}
-    defs = [(qual, node.name, method) for qual, node, method in defs
-            if not (node.name.startswith("__") and node.name.endswith("__"))
-            and (method or node.name not in exported)]
+             for qual, _, node, _ in defs}
+    defs = [(qual, name, method) for qual, name, _, method in defs
+            if not (name.startswith("__") and name.endswith("__"))
+            and (method or name not in exported)]
 
     def inside(where: str, line: int, quals) -> bool:
         return any(where == spans[q][0] and spans[q][1] <= line <= spans[q][2]

@@ -1,5 +1,6 @@
 """Packing validation, contact graphs, overlays, and theorem certificates."""
 import random
+import re
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
@@ -28,7 +29,7 @@ from fpindex.packing import (
     translate_packing,
     validate_packing,
 )
-from fpindex.plmap import PLCorrespondence, _refined_params
+from fpindex.plmap import PLCorrespondence
 from fpindex.serialize import (
     load_json_file,
     load_packing,
@@ -286,6 +287,30 @@ class TestOverlay:
         with pytest.raises(NotTransverseOverlay):
             check_overlay_transverse(first, first)
 
+    @pytest.mark.parametrize("pair", [one_piece_pair, two_piece_pair,
+                                      bent_one_piece_pair])
+    def test_node_on_other_boundary_is_a_pairwise_contact(self, pair):
+        # A contact point or marked corner (a node) of one packing is a
+        # vertex of its boundaries, so a boundary of the other packing
+        # through it meets them at a non-crossing contact: the pairwise
+        # check rejects every such overlay by itself.
+        first, second, _ = pair()
+        rng = random.Random(2804)
+        nodes = [nd.point for nd in first.analysis.nodes]
+        points = []
+        for c in (second.rect.curve, *second.pieces):
+            for a, b in c.loop.edges():
+                points += [a, a + (b - a).scale(F(rng.randrange(1, 8), 8))]
+        message = re.compile(r"(rect|piece\d+) against (rect|piece\d+): "
+                             r"non-crossing contact between segment \d+ "
+                             r"and segment \d+")
+        for node, p in rng.sample([(nd, p) for nd in nodes for p in points],
+                                  60):
+            with pytest.raises(NotTransverseOverlay) as err:
+                check_overlay_transverse(
+                    first, translate_packing(second, node - p))
+            assert message.fullmatch(str(err.value))
+
 
 class TestIsomorphicContact:
     def test_matching_pair(self):
@@ -411,6 +436,14 @@ class TestCertificate:
         assert cert.rect_index == cert.piece_sum + cert.interstice_sum
 
 
+def bends(source, target, phi) -> set:
+    """Where the map can bend: its breakpoints, the source's vertices and
+    the preimages of the target's vertices."""
+    n, m, inverse = len(source), len(target), phi.invert()
+    return ({s for s, _ in phi.breakpoints} | {F(i, n) for i in range(n)}
+            | {inverse.evaluate(F(j, m)) for j in range(m)})
+
+
 def arc_pairs(source, target, phi, refined, host, mate, tail_pt, head_pt,
               piece_side):
     """An interstice map restricted to one host arc, in host and mate
@@ -447,8 +480,7 @@ def reference_host_maps(first, second, corr, inter_calls):
     inter = {}
     for fid, (source, target, phi) in zip(analysis.interstices, inter_calls):
         assert source.loop == analysis.faces[fid].polygon
-        inter[fid] = (source, target, phi,
-                      _refined_params(source, target, phi))
+        inter[fid] = (source, target, phi, bends(source, target, phi))
 
     def restricted(host, mate, labels):
         runs = []

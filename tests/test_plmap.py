@@ -27,7 +27,8 @@ from fpindex.exact_geom import (
     pt,
     signed_area,
 )
-from fpindex.jordan import canonical_noncut_pair, validate_curve
+from fpindex.jordan import PolyJordanCurve, canonical_noncut_pair, validate_curve
+from fpindex.packing import assemble_theorem_certificate
 from fpindex.plmap import (
     PLCorrespondence,
     _bend_walk,
@@ -54,6 +55,7 @@ from geomgen import (
     transform_pair,
     turning_winding_oracle,
 )
+from packfix import bent_one_piece_pair, one_piece_pair, two_piece_pair
 
 F = Fraction
 
@@ -692,18 +694,23 @@ def lattice_square_maps(shared_edge: int) -> list[PLCorrespondence]:
     return maps
 
 
+def lattice_configuration():
+    """(sa, ta, maps_a, sb, tb, maps_b): source squares sharing x = 2,
+    target squares sharing x = 3, and every lattice map of each piece.
+    Each target's bottom edge runs along its source's, one unit to the
+    right, so one lattice map per piece sends a point of that edge to
+    itself."""
+    return (square_curve(0, 0, 2, 2), square_curve(1, 0, 3, 3),
+            lattice_square_maps(1), square_curve(2, 0, 4, 2),
+            square_curve(3, 0, 5, 3), lattice_square_maps(3))
+
+
 class TestLatticeAdditivity:
     """Index additivity under gluing on every lattice map of one fixed
     glued_square_fixture-style configuration, sides at most 3."""
 
     def test_indices_add_on_every_lattice_pair(self):
-        # Source squares share x = 2, target squares share x = 3. Each
-        # target's bottom edge runs along its source's, one unit to the
-        # right, so one lattice map per piece sends a point of that edge to
-        # itself.
-        sa, sb = square_curve(0, 0, 2, 2), square_curve(2, 0, 4, 2)
-        ta, tb = square_curve(1, 0, 3, 3), square_curve(3, 0, 5, 3)
-        maps_a, maps_b = lattice_square_maps(1), lattice_square_maps(3)
+        sa, ta, maps_a, sb, tb, maps_b = lattice_configuration()
         assert len(maps_a) == len(maps_b) == 28
         fixed = added = 0
         for phi_a, phi_b in itertools.product(maps_a, maps_b):
@@ -718,6 +725,32 @@ class TestLatticeAdditivity:
                                      joined.phi) == eta_a + eta_b
             added += 1
         assert fixed > 0 and fixed + added == 784
+
+
+class TestRowCarry:
+    def test_carrying_reads_no_fraction_point(self, monkeypatch):
+        # glue and the packing certificate read each bend's point and image
+        # as rows, so neither needs a curve's point at a parameter
+        sa, ta, maps_a, sb, tb, maps_b = lattice_configuration()
+        pairs = []
+        for phi_a, phi_b in list(itertools.product(maps_a, maps_b))[::53]:
+            try:
+                pairs.append((phi_a, phi_b, fixed_point_index(sa, ta, phi_a)
+                              + fixed_point_index(sb, tb, phi_b)))
+            except HasFixedPoint:
+                continue
+        assert len(pairs) > 10
+
+        def refused(self, param):
+            raise AssertionError("point_at called while carrying a map")
+
+        monkeypatch.setattr(PolyJordanCurve, "point_at", refused)
+        for phi_a, phi_b, eta in pairs:
+            joined = glue(sa, ta, phi_a, sb, tb, phi_b)
+            assert fixed_point_index(joined.source, joined.target,
+                                     joined.phi) == eta
+        for make in (one_piece_pair, two_piece_pair, bent_one_piece_pair):
+            assert assemble_theorem_certificate(*make()).rect_index == -1
 
 
 class TestIndexRungsScript:

@@ -1,19 +1,29 @@
 """JSON loaders and dumpers: round trips and rejection of malformed input."""
+import copy
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from fpindex.errors import InputRejection
 from fpindex.serialize import (
     dump_map,
     fraction_to_json,
+    load_constraints,
     load_curve,
     load_map,
     load_packing,
     load_piece_correspondence,
 )
 
-from packfix import curve, dump_curve, dump_packing, one_piece_pair
+from packfix import (
+    bent_one_piece_pair,
+    curve,
+    dump_curve,
+    dump_packing,
+    one_piece_pair,
+    two_piece_pair,
+)
 
 F = Fraction
 
@@ -92,3 +102,80 @@ class TestCorrespondence:
             load_piece_correspondence([0, "1"])
         with pytest.raises(InputRejection):
             load_piece_correspondence({"correspondence": None})
+
+
+
+# -- fuzzing -------------------------------------------------------------------
+
+# Valid objects for each loader, which the near-valid strategy mutates.
+VALID = {
+    load_curve: [dump_curve(curve((0, 0), (4, 0), (4, 4), (0, 4))),
+                 dump_curve(bent_one_piece_pair()[0].pieces[0])],
+    load_map: [{"breakpoints": [[0, 1, 1, 8], [1, 4, 3, 8], [1, 2, 5, 8],
+                                [3, 4, 7, 8]]}],
+    load_constraints: [{"constraints": [[0, 1, 1, 4], [1, 3, 1, 2],
+                                        [2, 3, 3, 4]]}],
+    load_packing: [dump_packing(one_piece_pair()[0]),
+                   dump_packing(two_piece_pair()[1])],
+    load_piece_correspondence: [[0], {"correspondence": [1, 0]}],
+}
+
+FUZZ = settings(derandomize=True, database=None, deadline=None,
+                max_examples=200,
+                suppress_health_check=[HealthCheck.too_slow])
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats()
+    | st.text(max_size=4),
+    lambda inner: (st.lists(inner, max_size=5)
+                   | st.dictionaries(st.text(max_size=12), inner,
+                                     max_size=4)),
+    max_leaves=12)
+
+def paths(value, here=()):
+    """Every position in a JSON value, as the keys leading to it."""
+    yield here
+    if isinstance(value, (dict, list)):
+        keys = value if isinstance(value, dict) else range(len(value))
+        for k in keys:
+            yield from paths(value[k], (*here, k))
+
+
+@st.composite
+def near_valid(draw, loader):
+    """A valid object for the loader with one to three positions replaced
+    by a small integer (most often, so that a coordinate, denominator or
+    index stays plausible) or by any value, deleted, or doubled in a list."""
+    value = copy.deepcopy(draw(st.sampled_from(VALID[loader])))
+    for _ in range(draw(st.integers(1, 3))):
+        *up, last = draw(st.sampled_from(list(paths(value)))) or (None,)
+        if last is None:
+            value = draw(json_values)
+            continue
+        parent = value
+        for k in up:
+            parent = parent[k]
+        action = draw(st.sampled_from(("int", "int", "int", "int", "value",
+                                       "delete", "double")))
+        if action == "int":
+            parent[last] = draw(st.integers(-2, 8))
+        elif action == "value":
+            parent[last] = draw(json_values)
+        elif action == "delete":
+            del parent[last]
+        elif isinstance(parent, list):
+            parent.insert(last, copy.deepcopy(parent[last]))
+    return value
+
+
+@FUZZ
+@given(data=st.data())
+def test_fuzzed_loaders_load_or_reject(data):
+    """Every loader returns a value or raises InputRejection, never another
+    exception, on any JSON value and on near-valid objects."""
+    loader = data.draw(st.sampled_from(list(VALID)))
+    obj = data.draw(st.one_of(json_values, *[near_valid(loader)] * 3))
+    try:
+        loader(obj)
+    except InputRejection:
+        pass
