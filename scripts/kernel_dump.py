@@ -4,11 +4,11 @@
 
 For seeded random transverse pairs (`tests/geomgen.py`) and the canonical
 non-cutting pairs, each with a seeded map and three constraints through it,
-the dump records: `fixed_point_index` of the map and the source
-parameters of its bends (`_bend_walk`),
-`path_of_correspondence`, the breakpoints `realize_path` gives for the
-correspondence, straight, prescribed and random monotone paths (some of
-them through constraints 2 and 3) with the index of each realized map,
+the dump records: `fixed_point_index` of the map and the source parameters
+of its bends (`_bend_walk`), `path_of_correspondence`, the breakpoints
+`realize_path` gives for the correspondence, straight, prescribed and
+random monotone paths (some of them through constraints 2 and 3) with the
+index of each realized map,
 `index_from_torus(check_all_bases=True)` on those paths, `prescribe`'s path
 and trace, and `oracle_enumerate`'s set, alone and with one and with two
 extra prescribed pairs on the map at source parameters with odd

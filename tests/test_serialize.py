@@ -104,7 +104,6 @@ class TestCorrespondence:
             load_piece_correspondence({"correspondence": None})
 
 
-
 # -- fuzzing -------------------------------------------------------------------
 
 # Valid objects for each loader, which the near-valid strategy mutates.
@@ -132,6 +131,7 @@ json_values = st.recursive(
                                      max_size=4)),
     max_leaves=12)
 
+
 def paths(value, here=()):
     """Every position in a JSON value, as the keys leading to it."""
     yield here
@@ -148,10 +148,11 @@ def near_valid(draw, loader):
     index stays plausible) or by any value, deleted, or doubled in a list."""
     value = copy.deepcopy(draw(st.sampled_from(VALID[loader])))
     for _ in range(draw(st.integers(1, 3))):
-        *up, last = draw(st.sampled_from(list(paths(value)))) or (None,)
-        if last is None:
+        where = draw(st.sampled_from(list(paths(value))))
+        if not where:
             value = draw(json_values)
             continue
+        *up, last = where
         parent = value
         for k in up:
             parent = parent[k]
