@@ -10,9 +10,10 @@ of its bends (`_bend_walk`), `path_of_correspondence`, the breakpoints
 random monotone paths (some of them through constraints 2 and 3) with the
 index of each realized map,
 `index_from_torus(check_all_bases=True)` on those paths, `prescribe`'s path
-and trace, and `oracle_enumerate`'s set, alone and with one and with two
-extra prescribed pairs on the map at source parameters with odd
-denominators, which put the extra anchors off the token grid.
+and trace, and `oracle_enumerate`'s set, alone and, from
+`tests/geomgen.py`'s `oracle_with_anchors`, with one and with two extra
+prescribed pairs on the map at source parameters with odd denominators,
+which put the extra anchors off the token grid.
 Every error is written as its class and message. A third file records
 `glue` on seeded pairs of grid rectangles and polygons, each curve its own
 target under the identity map, and on the square fixtures of the gluing
@@ -79,6 +80,7 @@ from geomgen import (  # noqa: E402
     glued_square_fixture,
     grid_curve,
     identity_params,
+    oracle_with_anchors,
     path_through_constraints,
     random_monotone_path,
     star_polygon,
@@ -161,7 +163,7 @@ def dump_case(out: list[str], rng: random.Random, xrng: random.Random,
                      sorted(Fraction(xrng.randrange(1, q), q) for q in
                             (xrng.randrange(3, 200, 2) for _ in range(count)))]
             out.append(f"oracle_extra {fmt(extra)} "
-                       f"{outcome(oracle_enumerate, diagram, extra)}")
+                       f"{outcome(oracle_with_anchors, diagram, extra)}")
 
 
 def random_dump(seed: int) -> list[str]:

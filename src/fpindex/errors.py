@@ -79,8 +79,7 @@ class NotOrientationPreserving(InputRejection):
 
 class ConstraintOnCurve(InputRejection):
     """A prescribed point lands on a mark: a constraint parameter equals a
-    crossing parameter, or an extra oracle pair lands on a token or on
-    another extra pair."""
+    crossing parameter."""
 
 
 class OrderViolation(InputRejection):
@@ -106,11 +105,8 @@ class TooFewCrossings(InputRejection):
 
 
 class AssumptionViolated(InvariantFailure):
-    """Fewer than two doubly adjacent pairs qualified; diagram archived."""
-
-    def __init__(self, message: str, diagram_dump: str | None = None) -> None:
-        super().__init__(message)
-        self.diagram_dump = diagram_dump
+    """Fewer than two doubly adjacent pairs qualified; the message ends with
+    the level's dump."""
 
 
 class InternalCaseGap(InvariantFailure):

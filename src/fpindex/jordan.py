@@ -148,15 +148,6 @@ class PolyJordanCurve:
     def __len__(self) -> int:
         return len(self.loop)
 
-    def point_at(self, param: Fraction) -> RatPoint:
-        """Point at a normalized parameter (vertex i of an n-gon at i/n)."""
-        rows = self.loop.rows
-        n = len(rows)
-        i, r = divmod((param % 1) * n, 1)
-        x, y, w = between(rows[i], rows[(i + 1) % n], r.numerator,
-                          r.denominator)
-        return RatPoint(Fraction(x, w), Fraction(y, w))
-
     def locate_param(self, p: RatPoint) -> Fraction | None:
         """Normalized parameter of a boundary point, or None if off-curve."""
         return self.locate_row(row(p))

@@ -290,11 +290,11 @@ class _Arc:
 @value_type
 class _Face:
     """A face of the arrangement: its cycle of (arc id, traversed forward)
-    steps, kind "interior", "outer" or "interstice", and the piece or the
-    objects where they apply."""
+    steps, kind "interior", "outer" or "interstice", and an interstice's
+    objects."""
 
-    __slots__ = _fields = ("fid", "cycle", "node_ids", "polygon", "area",
-                           "kind", "piece", "objects")
+    __slots__ = _fields = ("fid", "cycle", "node_ids", "polygon", "kind",
+                           "objects")
 
 
 def _split_curve(curve: PolyJordanCurve, stops: list[tuple[int, int]],
@@ -392,20 +392,18 @@ def _analyze(spec: PackingSpec) -> _Analysis:
         fid = len(faces)
         hosts = {arcs[aid].host for aid, _ in cycle}
         if area < 0:
-            kind, piece, objects = "outer", None, None
+            kind, objects = "outer", None
             outer_count += 1
         elif (all(forward for _, forward in cycle) and len(hosts) == 1
               and isinstance(next(iter(hosts)), int)):
-            piece = next(iter(hosts))
             kind, objects = "interior", None
-            piece_face[piece] = fid
+            piece_face[next(iter(hosts))] = fid
         else:
-            kind, piece, objects = "interstice", None, frozenset(hosts)
+            kind, objects = "interstice", frozenset(hosts)
             interstices.append(fid)
         node_ids = tuple([arcs[aid].tail if forward else arcs[aid].head
                           for aid, forward in cycle])
-        faces.append(_Face(fid, cycle, node_ids, polygon, area, kind, piece,
-                           objects))
+        faces.append(_Face(fid, cycle, node_ids, polygon, kind, objects))
 
     if outer_count != 1 or len(nodes) - len(arcs) + len(faces) != 2:
         raise BadInterstice("tangency structure is disconnected or has holes")

@@ -139,13 +139,14 @@ class PLCorrespondence:
             tuple([(t, s) for s, t in bps[w:] + bps[:w]]), (n - w) % n)
 
 
-def random_correspondence(rng, breakpoints: int,
-                          denominator: int = 1024) -> PLCorrespondence:
-    """Random correspondence with the given number of breakpoints."""
+def random_correspondence(rng, breakpoints: int) -> PLCorrespondence:
+    """Random correspondence with the given number of breakpoints, each
+    parameter k/1024."""
+    denominator = 1024
     if breakpoints < 2:
         raise InputRejection("need at least two breakpoints")
     if breakpoints > denominator:
-        raise InputRejection("more breakpoints than parameters k/denominator")
+        raise InputRejection("more breakpoints than parameters k/1024")
 
     def draw() -> list[Fraction]:
         # Distinct numerators over one denominator are distinct fractions in
@@ -353,8 +354,6 @@ def _shared_block(loop: PLLoop, other_edges: set[tuple[RatPoint, RatPoint]],
             raise BadGluingGeometry("shared edge traversed in the same direction")
     if not shared:
         raise BadGluingGeometry("no shared boundary arc")
-    if len(shared) == n:
-        raise BadGluingGeometry("curves coincide")
     flags = [i in shared for i in range(n)]
     runs = sum(1 for i in range(n) if flags[i] and not flags[i - 1])
     if runs != 1:
@@ -364,9 +363,14 @@ def _shared_block(loop: PLLoop, other_edges: set[tuple[RatPoint, RatPoint]],
 
 
 def _split_pair(first: PolyJordanCurve, second: PolyJordanCurve,
-                ) -> list[tuple[list[RatPoint], list[RatPoint]]]:
+                ) -> list[list[RatPoint]]:
     """Refine both curves against each other once; for each curve return
-    (shared path from junction u to junction v, outer path from v to u)."""
+    its outer path, from the end of the shared arc round to its start.
+
+    The shared edges of the two refined loops are the same edges reversed,
+    so one curve's shared run is the other's reversed, with no comparison.
+    Neither run covers its whole loop: the other curve would then be that
+    loop reversed, which is clockwise."""
     loops = (_insert_on_edges(first, second.vertices),
              _insert_on_edges(second, first.vertices))
     paths = []
@@ -374,9 +378,8 @@ def _split_pair(first: PolyJordanCurve, second: PolyJordanCurve,
         start, length = _shared_block(loop, set(other.edges()))
         verts = loop.vertices
         n = len(verts)
-        paths.append(([verts[(start + k) % n] for k in range(length + 1)],
-                      [verts[(start + length + k) % n]
-                       for k in range(n - length + 1)]))
+        paths.append([verts[(start + length + k) % n]
+                      for k in range(n - length + 1)])
     return paths
 
 
@@ -447,16 +450,8 @@ def glue(source_a: PolyJordanCurve, target_a: PolyJordanCurve,
     moves both maps' bends onto the union, as it moves interstice maps onto
     piece and frame boundaries in packing.assemble_theorem_certificate.
     """
-    (shared_src, outer_src_a), (shared_src_b, outer_src_b) = _split_pair(
-        source_a, source_b)
-    (shared_tgt, outer_tgt_a), (shared_tgt_b, outer_tgt_b) = _split_pair(
-        target_a, target_b)
-
-    if shared_src_b != list(reversed(shared_src)):
-        raise BadGluingGeometry("source arcs disagree between the two curves")
-    if shared_tgt_b != list(reversed(shared_tgt)):
-        raise BadGluingGeometry("target arcs disagree between the two curves")
-
+    outer_src_a, outer_src_b = _split_pair(source_a, source_b)
+    outer_tgt_a, outer_tgt_b = _split_pair(target_a, target_b)
     glued_source = _union(outer_src_a, outer_src_b)
     glued_target = _union(outer_tgt_a, outer_tgt_b)
 

@@ -29,20 +29,16 @@ Threading runs on integers too: a path's vertices are ranks times a scale
 that keeps every midpoint an integer, and each mark's side is one
 comparison at its own column's vertex. So the solver, the oracle and the
 final check build no path and no `Fraction`, but for the returned path,
-the winning walk scaled once, and the oracle's extra anchors, which lie off
-the token grid and whose denominators join the scale.
+the winning walk scaled once.
 """
 from __future__ import annotations
 
 import bisect
 from enum import Enum
 from fractions import Fraction
-from math import lcm
-from typing import Sequence
 
 from .errors import (
     AssumptionViolated,
-    ConstraintOnCurve,
     InputRejection,
     InternalCaseGap,
     InvariantFailure,
@@ -157,7 +153,7 @@ def _adjacent_pairs(level: Ranks) -> list[tuple[int, int, bool]]:
         pairs.append((e, x, gap == 1))  # descends
     if len(pairs) < 2:
         raise AssumptionViolated(
-            f"only {len(pairs)} doubly adjacent pairs found", level.dump())
+            f"only {len(pairs)} doubly adjacent pairs found:\n" + level.dump())
     return pairs
 
 
@@ -257,18 +253,15 @@ def _meets_diagonal_cells(box: AdjacencyBox) -> bool:
 
 # -- bipartitions: realizability, threading, value ----------------------------
 
-def _events(level: Ranks, extra=()) -> tuple[int, list]:
+def _events(level: Ranks) -> tuple[int, list]:
     """The scale and the anchors and marks in column order, on integers.
 
-    Coordinates are token ranks times scale = 2^(events + 1) times the lcm
-    of the extra anchors' denominators, so every midpoint the threading
-    takes is again an integer. A mark event carries its id, an anchor None.
+    Coordinates are token ranks times scale = 2^(events + 1), so every
+    midpoint the threading takes is again an integer. The anchors are
+    constraints 2 and 3. A mark event carries its id, an anchor None.
     """
-    scale = lcm(*[v.denominator for p in extra for v in p]) \
-        << (len(level.ids) + len(extra) + 3)
+    scale = 1 << (len(level.ids) + 3)
     events = [(c * scale, r * scale, None) for c, r in level.constraints[1:]]
-    events += [(x.numerator * (scale // x.denominator),
-                y.numerator * (scale // y.denominator), None) for x, y in extra]
     events += [(c * scale, r * scale, cid)
                for c, r, cid in zip(level.cols, level.rows, level.ids)]
     events.sort(key=lambda e: e[0])
@@ -281,8 +274,8 @@ def _walk(level: Ranks, scale: int, events,
     None when the set is not realizable.
 
     A set is realizable exactly when no below mark or anchor sits strictly
-    up and left of an above mark or anchor (the two interior constraint
-    points and any extra anchors count on both sides). The backward pass
+    up and left of an above mark or anchor (anchors, such as the two
+    interior constraint points, count on both sides). The backward pass
     that finds each event's ceiling, the lowest anchor or above mark at or
     after it, returns None at the first below mark or anchor over the
     ceiling behind it. Otherwise every mark's corridor, between the highest
@@ -618,23 +611,17 @@ def _solve_by_pairs(level: Ranks, scale: int, events, depth: int):
 
 # -- exhaustive oracle -----------------------------------------------------------
 
-def oracle_enumerate(diagram: TorusDiagram,
-                     extra_pairs: Sequence[tuple[Fraction, Fraction]] = (),
-                     ) -> frozenset[int]:
+def oracle_enumerate(diagram: TorusDiagram) -> frozenset[int]:
     """Every index achievable by a faithful mark-avoiding staircase path.
 
-    Exhausts all mark bipartitions and keeps the realizable ones. Extra
-    prescribed pairs (source, target parameters) shrink the feasible set
-    without changing any value, turning the three-point problem into a
-    diagnostic four-or-more-point one. It stays, with TooLarge, until the
-    index-set DP replaces it.
+    Exhausts all mark bipartitions and keeps the realizable ones. It stays,
+    with TooLarge, until the index-set DP replaces it.
     """
     level = diagram._ranks
     ids = level.ids
     if len(ids) > 12:
         raise TooLarge(f"{len(ids)} crossings exceed the enumeration bound of 12")
-    extra = _extra_anchor_points(diagram, extra_pairs)
-    scale, events = _events(level, extra)
+    scale, events = _events(level)
     achievable = set()
     for mask in range(1 << len(ids)):
         below = frozenset(cid for i, cid in enumerate(ids) if mask >> i & 1)
@@ -642,18 +629,3 @@ def oracle_enumerate(diagram: TorusDiagram,
         if walk is not None:
             achievable.add(walk[1])
     return frozenset(achievable)
-
-
-def _extra_anchor_points(diagram, extra_pairs) -> list[tuple[Fraction, Fraction]]:
-    """Extra prescribed pairs in token-rank units, off the token grid."""
-    points = []
-    n = diagram.size
-    for s, t in extra_pairs:
-        x, y = diagram.x_of_param(s) * n, diagram.y_of_param(t) * n
-        if x.denominator == 1 or y.denominator == 1:
-            raise ConstraintOnCurve("extra prescribed pair collides with a token")
-        points.append((x, y))
-    if len({x for x, _ in points}) < len(points) or \
-            len({y for _, y in points}) < len(points):
-        raise ConstraintOnCurve("extra prescribed pairs collide with each other")
-    return points

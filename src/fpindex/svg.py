@@ -88,7 +88,8 @@ def render_torus(diagram: TorusDiagram, path=None,
     return _svg_doc(size, size, body)
 
 
-def _scaler(curves: list[PolyJordanCurve], side: int = 640, margin: int = 30):
+def _scaler(curves: list[PolyJordanCurve]):
+    side, margin = 640, 30
     xs = [p.x for c in curves for p in c.vertices]
     ys = [p.y for c in curves for p in c.vertices]
     lo_x, hi_x, lo_y, hi_y = min(xs), max(xs), min(ys), max(ys)

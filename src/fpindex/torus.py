@@ -182,27 +182,6 @@ class TorusDiagram:
     def _unit_params(self) -> tuple[list[Fraction], list[Fraction]]:
         return _unit(self.col_params), _unit(self.row_params)
 
-    def x_of_param(self, s: Fraction) -> Fraction:
-        """Position in [0, 1) of a first-curve parameter: from token k's
-        parameter to token k + 1's it runs linearly from k/n to (k + 1)/n.
-        A diagram without true parameters places s at s mod 1."""
-        return self._position(0, self.col_params, s)
-
-    def y_of_param(self, t: Fraction) -> Fraction:
-        """Position of a second-curve parameter, as x_of_param."""
-        return self._position(1, self.row_params, t)
-
-    def _position(self, axis: int, params, value: Fraction) -> Fraction:
-        value %= 1
-        if params is None:
-            return value
-        offsets = self._offsets[axis]
-        num, den = ((value - params[0]) % 1).as_integer_ratio()
-        # the last offset at or below num / den, by the sign of a product
-        k = bisect.bisect_right(
-            offsets, 0, key=lambda o: o[0] * den - num * o[1]) - 1
-        return _rank_position(k, num, den, offsets, self.size)
-
     def dump(self, path: "StaircasePath | None" = None) -> str:
         return self._ranks.dump(path)
 

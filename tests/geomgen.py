@@ -16,12 +16,14 @@ from math import lcm
 from typing import Iterable, Sequence
 
 from fpindex.errors import (
+    ConstraintOnCurve,
     InputRejection,
     InvariantFailure,
     NotOrientationPreserving,
     NotPositivelyOriented,
     NotSimple,
     NotTransverse,
+    TooLarge,
 )
 from fpindex.exact_geom import (
     PLLoop,
@@ -29,6 +31,7 @@ from fpindex.exact_geom import (
     RatPoint,
     MeetKind,
     Segment,
+    between,
     origin_winding,
     point_in_polygon,
     pt,
@@ -46,7 +49,7 @@ from fpindex.jordan import (
 )
 from fpindex.plmap import PLCorrespondence
 from fpindex.prescribe import ABOVE, BELOW, _events, _staircase, _walk
-from fpindex.torus import StaircasePath, TokenId, TorusDiagram, _read_path
+from fpindex.torus import Ranks, StaircasePath, TokenId, TorusDiagram, _read_path
 
 
 # -- reference geometry -------------------------------------------------------
@@ -54,6 +57,16 @@ from fpindex.torus import StaircasePath, TokenId, TorusDiagram, _read_path
 # Rational ray and angle geometry that the package no longer needs: the
 # package reads every rotation from its combinatorial structure, and the
 # tests compare that reading with these angular constructions.
+
+
+def point_at(curve: PolyJordanCurve, param: Fraction) -> RatPoint:
+    """Point of a curve at a normalized parameter (vertex i of an n-gon at
+    i/n); the package carries points as rows and never needs it."""
+    rows = curve.loop.rows
+    n = len(rows)
+    i, r = divmod((param % 1) * n, 1)
+    x, y, w = between(rows[i], rows[(i + 1) % n], r.numerator, r.denominator)
+    return RatPoint(Fraction(x, w), Fraction(y, w))
 
 
 def _cross(u: RatPoint, v: RatPoint) -> Fraction:
@@ -181,8 +194,8 @@ def membership_matches_geometry(diagram: TorusDiagram,
     """Whether the diagram's combinatorial memberships at constraint 1 agree
     with exact point-in-polygon queries on the curves it was built from."""
     in_second, in_first = diagram._ranks.membership(1)
-    u = first.point_at(diagram.col_params[0])
-    v = second.point_at(diagram.row_params[0])
+    u = point_at(first, diagram.col_params[0])
+    v = point_at(second, diagram.row_params[0])
     return ((point_in_polygon(second.loop, u)
              is PointLocation.INSIDE) == in_second
             and (point_in_polygon(first.loop, v)
@@ -225,7 +238,7 @@ def local_winding(diagram: TorusDiagram, first: PolyJordanCurve,
         raise SquareTooLarge("square would cross another token or a vertex")
     corners = [(s - eps, t - eps), (s + eps, t - eps),
                (s + eps, t + eps), (s - eps, t + eps)]
-    cycle = [second.point_at(tc) - first.point_at(sc) for sc, tc in corners]
+    cycle = [point_at(second, tc) - point_at(first, sc) for sc, tc in corners]
     return winding_of_cycle(cycle, RatPoint(Fraction(0), Fraction(0)))
 
 
@@ -291,8 +304,10 @@ def cyclic_offsets(params: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
 
 def position_of_param(params: tuple[Fraction, ...] | None,
                       value: Fraction) -> Fraction:
-    """TorusDiagram.x_of_param and y_of_param on `Fraction`s: the offset
-    from the first token placed between its two tokens by a bisection."""
+    """Position in [0, 1) of a curve parameter on a diagram axis: from
+    token k's parameter to token k + 1's it runs linearly from k/n to
+    (k + 1)/n, found by a bisection of the offsets from the first token. An
+    axis without true parameters places the value at itself mod 1."""
     value = value % 1
     if params is None:
         return value
@@ -425,12 +440,65 @@ def delta_split(diagram: TorusDiagram, path: StaircasePath,
 
 
 def walk_below(diagram: TorusDiagram, below_ids, extra=()):
-    """The package's integer walk of a below-set on the whole diagram:
-    (scale, vertices, index), or None when the set is not realizable."""
+    """The package's integer walk of a below-set on the whole diagram, with
+    any extra anchors at token-rank points: (scale, vertices, index), or
+    None when the set is not realizable."""
     level = diagram._ranks
-    scale, events = _events(level, extra)
+    scale, events = anchored_events(level, extra)
     walk = _walk(level, scale, events, below_ids)
     return None if walk is None else (scale, *walk)
+
+
+def anchored_events(level: Ranks, extra) -> tuple[int, list]:
+    """`prescribe._events` with extra anchors at the given token-rank
+    points, which lie off the token grid: the scale also takes the lcm of
+    their denominators and one halving per anchor, so every midpoint the
+    walk takes stays an integer."""
+    scale, events = _events(level)
+    factor = lcm(*[v.denominator for p in extra for v in p]) << len(extra)
+    scale *= factor
+    events = [(x * factor, y * factor, cid) for x, y, cid in events]
+    events += [(x.numerator * (scale // x.denominator),
+                y.numerator * (scale // y.denominator), None) for x, y in extra]
+    events.sort(key=lambda e: e[0])
+    return scale, events
+
+
+def anchor_points(diagram: TorusDiagram,
+                  extra_pairs) -> list[tuple[Fraction, Fraction]]:
+    """Extra prescribed pairs (source, target parameters) in token-rank
+    units, placed by `position_of_param`; each must lie off the token grid
+    and off the others' columns and rows."""
+    n = diagram.size
+    points = [(position_of_param(diagram.col_params, s) * n,
+               position_of_param(diagram.row_params, t) * n)
+              for s, t in extra_pairs]
+    if any(x.denominator == 1 or y.denominator == 1 for x, y in points):
+        raise ConstraintOnCurve("extra prescribed pair collides with a token")
+    if len({x for x, _ in points}) < len(points) or \
+            len({y for _, y in points}) < len(points):
+        raise ConstraintOnCurve("extra prescribed pairs collide with each other")
+    return points
+
+
+def oracle_with_anchors(diagram: TorusDiagram, extra_pairs) -> frozenset[int]:
+    """`oracle_enumerate` with extra prescribed pairs: every index a
+    faithful mark-avoiding staircase path through the three constraints and
+    the extra anchors achieves. The anchors shrink the feasible set without
+    changing any value, which turns the three-point problem into a
+    diagnostic four-or-more-point one. Runs the package's walk."""
+    level = diagram._ranks
+    ids = level.ids
+    if len(ids) > 12:
+        raise TooLarge(f"{len(ids)} crossings exceed the enumeration bound of 12")
+    scale, events = anchored_events(level, anchor_points(diagram, extra_pairs))
+    achievable = set()
+    for mask in range(1 << len(ids)):
+        below = frozenset(cid for i, cid in enumerate(ids) if mask >> i & 1)
+        walk = _walk(level, scale, events, below)
+        if walk is not None:
+            achievable.add(walk[1])
+    return frozenset(achievable)
 
 
 def thread_path(diagram: TorusDiagram, below_ids, extra=()) -> StaircasePath:
@@ -616,6 +684,21 @@ def grid_curve(rng: random.Random, size: int = 5) -> PolyJordanCurve:
             return validate_curve(points)
         except (NotSimple, NotPositivelyOriented):
             continue
+
+
+def random_map_over(rng: random.Random, breakpoints: int,
+                    denominator: int) -> PLCorrespondence:
+    """`random_correspondence`'s draw over any denominator, each Fraction
+    drawn straight into its set: at 1024 the same map and the same draws
+    as the package's. Smaller denominators land bends on vertices."""
+    def draw() -> list[Fraction]:
+        vals: set[Fraction] = set()
+        while len(vals) < breakpoints:
+            vals.add(Fraction(rng.randrange(denominator), denominator))
+        return sorted(vals)
+    s_vals, t_vals = draw(), draw()
+    shift = rng.randrange(breakpoints)
+    return PLCorrespondence(tuple(zip(s_vals, t_vals[shift:] + t_vals[:shift])))
 
 
 def identity_params(n: int) -> PLCorrespondence:

@@ -43,6 +43,7 @@ from geomgen import (
     glued_square_fixture,
     local_winding,
     membership_matches_geometry,
+    oracle_with_anchors,
     random_transverse_pair,
     square_curve,
     synthesize_constraints,
@@ -238,7 +239,7 @@ def test_c07_fourth_constraint_forces_negative_index():
     constraints = [(F(0), F(0)), (F(1, 4), F(1, 4)), (F(1, 2), F(1, 2))]
     diagram = build_diagram(first, second, crossings, constraints)
     three = oracle_enumerate(diagram)
-    four = oracle_enumerate(diagram, extra_pairs=[(F(3, 4), F(3, 4))])
+    four = oracle_with_anchors(diagram, [(F(3, 4), F(3, 4))])
     assert four <= three
     assert four
     assert -1 in four

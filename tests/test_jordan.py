@@ -47,6 +47,7 @@ from geomgen import (
     circle_polygon,
     identity_params,
     interior_point,
+    point_at,
     random_transverse_pair,
     reversed_loop,
     star_polygon,
@@ -123,7 +124,7 @@ class TestValidateCurve:
         c = square(0, 0, 4, 4)
         for num in range(16):
             t = Fraction(num, 16)
-            assert c.locate_param(c.point_at(t)) == t
+            assert c.locate_param(point_at(c, t)) == t
 
 
 def counterclockwise_loops():
@@ -202,7 +203,7 @@ class TestLocateParamOnIntegers:
             params += [Fraction(rng.randrange(1, 8 * n), 8 * n)
                        for _ in range(20)]
             for t in params:
-                p = c.point_at(t)
+                p = point_at(c, t)
                 nudge = Fraction(1, rng.choice((7, 64, 10**9)))
                 for q in (p, RatPoint(p.x + nudge, p.y),
                           RatPoint(p.x, p.y - nudge)):
@@ -236,8 +237,8 @@ class TestCheckTransverse:
         assert (a.point, a.kind) == (pt(4, 1), CrossKind.P)
         assert (b.point, b.kind) == (pt(4, 3), CrossKind.PTILDE)
         assert a.param_k == Fraction(1, 4) + Fraction(1, 16)
-        assert first.point_at(a.param_k) == pt(4, 1)
-        assert second.point_at(a.param_kt) == pt(4, 1)
+        assert point_at(first, a.param_k) == pt(4, 1)
+        assert point_at(second, a.param_kt) == pt(4, 1)
 
     def test_rejects_shared_vertex(self):
         with pytest.raises(NotTransverse):
@@ -516,9 +517,9 @@ class TestIntegerCrossings:
             cs = check_transverse(first, second)
             for c in cs:
                 # point_at builds a + (b - a) u eagerly, in Fractions
-                assert c.point == first.point_at(c.param_k)
-                assert c.point == second.point_at(c.param_kt)
-                eager = Crossing(c.index, first.point_at(c.param_k),
+                assert c.point == point_at(first, c.param_k)
+                assert c.point == point_at(second, c.param_kt)
+                eager = Crossing(c.index, point_at(first, c.param_k),
                                  c.param_k, c.param_kt, c.kind)
                 assert eager == c and hash(eager) == hash(c)
                 assert repr(eager) == repr(c)

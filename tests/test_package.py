@@ -252,7 +252,41 @@ def unused_definitions(package: Path, exported, kept) -> list[str]:
         unused |= found
 
 
+# Method names that two package classes define, each with its reason.
+# `unused_definitions` counts a method as used wherever an attribute names
+# it, so a method that shares its name with another class's method is never
+# found unused.
+SHARED_METHOD_NAMES = {
+    "dump": "TorusDiagram.dump and Ranks.dump, both called: the diagram's "
+            "renders its ranks",
+}
+
+
+def shared_method_names(package: Path) -> dict[str, list[str]]:
+    """The method names, dunders aside, that more than one class of the
+    package's modules defines, each with those classes."""
+    owners: dict[str, list[str]] = {}
+    for path in sorted(package.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if not isinstance(node, ast.ClassDef):
+                continue
+            for name in {item.name for item in node.body
+                         if isinstance(item, ast.FunctionDef)
+                         and not (item.name.startswith("__")
+                                  and item.name.endswith("__"))}:
+                owners.setdefault(name, []).append(f"{path.stem}.{node.name}")
+    return {name: quals for name, quals in owners.items() if len(quals) > 1}
+
+
 class TestNoTestOnlyCode:
+    def test_no_unlisted_method_name_in_two_classes(self):
+        shared = shared_method_names(ROOT / "src" / "fpindex")
+        extra = {name: quals for name, quals in shared.items()
+                 if name not in SHARED_METHOD_NAMES}
+        assert not extra, f"the unused check cannot tell these apart: {extra}"
+        stale = [name for name in SHARED_METHOD_NAMES if name not in shared]
+        assert not stale, f"only one class defines the listed {stale}"
+
     def test_every_definition_is_used_exported_or_kept(self):
         exported = set(fresh("import json, fpindex\n"
                              "print(json.dumps(fpindex.__all__))"))

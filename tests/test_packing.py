@@ -36,7 +36,7 @@ from fpindex.serialize import (
     load_piece_correspondence,
 )
 
-from geomgen import AffineMap, angular_trace_faces, interior_point
+from geomgen import AffineMap, angular_trace_faces, interior_point, point_at
 from packfix import (
     bent_one_piece_pair,
     curve,
@@ -454,8 +454,8 @@ def arc_pairs(source, target, phi, refined, host, mate, tail_pt, head_pt,
     span = (s_end - s_start) % 1
     inside = sorted((q for q in refined if 0 < (q - s_start) % 1 < span),
                     key=lambda q: (q - s_start) % 1)
-    pairs = [(host.locate_param(source.point_at(q)),
-              mate.locate_param(target.point_at(phi.evaluate(q))))
+    pairs = [(host.locate_param(point_at(source, q)),
+              mate.locate_param(point_at(target, phi.evaluate(q))))
              for q in (s_start, *inside, s_end)]
     return pairs[::-1] if piece_side else pairs
 

@@ -48,6 +48,7 @@ from geomgen import (
     identity_params,
     integer_coords,
     interior_point,
+    random_map_over,
     random_transverse_pair,
     square_curve,
     star_polygon,
@@ -101,36 +102,24 @@ class TestPLCorrespondence:
                 assert inv.evaluate(phi.evaluate(s)) == s
 
 
-def reference_random_correspondence(rng, breakpoints: int,
-                                    denominator: int = 1024):
-    """random_correspondence drawing Fractions straight into its sets."""
-    def draw():
-        vals = set()
-        while len(vals) < breakpoints:
-            vals.add(F(rng.randrange(denominator), denominator))
-        return sorted(vals)
-    s_vals, t_vals = draw(), draw()
-    shift = rng.randrange(breakpoints)
-    return PLCorrespondence(tuple(zip(s_vals, t_vals[shift:] + t_vals[:shift])))
-
-
 class TestRandomCorrespondence:
     def test_same_draws_as_the_fraction_sets(self):
+        # 128 of the 1024 parameters: each draw repeats about 8 values
         sizes = random.Random(8800)
         for seed in range(400):
-            denominator = sizes.choice((3, 12, 64, 1024))
-            count = sizes.randrange(2, min(denominator, 10) + 1)
+            count = sizes.choice((2, 3, 5, 10, 128))
             got_rng, want_rng = random.Random(seed), random.Random(seed)
-            got = random_correspondence(got_rng, count, denominator)
-            want = reference_random_correspondence(want_rng, count, denominator)
+            got = random_correspondence(got_rng, count)
+            want = random_map_over(want_rng, count, 1024)
             assert got.breakpoints == want.breakpoints
             assert got_rng.getstate() == want_rng.getstate()
 
     def test_rejects_more_breakpoints_than_parameters(self):
-        # there are only four parameters k/4; the draw would never finish
+        # there are only 1024 parameters k/1024; the draw would never finish
         with pytest.raises(InputRejection):
-            random_correspondence(random.Random(0), 5, 4)
-        assert len(random_correspondence(random.Random(0), 4, 4).breakpoints) == 4
+            random_correspondence(random.Random(0), 1025)
+        assert len(random_correspondence(random.Random(0),
+                                         1024).breakpoints) == 1024
 
 
 class TestIndex:
@@ -305,7 +294,7 @@ class TestBendWalkPerPiece:
         for k in range(300):
             n_source, n_target = rng.randrange(3, 40), rng.randrange(3, 40)
             count = rng.randrange(2, 10)
-            phi = (random_correspondence(rng, count, rng.choice((12, 64, 1024)))
+            phi = (random_map_over(rng, count, rng.choice((12, 64, 1024)))
                    if k % 2 else mixed_correspondence(rng, count))
             smaller += self.check_walk(n_source, n_target, phi)
         assert smaller > 100
@@ -494,8 +483,8 @@ class TestPrunedIndex:
         touching = through_origin = 0
         for _ in range(400):
             a, b = grid_curve(rng), grid_curve(rng)
-            phi = random_correspondence(rng, rng.randrange(2, 5),
-                                        rng.choice((4, 8, 12)))
+            phi = random_map_over(rng, rng.randrange(2, 5),
+                                  rng.choice((4, 8, 12)))
             through_origin += self.check(a, b, phi) == THROUGH_ORIGIN
             touching += cell_relations(a, b, phi)["touch"] > 0
         assert touching > 100 and through_origin > 20
@@ -728,9 +717,10 @@ class TestLatticeAdditivity:
 
 
 class TestRowCarry:
-    def test_carrying_reads_no_fraction_point(self, monkeypatch):
+    def test_carrying_reads_no_fraction_point(self):
         # glue and the packing certificate read each bend's point and image
-        # as rows, so neither needs a curve's point at a parameter
+        # as rows: a curve has no point at a parameter to read
+        assert not hasattr(PolyJordanCurve, "point_at")
         sa, ta, maps_a, sb, tb, maps_b = lattice_configuration()
         pairs = []
         for phi_a, phi_b in list(itertools.product(maps_a, maps_b))[::53]:
@@ -740,11 +730,6 @@ class TestRowCarry:
             except HasFixedPoint:
                 continue
         assert len(pairs) > 10
-
-        def refused(self, param):
-            raise AssertionError("point_at called while carrying a map")
-
-        monkeypatch.setattr(PolyJordanCurve, "point_at", refused)
         for phi_a, phi_b, eta in pairs:
             joined = glue(sa, ta, phi_a, sb, tb, phi_b)
             assert fixed_point_index(joined.source, joined.target,

@@ -38,7 +38,6 @@ from fpindex.prescribe import (
     _child,
     _drive,
     _events,
-    _extra_anchor_points,
     _path_induced_bits,
     _solve_by_pairs,
     _staircase,
@@ -51,6 +50,7 @@ from fpindex.prescribe import (
 from fpindex.serialize import load_constraints, load_curve, load_json_file
 from fpindex.torus import (
     Containment,
+    Ranks,
     StaircasePath,
     TorusMark,
     _read_path,
@@ -61,8 +61,10 @@ from fpindex.torus import (
 
 from geomgen import (
     abstract_diagram,
+    anchor_points,
     delta_split,
     identity_params,
+    oracle_with_anchors,
     random_transverse_pair,
     reference_thread_path,
     square_curve,
@@ -181,6 +183,16 @@ class TestFindDoublyAdjacent:
         _, _, _, diagram = lens_fixture()
         with pytest.raises(TooFewCrossings):
             find_doubly_adjacent(diagram)
+
+    def test_too_few_pairs_report_ends_with_the_dump(self):
+        # four marks in columns 1 to 4 with row ranks 0, 2, 1, 3 among the
+        # marks: no entry mark's partner is next to it along the rows
+        level = Ranks(7, ((0, 0), (5, 5), (6, 6)), [1, 2, 3, 4], [1, 3, 2, 4],
+                      [0, 1, 2, 3], frozenset({0, 2}), {})
+        with pytest.raises(AssumptionViolated) as err:
+            _adjacent_pairs(level)
+        assert str(err.value) == ("only 0 doubly adjacent pairs found:\n"
+                                  + level.dump())
 
 
 def reference_box(diagram, entry, partner, descends, frames):
@@ -629,8 +641,7 @@ class TestOracle:
         _, _, crossings, diagram = lens_fixture()
         first_crossing = next(iter(crossings))
         with pytest.raises(ConstraintOnCurve):
-            oracle_enumerate(diagram,
-                             extra_pairs=[(first_crossing.param_k, F(1, 97))])
+            oracle_with_anchors(diagram, [(first_crossing.param_k, F(1, 97))])
 
     def test_four_point_rectangles_diagnostic(self):
         # interleaved rectangles whose corner map has index -1: with three
@@ -648,7 +659,7 @@ class TestOracle:
         assert trace.index >= 0
         assert trace.index in three
 
-        four = oracle_enumerate(diagram, extra_pairs=[(F(3, 4), F(3, 4))])
+        four = oracle_with_anchors(diagram, [(F(3, 4), F(3, 4))])
         assert four <= three
         assert -1 in four
         assert max(four) < 0
@@ -673,7 +684,7 @@ def reference_split_value(diagram, below_ids, extra=()):
 
 
 def reference_oracle(diagram, extra_pairs=()):
-    extra = _extra_anchor_points(diagram, extra_pairs)
+    extra = anchor_points(diagram, extra_pairs)
     ids = [m.crossing_id for m in diagram.marks]
     values = set()
     for mask in range(1 << len(ids)):
@@ -785,23 +796,25 @@ class TestSplitValueOnIntegers:
 
     def test_oracle_with_off_grid_extra_pairs(self):
         # extra pairs on the map at odd-denominator source parameters: the
-        # anchors' denominators enter the scale, and the sets shrink
+        # anchors' denominators enter the scale, and the sets shrink; with
+        # no extra pair the helper is the package's oracle
         rng = random.Random(9200)
         shrunk = 0
         for diagram, phi in geometric_diagrams(rng, 60, max_crossings=8):
             three = oracle_enumerate(diagram)
             assert three == reference_oracle(diagram)
+            assert oracle_with_anchors(diagram, []) == three
             for count in (1, 2):
                 sources = sorted({F(rng.randrange(1, q), q) for q in
                                   (rng.randrange(3, 200, 2)
                                    for _ in range(count))})
                 extra = [(s, phi.evaluate(s)) for s in sources]
-                got = outcome(oracle_enumerate, diagram, extra)
+                got = outcome(oracle_with_anchors, diagram, extra)
                 assert got == outcome(reference_oracle, diagram, extra)
                 if isinstance(got, frozenset):
                     assert got <= three
                     shrunk += got < three
-                for x, y in _extra_anchor_points(diagram, extra):
+                for x, y in anchor_points(diagram, extra):
                     assert x.denominator > 1 and y.denominator > 1
         assert shrunk > 10
 

@@ -44,6 +44,7 @@ from geomgen import (
     local_winding,
     membership_matches_geometry,
     path_through_constraints,
+    point_at,
     position_of_param,
     random_monotone_path,
     random_transverse_pair,
@@ -352,7 +353,8 @@ def point_by_point_path(diagram, phi):
     inv = phi.invert()
     params.update(inv.evaluate(t) for t in diagram.row_params)
     ordered = sorted(params, key=lambda s: (s - s1) % 1)
-    pts = [(diagram.x_of_param(s), diagram.y_of_param(phi.evaluate(s)))
+    pts = [(position_of_param(diagram.col_params, s),
+            position_of_param(diagram.row_params, phi.evaluate(s)))
            for s in ordered]
     return StaircasePath(tuple(pts + [(F(1), F(1))]))
 
@@ -588,8 +590,8 @@ class TestIndexFromTorus:
             constraints = synthesize_constraints(crossings, phi, rng)
             diagram = build_diagram(first, second, crossings, constraints)
             from fpindex.exact_geom import PointLocation, point_in_polygon
-            u = first.point_at(constraints[0][0])
-            v = second.point_at(constraints[0][1])
+            u = point_at(first, constraints[0][0])
+            v = point_at(second, constraints[0][1])
             want = (point_in_polygon(second.loop, u) == PointLocation.INSIDE,
                     point_in_polygon(first.loop, v) == PointLocation.INSIDE)
             assert diagram._ranks.membership(1) == want
@@ -768,50 +770,6 @@ class TestRealizePathOnePass:
                         else:
                             between += 1
         assert on_token > 500 and between > 500
-
-
-class TestPositionOfParam:
-    def test_matches_the_fraction_reference(self):
-        """x_of_param and y_of_param against the `Fraction` conversion, on
-        canonical, random, crossing-free and abstract diagrams: at seeded
-        parameters, on every token (also written a turn off), and on both
-        sides of the wrap at the first token and at 0."""
-        rng = random.Random(8600)
-        diagrams = [lens_fixture()[3]]
-        pairs = [canonical_noncut_pair(m) for m in (1, 3, 6)]
-        pairs += [random_transverse_pair(rng)[:2] for _ in range(15)]
-        for first, second in pairs:
-            crossings = check_transverse(first, second)
-            phi = random_correspondence(rng, rng.randrange(3, 9))
-            diagrams.append(build_diagram(
-                first, second, crossings,
-                synthesize_constraints(crossings, phi, rng)))
-        for first, second in ((square_curve(0, 0, 2, 2),
-                               square_curve(10, 10, 14, 14)),
-                              (square_curve(4, 4, 6, 6),
-                               square_curve(0, 0, 10, 10))):
-            diagrams.append(build_diagram(
-                first, second, check_transverse(first, second),
-                [(F(1, 7), F(2, 9)), (F(1, 3), F(1, 2)), (F(5, 7), F(8, 9))]))
-        diagrams += [abstract_diagram(d.col_order, d.row_order,
-                                      dict(d.kinds), d.containment)
-                     for d in diagrams]
-        tiny = F(1, 2**40)
-        seen = {"random": 0, "token": 0, "wrap": 0, "abstract": 0}
-        for diagram in diagrams:
-            for params, convert in ((diagram.col_params, diagram.x_of_param),
-                                    (diagram.row_params, diagram.y_of_param)):
-                cases = [("random", F(rng.randrange(-4096, 8192), 4096))
-                         for _ in range(20)]
-                cases += [("wrap", v) for v in (F(0), F(1), -tiny, tiny)]
-                if params is not None:
-                    cases += [("token", p + k) for p in params
-                              for k in (0, 1, -1)]
-                    cases += [("wrap", params[0] + d) for d in (-tiny, tiny)]
-                for tag, value in cases:
-                    assert convert(value) == position_of_param(params, value)
-                    seen["abstract" if params is None else tag] += 1
-        assert min(seen.values()) > 50
 
 
 class TestLocalWinding:

@@ -77,9 +77,7 @@ def checked(obj):
 def random_maps(seed: int, count: int):
     sizes = random.Random(seed)
     for _ in range(count):
-        denominator = sizes.choice((3, 12, 64, 1024))
-        yield random_correspondence(
-            sizes, sizes.randrange(2, min(denominator, 12) + 1), denominator)
+        yield random_correspondence(sizes, sizes.randrange(2, 13))
 
 
 def geometric_diagrams(seed: int, count: int, min_crossings: int = 2):

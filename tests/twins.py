@@ -219,9 +219,7 @@ class _Face:
     cycle: object
     node_ids: object
     polygon: object
-    area: object
     kind: object
-    piece: object
     objects: object
 
 
