@@ -64,7 +64,7 @@ def run(max_crossings: int) -> dict:
     by_size: dict[int, dict[str, Counter]] = {}
     failures = []
     for diagram in small_diagrams(max_crossings // 2):
-        size = len(diagram.marks)
+        size = len(diagram.kinds)
         counts[size] += 1
         tally = by_size.setdefault(size, {"index": Counter(),
                                           "oracle_set_size": Counter()})
@@ -73,7 +73,7 @@ def run(max_crossings: int) -> dict:
         except (CheckFailed, FpIndexError) as err:
             failures.append({"crossings": size,
                              "error": f"{type(err).__name__}: {err}",
-                             "diagram": diagram.dump()})
+                             "diagram": diagram._ranks.dump()})
             continue
         tally["index"][index] += 1
         tally["oracle_set_size"][achievable] += 1

@@ -71,15 +71,16 @@ def cmd_torus(curve_a: str, curve_b: str, constraints_path: str,
     if svg:
         from .svg import render_torus
         _write(svg, render_torus(diagram))
+    n, ranks, kind = diagram.size, diagram._ranks, dict(diagram.kinds)
     return {
-        "size": diagram.size,
-        "crossings": len(diagram.marks),
+        "size": n,
+        "crossings": len(diagram.kinds),
         "cols": [list(tok) for tok in diagram.col_order],
         "rows": [list(tok) for tok in diagram.row_order],
-        "marks": [{"id": m.crossing_id, "kind": m.kind.name,
-                   "col": m.col, "row": m.row,
-                   "x": fraction_to_json(m.x), "y": fraction_to_json(m.y)}
-                  for m in diagram.marks],
+        "marks": [{"id": k, "kind": kind[k].name, "col": col, "row": row,
+                   "x": fraction_to_json(Fraction(col, n)),
+                   "y": fraction_to_json(Fraction(row, n))}
+                  for col, row, k in zip(ranks.cols, ranks.rows, ranks.ids)],
     }
 
 
@@ -109,7 +110,7 @@ def cmd_prescribe(curve_a: str, curve_b: str, constraints_path: str,
                                    highlight=pairs)
             _write(f"{base}-L{depth}.{suffix}", content)
     return {
-        "crossings": len(diagram.marks),
+        "crossings": len(diagram.kinds),
         "w": trace.index,
         "eta_realized": eta,
         "depth": max((lv.depth for lv in trace.levels), default=0),

@@ -500,13 +500,15 @@ def isomorphic_contact(first: ContactGraph, second: ContactGraph,
         raise InputRejection("correspondence must be a bijection on pieces")
     if second.piece_count != n:
         return False
+    return all(frozenset([_relabel(g, correspondence) for g in mine]) == theirs
+               for mine, theirs in ((first.edges, second.edges),
+                                    (first.triangles, second.triangles)))
 
-    def relabel(group: frozenset) -> frozenset:
-        return frozenset(correspondence[lab] if isinstance(lab, int) else lab
-                         for lab in group)
 
-    return (frozenset(map(relabel, first.edges)) == second.edges
-            and frozenset(map(relabel, first.triangles)) == second.triangles)
+def _relabel(group: frozenset, correspondence: Sequence[int]) -> frozenset:
+    """A set of contact objects with each piece index sent to its mate."""
+    return frozenset(correspondence[lab] if isinstance(lab, int) else lab
+                     for lab in group)
 
 
 # -- theorem kernel ---------------------------------------------------------------
@@ -603,10 +605,6 @@ def _certificate(first: PackingSpec, second: PackingSpec,
     from .prescribe import prescribe
     from .torus import build_diagram, realize_path
 
-    def relabel(group: frozenset) -> frozenset:
-        return frozenset(correspondence[lab] if isinstance(lab, int) else lab
-                         for lab in group)
-
     mate_face = {second_a.faces[fid].objects: fid
                  for fid in second_a.interstices}
     mate_node = {nd.objects: nd for nd in second_a.nodes}
@@ -616,13 +614,13 @@ def _certificate(first: PackingSpec, second: PackingSpec,
     triples: list[tuple] = []
     for fid in first_a.interstices:
         face = first_a.faces[fid]
-        mate = second_a.faces[mate_face[relabel(face.objects)]]
+        mate = second_a.faces[mate_face[_relabel(face.objects, correspondence)]]
         source = PolyJordanCurve(face.polygon)
         target = PolyJordanCurve(mate.polygon)
         corner_pairs = []
         for nid in face.node_ids:
             node = first_a.nodes[nid]
-            mate_nd = mate_node.get(relabel(node.objects))
+            mate_nd = mate_node.get(_relabel(node.objects, correspondence))
             if mate_nd is None:
                 raise HypothesesNotMet("contact points do not correspond")
             corner_pairs.append((source.locate_param(node.point),

@@ -341,31 +341,11 @@ def _insert_on_edges(curve: PolyJordanCurve,
     return PLLoop(tuple([at[s] for s in sorted(at)]))
 
 
-def _shared_block(loop: PLLoop, other_edges: set[tuple[RatPoint, RatPoint]],
-                  ) -> tuple[int, int]:
-    """Start index and length of the single cyclic run of shared edges."""
-    n = len(loop)
-    edges = list(loop.edges())
-    shared = set()
-    for i, (a, b) in enumerate(edges):
-        if (b, a) in other_edges:
-            shared.add(i)
-        elif (a, b) in other_edges:
-            raise BadGluingGeometry("shared edge traversed in the same direction")
-    if not shared:
-        raise BadGluingGeometry("no shared boundary arc")
-    flags = [i in shared for i in range(n)]
-    runs = sum(1 for i in range(n) if flags[i] and not flags[i - 1])
-    if runs != 1:
-        raise BadGluingGeometry("shared set is not a single arc")
-    start = next(i for i in range(n) if flags[i] and not flags[i - 1])
-    return start, len(shared)
-
-
 def _split_pair(first: PolyJordanCurve, second: PolyJordanCurve,
                 ) -> list[list[RatPoint]]:
     """Refine both curves against each other once; for each curve return
-    its outer path, from the end of the shared arc round to its start.
+    its outer path, from the end of the shared arc round to its start. The
+    shared arc is the single cyclic run of edges the other loop reverses.
 
     The shared edges of the two refined loops are the same edges reversed,
     so one curve's shared run is the other's reversed, with no comparison.
@@ -375,10 +355,20 @@ def _split_pair(first: PolyJordanCurve, second: PolyJordanCurve,
              _insert_on_edges(second, first.vertices))
     paths = []
     for loop, other in (loops, loops[::-1]):
-        start, length = _shared_block(loop, set(other.edges()))
-        verts = loop.vertices
+        other_edges, flags = set(other.edges()), []
+        for a, b in loop.edges():
+            flags.append((b, a) in other_edges)
+            if not flags[-1] and (a, b) in other_edges:
+                raise BadGluingGeometry(
+                    "shared edge traversed in the same direction")
+        if not any(flags):
+            raise BadGluingGeometry("no shared boundary arc")
+        starts = [i for i, f in enumerate(flags) if f and not flags[i - 1]]
+        if len(starts) != 1:
+            raise BadGluingGeometry("shared set is not a single arc")
+        verts, length = loop.vertices, sum(flags)
         n = len(verts)
-        paths.append([verts[(start + length + k) % n]
+        paths.append([verts[(starts[0] + length + k) % n]
                       for k in range(n - length + 1)])
     return paths
 
@@ -387,7 +377,7 @@ def _union(outer_a: list[RatPoint], outer_b: list[RatPoint],
            ) -> PolyJordanCurve:
     """The glued curve: outer path of one piece, then of the other.
 
-    The shared arc is traversed oppositely by the two pieces (_shared_block),
+    The shared arc is traversed oppositely by the two pieces (_split_pair),
     so the union is simple exactly when the outer paths meet only at the
     junctions, and then the interiors are disjoint. Its shoelace sum is the
     sum of the pieces' (the shared arc's terms cancel), hence positive.

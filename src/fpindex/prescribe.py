@@ -484,7 +484,7 @@ def prescribe(diagram: TorusDiagram) -> tuple[StaircasePath, PrescriptionTrace]:
     index = _read_path(level, [(x, d, y, d) for x, y in vertices], True)[2]
     if index < 0:
         raise InternalCaseGap("solver returned a negative index:\n"
-                              + diagram.dump(path))
+                              + level.dump(path))
     return path, PrescriptionTrace(levels=tuple(levels), below=below,
                                    path=path, index=index)
 

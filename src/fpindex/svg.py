@@ -20,14 +20,9 @@ def _f(v) -> str:
     return f"{float(v):.2f}"
 
 
-def _polyline(points, style: str) -> str:
+def _shape(tag: str, points, style: str) -> str:
     coords = " ".join(f"{_f(x)},{_f(y)}" for x, y in points)
-    return f'<polyline points="{coords}" {style}/>'
-
-
-def _polygon(points, style: str) -> str:
-    coords = " ".join(f"{_f(x)},{_f(y)}" for x, y in points)
-    return f'<polygon points="{coords}" {style}/>'
+    return f'<{tag} points="{coords}" {style}/>'
 
 
 def _svg_doc(width: int, height: int, body: list[str]) -> str:
@@ -69,22 +64,23 @@ def render_torus(diagram: TorusDiagram, path=None,
             body.append(f'<text x="{margin - 10}" y="{_f(y)}" font-size="14" '
                         f'text-anchor="end">c{token[1]}</text>')
     hot = {cid for pair in (highlight or []) for cid in pair}
-    for m in diagram.marks:
-        cx, cy = _f(sx(m.x)), _f(sy(m.y))
-        if m.kind.name == "P":
+    ranks = diagram._ranks
+    for col, row, k in zip(ranks.cols, ranks.rows, ranks.ids):
+        cx, cy = _f(sx(Fraction(col, n))), _f(sy(Fraction(row, n)))
+        if k in ranks.p_ids:
             body.append(f'<circle cx="{cx}" cy="{cy}" r="6" fill="black"/>')
         else:
             body.append(f'<circle cx="{cx}" cy="{cy}" r="6" fill="white" '
                         'stroke="black" stroke-width="2"/>')
-        if m.crossing_id in hot:
+        if k in hot:
             body.append(f'<circle cx="{cx}" cy="{cy}" r="11" fill="none" '
                         'stroke="#d62728" stroke-width="2.5"/>')
         body.append(f'<text x="{cx}" y="{float(cy) - 10:.2f}" font-size="11" '
-                    f'text-anchor="middle">{m.crossing_id}</text>')
+                    f'text-anchor="middle">{k}</text>')
     if path is not None:
         pts = [(sx(x), sy(y)) for x, y in path.points]
-        body.append(_polyline(
-            pts, 'fill="none" stroke="#1f77b4" stroke-width="3"'))
+        body.append(_shape(
+            "polyline", pts, 'fill="none" stroke="#1f77b4" stroke-width="3"'))
     return _svg_doc(size, size, body)
 
 
@@ -108,13 +104,13 @@ def _scaler(curves: list[PolyJordanCurve]):
 def _packing_paths(spec: PackingSpec, to_px, color: str, dash: str) -> list[str]:
     body = []
     frame = spec.rect.curve
-    body.append(_polygon([to_px(p) for p in frame.vertices],
-                         f'fill="none" stroke="{color}" stroke-width="2.5"'
-                         f'{dash}'))
+    body.append(_shape("polygon", [to_px(p) for p in frame.vertices],
+                       f'fill="none" stroke="{color}" stroke-width="2.5"'
+                       f'{dash}'))
     for piece in spec.pieces:
-        body.append(_polygon([to_px(p) for p in piece.vertices],
-                             f'fill="{color}" fill-opacity="0.12" '
-                             f'stroke="{color}" stroke-width="1.5"{dash}'))
+        body.append(_shape("polygon", [to_px(p) for p in piece.vertices],
+                           f'fill="{color}" fill-opacity="0.12" '
+                           f'stroke="{color}" stroke-width="1.5"{dash}'))
     for corner in spec.rect.corner_points:
         x, y = to_px(corner)
         body.append(f'<circle cx="{_f(x)}" cy="{_f(y)}" r="4" '
@@ -143,10 +139,11 @@ def render_faces(first: PolyJordanCurve, second: PolyJordanCurve) -> str:
         if face.polygon is None or signed_area(face.polygon) <= 0:
             continue
         fill = fills[(face.in_K, face.in_Kt)]
-        body.append(_polygon([to_px(p) for p in face.polygon.vertices],
-                             f'fill="{fill}" fill-opacity="0.55" '
-                             'stroke="#333" stroke-width="0.7"'))
+        body.append(_shape("polygon",
+                           [to_px(p) for p in face.polygon.vertices],
+                           f'fill="{fill}" fill-opacity="0.55" '
+                           'stroke="#333" stroke-width="0.7"'))
     for curve, color in ((first, "#1f77b4"), (second, "#d62728")):
-        body.append(_polygon([to_px(p) for p in curve.vertices],
-                             f'fill="none" stroke="{color}" stroke-width="2"'))
+        body.append(_shape("polygon", [to_px(p) for p in curve.vertices],
+                           f'fill="none" stroke="{color}" stroke-width="2"'))
     return _svg_doc(width, height, body)

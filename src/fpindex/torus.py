@@ -64,21 +64,6 @@ TokenId = tuple[str, int]  # ("c", 1..3) for constraints, ("m", id) for marks
 
 
 @value_type
-class TorusMark:
-    """A crossing at token ranks (col, row) of a size-n diagram."""
-
-    __slots__ = _fields = ("crossing_id", "kind", "col", "row", "size")
-
-    @property
-    def x(self) -> Fraction:
-        return Fraction(self.col, self.size)
-
-    @property
-    def y(self) -> Fraction:
-        return Fraction(self.row, self.size)
-
-
-@value_type
 class TorusDiagram:
     """Combinatorial torus data: cyclic token orders plus crossing kinds.
 
@@ -163,14 +148,6 @@ class TorusDiagram:
                      p_ids, forced, self.containment)
 
     @cached_property
-    def marks(self) -> tuple[TorusMark, ...]:
-        """The marks in column order, for reports and figures."""
-        ranks, kind = self._ranks, dict(self.kinds)
-        return tuple([TorusMark(crossing_id=k, kind=kind[k], col=x, row=y,
-                                size=ranks.size)
-                      for x, y, k in zip(ranks.cols, ranks.rows, ranks.ids)])
-
-    @cached_property
     def _offsets(self) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
         """Per axis, each token's parameter offset from the first token, mod
         1, as an integer pair (numerator, denominator), closed by (1, 1)."""
@@ -181,9 +158,6 @@ class TorusDiagram:
     @cached_property
     def _unit_params(self) -> tuple[list[Fraction], list[Fraction]]:
         return _unit(self.col_params), _unit(self.row_params)
-
-    def dump(self, path: "StaircasePath | None" = None) -> str:
-        return self._ranks.dump(path)
 
 
 class Ranks(NamedTuple):

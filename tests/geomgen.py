@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key
 from math import lcm
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from fpindex.errors import (
     ConstraintOnCurve,
@@ -257,6 +257,25 @@ def constraint_point(diagram: TorusDiagram, i: int) -> tuple[Fraction, Fraction]
     return Fraction(col, diagram.size), Fraction(row, diagram.size)
 
 
+class Mark(NamedTuple):
+    """A crossing at token ranks (col, row) of a size-n diagram, which sits
+    at (x, y) = (col / n, row / n) in the cut unit square."""
+
+    crossing_id: int
+    kind: CrossKind
+    col: int
+    row: int
+    x: Fraction
+    y: Fraction
+
+
+def marks(diagram: TorusDiagram) -> list[Mark]:
+    """The diagram's marks in column order, read off its ranks."""
+    ranks, kind, n = diagram._ranks, dict(diagram.kinds), diagram.size
+    return [Mark(k, kind[k], col, row, Fraction(col, n), Fraction(row, n))
+            for col, row, k in zip(ranks.cols, ranks.rows, ranks.ids)]
+
+
 def without_marks(diagram: TorusDiagram, ids: Iterable[int]) -> TorusDiagram:
     """The diagram without the given marks, every other token keeping its
     cyclic position, built by the checked constructor: the reference for
@@ -439,12 +458,11 @@ def delta_split(diagram: TorusDiagram, path: StaircasePath,
     return _read_path(diagram._ranks, points, False)[:2]
 
 
-def walk_below(diagram: TorusDiagram, below_ids, extra=()):
-    """The package's integer walk of a below-set on the whole diagram, with
-    any extra anchors at token-rank points: (scale, vertices, index), or
-    None when the set is not realizable."""
+def walk_below(diagram: TorusDiagram, below_ids):
+    """The package's integer walk of a below-set on the whole diagram:
+    (scale, vertices, index), or None when the set is not realizable."""
     level = diagram._ranks
-    scale, events = anchored_events(level, extra)
+    scale, events = _events(level)
     walk = _walk(level, scale, events, below_ids)
     return None if walk is None else (scale, *walk)
 
@@ -501,10 +519,10 @@ def oracle_with_anchors(diagram: TorusDiagram, extra_pairs) -> frozenset[int]:
     return frozenset(achievable)
 
 
-def thread_path(diagram: TorusDiagram, below_ids, extra=()) -> StaircasePath:
+def thread_path(diagram: TorusDiagram, below_ids) -> StaircasePath:
     """Monotone faithful path with exactly the given marks below it, from
     the package's integer walk."""
-    walk = walk_below(diagram, below_ids, extra)
+    walk = walk_below(diagram, below_ids)
     if walk is None:
         raise InvariantFailure("bipartition is not realizable")
     return _staircase(diagram, *walk[:2])
@@ -517,7 +535,7 @@ def reference_thread_path(diagram, below_ids, extra=()):
     anchors = [*diagram._ranks.constraints[1:], *extra]
     events = sorted([(x, y, "anchor") for x, y in anchors] +
                     [(m.col, m.row, BELOW if m.crossing_id in below_ids
-                      else ABOVE) for m in diagram.marks])
+                      else ABOVE) for m in marks(diagram)])
     ceiling = [n] * (len(events) + 1)
     for i in range(len(events) - 1, -1, -1):
         _, y, tag = events[i]
@@ -630,10 +648,9 @@ def circle_pools(rng: random.Random, per_class: int,
             "two_cross": two_cross, "general": general}
 
 
-def random_fraction(rng: random.Random, lo: Fraction, hi: Fraction,
-                    den: int = 64) -> Fraction:
-    num = rng.randrange(int(lo * den), int(hi * den) + 1)
-    return Fraction(num, den)
+def random_fraction(rng: random.Random, lo: Fraction, hi: Fraction) -> Fraction:
+    """A random multiple of 1/64 in [lo, hi]."""
+    return Fraction(rng.randrange(int(lo * 64), int(hi * 64) + 1), 64)
 
 
 def star_polygon(rng: random.Random, n: int, center: RatPoint,
@@ -660,8 +677,8 @@ def square_curve(x0, y0, x1, y1) -> PolyJordanCurve:
     return validate_curve([pt(x0, y0), pt(x1, y0), pt(x1, y1), pt(x0, y1)])
 
 
-def grid_curve(rng: random.Random, size: int = 5) -> PolyJordanCurve:
-    """A rectangle or a simple polygon with vertices on the size x size grid.
+def grid_curve(rng: random.Random) -> PolyJordanCurve:
+    """A rectangle or a simple polygon with vertices on the 5 x 5 grid.
 
     Half the draws are axis-parallel rectangles, which often share edges
     with each other; the rest join 3 to 6 distinct grid points in
@@ -669,11 +686,11 @@ def grid_curve(rng: random.Random, size: int = 5) -> PolyJordanCurve:
     """
     while True:
         if rng.randrange(2):
-            x0, x1 = sorted(rng.sample(range(size), 2))
-            y0, y1 = sorted(rng.sample(range(size), 2))
+            x0, x1 = sorted(rng.sample(range(5), 2))
+            y0, y1 = sorted(rng.sample(range(5), 2))
             return square_curve(x0, y0, x1, y1)
-        cells = rng.sample(range(size * size), rng.randrange(3, 7))
-        points = [pt(c % size, c // size) for c in cells]
+        cells = rng.sample(range(25), rng.randrange(3, 7))
+        points = [pt(c % 5, c // 5) for c in cells]
         center = RatPoint(sum(p.x for p in points) / len(points),
                           sum(p.y for p in points) / len(points))
         if center in points:
@@ -753,20 +770,20 @@ def glued_square_fixture(rng: random.Random):
 
 
 def random_transverse_pair(
-        rng: random.Random, nmin: int = 6, nmax: int = 12,
-        min_crossings: int = 2, max_crossings: int | None = None,
-        offset_range: int = 3,
+        rng: random.Random, min_crossings: int = 2,
+        max_crossings: int | None = None,
 ) -> tuple[PolyJordanCurve, PolyJordanCurve, CrossingSet]:
-    """Rejection-sample a transverse star-polygon pair with crossings.
+    """Rejection-sample a transverse pair of 6- to 12-gon star polygons with
+    crossings, the second centred at an integer offset of at most 3 on each
+    axis.
 
     Tangent or overlapping draws are discarded, not nudged, so the returned
     pair is exactly transverse.
     """
     while True:
-        a = star_polygon(rng, rng.randrange(nmin, nmax + 1), pt(0, 0), 2, 5)
-        off = pt(Fraction(rng.randrange(-offset_range, offset_range + 1)),
-                 Fraction(rng.randrange(-offset_range, offset_range + 1)))
-        b = star_polygon(rng, rng.randrange(nmin, nmax + 1), off, 2, 5)
+        a = star_polygon(rng, rng.randrange(6, 13), pt(0, 0), 2, 5)
+        off = pt(Fraction(rng.randrange(-3, 4)), Fraction(rng.randrange(-3, 4)))
+        b = star_polygon(rng, rng.randrange(6, 13), off, 2, 5)
         try:
             first = validate_curve(a)
             second = validate_curve(b)
@@ -780,12 +797,13 @@ def random_transverse_pair(
         return first, second, crossings
 
 
-def synthesize_constraints(crossings, phi, rng: random.Random, count: int = 3):
-    """Distinct source parameters off the crossing grid, paired through phi."""
+def synthesize_constraints(crossings, phi, rng: random.Random):
+    """Three distinct source parameters off the crossing grid, paired
+    through phi."""
     banned_s = {c.param_k for c in crossings}
     banned_t = {c.param_kt for c in crossings}
     pairs = {}
-    while len(pairs) < count:
+    while len(pairs) < 3:
         s = Fraction(rng.randrange(997), 997)
         t = phi.evaluate(s)
         if s in banned_s or t in banned_t or s in pairs:

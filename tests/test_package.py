@@ -256,10 +256,7 @@ def unused_definitions(package: Path, exported, kept) -> list[str]:
 # `unused_definitions` counts a method as used wherever an attribute names
 # it, so a method that shares its name with another class's method is never
 # found unused.
-SHARED_METHOD_NAMES = {
-    "dump": "TorusDiagram.dump and Ranks.dump, both called: the diagram's "
-            "renders its ranks",
-}
+SHARED_METHOD_NAMES: dict[str, str] = {}
 
 
 def shared_method_names(package: Path) -> dict[str, list[str]]:
@@ -342,3 +339,64 @@ class TestSharedConstructor:
         assert not extra, f"{extra} should take value_type's shared __init__"
         stale = [qual for qual in FIELD_ONLY_INITS if qual not in found]
         assert not stale, f"the kept {stale} no longer write one"
+
+
+def unpassed_defaults(functions: list[Path], callers: list[Path]) -> list[str]:
+    """`module.function(parameter)` for each parameter with a default of a
+    top-level function in `functions` that no call in `callers` passes, by
+    keyword or by position. Calls are matched by the callee's name alone.
+
+    A function named anywhere but as a call's callee, or called with `*` or
+    `**`, counts as passing every parameter: where it is handed on as a
+    value, its calls cannot be read.
+    """
+    passed: dict[str, set] = {}
+    anything = set()
+    for path in callers:
+        tree = ast.parse(path.read_text())
+        callees = set()
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            name = getattr(node.func, "id", None) or getattr(node.func, "attr",
+                                                             None)
+            if name is None:
+                continue
+            callees.add(node.func)
+            if (any(isinstance(arg, ast.Starred) for arg in node.args)
+                    or any(kw.arg is None for kw in node.keywords)):
+                anything.add(name)
+            passed.setdefault(name, set()).update(
+                [*range(len(node.args)), *[kw.arg for kw in node.keywords]])
+        anything.update(getattr(node, "id", None) or node.attr
+                        for node in ast.walk(tree)
+                        if isinstance(node, (ast.Name, ast.Attribute))
+                        and node not in callees)
+    missing = []
+    for path in functions:
+        for node in ast.parse(path.read_text()).body:
+            if not isinstance(node, ast.FunctionDef) or node.name in anything:
+                continue
+            args = node.args
+            positional = args.posonlyargs + args.args
+            first = len(positional) - len(args.defaults)
+            defaulted = [(i, p.arg) for i, p in enumerate(positional)
+                         if i >= first]
+            defaulted += [(None, p.arg) for p, default
+                          in zip(args.kwonlyargs, args.kw_defaults)
+                          if default is not None]
+            got = passed.get(node.name, set())
+            missing += [f"{path.stem}.{node.name}({arg})"
+                        for i, arg in defaulted if i not in got and arg not in got]
+    return missing
+
+
+class TestEveryDefaultIsPassed:
+    def test_some_call_passes_every_defaulted_parameter(self):
+        functions = sorted([*(ROOT / "src" / "fpindex").glob("*.py"),
+                            *(ROOT / "tests").glob("*.py")])
+        callers = sorted(path for folder in ("src", "tests", "scripts",
+                                             "perfbench")
+                         for path in (ROOT / folder).rglob("*.py"))
+        missing = unpassed_defaults(functions, callers)
+        assert not missing, f"no call passes {missing}: make them constants"

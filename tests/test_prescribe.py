@@ -52,7 +52,6 @@ from fpindex.torus import (
     Containment,
     Ranks,
     StaircasePath,
-    TorusMark,
     _read_path,
     build_diagram,
     index_from_torus,
@@ -64,6 +63,7 @@ from geomgen import (
     anchor_points,
     delta_split,
     identity_params,
+    marks,
     oracle_with_anchors,
     random_transverse_pair,
     reference_thread_path,
@@ -206,7 +206,7 @@ def reference_box(diagram, entry, partner, descends, frames):
     if base not in frames:
         frames[base] = rebased(diagram, base)
     frame = frames[base]
-    placed = {m.crossing_id: m for m in frame.marks}
+    placed = {m.crossing_id: m for m in marks(frame)}
     e, x = placed[entry.crossing_id], placed[partner.crossing_id]
     if not e.col < x.col:
         raise InvariantFailure("pair order broke under rebasing")
@@ -224,7 +224,7 @@ def reference_box(diagram, entry, partner, descends, frames):
         raise InvariantFailure("box meets the left or right grid line")
     if box.lower_left_cell[0] != 0:
         raise InvariantFailure("box left edge escaped the first column cell")
-    for m in frame.marks:
+    for m in marks(frame):
         if m.crossing_id in (box.entry_id, box.exit_id):
             continue
         mx, my = 2 * m.col, 2 * m.row
@@ -264,18 +264,18 @@ class TestBuildBoxOnRanks:
         seen = set()
         errors = set()
         for diagram in box_guard_diagrams():
-            marks = diagram.marks
+            by_col = marks(diagram)
             frames = {}
             row_rank = {m.crossing_id: i for i, m in
-                        enumerate(sorted(marks, key=lambda m: m.row))}
-            for i, entry in enumerate(marks):
+                        enumerate(sorted(by_col, key=lambda m: m.row))}
+            for i, entry in enumerate(by_col):
                 if entry.kind is not CrossKind.P:
                     continue
                 for step in (1, 2, 3):
-                    j = (i + step) % len(marks)
-                    partner = marks[j]
+                    j = (i + step) % len(by_col)
+                    partner = by_col[j]
                     gap = (row_rank[entry.crossing_id]
-                           - row_rank[partner.crossing_id]) % len(marks)
+                           - row_rank[partner.crossing_id]) % len(by_col)
                     for descends in (True, False):
                         got = box_outcome(_build_box, diagram._ranks, i, j,
                                           descends)
@@ -285,7 +285,7 @@ class TestBuildBoxOnRanks:
                         if isinstance(got, str):
                             errors.add(got)
                         elif step == 1 and gap == (1 if descends
-                                                   else len(marks) - 1):
+                                                   else len(by_col) - 1):
                             seen.add((got.base_constraint, got.descends,
                                       got.wrap))
         assert seen == {(base, descends, wrap) for base in (1, 2, 3)
@@ -295,7 +295,7 @@ class TestBuildBoxOnRanks:
 
     def test_find_doubly_adjacent_builds_the_same_boxes(self):
         _, _, _, diagram = canonical_diagram(6, seed=506)
-        placed = {m.crossing_id: m for m in diagram.marks}
+        placed = {m.crossing_id: m for m in marks(diagram)}
         for box in find_doubly_adjacent(diagram):
             assert box == reference_box(diagram, placed[box.entry_id],
                                         placed[box.exit_id], box.descends, {})
@@ -385,33 +385,6 @@ class TestOneEventListPerPrescription:
         assert [args[:3] for args, _ in visited[1:]] == \
             [child for _, child in derived]
         assert len(visited) > max(lv.depth for lv in trace.levels)
-
-
-class TestNoMarkObjectsInTheSolver:
-    # canonical draws whose prescription is 0, 2, 4, ..., 12 levels deep
-    DRAWS = [(1, 0), (3, 2), (7, 2), (10, 3), (14, 2), (17, 6), (20, 6)]
-
-    def test_mark_objects_do_not_grow_with_depth(self, monkeypatch):
-        # TorusMark is report surface: prescribe builds none, at any depth
-        built = Counter()
-        init = TorusMark.__init__
-
-        def counting(self, *args, **kwargs):
-            built["marks"] += 1
-            init(self, *args, **kwargs)
-
-        diagrams = [canonical_diagram(m, seed)[3] for m, seed in self.DRAWS]
-        monkeypatch.setattr(TorusMark, "__init__", counting)
-        per_depth = {}
-        for diagram in diagrams:
-            before = built["marks"]
-            _, trace = prescribe(diagram)
-            depth = max(lv.depth for lv in trace.levels)
-            per_depth[depth] = built["marks"] - before
-        assert sorted(per_depth) == [0, 2, 4, 6, 8, 10, 12]
-        assert set(per_depth.values()) == {0}
-        # the counter sees the marks a report builds
-        assert len(diagrams[-1].marks) == 40 == built["marks"]
 
 
 class TestDeepPrescription:
@@ -671,9 +644,9 @@ def reference_is_realizable(diagram, below_ids, extra=()):
     """Every below point or anchor against every above point or anchor."""
     anchors = [(diagram.col_order.index(c), diagram.row_order.index(c))
                for c in (("c", 2), ("c", 3))] + list(extra)
-    below = [(m.col, m.row) for m in diagram.marks if m.crossing_id in below_ids]
-    above = [(m.col, m.row) for m in diagram.marks
-             if m.crossing_id not in below_ids]
+    placed = marks(diagram)
+    below = [(m.col, m.row) for m in placed if m.crossing_id in below_ids]
+    above = [(m.col, m.row) for m in placed if m.crossing_id not in below_ids]
     return not any(px < qx and py > qy for px, py in below + anchors
                    for qx, qy in above + anchors)
 
@@ -685,7 +658,7 @@ def reference_split_value(diagram, below_ids, extra=()):
 
 def reference_oracle(diagram, extra_pairs=()):
     extra = anchor_points(diagram, extra_pairs)
-    ids = [m.crossing_id for m in diagram.marks]
+    ids = diagram._ranks.ids
     values = set()
     for mask in range(1 << len(ids)):
         below = frozenset(c for i, c in enumerate(ids) if mask >> i & 1)
@@ -703,7 +676,7 @@ def outcome(fn, *args):
 
 def below_sets(rng, diagram, cap: int = 256):
     """Every below-set when there are at most 2^8, else `cap` random ones."""
-    ids = [m.crossing_id for m in diagram.marks]
+    ids = diagram._ranks.ids
     if len(ids) <= 8:
         masks = range(1 << len(ids))
     else:
@@ -721,23 +694,23 @@ def geometric_diagrams(rng, count: int, max_crossings: int = 12):
                             synthesize_constraints(crossings, phi, rng)), phi
 
 
-def walk_value(diagram, below, extra=()):
+def walk_value(diagram, below):
     """The index `_walk` reads for a below-set, None when it is not
     realizable."""
-    walk = walk_below(diagram, below, extra)
+    walk = walk_below(diagram, below)
     return None if walk is None else walk[2]
 
 
-def check_below_set(diagram, below, extra=()):
+def check_below_set(diagram, below):
     """Realizability, value or error, and the threaded path, both routes;
     True when the set is realizable."""
-    got = outcome(walk_value, diagram, below, extra)
+    got = outcome(walk_value, diagram, below)
     ok = got is not None
-    assert ok == reference_is_realizable(diagram, below, extra)
+    assert ok == reference_is_realizable(diagram, below)
     if ok:
-        assert got == outcome(reference_split_value, diagram, below, extra)
-    assert outcome(thread_path, diagram, below, extra) == \
-        outcome(reference_thread_path, diagram, below, extra)
+        assert got == outcome(reference_split_value, diagram, below)
+    assert outcome(thread_path, diagram, below) == \
+        outcome(reference_thread_path, diagram, below)
     return ok
 
 
@@ -837,10 +810,10 @@ def reference_path_induced_bits(parent, child, child_path, box):
 
     path = StaircasePath(tuple([(lift(x, col_dst), lift(y, row_dst))
                                 for x, y in child_path.points]))
-    marks = {m.crossing_id: m for m in parent.marks}
+    placed = {m.crossing_id: m for m in marks(parent)}
     bits = []
     for cid in (box.entry_id, box.exit_id):
-        m = marks[cid]
+        m = placed[cid]
         level = path.y_at(m.x)
         if level == m.y:
             return None
@@ -855,7 +828,7 @@ class TestChildSidesOnIntegers:
         diagrams += [d for d, _ in geometric_diagrams(rng, 60)]
         seen = set()
         for diagram in diagrams:
-            if len(diagram.marks) < 4:
+            if len(diagram.kinds) < 4:
                 continue
             level = diagram._ranks
             try:
@@ -941,6 +914,18 @@ class TestFinalCheckOnIntegers:
         with pytest.raises(error):
             prescribe(diagram)
 
+    def test_a_negative_reading_draws_the_ranks_and_the_path(self,
+                                                             monkeypatch):
+        diagram = canonical_diagram(6, seed=506)[3]
+        path = prescribe(diagram)[0]
+        read = PRESCRIBE._read_path
+        monkeypatch.setattr(PRESCRIBE, "_read_path",
+                            lambda *args: (*read(*args)[:2], -1))
+        with pytest.raises(InternalCaseGap) as err:
+            prescribe(diagram)
+        assert str(err.value) == ("solver returned a negative index:\n"
+                                  + diagram._ranks.dump(path))
+
 
 def rank_fields(level):
     return (level.size, level.constraints, level.cols, level.rows, level.ids,
@@ -979,7 +964,7 @@ class TestChildLevels:
 def doubly_adjacent_pairs(diagram):
     """(entry, partner, descends) for each entry mark whose next mark by
     column is also next to it by row, read straight off the ranks."""
-    by_col = sorted(diagram.marks, key=lambda m: m.col)
+    by_col = sorted(marks(diagram), key=lambda m: m.col)
     count = len(by_col)
     row_rank = {m.crossing_id: i for i, m in
                 enumerate(sorted(by_col, key=lambda m: m.row))}

@@ -42,6 +42,7 @@ from geomgen import (
     delta_split,
     identity_params,
     local_winding,
+    marks,
     membership_matches_geometry,
     path_through_constraints,
     point_at,
@@ -78,9 +79,9 @@ class TestBuildDiagram:
                                      ("c", 3))
         assert diagram.row_order == (("c", 1), ("m", 0), ("c", 2), ("m", 1),
                                      ("c", 3))
-        marks = {m.crossing_id: m for m in diagram.marks}
-        assert (marks[0].x, marks[0].y) == (F(2, 5), F(1, 5))
-        assert (marks[1].x, marks[1].y) == (F(3, 5), F(3, 5))
+        placed = {m.crossing_id: m for m in marks(diagram)}
+        assert (placed[0].x, placed[0].y) == (F(2, 5), F(1, 5))
+        assert (placed[1].x, placed[1].y) == (F(3, 5), F(3, 5))
         assert diagram._ranks.membership(1) == (False, True)
 
     def test_rejects_constraint_on_crossing(self):
@@ -281,7 +282,7 @@ class TestStaircasePath:
 def reference_split(diagram, path):
     """Each mark against the path's height over the mark's column."""
     below, above = set(), set()
-    for m in diagram.marks:
+    for m in marks(diagram):
         level = path.y_at(m.x)
         if level == m.y:
             raise PathHitsMark(f"path passes through mark {m.crossing_id}")
@@ -326,7 +327,7 @@ class TestDeltaSplitWalk:
     def test_path_meeting_a_mark_is_rejected(self):
         _, _, _, diagram = canonical_diagram_for_split()
         d = F(1, 4 * diagram.size)
-        for m in diagram.marks:
+        for m in marks(diagram):
             at_vertex = StaircasePath(((F(0), F(0)), (m.x, m.y), (F(1), F(1))))
             inside = StaircasePath(((F(0), F(0)), (m.x - d, m.y - d),
                                     (m.x + d, m.y + d), (F(1), F(1))))
@@ -672,7 +673,7 @@ def reading_outcome(read, diagram, path):
 
 def threaded_paths(rng, diagram, count: int):
     """Paths `thread_path` threads for random realizable bipartitions."""
-    ids = [m.crossing_id for m in diagram.marks]
+    ids = diagram._ranks.ids
     for _ in range(count):
         below = frozenset(i for i in ids if rng.random() < 0.5)
         if walk_below(diagram, below) is not None:
@@ -810,10 +811,10 @@ class TestDiagramSurgery:
         d2 = rebased(diagram, 2)
         assert constraint_point(d2, 1) == (F(0), F(0))
         assert d2.size == diagram.size
-        marks = {m.crossing_id: (m.x, m.y) for m in d2.marks}
-        assert marks[0] == (F(1, 5), F(4, 5))
+        placed = {m.crossing_id: (m.x, m.y) for m in marks(d2)}
+        assert placed[0] == (F(1, 5), F(4, 5))
 
     def test_dump_mentions_marks(self):
         _, _, _, diagram = lens_fixture()
-        art = diagram.dump(straight_path(diagram))
+        art = diagram._ranks.dump(straight_path(diagram))
         assert "P" in art and "~" in art and "1" in art

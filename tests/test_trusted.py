@@ -214,7 +214,7 @@ class TestDiagrams:
                 count += 1
         for diagram, _ in canonical_diagrams(range(2, 9)):
             for child in children(diagram):
-                assert len(child.ids) < len(diagram.marks)
+                assert len(child.ids) < len(diagram.kinds)
                 checked_level(child)
                 count += 1
         assert count > 100
@@ -287,7 +287,7 @@ class TestPaths:
     def test_threaded_paths(self):
         rng = random.Random(7301)
         for diagram, _ in geometric_diagrams(7302, 30):
-            ids = [m.crossing_id for m in diagram.marks]
+            ids = diagram._ranks.ids
             for _ in range(16):
                 below = frozenset(c for c in ids if rng.randrange(2))
                 if walk_below(diagram, below) is not None:

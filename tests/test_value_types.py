@@ -66,7 +66,6 @@ def samples(seed: int) -> dict[str, list]:
         "PLCorrespondence": [phi, phi.invert()],
         "GluedMap": [glue(*glued_square_fixture(rng)),
                      glue(*glued_square_fixture(rng))],
-        "TorusMark": list(diagram.marks[:3]),
         "TorusDiagram": [diagram, abstract_diagram(
             diagram.col_order, diagram.row_order, dict(diagram.kinds))],
         "StaircasePath": [path, straight_path(diagram)],
@@ -112,7 +111,7 @@ SHARED = sorted(name for name, cls in VALUE_TYPES.items()
 
 def test_every_value_type_has_a_twin_and_samples():
     assert set(VALUE_TYPES) == set(TWINS)
-    assert len(VALUE_TYPES) == 25
+    assert len(VALUE_TYPES) == 24
     for seed in SEEDS:
         for name, objs in samples(seed).items():
             assert objs and all(type(obj).__name__ == name for obj in objs)
@@ -210,7 +209,6 @@ def test_cached_values_are_computed_once():
     diagram = made["TorusDiagram"][0]
     path = made["StaircasePath"][0]
     spec = made["PackingSpec"][0]
-    for obj, attr in ((loop, "rows"), (loop, "edge_keys"),
-                      (diagram, "marks"), (diagram, "_ranks"), (path, "_xs"),
-                      (spec, "analysis")):
+    for obj, attr in ((loop, "rows"), (loop, "edge_keys"), (diagram, "_ranks"),
+                      (path, "_xs"), (spec, "analysis")):
         assert getattr(obj, attr) is getattr(obj, attr)

@@ -93,15 +93,6 @@ class GluedMap:
 # -- torus -----------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class TorusMark:
-    crossing_id: object
-    kind: object
-    col: object
-    row: object
-    size: object
-
-
-@dataclass(frozen=True)
 class TorusDiagram:
     col_order: object
     row_order: object
@@ -236,7 +227,7 @@ TWINS = {cls.__name__: cls for cls in (
     RatPoint, Segment, SegmentMeeting, PLLoop,
     PolyJordanCurve, Crossing, CrossingSet, ArrangementFace,
     PLCorrespondence, GluedMap,
-    TorusMark, TorusDiagram, StaircasePath,
+    TorusDiagram, StaircasePath,
     AdjacencyBox, TraceLevel, PrescriptionTrace,
     TopoRectangle, PackingSpec, ContactGraph, OverlayReport,
     TheoremCertificate, _Node, _Arc, _Face, _Analysis)}
