@@ -25,7 +25,12 @@ coordinates carry denominators near 10^12. A fifth file, `packing.txt`,
 records `assemble_theorem_certificate` on the three pairs of
 `tests/packfix.py` and seeded translates of each: the certificate (frame,
 piece and interstice indices and interstice triples) and every map the
-certificate passes to `fixed_point_index`, with its index. A sixth file,
+certificate passes to `fixed_point_index`, with its index, then
+`validate_packing`'s verdict on seeded mutations of the six packings of
+those pairs (a piece moved, a vertex moved, a piece dropped or duplicated,
+or a small triangle added): the sorted edges and triangles of the contact
+graph, or the error class and reason, which pins the order in which the
+packing rules fire. A sixth file,
 `rotated.txt`, records the crossing set and second-curve order of each
 canonical pair and of its quarter turn: the tall pairs and the wide ones
 sweep their boxes along different axes, so both sweeps are covered. A
@@ -92,6 +97,8 @@ from geomgen import (  # noqa: E402
 from packfix import (  # noqa: E402
     bent_one_piece_pair,
     one_piece_pair,
+    sorted_edges,
+    sorted_triangles,
     two_piece_pair,
 )
 
@@ -103,6 +110,7 @@ GLUE_SQUARE_FIXTURES = 100
 CIRCLE_PAIRS_PER_CLASS = 2
 CIRCLE_MAPS = 25
 PACKING_TRANSLATES = 3
+PACKING_MUTATIONS = 2400
 PREDICATE_POLYGONS = 30
 
 
@@ -269,6 +277,83 @@ def packing_dump(seed: int) -> list[str]:
                 out.extend(calls)
     finally:
         packing.fixed_point_index = index
+    out.extend(mutation_dump(seed))
+    return out
+
+
+def mutated_packing(rng: random.Random, spec: packing.PackingSpec,
+                    ) -> tuple[str, list, list[list]]:
+    """A seeded mutation of a packing, as its description and the frame's
+    and pieces' vertex lists. A vertex moves, and a triangle is anchored,
+    onto another vertex of the packing or a small step from one, so that
+    contacts are made and broken."""
+    frame = list(spec.rect.curve.vertices)
+    pieces = [list(piece.vertices) for piece in spec.pieces]
+    points = frame + [p for piece in pieces for p in piece]
+
+    def step() -> RatPoint:
+        return RatPoint(Fraction(rng.randrange(-4, 5), rng.choice((4, 8))),
+                        Fraction(rng.randrange(-4, 5), rng.choice((4, 8))))
+
+    kind = rng.choice(("move piece", "move vertex", "drop", "duplicate",
+                       "triangle"))
+    i = rng.randrange(len(pieces))
+    if kind == "move piece":
+        shift = step()
+        pieces[i] = [p + shift for p in pieces[i]]
+        what = f"move piece {i} by {shift.x},{shift.y}"
+    elif kind == "move vertex":
+        host = frame if rng.random() < 0.25 else pieces[i]
+        t = rng.randrange(len(host))
+        host[t] = rng.choice(points) if rng.random() < 0.5 else host[t] + step()
+        name = "frame" if host is frame else f"piece {i}"
+        what = f"move vertex {t} of {name} to {host[t].x},{host[t].y}"
+    elif kind == "drop":
+        del pieces[i]
+        what = f"drop piece {i}"
+    elif kind == "duplicate":
+        pieces.append(list(pieces[i]))
+        what = f"duplicate piece {i}"
+    else:
+        anchor = rng.choice(points)
+        if rng.random() < 0.5:
+            anchor += step()
+        tri = [anchor, anchor + step(), anchor + step()]
+        (ux, uy), (vx, vy) = ((p.x - anchor.x, p.y - anchor.y)
+                              for p in tri[1:])
+        if ux * vy < uy * vx:  # clockwise
+            tri[1], tri[2] = tri[2], tri[1]
+        pieces.append(tri)
+        what = f"add triangle {fmt([(p.x, p.y) for p in tri])}"
+    return what, frame, pieces
+
+
+def packing_verdict(spec: packing.PackingSpec, frame: list,
+                    pieces: list[list]) -> str:
+    try:
+        rect = packing.TopoRectangle(validate_curve(frame), spec.rect.corners)
+        _, graph = packing.validate_packing(packing.PackingSpec(
+            rect, tuple([validate_curve(p) for p in pieces])))
+    except (FpIndexError, ValueError) as err:
+        return f"{type(err).__name__}: {err}"
+    return (f"edges {fmt(sorted_edges(graph))} "
+            f"triangles {fmt(sorted_triangles(graph))}")
+
+
+def mutation_dump(seed: int) -> list[str]:
+    """validate_packing on seeded mutations of the fixture packings."""
+    rng = random.Random(f"kernel-dump-packing-mutations:{seed}")
+    specs = [(f"{name} {side}", spec) for name, make in (
+                 ("one_piece_pair", one_piece_pair),
+                 ("two_piece_pair", two_piece_pair),
+                 ("bent_one_piece_pair", bent_one_piece_pair))
+             for side, spec in zip("ab", make()[:2])]
+    out = []
+    for k in range(PACKING_MUTATIONS):
+        name, spec = rng.choice(specs)
+        what, frame, pieces = mutated_packing(rng, spec)
+        out.append(f"mutation {k} {name} {what}: "
+                   f"{packing_verdict(spec, frame, pieces)}")
     return out
 
 

@@ -4,11 +4,11 @@ A packing is a frame (a simple closed polygon with four marked corner
 vertices) holding finitely many interiorwise disjoint polygonal Jordan
 domains.  Pieces touch each other at single mutual vertices, touch each frame
 side at most once and never at a marked corner, and every complementary face
-of the arrangement must be a topological triangle, which makes the contact
-structure a triangulation of a square.  Exactly two boundaries meet at each
-contact point, so the contact structure alone fixes the counterclockwise
-order of the arcs there, and the faces are traced on that rotation with no
-angular geometry.
+of the arrangement must be a topological triangle.  Exactly two boundaries
+meet at each contact point, so the contact structure alone fixes the
+counterclockwise order of the arcs there, and the faces are traced on that
+rotation with no angular geometry.  The contact graph is read off the checked
+faces, and they make it a triangulation of a square.
 
 Two packings with the same contact structure whose frames overlay in the
 interleaved position cannot be matched piece by piece without a cut.  The
@@ -129,7 +129,8 @@ class PackingSpec:
 
 @value_type
 class ContactGraph:
-    """Tangency structure: frame sides a-d plus one vertex per piece."""
+    """Tangency structure: frame sides a-d plus one vertex per piece, with
+    the edges and triangles that _analyze reads off the checked faces."""
 
     __slots__ = _fields = ("piece_count", "edges", "triangles")
 
@@ -207,13 +208,14 @@ def _pair_meeting(first: PolyJordanCurve, second: PolyJordanCurve,
     return crossed, touches, overlap
 
 
-def _scan_contacts(spec: PackingSpec) -> dict[RatPoint, set]:
+def _scan_contacts(spec: PackingSpec) -> tuple[dict, dict, list]:
     """All tangency points with the labels meeting there, after checking the
-    packing contact rules pair by pair."""
+    packing contact rules pair by pair, and the frame's and each piece's
+    vertex index by point."""
     rect = spec.rect
-    rect_vertex = {p: i for i, p in enumerate(rect.curve.vertices)}
+    rect_vertex, *piece_vertex = [{p: t for t, p in enumerate(c.vertices)}
+                                  for c in (rect.curve, *spec.pieces)]
     corner_points = set(rect.corner_points)
-    piece_vertices = [set(piece.vertices) for piece in spec.pieces]
 
     by_point: dict[RatPoint, set] = {}
     used_sides: set[tuple[int, int]] = set()
@@ -224,7 +226,7 @@ def _scan_contacts(spec: PackingSpec) -> dict[RatPoint, set]:
         if overlap:
             raise PieceOutsideRect(f"piece {i} runs along the frame boundary")
         for p in touches:
-            if p not in rect_vertex or p not in piece_vertices[i]:
+            if p not in rect_vertex or p not in piece_vertex[i]:
                 raise PieceOutsideRect(
                     f"piece {i} touches the frame off a mutual vertex")
             if p in corner_points:
@@ -248,7 +250,7 @@ def _scan_contacts(spec: PackingSpec) -> dict[RatPoint, set]:
                 raise PiecesOverlap(
                     f"pieces {i} and {j} meet at more than one point")
             for p in touches:
-                if p not in piece_vertices[i] or p not in piece_vertices[j]:
+                if p not in piece_vertex[i] or p not in piece_vertex[j]:
                     raise PiecesOverlap(
                         f"pieces {i} and {j} touch off a mutual vertex")
                 by_point.setdefault(p, set()).update({i, j})
@@ -266,7 +268,7 @@ def _scan_contacts(spec: PackingSpec) -> dict[RatPoint, set]:
                               is PointLocation.INSIDE
                               for v in piece.vertices[:2]):
                 raise PiecesOverlap(f"piece {i} reaches inside piece {j}")
-    return by_point
+    return by_point, rect_vertex, piece_vertex
 
 
 # -- arrangement of the packed boundaries ----------------------------------------
@@ -276,7 +278,7 @@ def _scan_contacts(spec: PackingSpec) -> dict[RatPoint, set]:
 class _Node:
     """A contact point or a marked frame corner."""
 
-    __slots__ = _fields = ("nid", "point", "objects", "is_corner")
+    __slots__ = _fields = ("nid", "point", "objects")
 
 
 @value_type
@@ -329,9 +331,19 @@ def _analyze(spec: PackingSpec) -> _Analysis:
     (frame out, piece out, piece back, frame back) for the frame and a
     piece, and (frame out, frame back) at a corner. The faces are traced on
     that rotation (trace_faces) and sorted into piece interiors, interstices
-    and the outer face, and the contact graph must triangulate the square.
+    and the outer face.
+
+    The contact graph's edges are the nodes' object sets (a corner's is its two
+    sides) and its triangles the interstices' object triples; it triangulates
+    the square. With C contact nodes and k pieces there are A = 2C + 4 arcs.
+    Euler's count with one outer face and k interiors leaves T = C + 1 - k
+    interstices, and the 2A half-edges are 3T in the triangular interstices
+    plus one cycle per boundary, A in all, so 3T = A. With V = k + 4 and
+    E = C + 4 distinct edges, these are V - E + T + 1 = 2 and 3T = 2E - 4.
+    Each corner of an interstice is a node whose two objects host the arcs
+    meeting there, so every side of a triangle is an edge.
     """
-    contacts = _scan_contacts(spec)
+    contacts, rect_vertex, piece_vertex = _scan_contacts(spec)
     rect = spec.rect
 
     for i in range(len(spec.pieces)):
@@ -342,26 +354,24 @@ def _analyze(spec: PackingSpec) -> _Analysis:
             raise BadInterstice(
                 f"{len(objs)} boundaries meet at one contact point, want two")
 
-    node_specs = [(p, frozenset(objs), False) for p, objs in contacts.items()]
+    node_specs = [(p, frozenset(objs)) for p, objs in contacts.items()]
     for k in range(4):
         node_specs.append((rect.corner_points[k],
-                           frozenset({SIDES[k - 1], SIDES[k]}), True))
+                           frozenset({SIDES[k - 1], SIDES[k]})))
     node_specs.sort(key=lambda s: (s[0].x, s[0].y))
-    nodes = tuple(_Node(nid, p, objs, corner)
-                  for nid, (p, objs, corner) in enumerate(node_specs))
+    nodes = tuple(_Node(nid, p, objs)
+                  for nid, (p, objs) in enumerate(node_specs))
     if len({nd.objects for nd in nodes}) != len(nodes):
         raise InvariantFailure("two contact points share an object set")
 
-    rect_vertex = {p: i for i, p in enumerate(rect.curve.vertices)}
     arcs: list[_Arc] = []
     rect_stops = [(rect_vertex[nd.point], nd.nid) for nd in nodes
-                  if nd.is_corner or any(isinstance(o, str) for o in nd.objects)]
+                  if any(isinstance(o, str) for o in nd.objects)]
     for tail, head, pts in _split_curve(rect.curve, rect_stops):
         side = rect.side_of_vertex(rect_vertex[pts[0]])
         arcs.append(_Arc(len(arcs), SIDES[side], tail, head, pts))
     for i, piece in enumerate(spec.pieces):
-        piece_vertex = {p: t for t, p in enumerate(piece.vertices)}
-        stops = [(piece_vertex[nd.point], nd.nid) for nd in nodes
+        stops = [(piece_vertex[i][nd.point], nd.nid) for nd in nodes
                  if i in nd.objects]
         for tail, head, pts in _split_curve(piece, stops):
             arcs.append(_Arc(len(arcs), i, tail, head, pts))
@@ -369,7 +379,6 @@ def _analyze(spec: PackingSpec) -> _Analysis:
     faces: list[_Face] = []
     interstices: list[int] = []
     piece_face: dict[int, int] = {}
-    outer_count = 0
     out_half, back_half = {}, {}  # by (node, piece index or "frame")
     for arc in arcs:
         owner = "frame" if isinstance(arc.host, str) else arc.host
@@ -393,7 +402,6 @@ def _analyze(spec: PackingSpec) -> _Analysis:
         hosts = {arcs[aid].host for aid, _ in cycle}
         if area < 0:
             kind, objects = "outer", None
-            outer_count += 1
         elif (all(forward for _, forward in cycle) and len(hosts) == 1
               and isinstance(next(iter(hosts)), int)):
             kind, objects = "interior", None
@@ -405,7 +413,8 @@ def _analyze(spec: PackingSpec) -> _Analysis:
                           for aid, forward in cycle])
         faces.append(_Face(fid, cycle, node_ids, polygon, kind, objects))
 
-    if outer_count != 1 or len(nodes) - len(arcs) + len(faces) != 2:
+    if (sum(face.kind == "outer" for face in faces) != 1
+            or len(nodes) - len(arcs) + len(faces) != 2):
         raise BadInterstice("tangency structure is disconnected or has holes")
     for i in range(len(spec.pieces)):
         if i not in piece_face:
@@ -424,32 +433,13 @@ def _analyze(spec: PackingSpec) -> _Analysis:
             if isinstance(arcs[aid].host, str) and not forward:
                 raise InvariantFailure("interstice walk left the frame")
 
-    edges = {frozenset({SIDES[k], SIDES[(k + 1) % 4]}) for k in range(4)}
-    for nd in nodes:
-        if not nd.is_corner:
-            labels = sorted(nd.objects, key=_label_key)
-            edges.update(frozenset({u, v}) for x, u in enumerate(labels)
-                         for v in labels[x + 1:])
-    triples = [faces[fid].objects for fid in interstices]
-    triangles = frozenset(triples)
-    if len(triangles) != len(triples):
+    triangles = frozenset([faces[fid].objects for fid in interstices])
+    if len(triangles) != len(interstices):
         raise InvariantFailure("two complementary faces share a side triple")
-    for tri in triangles:
-        labels = sorted(tri, key=_label_key)
-        for x, u in enumerate(labels):
-            for v in labels[x + 1:]:
-                if frozenset({u, v}) not in edges:
-                    raise InvariantFailure("triangle side without a contact")
-    vertex_count = len(spec.pieces) + 4
-    if (vertex_count - len(edges) + len(triangles) + 1 != 2
-            or 3 * len(triangles) != 2 * len(edges) - 4):
-        raise BadInterstice(
-            "contact structure is not a triangulation of a square")
-
-    return _Analysis(nodes=nodes, arcs=tuple(arcs),
-                     faces=tuple(faces),
+    return _Analysis(nodes=nodes, arcs=tuple(arcs), faces=tuple(faces),
                      interstices=tuple(interstices),
-                     graph=ContactGraph(len(spec.pieces), frozenset(edges),
+                     graph=ContactGraph(len(spec.pieces),
+                                        frozenset(nd.objects for nd in nodes),
                                         triangles))
 
 
@@ -596,6 +586,10 @@ def assemble_theorem_certificate(first: PackingSpec, second: PackingSpec,
                         *_checked_analyses(first, second, correspondence))
 
 
+def _vertex_param(curve: PolyJordanCurve, p: RatPoint) -> Fraction:
+    return Fraction(curve.vertices.index(p), len(curve))
+
+
 def _certificate(first: PackingSpec, second: PackingSpec,
                  correspondence: Sequence[int], first_a: _Analysis,
                  second_a: _Analysis, overlay: OverlayReport,
@@ -605,26 +599,22 @@ def _certificate(first: PackingSpec, second: PackingSpec,
     from .prescribe import prescribe
     from .torus import build_diagram, realize_path
 
-    mate_face = {second_a.faces[fid].objects: fid
-                 for fid in second_a.interstices}
-    mate_node = {nd.objects: nd for nd in second_a.nodes}
+    mate_face = {f.objects: f for f in second_a.faces if f.kind == "interstice"}
+    mate_point = {nd.objects: nd.point for nd in second_a.nodes}
     # (face objects, (source, target, map)) per interstice, for _carry
     inter_maps: list[tuple[frozenset, tuple]] = []
     inter_indices: list[int] = []
     triples: list[tuple] = []
     for fid in first_a.interstices:
         face = first_a.faces[fid]
-        mate = second_a.faces[mate_face[_relabel(face.objects, correspondence)]]
-        source = PolyJordanCurve(face.polygon)
-        target = PolyJordanCurve(mate.polygon)
-        corner_pairs = []
-        for nid in face.node_ids:
-            node = first_a.nodes[nid]
-            mate_nd = mate_node.get(_relabel(node.objects, correspondence))
-            if mate_nd is None:
-                raise HypothesesNotMet("contact points do not correspond")
-            corner_pairs.append((source.locate_param(node.point),
-                                 target.locate_param(mate_nd.point)))
+        mate = mate_face[_relabel(face.objects, correspondence)]
+        # three arcs of distinct boundaries meeting only at three distinct
+        # nodes, with positive area: a simple, counterclockwise curve
+        source = trusted(PolyJordanCurve, loop=face.polygon)
+        target = trusted(PolyJordanCurve, loop=mate.polygon)
+        corner_pairs = [(_vertex_param(source, node.point), _vertex_param(
+            target, mate_point[_relabel(node.objects, correspondence)]))
+            for node in (first_a.nodes[nid] for nid in face.node_ids)]
         try:
             crossings = check_transverse(source, target)
         except NotTransverse as exc:

@@ -26,13 +26,7 @@ from .jordan import (
     check_transverse,
     validate_curve,
 )
-from .packing import (
-    PackingSpec,
-    TopoRectangle,
-    assemble_theorem_certificate,
-    find_cutting_pair,
-    validate_packing,
-)
+from .packing import PackingSpec, TopoRectangle, certify_incompatibility
 from .plmap import PLCorrespondence, fixed_point_index, random_correspondence
 from .prescribe import oracle_enumerate, prescribe
 from .torus import build_diagram, realize_path
@@ -159,10 +153,7 @@ def _builtin_packing_pair() -> tuple[PackingSpec, PackingSpec, list[int]]:
 def _suite_packing(_rng: random.Random, _trials: int) -> dict:
     violations = []
     first, second, correspondence = _builtin_packing_pair()
-    validate_packing(first)
-    validate_packing(second)
-    cutting = find_cutting_pair(first, second, correspondence)
-    cert = assemble_theorem_certificate(first, second, correspondence)
+    _, cutting, cert = certify_incompatibility(first, second, correspondence)
     if cutting != cert.cutting_index:
         violations.append({"why": "cutting indices disagree"})
     if cert.rect_index != cert.piece_sum + cert.interstice_sum:

@@ -201,6 +201,39 @@ class TestValidatePacking:
         with pytest.raises(BadInterstice):
             validate_packing(PackingSpec(rect, pieces))
 
+    @pytest.mark.parametrize("added, error, reason", [
+        ("edge on side a", PieceOutsideRect,
+         "piece 1 runs along the frame boundary"),
+        ("diamond again", PiecesOverlap,
+         "pieces 0 and 1 have boundaries that cross or run together"),
+        ("crescent at (4, 2) and (2, 4)", PiecesOverlap,
+         "pieces 0 and 1 meet at more than one point"),
+        ("far away", PieceOutsideRect, "piece 1 leaves the frame"),
+        ("floating", BadInterstice, "piece 1 touches nothing"),
+        ("floating pair", BadInterstice,
+         "tangency structure is disconnected or has holes"),
+    ])
+    def test_rejection_reasons(self, added, error, reason):
+        spec, _, _ = one_piece_pair()
+        pieces = {
+            "edge on side a": (curve((1, 0), (3, 0), (2, 1)),),
+            "diamond again": spec.pieces,
+            # outside the diamond, touching it at two of its vertices
+            "crescent at (4, 2) and (2, 4)": (curve(
+                (4, 2), (F(15, 4), F(15, 4)), (2, 4), (F(13, 4), F(13, 4))),),
+            "far away": (curve((10, 10), (11, 10), (10, 11)),),
+            # inside the interstice at the marked corner (4, 0)
+            "floating": (curve((3, F(1, 4)), (F(15, 4), F(1, 4)),
+                               (F(15, 4), 1)),),
+            "floating pair": (
+                curve((3, F(1, 4)), (F(7, 2), F(1, 4)), (F(7, 2), F(3, 4))),
+                curve((F(7, 2), F(1, 4)), (F(15, 4), F(1, 4)),
+                      (F(15, 4), F(3, 4)))),
+        }[added]
+        with pytest.raises(error) as caught:
+            validate_packing(PackingSpec(spec.rect, spec.pieces + pieces))
+        assert str(caught.value) == reason
+
     def test_graph_is_affine_invariant(self):
         spec, _, _ = two_piece_pair()
         _, graph = validate_packing(spec)
@@ -352,10 +385,13 @@ class TestFindCuttingPair:
             find_cutting_pair(first, far, corr)
 
     def test_mismatched_contact_structure_rejected(self):
-        first, second, _ = one_piece_pair()
-        two, _, _ = two_piece_pair()
-        with pytest.raises((HypothesesNotMet, InputRejection)):
-            find_cutting_pair(first, two, [0])
+        # swapping the pieces sends piece 0's contact with side a to a
+        # piece that touches side c instead
+        first, second, _ = two_piece_pair()
+        with pytest.raises(HypothesesNotMet) as caught:
+            find_cutting_pair(first, second, [1, 0])
+        assert str(caught.value) == (
+            "contact structures do not match under the correspondence")
 
 
 def shipped_packings(name: str):
@@ -425,6 +461,14 @@ class TestCertificate:
         assert cert.rect_index == -1
         assert cert.cutting_index is None
         assert cert.piece_indices == ()
+
+    def test_bare_frames_with_a_fixed_point_are_rejected(self):
+        bare = PackingSpec(one_piece_pair()[0].rect, ())
+        with pytest.raises(HypothesesNotMet) as caught:
+            assemble_theorem_certificate(bare, bare, [])
+        assert str(caught.value) == ("frame corner map rejected: "
+                                     "correspondence is the identity on the "
+                                     "boundary")
 
     def test_certificate_survives_affine_image(self):
         first, second, corr = one_piece_pair()

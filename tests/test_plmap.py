@@ -84,6 +84,11 @@ class TestPLCorrespondence:
         with pytest.raises(InputRejection):
             PLCorrespondence(((F(0), F(0)), (F(1), F(1, 2))))
 
+    def test_rejects_target_out_of_range(self):
+        with pytest.raises(InputRejection,
+                           match=r"^target parameters must lie in \[0, 1\)$"):
+            PLCorrespondence(((F(0), F(0)), (F(1, 2), F(1))))
+
     def test_evaluate_at_and_between_breakpoints(self):
         phi = PLCorrespondence(((F(0), F(1, 2)), (F(1, 2), F(3, 4))))
         assert phi.evaluate(F(0)) == F(1, 2)
@@ -793,6 +798,19 @@ class TestGlue:
         # Rotating the right map's parameters misaligns the shared arc.
         with pytest.raises((ArcsDisagree, BadGluingGeometry)):
             glue(sa, ta, phi_a, sb, tb, rotation_params(4, 1))
+
+    def test_glue_rejects_a_shared_edge_mapped_inside_itself(self):
+        # Each square is its own target, and each map sends the shared edge
+        # x = 1 onto a proper sub-arc of it, so the glued target lacks the
+        # images of the edge's far parts.
+        a, b = square_curve(0, 0, 1, 1), square_curve(1, 0, 2, 1)
+        phi_a = PLCorrespondence(((F(0), F(0)), (F(1, 4), F(5, 16)),
+                                  (F(1, 2), F(7, 16)), (F(3, 4), F(3, 4))))
+        phi_b = PLCorrespondence(((F(0), F(15, 16)), (F(1, 4), F(1, 16)),
+                                  (F(1, 2), F(1, 2)), (F(3, 4), F(13, 16))))
+        with pytest.raises(ArcsDisagree,
+                           match="^image point missing from the glued target$"):
+            glue(a, a, phi_a, b, b, phi_b)
 
     def test_glue_rejects_disjoint_sources(self):
         sa, ta, phi_a, _, tb, phi_b = nested_glue_fixture()

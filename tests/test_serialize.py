@@ -84,6 +84,13 @@ class TestPackings:
         with pytest.raises(InputRejection):
             load_packing({"pieces": []})
 
+    def test_rejects_pieces_that_are_not_a_list(self):
+        obj = dump_packing(one_piece_pair()[0])
+        obj["pieces"] = {"0": obj["pieces"][0]}
+        with pytest.raises(InputRejection,
+                           match=r"^packing\.pieces must be a list$"):
+            load_packing(obj)
+
     def test_rejects_bad_corners(self):
         spec, _, _ = one_piece_pair()
         obj = dump_packing(spec)

@@ -118,6 +118,43 @@ class TestBuildDiagram:
         with pytest.raises(InputRejection, match=reason):
             TorusDiagram(order, order, tuple(sorted(kinds.items())))
 
+    @pytest.mark.parametrize("case, error, reason", [
+        ("a mark missing from the rows", InputRejection,
+         "column and row token sets differ"),
+        ("a mark twice", InputRejection, "duplicate tokens"),
+        ("a mark first", OrderViolation,
+         "orders must start at the first constraint"),
+        ("two constraints", InputRejection, "need exactly three constraints"),
+        ("constraints 2 and 3 swapped", OrderViolation,
+         "constraints must appear in the same cyclic order on both curves"),
+        ("a kind missing", InputRejection,
+         "kinds must cover exactly the marks"),
+        ("no marks", InputRejection,
+         "a diagram without marks needs a containment tag"),
+        ("two column parameters", InputRejection,
+         "parameter list does not match token count"),
+    ])
+    def test_constructor_rejection_reasons(self, case, error, reason):
+        order = (("c", 1), ("m", 0), ("c", 2), ("m", 1), ("c", 3))
+        kinds = ((0, CrossKind.P), (1, CrossKind.PTILDE))
+        args = {
+            "a mark missing from the rows": (order, order[:-2] + order[-1:],
+                                             kinds),
+            "a mark twice": (order + (("m", 0),),) * 2 + (kinds,),
+            "a mark first": (order[1:] + order[:1],) * 2 + (kinds,),
+            "two constraints": (order[:-1],) * 2 + (kinds,),
+            "constraints 2 and 3 swapped": (
+                (("c", 1), ("m", 0), ("c", 3), ("m", 1), ("c", 2)),) * 2
+                + (kinds,),
+            "a kind missing": (order, order, kinds[:1]),
+            "no marks": ((("c", 1), ("c", 2), ("c", 3)),) * 2 + ((),),
+            "two column parameters": (order, order, kinds, None,
+                                      (F(0), F(1, 2))),
+        }[case]
+        with pytest.raises(error) as caught:
+            TorusDiagram(*args)
+        assert str(caught.value) == reason
+
     def test_canonical_pair_row_order(self):
         # Along the first curve the crossings alternate enter/exit going down
         # the wall; along the second curve they come back bottom-up.
@@ -257,6 +294,17 @@ class TestStaircasePath:
             StaircasePath(((F(0), F(0)), (F(1, 2), F(1, 2)), (F(1, 2), F(3, 4)),
                            (F(1), F(1))))
 
+    def test_rejects_a_path_that_misses_a_corner(self):
+        with pytest.raises(InputRejection,
+                           match=r"^path must run from \(0,0\) to \(1,1\)$"):
+            StaircasePath(((F(0), F(0)), (F(1), F(1, 2))))
+
+    def test_y_at_rejects_a_query_outside_the_square(self):
+        path = StaircasePath(((F(0), F(0)), (F(1), F(1))))
+        with pytest.raises(InputRejection,
+                           match="^query outside the unit square$"):
+            path.y_at(F(5, 4))
+
     def test_y_at_interpolates(self):
         path = StaircasePath(((F(0), F(0)), (F(1, 2), F(1, 4)), (F(1), F(1))))
         assert path.y_at(F(1, 4)) == F(1, 8)
@@ -271,6 +319,15 @@ class TestStaircasePath:
         below, above = delta_split(diagram, path)
         assert below == frozenset({0})
         assert above == frozenset({1})
+
+    def test_correspondence_needs_true_parameters(self):
+        diagram = abstract_diagram(
+            (("c", 1), ("m", 0), ("c", 2), ("m", 1), ("c", 3)),
+            (("c", 1), ("m", 0), ("c", 2), ("m", 1), ("c", 3)),
+            {0: CrossKind.P, 1: CrossKind.PTILDE})
+        with pytest.raises(InputRejection,
+                           match="^diagram carries no true parameters$"):
+            path_of_correspondence(diagram, identity_params(4))
 
     def test_path_through_mark_rejected(self):
         _, _, _, diagram = lens_fixture()

@@ -192,7 +192,6 @@ class _Node:
     nid: object
     point: object
     objects: object
-    is_corner: object
 
 
 @dataclass(frozen=True)
