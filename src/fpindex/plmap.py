@@ -36,7 +36,7 @@ from __future__ import annotations
 import bisect
 from fractions import Fraction
 from itertools import starmap
-from math import lcm
+from math import gcd, lcm
 from typing import Iterable, Iterator
 
 from .errors import (
@@ -117,17 +117,24 @@ class PLCorrespondence:
         return obj
 
     def evaluate(self, s: Fraction) -> Fraction:
-        s = s % 1
+        """phi(s), s taken mod 1: interpolated on integers, one `Fraction`
+        at the end."""
+        s = s if 0 <= s.numerator < s.denominator else s % 1
+        p, q = s.numerator, s.denominator
         bps = self.breakpoints
         n = len(bps)
         i = bisect.bisect_right(self.s_vals, s) - 1
-        if i < 0:
-            i = n - 1
-            s = s + 1
-        s_i, t_i = bps[i]
-        s_next = bps[(i + 1) % n][0] + (1 if i == n - 1 else 0)
-        t_step = (bps[(i + 1) % n][1] - t_i) % 1
-        return (t_i + t_step * (s - s_i) / (s_next - s_i)) % 1
+        if i < 0:  # on the last piece, past s = 1
+            i, p = n - 1, p + q
+        (s0, t0), (s1, t1) = bps[i], bps[(i + 1) % n]
+        a, b, c, d = s0.numerator, s0.denominator, t0.numerator, t0.denominator
+        e, f, g, h = s1.numerator, s1.denominator, t1.numerator, t1.denominator
+        # t0 + ((t1 - t0) % 1) * (s - s0) / (s1 - s0), the last piece
+        # ending at s1 + 1
+        ds = e * b - a * f + (b * f if i == n - 1 else 0)
+        den = d * h * q * ds
+        return Fraction((c * h * q * ds + (g * d - c * h) % (d * h)
+                         * (p * b - a * q) * f) % den, den)
 
     def invert(self) -> "PLCorrespondence":
         """The inverse map: the flipped pairs, rotated to start at the least
@@ -184,11 +191,14 @@ def _bend_steps(n_source: int, n_target: int, phi: PLCorrespondence,
 
     A piece of phi, from (s_k, t_k) to (s_k+1, t_k+1), has its own
     denominator D, the lcm of its breakpoints' denominators, integer widths
-    ds and dt over D, and a local integer u in [0, U), U = lcm(n_source *
-    ds, n_target * dt), G = D * U. Each curve's vertices in the piece are
-    an arithmetic progression in u, and the walk merges the two: i steps
-    up at a source vertex and j at a target-vertex preimage, each wrapping
-    to 0 (S or T down by G) at its curve's vertex count. The piece holding
+    ds and dt over D, and a local integer u in [0, U), G = D * U. One gcd
+    gives a = n_target dt / gcd(n_source ds, n_target dt) and b likewise,
+    and U = n_source ds a: each curve's vertices in the piece are then an
+    arithmetic progression in u of stride D a or D b, which the walk
+    merges: i steps up at a source vertex and j at a target-vertex
+    preimage, each wrapping to 0 (S or T down by G) at its curve's vertex
+    count. A run from a breakpoint takes its first cell from that
+    breakpoint's own fractions, with no division by G. The piece holding
     s = 1 is walked from there to its end first, and up to there last.
     """
     (lx_s, _, lo_s, hi_s), (_, hx_t, lo_t, hi_t) = keys or (((),) * 4,) * 2
@@ -201,19 +211,23 @@ def _bend_steps(n_source: int, n_target: int, phi: PLCorrespondence,
         s0, t0 = sa * (den // qa), ta * (den // wa)
         ds = (sb * (den // qb) - s0) % den
         dt = (tb * (den // wb) - t0) % den
-        span = lcm(n_source * ds, n_target * dt)
-        pieces.append((den * span, s0 * span, t0 * span, ds, dt, span))
+        gamma = gcd(n_source * ds, n_target * dt)
+        a, b = n_target * dt // gamma, n_source * ds // gamma
+        pieces.append((den, s0, t0, ds, dt, a, b, n_source * ds * a,
+                       n_source * sa // qa, n_target * ta // wa))
     last = pieces.pop()
-    one = (last[0] - last[1]) // last[3]  # the local u of s = 1
-    runs = [(last, one, last[5]), *[(p, 0, p[5]) for p in pieces],
+    one = (last[0] - last[1]) * n_source * last[5]  # the local u of s = 1
+    runs = [(last, one, last[7]), *[(p, 0, p[7]) for p in pieces],
             (last, 0, one)]
-    for (g, s, t, ds, dt, _), u, end in runs:
-        wrap_s, i = divmod((s + u * ds) * n_source // g, n_source)
-        wrap_t, j = divmod((t + u * dt) * n_target // g, n_target)
-        s, t = s - wrap_s * g, t - wrap_t * g  # the first run starts at s = 1
-        stride_s, stride_t = g // (n_source * ds), g // (n_target * dt)
-        next_s = (i + 1) * stride_s - s // ds
-        next_t = (j + 1) * stride_t - t // dt
+    for (den, s0, t0, ds, dt, a, b, span, i, j), u, end in runs:
+        g = den * span
+        if u:  # the first run starts at s = 1, on source edge 0
+            wrap_t, j = divmod((t0 * span + u * dt) * n_target // g, n_target)
+            i, s0, t0 = 0, s0 - den, t0 - wrap_t * den
+        s, t = s0 * span, t0 * span
+        stride_s, stride_t = den * a, den * b
+        next_s = (i + 1) * stride_s - n_source * a * s0
+        next_t = (j + 1) * stride_t - n_target * b * t0
         piece = (g, s, t, ds, dt)
         while u < end:
             v = next_s if next_s < next_t else next_t

@@ -28,6 +28,9 @@ Cutting at another prescribed pair is a cyclic shift of the torus by that
 pair's token ranks, so the reading at that cut follows from the marks' ranks
 and sides at the first, with no diagram or path rebuilt. One routine reads
 a path's integer vertices on the diagram's integer form (`_read_path`).
+Maps and paths are carried into each other on integer ratios, off one
+cached table per axis (`_axis`); a `Fraction` is made only for a value
+that a path or a map stores.
 
 Diagrams and paths are checked once, where they enter: by the
 `TorusDiagram` and `StaircasePath` constructors. Those this module derives
@@ -148,16 +151,9 @@ class TorusDiagram:
                      p_ids, forced, self.containment)
 
     @cached_property
-    def _offsets(self) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
-        """Per axis, each token's parameter offset from the first token, mod
-        1, as an integer pair (numerator, denominator), closed by (1, 1)."""
-        return tuple([[((p - params[0]) % 1).as_integer_ratio()
-                       for p in params] + [(1, 1)]
-                      for params in (self.col_params, self.row_params)])
-
-    @cached_property
-    def _unit_params(self) -> tuple[list[Fraction], list[Fraction]]:
-        return _unit(self.col_params), _unit(self.row_params)
+    def _axes(self) -> tuple[tuple, tuple]:
+        """The per-axis tables (`_axis`), columns then rows."""
+        return _axis(self.col_params), _axis(self.row_params)
 
 
 class Ranks(NamedTuple):
@@ -231,22 +227,27 @@ def _check_alternation(cols: Sequence[TokenId], rows: Sequence[TokenId],
         raise AlternationViolation("mark kinds fail to alternate along a circle")
 
 
-def _unit(params: Sequence[Fraction]) -> list[Fraction]:
-    """The parameters mod 1, reduced only if one lies outside [0, 1)."""
+def _axis(params: Sequence[Fraction]) -> tuple[list, list, int]:
+    """The table that carries token positions on one axis to parameters
+    and back: (offsets, units, drop). offsets[k] is token k's offset
+    (p - p0) % 1 as the unreduced pair ((a d - c b) % (b d), b d) for
+    p = a/b and p0 = c/d, closed by (1, 1); units are the parameters mod 1,
+    reduced only if one lies outside [0, 1); drop is the first rank where
+    p0 % 1 + offset reaches 1, whose unit parameter lies below the first."""
+    c, d = params[0].numerator, params[0].denominator
+    offsets = [((p.numerator * d - c * p.denominator) % (p.denominator * d),
+                p.denominator * d) for p in params] + [(1, 1)]
+    rest = d - c % d  # 1 - p0 % 1, over d
+    drop = next(k for k, (e, f) in enumerate(offsets) if e * d >= rest * f)
     if all(0 <= p.numerator < p.denominator for p in params):
-        return list(params)
-    return [p % 1 for p in params]
+        return offsets, list(params), drop
+    return offsets, [p % 1 for p in params], drop
 
 
 def _cyclically_increasing(params: Sequence[Fraction]) -> bool:
-    """Do the offsets (p - params[0]) % 1 increase strictly?
-
-    On values in [0, 1) that holds exactly when the sequence rises strictly
-    but for at most one drop, and after a drop ends below its start.
-    """
-    params = _unit(params)
-    drops = sum(1 for a, b in zip(params, params[1:]) if b <= a)
-    return drops == 0 or (drops == 1 and params[-1] < params[0])
+    """Do the offsets (p - params[0]) % 1 increase strictly?"""
+    offsets = _axis(params)[0]
+    return all(a * f < e * b for (a, b), (e, f) in zip(offsets, offsets[1:]))
 
 
 def build_diagram(first: PolyJordanCurve, second: PolyJordanCurve,
@@ -352,26 +353,31 @@ def path_of_correspondence(diagram: TorusDiagram,
     One merge walk from the cut: in the offsets u = s - s1 and v = t - t1,
     both mod 1, phi is an increasing map of [0, 1) that fixes 0. The path
     has a vertex at each breakpoint of phi, at each column token and at the
-    preimage of each row token. Every offset is held as an integer pair
-    (numerator, denominator), compared by cross-multiplication and
-    interpolated on integers; equal offsets from the three sources merge
-    into one vertex. A column token sits at x = k/n and a row-token
-    preimage at y = j/n with no arithmetic, and every other coordinate
-    costs one `Fraction`. The walk's offsets rise strictly and phi is
-    increasing, so the path is built without a check.
+    preimage of each row token. Every offset is held as an unreduced
+    integer pair (numerator, denominator): phi's knots are its breakpoints
+    rotated to start at s1, the tokens' come from the diagram's per-axis
+    table. They are compared by cross-multiplication and interpolated on
+    integers; equal offsets from the three sources merge into one vertex.
+    A column token sits at x = k/n and a row-token preimage at y = j/n with
+    no arithmetic, and every other coordinate costs one `Fraction`. The
+    walk's offsets rise strictly and phi is increasing, so the path is
+    built without a check.
     """
     if diagram.col_params is None:
         raise InputRejection("diagram carries no true parameters")
-    s1 = diagram.col_params[0]
-    t1 = diagram.row_params[0]
+    (cols, s_units, _), (rows, t_units, _) = diagram._axes
+    s1, t1 = s_units[0], t_units[0]
     if phi.evaluate(s1) != t1:
         raise InputRejection("correspondence misses the first prescribed pair")
-    knots = sorted([((s - s1) % 1, (t - t1) % 1) for s, t in phi.breakpoints])
-    (u_last, v_last), (u_first, v_first) = knots[-1], knots[0]
-    knots = [(u_last - 1, v_last - 1), *knots, (u_first + 1, v_first + 1)]
-    knots = [(u.numerator, u.denominator, v.numerator, v.denominator)
-             for u, v in knots]
-    cols, rows = diagram._offsets
+    sn, sd, tn, td = s1.numerator, s1.denominator, t1.numerator, t1.denominator
+    bps = phi.breakpoints
+    cut = bisect.bisect_left(phi.s_vals, s1)
+    knots = [((s.numerator * sd - sn * s.denominator) % (s.denominator * sd),
+              s.denominator * sd,
+              (t.numerator * td - tn * t.denominator) % (t.denominator * td),
+              t.denominator * td) for s, t in bps[cut:] + bps[:cut]]
+    (a, b, c, d), (a1, b1, c1, d1) = knots[-1], knots[0]
+    knots = [(a - b, b, c - d, d), *knots, (a1 + b1, b1, c1 + d1, d1)]
     # u at each row token's v, on the piece of phi over it; then u = 1
     pre = []
     p = 0
@@ -441,44 +447,49 @@ def realize_path(diagram: TorusDiagram, path: StaircasePath) -> PLCorrespondence
 
     A valid path rises strictly in both coordinates, and token positions map
     to parameters in cyclic order, so the pairs are a valid map once rotated
-    to the least source parameter; it is built without a check.
+    to the least source parameter (`_params_at` finds the least on each
+    axis); it is built without a check.
     """
     points = path.points[:-1]
     if len(points) < 2:
         raise InputRejection("need at least two breakpoints")
     if diagram.col_params is None:
         return PLCorrespondence._trusted(points, 0)
-    cols, rows = diagram._unit_params
-    s_vals = _params_at(cols, [x for x, _ in points])
-    t_vals = _params_at(rows, [y for _, y in points])
-    n = len(points)
-    lo = min(range(n), key=s_vals.__getitem__)
-    wrap = min(range(n), key=t_vals.__getitem__)
+    cols, rows = diagram._axes
+    s_vals, lo = _params_at(cols, [x for x, _ in points])
+    t_vals, wrap = _params_at(rows, [y for _, y in points])
     pairs = list(zip(s_vals, t_vals))
     return PLCorrespondence._trusted(tuple(pairs[lo:] + pairs[:lo]),
-                                     (wrap - lo) % n)
+                                     (wrap - lo) % len(points))
 
 
-def _params_at(params: list[Fraction],
-               positions: list[Fraction]) -> list[Fraction]:
-    """Parameters in [0, 1) at token positions in [0, 1), in one pass: p / q
-    on rank k (p * n = k * q) is token k's parameter, any other position one
-    integer interpolation across the gap from token k to the next."""
+def _params_at(axis, positions: list[Fraction]) -> tuple[list[Fraction], int]:
+    """Parameters in [0, 1) at rising token positions in [0, 1) from 0, in
+    one pass over an axis's table (`_axis`): p / q on rank k (p * n = k * q)
+    is token k's parameter, any other position one integer interpolation
+    across the gap to token k + 1. Also the index of the least parameter:
+    the first to wrap past 1, its rank at or past the drop or its
+    interpolation overflowing, or 0 if none does."""
+    _, params, drop = axis
     n = len(params)
     out = []
+    before = 0  # positions whose parameter has not wrapped
     for pos in positions:
         q = pos.denominator
         k, r = divmod(pos.numerator * n, q)
         lo = params[k]
         if r == 0:
             out.append(lo)
+            before += k < drop
             continue
         hi = params[(k + 1) % n]
         a, b, c, d = lo.numerator, lo.denominator, hi.numerator, hi.denominator
         # lo + ((hi - lo) % 1) * r / q, reduced mod 1, over b * d * q
+        den = b * d * q
         num = a * d * q + (c * b - a * d) % (b * d) * r
-        out.append(Fraction(num % (b * d * q), b * d * q))
-    return out
+        before += k < drop and num < den
+        out.append(Fraction(num % den, den))
+    return out, before % len(positions)
 
 
 def index_from_torus(diagram: TorusDiagram, path: StaircasePath,

@@ -397,3 +397,27 @@ class TestSelftestCommand:
         assert code == 2
         assert report == {"error": "InputRejection",
                           "reason": f"--trials must be at least 1, got {trials}"}
+
+
+class TestCompareOutputsScript:
+    def test_parent_src_checkout_mixes_the_two(self, tmp_path):
+        # this checkout's scripts and tests with the other checkout's src/,
+        # copied without bytecode, so the scripts find that src/ beside them
+        spec = importlib.util.spec_from_file_location(
+            "compare_outputs", ROOT / "scripts" / "compare_outputs.py")
+        script = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(script)
+        parent = tmp_path / "parent"
+        (parent / "src" / "fpindex" / "__pycache__").mkdir(parents=True)
+        (parent / "src" / "fpindex" / "marker.py").write_text("MARK = 1\n")
+        (parent / "src" / "fpindex" / "__pycache__" / "x.pyc").write_bytes(b"")
+        mixed = script.mixed_checkout(parent, tmp_path / "mixed")
+        assert sorted(p.name for p in mixed.iterdir()) == [
+            "scripts", "src", "tests"]
+        assert [p.name for p in (mixed / "src" / "fpindex").iterdir()] == [
+            "marker.py"]
+        for name in ("scripts/kernel_dump.py", "scripts/cli_snapshot.py",
+                     "scripts/make_fixtures.py", "tests/geomgen.py",
+                     "tests/fixtures/golden_twelve_trace.json"):
+            assert (mixed / name).read_bytes() == (ROOT / name).read_bytes()
+        assert not list(mixed.rglob("__pycache__"))

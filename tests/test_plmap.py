@@ -1,9 +1,11 @@
 """Circle correspondences, difference loops, index, gluing, transport."""
+import bisect
 import importlib.util
 import itertools
 import json
 import math
 import random
+import statistics
 from fractions import Fraction
 from math import lcm
 from pathlib import Path
@@ -105,6 +107,62 @@ class TestPLCorrespondence:
             for _ in range(10):
                 s = F(rng.randrange(2048), 2048)
                 assert inv.evaluate(phi.evaluate(s)) == s
+
+
+def reference_evaluate(phi, s):
+    """phi(s) on `Fraction`s: s mod 1 on the piece holding it, the last
+    piece running past s = 1 to the first breakpoint plus 1."""
+    s = s % 1
+    bps = phi.breakpoints
+    n = len(bps)
+    i = bisect.bisect_right(phi.s_vals, s) - 1
+    if i < 0:
+        i = n - 1
+        s = s + 1
+    s_i, t_i = bps[i]
+    s_next = bps[(i + 1) % n][0] + (1 if i == n - 1 else 0)
+    t_step = (bps[(i + 1) % n][1] - t_i) % 1
+    return (t_i + t_step * (s - s_i) / (s_next - s_i)) % 1
+
+
+def realized_maps(rng, count: int):
+    """Maps realize_path builds from path_of_correspondence's and
+    prescribe's paths on random star pairs: breakpoints with large
+    denominators that interpolate between crossing parameters."""
+    for _ in range(count):
+        first, second, crossings = random_transverse_pair(rng)
+        phi = random_correspondence(rng, rng.randrange(3, 9))
+        diagram = build_diagram(first, second, crossings,
+                                synthesize_constraints(crossings, phi, rng))
+        for path in (path_of_correspondence(diagram, phi),
+                     prescribe(diagram)[0]):
+            yield first, second, realize_path(diagram, path)
+
+
+class TestEvaluateOnIntegers:
+    def queries(self, rng, phi):
+        """Every breakpoint, 0 and a point below the first breakpoint, the
+        midpoints of the pieces (the last one's past 1), random points, and
+        all of them moved outside [0, 1) by whole turns."""
+        s_vals = phi.s_vals
+        qs = [*s_vals, F(0), s_vals[0] / 3,
+              *[(a + b) / 2 for a, b in zip(s_vals, s_vals[1:])],
+              (s_vals[-1] + 1) / 2,
+              *[F(rng.randrange(9973), 9973) for _ in range(5)]]
+        return qs + [q + rng.choice((-3, -1, 1, 2)) for q in qs]
+
+    def test_matches_the_fraction_formula(self):
+        rng = random.Random(9100)
+        maps = [mixed_correspondence(rng, rng.randrange(2, 10))
+                for _ in range(150)]
+        maps += [phi for *_, phi in realized_maps(rng, 25)]
+        below = 0
+        for phi in maps:
+            for s in self.queries(rng, phi):
+                got = phi.evaluate(s)
+                assert type(got) is F and got == reference_evaluate(phi, s)
+                below += s % 1 < phi.s_vals[0]
+        assert below > 300
 
 
 class TestRandomCorrespondence:
@@ -306,19 +364,19 @@ class TestBendWalkPerPiece:
 
     def test_matches_on_realized_paths(self):
         # realize_path mixes token parameters with interpolated ones, the
-        # maps fixed_point_index sees in the prescription pipeline
+        # maps fixed_point_index sees in the prescription pipeline; their
+        # pieces' denominators G run to hundreds of bits, where the walk
+        # sets each piece up from one gcd and no division by G
         rng = random.Random(8200)
         smaller = 0
-        for _ in range(30):
-            first, second, crossings = random_transverse_pair(rng)
-            phi = random_correspondence(rng, rng.randrange(3, 9))
-            diagram = build_diagram(first, second, crossings,
-                                    synthesize_constraints(crossings, phi, rng))
-            for path in (path_of_correspondence(diagram, phi),
-                         prescribe(diagram)[0]):
-                realized = realize_path(diagram, path)
-                smaller += self.check_walk(len(first), len(second), realized)
+        bits = []
+        for first, second, realized in realized_maps(rng, 30):
+            smaller += self.check_walk(len(first), len(second), realized)
+            bits += [g.bit_length() for g in {
+                g for _, _, g, *_ in _bend_walk(len(first), len(second),
+                                                realized)}]
         assert smaller > 30
+        assert statistics.median(bits) > 300 and max(bits) > 1500
 
 
 def reference_origin_winding(cycle):
@@ -448,15 +506,8 @@ class TestPrunedIndex:
                 self.check(second, first, phi.invert())
 
     def test_realized_maps(self):
-        rng = random.Random(8500)
-        for _ in range(12):
-            first, second, crossings = random_transverse_pair(rng)
-            phi = random_correspondence(rng, rng.randrange(3, 9))
-            diagram = build_diagram(first, second, crossings,
-                                    synthesize_constraints(crossings, phi, rng))
-            for path in (path_of_correspondence(diagram, phi),
-                         prescribe(diagram)[0]):
-                self.check(first, second, realize_path(diagram, path))
+        for first, second, realized in realized_maps(random.Random(8500), 12):
+            self.check(first, second, realized)
 
     def test_identity_maps(self):
         rng = random.Random(8600)
@@ -765,6 +816,15 @@ class TestIndexRungsScript:
             assert row["best_us"] > 0
             assert (row["cells_walked"], row["cells_y"],
                     row["cells_exact"]) == cells[cls]
+        # maps realized from the two kinds of path on 4 star pairs: the
+        # median and greatest bit length of their pieces' denominators
+        realized = report["realized"]
+        assert realized["pairs"] == 4
+        bits = {"path_of_correspondence": (355, 743), "prescribe": (1039, 2047)}
+        for kind, row in realized["kinds"].items():
+            assert row["best_us"] > 0
+            assert (row["piece_g_bits_median"],
+                    row["piece_g_bits_max"]) == bits[kind]
 
 
 def nested_glue_fixture():

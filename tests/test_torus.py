@@ -521,6 +521,19 @@ class TestPathOfCorrespondenceOnIntegers:
                             if (x * n).denominator == (y * n).denominator == 1)
         assert ties > 200
 
+    def test_parameters_written_outside_the_unit_interval(self):
+        # the constructor takes true parameters anywhere on the real line
+        # and realize_path reads them mod 1; the cut's pair is read so too
+        count = 0
+        for diagram, phi in reference_diagrams(random.Random(8500), 20):
+            lifted = rebuilt(
+                diagram, col_params=tuple(p + 1 for p in diagram.col_params),
+                row_params=tuple(p + 1 for p in diagram.row_params))
+            assert (path_of_correspondence(lifted, phi)
+                    == path_of_correspondence(diagram, phi))
+            count += 1
+        assert count == 26
+
     def test_rejects_a_map_off_the_first_pair(self):
         _, _, _, diagram = lens_fixture()
         shifted = PLCorrespondence(tuple((F(i, 4), F(2 * i + 1, 8))
@@ -803,10 +816,26 @@ def reference_realize_path(diagram, path):
     return PLCorrespondence(tuple(pairs))
 
 
+def wrap_kind(params, pos):
+    """Where the parameter at token position pos passes 1, read on
+    `Fraction`s: "drop" if pos is the first token whose parameter mod 1
+    lies below the first token's, "gap" if pos lies between two tokens and
+    the interpolation across that gap reaches 1, else None."""
+    units = [p % 1 for p in params]
+    n = len(units)
+    k, frac = divmod(pos * n, 1)
+    if frac == 0:
+        drop = next((r for r in range(n) if units[r] < units[0]), n)
+        return "drop" if k == drop else None
+    lo, hi = units[k], units[(k + 1) % n]
+    return "gap" if lo + (hi - lo) % 1 * frac >= 1 else None
+
+
 class TestRealizePathOnePass:
     def test_matches_per_vertex_conversion(self):
         rng = random.Random(8500)
         on_token = between = 0
+        wraps = {"drop": 0, "gap": 0, None: 0}
         for diagram, phi in reference_diagrams(rng, 40):
             n = diagram.size
             abstract = abstract_diagram(diagram.col_order, diagram.row_order,
@@ -827,7 +856,11 @@ class TestRealizePathOnePass:
                             on_token += 1
                         else:
                             between += 1
+                    # the least parameter, where realize_path rotates
+                    wraps[wrap_kind(diagram.col_params, x)] += 1
+                    wraps[wrap_kind(diagram.row_params, y)] += 1
         assert on_token > 500 and between > 500
+        assert wraps["drop"] > 100 and wraps["gap"] > 100
 
 
 class TestLocalWinding:
