@@ -230,18 +230,24 @@ def _check_alternation(cols: Sequence[TokenId], rows: Sequence[TokenId],
 def _axis(params: Sequence[Fraction]) -> tuple[list, list, int]:
     """The table that carries token positions on one axis to parameters
     and back: (offsets, units, drop). offsets[k] is token k's offset
-    (p - p0) % 1 as the unreduced pair ((a d - c b) % (b d), b d) for
-    p = a/b and p0 = c/d, closed by (1, 1); units are the parameters mod 1,
-    reduced only if one lies outside [0, 1); drop is the first rank where
-    p0 % 1 + offset reaches 1, whose unit parameter lies below the first."""
+    (p - p0) % 1 from the first token (`_offset`), closed by (1, 1); units
+    are the parameters mod 1, reduced only if one lies outside [0, 1); drop
+    is the first rank where p0 % 1 + offset reaches 1, whose unit parameter
+    lies below the first."""
     c, d = params[0].numerator, params[0].denominator
-    offsets = [((p.numerator * d - c * p.denominator) % (p.denominator * d),
-                p.denominator * d) for p in params] + [(1, 1)]
+    offsets = [_offset(p, params[0]) for p in params] + [(1, 1)]
     rest = d - c % d  # 1 - p0 % 1, over d
     drop = next(k for k, (e, f) in enumerate(offsets) if e * d >= rest * f)
     if all(0 <= p.numerator < p.denominator for p in params):
         return offsets, list(params), drop
     return offsets, [p % 1 for p in params], drop
+
+
+def _offset(p: Fraction, base: Fraction) -> tuple[int, int]:
+    """(p - base) % 1 as the unreduced integer pair ((a d - c b) % (b d),
+    b d) for p = a/b and base = c/d."""
+    b, d = p.denominator, base.denominator
+    return (p.numerator * d - base.numerator * b) % (b * d), b * d
 
 
 def _cyclically_increasing(params: Sequence[Fraction]) -> bool:
@@ -369,13 +375,10 @@ def path_of_correspondence(diagram: TorusDiagram,
     s1, t1 = s_units[0], t_units[0]
     if phi.evaluate(s1) != t1:
         raise InputRejection("correspondence misses the first prescribed pair")
-    sn, sd, tn, td = s1.numerator, s1.denominator, t1.numerator, t1.denominator
     bps = phi.breakpoints
     cut = bisect.bisect_left(phi.s_vals, s1)
-    knots = [((s.numerator * sd - sn * s.denominator) % (s.denominator * sd),
-              s.denominator * sd,
-              (t.numerator * td - tn * t.denominator) % (t.denominator * td),
-              t.denominator * td) for s, t in bps[cut:] + bps[:cut]]
+    knots = [(*_offset(s, s1), *_offset(t, t1))
+             for s, t in bps[cut:] + bps[:cut]]
     (a, b, c, d), (a1, b1, c1, d1) = knots[-1], knots[0]
     knots = [(a - b, b, c - d, d), *knots, (a1 + b1, b1, c1 + d1, d1)]
     # u at each row token's v, on the piece of phi over it; then u = 1
