@@ -28,14 +28,14 @@ and a box's edges, halfway between ranks, are integers in units of 1/(2n).
 Threading runs on integers too: a path's vertices are ranks times a scale
 that keeps every midpoint an integer, and each mark's side is one
 comparison at its own column's vertex. So the solver, the oracle and the
-final check build no path and no `Fraction`, but for the returned path,
-the winning walk scaled once.
+final check build no `Fraction`: the returned path holds the winning
+walk's integers over its one denominator, and builds its `Fraction`
+points only when they are read.
 """
 from __future__ import annotations
 
 import bisect
 from enum import Enum
-from fractions import Fraction
 
 from .errors import (
     AssumptionViolated,
@@ -199,12 +199,12 @@ def _build_box(level: Ranks, e: int, x: int, descends: bool) -> AdjacencyBox:
         if bottom <= mr <= lifted or mr <= lifted - n:
             raise InvariantFailure("box swallowed a third crossing mark")
         k = (k + 1) % len(ids)
-    return AdjacencyBox(entry_id=ids[e], exit_id=ids[x],
-                        base_constraint=base, descends=descends,
-                        col_lo=2 * ec - 1, col_hi=2 * xc + 1,
-                        row_lo=2 * bottom - 1, row_hi=2 * lifted + 1,
-                        grid_cols=(2 * f2c, 2 * f3c),
-                        grid_rows=(2 * f2r, 2 * f3r), unit=2 * n)
+    return trusted(AdjacencyBox, entry_id=ids[e], exit_id=ids[x],
+                   base_constraint=base, descends=descends,
+                   col_lo=2 * ec - 1, col_hi=2 * xc + 1,
+                   row_lo=2 * bottom - 1, row_hi=2 * lifted + 1,
+                   grid_cols=(2 * f2c, 2 * f3c),
+                   grid_rows=(2 * f2r, 2 * f3r), unit=2 * n)
 
 
 def classify_box(box: AdjacencyBox) -> BoxCategory:
@@ -319,11 +319,12 @@ def _walk(level: Ranks, scale: int, events,
 
 
 def _staircase(diagram: TorusDiagram, scale: int, vertices) -> StaircasePath:
-    """The integer walk scaled to `Fraction`s once. `_walk` has checked that
-    its vertices rise strictly, so the path is built without a check."""
+    """The integer walk as a path of ratios over its one denominator, with
+    no `Fraction`. `_walk` has checked that its vertices rise strictly, so
+    the path is built without a check."""
     d = diagram.size * scale
-    return trusted(StaircasePath, points=tuple(
-        [(Fraction(x, d), Fraction(y, d)) for x, y in vertices]))
+    return trusted(StaircasePath,
+                   ratios=tuple([(x, d, y, d) for x, y in vertices]))
 
 
 # -- reinsertion ---------------------------------------------------------------
@@ -475,13 +476,12 @@ class PrescriptionTrace:
 
 def prescribe(diagram: TorusDiagram) -> tuple[StaircasePath, PrescriptionTrace]:
     """Faithful mark-avoiding staircase path with nonnegative index. The
-    winning walk is checked on its integer vertices as
+    winning walk is checked on the path's integer ratios as
     `index_from_torus(check_all_bases=True)` checks a path."""
     level = diagram._ranks
     below, scale, vertices, _, levels = _drive(_solve(level, *_events(level), 0))
     path = _staircase(diagram, scale, vertices)
-    d = diagram.size * scale
-    index = _read_path(level, [(x, d, y, d) for x, y in vertices], True)[2]
+    index = _read_path(level, path.ratios, True)[2]
     if index < 0:
         raise InternalCaseGap("solver returned a negative index:\n"
                               + level.dump(path))
@@ -595,8 +595,8 @@ def _solve_by_pairs(level: Ranks, scale: int, events, depth: int):
             walk = _walk(level, scale, events, below)
             if walk is None or walk[1] < child_w:
                 continue
-            trace.append(TraceLevel(
-                depth=depth, rule="pair", index=walk[1], pair=pair,
+            trace.append(trusted(
+                TraceLevel, depth=depth, rule="pair", index=walk[1], pair=pair,
                 base_constraint=box.base_constraint,
                 cells=(box.lower_left_cell, box.upper_right_cell),
                 wrap=box.wrap, descends=box.descends,

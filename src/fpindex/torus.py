@@ -28,9 +28,10 @@ Cutting at another prescribed pair is a cyclic shift of the torus by that
 pair's token ranks, so the reading at that cut follows from the marks' ranks
 and sides at the first, with no diagram or path rebuilt. One routine reads
 a path's integer vertices on the diagram's integer form (`_read_path`).
-Maps and paths are carried into each other on integer ratios, off one
-cached table per axis (`_axis`); a `Fraction` is made only for a value
-that a path or a map stores.
+A diagram keeps `Fraction` parameters and reads itself on integer ranks
+(`Ranks`); a path keeps integer ratios and builds `Fraction` points when
+they are read (`StaircasePath`). Maps and paths are carried into each
+other on integer ratios; a `Fraction` is made for a value a map stores.
 
 Diagrams and paths are checked once, where they enter: by the
 `TorusDiagram` and `StaircasePath` constructors. Those this module derives
@@ -120,7 +121,9 @@ class TorusDiagram:
                 continue
             if len(params) != len(order):
                 raise InputRejection("parameter list does not match token count")
-            if not _cyclically_increasing(params):
+            offsets = [_offset(p, params[0]) for p in params]
+            if any(e * b <= a * f
+                   for (a, b), (e, f) in zip(offsets, offsets[1:])):
                 raise OrderViolation("true parameters out of cyclic order")
         _set(self, "col_order", col_order)
         _set(self, "row_order", row_order)
@@ -152,8 +155,8 @@ class TorusDiagram:
 
     @cached_property
     def _axes(self) -> tuple[tuple, tuple]:
-        """The per-axis tables (`_axis`), columns then rows."""
-        return _axis(self.col_params), _axis(self.row_params)
+        """`_units` of each axis, columns then rows; build_diagram seeds it."""
+        return _units(self.col_params), _units(self.row_params)
 
 
 class Ranks(NamedTuple):
@@ -227,20 +230,14 @@ def _check_alternation(cols: Sequence[TokenId], rows: Sequence[TokenId],
         raise AlternationViolation("mark kinds fail to alternate along a circle")
 
 
-def _axis(params: Sequence[Fraction]) -> tuple[list, list, int]:
-    """The table that carries token positions on one axis to parameters
-    and back: (offsets, units, drop). offsets[k] is token k's offset
-    (p - p0) % 1 from the first token (`_offset`), closed by (1, 1); units
-    are the parameters mod 1, reduced only if one lies outside [0, 1); drop
-    is the first rank where p0 % 1 + offset reaches 1, whose unit parameter
-    lies below the first."""
-    c, d = params[0].numerator, params[0].denominator
-    offsets = [_offset(p, params[0]) for p in params] + [(1, 1)]
-    rest = d - c % d  # 1 - p0 % 1, over d
-    drop = next(k for k, (e, f) in enumerate(offsets) if e * d >= rest * f)
-    if all(0 <= p.numerator < p.denominator for p in params):
-        return offsets, list(params), drop
-    return offsets, [p % 1 for p in params], drop
+def _units(params: Sequence[Fraction]) -> tuple[list, int]:
+    """The table that carries token positions on one axis to parameters:
+    (units, drop), the parameters mod 1, reduced only if one lies outside
+    [0, 1), and the first rank whose unit lies below the first, else n."""
+    units = (list(params) if all(0 <= p.numerator < p.denominator
+                                 for p in params) else [p % 1 for p in params])
+    return units, next((k for k, p in enumerate(units) if p < units[0]),
+                       len(units))
 
 
 def _offset(p: Fraction, base: Fraction) -> tuple[int, int]:
@@ -248,12 +245,6 @@ def _offset(p: Fraction, base: Fraction) -> tuple[int, int]:
     b d) for p = a/b and base = c/d."""
     b, d = p.denominator, base.denominator
     return (p.numerator * d - base.numerator * b) % (b * d), b * d
-
-
-def _cyclically_increasing(params: Sequence[Fraction]) -> bool:
-    """Do the offsets (p - params[0]) % 1 increase strictly?"""
-    offsets = _axis(params)[0]
-    return all(a * f < e * b for (a, b), (e, f) in zip(offsets, offsets[1:]))
 
 
 def build_diagram(first: PolyJordanCurve, second: PolyJordanCurve,
@@ -273,58 +264,75 @@ def build_diagram(first: PolyJordanCurve, second: PolyJordanCurve,
     alternating along both curves. With the checks below on the
     constraints, every `TorusDiagram` condition holds, so the diagram is
     built without repeating them. The crossings come sorted on both curves,
-    so bisection merges each constraint in and finds one on a crossing.
+    so bisection on the keys floor(2^64 p), exact among equal keys, merges
+    each constraint in and finds one on a crossing; rotated to the cut, a
+    merged axis lists the constraints in cyclic order.
     """
     if len(constraint_pairs) != 3:
         raise InputRejection("exactly three prescribed pairs are required")
-    pairs = [(s % 1, t % 1) for s, t in constraint_pairs]
     by_kt = crossings.by_param_kt()
     axes = [([c.param_k for c in crossings],
              [("m", c.index) for c in crossings]),
             ([c.param_kt for c in by_kt], [("m", c.index) for c in by_kt])]
+    pairs = [[p if 0 <= p.numerator < p.denominator else p % 1 for p in (s, t)]
+             for s, t in constraint_pairs]
     for i, pair in enumerate(pairs, 1):
         for (params, tokens), value in zip(axes, pair):
-            k = bisect.bisect_left(params, value)
+            key = _key(value)
+            k = bisect.bisect_left(params, key, key=_key)
+            while k < len(params) and _key(params[k]) == key and \
+                    params[k] < value:
+                k += 1
             if k < len(params) and params[k] == value and tokens[k][0] == "m":
                 raise ConstraintOnCurve(
                     "prescribed parameter coincides with a crossing")
             params.insert(k, value)
             tokens.insert(k, ("c", i))
-    if len({s for s, _ in pairs}) != 3 or len({t for _, t in pairs}) != 3:
+    # in lowest terms, equal values have equal integer pairs
+    if any(len({v.as_integer_ratio() for v in values}) != 3
+           for values in zip(*pairs)):
         raise InputRejection("prescribed parameters must be distinct")
 
-    s1, t1 = pairs[0]
-    s_off = [(pairs[1][0] - s1) % 1, (pairs[2][0] - s1) % 1]
-    t_off = [(pairs[1][1] - t1) % 1, (pairs[2][1] - t1) % 1]
-    if (s_off[0] < s_off[1]) != (t_off[0] < t_off[1]):
+    # each parameter lies in [0, 1): those before the cut come last
+    (col_params, col_order, col_drop), (row_params, row_order, row_drop) = [
+        (tuple(p[cut:] + p[:cut]), tuple(t[cut:] + t[:cut]), len(t) - cut)
+        for p, t in axes for cut in [t.index(("c", 1))]]
+    in_order = [order.index(("c", 2)) < order.index(("c", 3))
+                for order in (col_order, row_order)]
+    if in_order[0] != in_order[1]:
         raise OrderViolation(
             "prescribed pairs are cyclically incompatible with orientation")
-    if s_off[0] > s_off[1]:
+    if not in_order[0]:
         raise OrderViolation("prescribed pairs must be listed in cyclic order "
                              "from the first pair")
-
-    # every parameter is distinct, so each merged axis started at the first
-    # pair runs cyclically from the cut
-    (col_params, col_order), (row_params, row_order) = [
-        (tuple(p[cut:] + p[:cut]), tuple(t[cut:] + t[:cut]))
-        for p, t in axes for cut in [t.index(("c", 1))]]
 
     return trusted(
         TorusDiagram,
         col_order=col_order,
         row_order=row_order,
-        kinds=tuple((c.index, c.kind) for c in crossings),
+        kinds=tuple([(c.index, c.kind) for c in crossings]),
         containment=(_containment(first, second)
                      if len(crossings) == 0 else None),
         col_params=col_params,
-        row_params=row_params)
+        row_params=row_params,
+        _axes=((col_params, col_drop), (row_params, row_drop)))
+
+
+def _key(p: Fraction) -> int:  # floor(2^64 p): keys apart, values apart
+    return (p.numerator << 64) // p.denominator
 
 
 # -- paths -------------------------------------------------------------------
 
 @value_type
 class StaircasePath:
-    """Strictly increasing path from (0,0) to (1,1) in the cut unit square."""
+    """Strictly increasing path from (0,0) to (1,1) in the cut unit square.
+
+    Every reading on a diagram uses `ratios`, each vertex as integers
+    (x_num, x_den, y_num, y_den), not necessarily reduced, which the checked
+    constructor derives; a path built from ratios alone
+    (`trusted(StaircasePath, ratios=...)`) builds its points when read.
+    """
 
     _fields = ("points",)
 
@@ -336,15 +344,19 @@ class StaircasePath:
             if not (x0 < x1 and y0 < y1):
                 raise InputRejection("path must be strictly increasing")
         _set(self, "points", pts)
+        _set(self, "ratios", tuple([(x.numerator, x.denominator, y.numerator,
+                                     y.denominator) for x, y in pts]))
 
     @cached_property
-    def _xs(self) -> tuple[Fraction, ...]:
-        return tuple([x for x, _ in self.points])
+    def points(self) -> tuple[tuple[Fraction, Fraction], ...]:
+        """The vertices as `Fraction` pairs, built from `ratios`."""
+        return tuple([(Fraction(a, b), Fraction(c, d))
+                      for a, b, c, d in self.ratios])
 
     def y_at(self, x: Fraction) -> Fraction:
         if not 0 <= x <= 1:
             raise InputRejection("query outside the unit square")
-        k = max(bisect.bisect_left(self._xs, x), 1)
+        k = max(bisect.bisect_left(self.points, x, key=lambda p: p[0]), 1)
         (x0, y0), (x1, y1) = self.points[k - 1], self.points[k]
         return y0 + (y1 - y0) * (x - x0) / (x1 - x0)
 
@@ -360,21 +372,23 @@ def path_of_correspondence(diagram: TorusDiagram,
     both mod 1, phi is an increasing map of [0, 1) that fixes 0. The path
     has a vertex at each breakpoint of phi, at each column token and at the
     preimage of each row token. Every offset is held as an unreduced
-    integer pair (numerator, denominator): phi's knots are its breakpoints
-    rotated to start at s1, the tokens' come from the diagram's per-axis
-    table. They are compared by cross-multiplication and interpolated on
-    integers; equal offsets from the three sources merge into one vertex.
-    A column token sits at x = k/n and a row-token preimage at y = j/n with
-    no arithmetic, and every other coordinate costs one `Fraction`. The
-    walk's offsets rise strictly and phi is increasing, so the path is
-    built without a check.
+    integer pair (`_offset`): phi's knots are its breakpoints rotated to
+    start at s1, then the tokens' parameters. They are compared by
+    cross-multiplication and interpolated on integers; equal offsets from
+    the three sources merge into one vertex, at integer ratios: a column
+    token at x = k/n, a row-token preimage at y = j/n. The walk's offsets
+    rise strictly and phi is increasing, so the path is built without a
+    check.
     """
     if diagram.col_params is None:
         raise InputRejection("diagram carries no true parameters")
-    (cols, s_units, _), (rows, t_units, _) = diagram._axes
+    (s_units, _), (t_units, _) = diagram._axes
     s1, t1 = s_units[0], t_units[0]
     if phi.evaluate(s1) != t1:
         raise InputRejection("correspondence misses the first prescribed pair")
+    cols, rows = [[_offset(p, base) for p in params] + [(1, 1)]
+                  for params, base in ((diagram.col_params, s1),
+                                       (diagram.row_params, t1))]
     bps = phi.breakpoints
     cut = bisect.bisect_left(phi.s_vals, s1)
     knots = [(*_offset(s, s1), *_offset(t, t1))
@@ -408,17 +422,16 @@ def path_of_correspondence(diagram: TorusDiagram,
         kh += at_knot
         ch += at_col
         rh += at_row
-        x = (Fraction(ch - 1, n) if at_col
-             else _rank_position(ch - 1, un, ud, cols, n))
+        x = (ch - 1, n) if at_col else _rank_position(ch - 1, un, ud, cols, n)
         if at_row:
-            y = Fraction(rh - 1, n)
+            y = (rh - 1, n)
         else:
             lo = knots[kh]
             vn, vd = lo[2:] if at_knot else _lerp(lo, knots[kh + 1], un, ud, 0)
             y = _rank_position(rh - 1, vn, vd, rows, n)
-        pts.append((x, y))
-    pts.append((Fraction(1), Fraction(1)))
-    return trusted(StaircasePath, points=tuple(pts))
+        pts.append((*x, *y))
+    pts.append((1, 1, 1, 1))
+    return trusted(StaircasePath, ratios=tuple(pts))
 
 
 def _lerp(lo, hi, num: int, den: int, axis: int) -> tuple[int, int]:
@@ -433,13 +446,13 @@ def _lerp(lo, hi, num: int, den: int, axis: int) -> tuple[int, int]:
             * (c1 * d0 - c0 * d1), d0 * d1 * den * span)
 
 
-def _rank_position(k: int, num: int, den: int, offsets, size: int) -> Fraction:
+def _rank_position(k: int, num: int, den: int, offsets,
+                   size: int) -> tuple[int, int]:
     """(k + (w - o_k) / (o_(k+1) - o_k)) / size for w = num / den between
-    the offsets o_k and o_(k+1), as one `Fraction`."""
+    the offsets o_k and o_(k+1), as an unreduced integer pair."""
     (a0, b0), (a1, b1) = offsets[k], offsets[k + 1]
     gap = a1 * b0 - a0 * b1
-    return Fraction(k * den * gap + (num * b0 - a0 * den) * b1,
-                    size * den * gap)
+    return k * den * gap + (num * b0 - a0 * den) * b1, size * den * gap
 
 
 def realize_path(diagram: TorusDiagram, path: StaircasePath) -> PLCorrespondence:
@@ -451,35 +464,35 @@ def realize_path(diagram: TorusDiagram, path: StaircasePath) -> PLCorrespondence
     A valid path rises strictly in both coordinates, and token positions map
     to parameters in cyclic order, so the pairs are a valid map once rotated
     to the least source parameter (`_params_at` finds the least on each
-    axis); it is built without a check.
+    axis); it is built without a check. It reads the path's integer ratios.
     """
-    points = path.points[:-1]
-    if len(points) < 2:
+    ratios = path.ratios[:-1]
+    if len(ratios) < 2:
         raise InputRejection("need at least two breakpoints")
     if diagram.col_params is None:
-        return PLCorrespondence._trusted(points, 0)
+        return PLCorrespondence._trusted(path.points[:-1], 0)
     cols, rows = diagram._axes
-    s_vals, lo = _params_at(cols, [x for x, _ in points])
-    t_vals, wrap = _params_at(rows, [y for _, y in points])
+    s_vals, lo = _params_at(cols, [(a, b) for a, b, _, _ in ratios])
+    t_vals, wrap = _params_at(rows, [(c, d) for _, _, c, d in ratios])
     pairs = list(zip(s_vals, t_vals))
     return PLCorrespondence._trusted(tuple(pairs[lo:] + pairs[:lo]),
-                                     (wrap - lo) % len(points))
+                                     (wrap - lo) % len(ratios))
 
 
-def _params_at(axis, positions: list[Fraction]) -> tuple[list[Fraction], int]:
-    """Parameters in [0, 1) at rising token positions in [0, 1) from 0, in
-    one pass over an axis's table (`_axis`): p / q on rank k (p * n = k * q)
-    is token k's parameter, any other position one integer interpolation
-    across the gap to token k + 1. Also the index of the least parameter:
-    the first to wrap past 1, its rank at or past the drop or its
+def _params_at(axis, positions: list[tuple[int, int]],
+               ) -> tuple[list[Fraction], int]:
+    """Parameters in [0, 1) at rising token positions p / q in [0, 1) from
+    0, in one pass over an axis's table (`_units`): p / q on rank k
+    (p * n = k * q) is token k's parameter, any other position one integer
+    interpolation across the gap to token k + 1. Also the index of the least
+    parameter: the first to wrap past 1, its rank at or past the drop or its
     interpolation overflowing, or 0 if none does."""
-    _, params, drop = axis
+    params, drop = axis
     n = len(params)
     out = []
     before = 0  # positions whose parameter has not wrapped
-    for pos in positions:
-        q = pos.denominator
-        k, r = divmod(pos.numerator * n, q)
+    for p, q in positions:
+        k, r = divmod(p * n, q)
         lo = params[k]
         if r == 0:
             out.append(lo)
@@ -510,9 +523,7 @@ def index_from_torus(diagram: TorusDiagram, path: StaircasePath,
     from above the path (up and left of the constraint) to below, the row
     alone from below to above. Which marks move depends on the diagram alone.
     """
-    points = [(x.numerator, x.denominator, y.numerator, y.denominator)
-              for x, y in path.points]
-    return _read_path(diagram._ranks, points, check_all_bases)[2]
+    return _read_path(diagram._ranks, path.ratios, check_all_bases)[2]
 
 
 def _read_path(ranks: Ranks, points, check_all_bases: bool):

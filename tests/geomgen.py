@@ -169,7 +169,8 @@ def _half_cmp(line1, line2) -> int:
 def angular_trace_faces(arcs):
     """trace_faces with each node's rotation found by sorting the half-edges
     leaving it by angle: half-edge 2k runs along arc (tail, head, polyline)
-    k and 2k + 1 against it."""
+    k and 2k + 1 against it, each polyline given as rows (X, Y, W) and
+    sorted on its points."""
     lines, tails = [], []
     for tail, head, polyline in arcs:
         lines += [polyline, polyline[::-1]]
@@ -177,7 +178,9 @@ def angular_trace_faces(arcs):
     outgoing: dict[int, list[int]] = {}
     for h, tail in enumerate(tails):
         outgoing.setdefault(tail, []).append(h)
-    order = cmp_to_key(lambda g, h: _half_cmp(lines[g], lines[h]))
+    points = [[RatPoint(Fraction(x, w), Fraction(y, w)) for x, y, w in line]
+              for line in lines]
+    order = cmp_to_key(lambda g, h: _half_cmp(points[g], points[h]))
     for outs in outgoing.values():
         outs.sort(key=order)
     return trace_faces(lines[::2], outgoing.values())
@@ -310,9 +313,8 @@ def straight_path(diagram: TorusDiagram) -> StaircasePath:
     x2, y2 = constraint_point(diagram, 2)
     x3, y3 = constraint_point(diagram, 3)
     # the diagram's constraints rise in both orders: 0 < rank 2 < rank 3 < n
-    return trusted(StaircasePath, points=(
-        (Fraction(0), Fraction(0)), (x2, y2), (x3, y3),
-        (Fraction(1), Fraction(1))))
+    return StaircasePath(((Fraction(0), Fraction(0)), (x2, y2), (x3, y3),
+                          (Fraction(1), Fraction(1))))
 
 
 def cyclic_offsets(params: tuple[Fraction, ...]) -> tuple[Fraction, ...]:

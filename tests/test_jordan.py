@@ -7,6 +7,7 @@ import pytest
 
 from fpindex import jordan
 from fpindex.errors import (
+    HasFixedPoint,
     InvariantFailure,
     NotPositivelyOriented,
     NotSimple,
@@ -40,6 +41,7 @@ from fpindex.jordan import (
     segment_contacts,
     validate_curve,
 )
+from fpindex.plmap import fixed_point_index, random_correspondence
 
 from geomgen import (
     AffineMap,
@@ -54,6 +56,7 @@ from geomgen import (
     transform_pair,
 )
 from meander_oracle import crossing_word, enumerate_noncut_words
+from twins import TWINS
 
 
 def square(x0, y0, x1, y1):
@@ -607,7 +610,7 @@ def geometric_faces(first, second, cs):
     for tag, curve, order, attr in (
             ("first", first, cs.crossings, "param_k"),
             ("second", second, cs.by_param_kt(), "param_kt")):
-        stops = [(getattr(c, attr), c.point) for c in order]
+        stops = [(getattr(c, attr), row(c.point)) for c in order]
         for a, line in enumerate(_arcs_of(curve, stops)):
             arcs.append((tag, order[a].index,
                          order[(a + 1) % len(order)].index, line))
@@ -707,3 +710,60 @@ class TestCanonicalPair:
         horiz = square(0, 1, 3, 2)
         vert = square(1, 0, 2, 3)
         assert crossing_word(check_transverse(horiz, vert)) not in words
+
+
+class TestLoopsFromRows:
+    """A loop built from its rows keeps them and builds its vertices only
+    when they are read."""
+
+    def loops(self):
+        """Loops built from rows: the canonical pairs' curves, and the faces
+        of their arrangements and of seeded star pairs."""
+        rng = random.Random(3408)
+        pairs = [canonical_noncut_pair(m) for m in (1, 4, 9)]
+        for first, second in pairs:
+            yield first.loop
+            yield second.loop
+        pairs += [random_transverse_pair(rng)[:2] for _ in range(8)]
+        for first, second in pairs:
+            for face in build_arrangement(first, second,
+                                          check_transverse(first, second)):
+                yield face.polygon
+
+    def test_equal_to_the_loop_built_from_its_points(self):
+        for loop in self.loops():
+            keys, size = loop.edge_keys, len(loop)
+            assert "vertices" not in vars(loop)
+            points = PLLoop(loop.vertices)
+            twin = TWINS["PLLoop"](points.vertices)
+            assert loop == points and hash(loop) == hash(points) == hash(twin)
+            assert repr(loop) == repr(points) == repr(twin)
+            assert size == len(points) and keys == points.edge_keys
+            assert loop.rows == points.rows  # least rows
+
+    @pytest.mark.parametrize("m", [1, 5, 20])
+    def test_noncut_layers_build_no_point(self, m, monkeypatch):
+        made = []
+        init = RatPoint.__init__
+
+        def counting(self, x, y):
+            made.append((x, y))
+            init(self, x, y)
+
+        monkeypatch.setattr(RatPoint, "__init__", counting)
+        first, second = canonical_noncut_pair(m)
+        assert len(check_transverse(first, second)) == 2 * m
+        assert not cuts_each_other(first, second)
+        rng = random.Random(m)
+        while True:
+            phi = random_correspondence(rng, rng.randrange(3, 10))
+            try:
+                assert 0 <= fixed_point_index(first, second, phi) <= 2
+                break
+            except HasFixedPoint:
+                continue
+        assert made == []
+        for curve in (first, second):
+            before = len(made)
+            assert curve.vertices == curve.loop.vertices
+            assert len(made) - before == len(curve)

@@ -23,11 +23,13 @@ from fpindex.jordan import (
     check_transverse,
 )
 from fpindex.plmap import PLCorrespondence, fixed_point_index, random_correspondence
-from fpindex.prescribe import prescribe
+from fpindex.prescribe import _drive, _events, _solve, _staircase, prescribe
+from fpindex.serialize import path_to_json
 from fpindex.torus import (
     Containment,
     StaircasePath,
     TorusDiagram,
+    _key,
     build_diagram,
     index_from_torus,
     path_of_correspondence,
@@ -286,6 +288,155 @@ class TestBuildDiagramMerge:
                 assert not isinstance(ours, TorusDiagram)
                 assert ours == diagram_outcome(reference_build_diagram, first,
                                                second, crossings, bad)
+
+
+def seeded_diagrams(seed: int, count: int):
+    """(first, second, crossings, constraint pairs) on seeded star pairs and
+    on canonical non-cutting pairs, m = 1 to 8, each with constraints
+    through a seeded map (`synthesize_constraints`)."""
+    rng = random.Random(seed)
+    pairs = [random_transverse_pair(rng)[:2] for _ in range(count)]
+    pairs += [canonical_noncut_pair(m) for m in range(1, 9)]
+    for first, second in pairs:
+        crossings = check_transverse(first, second)
+        phi = random_correspondence(rng, rng.randrange(3, 9))
+        yield (first, second, crossings,
+               synthesize_constraints(crossings, phi, rng))
+
+
+class TestBuildDiagramOnKeys:
+    """build_diagram places the constraints on floor(2^64 p) keys with an
+    exact tie-break, and reads distinctness and cyclic order on integers;
+    reference_build_diagram does all of it on `Fraction`s."""
+
+    def test_matches_the_fraction_reference(self):
+        for first, second, crossings, pairs in seeded_diagrams(3401, 24):
+            diagram = build_diagram(first, second, crossings, pairs)
+            assert diagram == reference_build_diagram(first, second,
+                                                      crossings, pairs)
+            # the seeded (units, drop) tables are the ones a checked
+            # diagram computes when first read
+            assert [(list(u), d) for u, d in diagram._axes] == \
+                [(list(u), d) for u, d in rebuilt(diagram)._axes]
+
+    def test_a_constraint_a_hair_from_a_crossing(self):
+        # 2^-70 from a crossing parameter: the same key, a different value
+        hair, tied = F(1, 2**70), 0
+        for first, second, crossings, pairs in seeded_diagrams(3402, 8):
+            for c in crossings:
+                for axis, param in ((0, c.param_k), (1, c.param_kt)):
+                    for value in (param - hair, param + hair):
+                        if _key(value % 1) != _key(param):
+                            continue
+                        tied += 1
+                        for k in range(3):
+                            bad = [list(pair) for pair in pairs]
+                            bad[k][axis] = value
+                            ours = diagram_outcome(build_diagram, first,
+                                                   second, crossings, bad)
+                            assert ours == diagram_outcome(
+                                reference_build_diagram, first, second,
+                                crossings, bad)
+        assert tied >= 200
+
+    def test_parameters_written_outside_the_unit_interval(self):
+        rng = random.Random(3403)
+        for first, second, crossings, pairs in seeded_diagrams(3403, 8):
+            shifted = [(s + rng.randrange(-3, 4), t + rng.randrange(-3, 4))
+                       for s, t in pairs]
+            diagram = build_diagram(first, second, crossings, shifted)
+            assert diagram == build_diagram(first, second, crossings, pairs)
+            assert diagram == reference_build_diagram(first, second,
+                                                      crossings, shifted)
+
+    def test_every_rejection_and_its_message(self):
+        first, second, crossings, pairs = next(seeded_diagrams(3404, 1))
+        c = crossings.crossings[0]
+        (s1, t1), (s2, t2), (s3, t3) = pairs
+        cases = [
+            (pairs[:2], InputRejection,
+             "exactly three prescribed pairs are required"),
+            ([(c.param_k, t1), pairs[1], pairs[2]], ConstraintOnCurve,
+             "prescribed parameter coincides with a crossing"),
+            ([pairs[0], (s2, c.param_kt - 2), pairs[2]], ConstraintOnCurve,
+             "prescribed parameter coincides with a crossing"),
+            ([pairs[0], (s1 + 1, t2), pairs[2]], InputRejection,
+             "prescribed parameters must be distinct"),
+            ([pairs[0], pairs[1], (s3, t2)], InputRejection,
+             "prescribed parameters must be distinct"),
+            ([pairs[0], (s2, t3), (s3, t2)], OrderViolation,
+             "prescribed pairs are cyclically incompatible with orientation"),
+            ([pairs[0], pairs[2], pairs[1]], OrderViolation,
+             "prescribed pairs must be listed in cyclic order from the "
+             "first pair"),
+        ]
+        for bad, error, reason in cases:
+            with pytest.raises(error) as caught:
+                build_diagram(first, second, crossings, bad)
+            assert str(caught.value) == reason
+            assert diagram_outcome(reference_build_diagram, first, second,
+                                   crossings, bad) == (error.__name__, reason)
+
+
+class TestStaircasePathOnRatios:
+    """A path keeps integer ratios and builds its `Fraction` points only
+    when they are read."""
+
+    def test_equal_to_the_path_built_from_points(self):
+        rng = random.Random(3405)
+        for _ in range(60):
+            k, d, w = rng.randrange(1, 7), rng.randrange(8, 40), \
+                rng.randrange(1, 5)
+            xs, ys = (sorted(rng.sample(range(1, d), k)) for _ in "xy")
+            # every ratio over w times its least denominator
+            ratios = ((0, w, 0, 1), *[(x * w, d * w, y, d)
+                                     for x, y in zip(xs, ys)],
+                      (w, w, d, d))
+            from_ratios = trusted(StaircasePath, ratios=ratios)
+            from_points = StaircasePath(tuple([(F(a, b), F(c, e))
+                                               for a, b, c, e in ratios]))
+            assert "points" not in vars(from_ratios)
+            assert from_ratios.points == from_points.points
+            assert from_ratios == from_points
+            assert hash(from_ratios) == hash(from_points)
+            assert repr(from_ratios) == repr(from_points)
+            assert path_to_json(from_ratios.points) == \
+                path_to_json(from_points.points)
+            for q in range(2 * d + 1):
+                x = F(q, 2 * d)
+                assert from_ratios.y_at(x) == from_points.y_at(x)
+
+    def test_readings_on_a_diagram_use_only_the_ratios(self):
+        for first, second, crossings, pairs in seeded_diagrams(3406, 12):
+            diagram = build_diagram(first, second, crossings, pairs)
+            path, trace = prescribe(diagram)
+            realized = realize_path(diagram, path)
+            index = index_from_torus(diagram, path, check_all_bases=True)
+            assert "points" not in vars(path)
+            assert index == trace.index
+            # the same path built checked from its points reads the same
+            twin = StaircasePath(path.points)
+            assert realize_path(diagram, twin) == realized
+            assert index_from_torus(diagram, twin, True) == index
+
+    def test_staircase_builds_no_fraction(self, monkeypatch):
+        made = []
+        new = Fraction.__new__
+
+        def counting(cls, *args, **kwargs):
+            made.append(args)
+            return new(cls, *args, **kwargs)
+
+        for first, second, crossings, pairs in seeded_diagrams(3407, 4):
+            diagram = build_diagram(first, second, crossings, pairs)
+            level = diagram._ranks
+            _, scale, vertices, _, _ = _drive(_solve(level, *_events(level),
+                                                     0))
+            monkeypatch.setattr(Fraction, "__new__", staticmethod(counting))
+            path = _staircase(diagram, scale, vertices)
+            monkeypatch.undo()
+            assert made == []
+            assert len(path.points) == len(vertices)
 
 
 class TestStaircasePath:

@@ -210,5 +210,5 @@ def test_cached_values_are_computed_once():
     path = made["StaircasePath"][0]
     spec = made["PackingSpec"][0]
     for obj, attr in ((loop, "rows"), (loop, "edge_keys"), (diagram, "_ranks"),
-                      (path, "_xs"), (spec, "analysis")):
+                      (path, "points"), (spec, "analysis")):
         assert getattr(obj, attr) is getattr(obj, attr)
