@@ -31,7 +31,7 @@ a path's integer vertices on the diagram's integer form (`_read_path`).
 A diagram keeps `Fraction` parameters and reads itself on integer ranks
 (`Ranks`); a path keeps integer ratios and builds `Fraction` points when
 they are read (`StaircasePath`). Maps and paths are carried into each
-other on integer ratios; a `Fraction` is made for a value a map stores.
+other on integer ratios; a `Fraction` is made only for a value a map stores.
 
 Diagrams and paths are checked once, where they enter: by the
 `TorusDiagram` and `StaircasePath` constructors. Those this module derives

@@ -268,7 +268,12 @@ class TestBuildDiagramMerge:
                                    pairs)
             assert ours == diagram_outcome(reference_build_diagram, first,
                                            second, crossings, pairs)
-            built += isinstance(ours, TorusDiagram)
+            if isinstance(ours, TorusDiagram):
+                built += 1
+                # the seeded (units, drop) tables are the ones a checked
+                # diagram computes when first read
+                assert [(list(u), d) for u, d in ours._axes] == \
+                    [(list(u), d) for u, d in rebuilt(ours)._axes]
         assert built >= 100
 
     def test_equal_errors_on_bad_placements(self):
@@ -307,17 +312,8 @@ def seeded_diagrams(seed: int, count: int):
 class TestBuildDiagramOnKeys:
     """build_diagram places the constraints on floor(2^64 p) keys with an
     exact tie-break, and reads distinctness and cyclic order on integers;
-    reference_build_diagram does all of it on `Fraction`s."""
-
-    def test_matches_the_fraction_reference(self):
-        for first, second, crossings, pairs in seeded_diagrams(3401, 24):
-            diagram = build_diagram(first, second, crossings, pairs)
-            assert diagram == reference_build_diagram(first, second,
-                                                      crossings, pairs)
-            # the seeded (units, drop) tables are the ones a checked
-            # diagram computes when first read
-            assert [(list(u), d) for u, d in diagram._axes] == \
-                [(list(u), d) for u, d in rebuilt(diagram)._axes]
+    reference_build_diagram does all of it on `Fraction`s. Seeded pairs and
+    parameters outside [0, 1) are TestBuildDiagramMerge's."""
 
     def test_a_constraint_a_hair_from_a_crossing(self):
         # 2^-70 from a crossing parameter: the same key, a different value
@@ -338,16 +334,6 @@ class TestBuildDiagramOnKeys:
                                 reference_build_diagram, first, second,
                                 crossings, bad)
         assert tied >= 200
-
-    def test_parameters_written_outside_the_unit_interval(self):
-        rng = random.Random(3403)
-        for first, second, crossings, pairs in seeded_diagrams(3403, 8):
-            shifted = [(s + rng.randrange(-3, 4), t + rng.randrange(-3, 4))
-                       for s, t in pairs]
-            diagram = build_diagram(first, second, crossings, shifted)
-            assert diagram == build_diagram(first, second, crossings, pairs)
-            assert diagram == reference_build_diagram(first, second,
-                                                      crossings, shifted)
 
     def test_every_rejection_and_its_message(self):
         first, second, crossings, pairs = next(seeded_diagrams(3404, 1))
