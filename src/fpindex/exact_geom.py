@@ -6,10 +6,11 @@ configurations are reported, never repaired.
 
 Predicates run on integers, with one point form: the homogeneous row
 (X, Y, W) of `row`, W > 0 the lcm of the point's own two denominators. A
-loop keeps the form it was built from, points or rows, and makes the other
-when read (`PLLoop`). The kernels `turn_int`, `in_box_int`, `meet_int`,
-`edge_crossing` and `origin_winding` decide predicates on rows alone, and
-`between` places a point along a segment as a row.
+loop stores its vertices as points and caches their rows (`PLLoop.rows`),
+with one edge table built from them (`PLLoop.edge_keys`). The kernels
+`turn_int`, `in_box_int`, `meet_int`, `edge_crossing` and `origin_winding`
+decide predicates on rows alone, and `between` places a point along a
+segment as a row.
 
 Sign conventions, used consistently by the whole package:
 
@@ -315,8 +316,7 @@ class PLLoop:
     """A closed polygonal loop: >= 3 vertices, cyclically consecutive distinct.
 
     Loops are not required to be simple; self-intersecting difference loops
-    are the main customers of winding_number. A loop built from its least
-    rows (`trusted(PLLoop, rows=...)`) builds its vertices when first read.
+    are the main customers of winding_number.
     """
 
     _fields = ("vertices",)
@@ -330,12 +330,8 @@ class PLLoop:
                 raise ValueError("consecutive loop vertices must be distinct")
         _set(self, "vertices", vertices)
 
-    # a field, set by the constructor or built from the rows when first read
-    vertices = cached_property(lambda self: tuple([
-        RatPoint(Fraction(x, w), Fraction(y, w)) for x, y, w in self.rows]))
-
     def __len__(self) -> int:
-        return len(self.rows)
+        return len(self.vertices)
 
     @cached_property
     def rows(self) -> tuple[Row, ...]:
@@ -428,10 +424,10 @@ def origin_winding(cycle: Sequence[Sequence[int]]) -> int:
     return w
 
 
-def winding_number(loop: PLLoop, p: RatPoint | Row) -> int:
-    """Winding number of the loop around p, a point or its row; PointOnLoop
-    if p is on the loop. Each vertex minus p is read up to W W_p > 0."""
-    px, py, pw = p if isinstance(p, tuple) else row(p)
+def winding_number(loop: PLLoop, p: RatPoint) -> int:
+    """Winding number of the loop around p; PointOnLoop if p is on the loop.
+    Each vertex minus p is read up to the positive weight W W_p."""
+    px, py, pw = row(p)
     return origin_winding([(x * pw - px * w, y * pw - py * w)
                            for x, y, w in loop.rows])
 
@@ -442,8 +438,8 @@ class PointLocation(Enum):
     ON_BOUNDARY = "on_boundary"
 
 
-def point_in_polygon(loop: PLLoop, p: RatPoint | Row) -> PointLocation:
-    """Location of p, a point or row, against a simple loop (winding +-1)."""
+def point_in_polygon(loop: PLLoop, p: RatPoint) -> PointLocation:
+    """Location of p relative to a simple loop (inside iff winding is +-1)."""
     try:
         inside = winding_number(loop, p) != 0
     except PointOnLoop:

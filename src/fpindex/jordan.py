@@ -141,7 +141,6 @@ class PolyJordanCurve:
             raise NotPositivelyOriented("loop has non-positive signed area")
         _set(self, "loop", loop)
 
-    # for callers outside the package, the benchmark's tracer among them
     @property
     def vertices(self) -> tuple[RatPoint, ...]:
         return self.loop.vertices
@@ -179,7 +178,7 @@ class PolyJordanCurve:
             return Fraction(i * step + num, n * step)
         return None
 
-    def contains(self, p: RatPoint | Row) -> PointLocation:
+    def contains(self, p: RatPoint) -> PointLocation:
         return point_in_polygon(self.loop, p)
 
 
@@ -373,22 +372,23 @@ class ArrangementFace:
     _defaults = {"polygon": None}
 
 
-def _arcs_of(curve: PolyJordanCurve, stops: Sequence[tuple[Fraction, Row]],
-             ) -> list[tuple[Row, ...]]:
-    """Polyline of the curve's arc from each (parameter, row) stop to the
-    next, as rows, the stops sorted by parameter; a single stop gives the
-    whole loop. Vertex i of n sits at parameter i/n, so the vertices inside
-    the arc from p to q are those with n p < i < n q, taken cyclically; their
-    rows are the curve's own (PLLoop.rows)."""
-    rows = curve.loop.rows
-    n = len(rows)
+def _arcs_of(curve: PolyJordanCurve,
+             stops: Sequence[tuple[Fraction, tuple[RatPoint, Row]]],
+             ) -> list[tuple[tuple[RatPoint, Row], ...]]:
+    """Polyline of the curve's arc from each (parameter, (point, row)) stop
+    to the next, the stops sorted by parameter, as (point, row) pairs; a
+    single stop gives the whole loop. Vertex i of n sits at parameter i/n,
+    so the vertices inside the arc from p to q are those with n p < i < n q,
+    taken cyclically, each with the row its loop caches (PLLoop.rows)."""
+    vertices = list(zip(curve.vertices, curve.loop.rows))
+    n = len(vertices)
     arcs = []
     for (p_from, a), (p_to, b) in zip(stops, stops[1:] + stops[:1]):
         lo = p_from.numerator * n // p_from.denominator + 1
         hi = -(-p_to.numerator * n // p_to.denominator)
         if p_to <= p_from:
             hi += n
-        arcs.append((a, *[rows[i % n] for i in range(lo, hi)], b))
+        arcs.append((a, *[vertices[i % n] for i in range(lo, hi)], b))
     return arcs
 
 
@@ -416,12 +416,12 @@ def _face_cycles(outgoing: Sequence[Sequence[int]]) -> Iterator[list[int]]:
             yield cycle
 
 
-def trace_faces(lines: Sequence[tuple[Row, ...]],
+def trace_faces(lines: Sequence[tuple[tuple[RatPoint, Row], ...]],
                 outgoing: Sequence[Sequence[int]],
                 ) -> Iterator[tuple[tuple[tuple[int, bool], ...], PLLoop,
                                     Fraction]]:
     """Faces of a plane arrangement of directed arcs, given as polylines of
-    least rows.
+    (point, row) pairs.
 
     Each arc gives two half-edges, 2k along arc k and 2k + 1 against it, and
     each list in outgoing holds the half-edges leaving one node in
@@ -437,12 +437,14 @@ def trace_faces(lines: Sequence[tuple[Row, ...]],
                signed_area(polygon))
 
 
-def _join_polylines(lines: Sequence[Sequence[Row]]) -> PLLoop:
-    """The closed loop through polylines of least rows laid end to end, each
-    ending where the next one starts, built from those rows. Consecutive
-    vertices differ, as they do along each polyline; a face of fewer than 3
-    vertices has zero area, which both callers reject."""
-    return trusted(PLLoop, rows=tuple([q for line in lines for q in line[:-1]]))
+def _join_polylines(lines: Sequence[Sequence[tuple[RatPoint, Row]]],
+                    ) -> PLLoop:
+    """The closed loop through polylines of (point, row) pairs laid end to
+    end, each ending where the next one starts, with its rows seeded.
+    Consecutive vertices differ, as they do along each polyline; a face of
+    fewer than 3 vertices has zero area, which both callers reject."""
+    vertices, rows = zip(*[q for line in lines for q in line[:-1]])
+    return trusted(PLLoop, vertices=vertices, rows=rows)
 
 
 def _pattern_faces(by_kt: Sequence[int], kinds: Sequence[bool],
@@ -508,7 +510,7 @@ def build_arrangement(first: PolyJordanCurve, second: PolyJordanCurve,
     for tag, curve, order, attr in (
             ("first", first, crossings.crossings, "param_k"),
             ("second", second, crossings.by_param_kt(), "param_kt")):
-        stops = [(getattr(c, attr), row(c.point)) for c in order]
+        stops = [(getattr(c, attr), (c.point, row(c.point))) for c in order]
         for c, line in zip(order, _arcs_of(curve, stops)):
             lines[tag, c.index] = line
     faces: list[ArrangementFace] = []
@@ -538,10 +540,10 @@ class Containment(Enum):
 def _containment(first: PolyJordanCurve,
                  second: PolyJordanCurve) -> Containment:
     """How a transverse pair without crossings lies. Each curve lies on one
-    side of the other, so one vertex of each, read as its row, decides."""
-    if second.contains(first.loop.rows[0]) is PointLocation.INSIDE:
+    side of the other, so one vertex of each decides."""
+    if second.contains(first.vertices[0]) is PointLocation.INSIDE:
         return Containment.FIRST_INSIDE_SECOND
-    if first.contains(second.loop.rows[0]) is PointLocation.INSIDE:
+    if first.contains(second.vertices[0]) is PointLocation.INSIDE:
         return Containment.SECOND_INSIDE_FIRST
     return Containment.DISJOINT
 
@@ -599,8 +601,7 @@ def canonical_noncut_pair(m: int) -> tuple[PolyJordanCurve, PolyJordanCurve]:
     left side, two crossings per bump. Both difference regions stay connected.
 
     Both are simple and counterclockwise by construction, and are built
-    trusted from their least rows over 1 and 5 (PLLoop.rows); no vertex is
-    built until one is read.
+    trusted from integers over 1 and 5, seeding the rows PLLoop.rows gives.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
@@ -613,5 +614,7 @@ def canonical_noncut_pair(m: int) -> tuple[PolyJordanCurve, PolyJordanCurve]:
                         (5, (*sx, -5, -50), (*sy, 30 * m + 10, 30 * m + 10))):
         rows = tuple([(x // den, y // den, 1) if x % den == 0 == y % den
                       else (x, y, den) for x, y in zip(xs, ys)])
-        curves.append(trusted(PolyJordanCurve, loop=trusted(PLLoop, rows=rows)))
+        loop = trusted(PLLoop, rows=rows, vertices=tuple([
+            RatPoint(Fraction(x, w), Fraction(y, w)) for x, y, w in rows]))
+        curves.append(trusted(PolyJordanCurve, loop=loop))
     return curves[0], curves[1]

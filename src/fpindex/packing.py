@@ -97,7 +97,7 @@ class TopoRectangle:
 
     @property
     def corner_points(self) -> tuple[RatPoint, ...]:
-        return tuple(self.curve.loop.vertices[c] for c in self.corners)
+        return tuple(self.curve.vertices[c] for c in self.corners)
 
     @property
     def corner_params(self) -> tuple[Fraction, ...]:
@@ -187,7 +187,7 @@ def _pair_meeting(first: PolyJordanCurve, second: PolyJordanCurve,
     """How two boundaries meet: whether they cross properly, their isolated
     touch points, and whether they share a positive-length stretch."""
     rows1, rows2, hits = segment_contacts(first.loop, second.loop)
-    v1, v2 = first.loop.vertices, second.loop.vertices
+    v1, v2 = first.vertices, second.vertices
     crossed = overlap = False
     touches: set[RatPoint] = set()
     for i, j, kind, d1, d2, d3, d4 in hits:
@@ -214,7 +214,7 @@ def _scan_contacts(spec: PackingSpec) -> tuple[dict, dict, list]:
     packing contact rules pair by pair, and the frame's and each piece's
     vertex index by point."""
     rect = spec.rect
-    rect_vertex, *piece_vertex = [{p: t for t, p in enumerate(c.loop.vertices)}
+    rect_vertex, *piece_vertex = [{p: t for t, p in enumerate(c.vertices)}
                                   for c in (rect.curve, *spec.pieces)]
     corner_points = set(rect.corner_points)
 
@@ -259,7 +259,7 @@ def _scan_contacts(spec: PackingSpec) -> tuple[dict, dict, list]:
     # boundary relations being settled, containment reduces to point tests
     for i, piece in enumerate(spec.pieces):
         if any(point_in_polygon(rect.curve.loop, v) is PointLocation.OUTSIDE
-               for v in piece.loop.vertices):
+               for v in piece.vertices):
             raise PieceOutsideRect(f"piece {i} leaves the frame")
     # at most one vertex of a piece lies on another piece's boundary, and
     # the rest lie on one side of it, so the first two vertices decide
@@ -267,7 +267,7 @@ def _scan_contacts(spec: PackingSpec) -> tuple[dict, dict, list]:
         for j, other in enumerate(spec.pieces):
             if i != j and any(point_in_polygon(other.loop, v)
                               is PointLocation.INSIDE
-                              for v in piece.loop.vertices[:2]):
+                              for v in piece.vertices[:2]):
                 raise PiecesOverlap(f"piece {i} reaches inside piece {j}")
     return by_point, rect_vertex, piece_vertex
 
@@ -301,13 +301,15 @@ class _Face:
 
 
 def _split_curve(curve: PolyJordanCurve, stops: list[tuple[int, int]],
-                 ) -> list[tuple[int, int, int, tuple[Row, ...]]]:
-    """(tail vertex index, tail node, head node, polyline of rows) runs of a
-    curve split at (vertex index, node id) stops, in positive cyclic order."""
-    rows = curve.loop.rows
+                 ) -> list[tuple[int, int, tuple[tuple[RatPoint, Row], ...]]]:
+    """(tail node, head node, polyline of (point, row) pairs) runs of a
+    curve split at the given (vertex index, node id) stops, in positive
+    cyclic order."""
+    n, points, rows = len(curve), curve.vertices, curve.loop.rows
     stops = sorted(stops)
-    lines = _arcs_of(curve, [(Fraction(i, len(rows)), rows[i]) for i, _ in stops])
-    return [(i, tail, head, line) for (i, tail), (_, head), line
+    lines = _arcs_of(curve, [(Fraction(i, n), (points[i], rows[i]))
+                             for i, _ in stops])
+    return [(tail, head, line) for (_, tail), (_, head), line
             in zip(stops, stops[1:] + stops[:1], lines)]
 
 
@@ -367,13 +369,13 @@ def _analyze(spec: PackingSpec) -> _Analysis:
     arcs: list[_Arc] = []
     rect_stops = [(rect_vertex[nd.point], nd.nid) for nd in nodes
                   if any(isinstance(o, str) for o in nd.objects)]
-    for start, tail, head, pts in _split_curve(rect.curve, rect_stops):
-        side = rect.side_of_vertex(start)
+    for tail, head, pts in _split_curve(rect.curve, rect_stops):
+        side = rect.side_of_vertex(rect_vertex[pts[0][0]])
         arcs.append(_Arc(len(arcs), SIDES[side], tail, head, pts))
     for i, piece in enumerate(spec.pieces):
         stops = [(piece_vertex[i][nd.point], nd.nid) for nd in nodes
                  if i in nd.objects]
-        for _, tail, head, pts in _split_curve(piece, stops):
+        for tail, head, pts in _split_curve(piece, stops):
             arcs.append(_Arc(len(arcs), i, tail, head, pts))
 
     faces: list[_Face] = []
@@ -587,7 +589,7 @@ def assemble_theorem_certificate(first: PackingSpec, second: PackingSpec,
 
 
 def _vertex_param(curve: PolyJordanCurve, p: RatPoint) -> Fraction:
-    return Fraction(curve.loop.vertices.index(p), len(curve))
+    return Fraction(curve.vertices.index(p), len(curve))
 
 
 def _certificate(first: PackingSpec, second: PackingSpec,

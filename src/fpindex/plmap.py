@@ -347,7 +347,7 @@ def _insert_on_edges(curve: PolyJordanCurve,
                      extra: Iterable[RatPoint]) -> PLLoop:
     """Subdivide the curve's edges at any of the given points lying on it."""
     n = len(curve)
-    at = {Fraction(i, n): p for i, p in enumerate(curve.loop.vertices)}
+    at = {Fraction(i, n): p for i, p in enumerate(curve.vertices)}
     for p in extra:
         s = curve.locate_param(p)
         if s is not None:
@@ -365,8 +365,8 @@ def _split_pair(first: PolyJordanCurve, second: PolyJordanCurve,
     so one curve's shared run is the other's reversed, with no comparison.
     Neither run covers its whole loop: the other curve would then be that
     loop reversed, which is clockwise."""
-    loops = (_insert_on_edges(first, second.loop.vertices),
-             _insert_on_edges(second, first.loop.vertices))
+    loops = (_insert_on_edges(first, second.vertices),
+             _insert_on_edges(second, first.vertices))
     paths = []
     for loop, other in (loops, loops[::-1]):
         other_edges, flags = set(other.edges()), []

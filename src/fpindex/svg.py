@@ -86,8 +86,8 @@ def render_torus(diagram: TorusDiagram, path=None,
 
 def _scaler(curves: list[PolyJordanCurve]):
     side, margin = 640, 30
-    xs = [p.x for c in curves for p in c.loop.vertices]
-    ys = [p.y for c in curves for p in c.loop.vertices]
+    xs = [p.x for c in curves for p in c.vertices]
+    ys = [p.y for c in curves for p in c.vertices]
     lo_x, hi_x, lo_y, hi_y = min(xs), max(xs), min(ys), max(ys)
     span = max(hi_x - lo_x, hi_y - lo_y, Fraction(1))
     scale = Fraction(side) / span
@@ -104,11 +104,11 @@ def _scaler(curves: list[PolyJordanCurve]):
 def _packing_paths(spec: PackingSpec, to_px, color: str, dash: str) -> list[str]:
     body = []
     frame = spec.rect.curve
-    body.append(_shape("polygon", [to_px(p) for p in frame.loop.vertices],
+    body.append(_shape("polygon", [to_px(p) for p in frame.vertices],
                        f'fill="none" stroke="{color}" stroke-width="2.5"'
                        f'{dash}'))
     for piece in spec.pieces:
-        body.append(_shape("polygon", [to_px(p) for p in piece.loop.vertices],
+        body.append(_shape("polygon", [to_px(p) for p in piece.vertices],
                            f'fill="{color}" fill-opacity="0.12" '
                            f'stroke="{color}" stroke-width="1.5"{dash}'))
     for corner in spec.rect.corner_points:
@@ -144,6 +144,6 @@ def render_faces(first: PolyJordanCurve, second: PolyJordanCurve) -> str:
                            f'fill="{fill}" fill-opacity="0.55" '
                            'stroke="#333" stroke-width="0.7"'))
     for curve, color in ((first, "#1f77b4"), (second, "#d62728")):
-        body.append(_shape("polygon", [to_px(p) for p in curve.loop.vertices],
+        body.append(_shape("polygon", [to_px(p) for p in curve.vertices],
                            f'fill="none" stroke="{color}" stroke-width="2"'))
     return _svg_doc(width, height, body)

@@ -169,8 +169,7 @@ def _half_cmp(line1, line2) -> int:
 def angular_trace_faces(arcs):
     """trace_faces with each node's rotation found by sorting the half-edges
     leaving it by angle: half-edge 2k runs along arc (tail, head, polyline)
-    k and 2k + 1 against it, each polyline given as rows (X, Y, W) and
-    sorted on its points."""
+    k and 2k + 1 against it, each polyline given as (point, row) pairs."""
     lines, tails = [], []
     for tail, head, polyline in arcs:
         lines += [polyline, polyline[::-1]]
@@ -178,8 +177,7 @@ def angular_trace_faces(arcs):
     outgoing: dict[int, list[int]] = {}
     for h, tail in enumerate(tails):
         outgoing.setdefault(tail, []).append(h)
-    points = [[RatPoint(Fraction(x, w), Fraction(y, w)) for x, y, w in line]
-              for line in lines]
+    points = [[p for p, _ in line] for line in lines]
     order = cmp_to_key(lambda g, h: _half_cmp(points[g], points[h]))
     for outs in outgoing.values():
         outs.sort(key=order)

@@ -7,7 +7,6 @@ import pytest
 
 from fpindex import jordan
 from fpindex.errors import (
-    HasFixedPoint,
     InvariantFailure,
     NotPositivelyOriented,
     NotSimple,
@@ -41,7 +40,6 @@ from fpindex.jordan import (
     segment_contacts,
     validate_curve,
 )
-from fpindex.plmap import fixed_point_index, random_correspondence
 
 from geomgen import (
     AffineMap,
@@ -610,7 +608,7 @@ def geometric_faces(first, second, cs):
     for tag, curve, order, attr in (
             ("first", first, cs.crossings, "param_k"),
             ("second", second, cs.by_param_kt(), "param_kt")):
-        stops = [(getattr(c, attr), row(c.point)) for c in order]
+        stops = [(getattr(c, attr), (c.point, row(c.point))) for c in order]
         for a, line in enumerate(_arcs_of(curve, stops)):
             arcs.append((tag, order[a].index,
                          order[(a + 1) % len(order)].index, line))
@@ -712,13 +710,12 @@ class TestCanonicalPair:
         assert crossing_word(check_transverse(horiz, vert)) not in words
 
 
-class TestLoopsFromRows:
-    """A loop built from its rows keeps them and builds its vertices only
-    when they are read."""
+class TestSeededLoops:
+    """A loop built trusted with its rows seeded, as the canonical pairs and
+    the arrangement faces are, equals the loop the checked constructor
+    builds from its vertices, and its seeded rows are that loop's rows."""
 
     def loops(self):
-        """Loops built from rows: the canonical pairs' curves, and the faces
-        of their arrangements and of seeded star pairs."""
         rng = random.Random(3408)
         pairs = [canonical_noncut_pair(m) for m in (1, 4, 9)]
         for first, second in pairs:
@@ -732,38 +729,11 @@ class TestLoopsFromRows:
 
     def test_equal_to_the_loop_built_from_its_points(self):
         for loop in self.loops():
-            keys, size = loop.edge_keys, len(loop)
-            assert "vertices" not in vars(loop)
+            assert "rows" in vars(loop)
             points = PLLoop(loop.vertices)
             twin = TWINS["PLLoop"](points.vertices)
             assert loop == points and hash(loop) == hash(points) == hash(twin)
             assert repr(loop) == repr(points) == repr(twin)
-            assert size == len(points) and keys == points.edge_keys
+            assert len(loop) == len(points)
+            assert loop.edge_keys == points.edge_keys
             assert loop.rows == points.rows  # least rows
-
-    @pytest.mark.parametrize("m", [1, 5, 20])
-    def test_noncut_layers_build_no_point(self, m, monkeypatch):
-        made = []
-        init = RatPoint.__init__
-
-        def counting(self, x, y):
-            made.append((x, y))
-            init(self, x, y)
-
-        monkeypatch.setattr(RatPoint, "__init__", counting)
-        first, second = canonical_noncut_pair(m)
-        assert len(check_transverse(first, second)) == 2 * m
-        assert not cuts_each_other(first, second)
-        rng = random.Random(m)
-        while True:
-            phi = random_correspondence(rng, rng.randrange(3, 10))
-            try:
-                assert 0 <= fixed_point_index(first, second, phi) <= 2
-                break
-            except HasFixedPoint:
-                continue
-        assert made == []
-        for curve in (first, second):
-            before = len(made)
-            assert curve.vertices == curve.loop.vertices
-            assert len(made) - before == len(curve)
