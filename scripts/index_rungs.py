@@ -51,7 +51,6 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
 from fpindex import plmap  # noqa: E402
-from fpindex.errors import HasFixedPoint  # noqa: E402
 from fpindex.prescribe import prescribe  # noqa: E402
 from fpindex.torus import (  # noqa: E402
     build_diagram,
@@ -61,6 +60,7 @@ from fpindex.torus import (  # noqa: E402
 
 from geomgen import (  # noqa: E402
     circle_pools,
+    indexable_map,
     random_transverse_pair,
     synthesize_constraints,
     unit_directions,
@@ -75,12 +75,8 @@ REALIZED = 20
 def index_calls(rng: random.Random, first, second) -> list[tuple]:
     """MAPS seeded maps without fixed points, forward and inverse."""
     calls = []
-    while len(calls) < 2 * MAPS:
-        phi = plmap.random_correspondence(rng, rng.randrange(3, 10))
-        try:
-            plmap.fixed_point_index(first, second, phi)
-        except HasFixedPoint:
-            continue
+    for _ in range(MAPS):
+        phi, _ = indexable_map(rng, first, second)
         calls += [(first, second, phi), (second, first, phi.invert())]
     return calls
 
@@ -163,13 +159,7 @@ def realized_rung(pairs: int) -> dict:
     calls = {"path_of_correspondence": [], "prescribe": []}
     for _ in range(pairs):
         first, second, crossings = random_transverse_pair(rng)
-        while True:
-            phi = plmap.random_correspondence(rng, rng.randrange(4, 9))
-            try:
-                plmap.fixed_point_index(first, second, phi)
-                break
-            except HasFixedPoint:
-                continue
+        phi, _ = indexable_map(rng, first, second, range(4, 9))
         diagram = build_diagram(first, second, crossings,
                                 synthesize_constraints(crossings, phi, rng))
         for kind, path in (("path_of_correspondence",

@@ -34,18 +34,17 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
-from fpindex.errors import HasFixedPoint  # noqa: E402
 from fpindex.jordan import (  # noqa: E402
     canonical_noncut_pair,
     check_transverse,
     cuts_each_other,
     segment_contacts,
 )
-from fpindex.plmap import fixed_point_index, random_correspondence  # noqa: E402
+from fpindex.plmap import fixed_point_index  # noqa: E402
 from fpindex.prescribe import prescribe  # noqa: E402
 from fpindex.torus import build_diagram, realize_path  # noqa: E402
 
-from geomgen import synthesize_constraints  # noqa: E402
+from geomgen import indexable_map, synthesize_constraints  # noqa: E402
 
 RUNGS = (1, 5, 8, 12, 16, 20, 32, 64)
 REPEATS = 20
@@ -53,17 +52,6 @@ DRAWS = 30
 LAYERS = ("canonical_noncut_pair", "check_transverse", "cuts_each_other",
           "segment_contacts", "fixed_point_index", "build_diagram",
           "prescribe", "realize_path")
-
-
-def indexable_map(rng: random.Random, first, second):
-    """A seeded map with 3 to 9 breakpoints and no fixed point."""
-    while True:
-        phi = random_correspondence(rng, rng.randrange(3, 10))
-        try:
-            fixed_point_index(first, second, phi)
-            return phi
-        except HasFixedPoint:
-            continue
 
 
 def one_pass(m: int, seed: int) -> tuple[dict[str, float], int]:
@@ -81,7 +69,7 @@ def one_pass(m: int, seed: int) -> tuple[dict[str, float], int]:
     crossings = timed("check_transverse", check_transverse, first, second)
     timed("cuts_each_other", cuts_each_other, first, second)
     timed("segment_contacts", segment_contacts, first.loop, second.loop)
-    phi = indexable_map(rng, first, second)
+    phi, _ = indexable_map(rng, first, second)
     timed("fixed_point_index", fixed_point_index, first, second, phi)
     pairs = synthesize_constraints(crossings, phi, rng)
     diagram = timed("build_diagram", build_diagram, first, second, crossings,

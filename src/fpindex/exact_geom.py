@@ -6,11 +6,11 @@ configurations are reported, never repaired.
 
 Predicates run on integers, with one point form: the homogeneous row
 (X, Y, W) of `row`, W > 0 the lcm of the point's own two denominators. A
-loop stores its vertices as points and caches their rows (`PLLoop.rows`),
-with one edge table built from them (`PLLoop.edge_keys`). The kernels
+loop stores its vertices as points and computes their rows when first
+read (`PLLoop.rows`; only `jordan.canonical_noncut_pair` seeds them), with
+one edge table built from them (`PLLoop.edge_keys`). The kernels
 `turn_int`, `in_box_int`, `meet_int`, `edge_crossing` and `origin_winding`
-decide predicates on rows alone, and `between` places a point along a
-segment as a row.
+decide on rows alone, and `between` places a point along a segment as a row.
 
 Sign conventions, used consistently by the whole package:
 

@@ -8,9 +8,11 @@ proper interior crossings of segments. Crossings carry a kind:
 * kind Ptilde: the first boundary crosses out (the second crosses in).
 
 Kinds alternate along both boundaries. Parameters normalize each curve to
-[0, 1) with vertex i of an n-gon at parameter i/n. One integer pass
-(_crossing_pass) reads both crossing orders, the kinds and every check
-without a `Fraction`; check_transverse adds the parameters.
+[0, 1) with vertex i of an n-gon at parameter i/n; _arcs_of, the package's
+one curve splitter, cuts a curve into polylines of points at such
+parameters. One integer pass (_crossing_pass) reads both crossing orders,
+the kinds and every check without a `Fraction`; check_transverse adds the
+parameters.
 
 The arrangement of a transverse pair with 2M >= 2 crossings has the crossings
 as vertices, the 4M boundary arcs as edges, and 2M + 2 faces. A pair *cuts*
@@ -373,15 +375,13 @@ class ArrangementFace:
 
 
 def _arcs_of(curve: PolyJordanCurve,
-             stops: Sequence[tuple[Fraction, tuple[RatPoint, Row]]],
-             ) -> list[tuple[tuple[RatPoint, Row], ...]]:
-    """Polyline of the curve's arc from each (parameter, (point, row)) stop
-    to the next, the stops sorted by parameter, as (point, row) pairs; a
-    single stop gives the whole loop. Vertex i of n sits at parameter i/n,
-    so the vertices inside the arc from p to q are those with n p < i < n q,
-    taken cyclically, each with the row its loop caches (PLLoop.rows)."""
-    vertices = list(zip(curve.vertices, curve.loop.rows))
-    n = len(vertices)
+             stops: Sequence[tuple[Fraction, RatPoint]],
+             ) -> list[tuple[RatPoint, ...]]:
+    """Polyline of the curve's arc from each (parameter, point) stop to the
+    next, the stops sorted by parameter; a single stop gives the whole loop.
+    Vertex i of n sits at parameter i/n, so the vertices inside the arc from
+    p to q are those with n p < i < n q, taken cyclically."""
+    vertices, n = curve.vertices, len(curve)
     arcs = []
     for (p_from, a), (p_to, b) in zip(stops, stops[1:] + stops[:1]):
         lo = p_from.numerator * n // p_from.denominator + 1
@@ -416,12 +416,11 @@ def _face_cycles(outgoing: Sequence[Sequence[int]]) -> Iterator[list[int]]:
             yield cycle
 
 
-def trace_faces(lines: Sequence[tuple[tuple[RatPoint, Row], ...]],
+def trace_faces(lines: Sequence[tuple[RatPoint, ...]],
                 outgoing: Sequence[Sequence[int]],
                 ) -> Iterator[tuple[tuple[tuple[int, bool], ...], PLLoop,
                                     Fraction]]:
-    """Faces of a plane arrangement of directed arcs, given as polylines of
-    (point, row) pairs.
+    """Faces of a plane arrangement of directed arcs, given as polylines.
 
     Each arc gives two half-edges, 2k along arc k and 2k + 1 against it, and
     each list in outgoing holds the half-edges leaving one node in
@@ -437,14 +436,12 @@ def trace_faces(lines: Sequence[tuple[tuple[RatPoint, Row], ...]],
                signed_area(polygon))
 
 
-def _join_polylines(lines: Sequence[Sequence[tuple[RatPoint, Row]]],
-                    ) -> PLLoop:
-    """The closed loop through polylines of (point, row) pairs laid end to
-    end, each ending where the next one starts, with its rows seeded.
-    Consecutive vertices differ, as they do along each polyline; a face of
-    fewer than 3 vertices has zero area, which both callers reject."""
-    vertices, rows = zip(*[q for line in lines for q in line[:-1]])
-    return trusted(PLLoop, vertices=vertices, rows=rows)
+def _join_polylines(lines: Sequence[Sequence[RatPoint]]) -> PLLoop:
+    """The closed loop through polylines laid end to end, each ending where
+    the next one starts; its rows are computed when first read. Consecutive
+    vertices differ, as along each polyline. A refined curve keeps its own
+    n >= 3 vertices, and a face with fewer has zero area, which is rejected."""
+    return trusted(PLLoop, vertices=tuple([p for a in lines for p in a[:-1]]))
 
 
 def _pattern_faces(by_kt: Sequence[int], kinds: Sequence[bool],
@@ -510,7 +507,7 @@ def build_arrangement(first: PolyJordanCurve, second: PolyJordanCurve,
     for tag, curve, order, attr in (
             ("first", first, crossings.crossings, "param_k"),
             ("second", second, crossings.by_param_kt(), "param_kt")):
-        stops = [(getattr(c, attr), (c.point, row(c.point))) for c in order]
+        stops = [(getattr(c, attr), c.point) for c in order]
         for c, line in zip(order, _arcs_of(curve, stops)):
             lines[tag, c.index] = line
     faces: list[ArrangementFace] = []
@@ -601,7 +598,8 @@ def canonical_noncut_pair(m: int) -> tuple[PolyJordanCurve, PolyJordanCurve]:
     left side, two crossings per bump. Both difference regions stay connected.
 
     Both are simple and counterclockwise by construction, and are built
-    trusted from integers over 1 and 5, seeding the rows PLLoop.rows gives.
+    trusted from integers over 1 and 5, seeding the rows PLLoop.rows gives:
+    the only seeded loops, as every noncut_ladder op reads these rows.
     """
     if m < 1:
         raise ValueError("m must be >= 1")

@@ -46,7 +46,6 @@ from .exact_geom import (
     MeetKind,
     PointLocation,
     RatPoint,
-    Row,
     _set,
     in_box_int,
     point_in_polygon,
@@ -301,14 +300,12 @@ class _Face:
 
 
 def _split_curve(curve: PolyJordanCurve, stops: list[tuple[int, int]],
-                 ) -> list[tuple[int, int, tuple[tuple[RatPoint, Row], ...]]]:
-    """(tail node, head node, polyline of (point, row) pairs) runs of a
-    curve split at the given (vertex index, node id) stops, in positive
-    cyclic order."""
-    n, points, rows = len(curve), curve.vertices, curve.loop.rows
+                 ) -> list[tuple[int, int, tuple[RatPoint, ...]]]:
+    """(tail node, head node, polyline) runs of a curve split at the given
+    (vertex index, node id) stops, in positive cyclic order."""
+    n, points = len(curve), curve.vertices
     stops = sorted(stops)
-    lines = _arcs_of(curve, [(Fraction(i, n), (points[i], rows[i]))
-                             for i, _ in stops])
+    lines = _arcs_of(curve, [(Fraction(i, n), points[i]) for i, _ in stops])
     return [(tail, head, line) for (_, tail), (_, head), line
             in zip(stops, stops[1:] + stops[:1], lines)]
 
@@ -370,7 +367,7 @@ def _analyze(spec: PackingSpec) -> _Analysis:
     rect_stops = [(rect_vertex[nd.point], nd.nid) for nd in nodes
                   if any(isinstance(o, str) for o in nd.objects)]
     for tail, head, pts in _split_curve(rect.curve, rect_stops):
-        side = rect.side_of_vertex(rect_vertex[pts[0][0]])
+        side = rect.side_of_vertex(rect_vertex[pts[0]])
         arcs.append(_Arc(len(arcs), SIDES[side], tail, head, pts))
     for i, piece in enumerate(spec.pieces):
         stops = [(piece_vertex[i][nd.point], nd.nid) for nd in nodes

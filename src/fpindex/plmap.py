@@ -43,7 +43,6 @@ from .errors import (
     ArcsDisagree,
     BadGluingGeometry,
     HasFixedPoint,
-    DegenerateLoop,
     InputRejection,
     NotOrientationPreserving,
     NotSimple,
@@ -58,7 +57,7 @@ from .exact_geom import (
     edge_crossing,
     value_type,
 )
-from .jordan import PolyJordanCurve, validate_curve
+from .jordan import PolyJordanCurve, _arcs_of, _join_polylines, validate_curve
 
 
 @value_type
@@ -282,24 +281,6 @@ def _difference_at(source: PolyJordanCurve, target: PolyJordanCurve):
     return at
 
 
-def difference_loop(source: PolyJordanCurve, target: PolyJordanCurve,
-                    phi: PLCorrespondence) -> PLLoop:
-    """The loop of displacement vectors target(phi(s)) - source(s). It is
-    the index's definition, which the tests hold fixed_point_index to."""
-    at = _difference_at(source, target)
-    points: list[RatPoint] = []
-    for entry in _bend_walk(len(source), len(target), phi):
-        x, y, w = at(*entry)
-        q = RatPoint(Fraction(x, w), Fraction(y, w))
-        if not points or points[-1] != q:
-            points.append(q)
-    if len(points) >= 2 and points[0] == points[-1]:
-        points.pop()
-    if len(points) < 3:
-        raise DegenerateLoop("difference collapses to fewer than three points")
-    return PLLoop(tuple(points))
-
-
 def fixed_point_index(source: PolyJordanCurve, target: PolyJordanCurve,
                       phi: PLCorrespondence) -> int:
     """Winding number of the difference loop around the origin.
@@ -345,14 +326,12 @@ class GluedMap:
 
 def _insert_on_edges(curve: PolyJordanCurve,
                      extra: Iterable[RatPoint]) -> PLLoop:
-    """Subdivide the curve's edges at any of the given points lying on it."""
-    n = len(curve)
-    at = {Fraction(i, n): p for i, p in enumerate(curve.vertices)}
-    for p in extra:
-        s = curve.locate_param(p)
-        if s is not None:
-            at.setdefault(s, p)
-    return PLLoop(tuple([at[s] for s in sorted(at)]))
+    """The curve's loop cut (_arcs_of) at those of the other curve's distinct
+    vertices that lie on it, from the first of them, or the curve's own loop
+    when none does. Distinct points on a curve have distinct parameters."""
+    stops = sorted([(s, p) for p in extra
+                    if (s := curve.locate_param(p)) is not None])
+    return _join_polylines(_arcs_of(curve, stops)) if stops else curve.loop
 
 
 def _split_pair(first: PolyJordanCurve, second: PolyJordanCurve,
@@ -380,8 +359,7 @@ def _split_pair(first: PolyJordanCurve, second: PolyJordanCurve,
         starts = [i for i, f in enumerate(flags) if f and not flags[i - 1]]
         if len(starts) != 1:
             raise BadGluingGeometry("shared set is not a single arc")
-        verts, length = loop.vertices, sum(flags)
-        n = len(verts)
+        verts, length, n = loop.vertices, sum(flags), len(loop)
         paths.append([verts[(starts[0] + length + k) % n]
                       for k in range(n - length + 1)])
     return paths

@@ -17,6 +17,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 from fpindex.errors import (
     ConstraintOnCurve,
+    HasFixedPoint,
     InputRejection,
     InvariantFailure,
     NotOrientationPreserving,
@@ -47,9 +48,20 @@ from fpindex.jordan import (
     trace_faces,
     validate_curve,
 )
-from fpindex.plmap import PLCorrespondence
+from fpindex.plmap import (
+    PLCorrespondence,
+    fixed_point_index,
+    random_correspondence,
+)
 from fpindex.prescribe import ABOVE, BELOW, _events, _staircase, _walk
-from fpindex.torus import Ranks, StaircasePath, TokenId, TorusDiagram, _read_path
+from fpindex.torus import (
+    Ranks,
+    StaircasePath,
+    TokenId,
+    TorusDiagram,
+    _read_path,
+    build_diagram,
+)
 
 
 # -- reference geometry -------------------------------------------------------
@@ -169,7 +181,7 @@ def _half_cmp(line1, line2) -> int:
 def angular_trace_faces(arcs):
     """trace_faces with each node's rotation found by sorting the half-edges
     leaving it by angle: half-edge 2k runs along arc (tail, head, polyline)
-    k and 2k + 1 against it, each polyline given as (point, row) pairs."""
+    k and 2k + 1 against it."""
     lines, tails = [], []
     for tail, head, polyline in arcs:
         lines += [polyline, polyline[::-1]]
@@ -177,8 +189,7 @@ def angular_trace_faces(arcs):
     outgoing: dict[int, list[int]] = {}
     for h, tail in enumerate(tails):
         outgoing.setdefault(tail, []).append(h)
-    points = [[p for p, _ in line] for line in lines]
-    order = cmp_to_key(lambda g, h: _half_cmp(points[g], points[h]))
+    order = cmp_to_key(lambda g, h: _half_cmp(lines[g], lines[h]))
     for outs in outgoing.values():
         outs.sort(key=order)
     return trace_faces(lines[::2], outgoing.values())
@@ -724,6 +735,21 @@ def identity_params(n: int) -> PLCorrespondence:
                                   for i in range(n)))
 
 
+def indexable_map(rng: random.Random, first: PolyJordanCurve,
+                  second: PolyJordanCurve, breakpoints: range = range(3, 10),
+                  ) -> tuple[PLCorrespondence, int]:
+    """(phi, its index from first to second): `random_correspondence` maps,
+    each with a breakpoint count drawn from the range, redrawn until one
+    has no boundary fixed point."""
+    while True:
+        phi = random_correspondence(rng, rng.randrange(breakpoints.start,
+                                                       breakpoints.stop))
+        try:
+            return phi, fixed_point_index(first, second, phi)
+        except HasFixedPoint:
+            continue
+
+
 def square_map_with_detours(rng: random.Random,
                             skip_edge: int) -> PLCorrespondence:
     """Identity on the corners, random extra bends off the shared edge.
@@ -767,6 +793,18 @@ def glued_square_fixture(rng: random.Random):
             square_map_with_detours(rng, skip_edge=1),
             square_curve(xm, y0, x1, y1), square_curve(txm, ty0, tx1, ty1),
             square_map_with_detours(rng, skip_edge=3))
+
+
+def lens_fixture():
+    """Overlapping squares, two crossings, identity-parameter map, index 0:
+    (first, second, crossings, diagram)."""
+    first = square_curve(0, 0, 4, 4)
+    second = square_curve(2, 1, 6, 3)
+    crossings = check_transverse(first, second)
+    constraints = [(Fraction(0), Fraction(0)), (Fraction(1, 4), Fraction(1, 4)),
+                   (Fraction(3, 4), Fraction(3, 4))]
+    diagram = build_diagram(first, second, crossings, constraints)
+    return first, second, crossings, diagram
 
 
 def random_transverse_pair(

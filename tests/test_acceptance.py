@@ -16,17 +16,11 @@ from pathlib import Path
 from fpindex.errors import HasFixedPoint
 from fpindex.jordan import (
     CrossKind,
-    PolyJordanCurve,
     canonical_noncut_pair,
     check_transverse,
 )
 from fpindex.packing import assemble_theorem_certificate, find_cutting_pair
-from fpindex.plmap import (
-    PLCorrespondence,
-    fixed_point_index,
-    glue,
-    random_correspondence,
-)
+from fpindex.plmap import fixed_point_index, glue, random_correspondence
 from fpindex.prescribe import oracle_enumerate, prescribe
 from fpindex.serialize import load_curve, load_json_file, load_map
 from fpindex.torus import (
@@ -41,6 +35,7 @@ from geomgen import (
     circle_pools,
     constraint_point,
     glued_square_fixture,
+    indexable_map,
     local_winding,
     membership_matches_geometry,
     oracle_with_anchors,
@@ -59,19 +54,6 @@ REPORTS = Path(__file__).parents[1] / "reports"
 
 def _load(name: str):
     return load_json_file(str(FIXTURES / name))
-
-
-def _indexable_map(rng: random.Random, first: PolyJordanCurve,
-                   second: PolyJordanCurve,
-                   breakpoints: range = range(3, 10),
-                   ) -> tuple[PLCorrespondence, int]:
-    while True:
-        phi = random_correspondence(rng, rng.randrange(breakpoints.start,
-                                                       breakpoints.stop))
-        try:
-            return phi, fixed_point_index(first, second, phi)
-        except HasFixedPoint:
-            continue
 
 
 # -- affine fixtures ---------------------------------------------------------
@@ -125,7 +107,7 @@ def test_c02_circle_index_laws_hold_on_1000_maps():
     for i in range(1000):
         cls = classes[i % 4]
         first, second = pools[cls][(i // 4) % 5]
-        phi, eta = _indexable_map(rng, first, second)
+        phi, eta = indexable_map(rng, first, second)
         assert fixed_point_index(second, first, phi.invert()) == eta
         if cls == "disjoint":
             assert eta == 0
@@ -162,7 +144,7 @@ def test_c04_torus_reading_matches_geometry_on_1000_instances():
             rng, min_crossings=2, max_crossings=10)
         windings_checked = False
         for _ in range(8):
-            phi, _ = _indexable_map(rng, first, second, range(3, 9))
+            phi, _ = indexable_map(rng, first, second, range(3, 9))
             pairs = synthesize_constraints(crossings, phi, rng)
             diagram = build_diagram(first, second, crossings, pairs)
             path = path_of_correspondence(diagram, phi)
@@ -186,16 +168,10 @@ def test_c05_noncut_pairs_keep_index_between_0_and_2():
     for m in range(1, 7):
         first, second = canonical_noncut_pair(m)
         seen: set[int] = set()
-        done = 0
-        while done < 200:
-            phi = random_correspondence(rng, rng.randrange(3, 10))
-            try:
-                eta = fixed_point_index(first, second, phi)
-            except HasFixedPoint:
-                continue
+        for _ in range(200):
+            _, eta = indexable_map(rng, first, second)
             assert 0 <= eta <= 2
             seen.add(eta)
-            done += 1
         witnessed[2 * m] = sorted(seen)
     report = {str(k): v for k, v in witnessed.items()}
     print("index values witnessed by crossing count:", report)
@@ -273,7 +249,7 @@ def test_c10_index_is_affine_invariant_on_500_triples():
     done = 0
     while done < 500:
         first, second = pool[done % len(pool)]
-        phi, eta = _indexable_map(rng, first, second)
+        phi, eta = indexable_map(rng, first, second)
         mapping = _random_affine(rng)
         moved = transform_pair(first, second, phi, mapping)
         assert fixed_point_index(*moved) == eta

@@ -1,11 +1,15 @@
 """CLI subcommands end to end: reports, exit codes, SVG output, determinism."""
+import contextlib
 import importlib
 import importlib.util
+import io
 import json
+import tempfile
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from fpindex.cli import main
 
@@ -421,3 +425,107 @@ class TestCompareOutputsScript:
                      "tests/fixtures/golden_twelve_trace.json"):
             assert (mixed / name).read_bytes() == (ROOT / name).read_bytes()
         assert not list(mixed.rglob("__pycache__"))
+
+
+# -- fuzzing main() on mutated fixtures ----------------------------------------
+
+# Every command that reads files, on shipped fixtures; "{svg}" is the SVG
+# output path. selftest reads no file.
+FUZZ_RUNS = (
+    ("index", "fig_interleaved_first.json", "fig_interleaved_second.json",
+     "identity_corner_map.json"),
+    ("index", "fig_twelve_first.json", "fig_twelve_second.json",
+     "identity_corner_map.json"),
+    ("torus", "fig_twelve_first.json", "fig_twelve_second.json",
+     "twelve_constraints.json"),
+    ("prescribe", "fig_twelve_first.json", "fig_twelve_second.json",
+     "twelve_constraints.json"),
+    ("prescribe", "fig_interleaved_first.json", "fig_interleaved_second.json",
+     "corner_constraints.json"),
+    ("cut", "fig_twelve_first.json", "fig_twelve_second.json"),
+    ("incompat", "pack_one_a.json", "pack_one_b.json", "corr_one.json"),
+    ("incompat", "pack_two_a.json", "pack_two_b.json", "corr_two.json"),
+    ("render", "faces", "fig_twelve_first.json", "fig_twelve_second.json",
+     "--svg", "{svg}"),
+    ("render", "overlay", "pack_two_a.json", "pack_two_b.json",
+     "--svg", "{svg}"),
+    ("render", "torus", "fig_interleaved_first.json",
+     "fig_interleaved_second.json", "corner_constraints.json",
+     "--svg", "{svg}"),
+)
+
+
+def json_positions(value, here=()):
+    """(keys to it, value) for every position in a JSON value."""
+    yield here, value
+    if isinstance(value, (dict, list)):
+        keys = value if isinstance(value, dict) else range(len(value))
+        for k in keys:
+            yield from json_positions(value[k], (*here, k))
+
+
+@st.composite
+def mutated(draw, value):
+    """value with one to three mutations: an integer perturbed or replaced
+    by a small one, or a list (vertices, constraints, breakpoints, a
+    correspondence) with an entry dropped or duplicated, reversed, or with
+    two entries swapped. Strategies are drawn by index, so hypothesis
+    builds no new strategy per example."""
+    for _ in range(draw(st.integers(1, 3))):
+        places = [(w, v) for w, v in json_positions(value)
+                  if w and (isinstance(v, int) or isinstance(v, list) and v)]
+        where, target = places[draw(st.integers(0, len(places) - 1))]
+        parent = value
+        for k in where[:-1]:
+            parent = parent[k]
+        if isinstance(target, int):
+            parent[where[-1]] = (target + draw(st.integers(-2, 2))
+                                 if draw(st.booleans()) else
+                                 draw(st.integers(-2, 8)))
+            continue
+        action = draw(st.integers(0, 3))
+        k, k2 = (draw(st.integers(0, len(target) - 1)) for _ in range(2))
+        if action == 0:
+            del target[k]
+        elif action == 1:
+            target.insert(k, json.loads(json.dumps(target[k])))
+        elif action == 2:
+            target.reverse()
+        else:
+            target[k], target[k2] = target[k2], target[k]
+    return value
+
+
+@pytest.mark.parametrize("command", FUZZ_RUNS,
+                         ids=["-".join(c[:2]).removesuffix(".json")
+                              for c in FUZZ_RUNS])
+@settings(derandomize=True, database=None, deadline=None, max_examples=12,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_fuzzed_fixtures_exit_with_one_json_report(command, data):
+    """main() on mutated fixtures exits 0, 1 or 2 and prints one JSON
+    object, which names the error and its reason on exits 1 and 2."""
+    names = tuple([a for a in command if a.endswith(".json")])
+    mutate = data.draw(st.sets(st.sampled_from(names), min_size=1))
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = {}
+        for name in names:
+            paths[name] = fx(name)
+            if name in mutate:
+                value = json.loads((FIXTURES / name).read_text())
+                paths[name] = str(Path(tmp) / name)
+                Path(paths[name]).write_text(
+                    json.dumps(data.draw(mutated(value))))
+        argv = [paths.get(a, a).replace("{svg}", str(Path(tmp) / "out.svg"))
+                for a in command]
+        if command[0] == "incompat":
+            epsilon = data.draw(st.sampled_from(
+                (None, "1/1000", "0", "-1/3", "1/0", "x")))
+            argv += [] if epsilon is None else [f"--epsilon={epsilon}"]
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main(argv)
+    report = json.loads(out.getvalue())
+    assert code in (0, 1, 2) and isinstance(report, dict)
+    if code:
+        assert set(report) == {"error", "reason"} and report["reason"]

@@ -31,6 +31,7 @@ from fpindex.jordan import (
     _arcs_of,
     _box_pairs,
     _exact_order,
+    _join_polylines,
     build_arrangement,
     canonical_noncut_pair,
     check_transverse,
@@ -608,7 +609,7 @@ def geometric_faces(first, second, cs):
     for tag, curve, order, attr in (
             ("first", first, cs.crossings, "param_k"),
             ("second", second, cs.by_param_kt(), "param_kt")):
-        stops = [(getattr(c, attr), (c.point, row(c.point))) for c in order]
+        stops = [(getattr(c, attr), c.point) for c in order]
         for a, line in enumerate(_arcs_of(curve, stops)):
             arcs.append((tag, order[a].index,
                          order[(a + 1) % len(order)].index, line))
@@ -711,13 +712,15 @@ class TestCanonicalPair:
 
 
 class TestSeededLoops:
-    """A loop built trusted with its rows seeded, as the canonical pairs and
-    the arrangement faces are, equals the loop the checked constructor
-    builds from its vertices, and its seeded rows are that loop's rows."""
+    """Only the canonical pairs' curves are built with their rows seeded.
+    Those curves and the arrangement faces, built trusted from points alone,
+    equal the loops the checked constructor builds from their vertices."""
+
+    PAIRS = (1, 4, 9)
 
     def loops(self):
         rng = random.Random(3408)
-        pairs = [canonical_noncut_pair(m) for m in (1, 4, 9)]
+        pairs = [canonical_noncut_pair(m) for m in self.PAIRS]
         for first, second in pairs:
             yield first.loop
             yield second.loop
@@ -729,7 +732,6 @@ class TestSeededLoops:
 
     def test_equal_to_the_loop_built_from_its_points(self):
         for loop in self.loops():
-            assert "rows" in vars(loop)
             points = PLLoop(loop.vertices)
             twin = TWINS["PLLoop"](points.vertices)
             assert loop == points and hash(loop) == hash(points) == hash(twin)
@@ -737,3 +739,15 @@ class TestSeededLoops:
             assert len(loop) == len(points)
             assert loop.edge_keys == points.edge_keys
             assert loop.rows == points.rows  # least rows
+
+    def test_only_the_canonical_curves_seed_rows(self):
+        for m in self.PAIRS:
+            first, second = canonical_noncut_pair(m)
+            assert "rows" in vars(first.loop) and "rows" in vars(second.loop)
+            cs = check_transverse(first, second)
+            for curve, attr in ((first, "param_k"), (second, "param_kt")):
+                stops = sorted([(getattr(c, attr), c.point) for c in cs])
+                refined = _join_polylines(_arcs_of(curve, stops))
+                assert "rows" not in vars(refined)
+                assert len(refined) == len(curve) + len(cs)
+                assert refined.rows == PLLoop(refined.vertices).rows

@@ -193,8 +193,6 @@ KEPT = {
                                   "revision measures the row kernels",
     "exact_geom.RatPoint.dot": "the benchmark's generator uses it until "
                                "the benchmark revision",
-    "plmap.difference_loop": "the index's definition; tier-1 holds "
-                             "fixed_point_index to it",
     "prescribe.find_doubly_adjacent": "the README names it as API",
 }
 

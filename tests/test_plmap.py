@@ -22,6 +22,7 @@ from fpindex.errors import (
     NotOrientationPreserving,
 )
 from fpindex.exact_geom import (
+    PLLoop,
     PointLocation,
     RatPoint,
     edge_crossing,
@@ -34,7 +35,8 @@ from fpindex.packing import assemble_theorem_certificate
 from fpindex.plmap import (
     PLCorrespondence,
     _bend_walk,
-    difference_loop,
+    _difference_at,
+    _insert_on_edges,
     fixed_point_index,
     glue,
     random_correspondence,
@@ -427,6 +429,24 @@ def reference_fixed_point_index(source, target, phi):
     if not any(x or y for x, y, _ in cycle):
         raise HasFixedPoint("correspondence is the identity on the boundary")
     return reference_origin_winding(cycle)
+
+
+def difference_loop(source, target, phi):
+    """The loop of displacement vectors target(phi(s)) - source(s), the
+    index's definition, which fixed_point_index is held to: each bend's
+    vector as a point, repeats dropped."""
+    at = _difference_at(source, target)
+    points = []
+    for entry in _bend_walk(len(source), len(target), phi):
+        x, y, w = at(*entry)
+        q = RatPoint(Fraction(x, w), Fraction(y, w))
+        if not points or points[-1] != q:
+            points.append(q)
+    if len(points) >= 2 and points[0] == points[-1]:
+        points.pop()
+    if len(points) < 3:
+        raise DegenerateLoop("difference collapses to fewer than three points")
+    return PLLoop(tuple(points))
 
 
 def index_outcome(index, source, target, phi):
@@ -952,6 +972,82 @@ class TestGlueOuterBoundaries:
                 assert point_in_polygon(other.loop, p) is PointLocation.OUTSIDE
                 assert point_in_polygon(g.loop, p) is PointLocation.INSIDE
         assert glued > 100
+
+
+def reference_insert_on_edges(curve, extra):
+    """glue's refinement as a dict from parameter to point, sorted: the
+    curve's vertices at i/n and each given point lying on it."""
+    n = len(curve)
+    at = {F(i, n): p for i, p in enumerate(curve.vertices)}
+    for p in extra:
+        s = curve.locate_param(p)
+        if s is not None:
+            at.setdefault(s, p)
+    return [at[s] for s in sorted(at)]
+
+
+def cyclically_equal(a, b) -> bool:
+    return len(a) == len(b) and any(a[k:] + a[:k] == b for k in range(len(a)))
+
+
+def split_square(x0, y0, x1, y1, k):
+    """The square with each side cut into k equal edges."""
+    corners = [pt(x0, y0), pt(x1, y0), pt(x1, y1), pt(x0, y1)]
+    return validate_curve([a + (b - a).scale(F(i, k))
+                           for a, b in zip(corners, corners[1:] + corners[:1])
+                           for i in range(k)])
+
+
+class TestRefinement:
+    """_insert_on_edges cuts a curve with the one splitter, _arcs_of, and
+    gives the sorted-dict refinement up to where the loop starts."""
+
+    square = square_curve(0, 0, 2, 2)
+
+    def refine(self, curve, *points):
+        return _insert_on_edges(curve, [pt(x, y) for x, y in points])
+
+    def test_no_point_on_the_curve_keeps_its_loop(self):
+        assert self.refine(self.square, (3, 3), (1, 1)) is self.square.loop
+
+    def test_points_on_vertices_and_mid_edge(self):
+        square = self.square
+        on_vertex = self.refine(square, (2, 2), (5, 5))
+        assert on_vertex.vertices == (pt(2, 2), pt(0, 2), pt(0, 0), pt(2, 0))
+        refined = self.refine(square, (5, 5), (1, 2), (2, 1), (2, 0))
+        assert refined.vertices == (pt(2, 0), pt(2, 1), pt(2, 2), pt(1, 2),
+                                    pt(0, 2), pt(0, 0))
+        for loop in (on_vertex, refined):
+            assert "rows" not in vars(loop)
+            assert loop == PLLoop(loop.vertices)
+            assert loop.rows == PLLoop(loop.vertices).rows
+
+    def test_matches_the_sorted_dict_on_grid_and_lattice_pairs(self):
+        rng = random.Random(9200)
+        sa, ta, _, sb, tb, _ = lattice_configuration()
+        pairs = [(sa, sb), (ta, tb), (sa, ta), (sb, tb)]
+        pairs += [(grid_curve(rng), grid_curve(rng)) for _ in range(400)]
+        for _ in range(100):
+            x0, y0 = rng.randrange(4), rng.randrange(4)
+            pairs.append((split_square(x0, y0, x0 + rng.randrange(1, 4),
+                                       y0 + rng.randrange(1, 4),
+                                       rng.randrange(1, 4)),
+                          split_square(0, 0, 2, 2, rng.randrange(1, 5))))
+        seen = set()
+        for first, second in pairs:
+            for curve, other in ((first, second), (second, first)):
+                refined = _insert_on_edges(curve, other.vertices)
+                expected = reference_insert_on_edges(curve, other.vertices)
+                assert cyclically_equal(list(refined.vertices), expected)
+                on = [curve.locate_param(p) for p in other.vertices]
+                n = len(curve)
+                seen.update("none" if s is None else
+                            "vertex" if (s * n).denominator == 1 else "edge"
+                            for s in on)
+                if all(s is None for s in on):
+                    assert refined is curve.loop
+                    seen.add("none on the curve")
+        assert seen == {"none", "vertex", "edge", "none on the curve"}
 
 
 def linear_part(mapping: AffineMap, v: RatPoint) -> RatPoint:

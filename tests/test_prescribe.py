@@ -14,7 +14,6 @@ from fpindex.errors import (
     BasePointOnGrid,
     ConstraintOnCurve,
     FpIndexError,
-    HasFixedPoint,
     InternalCaseGap,
     InvariantFailure,
     PathHitsMark,
@@ -63,6 +62,8 @@ from geomgen import (
     anchor_points,
     delta_split,
     identity_params,
+    indexable_map,
+    lens_fixture,
     marks,
     oracle_with_anchors,
     random_transverse_pair,
@@ -79,15 +80,6 @@ from test_torus import rebased, reference_all_bases
 F = Fraction
 # the module itself: the package attribute `prescribe` is the function
 PRESCRIBE = importlib.import_module("fpindex.prescribe")
-
-
-def lens_fixture():
-    first = square_curve(0, 0, 4, 4)
-    second = square_curve(2, 1, 6, 3)
-    crossings = check_transverse(first, second)
-    constraints = [(F(0), F(0)), (F(1, 4), F(1, 4)), (F(3, 4), F(3, 4))]
-    diagram = build_diagram(first, second, crossings, constraints)
-    return first, second, crossings, diagram
 
 
 def canonical_diagram(m: int, seed: int):
@@ -396,13 +388,7 @@ class TestDeepPrescription:
         first, second = canonical_noncut_pair(64)
         crossings = check_transverse(first, second)
         rng = random.Random(64001)
-        while True:
-            phi = random_correspondence(rng, rng.randrange(3, 10))
-            try:
-                fixed_point_index(first, second, phi)
-                break
-            except HasFixedPoint:
-                continue
+        phi, _ = indexable_map(rng, first, second)
         diagram = build_diagram(first, second, crossings,
                                 synthesize_constraints(crossings, phi, rng))
         depth, frame = 0, sys._getframe()

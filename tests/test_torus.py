@@ -43,6 +43,7 @@ from geomgen import (
     cyclic_offsets,
     delta_split,
     identity_params,
+    lens_fixture,
     local_winding,
     marks,
     membership_matches_geometry,
@@ -61,16 +62,6 @@ from geomgen import (
 from twins import rebuilt
 
 F = Fraction
-
-
-def lens_fixture():
-    """Overlapping squares, two crossings, identity-parameter map, index 0."""
-    first = square_curve(0, 0, 4, 4)
-    second = square_curve(2, 1, 6, 3)
-    crossings = check_transverse(first, second)
-    constraints = [(F(0), F(0)), (F(1, 4), F(1, 4)), (F(3, 4), F(3, 4))]
-    diagram = build_diagram(first, second, crossings, constraints)
-    return first, second, crossings, diagram
 
 
 class TestBuildDiagram:
