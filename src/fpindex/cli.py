@@ -233,8 +233,17 @@ def _emit(report: dict, out: str | None) -> None:
         sys.stdout.write(text)
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises an argument error as an InputRejection, which `main` reports
+    with exit 2, where argparse would print its usage to stderr and exit;
+    its subparsers are of this class too."""
+
+    def error(self, message: str):
+        raise InputRejection(f"{self.prog}: {message}")
+
+
 def _parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="fpindex",
         description="Exact fixed-point indices of boundary correspondences, "
                     "torus diagrams, prescribed-index maps, and packing "
@@ -274,11 +283,11 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = vars(_parser().parse_args(argv))
-    run, out = args.pop("run"), args.pop("out")
-    del args["command"]
-    code = 0
+    code, out = 0, None
     try:
+        args = vars(_parser().parse_args(argv))
+        run, out = args.pop("run"), args.pop("out")
+        del args["command"]
         report = run(**args)
     except InputRejection as exc:
         code, report = 2, {"error": type(exc).__name__, "reason": str(exc)}

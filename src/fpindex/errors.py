@@ -113,11 +113,6 @@ class InternalCaseGap(InvariantFailure):
     """No reinsertion candidate verified; must never fire."""
 
 
-class TooLarge(InputRejection):
-    """The diagram exceeds the exhaustive oracle's size bound. Kept with
-    oracle_enumerate until the index-set DP replaces the oracle."""
-
-
 # -- packings ----------------------------------------------------------------
 
 class PieceOutsideRect(InputRejection):

@@ -8,8 +8,8 @@ smaller diagram, then thread the path past the reinserted pair without
 letting the index drop. The induction is one loop over an explicit stack
 of levels (`_drive`), each the diagram on integers (`torus.Ranks`) with its
 event list; a child level is derived from its parent's in O(n) (`_child`).
-`oracle_enumerate` brute-forces every achievable index value as an
-independent cross-check.
+`oracle_enumerate` finds every achievable index value as an independent
+cross-check, by a dynamic program over the path's height at each event.
 
 A staircase path's homotopy class rel marks is determined by which marks lie
 below it, so the solver manipulates below-sets and materializes a path only
@@ -36,6 +36,9 @@ from __future__ import annotations
 
 import bisect
 from enum import Enum
+from functools import reduce
+from itertools import accumulate
+from operator import or_
 
 from .errors import (
     AssumptionViolated,
@@ -44,7 +47,6 @@ from .errors import (
     InvariantFailure,
     PathHitsMark,
     TooFewCrossings,
-    TooLarge,
 )
 from .exact_geom import trusted, value_type
 from .torus import Ranks, StaircasePath, TorusDiagram, _read_path
@@ -609,23 +611,39 @@ def _solve_by_pairs(level: Ranks, scale: int, events, depth: int):
         + level.dump())
 
 
-# -- exhaustive oracle -----------------------------------------------------------
+# -- index-set oracle ----------------------------------------------------------
 
 def oracle_enumerate(diagram: TorusDiagram) -> frozenset[int]:
     """Every index achievable by a faithful mark-avoiding staircase path.
 
-    Exhausts all mark bipartitions and keeps the realizable ones. It stays,
-    with TooLarge, until the index-set DP replaces it.
+    A dynamic program over the events in column order: constraints 2 and 3
+    (the anchors) and the marks. A path passes each event at a threshold t
+    that never falls; with row r at 2r + 1, a mark lies below when
+    2r + 1 < t, and an anchor on the path at t = 2r + 1. Bit k of
+    `reach[t]` says that some path at threshold t has k - #marks as its sum
+    of c over the marks below, c = -1 for P and +1 for its partner. A
+    prefix OR lets the threshold rise; a mark shifts the states above it by
+    its c and closes its own; an anchor keeps only its own. The path starts
+    through constraint 1, at t = 1. The index is the below-form's base plus
+    the sum, and as the two formulas differ by the same count on every
+    below-set, one `read` checks them. O(events * size) integer operations.
     """
     level = diagram._ranks
-    ids = level.ids
-    if len(ids) > 12:
-        raise TooLarge(f"{len(ids)} crossings exceed the enumeration bound of 12")
-    scale, events = _events(level)
-    achievable = set()
-    for mask in range(1 << len(ids)):
-        below = frozenset(cid for i, cid in enumerate(ids) if mask >> i & 1)
-        walk = _walk(level, scale, events, below)
-        if walk is not None:
-            achievable.add(walk[1])
-    return frozenset(achievable)
+    ids, p_ids = level.ids, level.p_ids
+    base = level.read(frozenset(), frozenset(ids), 1)
+    reach = [0] * (2 * level.size + 1)
+    reach[1] = 1 << len(ids)
+    events = sorted([(c, r, None) for c, r in level.constraints[1:]]
+                    + list(zip(level.cols, level.rows, ids)))
+    for _, row, cid in events:
+        reach = list(accumulate(reach, or_))
+        t = 2 * row + 1
+        if cid is None:
+            reach = [0] * t + [reach[t]] + [0] * (len(reach) - t - 1)
+        else:
+            reach[t] = 0
+            reach[t + 1:] = ([v >> 1 for v in reach[t + 1:]] if cid in p_ids
+                             else [v << 1 for v in reach[t + 1:]])
+    sums = reduce(or_, reach)
+    return frozenset(base + k - len(ids)
+                     for k in range(sums.bit_length()) if sums >> k & 1)

@@ -24,7 +24,6 @@ from fpindex.errors import (
     NotPositivelyOriented,
     NotSimple,
     NotTransverse,
-    TooLarge,
 )
 from fpindex.exact_geom import (
     PLLoop,
@@ -510,12 +509,20 @@ def anchor_points(diagram: TorusDiagram,
     return points
 
 
-def oracle_with_anchors(diagram: TorusDiagram, extra_pairs) -> frozenset[int]:
-    """`oracle_enumerate` with extra prescribed pairs: every index a
-    faithful mark-avoiding staircase path through the three constraints and
-    the extra anchors achieves. The anchors shrink the feasible set without
+class TooLarge(InputRejection):
+    """The diagram has more than 12 crossings, too many below-sets for
+    `oracle_with_anchors` to walk."""
+
+
+def oracle_with_anchors(diagram: TorusDiagram,
+                        extra_pairs=()) -> frozenset[int]:
+    """Every index a faithful mark-avoiding staircase path through the
+    three constraints and the extra anchors achieves, by running the
+    package's walk on every below-set. With no extra pair this is the mask
+    enumeration that `oracle_enumerate`'s dynamic program replaced, and the
+    tests' reference for it. The anchors shrink the feasible set without
     changing any value, which turns the three-point problem into a
-    diagnostic four-or-more-point one. Runs the package's walk."""
+    diagnostic four-or-more-point one."""
     level = diagram._ranks
     ids = level.ids
     if len(ids) > 12:
@@ -809,19 +816,26 @@ def lens_fixture():
 
 def random_transverse_pair(
         rng: random.Random, min_crossings: int = 2,
-        max_crossings: int | None = None,
+        max_crossings: int | None = None, sides: range = range(6, 13),
+        spread: int = 3,
 ) -> tuple[PolyJordanCurve, PolyJordanCurve, CrossingSet]:
-    """Rejection-sample a transverse pair of 6- to 12-gon star polygons with
-    crossings, the second centred at an integer offset of at most 3 on each
-    axis.
+    """Rejection-sample a transverse pair of star polygons with crossings,
+    each with a number of sides in `sides`, the second centred at an
+    integer offset of at most `spread` on each axis.
 
     Tangent or overlapping draws are discarded, not nudged, so the returned
-    pair is exactly transverse.
+    pair is exactly transverse. Concentric pairs of 10- to 16-gons
+    (`sides=range(10, 17), spread=0`) have 10 to 12 crossings about one
+    draw in four.
     """
+    def offset() -> Fraction:
+        return Fraction(rng.randrange(-spread, spread + 1))
+
     while True:
-        a = star_polygon(rng, rng.randrange(6, 13), pt(0, 0), 2, 5)
-        off = pt(Fraction(rng.randrange(-3, 4)), Fraction(rng.randrange(-3, 4)))
-        b = star_polygon(rng, rng.randrange(6, 13), off, 2, 5)
+        a = star_polygon(rng, rng.randrange(sides.start, sides.stop),
+                         pt(0, 0), 2, 5)
+        off = pt(offset(), offset())
+        b = star_polygon(rng, rng.randrange(sides.start, sides.stop), off, 2, 5)
         try:
             first = validate_curve(a)
             second = validate_curve(b)

@@ -332,6 +332,43 @@ class TestRenderCommand:
 
 
 
+class TestArgumentErrors:
+    """An argument argparse rejects exits 2 with one JSON report on stdout
+    and nothing on stderr; --help still prints its usage and exits 0."""
+
+    @pytest.mark.parametrize("argv, reason", [
+        ((), "fpindex: the following arguments are required: command"),
+        (("index",), "fpindex index: the following arguments are required: "
+                     "curve_a, curve_b, map"),
+        (("bogus",), "fpindex: argument command: invalid choice: 'bogus' "
+                     "(choose from 'index', 'torus', 'prescribe', 'cut', "
+                     "'incompat', 'render', 'selftest')"),
+        (("render", "bad", "x"), "fpindex render: argument kind: invalid "
+                                 "choice: 'bad' (choose from 'torus', "
+                                 "'overlay', 'faces')"),
+        (("selftest", "--seed", "x"),
+         "fpindex selftest: argument --seed: invalid int value: 'x'"),
+        (("incompat", "a", "b", "c", "--epsilon", "-1/3"),
+         "fpindex incompat: argument --epsilon: expected one argument"),
+        (("cut", "a", "b", "--bogus"), "fpindex: unrecognized arguments: "
+                                       "--bogus"),
+    ])
+    def test_exits_two_with_one_report(self, capsys, argv, reason):
+        code = main(list(argv))
+        captured = capsys.readouterr()
+        assert code == 2
+        assert json.loads(captured.out) == {"error": "InputRejection",
+                                            "reason": reason}
+        assert captured.err == ""
+
+    @pytest.mark.parametrize("argv", [["--help"], ["index", "--help"]])
+    def test_help_prints_usage(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: fpindex")
+
+
 class TestUnwritableOutput:
     """An output path in a missing directory is a rejected input."""
 

@@ -188,6 +188,8 @@ import fpindex.{module}
 # Definitions that nothing else in the package uses and that stay, each with
 # its reason. Code that only tests or scripts call lives in tests/.
 KEPT = {
+    "cli._Parser.error": "argparse calls it: it overrides the hook that "
+                         "reports an argument error",
     "exact_geom.PLLoop.segments": "the benchmark's per-call metrics time the "
                                   "Fraction segments until the benchmark "
                                   "revision measures the row kernels",

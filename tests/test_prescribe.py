@@ -18,7 +18,6 @@ from fpindex.errors import (
     InvariantFailure,
     PathHitsMark,
     TooFewCrossings,
-    TooLarge,
 )
 from fpindex.jordan import (
     CrossKind,
@@ -463,8 +462,7 @@ class TestPrescribeCanonical:
         assert 0 <= trace.index <= 2
         realized = realize_path(diagram, path)
         assert fixed_point_index(first, second, realized) == trace.index
-        if 2 * m <= 8:
-            assert trace.index in oracle_enumerate(diagram)
+        assert trace.index in oracle_enumerate(diagram)
 
     def test_recursion_reaches_pair_rule(self):
         _, _, _, diagram = canonical_diagram(3, seed=23)
@@ -493,10 +491,9 @@ class TestPrescribeRandom:
                     assert level.index >= level.child_index
             if any(lv.rule == "pair" for lv in trace.levels):
                 pair_rule_seen += 1
-            if len(crossings) <= 8:
-                achievable = oracle_enumerate(diagram)
-                assert trace.index in achievable
-                assert max(achievable) >= 0
+            achievable = oracle_enumerate(diagram)
+            assert trace.index in achievable
+            assert max(achievable) >= 0
         assert pair_rule_seen > 0
 
 
@@ -584,7 +581,10 @@ class TestOracle:
         # the identity-parameter map on this fixture has value 0
         assert fixed_point_index(first, second, identity_params(4)) == 0
 
-    def test_size_bound(self):
+    def test_fourteen_marks_get_their_set(self):
+        # past the old enumeration bound of 12: on the diagonal, after both
+        # anchors, every below-set is realizable, so the set is the base 1
+        # plus every sum of seven -1s and seven +1s
         cols = [("c", 1), ("c", 2), ("c", 3)]
         rows = [("c", 1), ("c", 2), ("c", 3)]
         kinds = {}
@@ -593,8 +593,9 @@ class TestOracle:
             rows.append(("m", i))
             kinds[i] = CrossKind.P if i % 2 == 0 else CrossKind.PTILDE
         d = abstract_diagram(cols, rows, kinds)
-        with pytest.raises(TooLarge):
-            oracle_enumerate(d)
+        assert oracle_enumerate(d) == frozenset(range(-6, 9))
+        _, trace = prescribe(d)
+        assert trace.index in oracle_enumerate(d)
 
     def test_extra_pair_collision_rejected(self):
         _, _, crossings, diagram = lens_fixture()
@@ -622,6 +623,51 @@ class TestOracle:
         assert four <= three
         assert -1 in four
         assert max(four) < 0
+
+
+class TestOracleDynamicProgram:
+    """`oracle_enumerate`'s dynamic program against the mask enumeration
+    (`oracle_with_anchors` with no extra pair), which walks every
+    below-set."""
+
+    def test_every_diagram_up_to_four_crossings(self):
+        for diagram in small_diagrams(2):
+            assert oracle_enumerate(diagram) == oracle_with_anchors(diagram)
+
+    def test_sampled_six_crossing_diagrams(self):
+        rng = random.Random(3500)
+        sampled = [d for d in small_diagrams(3)
+                   if len(d.kinds) == 6 and rng.random() < 0.02]
+        assert len(sampled) > 200
+        for diagram in sampled:
+            assert oracle_enumerate(diagram) == oracle_with_anchors(diagram)
+
+    def test_star_pairs_with_ten_to_twelve_crossings(self):
+        rng = random.Random(3501)
+        sizes = set()
+        for _ in range(10):
+            first, second, crossings = random_transverse_pair(
+                rng, min_crossings=10, max_crossings=12,
+                sides=range(10, 17), spread=0)
+            phi = random_correspondence(rng, rng.randrange(3, 9))
+            diagram = build_diagram(first, second, crossings,
+                                    synthesize_constraints(crossings, phi, rng))
+            assert oracle_enumerate(diagram) == oracle_with_anchors(diagram)
+            sizes.add(len(crossings))
+        assert 12 in sizes
+
+    @pytest.mark.parametrize("m", range(1, 7))
+    def test_canonical_pairs(self, m):
+        _, _, _, diagram = canonical_diagram(m, seed=3510 + m)
+        assert oracle_enumerate(diagram) == oracle_with_anchors(diagram)
+
+    def test_canonical_pairs_past_the_old_bound(self):
+        # c05's range: every path of a non-cutting pair has index 0, 1 or 2
+        for m in range(7, 21):
+            _, _, _, diagram = canonical_diagram(m, seed=3510 + m)
+            achievable = oracle_enumerate(diagram)
+            assert achievable <= {0, 1, 2}
+            assert prescribe(diagram)[1].index in achievable
 
 
 # -- the integer walk against the Fraction route ----------------------------------
