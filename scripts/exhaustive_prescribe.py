@@ -6,12 +6,14 @@ Every combinatorial torus diagram with at most the given number of crossings
 (`tests/test_prescribe.py`'s `small_diagrams`: each planar alternating
 crossing pattern, constraint 1 at the cut and constraints 2 and 3 at every
 ordered placement on each axis, plus the three crossing-free containments)
-gets the three checks of `TestExhaustiveSmall`:
+gets the three checks of `TestExhaustiveSmall` and one of the oracle:
 
 - `prescribe` succeeds and its index is at least 0;
 - that index lies in `oracle_enumerate`'s set;
 - it equals the reading with the cut moved by rebuilt diagrams
-  (`tests/test_torus.py`'s `reference_all_bases`).
+  (`tests/test_torus.py`'s `reference_all_bases`);
+- `oracle_enumerate`'s greedy interval equals the set of the bitset dynamic
+  program it replaced (`tests/geomgen.py`'s `oracle_dynamic_program`).
 
 The counts per crossing number, the index values and the oracle set sizes
 seen, any failures, and the wall time go to the JSON report (default
@@ -34,12 +36,13 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 from fpindex.errors import FpIndexError  # noqa: E402
 from fpindex.prescribe import oracle_enumerate, prescribe  # noqa: E402
 
+from geomgen import oracle_dynamic_program  # noqa: E402
 from test_prescribe import small_diagrams  # noqa: E402
 from test_torus import reference_all_bases  # noqa: E402
 
 
 class CheckFailed(Exception):
-    """A diagram failed one of the three checks."""
+    """A diagram failed one of the four checks."""
 
 
 def check(diagram) -> tuple[int, int]:
@@ -47,6 +50,10 @@ def check(diagram) -> tuple[int, int]:
     package's own error on a failed check."""
     path, trace = prescribe(diagram)
     achievable = oracle_enumerate(diagram)
+    reference = oracle_dynamic_program(diagram)
+    if achievable != reference:
+        raise CheckFailed(f"oracle set {sorted(achievable)} is not the "
+                          f"dynamic program's {sorted(reference)}")
     if trace.index < 0:
         raise CheckFailed(f"index {trace.index} < 0")
     if trace.index not in achievable:
@@ -81,7 +88,8 @@ def run(max_crossings: int) -> dict:
         "max_crossings": max_crossings,
         "checks": ["prescribe succeeds with index >= 0",
                    "index in oracle_enumerate's set",
-                   "index equals the rebuilt-cut reading"],
+                   "index equals the rebuilt-cut reading",
+                   "oracle_enumerate equals the dynamic program's set"],
         "by_crossings": {
             str(size): {"diagrams": counts[size],
                         **{name: {str(k): v for k, v in sorted(tally.items())}

@@ -8,7 +8,8 @@ script times, in this process, one pass through the layers a `noncut_ladder`
 op runs: `canonical_noncut_pair`, `check_transverse` and `cuts_each_other`
 on that fresh pair, `fixed_point_index` of a seeded map without fixed
 points, `build_diagram` with three constraints through the map, `prescribe`,
-and `realize_path` of the prescribed path. It also times `segment_contacts`,
+and `realize_path` of the prescribed path. It also times two layers that op
+does not run: `oracle_enumerate` on the same diagram, and `segment_contacts`,
 the integer sweep both crossing scans start from, on the same pair after
 them, with the pair's edge tables built. Each layer reports the best of
 REPEATS passes in milliseconds, each pass on a new pair, map and diagram
@@ -41,7 +42,7 @@ from fpindex.jordan import (  # noqa: E402
     segment_contacts,
 )
 from fpindex.plmap import fixed_point_index  # noqa: E402
-from fpindex.prescribe import prescribe  # noqa: E402
+from fpindex.prescribe import oracle_enumerate, prescribe  # noqa: E402
 from fpindex.torus import build_diagram, realize_path  # noqa: E402
 
 from geomgen import indexable_map, synthesize_constraints  # noqa: E402
@@ -51,7 +52,7 @@ REPEATS = 20
 DRAWS = 30
 LAYERS = ("canonical_noncut_pair", "check_transverse", "cuts_each_other",
           "segment_contacts", "fixed_point_index", "build_diagram",
-          "prescribe", "realize_path")
+          "prescribe", "oracle_enumerate", "realize_path")
 
 
 def one_pass(m: int, seed: int) -> tuple[dict[str, float], int]:
@@ -75,6 +76,7 @@ def one_pass(m: int, seed: int) -> tuple[dict[str, float], int]:
     diagram = timed("build_diagram", build_diagram, first, second, crossings,
                     pairs)
     path, trace = timed("prescribe", prescribe, diagram)
+    timed("oracle_enumerate", oracle_enumerate, diagram)
     timed("realize_path", realize_path, diagram, path)
     return spent, max((level.depth for level in trace.levels), default=0)
 

@@ -8,8 +8,8 @@ smaller diagram, then thread the path past the reinserted pair without
 letting the index drop. The induction is one loop over an explicit stack
 of levels (`_drive`), each the diagram on integers (`torus.Ranks`) with its
 event list; a child level is derived from its parent's in O(n) (`_child`).
-`oracle_enumerate` finds every achievable index value as an independent
-cross-check, by a dynamic program over the path's height at each event.
+`oracle_enumerate` cross-checks the solver: achievable indices form an
+interval, as below-sets one mark apart join any two; a greedy finds each end.
 
 A staircase path's homotopy class rel marks is determined by which marks lie
 below it, so the solver manipulates below-sets and materializes a path only
@@ -36,9 +36,6 @@ from __future__ import annotations
 
 import bisect
 from enum import Enum
-from functools import reduce
-from itertools import accumulate
-from operator import or_
 
 from .errors import (
     AssumptionViolated,
@@ -614,36 +611,38 @@ def _solve_by_pairs(level: Ranks, scale: int, events, depth: int):
 # -- index-set oracle ----------------------------------------------------------
 
 def oracle_enumerate(diagram: TorusDiagram) -> frozenset[int]:
-    """Every index achievable by a faithful mark-avoiding staircase path.
-
-    A dynamic program over the events in column order: constraints 2 and 3
-    (the anchors) and the marks. A path passes each event at a threshold t
-    that never falls; with row r at 2r + 1, a mark lies below when
-    2r + 1 < t, and an anchor on the path at t = 2r + 1. Bit k of
-    `reach[t]` says that some path at threshold t has k - #marks as its sum
-    of c over the marks below, c = -1 for P and +1 for its partner. A
-    prefix OR lets the threshold rise; a mark shifts the states above it by
-    its c and closes its own; an anchor keeps only its own. The path starts
-    through constraint 1, at t = 1. The index is the below-form's base plus
-    the sum, and as the two formulas differ by the same count on every
-    below-set, one `read` checks them. O(events * size) integer operations.
-    """
+    """Every index achievable by a faithful mark-avoiding staircase path:
+    the base, one `read` with no mark below (both formulas differ by one
+    count on every below-set), plus the sum of c over the marks below, -1
+    for P and +1 for its partner. The realizable below-sets are the ideals
+    of the up-left order between two the anchors force, and chains one mark
+    apart join any two, so the sums form an interval."""
     level = diagram._ranks
-    ids, p_ids = level.ids, level.p_ids
-    base = level.read(frozenset(), frozenset(ids), 1)
-    reach = [0] * (2 * level.size + 1)
-    reach[1] = 1 << len(ids)
+    base = level.read(frozenset(), frozenset(level.ids), 1)
     events = sorted([(c, r, None) for c, r in level.constraints[1:]]
-                    + list(zip(level.cols, level.rows, ids)))
+                    + list(zip(level.cols, level.rows, level.ids)))
+    lo, hi = (_least(events, level.p_ids, sign) for sign in (1, -1))
+    return frozenset(range(base + lo, base + hi + 1))
+
+
+def _least(events, p_ids, sign: int) -> int:
+    """The least sum of sign * c, times sign. A path passes the events at a
+    threshold t that never falls from 1; at row r, t = 2r + 1, a mark is
+    below when t exceeds it, an anchor on the path. The best sum at t is
+    `value` less the drops up to t: a mark under the last anchor is below
+    every path, one with sign * c < 0 adds a drop over itself, another
+    cancels the least over it; an anchor takes those under it, clears all."""
+    start, value, drops = 1, 0, []
     for _, row, cid in events:
-        reach = list(accumulate(reach, or_))
         t = 2 * row + 1
+        c = -sign if cid in p_ids else sign
         if cid is None:
-            reach = [0] * t + [reach[t]] + [0] * (len(reach) - t - 1)
-        else:
-            reach[t] = 0
-            reach[t + 1:] = ([v >> 1 for v in reach[t + 1:]] if cid in p_ids
-                             else [v << 1 for v in reach[t + 1:]])
-    sums = reduce(or_, reach)
-    return frozenset(base + k - len(ids)
-                     for k in range(sums.bit_length()) if sums >> k & 1)
+            value -= bisect.bisect(drops, t)
+            start, drops = t, []
+        elif t < start:
+            value += c
+        elif c < 0:
+            bisect.insort(drops, t + 1)
+        elif (k := bisect.bisect(drops, t)) < len(drops):
+            del drops[k]
+    return sign * (value - len(drops))

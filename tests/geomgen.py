@@ -11,8 +11,10 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cmp_to_key
+from functools import cmp_to_key, reduce
+from itertools import accumulate
 from math import lcm
+from operator import or_
 from typing import Iterable, NamedTuple, Sequence
 
 from fpindex.errors import (
@@ -519,10 +521,10 @@ def oracle_with_anchors(diagram: TorusDiagram,
     """Every index a faithful mark-avoiding staircase path through the
     three constraints and the extra anchors achieves, by running the
     package's walk on every below-set. With no extra pair this is the mask
-    enumeration that `oracle_enumerate`'s dynamic program replaced, and the
-    tests' reference for it. The anchors shrink the feasible set without
-    changing any value, which turns the three-point problem into a
-    diagnostic four-or-more-point one."""
+    enumeration the package once ran, and the tests' reference for
+    `oracle_enumerate` and `oracle_dynamic_program`. The anchors shrink the
+    feasible set without changing any value, which turns the three-point
+    problem into a diagnostic four-or-more-point one."""
     level = diagram._ranks
     ids = level.ids
     if len(ids) > 12:
@@ -535,6 +537,96 @@ def oracle_with_anchors(diagram: TorusDiagram,
         if walk is not None:
             achievable.add(walk[1])
     return frozenset(achievable)
+
+
+def oracle_dynamic_program(diagram: TorusDiagram) -> frozenset[int]:
+    """Every index achievable by a faithful mark-avoiding staircase path,
+    by the bitset dynamic program `oracle_enumerate` used before its greedy:
+    the tests' reference for the greedy past the masks' reach.
+
+    A dynamic program over the events in column order: constraints 2 and 3
+    (the anchors) and the marks. A path passes each event at a threshold t
+    that never falls; with row r at 2r + 1, a mark lies below when
+    2r + 1 < t, and an anchor on the path at t = 2r + 1. Bit k of
+    `reach[t]` says that some path at threshold t has k - #marks as its sum
+    of c over the marks below, c = -1 for P and +1 for its partner. A
+    prefix OR lets the threshold rise; a mark shifts the states above it by
+    its c and closes its own; an anchor keeps only its own. The path starts
+    through constraint 1, at t = 1. The index is the below-form's base plus
+    the sum. O(events * size) integer operations.
+    """
+    level = diagram._ranks
+    ids, p_ids = level.ids, level.p_ids
+    base = level.read(frozenset(), frozenset(ids), 1)
+    reach = [0] * (2 * level.size + 1)
+    reach[1] = 1 << len(ids)
+    for _, row, cid in oracle_events(level):
+        reach = list(accumulate(reach, or_))
+        t = 2 * row + 1
+        if cid is None:
+            reach = [0] * t + [reach[t]] + [0] * (len(reach) - t - 1)
+        else:
+            reach[t] = 0
+            reach[t + 1:] = ([v >> 1 for v in reach[t + 1:]] if cid in p_ids
+                             else [v << 1 for v in reach[t + 1:]])
+    sums = reduce(or_, reach)
+    return frozenset(base + k - len(ids)
+                     for k in range(sums.bit_length()) if sums >> k & 1)
+
+
+def oracle_events(level: Ranks) -> list:
+    """The events `oracle_enumerate` passes: the anchors and the marks as
+    (col, row, id) on token ranks, in column order, an anchor's id None."""
+    return sorted([(c, r, None) for c, r in level.constraints[1:]]
+                  + list(zip(level.cols, level.rows, level.ids)))
+
+
+def oracle_witnesses(diagram: TorusDiagram) -> tuple[frozenset, frozenset]:
+    """Below-sets whose walks read the least and the greatest index of
+    `oracle_enumerate`'s interval.
+
+    `prescribe._least`'s greedy runs again with a log of its operations on
+    the drops. Then the events are undone backwards from a threshold over
+    everything: at each event the path takes the last drop at or below the
+    threshold it takes at the next event, or the start when there is none,
+    and a mark lies below when that threshold exceeds its t.
+    """
+    level = diagram._ranks
+    events = oracle_events(level)
+    found = []
+    for sign in (1, -1):
+        start, drops, log = 1, [], []
+        for _, row, cid in events:
+            t = 2 * row + 1
+            c = -sign if cid in level.p_ids else sign
+            if cid is None:
+                log.append(("clear", start, drops))
+                start, drops = t, []
+            elif t < start:
+                log.append(None)
+            elif c < 0:
+                bisect.insort(drops, t + 1)
+                log.append(("add", t + 1))
+            elif (k := bisect.bisect(drops, t)) < len(drops):
+                log.append(("cancel", drops.pop(k)))
+            else:
+                log.append(None)
+        below, height = set(), math.inf
+        for (_, row, cid), op in zip(reversed(events), reversed(log)):
+            k = bisect.bisect(drops, height)
+            height = drops[k - 1] if k else start
+            if cid is not None and height > 2 * row + 1:
+                below.add(cid)
+            if op is None:
+                continue
+            if op[0] == "clear":
+                _, start, drops = op
+            elif op[0] == "add":
+                drops.remove(op[1])
+            else:
+                bisect.insort(drops, op[1])
+        found.append(frozenset(below))
+    return tuple(found)
 
 
 def thread_path(diagram: TorusDiagram, below_ids) -> StaircasePath:

@@ -36,6 +36,7 @@ from fpindex.prescribe import (
     _child,
     _drive,
     _events,
+    _least,
     _path_induced_bits,
     _solve_by_pairs,
     _staircase,
@@ -59,12 +60,15 @@ from fpindex.torus import (
 from geomgen import (
     abstract_diagram,
     anchor_points,
+    anchored_events,
     delta_split,
     identity_params,
     indexable_map,
     lens_fixture,
     marks,
+    oracle_dynamic_program,
     oracle_with_anchors,
+    oracle_witnesses,
     random_transverse_pair,
     reference_thread_path,
     square_curve,
@@ -88,6 +92,18 @@ def canonical_diagram(m: int, seed: int):
     phi = random_correspondence(rng, 6)
     pairs = synthesize_constraints(crossings, phi, rng)
     return first, second, crossings, build_diagram(first, second, crossings, pairs)
+
+
+def star_diagrams(rng, count: int, min_crossings: int, max_crossings: int,
+                  sides: range = range(10, 17)):
+    """Diagrams of concentric star-polygon pairs with seeded constraints."""
+    for _ in range(count):
+        first, second, crossings = random_transverse_pair(
+            rng, min_crossings=min_crossings, max_crossings=max_crossings,
+            sides=sides, spread=0)
+        phi = random_correspondence(rng, rng.randrange(3, 9))
+        yield build_diagram(first, second, crossings,
+                            synthesize_constraints(crossings, phi, rng))
 
 
 # -- box dispatch ---------------------------------------------------------------
@@ -625,14 +641,31 @@ class TestOracle:
         assert max(four) < 0
 
 
+def greedy_and_program(diagram):
+    """`oracle_enumerate`'s greedy interval and the bitset dynamic program's
+    set, which must be equal."""
+    greedy = oracle_enumerate(diagram)
+    assert greedy == oracle_dynamic_program(diagram)
+    return greedy
+
+
+def check_witnesses(diagram):
+    """Both extreme below-sets walk, and read the interval's two ends."""
+    achievable = oracle_enumerate(diagram)
+    least, greatest = oracle_witnesses(diagram)
+    assert walk_below(diagram, least)[2] == min(achievable)
+    assert walk_below(diagram, greatest)[2] == max(achievable)
+
+
 class TestOracleDynamicProgram:
-    """`oracle_enumerate`'s dynamic program against the mask enumeration
-    (`oracle_with_anchors` with no extra pair), which walks every
-    below-set."""
+    """`oracle_enumerate`'s greedy interval against the bitset dynamic
+    program (`oracle_dynamic_program`), and both against the mask
+    enumeration (`oracle_with_anchors` with no extra pair), which walks
+    every below-set, where its 12 crossings reach."""
 
     def test_every_diagram_up_to_four_crossings(self):
         for diagram in small_diagrams(2):
-            assert oracle_enumerate(diagram) == oracle_with_anchors(diagram)
+            assert greedy_and_program(diagram) == oracle_with_anchors(diagram)
 
     def test_sampled_six_crossing_diagrams(self):
         rng = random.Random(3500)
@@ -640,34 +673,91 @@ class TestOracleDynamicProgram:
                    if len(d.kinds) == 6 and rng.random() < 0.02]
         assert len(sampled) > 200
         for diagram in sampled:
-            assert oracle_enumerate(diagram) == oracle_with_anchors(diagram)
+            assert greedy_and_program(diagram) == oracle_with_anchors(diagram)
 
     def test_star_pairs_with_ten_to_twelve_crossings(self):
-        rng = random.Random(3501)
         sizes = set()
-        for _ in range(10):
-            first, second, crossings = random_transverse_pair(
-                rng, min_crossings=10, max_crossings=12,
-                sides=range(10, 17), spread=0)
-            phi = random_correspondence(rng, rng.randrange(3, 9))
-            diagram = build_diagram(first, second, crossings,
-                                    synthesize_constraints(crossings, phi, rng))
-            assert oracle_enumerate(diagram) == oracle_with_anchors(diagram)
-            sizes.add(len(crossings))
+        for diagram in star_diagrams(random.Random(3501), 10, 10, 12):
+            assert greedy_and_program(diagram) == oracle_with_anchors(diagram)
+            sizes.add(len(diagram.kinds))
         assert 12 in sizes
+
+    def test_star_pairs_with_ten_to_forty_crossings(self):
+        sizes = set()
+        for diagram in star_diagrams(random.Random(3502), 20, 10, 40,
+                                     sides=range(10, 65)):
+            greedy_and_program(diagram)
+            sizes.add(len(diagram.kinds))
+        assert min(sizes) < 16 and max(sizes) > 32
 
     @pytest.mark.parametrize("m", range(1, 7))
     def test_canonical_pairs(self, m):
         _, _, _, diagram = canonical_diagram(m, seed=3510 + m)
-        assert oracle_enumerate(diagram) == oracle_with_anchors(diagram)
+        assert greedy_and_program(diagram) == oracle_with_anchors(diagram)
 
     def test_canonical_pairs_past_the_old_bound(self):
         # c05's range: every path of a non-cutting pair has index 0, 1 or 2
         for m in range(7, 21):
             _, _, _, diagram = canonical_diagram(m, seed=3510 + m)
-            achievable = oracle_enumerate(diagram)
+            achievable = greedy_and_program(diagram)
             assert achievable <= {0, 1, 2}
             assert prescribe(diagram)[1].index in achievable
+
+    def test_canonical_pairs_up_to_64(self):
+        for m in (*range(21, 33, 3), 48, 64):
+            _, _, _, diagram = canonical_diagram(m, seed=3510 + m)
+            assert greedy_and_program(diagram) <= {0, 1, 2}
+
+
+class TestOracleWitnesses:
+    """The greedy's extreme below-sets (`oracle_witnesses`) walk, and
+    `_walk` reads on them exactly the interval's ends."""
+
+    def test_every_diagram_up_to_four_crossings(self):
+        for diagram in small_diagrams(2):
+            check_witnesses(diagram)
+
+    def test_sampled_six_crossing_diagrams(self):
+        rng = random.Random(3503)
+        sampled = [d for d in small_diagrams(3)
+                   if len(d.kinds) == 6 and rng.random() < 0.02]
+        assert len(sampled) > 200
+        for diagram in sampled:
+            check_witnesses(diagram)
+
+    def test_canonical_pairs_up_to_64(self):
+        for m in (*range(1, 33), 48, 64):
+            _, _, _, diagram = canonical_diagram(m, seed=3520 + m)
+            check_witnesses(diagram)
+
+
+class TestOracleFourAnchors:
+    def test_greedy_with_an_extra_anchor(self):
+        # one extra prescribed pair at half ranks: the greedy's interval is
+        # the masks' set wherever that set is non-empty, and an anchor under
+        # the one before it in column order leaves no path at all
+        rng = random.Random(3504)
+        feasible = empty = 0
+        for diagram in small_diagrams(2):
+            level = diagram._ranks
+            n = level.size
+            base = level.read(frozenset(), frozenset(level.ids), 1)
+            for _ in range(6):
+                extra = [(F(2 * rng.randrange(n) + 1, 2 * n),
+                          F(2 * rng.randrange(n) + 1, 2 * n))]
+                got = oracle_with_anchors(diagram, extra)
+                _, events = anchored_events(
+                    level, anchor_points(diagram, extra))
+                rows = [y for _, y, cid in events if cid is None]
+                if rows != sorted(rows):
+                    assert got == frozenset()
+                    empty += 1
+                    continue
+                lo, hi = (_least(events, level.p_ids, sign)
+                          for sign in (1, -1))
+                assert got == frozenset(range(base + lo, base + hi + 1))
+                feasible += 1
+        assert feasible > 1000 and empty > 1000
 
 
 # -- the integer walk against the Fraction route ----------------------------------
