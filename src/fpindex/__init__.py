@@ -13,7 +13,7 @@ compiles only `jordan` and what it imports.
 The package attribute `prescribe` is the function, not the module of the
 same name, so `import fpindex.prescribe as P` binds the function. Import
 the module's other names from it directly, as in
-`from fpindex.prescribe import find_doubly_adjacent`.
+`from fpindex.prescribe import oracle_enumerate`.
 """
 import sys
 from importlib import import_module

@@ -58,7 +58,8 @@ def value_type(cls):
     instance hashes as its field tuple and reprs as `Name(field=value, ...)`.
     Setting or deleting any attribute raises AttributeError, so `__init__`
     and `trusted` write fields with `_set`. A class with a
-    `cached_property` keeps its `__dict__`; the others use `__slots__`.
+    `cached_property` (a loop's rows, a map's source parameters) keeps its
+    `__dict__`; the others use `__slots__`.
 
     A class that defines no `__init__` gets a shared one. It binds the
     positional arguments, then the keyword arguments, to `_fields` in order,
@@ -125,9 +126,10 @@ def trusted(cls, **fields):
     value (a loop's rows) may be seeded too.
 
     This is the one trusted constructor behind the package's validated
-    types. Call it only where the checks would pass by construction: on an
-    object derived from one that has passed them, by an operation that
-    keeps them (an inverse, a rotation, a translate, a child diagram).
+    types, and the only caller of `_new`. Call it only where the checks
+    would pass by construction: on an object derived from one that has
+    passed them, by an operation that keeps them (an inverse, a rotation, a
+    translate, a child diagram).
     """
     obj = _new(cls)
     for name, value in fields.items():
@@ -229,9 +231,6 @@ class Segment:
         _set(self, "a", a)
         _set(self, "b", b)
 
-    def point_at(self, t: RatLike) -> RatPoint:
-        return self.a + (self.b - self.a).scale(t)
-
 
 class MeetKind(Enum):
     EMPTY = "empty"
@@ -255,18 +254,6 @@ class SegmentMeeting:
     def __init__(self, kind: MeetKind, point: RatPoint | None = None) -> None:
         _set(self, "kind", kind)
         _set(self, "point", point)
-
-    @staticmethod
-    def empty() -> "SegmentMeeting":
-        return SegmentMeeting(MeetKind.EMPTY)
-
-    @staticmethod
-    def proper(point: RatPoint) -> "SegmentMeeting":
-        return SegmentMeeting(MeetKind.PROPER, point)
-
-    @staticmethod
-    def degenerate() -> "SegmentMeeting":
-        return SegmentMeeting(MeetKind.DEGENERATE)
 
 
 def meet_int(a: Row, b: Row, c: Row, d: Row,
@@ -305,10 +292,9 @@ def segment_intersection(s: Segment, t: Segment) -> SegmentMeeting:
     kind, d1, d2, _, _ = meet_int(a, b, row(t.a), row(t.b))
     if kind is MeetKind.PROPER:
         u = d1 * b[2]
-        return SegmentMeeting.proper(s.point_at(Fraction(u, u - d2 * a[2])))
-    if kind is MeetKind.DEGENERATE:
-        return SegmentMeeting.degenerate()
-    return SegmentMeeting.empty()
+        x, y, w = between(a, b, u, u - d2 * a[2])
+        return SegmentMeeting(kind, RatPoint(Fraction(x, w), Fraction(y, w)))
+    return SegmentMeeting(kind)
 
 
 @value_type

@@ -297,7 +297,7 @@ def segment_contacts(first: PLLoop, second: PLLoop,
 
 def _check_kinds(kinds: Sequence, by_kt: Sequence[int]) -> None:
     """AlternationViolation on an odd count, or unless the kinds alternate
-    along their own order and along the positions listed in by_kt."""
+    along their own order and the positions in by_kt (sets and diagrams)."""
     if len(kinds) % 2 != 0:
         raise AlternationViolation("odd crossing count")
     for order in (list(range(len(kinds))), by_kt):

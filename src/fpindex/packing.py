@@ -515,22 +515,14 @@ def _frame_corner_index(first: PackingSpec, second: PackingSpec) -> int:
         raise HypothesesNotMet(f"frame corner map rejected: {exc}") from exc
 
 
-def _checked_analyses(first: PackingSpec, second: PackingSpec,
-                      correspondence: Sequence[int],
-                      ) -> tuple[_Analysis, _Analysis, OverlayReport]:
-    try:
-        overlay = check_overlay_transverse(first, second)
-    except InputRejection as exc:
-        raise HypothesesNotMet(f"{type(exc).__name__}: {exc}") from exc
-    return (*_matched_analyses(first, second, correspondence), overlay)
-
-
-def _matched_analyses(first: PackingSpec, second: PackingSpec,
-                      correspondence: Sequence[int],
-                      ) -> tuple[_Analysis, _Analysis]:
-    """Both analyses, once the contact structures match under the
-    correspondence and the frames interleave; the caller checks the
-    overlay first."""
+def _hypotheses(first: PackingSpec, second: PackingSpec,
+                correspondence: Sequence[int],
+                ) -> tuple[OverlayReport, _Analysis, _Analysis]:
+    """The overlay and both analyses, once both packings are valid, the
+    overlay is transverse, the contact structures match under the
+    correspondence and the frames interleave, checked in that order. Each
+    fault is raised as its own class."""
+    overlay = check_overlay_transverse(first, second)
     first_a, second_a = first.analysis, second.analysis
     if not isomorphic_contact(first_a.graph, second_a.graph, correspondence):
         raise HypothesesNotMet(
@@ -539,7 +531,7 @@ def _matched_analyses(first: PackingSpec, second: PackingSpec,
     if frame_index != -1:
         raise HypothesesNotMet(
             f"frames are not interleaved: corner map index {frame_index}")
-    return first_a, second_a
+    return overlay, first_a, second_a
 
 
 def find_cutting_pair(first: PackingSpec, second: PackingSpec,
@@ -550,7 +542,7 @@ def find_cutting_pair(first: PackingSpec, second: PackingSpec,
     transverse, contact structures matching, frames interleaved.
     """
     return _first_cutting_pair(
-        correspondence, _checked_analyses(first, second, correspondence)[2])
+        correspondence, _hypotheses(first, second, correspondence)[0])
 
 
 def _first_cutting_pair(correspondence: Sequence[int],
@@ -582,7 +574,7 @@ def assemble_theorem_certificate(first: PackingSpec, second: PackingSpec,
             piece_indices=(), interstice_indices=(), interstice_triples=(),
             cutting_index=None, degenerate=True)
     return _certificate(first, second, correspondence,
-                        *_checked_analyses(first, second, correspondence))
+                        _hypotheses(first, second, correspondence))
 
 
 def _vertex_param(curve: PolyJordanCurve, p: RatPoint) -> Fraction:
@@ -590,10 +582,12 @@ def _vertex_param(curve: PolyJordanCurve, p: RatPoint) -> Fraction:
 
 
 def _certificate(first: PackingSpec, second: PackingSpec,
-                 correspondence: Sequence[int], first_a: _Analysis,
-                 second_a: _Analysis, overlay: OverlayReport,
+                 correspondence: Sequence[int],
+                 checked: tuple[OverlayReport, _Analysis, _Analysis],
                  ) -> TheoremCertificate:
-    """assemble_theorem_certificate on packings whose hypotheses hold."""
+    """assemble_theorem_certificate on packings whose hypotheses hold, with
+    what `_hypotheses` returned for them."""
+    overlay, first_a, second_a = checked
     # loaded here, so that reading or drawing a packing does not load them
     from .prescribe import prescribe
     from .torus import build_diagram, realize_path
@@ -670,16 +664,12 @@ def certify_incompatibility(first: PackingSpec, second: PackingSpec,
                             correspondence: Sequence[int],
                             ) -> tuple[OverlayReport, int, TheoremCertificate]:
     """The overlay report, find_cutting_pair and assemble_theorem_certificate,
-    with the overlay checked once.
-
-    An overlay fault is raised as check_overlay_transverse raises it; every
-    later error comes as and when find_cutting_pair would raise it.
-    """
-    overlay = check_overlay_transverse(first, second)
-    analyses = _matched_analyses(first, second, correspondence)
-    cutting = _first_cutting_pair(correspondence, overlay)
-    return overlay, cutting, _certificate(first, second, correspondence,
-                                          *analyses, overlay)
+    with the hypotheses checked once; every error comes as and when
+    find_cutting_pair would raise it."""
+    checked = _hypotheses(first, second, correspondence)
+    overlay = checked[0]
+    return (overlay, _first_cutting_pair(correspondence, overlay),
+            _certificate(first, second, correspondence, checked))
 
 
 def translate_packing(spec: PackingSpec, shift: RatPoint) -> PackingSpec:

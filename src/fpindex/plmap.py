@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import bisect
 from fractions import Fraction
+from functools import cached_property
 from itertools import starmap
 from math import gcd, lcm
 from typing import Iterable, Iterator
@@ -51,10 +52,10 @@ from .errors import (
 from .exact_geom import (
     PLLoop,
     RatPoint,
-    _new,
     _set,
     between,
     edge_crossing,
+    trusted,
     value_type,
 )
 from .jordan import PolyJordanCurve, _arcs_of, _join_polylines, validate_curve
@@ -69,14 +70,14 @@ class PLCorrespondence:
     is what degree one plus injectivity means for a monotone map. `wrap` is
     the position of the least t, the breakpoint after that one descent.
 
-    The constructor checks all of this. `_trusted` checks nothing: it is for
-    maps made from a valid one (`invert`) or by construction
-    (`random_correspondence`, `torus.realize_path`), which know the wrap.
-    `s_vals` (the source parameters) and `wrap` are derived from the
-    breakpoints, so equality, hash and repr read the breakpoints alone.
+    The constructor checks all of this. Maps made from a valid one
+    (`invert`) or by construction (`random_correspondence`,
+    `torus.realize_path`) know the wrap and are built by
+    `exact_geom.trusted` with `breakpoints` and `wrap`; their `s_vals` (the
+    source parameters) are read off the breakpoints when first asked. Both
+    are derived, so equality, hash and repr read the breakpoints alone.
     """
 
-    __slots__ = ("breakpoints", "s_vals", "wrap")
     _fields = ("breakpoints",)
 
     def __init__(self, breakpoints: tuple[tuple[Fraction, Fraction], ...],
@@ -101,19 +102,10 @@ class PLCorrespondence:
         _set(self, "s_vals", s_vals)
         _set(self, "wrap", (descents[0] + 1) % n)
 
-    @classmethod
-    def _trusted(cls, breakpoints: tuple[tuple[Fraction, Fraction], ...],
-                 wrap: int) -> "PLCorrespondence":
-        """Unchecked constructor for breakpoints known to be valid, with
-        the least target parameter at position `wrap`. It is
-        `exact_geom.trusted` written out for the three slots: maps are
-        made often, and the generic loop over keyword fields costs about a
-        third more per call."""
-        obj = _new(cls)
-        _set(obj, "breakpoints", breakpoints)
-        _set(obj, "s_vals", tuple([s for s, _ in breakpoints]))
-        _set(obj, "wrap", wrap)
-        return obj
+    @cached_property
+    def s_vals(self) -> tuple[Fraction, ...]:
+        """The source parameters; the checked constructor seeds them."""
+        return tuple([s for s, _ in self.breakpoints])
 
     def evaluate(self, s: Fraction) -> Fraction:
         """phi(s), s taken mod 1: interpolated on integers, one `Fraction`
@@ -141,8 +133,8 @@ class PLCorrespondence:
         source parameter, first here, lands at position n - wrap."""
         bps, w = self.breakpoints, self.wrap
         n = len(bps)
-        return PLCorrespondence._trusted(
-            tuple([(t, s) for s, t in bps[w:] + bps[:w]]), (n - w) % n)
+        return trusted(PLCorrespondence, breakpoints=tuple(
+            [(t, s) for s, t in bps[w:] + bps[:w]]), wrap=(n - w) % n)
 
 
 def random_correspondence(rng, breakpoints: int) -> PLCorrespondence:
@@ -172,8 +164,8 @@ def random_correspondence(rng, breakpoints: int) -> PLCorrespondence:
     # tuples and argument lists from lists for the same reason.
     # Both draws are sorted and distinct, so the pairs are valid by
     # construction, and the least target sits where the rotation put t_vals[0].
-    return PLCorrespondence._trusted(tuple(list(zip(s_vals, t_cyc))),
-                                     (breakpoints - shift) % breakpoints)
+    return trusted(PLCorrespondence, breakpoints=tuple(list(zip(s_vals, t_cyc))),
+                   wrap=(breakpoints - shift) % breakpoints)
 
 
 def _bend_steps(n_source: int, n_target: int, phi: PLCorrespondence,

@@ -112,13 +112,6 @@ class BoxCategory(Enum):
     FORBIDDEN = "forbidden"    # cannot occur for both qualifying pairs
 
 
-def find_doubly_adjacent(diagram: TorusDiagram) -> list[AdjacencyBox]:
-    """Every doubly adjacent pair's box, in column order. The README names
-    it as API; the solver builds each box only when it reaches the pair."""
-    level = diagram._ranks
-    return [_build_box(level, *pair) for pair in _adjacent_pairs(level)]
-
-
 def _adjacent_pairs(level: Ranks) -> list[tuple[int, int, bool]]:
     """(entry, partner, descends) for each doubly adjacent pair, in column
     order, each mark by its place in that order; no box is built.

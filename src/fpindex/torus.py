@@ -46,7 +46,6 @@ from functools import cached_property
 from typing import NamedTuple, Sequence
 
 from .errors import (
-    AlternationViolation,
     BasePointOnGrid,
     ConstraintOnCurve,
     FormulaMismatch,
@@ -60,6 +59,7 @@ from .jordan import (
     CrossKind,
     CrossingSet,
     PolyJordanCurve,
+    _check_kinds,
     _containment,
 )
 from .plmap import PLCorrespondence
@@ -113,7 +113,9 @@ class TorusDiagram:
         mark_ids = [t[1] for t in cols if t[0] == "m"]
         if sorted(kind_map) != sorted(mark_ids):
             raise InputRejection("kinds must cover exactly the marks")
-        _check_alternation(cols, rows, kind_map)
+        col_pos = {k: i for i, k in enumerate(mark_ids)}
+        _check_kinds([kind_map[k] for k in mark_ids],
+                     [col_pos[t[1]] for t in rows if t[0] == "m"])
         if not mark_ids and containment is None:
             raise InputRejection("a diagram without marks needs a containment tag")
         for params, order in ((col_params, cols), (row_params, rows)):
@@ -215,19 +217,6 @@ class Ranks(NamedTuple):
                 if grid[row][col] == ".":
                     grid[row][col] = "*"
         return "\n".join(["".join(row) for row in reversed(grid)])
-
-
-def _check_alternation(cols: Sequence[TokenId], rows: Sequence[TokenId],
-                       kind_map: dict[int, CrossKind]) -> None:
-    """AlternationViolation unless the marks are even in number and their
-    kinds alternate along both cyclic token orders."""
-    seqs = [[kind_map[t[1]] for t in order if t[0] == "m"]
-            for order in (cols, rows)]
-    if len(seqs[0]) % 2 != 0:
-        raise AlternationViolation("odd number of marks")
-    if any(a == b for seq in seqs if len(seq) >= 2
-           for a, b in zip(seq, seq[1:] + seq[:1])):
-        raise AlternationViolation("mark kinds fail to alternate along a circle")
 
 
 def _units(params: Sequence[Fraction]) -> tuple[list, int]:
@@ -470,13 +459,13 @@ def realize_path(diagram: TorusDiagram, path: StaircasePath) -> PLCorrespondence
     if len(ratios) < 2:
         raise InputRejection("need at least two breakpoints")
     if diagram.col_params is None:
-        return PLCorrespondence._trusted(path.points[:-1], 0)
+        return trusted(PLCorrespondence, breakpoints=path.points[:-1], wrap=0)
     cols, rows = diagram._axes
     s_vals, lo = _params_at(cols, [(a, b) for a, b, _, _ in ratios])
     t_vals, wrap = _params_at(rows, [(c, d) for _, _, c, d in ratios])
     pairs = list(zip(s_vals, t_vals))
-    return PLCorrespondence._trusted(tuple(pairs[lo:] + pairs[:lo]),
-                                     (wrap - lo) % len(ratios))
+    return trusted(PLCorrespondence, breakpoints=tuple(pairs[lo:] + pairs[:lo]),
+                   wrap=(wrap - lo) % len(ratios))
 
 
 def _params_at(axis, positions: list[tuple[int, int]],

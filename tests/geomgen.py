@@ -54,7 +54,16 @@ from fpindex.plmap import (
     fixed_point_index,
     random_correspondence,
 )
-from fpindex.prescribe import ABOVE, BELOW, _events, _staircase, _walk
+from fpindex.prescribe import (
+    ABOVE,
+    BELOW,
+    AdjacencyBox,
+    _adjacent_pairs,
+    _build_box,
+    _events,
+    _staircase,
+    _walk,
+)
 from fpindex.torus import (
     Ranks,
     StaircasePath,
@@ -477,6 +486,13 @@ def walk_below(diagram: TorusDiagram, below_ids):
     scale, events = _events(level)
     walk = _walk(level, scale, events, below_ids)
     return None if walk is None else (scale, *walk)
+
+
+def find_doubly_adjacent(diagram: TorusDiagram) -> list[AdjacencyBox]:
+    """Every doubly adjacent pair's box, in column order, each built as the
+    solver builds it when it reaches the pair (`prescribe._build_box`)."""
+    level = diagram._ranks
+    return [_build_box(level, *pair) for pair in _adjacent_pairs(level)]
 
 
 def anchored_events(level: Ranks, extra) -> tuple[int, list]:

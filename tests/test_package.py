@@ -88,9 +88,9 @@ import json, types
 import fpindex
 fpindex.prescribe
 import fpindex.prescribe as P
-from fpindex.prescribe import find_doubly_adjacent
+from fpindex.prescribe import classify_box
 print(json.dumps([isinstance(P, types.FunctionType),
-                  find_doubly_adjacent.__module__]))
+                  classify_box.__module__]))
 """) == [True, "fpindex.prescribe"]
 
     def test_dir_and_star_import_list_every_name(self):
@@ -195,7 +195,6 @@ KEPT = {
                                   "revision measures the row kernels",
     "exact_geom.RatPoint.dot": "the benchmark's generator uses it until "
                                "the benchmark revision",
-    "prescribe.find_doubly_adjacent": "the README names it as API",
 }
 
 
@@ -339,6 +338,40 @@ class TestSharedConstructor:
         assert not extra, f"{extra} should take value_type's shared __init__"
         stale = [qual for qual in FIELD_ONLY_INITS if qual not in found]
         assert not stale, f"the kept {stale} no longer write one"
+
+
+def raw_allocations(package: Path) -> tuple[list[str], int]:
+    """Where the package names the allocator that skips `__init__`
+    (`exact_geom._new`, or `__new__` itself): "module:line" for each place
+    outside `_new`'s definition and `exact_geom.trusted`, and the number of
+    places inside `trusted`."""
+    outside, inside = [], 0
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        defined, kept = set(), set()
+        for node in tree.body if path.stem == "exact_geom" else ():
+            if isinstance(node, ast.Assign) and any(
+                    getattr(t, "id", None) == "_new" for t in node.targets):
+                defined.add(node.lineno)
+            if isinstance(node, ast.FunctionDef) and node.name == "trusted":
+                kept.update(range(node.lineno, node.end_lineno + 1))
+        for node in ast.walk(tree):
+            if (getattr(node, "id", None) == "_new"
+                    or getattr(node, "attr", None) == "__new__"
+                    or (isinstance(node, ast.alias)
+                        and "_new" in (node.name, node.asname))):
+                if node.lineno in kept:
+                    inside += 1
+                elif node.lineno not in defined:
+                    outside.append(f"{path.stem}:{node.lineno}")
+    return outside, inside
+
+
+class TestOneTrustedConstructor:
+    def test_only_trusted_calls_the_raw_allocator(self):
+        outside, inside = raw_allocations(ROOT / "src" / "fpindex")
+        assert not outside, f"use exact_geom.trusted, not _new, at {outside}"
+        assert inside
 
 
 def unpassed_defaults(functions: list[Path], callers: list[Path]) -> list[str]:

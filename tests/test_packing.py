@@ -89,6 +89,11 @@ class TestTopoRectangle:
             TopoRectangle(c, (0, 4, 2, 6))
 
 
+# inside one_piece_pair's first frame, in the interstice at its marked
+# corner (4, 0): a piece that touches nothing
+FLOATING = curve((3, F(1, 4)), (F(15, 4), F(1, 4)), (F(15, 4), 1))
+
+
 class TestValidatePacking:
     def test_one_piece_contact_graph(self):
         spec, _, _ = one_piece_pair()
@@ -222,9 +227,7 @@ class TestValidatePacking:
             "crescent at (4, 2) and (2, 4)": (curve(
                 (4, 2), (F(15, 4), F(15, 4)), (2, 4), (F(13, 4), F(13, 4))),),
             "far away": (curve((10, 10), (11, 10), (10, 11)),),
-            # inside the interstice at the marked corner (4, 0)
-            "floating": (curve((3, F(1, 4)), (F(15, 4), F(1, 4)),
-                               (F(15, 4), 1)),),
+            "floating": (FLOATING,),
             "floating pair": (
                 curve((3, F(1, 4)), (F(7, 2), F(1, 4)), (F(7, 2), F(3, 4))),
                 curve((F(7, 2), F(1, 4)), (F(15, 4), F(1, 4)),
@@ -392,6 +395,29 @@ class TestFindCuttingPair:
             find_cutting_pair(first, second, [1, 0])
         assert str(caught.value) == (
             "contact structures do not match under the correspondence")
+
+
+class TestOneHypothesesCheck:
+    """The three entry points check the hypotheses on one path, and raise an
+    overlay or packing fault as check_overlay_transverse raises it."""
+
+    @pytest.mark.parametrize("fault, error", [
+        ("overlay", NotTransverseOverlay), ("packing", BadInterstice)])
+    @pytest.mark.parametrize("run", [
+        packing.certify_incompatibility, packing.find_cutting_pair,
+        packing.assemble_theorem_certificate])
+    def test_fault_keeps_its_class_and_message(self, fault, error, run):
+        first, second, corr = one_piece_pair()
+        if fault == "overlay":  # test_identical_packings_are_not_transverse's
+            second = first
+        else:  # reported before the correspondence is read
+            first = PackingSpec(first.rect, first.pieces + (FLOATING,))
+        with pytest.raises(error) as expected:
+            check_overlay_transverse(first, second)
+        with pytest.raises(InputRejection) as caught:
+            run(first, second, corr)
+        assert type(caught.value) is error
+        assert str(caught.value) == str(expected.value)
 
 
 def shipped_packings(name: str):

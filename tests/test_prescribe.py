@@ -42,7 +42,6 @@ from fpindex.prescribe import (
     _staircase,
     _walk,
     classify_box,
-    find_doubly_adjacent,
     oracle_enumerate,
     prescribe,
 )
@@ -62,6 +61,7 @@ from geomgen import (
     anchor_points,
     anchored_events,
     delta_split,
+    find_doubly_adjacent,
     identity_params,
     indexable_map,
     lens_fixture,

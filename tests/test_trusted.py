@@ -221,9 +221,9 @@ class TestDiagrams:
 
 
     @pytest.mark.parametrize("drop, reason", [
-        ((0,), "odd number of marks"),
-        ((0, 1, 2), "odd number of marks"),
-        ((0, 2), "mark kinds fail to alternate along a circle"),
+        ((0,), "odd crossing count"),
+        ((0, 1, 2), "odd crossing count"),
+        ((0, 2), "crossing kinds fail to alternate"),
     ])
     def test_children_keep_the_alternation_checks(self, drop, reason):
         # marks 0 and 2 have the same kind; dropping both leaves 1 next to 3

@@ -13,7 +13,7 @@ from functools import lru_cache
 import pytest
 
 from fpindex import exact_geom
-from fpindex.exact_geom import Segment, SegmentMeeting
+from fpindex.exact_geom import MeetKind, Segment, SegmentMeeting
 from fpindex.jordan import build_arrangement, check_transverse
 from fpindex.packing import (
     assemble_theorem_certificate,
@@ -21,11 +21,12 @@ from fpindex.packing import (
     validate_packing,
 )
 from fpindex.plmap import glue, random_correspondence
-from fpindex.prescribe import find_doubly_adjacent, prescribe
-from fpindex.torus import build_diagram
+from fpindex.prescribe import prescribe
+from fpindex.torus import build_diagram, realize_path
 
 from geomgen import (
     abstract_diagram,
+    find_doubly_adjacent,
     glued_square_fixture,
     random_transverse_pair,
     straight_path,
@@ -55,9 +56,10 @@ def samples(seed: int) -> dict[str, list]:
     return {
         "RatPoint": [p, q, crossings.crossings[0].point],
         "Segment": [Segment(p, q), Segment(q, p)],
-        "SegmentMeeting": [SegmentMeeting.empty(), SegmentMeeting.proper(p),
-                           SegmentMeeting.proper(q),
-                           SegmentMeeting.degenerate()],
+        "SegmentMeeting": [SegmentMeeting(MeetKind.EMPTY),
+                           SegmentMeeting(MeetKind.PROPER, p),
+                           SegmentMeeting(MeetKind.PROPER, q),
+                           SegmentMeeting(MeetKind.DEGENERATE)],
         "PLLoop": [first.loop, second.loop],
         "PolyJordanCurve": [first, second],
         "Crossing": list(crossings.crossings[:3]),
@@ -212,3 +214,10 @@ def test_cached_values_are_computed_once():
     for obj, attr in ((loop, "rows"), (loop, "edge_keys"), (diagram, "_ranks"),
                       (path, "points"), (spec, "analysis")):
         assert getattr(obj, attr) is getattr(obj, attr)
+    # maps built trusted read their source parameters off the breakpoints
+    # when first asked, and keep them
+    for phi in (realize_path(diagram, path),
+                made["PLCorrespondence"][0].invert()):
+        assert "s_vals" not in vars(phi)
+        assert phi.s_vals == tuple([s for s, _ in phi.breakpoints])
+        assert vars(phi)["s_vals"] is phi.s_vals
